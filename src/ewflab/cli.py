@@ -126,6 +126,10 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             family = [_parse_history_spec(protocol, d) for d in args.define]
         except ValueError as exc:
             parser.error(str(exc))
+        names = [h.name for h in family]
+        if len(set(names)) != len(names):
+            dups = sorted({n for n in names if names.count(n) > 1})
+            parser.error(f"family members need distinct names (repeated: {', '.join(dups)})")
     else:
         family = [histories.okok_fine_history(protocol), histories.okok_coarse_history(protocol)]
     rows = []

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import born, histories
-from .linalg import StateVector, inner, project, weight
+from .linalg import StateVector, inner, weight
 from .protocol import (
     DOWN,
     FAIL,
@@ -30,6 +30,7 @@ from .protocol import (
     UP,
     Protocol,
     StageId,
+    record_mask,
 )
 
 FACT_ATOL = 1e-12
@@ -49,23 +50,13 @@ class FactResult:
         return f"[{status}] {tag}{self.fact_id}: {self.description} ({self.detail})"
 
 
-def _tail_branch_state(protocol: Protocol, stage: StageId) -> StateVector:
-    """Pilot state conditioned on the coin record reading tail, renormalized."""
-    proj = protocol.record_projector("r", TAIL)
-    v = project(proj, protocol.pilot_state_after(stage))
-    n = v.norm()
+def _branch_state(protocol: Protocol, coin: str, stage: StageId) -> StateVector:
+    """Pilot state conditioned on the coin record reading `coin`, renormalized."""
+    amps = protocol.pilot_state_after(stage).amps * record_mask("r", coin)
+    n = float(np.linalg.norm(amps))
     if n < 1e-12:
-        raise ValueError("tail branch has zero weight")
-    return StateVector(v.space, v.amps / n)
-
-
-def _head_branch_state(protocol: Protocol, stage: StageId) -> StateVector:
-    proj = protocol.record_projector("r", HEAD)
-    v = project(proj, protocol.pilot_state_after(stage))
-    n = v.norm()
-    if n < 1e-12:
-        raise ValueError("head branch has zero weight")
-    return StateVector(v.space, v.amps / n)
+        raise ValueError(f"{coin} branch has zero weight")
+    return StateVector(GLOBAL_SPACE, amps / n)
 
 
 def check_initial_amplitudes(protocol: Protocol) -> FactResult:
@@ -109,7 +100,7 @@ def check_okfail_bases_orthonormal(protocol: Protocol) -> FactResult:
 
 def check_tail_branch_orthogonal_to_ok(protocol: Protocol) -> FactResult:
     """FR2: the tail branch after the spin recording is orthogonal to W2's ok."""
-    branch = _tail_branch_state(protocol, StageId.OBS2)
+    branch = _branch_state(protocol, TAIL, StageId.OBS2)
     ok_proj = protocol.friend_spin_measurement.lifted_projector(OK)
     w = weight(ok_proj, branch)
     return FactResult(
@@ -123,7 +114,7 @@ def check_tail_branch_orthogonal_to_ok(protocol: Protocol) -> FactResult:
 
 def check_tail_branch_fail_certain(protocol: Protocol) -> FactResult:
     """FR3: on the tail branch, W2's final record is fail with certainty."""
-    branch = _tail_branch_state(protocol, StageId.OBS2)
+    branch = _branch_state(protocol, TAIL, StageId.OBS2)
     res = born.certainty_check(branch, protocol.friend_spin_measurement, "fail")
     return FactResult(
         "tail-branch-fail-certain",
@@ -136,7 +127,7 @@ def check_tail_branch_fail_certain(protocol: Protocol) -> FactResult:
 
 def check_head_branch_spin_down(protocol: Protocol) -> FactResult:
     """FR4: the head branch leaves the spin down, so z=+ excludes head."""
-    branch = _head_branch_state(protocol, StageId.OBS2)
+    branch = _branch_state(protocol, HEAD, StageId.OBS2)
     res = born.certainty_check(branch, protocol.spin_measurement, MINUS)
     return FactResult(
         "head-branch-spin-down",

@@ -1,9 +1,10 @@
 """History probabilities: chained projected evolution over the stage pipeline.
 
-A history is an ordered list of (stage, projector) events on the global
-space; its probability is the squared norm of the chain obtained by running
-the stage unitaries in order and applying each event's projector right after
-its stage.  Stages a history does not mention contribute plain unitary
+A history is an ordered list of (stage, record event) pairs; each record
+event is a 0/1 mask on its recorder's memory axis (`protocol.record_mask`).
+Its probability is the squared norm of the chain obtained by running the
+stage unitaries in order and applying each event's mask right after its
+stage.  Stages a history does not mention contribute plain unitary
 evolution; there is no implicit identity-projector event, which is exactly
 what makes a coarse history like "r = tail and w2 = ok" a different object
 from the sum of its fine-grainings.
@@ -19,14 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Projector, StateVector, inner, project
+import numpy as np
+
+from .linalg import StateVector, inner
 from .protocol import (
     DYNAMIC_STAGES,
     GLOBAL_SPACE,
     OUTCOME_LABELS,
     RECORDERS,
+    STAGES,
     Protocol,
     StageId,
+    record_mask,
 )
 
 #: Off-diagonal / additivity threshold; exact zeros are expected at this
@@ -40,9 +45,14 @@ class EpochMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class HistoryEvent:
+    """Record event right after `stage`: `mask` is a `record_mask` array."""
+
     stage: StageId
-    projector: Projector
+    mask: np.ndarray
     label: str
+
+    def apply(self, state: StateVector) -> StateVector:
+        return StateVector(state.space, state.amps * self.mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +85,7 @@ def outcome_event(protocol: Protocol, var: str, label: str, stage: StageId | Non
         raise ValueError(f"variable {var!r} has no outcome {label!r}")
     if stage is None:
         stage = RECORDERS[var][1]
-    return HistoryEvent(stage, protocol.record_projector(var, label), f"{var}={label}")
+    return HistoryEvent(stage, record_mask(var, label), f"{var}={label}")
 
 
 def history(protocol: Protocol, name: str, assignments: list[tuple[str, str]]) -> History:
@@ -94,11 +104,11 @@ def chain_vector(protocol: Protocol, events: tuple[HistoryEvent, ...]) -> StateV
         by_stage.setdefault(e.stage, []).append(e)
     state = protocol.initial_state()
     for e in by_stage.get(StageId.PREP_MINUS1, []):
-        state = project(e.projector, state)
+        state = e.apply(state)
     for stage in DYNAMIC_STAGES:
         state = protocol.stage_unitary(stage).linear(state)
         for e in by_stage.get(stage, []):
-            state = project(e.projector, state)
+            state = e.apply(state)
     return state
 
 
@@ -154,7 +164,7 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
-def _record_refinement_events(protocol: Protocol, stage: StageId) -> list[tuple[str, HistoryEvent]]:
+def _record_refinement_events(stage: StageId) -> list[HistoryEvent]:
     """Complete record decomposition at a stage, including the ready label."""
     if stage not in _STAGE_VAR:
         raise EpochMismatchError(
@@ -163,36 +173,43 @@ def _record_refinement_events(protocol: Protocol, stage: StageId) -> list[tuple[
     var = _STAGE_VAR[stage]
     agent, _ = RECORDERS[var]
     labels = GLOBAL_SPACE.factors[agent.memory_axis].labels
-    return [
-        (f"{var}={label}", HistoryEvent(stage, protocol.record_projector(var, label), f"{var}={label}"))
-        for label in labels
-    ]
+    return [HistoryEvent(stage, record_mask(var, label), f"{var}={label}") for label in labels]
 
 
 def _fine_chains(
     protocol: Protocol, h: History, union_stages: tuple[StageId, ...]
 ) -> list[tuple[tuple[str, ...], StateVector]]:
-    """Refine h over union stages it does not mention; return keyed chain vectors."""
-    slots: list[list[tuple[str, HistoryEvent]]] = []
+    """Refine h over union stages it does not mention; return keyed chain vectors.
+
+    A depth-first walk over the stage timeline evolves each tree node once,
+    so leaves share their prefix chains; each leaf runs the same operations
+    in the same order as `chain_vector` on its events, so the two agree bit
+    for bit.
+    """
     own = {e.stage: e for e in h.events}
-    for stage in union_stages:
-        if stage in own:
-            # keys are label strings; record events built by outcome_event and
-            # the refinement slots use the same var=label format, so identical
-            # keys mean identical projector chains
-            slots.append([(own[stage].label, own[stage])])
-        else:
-            slots.append(_record_refinement_events(protocol, stage))
+    # keys are label strings; record events built by outcome_event and the
+    # refinement slots use the same var=label format, so identical keys mean
+    # identical mask chains
+    slots = {
+        stage: [own[stage]] if stage in own else _record_refinement_events(stage)
+        for stage in union_stages
+    }
     chains: list[tuple[tuple[str, ...], StateVector]] = []
 
-    def expand(i: int, key: tuple[str, ...], events: tuple[HistoryEvent, ...]) -> None:
-        if i == len(slots):
-            chains.append((key, chain_vector(protocol, events)))
+    def walk(i: int, key: tuple[str, ...], state: StateVector) -> None:
+        if i == len(STAGES):
+            chains.append((key, state))
             return
-        for label, event in slots[i]:
-            expand(i + 1, key + (label,), events + (event,))
+        stage = STAGES[i]
+        if stage is not StageId.PREP_MINUS1:
+            state = protocol.stage_unitary(stage).linear(state)
+        if stage not in slots:
+            walk(i + 1, key, state)
+            return
+        for event in slots[stage]:
+            walk(i + 1, key + (event.label,), event.apply(state))
 
-    expand(0, (), ())
+    walk(0, (), protocol.initial_state())
     return chains
 
 

@@ -2,8 +2,10 @@
 
 Everything in this package runs on one 324-dimensional Hilbert space, so the
 representation is deliberately naive: flat complex128 amplitude arrays indexed
-in mixed radix over the subsystem dimensions, projectors held as explicit
-orthonormal spanning sets.  No sparsity, no density matrices.
+in mixed radix over the subsystem dimensions.  Operators act as factor-local
+matrices (`apply_on_axes`) or, for one memory label, as a 0/1 mask on the
+amplitudes; a `Projector` holds an explicit orthonormal spanning set.  No
+sparsity, no density matrices.
 
 All objects are immutable after construction and safe to share across threads.
 """
@@ -61,11 +63,13 @@ class SpaceDescriptor:
 
     factors: tuple[Factor, ...]
 
-    @property
+    # cached_property writes the instance __dict__ directly, which a frozen
+    # dataclass allows; every StateVector construction reads size
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.factors)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return math.prod(self.dims)
 
@@ -151,18 +155,6 @@ def from_terms(space: SpaceDescriptor, terms: dict[tuple[str, ...], complex]) ->
     amps = np.zeros(space.size, dtype=np.complex128)
     for labels, coeff in terms.items():
         amps[space.index_of(labels)] += coeff
-    return StateVector(space, amps)
-
-
-def lincomb(pairs: list[tuple[complex, StateVector]]) -> StateVector:
-    if not pairs:
-        raise ValueError("empty linear combination")
-    space = pairs[0][1].space
-    amps = np.zeros(space.size, dtype=np.complex128)
-    for coeff, vec in pairs:
-        if vec.space != space:
-            raise SpaceMismatchError("linear combination mixes spaces")
-        amps += coeff * vec.amps
     return StateVector(space, amps)
 
 

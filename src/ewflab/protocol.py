@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -257,6 +257,23 @@ OUTCOME_LABELS: dict[str, tuple[str, ...]] = {
     "w1": (OK, FAIL),
     "w2": (OK, FAIL),
 }
+
+
+@cache
+def record_mask(var: str, label: str) -> np.ndarray:
+    """0/1 mask on the flat amplitudes selecting one memory label of var's recorder.
+
+    `amps * record_mask(var, label)` equals projecting with
+    `Protocol.record_projector(var, label)`, whose spanning vectors are basis
+    vectors.  The mask does not depend on the coin, so one read-only array per
+    (var, label) is shared by every caller.
+    """
+    axis = RECORDERS[var][0].memory_axis
+    mask = np.zeros(GLOBAL_SPACE.dims)
+    np.moveaxis(mask, axis, 0)[GLOBAL_SPACE.factors[axis].index(label)] = 1.0
+    mask = mask.reshape(-1)
+    mask.flags.writeable = False
+    return mask
 
 
 class Protocol:

@@ -1,19 +1,27 @@
 """Chained-projection probabilities and joint-considerability checks."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from ewflab import born
 from ewflab.histories import (
     EpochMismatchError,
     History,
+    HistoryEvent,
+    _fine_chains,
+    _record_refinement_events,
     chain_consistency_report,
+    chain_vector,
     history,
     history_probability,
     okok_coarse_history,
     okok_fine_history,
     outcome_event,
 )
-from ewflab.protocol import RECORDERS, StageId
+from ewflab.linalg import StateVector, project
+from ewflab.protocol import GLOBAL_SPACE, RECORDERS, STAGES, Protocol, StageId, record_mask
 
 
 class TestHistoryProbability:
@@ -125,3 +133,94 @@ class TestConsistencyReport:
         other = history(protocol, "normal", [("w2", "ok")])
         with pytest.raises(EpochMismatchError):
             chain_consistency_report(protocol, [odd, other])
+
+
+# -- record masks and prefix-shared refinement --------------------------------
+
+
+def _leafwise_fine_chains(protocol, h, union_stages):
+    """Reference refinement: one chain_vector per leaf, no shared prefixes."""
+    own = {e.stage: e for e in h.events}
+    slots = [[own[s]] if s in own else _record_refinement_events(s) for s in union_stages]
+    return [
+        (tuple(e.label for e in events), chain_vector(protocol, events))
+        for events in itertools.product(*slots)
+    ]
+
+
+def _event(protocol, var, label, stage=None):
+    if label == "0":  # the ready label is no outcome; build its event directly
+        return HistoryEvent(stage, record_mask(var, label), f"{var}={label}")
+    return outcome_event(protocol, var, label, stage)
+
+
+def _family(protocol, spec):
+    """spec: {name: [(var, label, stage or None), ...]}"""
+    return [
+        History(name, tuple(sorted((_event(protocol, *ev) for ev in evs), key=lambda e: e.stage.value)))
+        for name, evs in spec.items()
+    ]
+
+
+S = StageId
+ORACLE_FAMILIES = {
+    "default": {
+        "h1": [("r", "tail", None), ("z", "+", None), ("w1", "ok", None), ("w2", "ok", None)],
+        "h1prime": [("r", "tail", None), ("w2", "ok", None)],
+    },
+    "final-records": {
+        "a": [("w1", "ok", None), ("w2", "ok", None)],
+        "b": [("w1", "fail", None), ("w2", "ok", None)],
+        "c": [("w1", "ok", None), ("w2", "fail", None)],
+        "d": [("z", "-", None)],
+    },
+    "explicit-stages": {
+        "a": [("r", "tail", None), ("w2", "ok", S.MEAS4)],
+        "b": [("r", "head", None), ("z", "+", S.OBS2)],
+        "c": [("w2", "ok", S.OBS2), ("w1", "fail", None)],
+        "d": [("r", "head", S.MEAS3)],
+    },
+    "prep-minus1": {
+        "a": [("r", "tail", S.PREP_MINUS1), ("w2", "ok", None)],
+        "b": [("z", "0", S.PREP_MINUS1), ("w1", "ok", None)],
+        "c": [("r", "0", S.PREP_MINUS1)],
+    },
+    "empty-member": {
+        "e": [],
+        "f": [("r", "head", None), ("z", "-", None), ("w1", "fail", None)],
+    },
+}
+
+
+@pytest.mark.parametrize("coin", [None, (0.6, 0.8)])
+@pytest.mark.parametrize("family_name", sorted(ORACLE_FAMILIES))
+def test_fine_chains_match_leafwise_oracle(family_name, coin):
+    """The prefix-shared walk returns the per-leaf chains, keys and bits alike."""
+    protocol = Protocol(coin)
+    family = _family(protocol, ORACLE_FAMILIES[family_name])
+    union = tuple(sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value))
+    for h in family:
+        got = _fine_chains(protocol, h, union)
+        want = _leafwise_fine_chains(protocol, h, union)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert np.array_equal(g.amps, w.amps)
+
+
+def test_record_mask_equals_record_projector(protocol):
+    """For all 12 (var, label) pairs the mask projects exactly as the spanning set."""
+    rng = np.random.default_rng(5)
+    dense = StateVector(GLOBAL_SPACE, rng.standard_normal(324) + 1j * rng.standard_normal(324))
+    states = [protocol.pilot_state_after(stage) for stage in STAGES] + [dense]
+    pairs = [
+        (var, label)
+        for var, (agent, _) in RECORDERS.items()
+        for label in GLOBAL_SPACE.factors[agent.memory_axis].labels
+    ]
+    assert len(pairs) == 12
+    for var, label in pairs:
+        mask = record_mask(var, label)
+        assert np.array_equal(mask * mask, mask)
+        proj = protocol.record_projector(var, label)
+        for state in states:
+            assert np.array_equal(state.amps * mask, project(proj, state).amps)
