@@ -3,6 +3,9 @@
 Subcommands: simulate, verify, histories, bellbohm, argue, audit, report.
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error.  Output is deterministic: identical invocations print identical bytes.
+
+Only what building the parser needs is imported here; each subcommand
+imports the modules it runs, so a process loads no more than it uses.
 """
 
 from __future__ import annotations
@@ -10,10 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import bellbohm, born, epistemics, facts, histories
+from . import born
 from .linalg import rational_label
 from .protocol import RECORDERS, Protocol, StageId
+
+if TYPE_CHECKING:
+    from .histories import History
+
+#: `sorted(epistemics.PROFILES)`, spelled out so that building the parser
+#: does not import epistemics (a test keeps the two equal).
+PROFILE_NAMES = ("all", "bell-bohm", "collapse", "consistent-histories", "copenhagen", "many-worlds",
+                 "qbism", "relative-state")
 
 
 def _parse_coin(text: str) -> tuple[float, float]:
@@ -60,6 +72,8 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import facts
+
     protocol = _protocol_from_args(args, parser)
     results = facts.run_all(protocol)
     all_passed = all(r.passed for r in results)
@@ -85,8 +99,10 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0 if all_passed else 1
 
 
-def _parse_history_spec(protocol: Protocol, text: str) -> histories.History:
+def _parse_history_spec(protocol: Protocol, text: str) -> History:
     """Grammar: NAME ':' EVENT (',' EVENT)* with EVENT = VAR ['@' STAGE] '=' LABEL."""
+    from . import histories
+
     if ":" not in text:
         raise ValueError(f"history {text!r}: expected 'name: var=label, ...'")
     name, _, rest = text.partition(":")
@@ -120,6 +136,8 @@ def _parse_history_spec(protocol: Protocol, text: str) -> histories.History:
 
 
 def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import histories
+
     protocol = _protocol_from_args(args, parser)
     if args.define:
         try:
@@ -136,7 +154,10 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     for h in family:
         p = histories.history_probability(protocol, h)
         rows.append((h, p))
-    report = histories.chain_consistency_report(protocol, family) if len(family) >= 1 else None
+    try:
+        report = histories.chain_consistency_report(protocol, family)
+    except histories.EpochMismatchError as exc:
+        parser.error(str(exc))
     if args.format == "json":
         payload = {
             "histories": [
@@ -177,6 +198,8 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import bellbohm
+
     protocol = _protocol_from_args(args, parser)
     table = bellbohm.exact_chain(protocol)
     ref_prob = table.probability_of(bellbohm.REFERENCE_TRAJECTORY)
@@ -229,6 +252,8 @@ def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_argue(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import epistemics
+
     protocol = _protocol_from_args(args, parser)
     if args.profile:
         try:
@@ -273,8 +298,14 @@ def _cmd_argue(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import epistemics
+
     protocol = _protocol_from_args(args, parser)
-    report = epistemics.escape_rule_audit(protocol)
+    try:
+        report = epistemics.escape_rule_audit(protocol)
+    except epistemics.QuantumFactError as exc:
+        print(f"refusing to derive: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         payload = {
             "rows": [
@@ -298,6 +329,8 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import bellbohm, epistemics, facts, histories
+
     protocol = _protocol_from_args(args, parser)
     print("=" * 70)
     print("assumption tables")
@@ -346,15 +379,21 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     print("=" * 70)
     print("derivation verdicts")
     print("=" * 70)
-    for name in list(epistemics.TABLE_PROFILES) + ["all"]:
-        verdict = epistemics.check(epistemics.PROFILES[name], protocol)
+    try:
+        verdicts = [epistemics.check(epistemics.PROFILES[name], protocol)
+                    for name in list(epistemics.TABLE_PROFILES) + ["all"]]
+        audit = epistemics.escape_rule_audit(protocol)
+    except epistemics.QuantumFactError as exc:
+        print(f"refusing to derive: {exc}", file=sys.stderr)
+        return 1
+    for verdict in verdicts:
         if verdict.contradiction:
-            print(f"{epistemics.PROFILES[name].display_name:<22} ContradictionDerived")
+            print(f"{verdict.profile.display_name:<22} ContradictionDerived")
         else:
             missing = ", ".join(sorted(a.value for a in verdict.missing))
-            print(f"{epistemics.PROFILES[name].display_name:<22} BlockedAt {verdict.blocked_step} (missing {missing})")
+            print(f"{verdict.profile.display_name:<22} BlockedAt {verdict.blocked_step} (missing {missing})")
     print()
-    print(epistemics.escape_rule_audit(protocol).render())
+    print(audit.render())
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -399,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_arg)
     group = p_arg.add_mutually_exclusive_group(required=True)
     group.add_argument("--interpretation", metavar="NAME",
-                       help="one of: " + ", ".join(sorted(epistemics.PROFILES)))
+                       help="one of: " + ", ".join(PROFILE_NAMES))
     group.add_argument("--profile", metavar="FILE", help="profile file (name: line plus eight ID = check|cross lines)")
     p_arg.set_defaults(func=_cmd_argue)
 

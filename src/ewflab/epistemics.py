@@ -488,6 +488,7 @@ def escape_rule_audit(protocol: Protocol | None = None) -> AuditReport:
     exists to surface rows where the catalogue claims an escape that the
     row's own flags cannot deliver.  That tension is reported, not resolved.
     """
+    protocol = protocol or default_protocol()
     rows = []
     for name in TABLE_PROFILES:
         profile = PROFILES[name]

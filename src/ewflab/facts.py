@@ -3,11 +3,13 @@
 Every fact compares a quantity computed from the pilot dynamics against an
 exact expected value at 1e-12.  The derivation engine refuses to run unless
 all facts attached to its steps hold, and the CLI `verify` command prints one
-PASS/FAIL line per fact.
+PASS/FAIL line per fact.  `run_all` and `run_facts` evaluate each fact at most
+once per Protocol (`evaluate`), however many verdicts read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,16 +52,41 @@ class FactResult:
         return f"[{status}] {tag}{self.fact_id}: {self.description} ({self.detail})"
 
 
+class ZeroBranchError(ValueError):
+    """A coin branch a fact conditions on carries no weight at this coin."""
+
+
+def _fact(fact_id: str, step_tag: str | None, description: str):
+    """Make a FactResult-returning fact from a check returning (passed, detail).
+
+    A check whose coin branch has zero weight fails with that as its detail.
+    """
+
+    def decorate(check: Callable[[Protocol], tuple[bool, str]]) -> Callable[[Protocol], FactResult]:
+        @functools.wraps(check)
+        def fact(protocol: Protocol) -> FactResult:
+            try:
+                passed, detail = check(protocol)
+            except ZeroBranchError as exc:
+                passed, detail = False, str(exc)
+            return FactResult(fact_id, step_tag, description, bool(passed), detail)
+
+        return fact
+
+    return decorate
+
+
 def _branch_state(protocol: Protocol, coin: str, stage: StageId) -> StateVector:
     """Pilot state conditioned on the coin record reading `coin`, renormalized."""
     amps = protocol.pilot_state_after(stage).amps * record_mask("r", coin)
     n = float(np.linalg.norm(amps))
     if n < 1e-12:
-        raise ValueError(f"{coin} branch has zero weight")
+        raise ZeroBranchError(f"{coin} branch has zero weight")
     return StateVector(GLOBAL_SPACE, amps / n)
 
 
-def check_initial_amplitudes(protocol: Protocol) -> FactResult:
+@_fact("initial-amplitudes", None, "prepared state has the configured coin amplitudes and nothing else")
+def check_initial_amplitudes(protocol: Protocol) -> tuple[bool, str]:
     state = protocol.initial_state()
     got_h = state.amplitude((HEAD, READY, DOWN, READY, READY, READY))
     got_t = state.amplitude((TAIL, READY, DOWN, READY, READY, READY))
@@ -69,16 +96,11 @@ def check_initial_amplitudes(protocol: Protocol) -> FactResult:
     residual = float(np.linalg.norm(rest))
     a, b = protocol.coin_amplitudes
     ok = abs(got_h - a) < FACT_ATOL and abs(got_t - b) < FACT_ATOL and residual < FACT_ATOL
-    return FactResult(
-        "initial-amplitudes",
-        None,
-        "prepared state has the configured coin amplitudes and nothing else",
-        bool(ok),
-        f"head {got_h.real:.12g}, tail {got_t.real:.12g}, residual {residual:.3g}",
-    )
+    return ok, f"head {got_h.real:.12g}, tail {got_t.real:.12g}, residual {residual:.3g}"
 
 
-def check_okfail_bases_orthonormal(protocol: Protocol) -> FactResult:
+@_fact("okfail-bases-orthonormal", None, "both entangled ok/fail bases are orthonormal")
+def check_okfail_bases_orthonormal(protocol: Protocol) -> tuple[bool, str]:
     worst = 0.0
     for spec in (protocol.friend_coin_measurement, protocol.friend_spin_measurement):
         vec_ok = spec.basis.projector(OK).vectors[0]
@@ -89,56 +111,48 @@ def check_okfail_bases_orthonormal(protocol: Protocol) -> FactResult:
             abs(inner(vec_ok, vec_ok) - 1.0),
             abs(inner(vec_fail, vec_fail) - 1.0),
         )
-    return FactResult(
-        "okfail-bases-orthonormal",
-        None,
-        "both entangled ok/fail bases are orthonormal",
-        bool(worst < FACT_ATOL),
-        f"worst deviation {worst:.3g}",
-    )
+    return worst < FACT_ATOL, f"worst deviation {worst:.3g}"
 
 
-def check_tail_branch_orthogonal_to_ok(protocol: Protocol) -> FactResult:
+@_fact(
+    "tail-branch-orthogonal-to-ok",
+    "FR2",
+    "tail branch of the spin-recorded state is orthogonal to W2's ok subspace",
+)
+def check_tail_branch_orthogonal_to_ok(protocol: Protocol) -> tuple[bool, str]:
     """FR2: the tail branch after the spin recording is orthogonal to W2's ok."""
     branch = _branch_state(protocol, TAIL, StageId.OBS2)
     ok_proj = protocol.friend_spin_measurement.lifted_projector(OK)
     w = weight(ok_proj, branch)
-    return FactResult(
-        "tail-branch-orthogonal-to-ok",
-        "FR2",
-        "tail branch of the spin-recorded state is orthogonal to W2's ok subspace",
-        bool(w < FACT_ATOL),
-        f"ok weight {w:.3g}",
-    )
+    return w < FACT_ATOL, f"ok weight {w:.3g}"
 
 
-def check_tail_branch_fail_certain(protocol: Protocol) -> FactResult:
+@_fact(
+    "tail-branch-fail-certain",
+    "FR3",
+    "tail branch makes the final ok/fail measurement certain to read fail",
+)
+def check_tail_branch_fail_certain(protocol: Protocol) -> tuple[bool, str]:
     """FR3: on the tail branch, W2's final record is fail with certainty."""
     branch = _branch_state(protocol, TAIL, StageId.OBS2)
     res = born.certainty_check(branch, protocol.friend_spin_measurement, "fail")
-    return FactResult(
-        "tail-branch-fail-certain",
-        "FR3",
-        "tail branch makes the final ok/fail measurement certain to read fail",
-        bool(res.kind is born.Certainty.CERTAIN),
-        f"probability {res.probability:.12g}",
-    )
+    return res.kind is born.Certainty.CERTAIN, f"probability {res.probability:.12g}"
 
 
-def check_head_branch_spin_down(protocol: Protocol) -> FactResult:
+@_fact("head-branch-spin-down", "FR4", "head branch leaves the spin pointing down with certainty")
+def check_head_branch_spin_down(protocol: Protocol) -> tuple[bool, str]:
     """FR4: the head branch leaves the spin down, so z=+ excludes head."""
     branch = _branch_state(protocol, HEAD, StageId.OBS2)
     res = born.certainty_check(branch, protocol.spin_measurement, MINUS)
-    return FactResult(
-        "head-branch-spin-down",
-        "FR4",
-        "head branch leaves the spin pointing down with certainty",
-        bool(res.kind is born.Certainty.CERTAIN),
-        f"probability {res.probability:.12g}",
-    )
+    return res.kind is born.Certainty.CERTAIN, f"probability {res.probability:.12g}"
 
 
-def check_joint_state_coefficients(protocol: Protocol) -> FactResult:
+@_fact(
+    "joint-state-coefficients",
+    "FR8",
+    "spin-recorded state matches (2, 1, -1)/sqrt(6) on (fail,down,-), (fail,up,+), (ok,up,+)",
+)
+def check_joint_state_coefficients(protocol: Protocol) -> tuple[bool, str]:
     """FR8: the spin-recorded pilot state has coefficients (2, 1, -1)/sqrt(6).
 
     Expansion is over (ok/fail of the coin-F1 pair) x (spin) x (F2 record),
@@ -169,16 +183,11 @@ def check_joint_state_coefficients(protocol: Protocol) -> FactResult:
     remainder = state.amps - sum(c * v for c, v in zip(got, vectors))
     residual = float(np.linalg.norm(remainder))
     ok = dev < FACT_ATOL and residual < FACT_ATOL
-    return FactResult(
-        "joint-state-coefficients",
-        "FR8",
-        "spin-recorded state matches (2, 1, -1)/sqrt(6) on (fail,down,-), (fail,up,+), (ok,up,+)",
-        bool(ok),
-        f"max coefficient deviation {dev:.3g}, residual {residual:.3g}",
-    )
+    return ok, f"max coefficient deviation {dev:.3g}, residual {residual:.3g}"
 
 
-def check_ok_minus_subspace_empty(protocol: Protocol) -> FactResult:
+@_fact("ok-minus-subspace-empty", "FR8", "projection onto the (ok, spin-down) eigenspace vanishes")
+def check_ok_minus_subspace_empty(protocol: Protocol) -> tuple[bool, str]:
     """FR8: the same state is orthogonal to the (ok, spin-down) eigenspace."""
     state = protocol.pilot_state_after(StageId.OBS2)
     w1 = protocol.friend_coin_measurement
@@ -193,16 +202,11 @@ def check_ok_minus_subspace_empty(protocol: Protocol) -> FactResult:
         rest[j] = 1.0
         full = np.kron(ok_vec, np.kron(down, rest))
         w += abs(np.vdot(full, state.amps)) ** 2
-    return FactResult(
-        "ok-minus-subspace-empty",
-        "FR8",
-        "projection onto the (ok, spin-down) eigenspace vanishes",
-        bool(w < FACT_ATOL),
-        f"weight {w:.3g}",
-    )
+    return w < FACT_ATOL, f"weight {w:.3g}"
 
 
-def check_okok_probability(protocol: Protocol) -> FactResult:
+@_fact("okok-probability", "FR12", "P(w1=ok, w2=ok) = 1/12 under both extraction policies")
+def check_okok_probability(protocol: Protocol) -> tuple[bool, str]:
     """FR12: both para-experimenters record ok with probability exactly 1/12."""
     expected = float(Fraction(1, 12))
     results = {}
@@ -211,16 +215,11 @@ def check_okok_probability(protocol: Protocol) -> FactResult:
         results[policy.value] = dist.marginal(("w1", "w2")).prob((OK, OK))
     ok = all(abs(v - expected) < FACT_ATOL for v in results.values())
     detail = ", ".join(f"{k}: {v:.12g}" for k, v in sorted(results.items()))
-    return FactResult(
-        "okok-probability",
-        "FR12",
-        "P(w1=ok, w2=ok) = 1/12 under both extraction policies",
-        bool(ok),
-        detail,
-    )
+    return ok, detail
 
 
-def check_record_marginal_table(protocol: Protocol) -> FactResult:
+@_fact("record-marginal-table", "FR12", "final (w1, w2) record weights are (1/12, 1/12, 1/12, 3/4)")
+def check_record_marginal_table(protocol: Protocol) -> tuple[bool, str]:
     marg = born.final_record_marginal(protocol)
     expected = {
         (OK, OK): Fraction(1, 12),
@@ -229,35 +228,23 @@ def check_record_marginal_table(protocol: Protocol) -> FactResult:
         ("fail", "fail"): Fraction(3, 4),
     }
     dev = max(abs(marg.prob(k) - float(v)) for k, v in expected.items())
-    return FactResult(
-        "record-marginal-table",
-        "FR12",
-        "final (w1, w2) record weights are (1/12, 1/12, 1/12, 3/4)",
-        bool(dev < FACT_ATOL),
-        f"max deviation {dev:.3g}",
-    )
+    return dev < FACT_ATOL, f"max deviation {dev:.3g}"
 
 
-def check_okok_chain_probability(protocol: Protocol) -> FactResult:
+@_fact(
+    "okok-chain-probability",
+    None,
+    "fine-grained history (r=tail, z=+, w1=ok, w2=ok) has probability 1/12",
+)
+def check_okok_chain_probability(protocol: Protocol) -> tuple[bool, str]:
     p = histories.history_probability(protocol, histories.okok_fine_history(protocol))
-    return FactResult(
-        "okok-chain-probability",
-        None,
-        "fine-grained history (r=tail, z=+, w1=ok, w2=ok) has probability 1/12",
-        bool(abs(p - 1.0 / 12.0) < FACT_ATOL),
-        f"probability {p:.12g}",
-    )
+    return abs(p - 1.0 / 12.0) < FACT_ATOL, f"probability {p:.12g}"
 
 
-def check_coarse_chain_zero(protocol: Protocol) -> FactResult:
+@_fact("coarse-chain-zero", None, "coarse history (r=tail, w2=ok) has probability 0")
+def check_coarse_chain_zero(protocol: Protocol) -> tuple[bool, str]:
     p = histories.history_probability(protocol, histories.okok_coarse_history(protocol))
-    return FactResult(
-        "coarse-chain-zero",
-        None,
-        "coarse history (r=tail, w2=ok) has probability 0",
-        bool(abs(p) < FACT_ATOL),
-        f"probability {p:.3g}",
-    )
+    return abs(p) < FACT_ATOL, f"probability {p:.3g}"
 
 
 ALL_FACTS: tuple[Callable[[Protocol], FactResult], ...] = (
@@ -285,9 +272,17 @@ GROUNDING_FACTS: dict[str, Callable[[Protocol], FactResult]] = {
 }
 
 
+def evaluate(protocol: Protocol, fact: Callable[[Protocol], FactResult]) -> FactResult:
+    """`fact(protocol)`, computed at most once per Protocol and table entry."""
+    results = protocol.fact_results
+    if fact not in results:
+        results[fact] = fact(protocol)
+    return results[fact]
+
+
 def run_all(protocol: Protocol) -> list[FactResult]:
-    return [f(protocol) for f in ALL_FACTS]
+    return [evaluate(protocol, f) for f in ALL_FACTS]
 
 
 def run_facts(protocol: Protocol, fact_ids: tuple[str, ...]) -> list[FactResult]:
-    return [GROUNDING_FACTS[fid](protocol) for fid in fact_ids]
+    return [evaluate(protocol, GROUNDING_FACTS[fid]) for fid in fact_ids]

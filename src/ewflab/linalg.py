@@ -246,7 +246,14 @@ class ProjectiveDecomposition:
         raise KeyError(f"no branch labeled {label!r}")
 
 
-def rational_label(p: float, max_denominator: int = 1_000_000, tol: float = ATOL) -> str | None:
+#: Largest denominator `rational_label` names.  The default coin's exact
+#: probabilities need at most 240 (histories 12, joint 60, beable trajectories
+#: 240); a larger bound lets most irrational floats pass as some fraction
+#: within ATOL (Dirichlet's approximation theorem).
+LABEL_MAX_DENOMINATOR = 240
+
+
+def rational_label(p: float, max_denominator: int = LABEL_MAX_DENOMINATOR, tol: float = ATOL) -> str | None:
     """Exact-rational rendering of a probability, or None if p is not one."""
     frac = Fraction(p).limit_denominator(max_denominator)
     if abs(p - float(frac)) <= tol:

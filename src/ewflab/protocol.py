@@ -296,12 +296,14 @@ class Protocol:
         if coin_amplitudes is None:
             coin_amplitudes = (math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0))
         a, b = complex(coin_amplitudes[0]), complex(coin_amplitudes[1])
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
+        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("coin amplitudes must satisfy |a|^2 + |b|^2 = 1 within 1e-9")
         self.coin_amplitudes = (a, b)
         self.flip_ok_sign = flip_ok_sign
         self.corrupt_preparation = corrupt_preparation
         self._pilot_cache: dict[StageId, StateVector] = {}
+        #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
+        self.fact_results: dict = {}
 
     # -- measurement specs ------------------------------------------------
 
