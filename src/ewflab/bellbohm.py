@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .born import Distribution
-from .linalg import Projector, StateVector, lifted_projector
+from .linalg import NORM_ATOL, ZERO_WEIGHT_FLOOR, Projector, StateVector, lifted_projector
 from .protocol import (
     DYNAMIC_STAGES,
     GLOBAL_SPACE,
@@ -31,10 +31,8 @@ from .protocol import (
     STAGES,
     Protocol,
     StageId,
+    memory_marginal,
 )
-
-#: Config weights below this are unreachable; far below any legitimate value.
-REACHABILITY_FLOOR = 1e-14
 
 
 class UnreachableConfigError(ValueError):
@@ -69,22 +67,14 @@ def all_configs() -> list[MemoryConfig]:
 
 def config_projector(m: MemoryConfig) -> Projector:
     """Projector onto the four memory labels, identity on coin and spin."""
-    vecs = []
-    for axis, label in zip(CONFIG_AXES, m):
-        e = np.zeros(3, dtype=np.complex128)
-        e[GLOBAL_SPACE.factors[axis].index(label)] = 1.0
-        vecs.append(e)
-    factor = vecs[0]
-    for v in vecs[1:]:
-        factor = np.kron(factor, v)
+    factor = np.zeros(81, dtype=np.complex128)
+    factor[GLOBAL_SPACE.subspace(("F1", "F2", "W1", "W2")).index_of(m)] = 1.0
     return lifted_projector(GLOBAL_SPACE, CONFIG_AXES, [factor])
 
 
 def config_weights(state: StateVector) -> dict[MemoryConfig, float]:
     """Born weight of every config in one pass."""
-    probs = (np.abs(state.amps) ** 2).reshape(GLOBAL_SPACE.dims)
-    other = tuple(i for i in range(len(GLOBAL_SPACE.dims)) if i not in CONFIG_AXES)
-    marg = probs.sum(axis=other)  # remaining axes are CONFIG_AXES in ascending order
+    marg = memory_marginal(state, CONFIG_AXES)  # CONFIG_AXES are ascending
     out: dict[MemoryConfig, float] = {}
     for idx in np.ndindex(*marg.shape):
         labels = tuple(GLOBAL_SPACE.factors[a].labels[i] for a, i in zip(CONFIG_AXES, idx))
@@ -98,7 +88,7 @@ def _kernel_row(
     weights_after: dict[MemoryConfig, float],
     rewritten_axes: tuple[int, ...],
 ) -> dict[MemoryConfig, float]:
-    if weights_before.get(m, 0.0) < REACHABILITY_FLOOR:
+    if weights_before.get(m, 0.0) < ZERO_WEIGHT_FLOOR:
         raise UnreachableConfigError(f"config {m.render()} has zero weight before this stage")
     free = [i for i, axis in enumerate(CONFIG_AXES) if axis in rewritten_axes]
     if not free:
@@ -111,7 +101,7 @@ def _kernel_row(
             labels[pos] = label
         children.append(MemoryConfig(*labels))
     denom = sum(weights_after[c] for c in children)
-    if denom < REACHABILITY_FLOOR:
+    if denom < ZERO_WEIGHT_FLOOR:
         raise UnreachableConfigError(
             f"config {m.render()}: untouched registers have zero weight after the stage"
         )
@@ -196,7 +186,7 @@ def exact_chain(protocol: Protocol) -> TrajectoryTable:
     """Enumerate every trajectory with positive probability, no sampling."""
     epoch_weights = [config_weights(protocol.pilot_state_after(s)) for s in STAGES]
     start_weight = epoch_weights[0].get(READY_CONFIG, 0.0)
-    if abs(start_weight - 1.0) > 1e-9:
+    if abs(start_weight - 1.0) > NORM_ATOL:
         raise ValueError("initial pilot state does not put all memories in the ready state")
     partial: list[tuple[tuple[MemoryConfig, ...], float]] = [((READY_CONFIG,), 1.0)]
     for i, stage in enumerate(DYNAMIC_STAGES, start=1):
@@ -206,7 +196,7 @@ def exact_chain(protocol: Protocol) -> TrajectoryTable:
             row = _kernel_row(configs[-1], epoch_weights[i - 1], epoch_weights[i], rewritten)
             for child, p in row.items():
                 joint = prob * p
-                if joint > REACHABILITY_FLOOR:
+                if joint > ZERO_WEIGHT_FLOOR:
                     nxt.append((configs + (child,), joint))
         partial = nxt
     entries = tuple(Trajectory(configs, prob) for configs, prob in partial)

@@ -19,13 +19,20 @@ marginal equals the final pilot state's record weights.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .linalg import StateVector, apply_on_axes, rational_label
+from .linalg import (
+    CERTAINTY_ATOL,
+    NORM_ATOL,
+    SUM_ATOL,
+    ZERO_WEIGHT_FLOOR,
+    StateVector,
+    apply_on_axes,
+    rational_label,
+)
 from .protocol import (
     DYNAMIC_STAGES,
     GLOBAL_SPACE,
@@ -36,13 +43,6 @@ from .protocol import (
     Protocol,
     StageId,
 )
-
-#: Branches below this probability are treated as impossible; far below any
-#: legitimate value in this protocol (minimum 1/12 at default amplitudes).
-IMPOSSIBILITY_FLOOR = 1e-14
-
-CERTAINTY_ATOL = 1e-12
-SUM_ATOL = 1e-11
 
 
 class UndefinedConditionalError(ValueError):
@@ -105,7 +105,7 @@ class Distribution:
                 key = tuple(bound[v] for v in keep)
                 acc[key] = acc.get(key, 0.0) + p
                 mass += p
-        if mass < IMPOSSIBILITY_FLOOR:
+        if mass < ZERO_WEIGHT_FLOOR:
             raise UndefinedConditionalError(f"conditioning event {given} has probability {mass}")
         return Distribution(keep, tuple((k, v / mass) for k, v in acc.items()))
 
@@ -133,9 +133,6 @@ class Distribution:
             ],
         }
 
-    def render_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
 
 class Certainty(enum.Enum):
     CERTAIN = "certain"
@@ -157,38 +154,12 @@ class CertaintyResult:
         return CertaintyResult(Certainty.UNCERTAIN, p)
 
 
-def _branch_probability(state: StateVector, spec: MeasurementSpec, label: str) -> float:
-    mat = spec.factor_matrix(label)
-    projected = apply_on_axes(state.amps, GLOBAL_SPACE.dims, spec.target_axes, mat)
-    return float(np.vdot(projected, projected).real)
+def joint_weight(state: StateVector, events: list[tuple[MeasurementSpec, str]]) -> float:
+    """Squared norm of the state after each event's factor projector in turn.
 
-
-def outcome_distribution(state: StateVector, spec: MeasurementSpec) -> Distribution:
-    """Born probabilities of one measurement's declared outcomes on a state."""
-    state.require_normalized(1e-9)
-    if REST in spec.basis.labels:
-        stray = _branch_probability(state, spec, REST)
-        if stray > SUM_ATOL:
-            raise ValueError(
-                f"state carries weight {stray:.3e} outside measurement {spec.name!r}'s outcome span"
-            )
-    outcomes = tuple(
-        ((label,), _branch_probability(state, spec, label)) for label in spec.outcome_labels
-    )
-    return Distribution((spec.name,), outcomes)
-
-
-def certainty_check(state: StateVector, spec: MeasurementSpec, label: str) -> CertaintyResult:
-    """Would an agent measuring spec on this state be certain of label?"""
-    state.require_normalized(1e-9)
-    return CertaintyResult.from_probability(_branch_probability(state, spec, label))
-
-
-def joint_certainty_check(
-    state: StateVector, events: list[tuple[MeasurementSpec, str]]
-) -> CertaintyResult:
-    """Certainty status of a conjunction of outcomes on disjoint targets."""
-    state.require_normalized(1e-9)
+    The events' targets must be disjoint, so the projectors commute and the
+    result is the Born weight of their conjunction.
+    """
     amps = state.amps
     seen: set[int] = set()
     for spec, label in events:
@@ -196,8 +167,37 @@ def joint_certainty_check(
         if overlap:
             raise ValueError(f"conjunction targets overlap on axes {sorted(overlap)}")
         seen.update(spec.target_axes)
-        amps = apply_on_axes(amps, GLOBAL_SPACE.dims, spec.target_axes, spec.factor_matrix(label))
-    return CertaintyResult.from_probability(float(np.vdot(amps, amps).real))
+        amps = apply_on_axes(amps, GLOBAL_SPACE.dims, spec.target_axes, spec.factor_matrices[label])
+    return float(np.vdot(amps, amps).real)
+
+
+def outcome_distribution(state: StateVector, spec: MeasurementSpec) -> Distribution:
+    """Born probabilities of one measurement's declared outcomes on a state."""
+    state.require_normalized(NORM_ATOL)
+    if REST in spec.basis.labels:
+        stray = joint_weight(state, [(spec, REST)])
+        if stray > SUM_ATOL:
+            raise ValueError(
+                f"state carries weight {stray:.3e} outside measurement {spec.name!r}'s outcome span"
+            )
+    outcomes = tuple(
+        ((label,), joint_weight(state, [(spec, label)])) for label in spec.outcome_labels
+    )
+    return Distribution((spec.name,), outcomes)
+
+
+def certainty_check(state: StateVector, spec: MeasurementSpec, label: str) -> CertaintyResult:
+    """Would an agent measuring spec on this state be certain of label?"""
+    state.require_normalized(NORM_ATOL)
+    return CertaintyResult.from_probability(joint_weight(state, [(spec, label)]))
+
+
+def joint_certainty_check(
+    state: StateVector, events: list[tuple[MeasurementSpec, str]]
+) -> CertaintyResult:
+    """Certainty status of a conjunction of outcomes on disjoint targets."""
+    state.require_normalized(NORM_ATOL)
+    return CertaintyResult.from_probability(joint_weight(state, events))
 
 
 # -- the joint distribution over (r, z, w1, w2) -----------------------------
@@ -231,7 +231,7 @@ def _sequential_joint(protocol: Protocol) -> dict[tuple[str, ...], float]:
             cond_labels = tuple(l for _, l in conds)
             mass = sum(weights[cond_labels + (l,)] for l in OUTCOME_LABELS[var])
             for label in OUTCOME_LABELS[var]:
-                if prob < IMPOSSIBILITY_FLOOR or mass < IMPOSSIBILITY_FLOOR:
+                if prob < ZERO_WEIGHT_FLOOR or mass < ZERO_WEIGHT_FLOOR:
                     p_label = 0.0
                 else:
                     p_label = weights[cond_labels + (label,)] / mass
@@ -264,7 +264,7 @@ def _marginal_joint(protocol: Protocol) -> dict[tuple[str, ...], float]:
         p = first[(cell[0],)]
         for i, weights in enumerate(pair_weights):
             denom = sum(weights[(cell[i], l)] for l in OUTCOME_LABELS[JOINT_VARIABLES[i + 1]])
-            if denom < IMPOSSIBILITY_FLOOR or p < IMPOSSIBILITY_FLOOR:
+            if denom < ZERO_WEIGHT_FLOOR or p < ZERO_WEIGHT_FLOOR:
                 p = 0.0
                 break
             p *= weights[(cell[i], cell[i + 1])] / denom

@@ -38,6 +38,12 @@ def _parse_coin(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"could not parse amplitudes from {text!r}") from None
 
 
+def _with_exact(p: float) -> str:
+    """A probability as 12 significant digits plus its exact label, if any."""
+    exact = rational_label(p)
+    return f"{p:.12g}" + (f" ({exact})" if exact else "")
+
+
 def _protocol_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Protocol:
     coin = getattr(args, "coin", None)
     flip = bool(getattr(args, "flip_ok_sign", False))
@@ -150,10 +156,7 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             parser.error(f"family members need distinct names (repeated: {', '.join(dups)})")
     else:
         family = [histories.okok_fine_history(protocol), histories.okok_coarse_history(protocol)]
-    rows = []
-    for h in family:
-        p = histories.history_probability(protocol, h)
-        rows.append((h, p))
+    rows = [(h, histories.history_probability(protocol, h)) for h in family]
     try:
         report = histories.chain_consistency_report(protocol, family)
     except histories.EpochMismatchError as exc:
@@ -189,9 +192,7 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         print(json.dumps(payload, indent=2))
         return 0
     for h, p in rows:
-        exact = rational_label(p)
-        exact_str = f" ({exact})" if exact else ""
-        print(f"P[{h.describe()}] = {p:.12g}{exact_str}")
+        print(f"P[{h.describe()}] = {_with_exact(p)}")
     print()
     print(report.render_text())
     return 0
@@ -203,11 +204,7 @@ def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     protocol = _protocol_from_args(args, parser)
     table = bellbohm.exact_chain(protocol)
     ref_prob = table.probability_of(bellbohm.REFERENCE_TRAJECTORY)
-    ref_line = (
-        " -> ".join(c.render() for c in bellbohm.REFERENCE_TRAJECTORY)
-        + f"   p = {ref_prob:.12g}"
-        + (f" ({rational_label(ref_prob)})" if rational_label(ref_prob) else "")
-    )
+    ref_line = " -> ".join(c.render() for c in bellbohm.REFERENCE_TRAJECTORY) + f"   p = {_with_exact(ref_prob)}"
     if args.reference:
         print("reference ok/ok trajectory")
         print(ref_line)
@@ -236,15 +233,12 @@ def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return 0
     print(f"exact beable trajectories ({len(table.entries)} with positive probability)")
     for t in table.sorted_entries():
-        exact = rational_label(t.probability)
-        exact_str = f" ({exact})" if exact else ""
-        print(f"  {t.render()}   p = {t.probability:.12g}{exact_str}")
+        print(f"  {t.render()}   p = {_with_exact(t.probability)}")
     print(f"total probability: {table.total_probability:.12g}")
     print()
     print("final (w1, w2) record marginal")
     for (w1, w2), p in sorted(table.final_record_marginal().items()):
-        exact = rational_label(p)
-        print(f"  ({w1}, {w2})  {p:.12g}" + (f" ({exact})" if exact else ""))
+        print(f"  ({w1}, {w2})  {_with_exact(p)}")
     print()
     print("reference ok/ok trajectory")
     print(ref_line)
@@ -358,9 +352,7 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     h1 = histories.okok_fine_history(protocol)
     h1p = histories.okok_coarse_history(protocol)
     for h in (h1, h1p):
-        p = histories.history_probability(protocol, h)
-        exact = rational_label(p)
-        print(f"P[{h.describe()}] = {p:.12g}" + (f" ({exact})" if exact else ""))
+        print(f"P[{h.describe()}] = {_with_exact(histories.history_probability(protocol, h))}")
     print()
     print(histories.chain_consistency_report(protocol, [h1, h1p]).render_text())
     print()
@@ -371,10 +363,7 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     ref = table.probability_of(bellbohm.REFERENCE_TRAJECTORY)
     print(f"trajectories with positive probability: {len(table.entries)}")
     print(f"total probability: {table.total_probability:.12g}")
-    print(
-        "reference ok/ok trajectory probability: "
-        f"{ref:.12g}" + (f" ({rational_label(ref)})" if rational_label(ref) else "")
-    )
+    print(f"reference ok/ok trajectory probability: {_with_exact(ref)}")
     print()
     print("=" * 70)
     print("derivation verdicts")
@@ -452,9 +441,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_coin_value(argv: list[str]) -> list[str]:
+    """`--coin -1,0` as `--coin=-1,0`: argparse reads a separate '-1,0' as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out[-1:] == ["--coin"] and arg.startswith("-") and "," in arg:  # no option has a comma
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_coin_value(sys.argv[1:] if argv is None else argv))
     return args.func(args, parser)
 
 

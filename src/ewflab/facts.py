@@ -1,10 +1,11 @@
 """Named quantum-mechanical facts the argument relies on, each checked exactly.
 
 Every fact compares a quantity computed from the pilot dynamics against an
-exact expected value at 1e-12.  The derivation engine refuses to run unless
-all facts attached to its steps hold, and the CLI `verify` command prints one
-PASS/FAIL line per fact.  `run_all` and `run_facts` evaluate each fact at most
-once per Protocol (`evaluate`), however many verdicts read it.
+exact expected value within `linalg.FACT_ATOL`.  The derivation engine
+refuses to run unless all facts attached to its steps hold, and the CLI
+`verify` command prints one PASS/FAIL line per fact.  `run_all` and
+`run_facts` evaluate each fact at most once per Protocol (`evaluate`),
+however many verdicts read it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import born, histories
-from .linalg import StateVector, inner, weight
+from .linalg import ATOL, FACT_ATOL, PHASE_ATOL, StateVector, inner
 from .protocol import (
     DOWN,
     FAIL,
@@ -34,8 +35,6 @@ from .protocol import (
     StageId,
     record_mask,
 )
-
-FACT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def _branch_state(protocol: Protocol, coin: str, stage: StageId) -> StateVector:
     """Pilot state conditioned on the coin record reading `coin`, renormalized."""
     amps = protocol.pilot_state_after(stage).amps * record_mask("r", coin)
     n = float(np.linalg.norm(amps))
-    if n < 1e-12:
+    if n < ATOL:
         raise ZeroBranchError(f"{coin} branch has zero weight")
     return StateVector(GLOBAL_SPACE, amps / n)
 
@@ -122,8 +121,7 @@ def check_okfail_bases_orthonormal(protocol: Protocol) -> tuple[bool, str]:
 def check_tail_branch_orthogonal_to_ok(protocol: Protocol) -> tuple[bool, str]:
     """FR2: the tail branch after the spin recording is orthogonal to W2's ok."""
     branch = _branch_state(protocol, TAIL, StageId.OBS2)
-    ok_proj = protocol.friend_spin_measurement.lifted_projector(OK)
-    w = weight(ok_proj, branch)
+    w = born.joint_weight(branch, [(protocol.friend_spin_measurement, OK)])
     return w < FACT_ATOL, f"ok weight {w:.3g}"
 
 
@@ -176,8 +174,8 @@ def check_joint_state_coefficients(protocol: Protocol) -> tuple[bool, str]:
     got = np.array([np.vdot(v, state.amps) for v in vectors])
     expected = np.array([2.0, 1.0, -1.0]) / math.sqrt(6.0)
     # align global phase on the largest component
-    phase = got[0] / expected[0] if abs(got[0]) > 1e-6 else 1.0
-    if abs(abs(phase) - 1.0) > 1e-6:
+    phase = got[0] / expected[0] if abs(got[0]) > PHASE_ATOL else 1.0
+    if abs(abs(phase) - 1.0) > PHASE_ATOL:
         phase = 1.0
     dev = float(np.max(np.abs(got - phase * expected)))
     remainder = state.amps - sum(c * v for c, v in zip(got, vectors))
@@ -190,18 +188,8 @@ def check_joint_state_coefficients(protocol: Protocol) -> tuple[bool, str]:
 def check_ok_minus_subspace_empty(protocol: Protocol) -> tuple[bool, str]:
     """FR8: the same state is orthogonal to the (ok, spin-down) eigenspace."""
     state = protocol.pilot_state_after(StageId.OBS2)
-    w1 = protocol.friend_coin_measurement
-    ok_vec = w1.basis.projector(OK).vectors[0].amps  # on (C, F1)
-    down = np.zeros(2, dtype=np.complex128)
-    down[GLOBAL_SPACE.factor("S").index(DOWN)] = 1.0
-    # spanning vectors: ok (x) down (x) each basis vector of (F2, W1, W2)
-    tail_dim = 27
-    w = 0.0
-    for j in range(tail_dim):
-        rest = np.zeros(tail_dim, dtype=np.complex128)
-        rest[j] = 1.0
-        full = np.kron(ok_vec, np.kron(down, rest))
-        w += abs(np.vdot(full, state.amps)) ** 2
+    ok_and_down = [(protocol.friend_coin_measurement, OK), (protocol.spin_measurement, MINUS)]
+    w = born.joint_weight(state, ok_and_down)
     return w < FACT_ATOL, f"weight {w:.3g}"
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector, inner
+from .linalg import CONSISTENCY_ATOL, StateVector, inner
 from .protocol import (
     DYNAMIC_STAGES,
     GLOBAL_SPACE,
@@ -33,10 +33,6 @@ from .protocol import (
     StageId,
     record_mask,
 )
-
-#: Off-diagonal / additivity threshold; exact zeros are expected at this
-#: problem size, the allowance absorbs float error only.
-CONSISTENCY_ATOL = 1e-10
 
 
 class EpochMismatchError(ValueError):

@@ -2,10 +2,11 @@
 
 Everything in this package runs on one 324-dimensional Hilbert space, so the
 representation is deliberately naive: flat complex128 amplitude arrays indexed
-in mixed radix over the subsystem dimensions.  Operators act as factor-local
-matrices (`apply_on_axes`) or, for one memory label, as a 0/1 mask on the
-amplitudes; a `Projector` holds an explicit orthonormal spanning set.  No
-sparsity, no density matrices.
+in mixed radix over the subsystem dimensions.  An operator is a factor-local
+matrix (`apply_on_axes`) or a 0/1 mask on the amplitudes; record weights come
+from one |amps|^2 marginal (`protocol.memory_marginal`).  A `Projector` holds
+an explicit orthonormal spanning set and is kept only as a test reference.
+Every numeric tolerance is in the table below.  No sparsity, no density matrices.
 
 All objects are immutable after construction and safe to share across threads.
 """
@@ -20,9 +21,29 @@ from fractions import Fraction
 
 import numpy as np
 
-# Validation tolerance for norms and orthonormality; probabilities in this
-# problem are exact small rationals, so float error stays far below this.
+# -- tolerance table: every numeric tolerance in the package ------------------
+# Probabilities here are exact small rationals and float error stays near
+# 1e-16, so each bound only absorbs float error; they differ in what they bound.
+
+#: norms and orthonormality of vectors, commutation of stage matrices, the
+#: zero test of a branch norm, and `rational_label`'s distance to a fraction
 ATOL = 1e-12
+#: orthonormality of a whole decomposition, whose Gram entries sum 324 products
+DECOMPOSITION_ATOL = 10 * ATOL
+#: a state or coin is normalized (coins typed on the command line are rounded)
+NORM_ATOL = 1e-9
+#: a Born probability is certain or impossible; a distribution's negative allowance
+CERTAINTY_ATOL = 1e-12
+#: a distribution's total, and stray weight outside a measurement's outcomes
+SUM_ATOL = 1e-11
+#: a weight is zero: impossible joint branches, unreachable beable configs
+ZERO_WEIGHT_FLOOR = 1e-14
+#: interference and additivity defects of a history family
+CONSISTENCY_ATOL = 1e-10
+#: a grounding fact's computed value against its exact expected value
+FACT_ATOL = 1e-12
+#: a coefficient large enough to fix a global phase, which must have unit modulus
+PHASE_ATOL = 1e-6
 
 Amplitude = complex
 
@@ -232,7 +253,7 @@ class ProjectiveDecomposition:
                 f"decomposition is not complete: total rank {len(vecs)} != dim {self.space.size}"
             )
         mat = np.stack(vecs)
-        if not np.allclose(mat @ mat.conj().T, np.eye(len(vecs)), atol=10 * ATOL):
+        if not np.allclose(mat @ mat.conj().T, np.eye(len(vecs)), atol=DECOMPOSITION_ATOL):
             raise ValueError("branches are not mutually orthogonal within tolerance")
 
     @property

@@ -24,11 +24,13 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import product
 
 import numpy as np
 
 from .linalg import (
     ATOL,
+    NORM_ATOL,
     Factor,
     Projector,
     ProjectiveDecomposition,
@@ -61,6 +63,15 @@ GLOBAL_SPACE = SpaceDescriptor(
 )
 
 DIM = GLOBAL_SPACE.size  # 324
+
+
+def memory_marginal(state: StateVector, axes: tuple[int, ...]) -> np.ndarray:
+    """Born weights of the label combinations on `axes`, axes ascending.
+
+    The package's one marginal of |amps|^2: summed over every other axis.
+    """
+    probs = (np.abs(state.amps) ** 2).reshape(GLOBAL_SPACE.dims)
+    return probs.sum(axis=tuple(i for i in range(len(GLOBAL_SPACE.dims)) if i not in axes))
 
 
 class AgentId(enum.Enum):
@@ -121,13 +132,17 @@ class MeasurementSpec:
     def target_axes(self) -> tuple[int, ...]:
         return tuple(GLOBAL_SPACE.axis(t) for t in self.targets)
 
-    def factor_matrix(self, label: str) -> np.ndarray:
-        """Projector matrix of one branch on the target factor."""
-        p = self.basis.projector(label)
-        mat = np.zeros((p.space.size, p.space.size), dtype=np.complex128)
-        for v in p.vectors:
-            mat += np.outer(v.amps, v.amps.conj())
-        return mat
+    @cached_property  # a frozen dataclass lets it write the instance __dict__
+    def factor_matrices(self) -> dict[str, np.ndarray]:
+        """Read-only projector matrix of each branch on the target factor."""
+        mats = {}
+        for label, p in self.basis.branches:
+            mat = np.zeros((p.space.size, p.space.size), dtype=np.complex128)
+            for v in p.vectors:
+                mat += np.outer(v.amps, v.amps.conj())
+            mat.flags.writeable = False
+            mats[label] = mat
+        return mats
 
     def lifted_projector(self, label: str) -> Projector:
         vecs = [v.amps for v in self.basis.projector(label).vectors]
@@ -155,9 +170,7 @@ class StageUnitary:
 
     def apply(self, state: StateVector) -> StateVector:
         if self.recorder_axis is not None:
-            probs = np.abs(state.amps.reshape(GLOBAL_SPACE.dims)) ** 2
-            marg = probs.sum(axis=tuple(i for i in range(len(GLOBAL_SPACE.dims)) if i != self.recorder_axis))
-            off_ready = float(marg[1:].sum())
+            off_ready = float(memory_marginal(state, (self.recorder_axis,))[1:].sum())
             if off_ready > ATOL:
                 agent = GLOBAL_SPACE.factors[self.recorder_axis].name
                 raise PreconditionError(
@@ -296,7 +309,7 @@ class Protocol:
         if coin_amplitudes is None:
             coin_amplitudes = (math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0))
         a, b = complex(coin_amplitudes[0]), complex(coin_amplitudes[1])
-        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9:  # NaN fails too
+        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError("coin amplitudes must satisfy |a|^2 + |b|^2 = 1 within 1e-9")
         self.coin_amplitudes = (a, b)
         self.flip_ok_sign = flip_ok_sign
@@ -372,7 +385,7 @@ class Protocol:
         amps = np.zeros(DIM, dtype=np.complex128)
         amps[GLOBAL_SPACE.index_of((HEAD, READY, DOWN, READY, READY, READY))] = a
         amps[GLOBAL_SPACE.index_of((TAIL, READY, DOWN, READY, READY, READY))] = b
-        return StateVector(GLOBAL_SPACE, amps).require_normalized(1e-9)
+        return StateVector(GLOBAL_SPACE, amps).require_normalized(NORM_ATOL)
 
     def record_isometry(self, agent: AgentId, spec: MeasurementSpec) -> StageUnitary:
         """Unitary copying the measured basis label into the agent's memory.
@@ -391,7 +404,7 @@ class Protocol:
         d_target = math.prod(GLOBAL_SPACE.dims[a] for a in spec.target_axes)
         mat = np.zeros((d_target * 3, d_target * 3), dtype=np.complex128)
         for label in spec.basis.labels:
-            p = spec.factor_matrix(label)
+            p = spec.factor_matrices[label]
             if label == REST:
                 v = np.eye(3, dtype=np.complex128)
             else:
@@ -467,23 +480,13 @@ class Protocol:
         Label tuples run over the declared outcome labels only; the ready
         label 0 is excluded (callers read records after they are written).
         """
-        probs = (np.abs(state.amps) ** 2).reshape(GLOBAL_SPACE.dims)
-        axes = tuple(RECORDERS[v][0].memory_axis for v in vars)
-        sorted_axes = tuple(sorted(axes))
-        marg = probs.sum(axis=tuple(i for i in range(len(GLOBAL_SPACE.dims)) if i not in sorted_axes))
-        pos = {a: i for i, a in enumerate(sorted_axes)}
-        out: dict[tuple[str, ...], float] = {}
-        for combo in np.ndindex(*[3] * len(axes)):
-            labels = tuple(
-                GLOBAL_SPACE.factors[axis].labels[i] for axis, i in zip(axes, combo)
-            )
-            if any(label == READY for label in labels):
-                continue
-            idx = [0] * len(axes)
-            for var_i, axis in enumerate(axes):
-                idx[pos[axis]] = combo[var_i]
-            out[labels] = float(marg[tuple(idx)])
-        return out
+        axes = [RECORDERS[v][0].memory_axis for v in vars]
+        marg = memory_marginal(state, tuple(axes))
+        order = sorted(range(len(axes)), key=axes.__getitem__)  # marg's axes, as positions in vars
+        return {
+            labels: float(marg[tuple(GLOBAL_SPACE.factors[axes[k]].index(labels[k]) for k in order)])
+            for labels in product(*(OUTCOME_LABELS[v] for v in vars))
+        }
 
 
 def default_protocol() -> Protocol:

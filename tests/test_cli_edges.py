@@ -8,7 +8,7 @@ import pytest
 
 from ewflab import cli
 
-# coin -> the branch it leaves empty; a negative amplitude needs --coin=
+# coin -> the branch it leaves empty
 DEGENERATE_COINS = {"1,0": "tail", "0,1": "head", "-1,0": "tail", "0,-1": "head"}
 DEGENERATE = [(sub, coin) for sub in ("verify", "argue", "audit", "report") for coin in DEGENERATE_COINS]
 
@@ -69,3 +69,19 @@ def test_nan_coin_is_a_usage_error(capsys, sub):
     code, _, err = run(capsys, [sub, "--coin", "nan,nan"])
     assert code == 2
     assert err.splitlines()[-1] == "ewflab: error: coin amplitudes must satisfy |a|^2 + |b|^2 = 1 within 1e-9"
+
+
+@pytest.mark.parametrize("sub", ["simulate", "verify", "histories", "bellbohm", "argue", "audit", "report"])
+@pytest.mark.parametrize("coin", ["-1,0", "-0.6,0.8"])
+def test_separate_negative_coin_value_reads_as_the_coin(capsys, sub, coin):
+    extra = ["--interpretation", "all"] if sub == "argue" else []
+    joined = run(capsys, [sub, f"--coin={coin}"] + extra)
+    assert run(capsys, [sub, "--coin", coin] + extra) == joined
+    assert joined[0] != 2
+
+
+def test_verify_answers_a_separate_negative_coin(capsys):
+    code, out, err = run(capsys, ["verify", "--coin", "-1,0"])
+    assert code == 1
+    assert err == ""
+    assert "(tail branch has zero weight)" in out
