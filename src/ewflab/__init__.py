@@ -23,15 +23,15 @@ _EXPORTS = {
         "final_record_marginal", "joint_certainty_check", "joint_distribution", "outcome_distribution",
     ),
     "bellbohm": (
-        "MemoryConfig", "REFERENCE_TRAJECTORY", "Trajectory", "TrajectoryTable", "config_projector",
-        "exact_chain", "transition_kernel",
+        "MemoryConfig", "REFERENCE_TRAJECTORY", "Trajectory", "TrajectoryTable", "exact_chain",
+        "transition_kernel",
     ),
     "epistemics": (
         "AssumptionId", "InterpretationProfile", "PROFILES", "Verdict", "build_argument", "check",
         "escape_rule_audit", "render_tables",
     ),
     "histories": ("History", "chain_consistency_report", "history", "history_probability"),
-    "linalg": ("Projector", "ProjectiveDecomposition", "SpaceDescriptor", "StateVector", "inner", "project", "tensor"),
+    "linalg": ("Projector", "SpaceDescriptor", "StateVector", "inner"),
     "protocol": ("AgentId", "MeasurementSpec", "Protocol", "StageId", "StageUnitary", "default_protocol"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .born import Distribution
-from .linalg import NORM_ATOL, ZERO_WEIGHT_FLOOR, Projector, StateVector, lifted_projector
+from .linalg import NORM_ATOL, ZERO_WEIGHT_FLOOR, StateVector
 from .protocol import (
     DYNAMIC_STAGES,
     GLOBAL_SPACE,
@@ -63,13 +63,6 @@ READY_CONFIG = MemoryConfig(READY, READY, READY, READY)
 def all_configs() -> list[MemoryConfig]:
     labelsets = [GLOBAL_SPACE.factors[a].labels for a in CONFIG_AXES]
     return [MemoryConfig(*combo) for combo in product(*labelsets)]
-
-
-def config_projector(m: MemoryConfig) -> Projector:
-    """Projector onto the four memory labels, identity on coin and spin."""
-    factor = np.zeros(81, dtype=np.complex128)
-    factor[GLOBAL_SPACE.subspace(("F1", "F2", "W1", "W2")).index_of(m)] = 1.0
-    return lifted_projector(GLOBAL_SPACE, CONFIG_AXES, [factor])
 
 
 def config_weights(state: StateVector) -> dict[MemoryConfig, float]:

@@ -174,7 +174,7 @@ def joint_weight(state: StateVector, events: list[tuple[MeasurementSpec, str]]) 
 def outcome_distribution(state: StateVector, spec: MeasurementSpec) -> Distribution:
     """Born probabilities of one measurement's declared outcomes on a state."""
     state.require_normalized(NORM_ATOL)
-    if REST in spec.basis.labels:
+    if REST in spec.factor_matrices:
         stray = joint_weight(state, [(spec, REST)])
         if stray > SUM_ATOL:
             raise ValueError(

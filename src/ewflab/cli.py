@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, verify, histories, bellbohm, argue, audit, report.
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error.  Output is deterministic: identical invocations print identical bytes.
+Exit codes: 0 success / all checks pass, 1 verification failure or stdout
+closed early (a broken pipe), 2 usage error.  Output is deterministic:
+identical invocations print identical bytes.
 
 Only what building the parser needs is imported here; each subcommand
 imports the modules it runs, so a process loads no more than it uses.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -31,7 +33,7 @@ PROFILE_NAMES = ("all", "bell-bohm", "collapse", "consistent-histories", "copenh
 def _parse_coin(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated amplitudes, e.g. 0.577,0.816")
+        raise argparse.ArgumentTypeError("expected two comma-separated amplitudes, e.g. 0.6,0.8")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
@@ -393,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, coin: bool = True) -> None:
-        if coin:
-            p.add_argument("--coin", type=_parse_coin, default=None, metavar="A,B",
-                           help="initial coin amplitudes (default sqrt(1/3),sqrt(2/3))")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def add_common(p: argparse.ArgumentParser, formats: bool = True) -> None:
+        p.add_argument("--coin", type=_parse_coin, default=None, metavar="A,B",
+                       help="initial coin amplitudes (default sqrt(1/3),sqrt(2/3))")
+        if formats:  # only for handlers that read args.format
+            p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--flip-ok-sign", action="store_true", help=argparse.SUPPRESS)
         p.add_argument("--corrupt-preparation", action="store_true", help=argparse.SUPPRESS)
 
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_aud.set_defaults(func=_cmd_audit)
 
     p_rep = sub.add_parser("report", help="everything above in one reproducible report")
-    add_common(p_rep)
+    add_common(p_rep, formats=False)
     p_rep.set_defaults(func=_cmd_report)
     return parser
 
@@ -455,7 +457,15 @@ def _join_coin_value(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_coin_value(sys.argv[1:] if argv is None else argv))
-    return args.func(args, parser)
+    try:
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+    except BrokenPipeError:
+        # the recipe in the `signal` docs: stdout now goes nowhere, so the
+        # interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

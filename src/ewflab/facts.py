@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import born, histories
-from .linalg import ATOL, FACT_ATOL, PHASE_ATOL, StateVector, inner
+from .linalg import ATOL, FACT_ATOL, PHASE_ATOL, StateVector
 from .protocol import (
     DOWN,
     FAIL,
@@ -102,13 +102,12 @@ def check_initial_amplitudes(protocol: Protocol) -> tuple[bool, str]:
 def check_okfail_bases_orthonormal(protocol: Protocol) -> tuple[bool, str]:
     worst = 0.0
     for spec in (protocol.friend_coin_measurement, protocol.friend_spin_measurement):
-        vec_ok = spec.basis.projector(OK).vectors[0]
-        vec_fail = spec.basis.projector("fail").vectors[0]
+        vec_ok, vec_fail = spec.vectors[OK], spec.vectors[FAIL]
         worst = max(
             worst,
-            abs(inner(vec_ok, vec_fail)),
-            abs(inner(vec_ok, vec_ok) - 1.0),
-            abs(inner(vec_fail, vec_fail) - 1.0),
+            abs(np.vdot(vec_ok, vec_fail)),
+            abs(np.vdot(vec_ok, vec_ok) - 1.0),
+            abs(np.vdot(vec_fail, vec_fail) - 1.0),
         )
     return worst < FACT_ATOL, f"worst deviation {worst:.3g}"
 
@@ -161,7 +160,7 @@ def check_joint_state_coefficients(protocol: Protocol) -> tuple[bool, str]:
     tail_space = GLOBAL_SPACE.subspace(("S", "F2", "W1", "W2"))
 
     def basis_vector(okfail: str, spin: str, mem: str) -> np.ndarray:
-        fac = w1.basis.projector(okfail).vectors[0].amps  # on (C, F1)
+        fac = w1.vectors[okfail]  # on (C, F1)
         rest = np.zeros(tail_space.size, dtype=np.complex128)
         rest[tail_space.index_of((spin, mem, READY, READY))] = 1.0
         return np.kron(fac, rest)

@@ -2,11 +2,18 @@
 
 Everything in this package runs on one 324-dimensional Hilbert space, so the
 representation is deliberately naive: flat complex128 amplitude arrays indexed
-in mixed radix over the subsystem dimensions.  An operator is a factor-local
-matrix (`apply_on_axes`) or a 0/1 mask on the amplitudes; record weights come
-from one |amps|^2 marginal (`protocol.memory_marginal`).  A `Projector` holds
-an explicit orthonormal spanning set and is kept only as a test reference.
-Every numeric tolerance is in the table below.  No sparsity, no density matrices.
+in mixed radix over the subsystem dimensions.  A measurement is a set of
+rank-one outcome vectors on its target factors (`protocol.MeasurementSpec`);
+an operator is a factor-local matrix (`apply_on_axes`) or a 0/1 mask on the
+amplitudes; record weights come from one |amps|^2 marginal
+(`protocol.memory_marginal`).  Every numeric tolerance is in the table below.
+No sparsity, no density matrices.
+
+The spanning-set path (projectors as explicit orthonormal vector lists on
+the global space) lives in the test suite's `reference` module as an oracle.
+`Projector` and `lifted_projector` stay here only because the benchmark's
+traced mode wraps `lifted_projector` and `Protocol.record_projector`, its
+one caller; they move to the tests once the benchmark stops tracing them.
 
 All objects are immutable after construction and safe to share across threads.
 """
@@ -28,8 +35,6 @@ import numpy as np
 #: norms and orthonormality of vectors, commutation of stage matrices, the
 #: zero test of a branch norm, and `rational_label`'s distance to a fraction
 ATOL = 1e-12
-#: orthonormality of a whole decomposition, whose Gram entries sum 324 products
-DECOMPOSITION_ATOL = 10 * ATOL
 #: a state or coin is normalized (coins typed on the command line are rounded)
 NORM_ATOL = 1e-9
 #: a Born probability is certain or impossible; a distribution's negative allowance
@@ -112,20 +117,8 @@ class SpaceDescriptor:
             idx = idx * f.dim + f.index(label)
         return idx
 
-    def labels_at(self, index: int) -> tuple[str, ...]:
-        """Inverse of index_of."""
-        digits = []
-        for dim in reversed(self.dims):
-            digits.append(index % dim)
-            index //= dim
-        return tuple(f.labels[d] for f, d in zip(self.factors, reversed(digits)))
-
     def subspace(self, names: tuple[str, ...]) -> "SpaceDescriptor":
         return SpaceDescriptor(tuple(self.factor(n) for n in names))
-
-    def concat(self, other: "SpaceDescriptor") -> "SpaceDescriptor":
-        return SpaceDescriptor(self.factors + other.factors)
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -153,36 +146,6 @@ class StateVector:
 
     def amplitude(self, labels: tuple[str, ...]) -> Amplitude:
         return complex(self.amps[self.space.index_of(labels)])
-
-    def nonzero_terms(self, tol: float = ATOL) -> list[tuple[tuple[str, ...], Amplitude]]:
-        """Basis expansion, dropping amplitudes below tol. Deterministic order."""
-        out = []
-        for i in np.flatnonzero(np.abs(self.amps) > tol):
-            out.append((self.space.labels_at(int(i)), complex(self.amps[i])))
-        return out
-
-
-def zero_state(space: SpaceDescriptor) -> StateVector:
-    return StateVector(space, np.zeros(space.size, dtype=np.complex128))
-
-
-def basis_state(space: SpaceDescriptor, labels: tuple[str, ...]) -> StateVector:
-    amps = np.zeros(space.size, dtype=np.complex128)
-    amps[space.index_of(labels)] = 1.0
-    return StateVector(space, amps)
-
-
-def from_terms(space: SpaceDescriptor, terms: dict[tuple[str, ...], complex]) -> StateVector:
-    amps = np.zeros(space.size, dtype=np.complex128)
-    for labels, coeff in terms.items():
-        amps[space.index_of(labels)] += coeff
-    return StateVector(space, amps)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; result space is the concatenation of the input spaces."""
-    return StateVector(a.space.concat(b.space), np.kron(a.amps, b.amps))
-
 
 def inner(a: StateVector, b: StateVector) -> Amplitude:
     """<a|b>, conjugate-linear in the first argument."""
@@ -218,53 +181,6 @@ class Projector:
     @property
     def rank(self) -> int:
         return len(self.vectors)
-
-
-def project(p: Projector, v: StateVector) -> StateVector:
-    """Unnormalized projection of v onto p's range."""
-    if p.space != v.space:
-        raise SpaceMismatchError("projector and state on different spaces")
-    overlaps = p.span_matrix.conj() @ v.amps
-    return StateVector(p.space, p.span_matrix.T @ overlaps)
-
-
-def weight(p: Projector, v: StateVector) -> float:
-    """Squared norm of the projection: the Born probability of p in v."""
-    if p.space != v.space:
-        raise SpaceMismatchError("projector and state on different spaces")
-    overlaps = p.span_matrix.conj() @ v.amps
-    return float(np.real(np.vdot(overlaps, overlaps)))
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectiveDecomposition:
-    """Labeled family of orthogonal projectors that resolves the identity."""
-
-    space: SpaceDescriptor
-    branches: tuple[tuple[str, Projector], ...]
-
-    def __post_init__(self) -> None:
-        labels = [label for label, _ in self.branches]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate branch labels")
-        vecs = [v.amps for _, p in self.branches for v in p.vectors]
-        if len(vecs) != self.space.size:
-            raise ValueError(
-                f"decomposition is not complete: total rank {len(vecs)} != dim {self.space.size}"
-            )
-        mat = np.stack(vecs)
-        if not np.allclose(mat @ mat.conj().T, np.eye(len(vecs)), atol=DECOMPOSITION_ATOL):
-            raise ValueError("branches are not mutually orthogonal within tolerance")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.branches)
-
-    def projector(self, label: str) -> Projector:
-        for branch_label, p in self.branches:
-            if branch_label == label:
-                return p
-        raise KeyError(f"no branch labeled {label!r}")
 
 
 #: Largest denominator `rational_label` names.  The default coin's exact

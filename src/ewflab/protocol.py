@@ -33,11 +33,9 @@ from .linalg import (
     NORM_ATOL,
     Factor,
     Projector,
-    ProjectiveDecomposition,
     SpaceDescriptor,
     StateVector,
     apply_on_axes,
-    basis_state,
     lifted_projector,
 )
 
@@ -47,8 +45,8 @@ OK, FAIL = "ok", "fail"
 READY = "0"
 PLUS, MINUS = "+", "-"
 
-# Residual branch completing a two-outcome basis on a six-dimensional factor;
-# it carries no amplitude anywhere in the protocol's reachable dynamics.
+# Residual branch completing a two-outcome measurement on a six-dimensional
+# factor; it carries no amplitude anywhere in the protocol's reachable dynamics.
 REST = "rest"
 
 GLOBAL_SPACE = SpaceDescriptor(
@@ -114,19 +112,24 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSpec:
-    """One projective measurement: target factor basis plus a recorder.
+    """One projective measurement: rank-one outcome vectors plus a recorder.
 
-    `basis` lives on the target factor subspace and always resolves the
-    identity there; two-outcome measurements on six-dimensional factors carry
-    an extra residual branch (label REST) that completes the decomposition but
-    is not a reportable outcome.
+    `vectors` maps each outcome label to a unit vector on the target factor
+    subspace (targets in global order).  When the vectors do not span the
+    target factor (two outcomes on a six-dimensional factor), the coordinates
+    none of them touches form a residual branch (label REST) that completes
+    the identity in `factor_matrices` but is not a reportable outcome.  That
+    holds because the vectors span exactly the coordinates they touch.
     """
 
     name: str
     targets: tuple[str, ...]
-    basis: ProjectiveDecomposition
+    vectors: dict[str, np.ndarray]
     recorder: AgentId
-    outcome_labels: tuple[str, ...]
+
+    @property
+    def outcome_labels(self) -> tuple[str, ...]:
+        return tuple(self.vectors)
 
     @property
     def target_axes(self) -> tuple[int, ...]:
@@ -134,19 +137,15 @@ class MeasurementSpec:
 
     @cached_property  # a frozen dataclass lets it write the instance __dict__
     def factor_matrices(self) -> dict[str, np.ndarray]:
-        """Read-only projector matrix of each branch on the target factor."""
-        mats = {}
-        for label, p in self.basis.branches:
-            mat = np.zeros((p.space.size, p.space.size), dtype=np.complex128)
-            for v in p.vectors:
-                mat += np.outer(v.amps, v.amps.conj())
+        """Read-only projector matrix of each outcome, then REST, on the target factor."""
+        mats = {label: np.outer(v, v.conj()) for label, v in self.vectors.items()}
+        # exact 0/1 diagonal, not I - sum(mats), which leaves float error behind
+        untouched = ~np.any(np.stack(tuple(self.vectors.values())) != 0, axis=0)
+        if untouched.any():
+            mats[REST] = np.diag(untouched.astype(np.complex128))
+        for mat in mats.values():
             mat.flags.writeable = False
-            mats[label] = mat
         return mats
-
-    def lifted_projector(self, label: str) -> Projector:
-        vecs = [v.amps for v in self.basis.projector(label).vectors]
-        return lifted_projector(GLOBAL_SPACE, self.target_axes, vecs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,15 +177,6 @@ class StageUnitary:
                     f"(weight {off_ready:.3e} outside |0>)"
                 )
         return self.linear(state)
-
-    @cached_property
-    def global_matrix(self) -> np.ndarray:
-        """Dense 324x324 matrix, built column by column."""
-        cols = np.zeros((DIM, DIM), dtype=np.complex128)
-        eye = np.eye(DIM, dtype=np.complex128)
-        for j in range(DIM):
-            cols[:, j] = apply_on_axes(eye[:, j], GLOBAL_SPACE.dims, self.axes, self.matrix)
-        return cols
 
     @cached_property
     def rewritten_memory_axes(self) -> tuple[int, ...]:
@@ -223,36 +213,21 @@ def _memory_swap(agent: AgentId, label: str) -> np.ndarray:
     return v
 
 
-def _two_outcome_basis(
-    space: SpaceDescriptor, ok_vec: dict[tuple[str, str], complex], fail_vec: dict[tuple[str, str], complex]
-) -> ProjectiveDecomposition:
-    """ok/fail rank-1 branches plus the rank-4 residual on a 2x3 or 3x2 factor."""
+def _factor_vector(targets: tuple[str, ...], terms: dict[tuple[str, ...], float]) -> np.ndarray:
+    """Read-only vector on the target factors with the given label amplitudes."""
+    space = GLOBAL_SPACE.subspace(targets)
+    amps = np.zeros(space.size, dtype=np.complex128)
+    for labels, c in terms.items():
+        amps[space.index_of(labels)] = c
+    amps.flags.writeable = False
+    return amps
 
-    def vec(terms: dict[tuple[str, str], complex]) -> np.ndarray:
-        amps = np.zeros(space.size, dtype=np.complex128)
-        for labels, c in terms.items():
-            amps[space.index_of(labels)] = c
-        return amps
 
-    ok_amps, fail_amps = vec(ok_vec), vec(fail_vec)
-    span = np.stack([ok_amps, fail_amps])
-    rest = []
-    for i in range(space.size):
-        e = np.zeros(space.size, dtype=np.complex128)
-        e[i] = 1.0
-        resid = e - span.T @ (span.conj() @ e)
-        n = np.linalg.norm(resid)
-        if n > 0.5:  # basis vectors are either inside the span or orthogonal to it
-            rest.append(resid / n)
-    sv = lambda a: StateVector(space, a)
-    return ProjectiveDecomposition(
-        space,
-        (
-            (OK, Projector(space, (sv(ok_amps),))),
-            (FAIL, Projector(space, (sv(fail_amps),))),
-            (REST, Projector(space, tuple(sv(r) for r in rest))),
-        ),
-    )
+def _unit_vectors(labels: tuple[str, str]) -> dict[str, np.ndarray]:
+    """The two outcome labels of a qubit measurement, as the rows of I."""
+    eye = np.eye(2, dtype=np.complex128)
+    eye.flags.writeable = False
+    return dict(zip(labels, eye))
 
 
 #: Which memory register records each outcome variable, and at which stage.
@@ -322,49 +297,34 @@ class Protocol:
 
     @cached_property
     def coin_measurement(self) -> MeasurementSpec:
-        space = GLOBAL_SPACE.subspace(("C",))
-        branches = tuple(
-            (label, Projector(space, (basis_state(space, (label,)),))) for label in (HEAD, TAIL)
-        )
-        return MeasurementSpec(
-            "r", ("C",), ProjectiveDecomposition(space, branches), AgentId.F1, (HEAD, TAIL)
-        )
+        return MeasurementSpec("r", ("C",), _unit_vectors((HEAD, TAIL)), AgentId.F1)
 
     @cached_property
     def spin_measurement(self) -> MeasurementSpec:
-        space = GLOBAL_SPACE.subspace(("S",))
-        branches = (
-            (PLUS, Projector(space, (basis_state(space, (UP,)),))),
-            (MINUS, Projector(space, (basis_state(space, (DOWN,)),))),
-        )
-        return MeasurementSpec(
-            "z", ("S",), ProjectiveDecomposition(space, branches), AgentId.F2, (PLUS, MINUS)
-        )
+        return MeasurementSpec("z", ("S",), _unit_vectors((PLUS, MINUS)), AgentId.F2)
 
     @cached_property
     def friend_coin_measurement(self) -> MeasurementSpec:
         """W1's entangled ok/fail measurement of the coin together with F1."""
-        space = GLOBAL_SPACE.subspace(("C", "F1"))
         s = 1.0 / math.sqrt(2.0)
         sign = -1.0 if self.flip_ok_sign else 1.0
-        basis = _two_outcome_basis(
-            space,
-            {(HEAD, HEAD): sign * s, (TAIL, TAIL): -sign * s},
-            {(HEAD, HEAD): s, (TAIL, TAIL): s},
-        )
-        return MeasurementSpec("w1", ("C", "F1"), basis, AgentId.W1, (OK, FAIL))
+        targets = ("C", "F1")
+        vectors = {
+            OK: _factor_vector(targets, {(HEAD, HEAD): sign * s, (TAIL, TAIL): -sign * s}),
+            FAIL: _factor_vector(targets, {(HEAD, HEAD): s, (TAIL, TAIL): s}),
+        }
+        return MeasurementSpec("w1", targets, vectors, AgentId.W1)
 
     @cached_property
     def friend_spin_measurement(self) -> MeasurementSpec:
         """W2's entangled ok/fail measurement of the spin together with F2."""
-        space = GLOBAL_SPACE.subspace(("S", "F2"))
         s = 1.0 / math.sqrt(2.0)
-        basis = _two_outcome_basis(
-            space,
-            {(DOWN, MINUS): s, (UP, PLUS): -s},
-            {(DOWN, MINUS): s, (UP, PLUS): s},
-        )
-        return MeasurementSpec("w2", ("S", "F2"), basis, AgentId.W2, (OK, FAIL))
+        targets = ("S", "F2")
+        vectors = {
+            OK: _factor_vector(targets, {(DOWN, MINUS): s, (UP, PLUS): -s}),
+            FAIL: _factor_vector(targets, {(DOWN, MINUS): s, (UP, PLUS): s}),
+        }
+        return MeasurementSpec("w2", targets, vectors, AgentId.W2)
 
     def measurement(self, var: str) -> MeasurementSpec:
         try:
@@ -403,8 +363,7 @@ class Protocol:
             raise ValueError("recorder memory axis must follow the target axes in global order")
         d_target = math.prod(GLOBAL_SPACE.dims[a] for a in spec.target_axes)
         mat = np.zeros((d_target * 3, d_target * 3), dtype=np.complex128)
-        for label in spec.basis.labels:
-            p = spec.factor_matrices[label]
+        for label, p in spec.factor_matrices.items():
             if label == REST:
                 v = np.eye(3, dtype=np.complex128)
             else:
@@ -455,13 +414,6 @@ class Protocol:
                 self._pilot_cache[s] = state
             self._pilot_cache[StageId.PREP_MINUS1] = self.initial_state()
         return self._pilot_cache[stage]
-
-    def pilot_state_with_order(self, order: tuple[StageId, ...]) -> StateVector:
-        """Pilot state after running the dynamic stages in a custom order."""
-        state = self.initial_state()
-        for s in order:
-            state = self.stage_unitaries[s].linear(state)
-        return state
 
     # -- record access -----------------------------------------------------
 

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
+import reference
 from ewflab import bellbohm, born, epistemics, histories
-from ewflab.linalg import StateVector, from_terms, inner, weight
+from ewflab.linalg import StateVector, inner
 from ewflab.protocol import DYNAMIC_STAGES, GLOBAL_SPACE, STAGES, Protocol, StageId
+from reference import from_terms, global_matrix, measurement_projector, pilot_state_with_order, weight
 
 GOLDEN_TABLES = Path(__file__).parent / "golden" / "assumption_tables.txt"
 
@@ -48,7 +50,7 @@ def test_criterion_2_joint_state_and_eigenspace(protocol):
         tail_space = GLOBAL_SPACE.subspace(("S", "F2", "W1", "W2"))
 
         def lifted(okfail, spin, mem):
-            vec = w1.basis.projector(okfail).vectors[0].amps
+            vec = w1.vectors[okfail]
             rest = np.zeros(tail_space.size, dtype=complex)
             rest[tail_space.index_of((spin, mem, "0", "0"))] = 1.0
             return np.kron(vec, rest)
@@ -67,7 +69,7 @@ def test_criterion_2_joint_state_and_eigenspace(protocol):
         rest_space = GLOBAL_SPACE.subspace(("F2", "W1", "W2"))
         down = np.zeros(2, dtype=complex)
         down[GLOBAL_SPACE.factor("S").index("down")] = 1.0
-        ok_vec = w1.basis.projector("ok").vectors[0].amps
+        ok_vec = w1.vectors["ok"]
         for j in range(rest_space.size):
             rest = np.zeros(rest_space.size, dtype=complex)
             rest[j] = 1.0
@@ -79,10 +81,10 @@ def test_criterion_3_lab_state_orthogonal_to_ok(protocol):
     """<ok | (down,- + up,+)/sqrt(2)> vanishes on the spin-F2 factor."""
     with criterion(3, "entangled lab state is orthogonal to W2's ok vector"):
         spec = protocol.friend_spin_measurement
-        sf = spec.basis.space
+        sf = GLOBAL_SPACE.subspace(spec.targets)
         s = 1.0 / math.sqrt(2.0)
         lab = from_terms(sf, {("down", "-"): s, ("up", "+"): s})
-        ok = spec.basis.projector("ok").vectors[0]
+        ok = reference.outcome_state(spec, "ok")
         assert abs(inner(ok, lab)) < 1e-12
 
 
@@ -162,16 +164,16 @@ def test_criterion_8_property_suites(protocol):
         )
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         for stage in DYNAMIC_STAGES:
-            u = protocol.stage_unitary(stage).global_matrix
+            u = global_matrix(protocol.stage_unitary(stage))
             norms = np.linalg.norm(states @ u.T, axis=1)
             assert np.max(np.abs(norms - 1.0)) < 1e-12
 
         for var in ("r", "z", "w1", "w2"):
-            spec = protocol.measurement(var)
+            labels = reference.basis(protocol, var).labels
             for v in states[:50]:
                 sv = StateVector(GLOBAL_SPACE, v)
                 total = sum(
-                    weight(spec.lifted_projector(label), sv) for label in spec.basis.labels
+                    weight(measurement_projector(protocol, var, label), sv) for label in labels
                 )
                 assert abs(total - 1.0) < 1e-11
 
@@ -180,7 +182,8 @@ def test_criterion_8_property_suites(protocol):
         for (la, pa), (lb, pb) in zip(seq.outcomes, marg.outcomes):
             assert la == lb and abs(pa - pb) < 1e-11
 
-        swapped = protocol.pilot_state_with_order(
+        swapped = pilot_state_with_order(
+            protocol,
             (StageId.OBS0, StageId.PREP1, StageId.OBS2, StageId.MEAS4, StageId.MEAS3)
         )
         base_weights = protocol.record_weights(

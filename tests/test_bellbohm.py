@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from ewflab import bellbohm as bb
 from ewflab import born
 from ewflab.bellbohm import (
     REFERENCE_TRAJECTORY,
     MemoryConfig,
     UnreachableConfigError,
     all_configs,
-    config_projector,
     config_weights,
     exact_chain,
     transition_kernel,
 )
-from ewflab.linalg import StateVector, weight
+from ewflab.linalg import StateVector
 from ewflab.protocol import GLOBAL_SPACE, STAGES, StageId
+from reference import config_projector, project, weight
 
 
 class TestConfigProjectors:
@@ -70,16 +69,14 @@ class TestKernel:
         """
         parent = MemoryConfig("tail", "+", "ok", "0")
         state = protocol.pilot_state_after(StageId.MEAS3)
-        projected = bb.config_projector(parent)
-        from ewflab.linalg import project
-
+        projected = config_projector(parent)
         comp = project(projected, state)
         evolved = protocol.stage_unitary(StageId.MEAS4).linear(comp)
         norm2 = comp.norm() ** 2
         row = transition_kernel(protocol, parent, StageId.MEAS4)
         d = {k[0]: v for k, v in row.as_dict().items()}
         for child, p in d.items():
-            direct = weight(bb.config_projector(child), evolved) / norm2
+            direct = weight(config_projector(child), evolved) / norm2
             assert p == pytest.approx(direct, abs=1e-12)
         flipped = MemoryConfig("tail", "-", "ok", "ok")
         assert d[flipped] == pytest.approx(0.25, abs=1e-12)

@@ -16,8 +16,9 @@ from ewflab.born import (
     joint_distribution,
     outcome_distribution,
 )
-from ewflab.linalg import StateVector, project
+from ewflab.linalg import StateVector
 from ewflab.protocol import GLOBAL_SPACE, Protocol, StageId
+from reference import pilot_state_with_order, project
 
 # Exact joint oracle: chain of exact conditional tables, worked out by hand
 # from the exact amplitudes.  P(r,z) is uniform over the three reachable
@@ -63,7 +64,7 @@ class TestOutcomeDistribution:
     def test_degenerate_on_own_basis_vector(self, protocol):
         # lift the ok vector itself against ready memories elsewhere
         spec = protocol.friend_spin_measurement
-        vec = spec.basis.projector("ok").vectors[0].amps
+        vec = spec.vectors["ok"]
         rest = np.zeros(54, dtype=complex)
         rest_space = GLOBAL_SPACE.subspace(("W1", "W2"))
         head_space = GLOBAL_SPACE.subspace(("C", "F1"))
@@ -132,7 +133,8 @@ class TestJointDistribution:
 
     def test_order_invariance_of_record_marginal(self, protocol):
         """Swapping the two para-experimenter stages leaves (w1, w2) unchanged."""
-        swapped = protocol.pilot_state_with_order(
+        swapped = pilot_state_with_order(
+            protocol,
             (StageId.OBS0, StageId.PREP1, StageId.OBS2, StageId.MEAS4, StageId.MEAS3)
         )
         base = protocol.record_weights(

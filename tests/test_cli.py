@@ -1,8 +1,11 @@
 """End-to-end CLI tests: exit codes, output contracts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 BASE = [sys.executable, "-m", "ewflab.cli"]
 
@@ -164,3 +167,18 @@ class TestDeterminism:
             second = run(*args)
             assert first.stdout == second.stdout
             assert first.returncode == second.returncode
+
+
+@pytest.mark.parametrize(
+    "args", [("simulate",), ("verify", "--format", "json"), ("report",)], ids=lambda a: "-".join(a)
+)
+def test_closed_stdout_exits_1_without_traceback(args):
+    """Every write to a pipe whose read end is already closed fails."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        res = subprocess.run(BASE + list(args), stdout=w, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(w)
+    assert res.returncode == 1
+    assert res.stderr == ""

@@ -4,6 +4,8 @@ Each case runs `cli.main` in process: an exception escaping it fails the
 test with its traceback, and a usage error is read from SystemExit.
 """
 
+import re
+
 import pytest
 
 from ewflab import cli
@@ -39,7 +41,9 @@ def test_degenerate_coin_fails_without_traceback(capsys, sub, coin):
 @pytest.mark.parametrize("sub", ["audit", "report"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_seeded_coin_refuses_to_derive(capsys, sub, fmt):
-    code, out, err = run(capsys, [sub, "--coin", "0.6,0.8", "--format", fmt])
+    # report prints text only and has no --format, so both its cases run the same argv
+    fmt_args = [] if sub == "report" else ["--format", fmt]
+    code, out, err = run(capsys, [sub, "--coin", "0.6,0.8"] + fmt_args)
     assert code == 1
     assert err.startswith("refusing to derive: quantum grounding failed for: ")
     assert len(err.splitlines()) == 1
@@ -85,3 +89,21 @@ def test_verify_answers_a_separate_negative_coin(capsys):
     assert code == 1
     assert err == ""
     assert "(tail branch has zero weight)" in out
+
+
+def test_coin_usage_hint_example_is_accepted(capsys):
+    code, _, err = run(capsys, ["simulate", "--coin", "0.6"])
+    assert code == 2
+    example = re.search(r"e\.g\. (\S+)$", err.splitlines()[-1]).group(1)
+    assert run(capsys, ["simulate", "--coin", example])[0] == 0
+
+
+@pytest.mark.parametrize("sub", ["simulate", "verify", "histories", "bellbohm", "argue", "audit", "report"])
+def test_format_is_accepted_only_where_it_is_read(capsys, sub):
+    extra = ["--interpretation", "all"] if sub == "argue" else []
+    code, _, err = run(capsys, [sub, "--format", "json"] + extra)
+    if sub == "report":
+        assert code == 2
+        assert err.splitlines()[-1] == "ewflab: error: unrecognized arguments: --format json"
+    else:
+        assert code == 0

@@ -9,7 +9,8 @@ measurement events became cached factor matrices and the memory marginal was
 shared.  `verify_default.*` was written after FR2 and FR8 moved to factor
 matrices; against the earlier spanning-set output it differs only in two
 float-noise details (`ok weight 5e-34` -> `1.06e-33`, `weight 2.7e-35` ->
-`1.47e-34`).
+`1.47e-34`).  `report_default.txt` was written before measurements carried
+their outcome vectors instead of spanning-set decompositions.
 """
 
 from pathlib import Path
@@ -64,7 +65,7 @@ DEFAULT_GOLDEN = [
         ("audit", ["audit"]),
     ]
     for fmt, ext in [([], "txt"), (["--format", "json"], "json")]
-]
+] + [(["report"], "report_default.txt")]
 
 
 @pytest.mark.parametrize("args, golden", DEFAULT_GOLDEN, ids=[g for _, g in DEFAULT_GOLDEN])

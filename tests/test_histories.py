@@ -20,8 +20,9 @@ from ewflab.histories import (
     okok_fine_history,
     outcome_event,
 )
-from ewflab.linalg import StateVector, project
+from ewflab.linalg import StateVector
 from ewflab.protocol import GLOBAL_SPACE, RECORDERS, STAGES, Protocol, StageId, record_mask
+from reference import project
 
 
 class TestHistoryProbability:

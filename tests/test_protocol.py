@@ -13,6 +13,7 @@ from ewflab.protocol import (
     Protocol,
     StageId,
 )
+from reference import global_matrix, nonzero_terms, outcome_state, pilot_state_with_order
 
 SQ13 = math.sqrt(1.0 / 3.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -20,7 +21,7 @@ SQ12 = math.sqrt(0.5)
 
 
 def amplitude_map(state):
-    return {labels: amp for labels, amp in state.nonzero_terms(tol=1e-13)}
+    return {labels: amp for labels, amp in nonzero_terms(state, tol=1e-13)}
 
 
 class TestInitialState:
@@ -92,16 +93,16 @@ class TestEntangledBases:
     def test_ok_fail_vectors_match_definitions(self, protocol):
         """Reconstruct both bases from their defining formulas and compare."""
         w1 = protocol.friend_coin_measurement
-        ok = w1.basis.projector("ok").vectors[0]
-        fail = w1.basis.projector("fail").vectors[0]
+        ok = outcome_state(w1, "ok")
+        fail = outcome_state(w1, "fail")
         assert ok.amplitude(("head", "head")) == pytest.approx(SQ12, abs=1e-12)
         assert ok.amplitude(("tail", "tail")) == pytest.approx(-SQ12, abs=1e-12)
         assert fail.amplitude(("head", "head")) == pytest.approx(SQ12, abs=1e-12)
         assert fail.amplitude(("tail", "tail")) == pytest.approx(SQ12, abs=1e-12)
 
         w2 = protocol.friend_spin_measurement
-        ok2 = w2.basis.projector("ok").vectors[0]
-        fail2 = w2.basis.projector("fail").vectors[0]
+        ok2 = outcome_state(w2, "ok")
+        fail2 = outcome_state(w2, "fail")
         assert ok2.amplitude(("down", "-")) == pytest.approx(SQ12, abs=1e-12)
         assert ok2.amplitude(("up", "+")) == pytest.approx(-SQ12, abs=1e-12)
         assert fail2.amplitude(("down", "-")) == pytest.approx(SQ12, abs=1e-12)
@@ -122,7 +123,7 @@ class TestEntangledBases:
             ("fail", "up", "+", c6),
             ("ok", "up", "+", -c6),
         ):
-            vec = w1.basis.projector(okfail).vectors[0].amps
+            vec = w1.vectors[okfail]
             rest = np.zeros(54, dtype=complex)
             tail_space = GLOBAL_SPACE.subspace(("S", "F2", "W1", "W2"))
             rest[tail_space.index_of((spin, mem, "0", "0"))] = 1.0
@@ -161,7 +162,7 @@ class TestEntangledBases:
 class TestUnitarity:
     def test_stage_matrices_are_unitary(self, protocol):
         for stage in DYNAMIC_STAGES:
-            u = protocol.stage_unitary(stage).global_matrix
+            u = global_matrix(protocol.stage_unitary(stage))
             np.testing.assert_allclose(
                 u.conj().T @ u, np.eye(GLOBAL_SPACE.size), atol=1e-12
             )
@@ -188,10 +189,12 @@ class TestUnitarity:
         )
 
     def test_meas3_meas4_commute(self, protocol):
-        a = protocol.pilot_state_with_order(
+        a = pilot_state_with_order(
+            protocol,
             (StageId.OBS0, StageId.PREP1, StageId.OBS2, StageId.MEAS3, StageId.MEAS4)
         )
-        b = protocol.pilot_state_with_order(
+        b = pilot_state_with_order(
+            protocol,
             (StageId.OBS0, StageId.PREP1, StageId.OBS2, StageId.MEAS4, StageId.MEAS3)
         )
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-12)
