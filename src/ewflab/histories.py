@@ -12,19 +12,20 @@ from the sum of its fine-grainings.
 The consistency report makes that difference measurable: histories in a
 family are refined over the union of the family's event stages using the
 canonical record decompositions, and a family counts as jointly considerable
-only when the refined chain vectors neither interfere across histories nor
-break the additivity of any member's probability.
+only when the decoherence functional of the refined chain vectors shows
+neither interference across histories nor a break in the additivity of any
+member's probability.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CONSISTENCY_ATOL, StateVector, inner
+from .linalg import CONSISTENCY_ATOL, StateVector
 from .protocol import (
-    DYNAMIC_STAGES,
     GLOBAL_SPACE,
     OUTCOME_LABELS,
     RECORDERS,
@@ -76,12 +77,18 @@ _STAGE_VAR = {stage: var for var, (_, stage) in RECORDERS.items()}
 
 
 def outcome_event(protocol: Protocol, var: str, label: str, stage: StageId | None = None) -> HistoryEvent:
-    """Event projecting onto one record label, by default right after recording."""
+    """Event projecting onto one record label, by default right after recording.
+
+    Its label is `var=label` at the recording stage and `var@STAGE=label`, the
+    `--define` spelling, at any other, so that equal labels at a stage mean
+    equal masks.
+    """
     if label not in OUTCOME_LABELS[var]:
         raise ValueError(f"variable {var!r} has no outcome {label!r}")
-    if stage is None:
-        stage = RECORDERS[var][1]
-    return HistoryEvent(stage, record_mask(var, label), f"{var}={label}")
+    recorded = RECORDERS[var][1]
+    stage = recorded if stage is None else stage
+    name = var if stage is recorded else f"{var}@{stage.name}"
+    return HistoryEvent(stage, record_mask(var, label), f"{name}={label}")
 
 
 def history(protocol: Protocol, name: str, assignments: list[tuple[str, str]]) -> History:
@@ -94,17 +101,8 @@ def history(protocol: Protocol, name: str, assignments: list[tuple[str, str]]) -
 
 
 def chain_vector(protocol: Protocol, events: tuple[HistoryEvent, ...]) -> StateVector:
-    """P_n U_n ... P_1 U_1 |initial>, unnormalized."""
-    by_stage: dict[StageId, list[HistoryEvent]] = {}
-    for e in events:
-        by_stage.setdefault(e.stage, []).append(e)
-    state = protocol.initial_state()
-    for e in by_stage.get(StageId.PREP_MINUS1, []):
-        state = e.apply(state)
-    for stage in DYNAMIC_STAGES:
-        state = protocol.stage_unitary(stage).linear(state)
-        for e in by_stage.get(stage, []):
-            state = e.apply(state)
+    """P_n U_n ... P_1 U_1 |initial>, unnormalized: the one leaf of `_fine_chains`."""
+    ((_, state),) = _fine_chains(protocol, History("chain", events), ())
     return state
 
 
@@ -178,18 +176,15 @@ def _fine_chains(
     """Refine h over union stages it does not mention; return keyed chain vectors.
 
     A depth-first walk over the stage timeline evolves each tree node once,
-    so leaves share their prefix chains; each leaf runs the same operations
-    in the same order as `chain_vector` on its events, so the two agree bit
-    for bit.
+    so leaves share their prefix chains.  It is the package's one chain
+    evolution: `chain_vector` is its single leaf for an empty union.
     """
-    own = {e.stage: e for e in h.events}
-    # keys are label strings; record events built by outcome_event and the
-    # refinement slots use the same var=label format, so identical keys mean
-    # identical mask chains
-    slots = {
-        stage: [own[stage]] if stage in own else _record_refinement_events(stage)
-        for stage in union_stages
-    }
+    # keys are label strings; outcome_event and the refinement slots spell a
+    # recording-stage event alike, so identical keys mean identical mask chains
+    slots = {e.stage: [e] for e in h.events}
+    for stage in union_stages:
+        if stage not in slots:
+            slots[stage] = _record_refinement_events(stage)
     chains: list[tuple[tuple[str, ...], StateVector]] = []
 
     def walk(i: int, key: tuple[str, ...], state: StateVector) -> None:
@@ -210,12 +205,15 @@ def _fine_chains(
 
 
 def chain_consistency_report(protocol: Protocol, family: list[History]) -> ConsistencyReport:
-    """Decoherence diagnostics for a family of histories.
+    """Decoherence diagnostics for a family of histories, read off one matrix.
 
-    A pair fails when the refined chain vectors of one history interfere with
-    the other's (off-diagonal magnitude above threshold), when the two share a
-    fine-grained outcome (the histories are not exclusive alternatives), or
-    when either member's probability is not additive over its refinement.
+    The members' refined chains are the rows of C, and D = C* C^T is the
+    decoherence functional.  A member's chain is the sum of its refined ones
+    (each slot's masks sum to the identity), so its additivity defect is
+    |sum(D_hh) - trace(D_hh)| and a pair's direct overlap is |sum(D_ab)|.  A
+    pair fails on either, on interference between refined chains with
+    different keys (largest such |D_ab| entry), or on a shared key (the
+    histories are not exclusive alternatives).
     """
     names = [h.name for h in family]
     if len(set(names)) != len(names):
@@ -223,36 +221,25 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
     union_stages = tuple(
         sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value)
     )
-    fine = {h.name: _fine_chains(protocol, h, union_stages) for h in family}
-    direct = {h.name: chain_vector(protocol, h.events) for h in family}
+    fine = [_fine_chains(protocol, h, union_stages) for h in family]
+    leaves = [leaf for chains in fine for leaf in chains]
+    c = np.reshape([v.amps for _, v in leaves], (len(leaves), GLOBAL_SPACE.size))
+    d = c.conj() @ c.T
+    key_ids: dict[tuple[str, ...], int] = {}  # equal refined keys, equal ids
+    keys = np.array([key_ids.setdefault(k, len(key_ids)) for k, _ in leaves])
+    bounds = np.cumsum([0] + [len(chains) for chains in fine])
+    rows = {name: slice(lo, hi) for name, lo, hi in zip(names, bounds, bounds[1:])}
 
-    additivity: dict[str, float] = {}
-    for h in family:
-        p_direct = direct[h.name].norm() ** 2
-        p_sum = sum(v.norm() ** 2 for _, v in fine[h.name])
-        additivity[h.name] = abs(p_direct - p_sum)
-
-    pairs: list[PairVerdict] = []
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            a, b = family[i], family[j]
-            off = abs(inner(direct[a.name], direct[b.name]))
-            cross = 0.0
-            shared = False
-            for key_a, va in fine[a.name]:
-                for key_b, vb in fine[b.name]:
-                    if key_a == key_b:
-                        shared = True
-                        continue
-                    cross = max(cross, abs(inner(va, vb)))
-            ok = (
-                off <= CONSISTENCY_ATOL
-                and cross <= CONSISTENCY_ATOL
-                and not shared
-                and additivity[a.name] <= CONSISTENCY_ATOL
-                and additivity[b.name] <= CONSISTENCY_ATOL
-            )
-            pairs.append(PairVerdict(a.name, b.name, off, cross, shared, ok))
+    additivity = {name: float(abs(d[r, r].sum() - d[r, r].trace())) for name, r in rows.items()}
+    pairs = []
+    for a, b in itertools.combinations(names, 2):
+        block = d[rows[a], rows[b]]
+        same = keys[rows[a], None] == keys[None, rows[b]]
+        off = float(abs(block.sum()))
+        cross = float(np.abs(block[~same]).max(initial=0.0))
+        shared = bool(same.any())
+        ok = max(off, cross, additivity[a], additivity[b]) <= CONSISTENCY_ATOL and not shared
+        pairs.append(PairVerdict(a, b, off, cross, shared, ok))
     return ConsistencyReport(tuple(names), union_stages, additivity, tuple(pairs))
 
 

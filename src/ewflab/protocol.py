@@ -182,25 +182,20 @@ class StageUnitary:
     def rewritten_memory_axes(self) -> tuple[int, ...]:
         """Memory axes whose record this stage can overwrite.
 
-        An axis is rewritten when the stage matrix fails to commute with the
-        label projectors on that axis (a diagonal control, like the spin
-        preparation conditioned on F1, leaves the record intact).
+        An axis is rewritten when the stage matrix maps one of its labels to
+        another: an entry above ATOL off that axis's diagonal blocks (a
+        diagonal control, like the spin preparation conditioned on F1, leaves
+        the record intact).
         """
+        dims = [GLOBAL_SPACE.dims[a] for a in self.axes]
+        entries = np.abs(self.matrix).reshape(dims + dims)
         memory_axes = {a.memory_axis for a in AgentId}
         rewritten = []
         for pos, axis in enumerate(self.axes):
-            if axis not in memory_axes:
-                continue
-            dims = [GLOBAL_SPACE.dims[a] for a in self.axes]
-            for k in range(dims[pos]):
-                diag = np.zeros(dims, dtype=np.complex128)
-                sel: list[object] = [slice(None)] * len(dims)
-                sel[pos] = k
-                diag[tuple(sel)] = 1.0
-                pk = np.diag(diag.reshape(-1))
-                if not np.allclose(self.matrix @ pk, pk @ self.matrix, atol=ATOL):
-                    rewritten.append(axis)
-                    break
+            # by_label[out label, in label, ...] on this axis
+            by_label = np.moveaxis(entries, (pos, len(dims) + pos), (0, 1))
+            if axis in memory_axes and by_label[~np.eye(dims[pos], dtype=bool)].max() > ATOL:
+                rewritten.append(axis)
         return tuple(rewritten)
 
 

@@ -1,4 +1,4 @@
-"""The spanning-set path, kept as an oracle for the tests.
+"""The spanning-set path and the direct history chains, kept as oracles for the tests.
 
 Before measurements carried their outcome vectors, every basis was a
 `ProjectiveDecomposition` of explicit orthonormal `StateVector`s, and
@@ -8,6 +8,11 @@ the package's own, moved here unchanged, so the tests can compare today's
 factor-matrix path against them.  A former method is a function here whose
 first argument keeps the name `self`.  `basis(protocol, var)` rebuilds the
 decomposition each `MeasurementSpec` was built from.
+
+Before the consistency report read its diagnostics off the decoherence
+functional, it evolved each member's chain a second time, by a stage loop
+of its own, and compared the refined chains pair by pair.  That loop and
+that report are the last section, also unchanged.
 """
 
 from __future__ import annotations
@@ -18,17 +23,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from ewflab.bellbohm import CONFIG_AXES, MemoryConfig
+from ewflab.histories import (
+    ConsistencyReport,
+    History,
+    HistoryEvent,
+    PairVerdict,
+    _fine_chains,
+)
 from ewflab.linalg import (
     ATOL,
+    CONSISTENCY_ATOL,
     Projector,
     SpaceDescriptor,
     SpaceMismatchError,
     StateVector,
     apply_on_axes,
+    inner,
     lifted_projector,
 )
 from ewflab.protocol import (
     DIM,
+    DYNAMIC_STAGES,
     DOWN,
     FAIL,
     GLOBAL_SPACE,
@@ -274,3 +289,68 @@ def pilot_state_with_order(self: Protocol, order: tuple[StageId, ...]) -> StateV
     for s in order:
         state = self.stage_unitaries[s].linear(state)
     return state
+
+
+# -- direct history chains and the pairwise consistency report -------------------
+
+
+def chain_vector(protocol: Protocol, events: tuple[HistoryEvent, ...]) -> StateVector:
+    """P_n U_n ... P_1 U_1 |initial>, unnormalized."""
+    by_stage: dict[StageId, list[HistoryEvent]] = {}
+    for e in events:
+        by_stage.setdefault(e.stage, []).append(e)
+    state = protocol.initial_state()
+    for e in by_stage.get(StageId.PREP_MINUS1, []):
+        state = e.apply(state)
+    for stage in DYNAMIC_STAGES:
+        state = protocol.stage_unitary(stage).linear(state)
+        for e in by_stage.get(stage, []):
+            state = e.apply(state)
+    return state
+
+
+def chain_consistency_report(protocol: Protocol, family: list[History]) -> ConsistencyReport:
+    """Decoherence diagnostics for a family of histories.
+
+    A pair fails when the refined chain vectors of one history interfere with
+    the other's (off-diagonal magnitude above threshold), when the two share a
+    fine-grained outcome (the histories are not exclusive alternatives), or
+    when either member's probability is not additive over its refinement.
+    """
+    names = [h.name for h in family]
+    if len(set(names)) != len(names):
+        raise ValueError("family members need distinct names")
+    union_stages = tuple(
+        sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value)
+    )
+    fine = {h.name: _fine_chains(protocol, h, union_stages) for h in family}
+    direct = {h.name: chain_vector(protocol, h.events) for h in family}
+
+    additivity: dict[str, float] = {}
+    for h in family:
+        p_direct = direct[h.name].norm() ** 2
+        p_sum = sum(v.norm() ** 2 for _, v in fine[h.name])
+        additivity[h.name] = abs(p_direct - p_sum)
+
+    pairs: list[PairVerdict] = []
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            a, b = family[i], family[j]
+            off = abs(inner(direct[a.name], direct[b.name]))
+            cross = 0.0
+            shared = False
+            for key_a, va in fine[a.name]:
+                for key_b, vb in fine[b.name]:
+                    if key_a == key_b:
+                        shared = True
+                        continue
+                    cross = max(cross, abs(inner(va, vb)))
+            ok = (
+                off <= CONSISTENCY_ATOL
+                and cross <= CONSISTENCY_ATOL
+                and not shared
+                and additivity[a.name] <= CONSISTENCY_ATOL
+                and additivity[b.name] <= CONSISTENCY_ATOL
+            )
+            pairs.append(PairVerdict(a.name, b.name, off, cross, shared, ok))
+    return ConsistencyReport(tuple(names), union_stages, additivity, tuple(pairs))

@@ -4,11 +4,14 @@ Each case runs `cli.main` in process: an exception escaping it fails the
 test with its traceback, and a usage error is read from SystemExit.
 """
 
+import json
 import re
 
+import numpy as np
 import pytest
 
 from ewflab import cli
+from ewflab.protocol import OUTCOME_LABELS, RECORDERS, STAGES, record_mask
 
 # coin -> the branch it leaves empty
 DEGENERATE_COINS = {"1,0": "tail", "0,1": "head", "-1,0": "tail", "0,-1": "head"}
@@ -65,7 +68,22 @@ def test_event_at_non_recording_stage_is_a_usage_error(capsys):
 def test_event_before_its_record_is_answered(capsys):
     code, out, _ = run(capsys, ["histories", "--define", "e: w2@OBS0=ok"])
     assert code == 0
-    assert out.startswith("P[e: w2=ok] = 0 (0)")
+    assert out.startswith("P[e: w2@OBS0=ok] = 0 (0)")
+
+
+def test_printed_events_parse_back_to_their_stage_and_mask(capsys, protocol):
+    """`var@STAGE=label` off the recording stage, `var=label` on it (written either way)."""
+    for var, (_, recorded) in RECORDERS.items():
+        for label in OUTCOME_LABELS[var]:
+            for stage in STAGES:
+                code, out, _ = run(capsys, ["histories", "--format", "json",
+                                            "--define", f"x: {var}@{stage.name}={label}"])
+                assert code == 0  # one member needs no refinement, so PREP1 is answered too
+                (printed,) = json.loads(out)["histories"][0]["events"]
+                assert (printed == f"{var}={label}") == (stage is recorded)
+                (event,) = cli._parse_history_spec(protocol, f"x: {printed}").events
+                assert event.stage is stage
+                assert np.array_equal(event.mask, record_mask(var, label))
 
 
 @pytest.mark.parametrize("sub", ["simulate", "verify", "histories", "bellbohm", "audit"])

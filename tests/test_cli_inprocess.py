@@ -10,7 +10,11 @@ shared.  `verify_default.*` was written after FR2 and FR8 moved to factor
 matrices; against the earlier spanning-set output it differs only in two
 float-noise details (`ok weight 5e-34` -> `1.06e-33`, `weight 2.7e-35` ->
 `1.47e-34`).  `report_default.txt` was written before measurements carried
-their outcome vectors instead of spanning-set decompositions.
+their outcome vectors instead of spanning-set decompositions.  Since the
+consistency report reads its diagnostics off the decoherence functional,
+`h1 vs h1prime` prints `off-diagonal 0` where the separately evolved direct
+chains printed the rounding noise `2.48e-18` (in `histories_default.*` and
+`report_default.txt`); h1prime's chain is exactly zero.
 """
 
 from pathlib import Path

@@ -13,7 +13,6 @@ from ewflab.histories import (
     _fine_chains,
     _record_refinement_events,
     chain_consistency_report,
-    chain_vector,
     history,
     history_probability,
     okok_coarse_history,
@@ -21,7 +20,8 @@ from ewflab.histories import (
     outcome_event,
 )
 from ewflab.linalg import StateVector
-from ewflab.protocol import GLOBAL_SPACE, RECORDERS, STAGES, Protocol, StageId, record_mask
+from ewflab.protocol import GLOBAL_SPACE, OUTCOME_LABELS, RECORDERS, STAGES, Protocol, StageId, record_mask
+import reference
 from reference import project
 
 
@@ -140,11 +140,11 @@ class TestConsistencyReport:
 
 
 def _leafwise_fine_chains(protocol, h, union_stages):
-    """Reference refinement: one chain_vector per leaf, no shared prefixes."""
+    """Reference refinement: one direct chain per leaf, no shared prefixes."""
     own = {e.stage: e for e in h.events}
     slots = [[own[s]] if s in own else _record_refinement_events(s) for s in union_stages]
     return [
-        (tuple(e.label for e in events), chain_vector(protocol, events))
+        (tuple(e.label for e in events), reference.chain_vector(protocol, events))
         for events in itertools.product(*slots)
     ]
 
@@ -225,3 +225,76 @@ def test_record_mask_equals_record_projector(protocol):
         proj = protocol.record_projector(var, label)
         for state in states:
             assert np.array_equal(state.amps * mask, project(proj, state).amps)
+
+
+# -- the decoherence-matrix report against the pairwise oracle ---------------
+
+ORACLE_PROTOCOLS = {
+    "default": {},
+    "coin-0.6-0.8": {"coin_amplitudes": (0.6, 0.8)},
+    "flip-ok-sign": {"flip_ok_sign": True},
+    "corrupt-preparation": {"corrupt_preparation": True},
+    # a complex amplitude tells <a|b> from a product without conjugation
+    "coin-0.6-0.8j": {"coin_amplitudes": (0.6, 0.8j)},
+}
+
+
+def _grid_families():
+    """2-4-member families at canonical stages: single-variable and two-variable
+    frameworks, overlapping pairs, coarse-plus-fine triples and three-variable mixes."""
+    vars_ = tuple(OUTCOME_LABELS)
+    for u in vars_:
+        yield {f"{u}={a}": [(u, a)] for a in OUTCOME_LABELS[u]}
+    for u, v in itertools.combinations(vars_, 2):
+        (a0, a1), (b0, b1) = OUTCOME_LABELS[u], OUTCOME_LABELS[v]
+        yield {"p": [(u, a0)], "q": [(v, b0)]}
+        yield {f"{a},{b}": [(u, a), (v, b)] for a in (a0, a1) for b in (b0, b1)}
+        yield {"f0": [(u, a0), (v, b0)], "f1": [(u, a0), (v, b1)], "coarse": [(u, a1)]}
+    for u, v, w in itertools.combinations(vars_, 3):
+        (a0, a1), (b0, b1), (c0, c1) = (OUTCOME_LABELS[x] for x in (u, v, w))
+        yield {
+            "m0": [(u, a0), (v, b0), (w, c0)],
+            "m1": [(u, a0), (v, b0), (w, c1)],
+            "m2": [(u, a1), (w, c0)],
+            "m3": [(v, b1)],
+        }
+
+
+def _oracle_families(protocol):
+    for name in sorted(ORACLE_FAMILIES):
+        yield name, _family(protocol, ORACLE_FAMILIES[name])
+    for i, spec in enumerate(_grid_families()):
+        yield f"grid{i}", [history(protocol, name, assignments) for name, assignments in spec.items()]
+
+
+@pytest.mark.parametrize("flags", list(ORACLE_PROTOCOLS.values()), ids=list(ORACLE_PROTOCOLS))
+def test_report_matches_pairwise_oracle(flags):
+    """One decoherence matrix gives the pairwise loop's verdicts and numbers."""
+    protocol = Protocol(**flags)
+    cases = list(_oracle_families(protocol))
+    assert len(cases) == len(ORACLE_FAMILIES) + 26
+    for case, family in cases:
+        got = chain_consistency_report(protocol, family)
+        want = reference.chain_consistency_report(protocol, family)
+        assert got.family == want.family, case
+        assert got.union_stages == want.union_stages, case
+        assert got.consistent == want.consistent, case
+        assert got.additivity_defect.keys() == want.additivity_defect.keys(), case
+        for name, defect in want.additivity_defect.items():
+            assert abs(got.additivity_defect[name] - defect) <= 1e-15, (case, name)
+        assert len(got.pairs) == len(want.pairs), case
+        for g, w in zip(got.pairs, want.pairs):
+            assert (g.left, g.right, g.shared_fine_outcomes, g.consistent) == (
+                w.left, w.right, w.shared_fine_outcomes, w.consistent
+            ), case
+            assert abs(g.direct_offdiagonal - w.direct_offdiagonal) <= 1e-15, (case, g)
+            assert abs(g.cross_interference - w.cross_interference) <= 1e-15, (case, g)
+
+
+@pytest.mark.parametrize("flags", list(ORACLE_PROTOCOLS.values()), ids=list(ORACLE_PROTOCOLS))
+def test_history_probability_is_the_direct_chain_norm_bit_for_bit(flags):
+    protocol = Protocol(**flags)
+    for _, family in _oracle_families(protocol):
+        for h in family:
+            want = reference.chain_vector(protocol, h.events).norm() ** 2
+            assert history_probability(protocol, h) == want, h.describe()

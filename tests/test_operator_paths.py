@@ -147,6 +147,24 @@ def test_stage_matrices_and_pilot_states_equal_the_spanning_set_build_byte_for_b
         assert protocol.pilot_state_after(stage).amps.tobytes() == state.amps.tobytes()
 
 
+REWRITTEN = {
+    StageId.OBS0: ("F1",),
+    StageId.PREP1: (),
+    StageId.OBS2: ("F2",),
+    StageId.MEAS3: ("F1", "W1"),
+    StageId.MEAS4: ("F2", "W2"),
+}
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
+@pytest.mark.parametrize("coin", COINS, ids=["default"] + [f"seeded{i}" for i in range(20)])
+def test_rewritten_memory_axes_per_stage(coin, flags):
+    """Recording overwrites the recorder; W1 and W2 also rewrite the friend they measure."""
+    protocol = Protocol(coin, **flags)
+    for stage, names in REWRITTEN.items():
+        assert protocol.stage_unitary(stage).rewritten_memory_axes == tuple(GLOBAL_SPACE.axis(n) for n in names)
+
+
 # -- the memory marginal ----------------------------------------------------------
 
 
