@@ -9,7 +9,9 @@ twelve-step certainty-chain argument under per-interpretation assumption
 profiles.
 
 Submodules and the names below load on first access (PEP 562), so
-`import ewflab` imports neither numpy nor any submodule.
+`import ewflab` imports neither numpy nor any submodule.  The library's
+`Protocol` computes with numpy; `ExactProtocol` answers the same calls
+exactly, without numpy, and is what the command line runs.
 """
 
 import importlib
@@ -26,6 +28,7 @@ _EXPORTS = {
         "MemoryConfig", "REFERENCE_TRAJECTORY", "Trajectory", "TrajectoryTable", "exact_chain",
         "transition_kernel",
     ),
+    "exact": ("ExactProtocol", "Surd"),
     "epistemics": (
         "AssumptionId", "InterpretationProfile", "PROFILES", "Verdict", "build_argument", "check",
         "escape_rule_audit", "render_tables",
@@ -35,7 +38,7 @@ _EXPORTS = {
     "protocol": ("AgentId", "MeasurementSpec", "Protocol", "StageId", "StageUnitary", "default_protocol"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("bellbohm", "born", "cli", "epistemics", "facts", "histories", "linalg", "protocol")
+_SUBMODULES = ("bellbohm", "born", "cli", "epistemics", "exact", "facts", "histories", "linalg", "protocol")
 
 __all__ = sorted(_ORIGIN) + list(_SUBMODULES)
 

@@ -11,28 +11,23 @@ is preserved exactly, which makes the chain's config marginal equal the pilot
 state's Born weights at every epoch, with no sampling anywhere.
 
 The state space is small enough (81 configs, 5 transitions) to enumerate the
-full trajectory distribution exactly.
+full trajectory distribution exactly, and on the exact engine every
+trajectory probability is an exact number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .born import Distribution
-from .linalg import NORM_ATOL, ZERO_WEIGHT_FLOOR, StateVector
-from .protocol import (
-    DYNAMIC_STAGES,
-    GLOBAL_SPACE,
-    READY,
-    STAGES,
-    Protocol,
-    StageId,
-    memory_marginal,
-)
+from .exact import DYNAMIC_STAGES, GLOBAL_SPACE, READY, STAGES, StageId
+from .linalg import NORM_ATOL, ZERO_WEIGHT_FLOOR
+
+if TYPE_CHECKING:
+    from .exact import Engine
+    from .protocol import StateVector
 
 
 class UnreachableConfigError(ValueError):
@@ -67,11 +62,11 @@ def all_configs() -> list[MemoryConfig]:
 
 def config_weights(state: StateVector) -> dict[MemoryConfig, float]:
     """Born weight of every config in one pass."""
-    marg = memory_marginal(state, CONFIG_AXES)  # CONFIG_AXES are ascending
+    marg = state.marginal(CONFIG_AXES)  # CONFIG_AXES are ascending
     out: dict[MemoryConfig, float] = {}
-    for idx in np.ndindex(*marg.shape):
+    for idx, w in marg.items():
         labels = tuple(GLOBAL_SPACE.factors[a].labels[i] for a, i in zip(CONFIG_AXES, idx))
-        out[MemoryConfig(*labels)] = float(marg[idx])
+        out[MemoryConfig(*labels)] = w
     return out
 
 
@@ -101,7 +96,7 @@ def _kernel_row(
     return {c: weights_after[c] / denom for c in children if weights_after[c] > 0.0}
 
 
-def transition_kernel(protocol: Protocol, m: MemoryConfig, stage: StageId) -> Distribution:
+def transition_kernel(protocol: Engine, m: MemoryConfig, stage: StageId) -> Distribution:
     """One row of the stage's Markov kernel, as a distribution over configs."""
     if stage is StageId.PREP_MINUS1:
         raise ValueError("the initial preparation is not a transition")
@@ -175,7 +170,7 @@ class TrajectoryTable:
         return tuple(sorted(self.entries, key=lambda t: (-t.probability, t.key_sequence())))
 
 
-def exact_chain(protocol: Protocol) -> TrajectoryTable:
+def exact_chain(protocol: Engine) -> TrajectoryTable:
     """Enumerate every trajectory with positive probability, no sampling."""
     epoch_weights = [config_weights(protocol.pilot_state_after(s)) for s in STAGES]
     start_weight = epoch_weights[0].get(READY_CONFIG, 0.0)

@@ -14,6 +14,10 @@ Two extraction policies are supported and must agree:
 
 Both reproduce the same joint distribution; in particular the (w1, w2)
 marginal equals the final pilot state's record weights.
+
+Every function here runs on either engine (`protocol.Protocol` or
+`exact.ExactProtocol`): a probability is a float from the first and an
+exact `Surd` from the second, which alone gets an `exact` label.
 """
 
 from __future__ import annotations
@@ -21,28 +25,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .exact import DYNAMIC_STAGES, OUTCOME_LABELS, RECORDERS, REST, StageId, exact_label
+from .linalg import CERTAINTY_ATOL, NORM_ATOL, SUM_ATOL, ZERO_WEIGHT_FLOOR
 
-from .linalg import (
-    CERTAINTY_ATOL,
-    NORM_ATOL,
-    SUM_ATOL,
-    ZERO_WEIGHT_FLOOR,
-    StateVector,
-    apply_on_axes,
-    rational_label,
-)
-from .protocol import (
-    DYNAMIC_STAGES,
-    GLOBAL_SPACE,
-    OUTCOME_LABELS,
-    RECORDERS,
-    REST,
-    MeasurementSpec,
-    Protocol,
-    StageId,
-)
+if TYPE_CHECKING:
+    from .exact import Engine
+    from .protocol import MeasurementSpec, StateVector
 
 
 class UndefinedConditionalError(ValueError):
@@ -116,7 +106,7 @@ class Distribution:
         lines = [f"{header:<30} {'probability':<18} exact"]
         for labels, p in self.outcomes:
             cell = "(" + ", ".join(labels) + ")"
-            exact = rational_label(p) or "-"
+            exact = exact_label(p) or "-"
             lines.append(f"{cell:<30} {p:<18.12g} {exact}")
         return "\n".join(lines)
 
@@ -126,8 +116,8 @@ class Distribution:
             "outcomes": [
                 {
                     "labels": list(labels),
-                    "probability": p,
-                    "exact": rational_label(p),
+                    "probability": float(p),
+                    "exact": exact_label(p),
                 }
                 for labels, p in self.outcomes
             ],
@@ -160,15 +150,14 @@ def joint_weight(state: StateVector, events: list[tuple[MeasurementSpec, str]]) 
     The events' targets must be disjoint, so the projectors commute and the
     result is the Born weight of their conjunction.
     """
-    amps = state.amps
     seen: set[int] = set()
     for spec, label in events:
         overlap = seen.intersection(spec.target_axes)
         if overlap:
             raise ValueError(f"conjunction targets overlap on axes {sorted(overlap)}")
         seen.update(spec.target_axes)
-        amps = apply_on_axes(amps, GLOBAL_SPACE.dims, spec.target_axes, spec.factor_matrices[label])
-    return float(np.vdot(amps, amps).real)
+        state = state.projected(spec, label)
+    return state.norm2()
 
 
 def outcome_distribution(state: StateVector, spec: MeasurementSpec) -> Distribution:
@@ -209,7 +198,7 @@ def _all_cells() -> list[tuple[str, ...]]:
     return [tuple(cell) for cell in product(*(OUTCOME_LABELS[v] for v in JOINT_VARIABLES))]
 
 
-def _sequential_joint(protocol: Protocol) -> dict[tuple[str, ...], float]:
+def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     """Stage walk with projection, renormalization, and record expiry."""
     measured_at = {stage: var for var, (_, stage) in RECORDERS.items()}
     # branch: (outcome labels so far, active conditions, probability)
@@ -218,6 +207,7 @@ def _sequential_joint(protocol: Protocol) -> dict[tuple[str, ...], float]:
         rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
         var = measured_at.get(stage)
         state = protocol.pilot_state_after(stage)
+        weights_given: dict[tuple[str, ...], dict] = {}  # record weights by conditioning variables
         next_branches = []
         for outcomes, conds, prob in branches:
             conds = tuple(
@@ -227,7 +217,9 @@ def _sequential_joint(protocol: Protocol) -> dict[tuple[str, ...], float]:
                 next_branches.append((outcomes, conds, prob))
                 continue
             cond_vars = tuple(v for v, _ in conds)
-            weights = protocol.record_weights(state, cond_vars + (var,))
+            if cond_vars not in weights_given:
+                weights_given[cond_vars] = protocol.record_weights(state, cond_vars + (var,))
+            weights = weights_given[cond_vars]
             cond_labels = tuple(l for _, l in conds)
             mass = sum(weights[cond_labels + (l,)] for l in OUTCOME_LABELS[var])
             for label in OUTCOME_LABELS[var]:
@@ -242,7 +234,7 @@ def _sequential_joint(protocol: Protocol) -> dict[tuple[str, ...], float]:
     return {outcomes: prob for outcomes, _, prob in branches}
 
 
-def _marginal_joint(protocol: Protocol) -> dict[tuple[str, ...], float]:
+def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     """Record-configuration weights read off pilot states, no renormalization.
 
     Consecutive outcome variables are read jointly at the later one's
@@ -265,7 +257,7 @@ def _marginal_joint(protocol: Protocol) -> dict[tuple[str, ...], float]:
         for i, weights in enumerate(pair_weights):
             denom = sum(weights[(cell[i], l)] for l in OUTCOME_LABELS[JOINT_VARIABLES[i + 1]])
             if denom < ZERO_WEIGHT_FLOOR or p < ZERO_WEIGHT_FLOOR:
-                p = 0.0
+                p = p * 0  # the zero of p's number type, exact on the exact engine
                 break
             p *= weights[(cell[i], cell[i + 1])] / denom
         joint[cell] = p
@@ -273,7 +265,7 @@ def _marginal_joint(protocol: Protocol) -> dict[tuple[str, ...], float]:
 
 
 def joint_distribution(
-    protocol: Protocol, policy: CollapsePolicy = CollapsePolicy.SEQUENTIAL_PROJECTION
+    protocol: Engine, policy: CollapsePolicy = CollapsePolicy.SEQUENTIAL_PROJECTION
 ) -> Distribution:
     """Full joint over (r, z, w1, w2), all 16 cells, zeros included."""
     if policy is CollapsePolicy.SEQUENTIAL_PROJECTION:
@@ -284,7 +276,7 @@ def joint_distribution(
     return Distribution(JOINT_VARIABLES, outcomes)
 
 
-def final_record_marginal(protocol: Protocol) -> Distribution:
+def final_record_marginal(protocol: Engine) -> Distribution:
     """(w1, w2) weights of the final pilot state, the headline quantity."""
     weights = protocol.record_weights(protocol.pilot_state_after(StageId.MEAS4), ("w1", "w2"))
     cells = [tuple(c) for c in product(OUTCOME_LABELS["w1"], OUTCOME_LABELS["w2"])]

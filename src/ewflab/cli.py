@@ -5,8 +5,11 @@ Exit codes: 0 success / all checks pass, 1 verification failure or stdout
 closed early (a broken pipe), 2 usage error.  Output is deterministic:
 identical invocations print identical bytes.
 
-Only what building the parser needs is imported here; each subcommand
-imports the modules it runs, so a process loads no more than it uses.
+Every subcommand computes with the exact engine (`exact.ExactProtocol`),
+so no subcommand imports numpy, and each prints exact labels derived from
+exact numbers.  Only what building the parser needs is imported here; each
+subcommand imports the modules it runs, so a process loads no more than it
+uses.
 """
 
 from __future__ import annotations
@@ -17,54 +20,64 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import born
-from .linalg import rational_label
-from .protocol import RECORDERS, Protocol, StageId
-
 if TYPE_CHECKING:
+    from .exact import ExactProtocol
     from .histories import History
 
-#: `sorted(epistemics.PROFILES)`, spelled out so that building the parser
-#: does not import epistemics (a test keeps the two equal).
+#: `sorted(epistemics.PROFILES)` and the `born.CollapsePolicy` values,
+#: spelled out so that building the parser imports neither (a test keeps
+#: them equal).
 PROFILE_NAMES = ("all", "bell-bohm", "collapse", "consistent-histories", "copenhagen", "many-worlds",
                  "qbism", "relative-state")
+POLICY_NAMES = ("collapse", "marginal")
 
 
-def _parse_coin(text: str) -> tuple[float, float]:
+def _parse_coin(text: str) -> tuple[str, str]:
+    """Two amplitudes, kept as typed: the exact engine reads "0.6" as 3/5."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated amplitudes, e.g. 0.6,0.8")
     try:
-        return float(parts[0]), float(parts[1])
+        for part in parts:
+            float(part)
     except ValueError:
         raise argparse.ArgumentTypeError(f"could not parse amplitudes from {text!r}") from None
+    return parts[0], parts[1]
 
 
-def _with_exact(p: float) -> str:
+def _with_exact(p) -> str:
     """A probability as 12 significant digits plus its exact label, if any."""
-    exact = rational_label(p)
+    from .exact import exact_label
+
+    exact = exact_label(p)
     return f"{p:.12g}" + (f" ({exact})" if exact else "")
 
 
-def _protocol_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Protocol:
+def _protocol_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExactProtocol:
+    from .exact import ExactProtocol
+
     coin = getattr(args, "coin", None)
     flip = bool(getattr(args, "flip_ok_sign", False))
     corrupt = bool(getattr(args, "corrupt_preparation", False))
     try:
-        return Protocol(coin, flip_ok_sign=flip, corrupt_preparation=corrupt)
+        return ExactProtocol(coin, flip_ok_sign=flip, corrupt_preparation=corrupt)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
         raise AssertionError("unreachable")
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import born
+    from .exact import DEFAULT_COIN_FLOATS
+
     protocol = _protocol_from_args(args, parser)
     policy = born.CollapsePolicy(args.policy)
     joint = born.joint_distribution(protocol, policy)
     marginal = joint.marginal(("w1", "w2"))
     if args.format == "json":
+        coin = [float(a) for a in args.coin] if args.coin else list(DEFAULT_COIN_FLOATS)
         payload = {
-            "coin_amplitudes": [protocol.coin_amplitudes[0].real, protocol.coin_amplitudes[1].real],
+            "coin_amplitudes": coin,
             "policy": policy.value,
             "joint": joint.to_json_obj(),
             "record_marginal": marginal.to_json_obj(),
@@ -107,9 +120,10 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0 if all_passed else 1
 
 
-def _parse_history_spec(protocol: Protocol, text: str) -> History:
+def _parse_history_spec(protocol: ExactProtocol, text: str) -> History:
     """Grammar: NAME ':' EVENT (',' EVENT)* with EVENT = VAR ['@' STAGE] '=' LABEL."""
     from . import histories
+    from .exact import RECORDERS, StageId
 
     if ":" not in text:
         raise ValueError(f"history {text!r}: expected 'name: var=label, ...'")
@@ -145,6 +159,7 @@ def _parse_history_spec(protocol: Protocol, text: str) -> History:
 
 def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import histories
+    from .exact import exact_label
 
     protocol = _protocol_from_args(args, parser)
     if args.define:
@@ -169,20 +184,20 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
                 {
                     "name": h.name,
                     "events": [e.label for e in h.events],
-                    "probability": p,
-                    "exact": rational_label(p),
+                    "probability": float(p),
+                    "exact": exact_label(p),
                 }
                 for h, p in rows
             ],
             "consistency": {
                 "union_stages": [s.name for s in report.union_stages],
-                "additivity_defect": {k: v for k, v in sorted(report.additivity_defect.items())},
+                "additivity_defect": {k: float(v) for k, v in sorted(report.additivity_defect.items())},
                 "pairs": [
                     {
                         "left": pv.left,
                         "right": pv.right,
-                        "direct_offdiagonal": pv.direct_offdiagonal,
-                        "cross_interference": pv.cross_interference,
+                        "direct_offdiagonal": float(pv.direct_offdiagonal),
+                        "cross_interference": float(pv.cross_interference),
                         "shared_fine_outcomes": pv.shared_fine_outcomes,
                         "consistent": pv.consistent,
                     }
@@ -202,6 +217,7 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import bellbohm
+    from .exact import exact_label
 
     protocol = _protocol_from_args(args, parser)
     table = bellbohm.exact_chain(protocol)
@@ -216,19 +232,19 @@ def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             "trajectories": [
                 {
                     "configs": [list(c) for c in t.key_sequence()],
-                    "probability": t.probability,
-                    "exact": rational_label(t.probability),
+                    "probability": float(t.probability),
+                    "exact": exact_label(t.probability),
                 }
                 for t in table.sorted_entries()
             ],
-            "total_probability": table.total_probability,
+            "total_probability": float(table.total_probability),
             "final_record_marginal": {
-                f"{w1},{w2}": p for (w1, w2), p in sorted(table.final_record_marginal().items())
+                f"{w1},{w2}": float(p) for (w1, w2), p in sorted(table.final_record_marginal().items())
             },
             "reference_trajectory": {
                 "configs": [list(c) for c in bellbohm.REFERENCE_TRAJECTORY],
-                "probability": ref_prob,
-                "exact": rational_label(ref_prob),
+                "probability": float(ref_prob),
+                "exact": exact_label(ref_prob),
             },
         }
         print(json.dumps(payload, indent=2))
@@ -325,7 +341,7 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from . import bellbohm, epistemics, facts, histories
+    from . import bellbohm, born, epistemics, facts, histories
 
     protocol = _protocol_from_args(args, parser)
     print("=" * 70)
@@ -405,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="joint outcome distribution and record marginal")
     add_common(p_sim)
-    p_sim.add_argument("--policy", choices=[p.value for p in born.CollapsePolicy],
-                       default=born.CollapsePolicy.SEQUENTIAL_PROJECTION.value)
+    p_sim.add_argument("--policy", choices=POLICY_NAMES, default=POLICY_NAMES[0])
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="check every anchored quantum fact, PASS/FAIL per line")

@@ -20,11 +20,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from . import facts as facts_mod
+from .exact import AgentId
 from .facts import FactResult
-from .protocol import AgentId, Protocol, default_protocol
+
+if TYPE_CHECKING:
+    from .exact import Engine
+    from .protocol import Protocol
 
 
 class AssumptionId(enum.Enum):
@@ -324,6 +328,13 @@ TABLE_PROFILES: tuple[str, ...] = (
 # -- running the argument -----------------------------------------------------
 
 
+def default_protocol() -> Protocol:
+    """The library's default-coin dense `Protocol`, for calls given none."""
+    from .protocol import default_protocol
+
+    return default_protocol()
+
+
 class QuantumFactError(RuntimeError):
     """The derivation refuses to run: a required quantum fact fails to verify."""
 
@@ -368,7 +379,7 @@ class Verdict:
         return "\n".join(lines)
 
 
-def check(profile: InterpretationProfile, protocol: Protocol | None = None) -> Verdict:
+def check(profile: InterpretationProfile, protocol: Engine | None = None) -> Verdict:
     """Fire the steps in order under a profile; never runs on bad dynamics."""
     protocol = protocol or default_protocol()
     steps = build_argument()
@@ -481,7 +492,7 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def escape_rule_audit(protocol: Protocol | None = None) -> AuditReport:
+def escape_rule_audit(protocol: Engine | None = None) -> AuditReport:
     """Check every catalogued profile's escape-rule value against check().
 
     The rule and the step engine always agree with each other; the audit

@@ -1,7 +1,8 @@
 """Named quantum-mechanical facts the argument relies on, each checked exactly.
 
 Every fact compares a quantity computed from the pilot dynamics against an
-exact expected value within `linalg.FACT_ATOL`.  The derivation engine
+exact expected value within `linalg.FACT_ATOL`; on the exact engine the
+quantity is exact too, so a vanishing one prints as 0.  The derivation engine
 refuses to run unless all facts attached to its steps hold, and the CLI
 `verify` command prints one PASS/FAIL line per fact.  `run_all` and
 `run_facts` evaluate each fact at most once per Protocol (`evaluate`),
@@ -14,27 +15,15 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import born, histories
-from .linalg import ATOL, FACT_ATOL, PHASE_ATOL, StateVector
-from .protocol import (
-    DOWN,
-    FAIL,
-    GLOBAL_SPACE,
-    HEAD,
-    MINUS,
-    OK,
-    PLUS,
-    READY,
-    TAIL,
-    UP,
-    Protocol,
-    StageId,
-    record_mask,
-)
+from .exact import DOWN, FAIL, GLOBAL_SPACE, HEAD, MINUS, OK, PLUS, READY, TAIL, UP, StageId
+from .linalg import ATOL, FACT_ATOL, PHASE_ATOL
+
+if TYPE_CHECKING:
+    from .exact import Engine
+    from .protocol import StateVector
 
 
 @dataclass(frozen=True)
@@ -61,9 +50,9 @@ def _fact(fact_id: str, step_tag: str | None, description: str):
     A check whose coin branch has zero weight fails with that as its detail.
     """
 
-    def decorate(check: Callable[[Protocol], tuple[bool, str]]) -> Callable[[Protocol], FactResult]:
+    def decorate(check: Callable[[Engine], tuple[bool, str]]) -> Callable[[Engine], FactResult]:
         @functools.wraps(check)
-        def fact(protocol: Protocol) -> FactResult:
+        def fact(protocol: Engine) -> FactResult:
             try:
                 passed, detail = check(protocol)
             except ZeroBranchError as exc:
@@ -75,39 +64,47 @@ def _fact(fact_id: str, step_tag: str | None, description: str):
     return decorate
 
 
-def _branch_state(protocol: Protocol, coin: str, stage: StageId) -> StateVector:
+def _branch_state(protocol: Engine, coin: str, stage: StageId) -> StateVector:
     """Pilot state conditioned on the coin record reading `coin`, renormalized."""
-    amps = protocol.pilot_state_after(stage).amps * record_mask("r", coin)
-    n = float(np.linalg.norm(amps))
-    if n < ATOL:
+    branch = protocol.pilot_state_after(stage).masked(protocol.record_mask("r", coin))
+    if branch.norm() < ATOL:
         raise ZeroBranchError(f"{coin} branch has zero weight")
-    return StateVector(GLOBAL_SPACE, amps / n)
+    return branch.normalized()
+
+
+def _weight(x) -> float:
+    """|x|^2, in x's number type."""
+    return (x.conjugate() * x).real
+
+
+def _dot(u: dict, v: dict):
+    """<u|v> of two vectors given as {key: entry}."""
+    return sum(x.conjugate() * v[k] for k, x in u.items() if k in v)
 
 
 @_fact("initial-amplitudes", None, "prepared state has the configured coin amplitudes and nothing else")
-def check_initial_amplitudes(protocol: Protocol) -> tuple[bool, str]:
+def check_initial_amplitudes(protocol: Engine) -> tuple[bool, str]:
     state = protocol.initial_state()
-    got_h = state.amplitude((HEAD, READY, DOWN, READY, READY, READY))
-    got_t = state.amplitude((TAIL, READY, DOWN, READY, READY, READY))
-    rest = state.amps.copy()
-    rest[GLOBAL_SPACE.index_of((HEAD, READY, DOWN, READY, READY, READY))] = 0.0
-    rest[GLOBAL_SPACE.index_of((TAIL, READY, DOWN, READY, READY, READY))] = 0.0
-    residual = float(np.linalg.norm(rest))
+    head = (HEAD, READY, DOWN, READY, READY, READY)
+    tail = (TAIL, READY, DOWN, READY, READY, READY)
+    got_h, got_t = state.amplitude(head), state.amplitude(tail)
+    coin = {GLOBAL_SPACE.index_of(head), GLOBAL_SPACE.index_of(tail)}
+    residual = math.sqrt(sum(_weight(x) for i, x in state.components().items() if i not in coin))
     a, b = protocol.coin_amplitudes
     ok = abs(got_h - a) < FACT_ATOL and abs(got_t - b) < FACT_ATOL and residual < FACT_ATOL
     return ok, f"head {got_h.real:.12g}, tail {got_t.real:.12g}, residual {residual:.3g}"
 
 
 @_fact("okfail-bases-orthonormal", None, "both entangled ok/fail bases are orthonormal")
-def check_okfail_bases_orthonormal(protocol: Protocol) -> tuple[bool, str]:
+def check_okfail_bases_orthonormal(protocol: Engine) -> tuple[bool, str]:
     worst = 0.0
     for spec in (protocol.friend_coin_measurement, protocol.friend_spin_measurement):
-        vec_ok, vec_fail = spec.vectors[OK], spec.vectors[FAIL]
+        vec_ok, vec_fail = spec.components(OK), spec.components(FAIL)
         worst = max(
             worst,
-            abs(np.vdot(vec_ok, vec_fail)),
-            abs(np.vdot(vec_ok, vec_ok) - 1.0),
-            abs(np.vdot(vec_fail, vec_fail) - 1.0),
+            abs(_dot(vec_ok, vec_fail)),
+            abs(_dot(vec_ok, vec_ok) - 1),
+            abs(_dot(vec_fail, vec_fail) - 1),
         )
     return worst < FACT_ATOL, f"worst deviation {worst:.3g}"
 
@@ -117,7 +114,7 @@ def check_okfail_bases_orthonormal(protocol: Protocol) -> tuple[bool, str]:
     "FR2",
     "tail branch of the spin-recorded state is orthogonal to W2's ok subspace",
 )
-def check_tail_branch_orthogonal_to_ok(protocol: Protocol) -> tuple[bool, str]:
+def check_tail_branch_orthogonal_to_ok(protocol: Engine) -> tuple[bool, str]:
     """FR2: the tail branch after the spin recording is orthogonal to W2's ok."""
     branch = _branch_state(protocol, TAIL, StageId.OBS2)
     w = born.joint_weight(branch, [(protocol.friend_spin_measurement, OK)])
@@ -129,7 +126,7 @@ def check_tail_branch_orthogonal_to_ok(protocol: Protocol) -> tuple[bool, str]:
     "FR3",
     "tail branch makes the final ok/fail measurement certain to read fail",
 )
-def check_tail_branch_fail_certain(protocol: Protocol) -> tuple[bool, str]:
+def check_tail_branch_fail_certain(protocol: Engine) -> tuple[bool, str]:
     """FR3: on the tail branch, W2's final record is fail with certainty."""
     branch = _branch_state(protocol, TAIL, StageId.OBS2)
     res = born.certainty_check(branch, protocol.friend_spin_measurement, "fail")
@@ -137,7 +134,7 @@ def check_tail_branch_fail_certain(protocol: Protocol) -> tuple[bool, str]:
 
 
 @_fact("head-branch-spin-down", "FR4", "head branch leaves the spin pointing down with certainty")
-def check_head_branch_spin_down(protocol: Protocol) -> tuple[bool, str]:
+def check_head_branch_spin_down(protocol: Engine) -> tuple[bool, str]:
     """FR4: the head branch leaves the spin down, so z=+ excludes head."""
     branch = _branch_state(protocol, HEAD, StageId.OBS2)
     res = born.certainty_check(branch, protocol.spin_measurement, MINUS)
@@ -149,7 +146,7 @@ def check_head_branch_spin_down(protocol: Protocol) -> tuple[bool, str]:
     "FR8",
     "spin-recorded state matches (2, 1, -1)/sqrt(6) on (fail,down,-), (fail,up,+), (ok,up,+)",
 )
-def check_joint_state_coefficients(protocol: Protocol) -> tuple[bool, str]:
+def check_joint_state_coefficients(protocol: Engine) -> tuple[bool, str]:
     """FR8: the spin-recorded pilot state has coefficients (2, 1, -1)/sqrt(6).
 
     Expansion is over (ok/fail of the coin-F1 pair) x (spin) x (F2 record),
@@ -157,34 +154,39 @@ def check_joint_state_coefficients(protocol: Protocol) -> tuple[bool, str]:
     """
     state = protocol.pilot_state_after(StageId.OBS2)
     w1 = protocol.friend_coin_measurement
-    tail_space = GLOBAL_SPACE.subspace(("S", "F2", "W1", "W2"))
 
-    def basis_vector(okfail: str, spin: str, mem: str) -> np.ndarray:
-        fac = w1.vectors[okfail]  # on (C, F1)
-        rest = np.zeros(tail_space.size, dtype=np.complex128)
-        rest[tail_space.index_of((spin, mem, READY, READY))] = 1.0
-        return np.kron(fac, rest)
+    def basis_vector(okfail: str, spin: str, mem: str) -> dict[int, object]:
+        # W1's vector on (C, F1), tensored with one basis label elsewhere
+        return {
+            GLOBAL_SPACE.index_of((coin, f1, spin, mem, READY, READY)): x
+            for (coin, f1), x in w1.components(okfail).items()
+        }
 
     vectors = [
         basis_vector(FAIL, DOWN, MINUS),
         basis_vector(FAIL, UP, PLUS),
         basis_vector(OK, UP, PLUS),
     ]
-    got = np.array([np.vdot(v, state.amps) for v in vectors])
-    expected = np.array([2.0, 1.0, -1.0]) / math.sqrt(6.0)
+    amps = state.components()
+    got = [_dot(v, amps) for v in vectors]
+    root6 = protocol.sqrt(6)
+    expected = [2 / root6, 1 / root6, -1 / root6]
     # align global phase on the largest component
     phase = got[0] / expected[0] if abs(got[0]) > PHASE_ATOL else 1.0
     if abs(abs(phase) - 1.0) > PHASE_ATOL:
         phase = 1.0
-    dev = float(np.max(np.abs(got - phase * expected)))
-    remainder = state.amps - sum(c * v for c, v in zip(got, vectors))
-    residual = float(np.linalg.norm(remainder))
+    dev = max(abs(g - phase * e) for g, e in zip(got, expected))
+    remainder = dict(amps)
+    for c, v in zip(got, vectors):
+        for i, x in v.items():
+            remainder[i] = remainder.get(i, 0) - c * x
+    residual = math.sqrt(sum(_weight(x) for x in remainder.values()))
     ok = dev < FACT_ATOL and residual < FACT_ATOL
     return ok, f"max coefficient deviation {dev:.3g}, residual {residual:.3g}"
 
 
 @_fact("ok-minus-subspace-empty", "FR8", "projection onto the (ok, spin-down) eigenspace vanishes")
-def check_ok_minus_subspace_empty(protocol: Protocol) -> tuple[bool, str]:
+def check_ok_minus_subspace_empty(protocol: Engine) -> tuple[bool, str]:
     """FR8: the same state is orthogonal to the (ok, spin-down) eigenspace."""
     state = protocol.pilot_state_after(StageId.OBS2)
     ok_and_down = [(protocol.friend_coin_measurement, OK), (protocol.spin_measurement, MINUS)]
@@ -193,9 +195,9 @@ def check_ok_minus_subspace_empty(protocol: Protocol) -> tuple[bool, str]:
 
 
 @_fact("okok-probability", "FR12", "P(w1=ok, w2=ok) = 1/12 under both extraction policies")
-def check_okok_probability(protocol: Protocol) -> tuple[bool, str]:
+def check_okok_probability(protocol: Engine) -> tuple[bool, str]:
     """FR12: both para-experimenters record ok with probability exactly 1/12."""
-    expected = float(Fraction(1, 12))
+    expected = Fraction(1, 12)
     results = {}
     for policy in born.CollapsePolicy:
         dist = born.joint_distribution(protocol, policy)
@@ -206,7 +208,7 @@ def check_okok_probability(protocol: Protocol) -> tuple[bool, str]:
 
 
 @_fact("record-marginal-table", "FR12", "final (w1, w2) record weights are (1/12, 1/12, 1/12, 3/4)")
-def check_record_marginal_table(protocol: Protocol) -> tuple[bool, str]:
+def check_record_marginal_table(protocol: Engine) -> tuple[bool, str]:
     marg = born.final_record_marginal(protocol)
     expected = {
         (OK, OK): Fraction(1, 12),
@@ -214,7 +216,7 @@ def check_record_marginal_table(protocol: Protocol) -> tuple[bool, str]:
         ("fail", OK): Fraction(1, 12),
         ("fail", "fail"): Fraction(3, 4),
     }
-    dev = max(abs(marg.prob(k) - float(v)) for k, v in expected.items())
+    dev = max(abs(marg.prob(k) - v) for k, v in expected.items())
     return dev < FACT_ATOL, f"max deviation {dev:.3g}"
 
 
@@ -223,18 +225,18 @@ def check_record_marginal_table(protocol: Protocol) -> tuple[bool, str]:
     None,
     "fine-grained history (r=tail, z=+, w1=ok, w2=ok) has probability 1/12",
 )
-def check_okok_chain_probability(protocol: Protocol) -> tuple[bool, str]:
+def check_okok_chain_probability(protocol: Engine) -> tuple[bool, str]:
     p = histories.history_probability(protocol, histories.okok_fine_history(protocol))
-    return abs(p - 1.0 / 12.0) < FACT_ATOL, f"probability {p:.12g}"
+    return abs(p - Fraction(1, 12)) < FACT_ATOL, f"probability {p:.12g}"
 
 
 @_fact("coarse-chain-zero", None, "coarse history (r=tail, w2=ok) has probability 0")
-def check_coarse_chain_zero(protocol: Protocol) -> tuple[bool, str]:
+def check_coarse_chain_zero(protocol: Engine) -> tuple[bool, str]:
     p = histories.history_probability(protocol, histories.okok_coarse_history(protocol))
     return abs(p) < FACT_ATOL, f"probability {p:.3g}"
 
 
-ALL_FACTS: tuple[Callable[[Protocol], FactResult], ...] = (
+ALL_FACTS: tuple[Callable[[Engine], FactResult], ...] = (
     check_initial_amplitudes,
     check_okfail_bases_orthonormal,
     check_tail_branch_orthogonal_to_ok,
@@ -249,7 +251,7 @@ ALL_FACTS: tuple[Callable[[Protocol], FactResult], ...] = (
 )
 
 #: Facts the derivation engine requires, keyed by fact_id.
-GROUNDING_FACTS: dict[str, Callable[[Protocol], FactResult]] = {
+GROUNDING_FACTS: dict[str, Callable[[Engine], FactResult]] = {
     "tail-branch-orthogonal-to-ok": check_tail_branch_orthogonal_to_ok,
     "tail-branch-fail-certain": check_tail_branch_fail_certain,
     "head-branch-spin-down": check_head_branch_spin_down,
@@ -259,7 +261,7 @@ GROUNDING_FACTS: dict[str, Callable[[Protocol], FactResult]] = {
 }
 
 
-def evaluate(protocol: Protocol, fact: Callable[[Protocol], FactResult]) -> FactResult:
+def evaluate(protocol: Engine, fact: Callable[[Engine], FactResult]) -> FactResult:
     """`fact(protocol)`, computed at most once per Protocol and table entry."""
     results = protocol.fact_results
     if fact not in results:
@@ -267,9 +269,9 @@ def evaluate(protocol: Protocol, fact: Callable[[Protocol], FactResult]) -> Fact
     return results[fact]
 
 
-def run_all(protocol: Protocol) -> list[FactResult]:
+def run_all(protocol: Engine) -> list[FactResult]:
     return [evaluate(protocol, f) for f in ALL_FACTS]
 
 
-def run_facts(protocol: Protocol, fact_ids: tuple[str, ...]) -> list[FactResult]:
+def run_facts(protocol: Engine, fact_ids: tuple[str, ...]) -> list[FactResult]:
     return [evaluate(protocol, GROUNDING_FACTS[fid]) for fid in fact_ids]

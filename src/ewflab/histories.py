@@ -1,7 +1,7 @@
 """History probabilities: chained projected evolution over the stage pipeline.
 
 A history is an ordered list of (stage, record event) pairs; each record
-event is a 0/1 mask on its recorder's memory axis (`protocol.record_mask`).
+event is a mask on its recorder's memory axis (the engine's `record_mask`).
 Its probability is the squared norm of the chain obtained by running the
 stage unitaries in order and applying each event's mask right after its
 stage.  Stages a history does not mention contribute plain unitary
@@ -14,26 +14,22 @@ family are refined over the union of the family's event stages using the
 canonical record decompositions, and a family counts as jointly considerable
 only when the decoherence functional of the refined chain vectors shows
 neither interference across histories nor a break in the additivity of any
-member's probability.
+member's probability.  Every function runs on either engine; on the exact
+one, D's entries are exact and "consistent" is an exact zero test.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDERS, STAGES, StageId
+from .linalg import CONSISTENCY_ATOL
 
-from .linalg import CONSISTENCY_ATOL, StateVector
-from .protocol import (
-    GLOBAL_SPACE,
-    OUTCOME_LABELS,
-    RECORDERS,
-    STAGES,
-    Protocol,
-    StageId,
-    record_mask,
-)
+if TYPE_CHECKING:
+    from .exact import Engine
+    from .protocol import StateVector
 
 
 class EpochMismatchError(ValueError):
@@ -42,14 +38,14 @@ class EpochMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class HistoryEvent:
-    """Record event right after `stage`: `mask` is a `record_mask` array."""
+    """Record event right after `stage`: `mask` is the engine's `record_mask`."""
 
     stage: StageId
-    mask: np.ndarray
+    mask: object
     label: str
 
     def apply(self, state: StateVector) -> StateVector:
-        return StateVector(state.space, state.amps * self.mask)
+        return state.masked(self.mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +72,7 @@ class History:
 _STAGE_VAR = {stage: var for var, (_, stage) in RECORDERS.items()}
 
 
-def outcome_event(protocol: Protocol, var: str, label: str, stage: StageId | None = None) -> HistoryEvent:
+def outcome_event(protocol: Engine, var: str, label: str, stage: StageId | None = None) -> HistoryEvent:
     """Event projecting onto one record label, by default right after recording.
 
     Its label is `var=label` at the recording stage and `var@STAGE=label`, the
@@ -88,10 +84,10 @@ def outcome_event(protocol: Protocol, var: str, label: str, stage: StageId | Non
     recorded = RECORDERS[var][1]
     stage = recorded if stage is None else stage
     name = var if stage is recorded else f"{var}@{stage.name}"
-    return HistoryEvent(stage, record_mask(var, label), f"{name}={label}")
+    return HistoryEvent(stage, protocol.record_mask(var, label), f"{name}={label}")
 
 
-def history(protocol: Protocol, name: str, assignments: list[tuple[str, str]]) -> History:
+def history(protocol: Engine, name: str, assignments: list[tuple[str, str]]) -> History:
     """History from (variable, label) pairs at their canonical stages."""
     events = sorted(
         (outcome_event(protocol, var, label) for var, label in assignments),
@@ -100,14 +96,14 @@ def history(protocol: Protocol, name: str, assignments: list[tuple[str, str]]) -
     return History(name, tuple(events))
 
 
-def chain_vector(protocol: Protocol, events: tuple[HistoryEvent, ...]) -> StateVector:
+def chain_vector(protocol: Engine, events: tuple[HistoryEvent, ...]) -> StateVector:
     """P_n U_n ... P_1 U_1 |initial>, unnormalized: the one leaf of `_fine_chains`."""
     ((_, state),) = _fine_chains(protocol, History("chain", events), ())
     return state
 
 
-def history_probability(protocol: Protocol, h: History) -> float:
-    return chain_vector(protocol, h.events).norm() ** 2
+def history_probability(protocol: Engine, h: History) -> float:
+    return chain_vector(protocol, h.events).norm2()
 
 
 # -- joint considerability ---------------------------------------------------
@@ -158,7 +154,7 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
-def _record_refinement_events(stage: StageId) -> list[HistoryEvent]:
+def _record_refinement_events(protocol: Engine, stage: StageId) -> list[HistoryEvent]:
     """Complete record decomposition at a stage, including the ready label."""
     if stage not in _STAGE_VAR:
         raise EpochMismatchError(
@@ -167,11 +163,11 @@ def _record_refinement_events(stage: StageId) -> list[HistoryEvent]:
     var = _STAGE_VAR[stage]
     agent, _ = RECORDERS[var]
     labels = GLOBAL_SPACE.factors[agent.memory_axis].labels
-    return [HistoryEvent(stage, record_mask(var, label), f"{var}={label}") for label in labels]
+    return [HistoryEvent(stage, protocol.record_mask(var, label), f"{var}={label}") for label in labels]
 
 
 def _fine_chains(
-    protocol: Protocol, h: History, union_stages: tuple[StageId, ...]
+    protocol: Engine, h: History, union_stages: tuple[StageId, ...]
 ) -> list[tuple[tuple[str, ...], StateVector]]:
     """Refine h over union stages it does not mention; return keyed chain vectors.
 
@@ -184,7 +180,7 @@ def _fine_chains(
     slots = {e.stage: [e] for e in h.events}
     for stage in union_stages:
         if stage not in slots:
-            slots[stage] = _record_refinement_events(stage)
+            slots[stage] = _record_refinement_events(protocol, stage)
     chains: list[tuple[tuple[str, ...], StateVector]] = []
 
     def walk(i: int, key: tuple[str, ...], state: StateVector) -> None:
@@ -204,14 +200,15 @@ def _fine_chains(
     return chains
 
 
-def chain_consistency_report(protocol: Protocol, family: list[History]) -> ConsistencyReport:
+def chain_consistency_report(protocol: Engine, family: list[History]) -> ConsistencyReport:
     """Decoherence diagnostics for a family of histories, read off one matrix.
 
     The members' refined chains are the rows of C, and D = C* C^T is the
-    decoherence functional.  A member's chain is the sum of its refined ones
-    (each slot's masks sum to the identity), so its additivity defect is
-    |sum(D_hh) - trace(D_hh)| and a pair's direct overlap is |sum(D_ab)|.  A
-    pair fails on either, on interference between refined chains with
+    decoherence functional; chains that vanish are left out, as their rows
+    and columns of D are zero.  A member's chain is the sum of its refined
+    ones (each slot's masks sum to the identity), so its additivity defect
+    is |sum(D_hh) - trace(D_hh)| and a pair's direct overlap is |sum(D_ab)|.
+    A pair fails on either, on interference between refined chains with
     different keys (largest such |D_ab| entry), or on a shared key (the
     histories are not exclusive alternatives).
     """
@@ -221,23 +218,26 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
     union_stages = tuple(
         sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value)
     )
-    fine = [_fine_chains(protocol, h, union_stages) for h in family]
-    leaves = [leaf for chains in fine for leaf in chains]
-    c = np.reshape([v.amps for _, v in leaves], (len(leaves), GLOBAL_SPACE.size))
-    d = c.conj() @ c.T
-    key_ids: dict[tuple[str, ...], int] = {}  # equal refined keys, equal ids
-    keys = np.array([key_ids.setdefault(k, len(key_ids)) for k, _ in leaves])
-    bounds = np.cumsum([0] + [len(chains) for chains in fine])
-    rows = {name: slice(lo, hi) for name, lo, hi in zip(names, bounds, bounds[1:])}
+    keys: dict[str, set[tuple[str, ...]]] = {}  # every refined key, vanishing chains included
+    rows: dict[str, list[int]] = {}  # each member's rows of D
+    leaves: list[tuple[tuple[str, ...], StateVector]] = []
+    for h in family:
+        chains = _fine_chains(protocol, h, union_stages)
+        keys[h.name] = {k for k, _ in chains}
+        live = [(k, v) for k, v in chains if not v.is_zero()]
+        rows[h.name] = list(range(len(leaves), len(leaves) + len(live)))
+        leaves += live
+    d = protocol.gram([v for _, v in leaves])
 
-    additivity = {name: float(abs(d[r, r].sum() - d[r, r].trace())) for name, r in rows.items()}
+    def block_sum(ra: list[int], rb: list[int]):
+        return sum(d[i][j] for i in ra for j in rb)
+
+    additivity = {name: abs(block_sum(r, r) - sum(d[i][i] for i in r)) for name, r in rows.items()}
     pairs = []
     for a, b in itertools.combinations(names, 2):
-        block = d[rows[a], rows[b]]
-        same = keys[rows[a], None] == keys[None, rows[b]]
-        off = float(abs(block.sum()))
-        cross = float(np.abs(block[~same]).max(initial=0.0))
-        shared = bool(same.any())
+        off = abs(block_sum(rows[a], rows[b]))
+        cross = max((abs(d[i][j]) for i in rows[a] for j in rows[b] if leaves[i][0] != leaves[j][0]), default=0.0)
+        shared = not keys[a].isdisjoint(keys[b])
         ok = max(off, cross, additivity[a], additivity[b]) <= CONSISTENCY_ATOL and not shared
         pairs.append(PairVerdict(a, b, off, cross, shared, ok))
     return ConsistencyReport(tuple(names), union_stages, additivity, tuple(pairs))
@@ -246,11 +246,11 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
 # -- the two historical claims shipped with the protocol ---------------------
 
 
-def okok_fine_history(protocol: Protocol) -> History:
+def okok_fine_history(protocol: Engine) -> History:
     """tail coin, spin up, then both para-experimenters record ok."""
     return history(protocol, "h1", [("r", "tail"), ("z", "+"), ("w1", "ok"), ("w2", "ok")])
 
 
-def okok_coarse_history(protocol: Protocol) -> History:
+def okok_coarse_history(protocol: Engine) -> History:
     """tail coin and a final ok from W2, with z and w1 left unexamined."""
     return history(protocol, "h1prime", [("r", "tail"), ("w2", "ok")])

@@ -1,19 +1,18 @@
-"""Dense complex linear algebra over small labeled tensor-product spaces.
+"""Labeled tensor-product spaces and the package's one tolerance table.
 
-Everything in this package runs on one 324-dimensional Hilbert space, so the
-representation is deliberately naive: flat complex128 amplitude arrays indexed
-in mixed radix over the subsystem dimensions.  A measurement is a set of
-rank-one outcome vectors on its target factors (`protocol.MeasurementSpec`);
-an operator is a factor-local matrix (`apply_on_axes`) or a 0/1 mask on the
-amplitudes; record weights come from one |amps|^2 marginal
-(`protocol.memory_marginal`).  Every numeric tolerance is in the table below.
-No sparsity, no density matrices.
+Everything in this package runs on one 324-dimensional Hilbert space with
+basis indexed in mixed radix over the subsystem dimensions
+(`SpaceDescriptor`).  Two engines compute on it: the dense numpy one in
+`protocol` (flat complex128 arrays, the library's `Protocol`) and the exact
+sparse one in `exact` (the command line's).  This module imports no numpy;
+the dense names below it (`StateVector`, `inner`, `Projector`,
+`apply_on_axes`, `lifted_projector`) live in `protocol` and load from there
+on first access.  Every numeric tolerance is in the table below.
 
-The spanning-set path (projectors as explicit orthonormal vector lists on
-the global space) lives in the test suite's `reference` module as an oracle.
-`Projector` and `lifted_projector` stay here only because the benchmark's
-traced mode wraps `lifted_projector` and `Protocol.record_projector`, its
-one caller; they move to the tests once the benchmark stops tracing them.
+`Projector`, `lifted_projector` and `Protocol.record_projector` have no
+caller in the package: the benchmark's traced mode wraps the last two, and
+they move to the tests once it stops.  `rational_label` labels the dense
+engine's floats (the exact engine derives its labels instead).
 
 All objects are immutable after construction and safe to share across threads.
 """
@@ -21,19 +20,18 @@ All objects are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import functools
-import itertools
+import importlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 # -- tolerance table: every numeric tolerance in the package ------------------
 # Probabilities here are exact small rationals and float error stays near
 # 1e-16, so each bound only absorbs float error; they differ in what they bound.
 
-#: norms and orthonormality of vectors, commutation of stage matrices, the
-#: zero test of a branch norm, and `rational_label`'s distance to a fraction
+#: norms and orthonormality of vectors, nonzero entries of a dense stage
+#: matrix, the zero test of a branch norm, a memory that must read ready,
+#: and `rational_label`'s distance to a fraction
 ATOL = 1e-12
 #: a state or coin is normalized (coins typed on the command line are rounded)
 NORM_ATOL = 1e-9
@@ -120,68 +118,6 @@ class SpaceDescriptor:
     def subspace(self, names: tuple[str, ...]) -> "SpaceDescriptor":
         return SpaceDescriptor(tuple(self.factor(n) for n in names))
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Flat complex amplitude vector over a SpaceDescriptor's basis."""
-
-    space: SpaceDescriptor
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
-        if amps.size != self.space.size:
-            raise ValueError(f"amplitude count {amps.size} != space size {self.space.size}")
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def require_normalized(self, tol: float = ATOL) -> "StateVector":
-        if abs(self.norm() - 1.0) > tol:
-            raise NotNormalizedError(f"norm {self.norm()} not within {tol} of 1")
-        return self
-
-    def amplitude(self, labels: tuple[str, ...]) -> Amplitude:
-        return complex(self.amps[self.space.index_of(labels)])
-
-def inner(a: StateVector, b: StateVector) -> Amplitude:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.space != b.space:
-        raise SpaceMismatchError("inner product across different spaces")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Orthogonal projector given by an orthonormal spanning set."""
-
-    space: SpaceDescriptor
-    vectors: tuple[StateVector, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.vectors:
-            if v.space != self.space:
-                raise SpaceMismatchError("spanning vector on wrong space")
-        if self.vectors:
-            mat = self.span_matrix
-            gram = mat @ mat.conj().T
-            if not np.allclose(gram, np.eye(len(self.vectors)), atol=ATOL):
-                raise ValueError("spanning vectors are not orthonormal within 1e-12")
-
-    @functools.cached_property
-    def span_matrix(self) -> np.ndarray:
-        """Spanning vectors stacked as rows, shape (rank, dim)."""
-        if not self.vectors:
-            return np.zeros((0, self.space.size), dtype=np.complex128)
-        return np.stack([v.amps for v in self.vectors])
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
 
 #: Largest denominator `rational_label` names.  The default coin's exact
 #: probabilities need at most 240 (histories 12, joint 60, beable trajectories
@@ -198,46 +134,13 @@ def rational_label(p: float, max_denominator: int = LABEL_MAX_DENOMINATOR, tol: 
     return None
 
 
-def apply_on_axes(
-    amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], mat: np.ndarray
-) -> np.ndarray:
-    """Apply an operator on the given tensor factors of a flat amplitude array.
-
-    `mat` is a square matrix over the product of the target dims, with its
-    row/column index in the same mixed-radix convention (axes in the given
-    order, which must be ascending to match the global layout).
-    """
-    k = len(axes)
-    target_dims = [dims[a] for a in axes]
-    t = amps.reshape(dims)
-    mat_t = mat.reshape(target_dims + target_dims)
-    t = np.tensordot(mat_t, t, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(t, list(range(k)), list(axes)).reshape(-1)
 
 
-def lifted_projector(
-    space: SpaceDescriptor, axes: tuple[int, ...], factor_vectors: list[np.ndarray]
-) -> Projector:
-    """Embed factor-space spanning vectors into the full space.
+#: Dense names that `protocol`, the numpy engine, defines.
+_DENSE = ("StateVector", "inner", "Projector", "apply_on_axes", "lifted_projector")
 
-    Each factor vector (flat over the target dims, axes ascending) is tensored
-    with every basis vector of the complementary factors, so the lifted
-    projector acts as the factor projector on the targets and as the identity
-    elsewhere.
-    """
-    dims = space.dims
-    n = len(dims)
-    others = [i for i in range(n) if i not in axes]
-    spanning = []
-    for fv in factor_vectors:
-        ft = np.asarray(fv, dtype=np.complex128).reshape([dims[a] for a in axes])
-        for combo in itertools.product(*[range(dims[o]) for o in others]):
-            g = np.zeros(dims, dtype=np.complex128)
-            sel: list[object] = [0] * n
-            for a in axes:
-                sel[a] = slice(None)
-            for o, c in zip(others, combo):
-                sel[o] = c
-            g[tuple(sel)] = ft
-            spanning.append(StateVector(space, g.reshape(-1)))
-    return Projector(space, tuple(spanning))
+
+def __getattr__(name: str):
+    if name in _DENSE:
+        return getattr(importlib.import_module(f"{__package__}.protocol"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,4 @@
-"""The six-subsystem nested-measurement protocol and its stage dynamics.
+"""The dense engine: the six-subsystem protocol on flat complex128 arrays.
 
 Subsystem order is fixed globally as (C, F1, S, F2, W1, W2) with dimensions
 (2, 3, 2, 3, 3, 3); every module indexes this same 324-dimensional layout.
@@ -16,51 +16,203 @@ the measured factor into the recorder's memory register; no collapse happens
 here.  The globally unitary evolution of the initial state through these
 recorders is called the pilot state, and the outcome-extraction semantics live
 in the born module.
+
+The layout and the stage maps are defined once, exactly, in `exact`; this
+module is their float image on numpy arrays, the library's `Protocol`.  The
+command line computes with `exact.ExactProtocol` instead, which answers the
+same calls without numpy.  A measurement is a set of rank-one outcome
+vectors on its target factors (`MeasurementSpec`); an operator is a
+factor-local matrix (`apply_on_axes`) or a 0/1 mask on the amplitudes;
+record weights come from one |amps|^2 marginal (`memory_marginal`).  No
+sparsity, no density matrices.
 """
 
 from __future__ import annotations
 
-import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
 
 import numpy as np
 
-from .linalg import (
-    ATOL,
-    NORM_ATOL,
-    Factor,
-    Projector,
-    SpaceDescriptor,
-    StateVector,
-    apply_on_axes,
-    lifted_projector,
+from .exact import (  # the layout, re-exported: the dense engine is the library's entry point
+    DEFAULT_COIN_FLOATS,
+    DIM,
+    DOWN,
+    DYNAMIC_STAGES,
+    FAIL,
+    GLOBAL_SPACE,
+    HEAD,
+    MEASURED,
+    MINUS,
+    OK,
+    OUTCOME_LABELS,
+    PLUS,
+    READY,
+    RECORDERS,
+    REST,
+    STAGES,
+    TAIL,
+    UP,
+    AgentId,
+    Engine,
+    PreconditionError,
+    StageId,
+    StageMap,
+    float_image,
+    outcome_vectors,
+    require_ready,
+    rewritten_axes,
+    stage_maps,
 )
+from .linalg import ATOL, NORM_ATOL, Amplitude, NotNormalizedError, SpaceDescriptor, SpaceMismatchError
 
-HEAD, TAIL = "head", "tail"
-UP, DOWN = "up", "down"
-OK, FAIL = "ok", "fail"
-READY = "0"
-PLUS, MINUS = "+", "-"
+__all__ = [
+    "AgentId", "DIM", "DOWN", "DYNAMIC_STAGES", "FAIL", "GLOBAL_SPACE", "HEAD", "MINUS", "OK",
+    "OUTCOME_LABELS", "PLUS", "READY", "RECORDERS", "REST", "STAGES", "TAIL", "UP", "MeasurementSpec",
+    "PreconditionError", "Projector", "Protocol", "StageId", "StageUnitary", "StateVector",
+    "apply_on_axes", "default_protocol", "inner", "lifted_projector", "memory_marginal", "record_mask",
+]
 
-# Residual branch completing a two-outcome measurement on a six-dimensional
-# factor; it carries no amplitude anywhere in the protocol's reachable dynamics.
-REST = "rest"
 
-GLOBAL_SPACE = SpaceDescriptor(
-    (
-        Factor("C", (HEAD, TAIL)),
-        Factor("F1", (READY, HEAD, TAIL)),
-        Factor("S", (UP, DOWN)),
-        Factor("F2", (READY, PLUS, MINUS)),
-        Factor("W1", (READY, OK, FAIL)),
-        Factor("W2", (READY, OK, FAIL)),
-    )
-)
+# -- dense states and operators ------------------------------------------------
 
-DIM = GLOBAL_SPACE.size  # 324
+
+@dataclass(frozen=True, eq=False)
+class StateVector:
+    """Flat complex amplitude vector over a SpaceDescriptor's basis."""
+
+    space: SpaceDescriptor
+    amps: np.ndarray
+
+    def __post_init__(self) -> None:
+        amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
+        if amps.size != self.space.size:
+            raise ValueError(f"amplitude count {amps.size} != space size {self.space.size}")
+        if not np.all(np.isfinite(amps.view(np.float64))):
+            raise ValueError("amplitudes must be finite")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amps", amps)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amps))
+
+    def norm2(self) -> float:
+        return self.norm() ** 2
+
+    def normalized(self) -> "StateVector":
+        return StateVector(self.space, self.amps / self.norm())
+
+    def is_zero(self) -> bool:
+        return not self.amps.any()
+
+    def require_normalized(self, tol: float = ATOL) -> "StateVector":
+        if abs(self.norm() - 1.0) > tol:
+            raise NotNormalizedError(f"norm {self.norm()} not within {tol} of 1")
+        return self
+
+    def amplitude(self, labels: tuple[str, ...]) -> Amplitude:
+        return complex(self.amps[self.space.index_of(labels)])
+
+    def components(self) -> dict[int, Amplitude]:
+        """The nonzero amplitudes by flat index."""
+        return {int(i): complex(self.amps[i]) for i in np.flatnonzero(self.amps)}
+
+    def masked(self, mask: np.ndarray) -> "StateVector":
+        """The amplitudes times a 0/1 mask (a `record_mask`)."""
+        return StateVector(self.space, self.amps * mask)
+
+    def marginal(self, axes: tuple[int, ...]) -> dict[tuple[int, ...], float]:
+        """`memory_marginal` as {label indices on axes: weight}."""
+        marg = memory_marginal(self, axes)
+        return dict(zip(itertools.product(*map(range, marg.shape)), marg.ravel().tolist()))
+
+    def projected(self, spec: "MeasurementSpec", label: str) -> "StateVector":
+        """The state after one outcome's factor projector of `spec`."""
+        amps = apply_on_axes(self.amps, self.space.dims, spec.target_axes, spec.factor_matrices[label])
+        return StateVector(self.space, amps)
+
+
+def inner(a: StateVector, b: StateVector) -> Amplitude:
+    """<a|b>, conjugate-linear in the first argument."""
+    if a.space != b.space:
+        raise SpaceMismatchError("inner product across different spaces")
+    return complex(np.vdot(a.amps, b.amps))
+
+
+@dataclass(frozen=True, eq=False)
+class Projector:
+    """Orthogonal projector given by an orthonormal spanning set."""
+
+    space: SpaceDescriptor
+    vectors: tuple[StateVector, ...]
+
+    def __post_init__(self) -> None:
+        for v in self.vectors:
+            if v.space != self.space:
+                raise SpaceMismatchError("spanning vector on wrong space")
+        if self.vectors:
+            mat = self.span_matrix
+            gram = mat @ mat.conj().T
+            if not np.allclose(gram, np.eye(len(self.vectors)), atol=ATOL):
+                raise ValueError("spanning vectors are not orthonormal within 1e-12")
+
+    @cached_property
+    def span_matrix(self) -> np.ndarray:
+        """Spanning vectors stacked as rows, shape (rank, dim)."""
+        if not self.vectors:
+            return np.zeros((0, self.space.size), dtype=np.complex128)
+        return np.stack([v.amps for v in self.vectors])
+
+    @property
+    def rank(self) -> int:
+        return len(self.vectors)
+
+
+def apply_on_axes(
+    amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], mat: np.ndarray
+) -> np.ndarray:
+    """Apply an operator on the given tensor factors of a flat amplitude array.
+
+    `mat` is a square matrix over the product of the target dims, with its
+    row/column index in the same mixed-radix convention (axes in the given
+    order, which must be ascending to match the global layout).
+    """
+    k = len(axes)
+    target_dims = [dims[a] for a in axes]
+    t = amps.reshape(dims)
+    mat_t = mat.reshape(target_dims + target_dims)
+    t = np.tensordot(mat_t, t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(t, list(range(k)), list(axes)).reshape(-1)
+
+
+def lifted_projector(
+    space: SpaceDescriptor, axes: tuple[int, ...], factor_vectors: list[np.ndarray]
+) -> Projector:
+    """Embed factor-space spanning vectors into the full space.
+
+    Each factor vector (flat over the target dims, axes ascending) is tensored
+    with every basis vector of the complementary factors, so the lifted
+    projector acts as the factor projector on the targets and as the identity
+    elsewhere.
+    """
+    dims = space.dims
+    n = len(dims)
+    others = [i for i in range(n) if i not in axes]
+    spanning = []
+    for fv in factor_vectors:
+        ft = np.asarray(fv, dtype=np.complex128).reshape([dims[a] for a in axes])
+        for combo in itertools.product(*[range(dims[o]) for o in others]):
+            g = np.zeros(dims, dtype=np.complex128)
+            sel: list[object] = [0] * n
+            for a in axes:
+                sel[a] = slice(None)
+            for o, c in zip(others, combo):
+                sel[o] = c
+            g[tuple(sel)] = ft
+            spanning.append(StateVector(space, g.reshape(-1)))
+    return Projector(space, tuple(spanning))
 
 
 def memory_marginal(state: StateVector, axes: tuple[int, ...]) -> np.ndarray:
@@ -72,42 +224,7 @@ def memory_marginal(state: StateVector, axes: tuple[int, ...]) -> np.ndarray:
     return probs.sum(axis=tuple(i for i in range(len(GLOBAL_SPACE.dims)) if i not in axes))
 
 
-class AgentId(enum.Enum):
-    F1 = "F1"
-    F2 = "F2"
-    W1 = "W1"
-    W2 = "W2"
-
-    @property
-    def memory_axis(self) -> int:
-        return GLOBAL_SPACE.axis(self.value)
-
-
-class StageId(enum.Enum):
-    """Protocol stages on the canonical timeline t = -1, 0, 1, 2, 3, 4."""
-
-    PREP_MINUS1 = -1
-    OBS0 = 0
-    PREP1 = 1
-    OBS2 = 2
-    MEAS3 = 3
-    MEAS4 = 4
-
-    @property
-    def time(self) -> int:
-        return self.value
-
-    def __lt__(self, other: "StageId") -> bool:
-        return self.value < other.value
-
-
-STAGES: tuple[StageId, ...] = tuple(StageId)
-#: Stages that apply a unitary (all but the initial preparation).
-DYNAMIC_STAGES: tuple[StageId, ...] = tuple(s for s in STAGES if s is not StageId.PREP_MINUS1)
-
-
-class PreconditionError(ValueError):
-    """A stage map was applied to a state outside its declared domain."""
+# -- measurements and stages ---------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +264,12 @@ class MeasurementSpec:
             mat.flags.writeable = False
         return mats
 
+    def components(self, label: str) -> dict[tuple[str, ...], Amplitude]:
+        """The outcome vector's nonzero entries by target labels."""
+        labels = list(itertools.product(*(GLOBAL_SPACE.factor(t).labels for t in self.targets)))
+        v = self.vectors[label]
+        return {labels[i]: complex(v[i]) for i in np.flatnonzero(v)}
+
 
 @dataclass(frozen=True, eq=False)
 class StageUnitary:
@@ -168,44 +291,23 @@ class StageUnitary:
         return StateVector(GLOBAL_SPACE, out)
 
     def apply(self, state: StateVector) -> StateVector:
-        if self.recorder_axis is not None:
-            off_ready = float(memory_marginal(state, (self.recorder_axis,))[1:].sum())
-            if off_ready > ATOL:
-                agent = GLOBAL_SPACE.factors[self.recorder_axis].name
-                raise PreconditionError(
-                    f"stage {self.stage.name}: recorder {agent} memory is not ready "
-                    f"(weight {off_ready:.3e} outside |0>)"
-                )
+        require_ready(self.stage, self.recorder_axis, state)
         return self.linear(state)
 
     @cached_property
     def rewritten_memory_axes(self) -> tuple[int, ...]:
-        """Memory axes whose record this stage can overwrite.
-
-        An axis is rewritten when the stage matrix maps one of its labels to
-        another: an entry above ATOL off that axis's diagonal blocks (a
-        diagonal control, like the spin preparation conditioned on F1, leaves
-        the record intact).
-        """
-        dims = [GLOBAL_SPACE.dims[a] for a in self.axes]
-        entries = np.abs(self.matrix).reshape(dims + dims)
-        memory_axes = {a.memory_axis for a in AgentId}
-        rewritten = []
-        for pos, axis in enumerate(self.axes):
-            # by_label[out label, in label, ...] on this axis
-            by_label = np.moveaxis(entries, (pos, len(dims) + pos), (0, 1))
-            if axis in memory_axes and by_label[~np.eye(dims[pos], dtype=bool)].max() > ATOL:
-                rewritten.append(axis)
-        return tuple(rewritten)
+        """Memory axes whose record this stage can overwrite (entries above ATOL)."""
+        return rewritten_axes(self.axes, zip(*np.nonzero(np.abs(self.matrix) > ATOL)))
 
 
-def _memory_swap(agent: AgentId, label: str) -> np.ndarray:
-    """3x3 permutation exchanging the ready state with the given memory label."""
-    labels = GLOBAL_SPACE.factors[agent.memory_axis].labels
-    v = np.eye(3, dtype=np.complex128)
-    k = labels.index(label)
-    v[[0, k]] = v[[k, 0]]
-    return v
+def _float_matrix(m: StageMap) -> np.ndarray:
+    """The float image of a stage map's sparse columns."""
+    size = math.prod(GLOBAL_SPACE.dims[a] for a in m.axes)
+    mat = np.zeros((size, size), dtype=np.complex128)
+    for t, col in m.columns.items():
+        for t2, sign, k in col:
+            mat[t2, t] += float_image((sign, k))
+    return mat
 
 
 def _factor_vector(targets: tuple[str, ...], terms: dict[tuple[str, ...], float]) -> np.ndarray:
@@ -216,30 +318,6 @@ def _factor_vector(targets: tuple[str, ...], terms: dict[tuple[str, ...], float]
         amps[space.index_of(labels)] = c
     amps.flags.writeable = False
     return amps
-
-
-def _unit_vectors(labels: tuple[str, str]) -> dict[str, np.ndarray]:
-    """The two outcome labels of a qubit measurement, as the rows of I."""
-    eye = np.eye(2, dtype=np.complex128)
-    eye.flags.writeable = False
-    return dict(zip(labels, eye))
-
-
-#: Which memory register records each outcome variable, and at which stage.
-RECORDERS: dict[str, tuple[AgentId, StageId]] = {
-    "r": (AgentId.F1, StageId.OBS0),
-    "z": (AgentId.F2, StageId.OBS2),
-    "w1": (AgentId.W1, StageId.MEAS3),
-    "w2": (AgentId.W2, StageId.MEAS4),
-}
-
-#: Memory label written for each outcome of each variable.
-OUTCOME_LABELS: dict[str, tuple[str, ...]] = {
-    "r": (HEAD, TAIL),
-    "z": (PLUS, MINUS),
-    "w1": (OK, FAIL),
-    "w2": (OK, FAIL),
-}
 
 
 @cache
@@ -259,7 +337,7 @@ def record_mask(var: str, label: str) -> np.ndarray:
     return mask
 
 
-class Protocol:
+class Protocol(Engine):
     """One run configuration: coin amplitudes plus optional corruption hooks.
 
     The corruption hooks exist for verification tests only: `flip_ok_sign`
@@ -269,6 +347,9 @@ class Protocol:
     every downstream consumer must refuse or fail loudly).
     """
 
+    sqrt = staticmethod(math.sqrt)
+    record_mask = staticmethod(record_mask)
+
     def __init__(
         self,
         coin_amplitudes: tuple[float, float] | None = None,
@@ -277,60 +358,37 @@ class Protocol:
         corrupt_preparation: bool = False,
     ) -> None:
         if coin_amplitudes is None:
-            coin_amplitudes = (math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0))
-        a, b = complex(coin_amplitudes[0]), complex(coin_amplitudes[1])
-        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_ATOL:  # NaN fails too
-            raise ValueError("coin amplitudes must satisfy |a|^2 + |b|^2 = 1 within 1e-9")
-        self.coin_amplitudes = (a, b)
-        self.flip_ok_sign = flip_ok_sign
-        self.corrupt_preparation = corrupt_preparation
-        self._pilot_cache: dict[StageId, StateVector] = {}
-        #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
-        self.fact_results: dict = {}
+            coin_amplitudes = DEFAULT_COIN_FLOATS
+        coin = (complex(coin_amplitudes[0]), complex(coin_amplitudes[1]))
+        super().__init__(coin, flip_ok_sign, corrupt_preparation)
 
     # -- measurement specs ------------------------------------------------
 
+    def _measurement(self, var: str) -> MeasurementSpec:
+        targets = MEASURED[var]
+        vectors = {
+            label: _factor_vector(targets, {labels: float_image(code) for labels, code in v.items()})
+            for label, v in outcome_vectors(var, self.flip_ok_sign).items()
+        }
+        return MeasurementSpec(var, targets, vectors, RECORDERS[var][0])
+
     @cached_property
     def coin_measurement(self) -> MeasurementSpec:
-        return MeasurementSpec("r", ("C",), _unit_vectors((HEAD, TAIL)), AgentId.F1)
+        return self._measurement("r")
 
     @cached_property
     def spin_measurement(self) -> MeasurementSpec:
-        return MeasurementSpec("z", ("S",), _unit_vectors((PLUS, MINUS)), AgentId.F2)
+        return self._measurement("z")
 
     @cached_property
     def friend_coin_measurement(self) -> MeasurementSpec:
         """W1's entangled ok/fail measurement of the coin together with F1."""
-        s = 1.0 / math.sqrt(2.0)
-        sign = -1.0 if self.flip_ok_sign else 1.0
-        targets = ("C", "F1")
-        vectors = {
-            OK: _factor_vector(targets, {(HEAD, HEAD): sign * s, (TAIL, TAIL): -sign * s}),
-            FAIL: _factor_vector(targets, {(HEAD, HEAD): s, (TAIL, TAIL): s}),
-        }
-        return MeasurementSpec("w1", targets, vectors, AgentId.W1)
+        return self._measurement("w1")
 
     @cached_property
     def friend_spin_measurement(self) -> MeasurementSpec:
         """W2's entangled ok/fail measurement of the spin together with F2."""
-        s = 1.0 / math.sqrt(2.0)
-        targets = ("S", "F2")
-        vectors = {
-            OK: _factor_vector(targets, {(DOWN, MINUS): s, (UP, PLUS): -s}),
-            FAIL: _factor_vector(targets, {(DOWN, MINUS): s, (UP, PLUS): s}),
-        }
-        return MeasurementSpec("w2", targets, vectors, AgentId.W2)
-
-    def measurement(self, var: str) -> MeasurementSpec:
-        try:
-            return {
-                "r": self.coin_measurement,
-                "z": self.spin_measurement,
-                "w1": self.friend_coin_measurement,
-                "w2": self.friend_spin_measurement,
-            }[var]
-        except KeyError:
-            raise KeyError(f"unknown outcome variable {var!r}") from None
+        return self._measurement("w2")
 
     # -- stage dynamics ----------------------------------------------------
 
@@ -342,73 +400,18 @@ class Protocol:
         amps[GLOBAL_SPACE.index_of((TAIL, READY, DOWN, READY, READY, READY))] = b
         return StateVector(GLOBAL_SPACE, amps).require_normalized(NORM_ATOL)
 
-    def record_isometry(self, agent: AgentId, spec: MeasurementSpec) -> StageUnitary:
-        """Unitary copying the measured basis label into the agent's memory.
-
-        On the reachable subspace (agent memory ready) this maps every basis-k
-        component psi_k (x) |0> to psi_k (x) |label_k>; the residual branch is
-        extended as the identity on the memory, which is one valid unitary
-        extension off the reachable subspace.
-        """
-        if spec.recorder is not agent:
-            raise ValueError(f"measurement {spec.name!r} is recorded by {spec.recorder.value}, not {agent.value}")
-        mem_axis = agent.memory_axis
-        axes = tuple(sorted(spec.target_axes + (mem_axis,)))
-        if axes != spec.target_axes + (mem_axis,):
-            raise ValueError("recorder memory axis must follow the target axes in global order")
-        d_target = math.prod(GLOBAL_SPACE.dims[a] for a in spec.target_axes)
-        mat = np.zeros((d_target * 3, d_target * 3), dtype=np.complex128)
-        for label, p in spec.factor_matrices.items():
-            if label == REST:
-                v = np.eye(3, dtype=np.complex128)
-            else:
-                v = _memory_swap(agent, label)
-            mat += np.kron(p, v)
-        stage = RECORDERS[spec.name][1]
-        return StageUnitary(stage, axes, mat, recorder_axis=mem_axis)
-
-    def preparation_unitary(self) -> StageUnitary:
-        """Spin preparation controlled on F1's memory.
-
-        The head component leaves the spin down; the tail component rotates
-        down into the equal superposition (up + down)/sqrt(2).
-        """
-        s = 1.0 / math.sqrt(2.0)
-        rot = np.array([[s, s], [-s, s]], dtype=np.complex128)  # columns: up -> (up-down)/sqrt2, down -> (up+down)/sqrt2
-        if self.corrupt_preparation:
-            rot = np.array([[s, s], [s, -s]], dtype=np.complex128)
-        eye = np.eye(2, dtype=np.complex128)
-        mat = np.zeros((6, 6), dtype=np.complex128)
-        for k, u in enumerate((eye, eye, rot)):  # F1 = 0, head, tail
-            e = np.zeros((3, 3), dtype=np.complex128)
-            e[k, k] = 1.0
-            mat += np.kron(e, u)
-        return StageUnitary(StageId.PREP1, (1, 2), mat)
-
     @cached_property
     def stage_unitaries(self) -> dict[StageId, StageUnitary]:
         return {
-            StageId.OBS0: self.record_isometry(AgentId.F1, self.coin_measurement),
-            StageId.PREP1: self.preparation_unitary(),
-            StageId.OBS2: self.record_isometry(AgentId.F2, self.spin_measurement),
-            StageId.MEAS3: self.record_isometry(AgentId.W1, self.friend_coin_measurement),
-            StageId.MEAS4: self.record_isometry(AgentId.W2, self.friend_spin_measurement),
+            stage: StageUnitary(stage, m.axes, _float_matrix(m), m.recorder_axis)
+            for stage, m in stage_maps(self.flip_ok_sign, self.corrupt_preparation).items()
         }
 
-    def stage_unitary(self, stage: StageId) -> StageUnitary:
-        return self.stage_unitaries[stage]
-
-    def pilot_state_after(self, stage: StageId) -> StateVector:
-        """Global unitary evolution of the initial state up to and including stage."""
-        if stage not in self._pilot_cache:
-            state = self.initial_state()
-            for s in DYNAMIC_STAGES:
-                if s.value > stage.value:
-                    break
-                state = self.stage_unitaries[s].apply(state)
-                self._pilot_cache[s] = state
-            self._pilot_cache[StageId.PREP_MINUS1] = self.initial_state()
-        return self._pilot_cache[stage]
+    def record_isometry(self, agent: AgentId, spec: MeasurementSpec) -> StageUnitary:
+        """The stage that copies spec's outcome into the agent's memory."""
+        if spec.recorder is not agent:
+            raise ValueError(f"measurement {spec.name!r} is recorded by {spec.recorder.value}, not {agent.value}")
+        return self.stage_unitaries[RECORDERS[spec.name][1]]
 
     # -- record access -----------------------------------------------------
 
@@ -421,19 +424,11 @@ class Protocol:
         e[idx] = 1.0
         return lifted_projector(GLOBAL_SPACE, (axis,), [e])
 
-    def record_weights(self, state: StateVector, vars: tuple[str, ...]) -> dict[tuple[str, ...], float]:
-        """Joint Born weights of memory labels for the given outcome variables.
-
-        Label tuples run over the declared outcome labels only; the ready
-        label 0 is excluded (callers read records after they are written).
-        """
-        axes = [RECORDERS[v][0].memory_axis for v in vars]
-        marg = memory_marginal(state, tuple(axes))
-        order = sorted(range(len(axes)), key=axes.__getitem__)  # marg's axes, as positions in vars
-        return {
-            labels: float(marg[tuple(GLOBAL_SPACE.factors[axes[k]].index(labels[k]) for k in order)])
-            for labels in product(*(OUTCOME_LABELS[v] for v in vars))
-        }
+    @staticmethod
+    def gram(states: list[StateVector]) -> list[list[Amplitude]]:
+        """<a|b> for every pair: the decoherence functional of chain vectors."""
+        c = np.reshape([s.amps for s in states], (len(states), DIM))
+        return (c.conj() @ c.T).tolist()
 
 
 def default_protocol() -> Protocol:

@@ -9,6 +9,11 @@ factor-matrix path against them.  A former method is a function here whose
 first argument keeps the name `self`.  `basis(protocol, var)` rebuilds the
 decomposition each `MeasurementSpec` was built from.
 
+Before the stage maps were written once as exact sparse columns
+(`ewflab.exact`), the memory swaps and the spin preparation were built as
+float matrices; those builders are here too, as the oracle the float images
+of the exact columns must equal bit for bit.
+
 Before the consistency report read its diagnostics off the decoherence
 functional, it evolved each member's chain a second time, by a stage loop
 of its own, and compared the refined chains pair by pair.  That loop and
@@ -43,6 +48,7 @@ from ewflab.linalg import (
 )
 from ewflab.protocol import (
     DIM,
+    AgentId,
     DYNAMIC_STAGES,
     DOWN,
     FAIL,
@@ -59,7 +65,6 @@ from ewflab.protocol import (
     Protocol,
     StageId,
     StageUnitary,
-    _memory_swap,
 )
 
 #: orthonormality of a whole decomposition, whose Gram entries sum 324 products
@@ -247,6 +252,34 @@ def config_projector(m: MemoryConfig) -> Projector:
 
 
 # -- stage maps built from the spanning sets --------------------------------------
+
+
+def _memory_swap(agent: AgentId, label: str) -> np.ndarray:
+    """3x3 permutation exchanging the ready state with the given memory label."""
+    labels = GLOBAL_SPACE.factors[agent.memory_axis].labels
+    v = np.eye(3, dtype=np.complex128)
+    k = labels.index(label)
+    v[[0, k]] = v[[k, 0]]
+    return v
+
+
+def preparation_matrix(protocol: Protocol) -> np.ndarray:
+    """The spin preparation controlled on F1's memory, as the float build wrote it.
+
+    The head component leaves the spin down; the tail component rotates
+    down into the equal superposition (up + down)/sqrt(2).
+    """
+    s = 1.0 / math.sqrt(2.0)
+    rot = np.array([[s, s], [-s, s]], dtype=np.complex128)  # columns: up -> (up-down)/sqrt2, down -> (up+down)/sqrt2
+    if protocol.corrupt_preparation:
+        rot = np.array([[s, s], [s, -s]], dtype=np.complex128)
+    eye = np.eye(2, dtype=np.complex128)
+    mat = np.zeros((6, 6), dtype=np.complex128)
+    for k, u in enumerate((eye, eye, rot)):  # F1 = 0, head, tail
+        e = np.zeros((3, 3), dtype=np.complex128)
+        e[k, k] = 1.0
+        mat += np.kron(e, u)
+    return mat
 
 
 def factor_matrices(decomposition: ProjectiveDecomposition) -> dict[str, np.ndarray]:

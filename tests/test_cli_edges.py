@@ -125,3 +125,25 @@ def test_format_is_accepted_only_where_it_is_read(capsys, sub):
         assert err.splitlines()[-1] == "ewflab: error: unrecognized arguments: --format json"
     else:
         assert code == 0
+
+
+@pytest.mark.parametrize("sub", ["verify", "report"])
+@pytest.mark.parametrize("coin", [[], ["--coin", "1,0"], ["--coin", "0,1"]], ids=["default", "1,0", "0,1"])
+def test_fact_details_show_no_float_noise(capsys, sub, coin):
+    """A quantity that vanishes exactly prints as 0, not as rounding noise."""
+    _, out, _ = run(capsys, [sub] + coin)
+    details = [line for line in out.splitlines() if line.startswith(("[PASS]", "[FAIL]"))]
+    assert len(details) == 11
+    for line in details:
+        for number in re.findall(r"\d(?:\.\d+)?e-\d+", line):
+            assert float(number) >= 1e-15, line
+    if coin == ["--coin", "0,1"] and sub == "verify":
+        assert "(collapse: 0, marginal: 0)" in out
+
+
+def test_coin_exponent_beyond_the_float_range_reads_as_its_float(capsys):
+    """`1e-100000000` is read as 0, as a float would be, not as an exact 10**-100000000."""
+    tiny = run(capsys, ["simulate", "--coin", "1e-100000000,1"])
+    assert tiny == run(capsys, ["simulate", "--coin", "0,1"])
+    assert tiny[0] == 0
+    assert run(capsys, ["simulate", "--coin", "1e100000000,1"])[0] == 2

@@ -14,7 +14,10 @@ their outcome vectors instead of spanning-set decompositions.  Since the
 consistency report reads its diagnostics off the decoherence functional,
 `h1 vs h1prime` prints `off-diagonal 0` where the separately evolved direct
 chains printed the rounding noise `2.48e-18` (in `histories_default.*` and
-`report_default.txt`); h1prime's chain is exactly zero.
+`report_default.txt`); h1prime's chain is exactly zero.  Since the command
+line computes with the exact engine, every quantity that vanishes prints as
+`0` instead of rounding noise, and each JSON float is the nearest float to
+the exact value; no other byte changed.
 """
 
 from pathlib import Path

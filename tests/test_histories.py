@@ -142,7 +142,7 @@ class TestConsistencyReport:
 def _leafwise_fine_chains(protocol, h, union_stages):
     """Reference refinement: one direct chain per leaf, no shared prefixes."""
     own = {e.stage: e for e in h.events}
-    slots = [[own[s]] if s in own else _record_refinement_events(s) for s in union_stages]
+    slots = [[own[s]] if s in own else _record_refinement_events(protocol, s) for s in union_stages]
     return [
         (tuple(e.label for e in events), reference.chain_vector(protocol, events))
         for events in itertools.product(*slots)

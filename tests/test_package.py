@@ -1,7 +1,9 @@
 """The package loads lazily: each subcommand imports only the modules it runs.
 
 Module sets are read in fresh interpreters, because this test process has
-already imported every module.
+already imported every module.  No subcommand imports numpy: the command
+line computes with the exact engine, and only the library's dense
+`Protocol` needs numpy.
 """
 
 import importlib
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ewflab
-from ewflab import cli, epistemics
+from ewflab import born, cli, epistemics
 
 SRC = Path(ewflab.__file__).resolve().parent.parent
 
@@ -37,8 +39,20 @@ EXPORTS = {
     "protocol": ("AgentId", "MeasurementSpec", "Protocol", "StageId", "StageUnitary", "default_protocol"),
 }
 
-PARSER = {"ewflab", "ewflab.cli", "ewflab.linalg", "ewflab.protocol", "ewflab.born"}
-DERIVING = PARSER | {"ewflab.facts", "ewflab.histories"}
+ENGINE = {"ewflab", "ewflab.cli", "ewflab.linalg", "ewflab.exact"}
+DERIVING = ENGINE | {"ewflab.born", "ewflab.facts", "ewflab.histories"}
+SUBCOMMANDS = [
+    (["simulate"], ENGINE | {"ewflab.born"}),
+    (["histories"], ENGINE | {"ewflab.histories"}),
+    (["bellbohm"], ENGINE | {"ewflab.bellbohm", "ewflab.born"}),
+    (["verify"], DERIVING),
+    (["argue", "--interpretation", "all"], DERIVING | {"ewflab.epistemics"}),
+    (["audit"], DERIVING | {"ewflab.epistemics"}),
+    (["report"], DERIVING | {"ewflab.epistemics", "ewflab.bellbohm"}),
+]
+#: A coin off the default, where the derivation refuses (exit 1) and labels
+#: have denominators above 240.
+SEEDED_COIN = ["--coin", "0.28,0.96"]
 
 
 def loaded_after(code: str) -> tuple[set[str], bool]:
@@ -61,29 +75,51 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert loaded_after("import ewflab") == ({"ewflab"}, False)
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["simulate"], PARSER),
-        (["histories"], PARSER | {"ewflab.histories"}),
-        (["bellbohm"], PARSER | {"ewflab.bellbohm"}),
-        (["verify"], DERIVING),
-        (["argue", "--interpretation", "all"], DERIVING | {"ewflab.epistemics"}),
-        (["audit"], DERIVING | {"ewflab.epistemics"}),
-        (["report"], DERIVING | {"ewflab.epistemics", "ewflab.bellbohm"}),
-    ],
-    ids=lambda v: v[0] if isinstance(v, list) else None,
-)
+@pytest.mark.parametrize("argv, expected", SUBCOMMANDS, ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_subcommand_loads_only_what_it_uses(argv, expected):
     code = (
         "from ewflab import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
     )
-    modules, _ = loaded_after(code)
+    modules, numpy = loaded_after(code)
     assert modules == expected
+    assert not numpy
     if argv[0] in ("simulate", "histories", "bellbohm"):
         assert "ewflab.epistemics" not in modules and "ewflab.facts" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv, codes",
+    [(argv + SEEDED_COIN, {0, 1}) for argv, _ in SUBCOMMANDS]
+    + [(["--help"], {0}), (["simulate", "--coin", "0.6"], {2}), (["frobnicate"], {2})],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_no_invocation_imports_numpy(argv, codes):
+    code = (
+        "from ewflab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"assert code in {codes!r}, code\n"
+    )
+    assert not loaded_after(code)[1]
+
+
+def test_every_subcommand_runs_where_numpy_cannot_be_imported():
+    """`sys.modules["numpy"] = None` makes `import numpy` raise ImportError."""
+    runs = "".join(
+        f"    rc = cli.main({argv!r})\n    assert rc == 0, ({argv!r}, rc)\n" for argv, _ in SUBCOMMANDS
+    )
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ewflab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n" + runs
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
@@ -93,7 +129,7 @@ def test_public_name_is_its_submodule_object(module, name):
 
 
 def test_submodules_resolve_as_attributes():
-    for module in ("bellbohm", "born", "cli", "epistemics", "facts", "histories", "linalg", "protocol"):
+    for module in ("bellbohm", "born", "cli", "epistemics", "exact", "facts", "histories", "linalg", "protocol"):
         assert getattr(ewflab, module) is importlib.import_module(f"ewflab.{module}")
         assert module in dir(ewflab)
     with pytest.raises(AttributeError):
@@ -110,3 +146,8 @@ def test_readme_import_line_works():
 def test_argue_help_lists_the_profile_catalogue():
     """The parser spells out the profile names so it need not import epistemics."""
     assert cli.PROFILE_NAMES == tuple(sorted(epistemics.PROFILES))
+
+
+def test_simulate_help_lists_the_policies():
+    """The parser spells out the policy names so it need not import born."""
+    assert cli.POLICY_NAMES == tuple(p.value for p in born.CollapsePolicy)
