@@ -17,13 +17,12 @@ trajectory probability is an exact number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .born import Distribution
 from .exact import DYNAMIC_STAGES, GLOBAL_SPACE, READY, STAGES, StageId
-from .linalg import NORM_ATOL, ZERO_WEIGHT_FLOOR
+from .linalg import NORM_ATOL, ZERO_WEIGHT_FLOOR, Frozen, setfield
 
 if TYPE_CHECKING:
     from .exact import Engine
@@ -110,12 +109,14 @@ def transition_kernel(protocol: Engine, m: MemoryConfig, stage: StageId) -> Dist
     return Distribution(("config",), tuple(((c,), p) for c, p in sorted(row.items())))
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Frozen):
     """One beable history: a config at every epoch, initial preparation included."""
 
-    configs: tuple[MemoryConfig, ...]
-    probability: float
+    __slots__ = ("configs", "probability")
+
+    def __init__(self, configs: tuple[MemoryConfig, ...], probability: float) -> None:
+        setfield(self, "configs", configs)
+        setfield(self, "probability", probability)
 
     def key_sequence(self) -> tuple[MemoryConfig, ...]:
         """Configs with the no-op spin-preparation epoch collapsed away."""
@@ -136,12 +137,16 @@ REFERENCE_TRAJECTORY: tuple[MemoryConfig, ...] = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryTable:
+class TrajectoryTable(Frozen):
     """Exact distribution over all positive-probability trajectories."""
 
-    entries: tuple[Trajectory, ...]
-    epoch_weights: tuple[dict[MemoryConfig, float], ...]
+    __slots__ = ("entries", "epoch_weights")
+
+    def __init__(
+        self, entries: tuple[Trajectory, ...], epoch_weights: tuple[dict[MemoryConfig, float], ...]
+    ) -> None:
+        setfield(self, "entries", entries)
+        setfield(self, "epoch_weights", epoch_weights)
 
     @property
     def total_probability(self) -> float:

@@ -23,12 +23,11 @@ exact `Surd` from the second, which alone gets an `exact` label.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import DYNAMIC_STAGES, OUTCOME_LABELS, RECORDERS, REST, StageId, exact_label
-from .linalg import CERTAINTY_ATOL, NORM_ATOL, SUM_ATOL, ZERO_WEIGHT_FLOOR
+from .linalg import CERTAINTY_ATOL, NORM_ATOL, SUM_ATOL, ZERO_WEIGHT_FLOOR, Frozen, setfield
 
 if TYPE_CHECKING:
     from .exact import Engine
@@ -44,17 +43,20 @@ class CollapsePolicy(enum.Enum):
     NO_COLLAPSE_MARGINAL = "marginal"
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
+class Distribution(Frozen):
     """Probabilities over tuples of outcome labels for named variables."""
 
-    variables: tuple[str, ...]
-    outcomes: tuple[tuple[tuple[str, ...], float], ...]
+    __slots__ = ("variables", "outcomes")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, variables: tuple[str, ...], outcomes: tuple[tuple[tuple[str, ...], float], ...]
+    ) -> None:
+        setfield(self, "variables", variables)
+        setfield(self, "outcomes", outcomes)
         total = 0.0
-        for labels, p in self.outcomes:
-            if len(labels) != len(self.variables):
+        arity = len(variables)
+        for labels, p in outcomes:
+            if len(labels) != arity:
                 raise ValueError("label tuple arity does not match variables")
             if p < -CERTAINTY_ATOL:
                 raise ValueError(f"negative probability {p} for {labels}")
@@ -130,8 +132,7 @@ class Certainty(enum.Enum):
     UNCERTAIN = "uncertain"
 
 
-@dataclass(frozen=True)
-class CertaintyResult:
+class CertaintyResult(NamedTuple):
     kind: Certainty
     probability: float
 

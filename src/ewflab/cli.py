@@ -223,9 +223,19 @@ def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     table = bellbohm.exact_chain(protocol)
     ref_prob = table.probability_of(bellbohm.REFERENCE_TRAJECTORY)
     ref_line = " -> ".join(c.render() for c in bellbohm.REFERENCE_TRAJECTORY) + f"   p = {_with_exact(ref_prob)}"
+    reference = {
+        "reference_trajectory": {
+            "configs": [list(c) for c in bellbohm.REFERENCE_TRAJECTORY],
+            "probability": float(ref_prob),
+            "exact": exact_label(ref_prob),
+        }
+    }
     if args.reference:
-        print("reference ok/ok trajectory")
-        print(ref_line)
+        if args.format == "json":
+            print(json.dumps(reference, indent=2))
+        else:
+            print("reference ok/ok trajectory")
+            print(ref_line)
         return 0
     if args.format == "json":
         payload = {
@@ -241,11 +251,7 @@ def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             "final_record_marginal": {
                 f"{w1},{w2}": float(p) for (w1, w2), p in sorted(table.final_record_marginal().items())
             },
-            "reference_trajectory": {
-                "configs": [list(c) for c in bellbohm.REFERENCE_TRAJECTORY],
-                "probability": float(ref_prob),
-                "exact": exact_label(ref_prob),
-            },
+            **reference,
         }
         print(json.dumps(payload, indent=2))
         return 0

@@ -18,9 +18,8 @@ with the crossed-out assumptions that block it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
 from . import facts as facts_mod
 from .exact import AgentId
@@ -71,8 +70,7 @@ ASSUMPTION_MEANINGS: dict[AssumptionId, str] = {
 # -- propositions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     var: str
     relation: str  # "=" or "!="
     value: str
@@ -81,8 +79,7 @@ class Outcome:
         return f"{self.var} {self.relation} {self.value}"
 
 
-@dataclass(frozen=True)
-class Certain:
+class Certain(NamedTuple):
     agent: AgentId
     at_time: float
     body: "Proposition"
@@ -91,16 +88,14 @@ class Certain:
         return f"{self.agent.value} is certain at t={self.at_time:g} that [{self.body.render()}]"
 
 
-@dataclass(frozen=True)
-class Negation:
+class Negation(NamedTuple):
     body: "Proposition"
 
     def render(self) -> str:
         return f"not [{self.body.render()}]"
 
 
-@dataclass(frozen=True)
-class QuantumPossible:
+class QuantumPossible(NamedTuple):
     """Quantum theory assigns this exact probability to a joint outcome."""
 
     outcomes: tuple[tuple[str, str], ...]
@@ -111,8 +106,7 @@ class QuantumPossible:
         return f"quantum probability of ({event}) is {self.probability}"
 
 
-@dataclass(frozen=True)
-class SystemInState:
+class SystemInState(NamedTuple):
     """An agent-facing state assignment, e.g. 'the spin is in state right'."""
 
     system: str
@@ -128,8 +122,7 @@ Proposition = Union[Outcome, Certain, Negation, QuantumPossible, SystemInState]
 # -- steps --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     step_id: str
     summary: str
     premises: tuple[Proposition, ...]
@@ -276,8 +269,7 @@ def build_argument() -> tuple[Step, ...]:
 # -- interpretation profiles --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterpretationProfile:
+class InterpretationProfile(NamedTuple):
     name: str
     display_name: str
     flags: Mapping[AssumptionId, bool]
@@ -344,8 +336,7 @@ class QuantumFactError(RuntimeError):
         super().__init__(f"quantum grounding failed for: {lines}")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     step_id: str
     fired: bool
     summary: str
@@ -360,8 +351,7 @@ class TraceEntry:
         return f"{self.step_id} BLOCKED [needs {self.requires}; crossed out: {missing}]"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     profile: InterpretationProfile
     contradiction: bool
     trace: tuple[TraceEntry, ...]
@@ -457,8 +447,7 @@ def escape_rule(profile: InterpretationProfile) -> bool:
     return not profile.holds(ESCAPE_PAIR[0]) and not profile.holds(ESCAPE_PAIR[1])
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     profile: str
     display_name: str
     escapes_by_rule: bool
@@ -477,8 +466,7 @@ class AuditRow:
         return f"{self.display_name:<22} rule: {rule:<10} check(): {verdict:<24} consistent: {'yes' if self.rule_matches_verdict else 'NO'}{flag}"
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     rows: tuple[AuditRow, ...]
 
     @property

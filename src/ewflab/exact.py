@@ -557,16 +557,18 @@ ZERO = Surd()
 def exact_label(p) -> str | None:
     """The reduced fraction of a probability, or None if it is not a rational.
 
-    A Surd's label is read off its coordinates, so it is derived, not
-    guessed.  A float from the dense engine has lost its exact value; it
-    gets `rational_label`'s guess.
+    A Surd's label is read off its coordinates, and an int or Fraction (an
+    empty sum is the int 0) is its own label, so these are derived, not
+    guessed.  Only a float from the dense engine, which has lost its exact
+    value, gets `rational_label`'s guess.
     """
-    if not isinstance(p, Surd):
+    if isinstance(p, Surd):
+        p = p.rational()
+        if p is None:
+            return None
+    elif not isinstance(p, (int, Fraction)):
         return rational_label(p)
-    frac = p.rational()
-    if frac is None:
-        return None
-    return f"{frac.numerator}/{frac.denominator}" if frac.denominator != 1 else str(frac.numerator)
+    return f"{p.numerator}/{p.denominator}" if p.denominator != 1 else str(p.numerator)
 
 
 def _code_value(code: Code) -> Surd:

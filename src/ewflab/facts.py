@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import born, histories
 from .exact import DOWN, FAIL, GLOBAL_SPACE, HEAD, MINUS, OK, PLUS, READY, TAIL, UP, StageId
@@ -26,8 +25,7 @@ if TYPE_CHECKING:
     from .protocol import StateVector
 
 
-@dataclass(frozen=True)
-class FactResult:
+class FactResult(NamedTuple):
     fact_id: str
     step_tag: str | None
     description: str

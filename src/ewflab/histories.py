@@ -21,11 +21,10 @@ one, D's entries are exact and "consistent" is an exact zero test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDERS, STAGES, StageId
-from .linalg import CONSISTENCY_ATOL
+from .linalg import CONSISTENCY_ATOL, Frozen, setfield
 
 if TYPE_CHECKING:
     from .exact import Engine
@@ -36,25 +35,27 @@ class EpochMismatchError(ValueError):
     """A consistency report needs record decompositions at every event stage."""
 
 
-@dataclass(frozen=True, eq=False)
-class HistoryEvent:
+class HistoryEvent(Frozen):
     """Record event right after `stage`: `mask` is the engine's `record_mask`."""
 
-    stage: StageId
-    mask: object
-    label: str
+    __slots__ = ("stage", "mask", "label")
+
+    def __init__(self, stage: StageId, mask: object, label: str) -> None:
+        setfield(self, "stage", stage)
+        setfield(self, "mask", mask)
+        setfield(self, "label", label)
 
     def apply(self, state: StateVector) -> StateVector:
         return state.masked(self.mask)
 
 
-@dataclass(frozen=True, eq=False)
-class History:
-    name: str
-    events: tuple[HistoryEvent, ...]
+class History(Frozen):
+    __slots__ = ("name", "events")
 
-    def __post_init__(self) -> None:
-        stages = [e.stage.value for e in self.events]
+    def __init__(self, name: str, events: tuple[HistoryEvent, ...]) -> None:
+        setfield(self, "name", name)
+        setfield(self, "events", events)
+        stages = [e.stage.value for e in events]
         if any(b <= a for a, b in zip(stages, stages[1:])):
             raise ValueError(f"history {self.name!r}: event stages must strictly increase")
 
@@ -109,8 +110,7 @@ def history_probability(protocol: Engine, h: History) -> float:
 # -- joint considerability ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     left: str
     right: str
     direct_offdiagonal: float
@@ -119,12 +119,20 @@ class PairVerdict:
     consistent: bool
 
 
-@dataclass(frozen=True, eq=False)
-class ConsistencyReport:
-    family: tuple[str, ...]
-    union_stages: tuple[StageId, ...]
-    additivity_defect: dict[str, float]
-    pairs: tuple[PairVerdict, ...]
+class ConsistencyReport(Frozen):
+    __slots__ = ("family", "union_stages", "additivity_defect", "pairs")
+
+    def __init__(
+        self,
+        family: tuple[str, ...],
+        union_stages: tuple[StageId, ...],
+        additivity_defect: dict[str, float],
+        pairs: tuple[PairVerdict, ...],
+    ) -> None:
+        setfield(self, "family", family)
+        setfield(self, "union_stages", union_stages)
+        setfield(self, "additivity_defect", additivity_defect)
+        setfield(self, "pairs", pairs)
 
     @property
     def consistent(self) -> bool:

@@ -19,10 +19,8 @@ All objects are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import importlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 # -- tolerance table: every numeric tolerance in the package ------------------
@@ -59,12 +57,58 @@ class NotNormalizedError(ValueError):
     """Raised when a vector expected to be normalized is not."""
 
 
-@dataclass(frozen=True)
-class Factor:
+class Frozen:
+    """Base of the package's records that a NamedTuple cannot express.
+
+    A subclass lists its fields in `__slots__` and sets each once in its
+    `__init__` with `setfield`; any later assignment or deletion raises.
+    Equality and hashing are by identity unless the subclass defines them.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        """Copy and pickle by field values, which `copy` cannot assign."""
+        return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+#: How a Frozen subclass's `__init__` sets a field, past the raising `__setattr__`.
+setfield = object.__setattr__
+
+
+def _restore(cls: type[Frozen], values: tuple) -> Frozen:
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        setfield(record, name, value)
+    return record
+
+
+class Factor(Frozen):
     """One subsystem: a name and an ordered tuple of basis labels."""
 
-    name: str
-    labels: tuple[str, ...]
+    __slots__ = ("name", "labels")
+
+    def __init__(self, name: str, labels: tuple[str, ...]) -> None:
+        setfield(self, "name", name)
+        setfield(self, "labels", labels)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.labels) == (other.name, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.labels))
 
     @property
     def dim(self) -> int:
@@ -77,25 +121,29 @@ class Factor:
             raise KeyError(f"factor {self.name!r} has no basis label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class SpaceDescriptor(Frozen):
     """Ordered list of subsystem factors; fixes the mixed-radix basis indexing.
 
     Basis index of a label assignment (l_0, ..., l_{n-1}) is the row-major
     mixed-radix number with digit k equal to the position of l_k in factor k.
+    `dims` and `size` are derived once here: every StateVector construction
+    reads size.
     """
 
-    factors: tuple[Factor, ...]
+    __slots__ = ("factors", "dims", "size")
 
-    # cached_property writes the instance __dict__ directly, which a frozen
-    # dataclass allows; every StateVector construction reads size
-    @functools.cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.dim for f in self.factors)
+    def __init__(self, factors: tuple[Factor, ...]) -> None:
+        setfield(self, "factors", factors)
+        setfield(self, "dims", tuple(f.dim for f in factors))
+        setfield(self, "size", math.prod(self.dims))
 
-    @functools.cached_property
-    def size(self) -> int:
-        return math.prod(self.dims)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
 
     def axis(self, name: str) -> int:
         for i, f in enumerate(self.factors):

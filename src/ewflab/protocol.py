@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -66,7 +65,8 @@ from .exact import (  # the layout, re-exported: the dense engine is the library
     rewritten_axes,
     stage_maps,
 )
-from .linalg import ATOL, NORM_ATOL, Amplitude, NotNormalizedError, SpaceDescriptor, SpaceMismatchError
+from .linalg import (ATOL, NORM_ATOL, Amplitude, Frozen, NotNormalizedError, SpaceDescriptor, SpaceMismatchError,
+                     setfield)
 
 __all__ = [
     "AgentId", "DIM", "DOWN", "DYNAMIC_STAGES", "FAIL", "GLOBAL_SPACE", "HEAD", "MINUS", "OK",
@@ -79,21 +79,20 @@ __all__ = [
 # -- dense states and operators ------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Frozen):
     """Flat complex amplitude vector over a SpaceDescriptor's basis."""
 
-    space: SpaceDescriptor
-    amps: np.ndarray
+    __slots__ = ("space", "amps")
 
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
-        if amps.size != self.space.size:
-            raise ValueError(f"amplitude count {amps.size} != space size {self.space.size}")
+    def __init__(self, space: SpaceDescriptor, amps: np.ndarray) -> None:
+        amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
+        if amps.size != space.size:
+            raise ValueError(f"amplitude count {amps.size} != space size {space.size}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+        setfield(self, "space", space)
+        setfield(self, "amps", amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -141,29 +140,24 @@ def inner(a: StateVector, b: StateVector) -> Amplitude:
     return complex(np.vdot(a.amps, b.amps))
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Orthogonal projector given by an orthonormal spanning set."""
+class Projector(Frozen):
+    """Orthogonal projector given by an orthonormal spanning set.
 
-    space: SpaceDescriptor
-    vectors: tuple[StateVector, ...]
+    `span_matrix` holds the spanning vectors stacked as rows, shape (rank, dim).
+    """
 
-    def __post_init__(self) -> None:
-        for v in self.vectors:
-            if v.space != self.space:
+    __slots__ = ("space", "vectors", "span_matrix")
+
+    def __init__(self, space: SpaceDescriptor, vectors: tuple[StateVector, ...]) -> None:
+        setfield(self, "space", space)
+        setfield(self, "vectors", vectors)
+        for v in vectors:
+            if v.space != space:
                 raise SpaceMismatchError("spanning vector on wrong space")
-        if self.vectors:
-            mat = self.span_matrix
-            gram = mat @ mat.conj().T
-            if not np.allclose(gram, np.eye(len(self.vectors)), atol=ATOL):
-                raise ValueError("spanning vectors are not orthonormal within 1e-12")
-
-    @cached_property
-    def span_matrix(self) -> np.ndarray:
-        """Spanning vectors stacked as rows, shape (rank, dim)."""
-        if not self.vectors:
-            return np.zeros((0, self.space.size), dtype=np.complex128)
-        return np.stack([v.amps for v in self.vectors])
+        mat = np.stack([v.amps for v in vectors]) if vectors else np.zeros((0, space.size), dtype=np.complex128)
+        if not np.allclose(mat @ mat.conj().T, np.eye(len(vectors)), atol=ATOL):
+            raise ValueError("spanning vectors are not orthonormal within 1e-12")
+        setfield(self, "span_matrix", mat)
 
     @property
     def rank(self) -> int:
@@ -227,8 +221,7 @@ def memory_marginal(state: StateVector, axes: tuple[int, ...]) -> np.ndarray:
 # -- measurements and stages ---------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementSpec:
+class MeasurementSpec(Frozen):
     """One projective measurement: rank-one outcome vectors plus a recorder.
 
     `vectors` maps each outcome label to a unit vector on the target factor
@@ -237,12 +230,28 @@ class MeasurementSpec:
     none of them touches form a residual branch (label REST) that completes
     the identity in `factor_matrices` but is not a reportable outcome.  That
     holds because the vectors span exactly the coordinates they touch.
+
+    `factor_matrices` holds the read-only projector matrix of each outcome,
+    then REST, on the target factor; the constructor derives it once.
     """
 
-    name: str
-    targets: tuple[str, ...]
-    vectors: dict[str, np.ndarray]
-    recorder: AgentId
+    __slots__ = ("name", "targets", "vectors", "recorder", "factor_matrices")
+
+    def __init__(
+        self, name: str, targets: tuple[str, ...], vectors: dict[str, np.ndarray], recorder: AgentId
+    ) -> None:
+        setfield(self, "name", name)
+        setfield(self, "targets", targets)
+        setfield(self, "vectors", vectors)
+        setfield(self, "recorder", recorder)
+        mats = {label: np.outer(v, v.conj()) for label, v in vectors.items()}
+        # exact 0/1 diagonal, not I - sum(mats), which leaves float error behind
+        untouched = ~np.any(np.stack(tuple(vectors.values())) != 0, axis=0)
+        if untouched.any():
+            mats[REST] = np.diag(untouched.astype(np.complex128))
+        for mat in mats.values():
+            mat.flags.writeable = False
+        setfield(self, "factor_matrices", mats)
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -252,18 +261,6 @@ class MeasurementSpec:
     def target_axes(self) -> tuple[int, ...]:
         return tuple(GLOBAL_SPACE.axis(t) for t in self.targets)
 
-    @cached_property  # a frozen dataclass lets it write the instance __dict__
-    def factor_matrices(self) -> dict[str, np.ndarray]:
-        """Read-only projector matrix of each outcome, then REST, on the target factor."""
-        mats = {label: np.outer(v, v.conj()) for label, v in self.vectors.items()}
-        # exact 0/1 diagonal, not I - sum(mats), which leaves float error behind
-        untouched = ~np.any(np.stack(tuple(self.vectors.values())) != 0, axis=0)
-        if untouched.any():
-            mats[REST] = np.diag(untouched.astype(np.complex128))
-        for mat in mats.values():
-            mat.flags.writeable = False
-        return mats
-
     def components(self, label: str) -> dict[tuple[str, ...], Amplitude]:
         """The outcome vector's nonzero entries by target labels."""
         labels = list(itertools.product(*(GLOBAL_SPACE.factor(t).labels for t in self.targets)))
@@ -271,20 +268,26 @@ class MeasurementSpec:
         return {labels[i]: complex(v[i]) for i in np.flatnonzero(v)}
 
 
-@dataclass(frozen=True, eq=False)
-class StageUnitary:
+class StageUnitary(Frozen):
     """A stage's action: a unitary on a subset of tensor factors.
 
     `matrix` is the factor-level unitary over `axes` (ascending).  Recording
     stages carry the recorder axis so that `apply` can enforce the
     ready-memory precondition; `linear` skips that check and is the raw
-    globally unitary extension.
+    globally unitary extension.  `rewritten_memory_axes` are the memory axes
+    whose record this stage can overwrite (entries above ATOL).
     """
 
-    stage: StageId
-    axes: tuple[int, ...]
-    matrix: np.ndarray
-    recorder_axis: int | None = None
+    __slots__ = ("stage", "axes", "matrix", "recorder_axis", "rewritten_memory_axes")
+
+    def __init__(
+        self, stage: StageId, axes: tuple[int, ...], matrix: np.ndarray, recorder_axis: int | None = None
+    ) -> None:
+        setfield(self, "stage", stage)
+        setfield(self, "axes", axes)
+        setfield(self, "matrix", matrix)
+        setfield(self, "recorder_axis", recorder_axis)
+        setfield(self, "rewritten_memory_axes", rewritten_axes(axes, zip(*np.nonzero(np.abs(matrix) > ATOL))))
 
     def linear(self, state: StateVector) -> StateVector:
         out = apply_on_axes(state.amps, GLOBAL_SPACE.dims, self.axes, self.matrix)
@@ -293,11 +296,6 @@ class StageUnitary:
     def apply(self, state: StateVector) -> StateVector:
         require_ready(self.stage, self.recorder_axis, state)
         return self.linear(state)
-
-    @cached_property
-    def rewritten_memory_axes(self) -> tuple[int, ...]:
-        """Memory axes whose record this stage can overwrite (entries above ATOL)."""
-        return rewritten_axes(self.axes, zip(*np.nonzero(np.abs(self.matrix) > ATOL)))
 
 
 def _float_matrix(m: StageMap) -> np.ndarray:

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from ewflab import cli
+from ewflab import cli, exact
 from ewflab.protocol import OUTCOME_LABELS, RECORDERS, STAGES, record_mask
 
 # coin -> the branch it leaves empty
@@ -139,6 +139,26 @@ def test_fact_details_show_no_float_noise(capsys, sub, coin):
             assert float(number) >= 1e-15, line
     if coin == ["--coin", "0,1"] and sub == "verify":
         assert "(collapse: 0, marginal: 0)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["bellbohm", "--reference", "--coin", "1,0"], "(tail,-,ok,ok)   p = 0 (0)"),
+        (["bellbohm", "--reference", "--coin", "1,0", "--format", "json"], '    "exact": "0"'),
+        (["report", "--coin", "0,1"], "reference ok/ok trajectory probability: 0 (0)"),
+    ],
+    ids=["bellbohm-reference", "bellbohm-reference-json", "report"],
+)
+def test_exact_labels_are_never_guessed(capsys, monkeypatch, argv, line):
+    """An empty trajectory sum is the int 0, labelled exactly, not by `rational_label`'s float guess."""
+
+    def guess(p, *args, **kwargs):
+        raise AssertionError(f"rational_label({p!r}) called")
+
+    monkeypatch.setattr(exact, "rational_label", guess)
+    _, out, _ = run(capsys, argv)
+    assert any(printed.endswith(line) for printed in out.splitlines())
 
 
 def test_coin_exponent_beyond_the_float_range_reads_as_its_float(capsys):

@@ -20,6 +20,7 @@ line computes with the exact engine, every quantity that vanishes prints as
 the exact value; no other byte changed.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,9 @@ DEFAULT_GOLDEN = [
 def test_default_coin_output_matches_golden(capsys, args, golden):
     assert cli.main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_bellbohm_reference_json_is_the_full_payloads_reference_object(capsys):
+    assert cli.main(["bellbohm", "--reference", "--format", "json"]) == 0
+    full = json.loads((GOLDEN / "bellbohm_default.json").read_text(encoding="utf-8"))
+    assert json.loads(capsys.readouterr().out) == {"reference_trajectory": full["reference_trajectory"]}

@@ -1,12 +1,14 @@
 """Core linear-algebra operations and their invariants."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import reference
-from ewflab import linalg
+from ewflab import bellbohm, born, histories, linalg
 from ewflab.linalg import (
     Factor,
     Projector,
@@ -152,6 +154,21 @@ class TestValidation:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             StateVector(COIN, np.zeros(3, dtype=complex))
+
+    def test_records_are_immutable_and_copy_by_value(self, protocol):
+        """Assignment raises; a copy or an unpickled record holds the same fields."""
+        h1 = histories.okok_fine_history(protocol)
+        records = [COIN.factors[0], COIN, basis_state(COIN, ("head",)), h1, h1.events[0],
+                   histories.chain_consistency_report(protocol, [h1]), born.joint_distribution(protocol),
+                   bellbohm.exact_chain(protocol), protocol.coin_measurement,
+                   protocol.stage_unitaries[StageId.MEAS4]]
+        for record in records:
+            with pytest.raises(AttributeError):
+                record.name = "changed"
+            for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+                assert type(clone) is type(record) and repr(clone) == repr(record)
+        assert copy.copy(COIN) == COIN and hash(copy.copy(COIN)) == hash(COIN)
+        assert copy.copy(h1) != h1  # identity equality
 
 
 class TestPropertySuites:

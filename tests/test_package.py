@@ -3,7 +3,10 @@
 Module sets are read in fresh interpreters, because this test process has
 already imported every module.  No subcommand imports numpy: the command
 line computes with the exact engine, and only the library's dense
-`Protocol` needs numpy.
+`Protocol` needs numpy.  Nor does any import `dataclasses` or the `inspect`
+it pulls in: `src/` declares its records as NamedTuples and plain classes,
+because importing `dataclasses` and generating the records' methods cost
+each subcommand's process up to about 30 ms (README, Performance).
 """
 
 import importlib
@@ -53,26 +56,28 @@ SUBCOMMANDS = [
 #: A coin off the default, where the derivation refuses (exit 1) and labels
 #: have denominators above 240.
 SEEDED_COIN = ["--coin", "0.28,0.96"]
+#: Modules no invocation of the command line may import.
+AVOIDED = ("numpy", "dataclasses", "inspect")
 
 
-def loaded_after(code: str) -> tuple[set[str], bool]:
-    """ewflab modules, and whether numpy, in sys.modules after running code."""
+def loaded_after(code: str) -> tuple[set[str], set[str]]:
+    """ewflab modules, and which of AVOIDED, in sys.modules after running code."""
     probe = (
         "import sys, io, contextlib\n"
         f"{code}\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ewflab')))\n"
-        "print('numpy' in sys.modules)\n"
+        f"print(' '.join(m for m in {AVOIDED!r} if m in sys.modules))\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    modules, numpy = res.stdout.splitlines()[-2:]
-    return set(modules.split()), numpy == "True"
+    modules, avoided = res.stdout.splitlines()[-2:]
+    return set(modules.split()), set(avoided.split())
 
 
 def test_import_loads_no_submodule_and_no_numpy():
-    assert loaded_after("import ewflab") == ({"ewflab"}, False)
+    assert loaded_after("import ewflab") == ({"ewflab"}, set())
 
 
 @pytest.mark.parametrize("argv, expected", SUBCOMMANDS, ids=lambda v: v[0] if isinstance(v, list) else None)
@@ -82,9 +87,9 @@ def test_subcommand_loads_only_what_it_uses(argv, expected):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
     )
-    modules, numpy = loaded_after(code)
+    modules, avoided = loaded_after(code)
     assert modules == expected
-    assert not numpy
+    assert not avoided
     if argv[0] in ("simulate", "histories", "bellbohm"):
         assert "ewflab.epistemics" not in modules and "ewflab.facts" not in modules
 

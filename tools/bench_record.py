@@ -2,13 +2,31 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench_record.py BENCH_2.json [--seconds 28] [--seed 1]
+    python3 tools/bench_record.py BENCH_3.json [--seconds 28] [--seed 1]
 
 The record holds, for each benchmark workload, the result of an untraced
 and a traced run of `perfbench/run.py` (its `#` lines and its JSON result
-line), and the wall time of the tier-1 test suite with the time pytest
-spends collecting it listed separately.  Runs are sequential, so the
-record takes about six benchmark runs plus two suite runs to write.
+line); the wall time of the tier-1 test suite with the time pytest spends
+collecting it listed separately; and, under `fresh_process`, the median
+wall time in ms of FRESH_RUNS fresh processes for `python -c pass`,
+`--help` and each of the seven subcommands at the default coin.  Runs are
+sequential, so the record takes about six benchmark runs, two suite runs
+and 63 short processes to write.
+
+`fresh_process` is what a user pays per command, split by subcommand.
+Neither of the other two views shows it: `python -X importtime` does not
+list the submodules that handlers load through `ewflab.__getattr__` and
+`importlib.import_module` (for `argue` it shows only `ewflab`,
+`ewflab.cli`, `ewflab.linalg` and `ewflab.exact`), and the traced cli-mix
+run imports every module before `cli.main` starts.  Each process starts as
+cli-mix starts its children: the same interpreter with `-c`, from the
+repository root, pinned to one CPU, with the environment `perfbench/run.py`
+passes on (`src` on PYTHONPATH, one BLAS thread, PYTHONDONTWRITEBYTECODE
+set, so every process compiles ewflab from source as cli-mix's do).  The
+commands run round-robin, and each median is also given at reference speed,
+scaled by perfbench's reference kernel as cli-mix's times are
+(`perfbench/workloads.py`): a shared machine's speed drifts by more than
+the differences this table is read for.
 """
 
 from __future__ import annotations
@@ -17,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -25,6 +44,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+#: Label -> ewflab arguments of each fresh process; None runs `python -c pass`.
+FRESH = {
+    "python -c pass": None,
+    "--help": ["--help"],
+    "simulate": ["simulate"],
+    "verify": ["verify"],
+    "histories": ["histories"],
+    "bellbohm": ["bellbohm"],
+    "argue": ["argue", "--interpretation", "all"],
+    "audit": ["audit"],
+    "report": ["report"],
+}
+FRESH_RUNS = 7
+#: What the `ewflab` console script runs.
+ENTRY = "import sys\nfrom ewflab.cli import main\nsys.exit(main())\n"
 
 
 def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -44,6 +79,40 @@ def timed(argv: list[str]) -> tuple[float, str]:
     return time.perf_counter() - start, (proc.stdout.strip().splitlines() or [""])[-1]
 
 
+def fresh_process() -> dict:
+    """Median ms of FRESH_RUNS fresh processes per FRESH entry, wall and at reference speed.
+
+    Pins this process, and so every process it starts from now on, to one CPU.
+    """
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+    from run import BLAS_THREAD_VARS
+
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))  # before workloads imports numpy
+    from workloads import REF_REPEATS, Result
+
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result, labels = Result(), []
+    result.measure_ref(REF_REPEATS)
+    for _ in range(FRESH_RUNS):
+        for label, args in FRESH.items():
+            argv = [sys.executable, "-c", "pass"] if args is None else [sys.executable, "-c", ENTRY, *args]
+            start = time.perf_counter()
+            subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True)
+            end = time.perf_counter()
+            result.latencies_ms.append((end - start) * 1e3)
+            result.op_spans.append((start, end))
+            labels.append(label)
+            result.measure_ref(REF_REPEATS)
+
+    def medians(ms: list[float]) -> dict[str, float]:
+        return {label: round(statistics.median(m for m, l in zip(ms, labels) if l == label), 1) for label in FRESH}
+
+    return {"runs": FRESH_RUNS, "unit": "ms", "median_ms": medians(result.latencies_ms),
+            "median_ms_at_reference_speed": medians(result.at_reference_speed(result.latencies_ms, result.op_spans))}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="file to write, such as BENCH_2.json")
@@ -54,11 +123,13 @@ def main(argv: list[str] | None = None) -> int:
     runs = {w: {f"trace{t}": perfbench(w, args.seed, args.seconds, t) for t in (0, 1)} for w in WORKLOADS}
     collect_s, collected = timed(TIER1 + ["--collect-only"])
     suite_s, summary = timed(TIER1)
+    fresh = fresh_process()  # last: it pins this process to one CPU
     record = {
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(), "machine": platform.machine()},
         "perfbench": runs,
         "tier1": {"command": " ".join(TIER1[1:]), "wall_s": round(suite_s, 2), "summary": summary,
                   "collection_wall_s": round(collect_s, 2), "collected": collected},
+        "fresh_process": fresh,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
