@@ -54,19 +54,19 @@ CONFIG_AXES: tuple[int, ...] = (
 READY_CONFIG = MemoryConfig(READY, READY, READY, READY)
 
 
+#: The 81 configs in label-index order on CONFIG_AXES, which is the key order of a marginal on them.
+_CONFIGS: tuple[MemoryConfig, ...] = tuple(
+    MemoryConfig(*combo) for combo in product(*(GLOBAL_SPACE.factors[a].labels for a in CONFIG_AXES))
+)
+
+
 def all_configs() -> list[MemoryConfig]:
-    labelsets = [GLOBAL_SPACE.factors[a].labels for a in CONFIG_AXES]
-    return [MemoryConfig(*combo) for combo in product(*labelsets)]
+    return list(_CONFIGS)
 
 
 def config_weights(state: StateVector) -> dict[MemoryConfig, float]:
     """Born weight of every config in one pass."""
-    marg = state.marginal(CONFIG_AXES)  # CONFIG_AXES are ascending
-    out: dict[MemoryConfig, float] = {}
-    for idx, w in marg.items():
-        labels = tuple(GLOBAL_SPACE.factors[a].labels[i] for a, i in zip(CONFIG_AXES, idx))
-        out[MemoryConfig(*labels)] = w
-    return out
+    return dict(zip(_CONFIGS, state.marginal(CONFIG_AXES).values()))  # CONFIG_AXES are ascending
 
 
 def _kernel_row(

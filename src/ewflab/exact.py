@@ -41,7 +41,8 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .linalg import ATOL, NORM_ATOL, Factor, NotNormalizedError, SpaceDescriptor, rational_label
 
@@ -94,10 +95,6 @@ class StageId(enum.Enum):
     OBS2 = 2
     MEAS3 = 3
     MEAS4 = 4
-
-    @property
-    def time(self) -> int:
-        return self.value
 
     def __lt__(self, other: "StageId") -> bool:
         return self.value < other.value
@@ -240,7 +237,7 @@ def _record_map(var: str, flip_ok_sign: bool) -> StageMap:
             for m in range(n):
                 m2 = swap.get(m, m)
                 columns[t * n + m] = columns.get(t * n + m, ()) + tuple((t2 * n + m2, s, kk) for t2, s, kk in entries)
-    return StageMap(stage, target_axes + (mem_axis,), dict(sorted(columns.items())), mem_axis)
+    return StageMap(stage, target_axes + (mem_axis,), MappingProxyType(dict(sorted(columns.items()))), mem_axis)
 
 
 def _preparation_map(corrupt_preparation: bool) -> StageMap:
@@ -256,19 +253,23 @@ def _preparation_map(corrupt_preparation: bool) -> StageMap:
                 )
             else:
                 columns[f1 * 2 + s] = ((f1 * 2 + s, 1, 0),)
-    return StageMap(StageId.PREP1, (GLOBAL_SPACE.axis("F1"), GLOBAL_SPACE.axis("S")), columns, None)
+    return StageMap(StageId.PREP1, (GLOBAL_SPACE.axis("F1"), GLOBAL_SPACE.axis("S")), MappingProxyType(columns), None)
 
 
 @cache
-def stage_maps(flip_ok_sign: bool = False, corrupt_preparation: bool = False) -> dict[StageId, StageMap]:
-    """Every dynamic stage's map; both engines build their stages from these."""
-    return {
+def stage_maps(flip_ok_sign: bool = False, corrupt_preparation: bool = False) -> Mapping[StageId, StageMap]:
+    """Every dynamic stage's map; both engines build their stages from these.
+
+    The maps do not depend on the coin: one read-only mapping per flag pair
+    is shared by every caller.
+    """
+    return MappingProxyType({
         StageId.OBS0: _record_map("r", flip_ok_sign),
         StageId.PREP1: _preparation_map(corrupt_preparation),
         StageId.OBS2: _record_map("z", flip_ok_sign),
         StageId.MEAS3: _record_map("w1", flip_ok_sign),
         StageId.MEAS4: _record_map("w2", flip_ok_sign),
-    }
+    })
 
 
 def rewritten_axes(axes: tuple[int, ...], entries) -> tuple[int, ...]:
@@ -596,8 +597,8 @@ class Engine:
     """Configuration, the pilot-state walk and record weights, for both engines.
 
     A subclass passes `coin_amplitudes` in the number type of its states and
-    provides `initial_state`, `stage_unitaries`, the four measurements,
-    `record_mask`, `gram` and `sqrt`.
+    provides `initial_state`, `stage_unitaries`, `measurements` (read-only,
+    outcome variable -> measurement), `record_mask`, `gram` and `sqrt`.
     """
 
     def __init__(self, coin_amplitudes: tuple, flip_ok_sign: bool, corrupt_preparation: bool) -> None:
@@ -611,14 +612,27 @@ class Engine:
 
     def measurement(self, var: str):
         try:
-            return {
-                "r": self.coin_measurement,
-                "z": self.spin_measurement,
-                "w1": self.friend_coin_measurement,
-                "w2": self.friend_spin_measurement,
-            }[var]
+            return self.measurements[var]
         except KeyError:
             raise KeyError(f"unknown outcome variable {var!r}") from None
+
+    @property
+    def coin_measurement(self):
+        return self.measurements["r"]
+
+    @property
+    def spin_measurement(self):
+        return self.measurements["z"]
+
+    @property
+    def friend_coin_measurement(self):
+        """W1's entangled ok/fail measurement of the coin together with F1."""
+        return self.measurements["w1"]
+
+    @property
+    def friend_spin_measurement(self):
+        """W2's entangled ok/fail measurement of the spin together with F2."""
+        return self.measurements["w2"]
 
     def stage_unitary(self, stage: StageId):
         return self.stage_unitaries[stage]
@@ -786,7 +800,7 @@ class ExactSpec:
     def __init__(self, name: str, vectors: dict[str, dict[tuple[str, ...], Code]]) -> None:
         self.name = name
         self.targets = MEASURED[name]
-        self.vectors = vectors
+        self.vectors = MappingProxyType({label: MappingProxyType(v) for label, v in vectors.items()})
         self.recorder = RECORDERS[name][0]
 
     @property
@@ -798,9 +812,10 @@ class ExactSpec:
         return tuple(GLOBAL_SPACE.axis(t) for t in self.targets)
 
     @cached_property
-    def factor_matrices(self) -> dict[str, Columns]:
-        """Each outcome's projector, then REST, as sparse columns on the target factor."""
-        return projector_columns(self.targets, self.vectors)
+    def factor_matrices(self) -> Mapping[str, Columns]:
+        """Each outcome's projector, then REST, as read-only sparse columns on the target factor."""
+        columns = projector_columns(self.targets, self.vectors)
+        return MappingProxyType({label: MappingProxyType(c) for label, c in columns.items()})
 
     def components(self, label: str) -> dict[tuple[str, ...], Surd]:
         return {labels: _code_value(code) for labels, code in self.vectors[label].items()}
@@ -824,6 +839,19 @@ class ExactStage:
         return rewritten_axes(self.axes, ((t2, t) for t, col in self.columns.items() for t2, _, _ in col))
 
 
+@cache
+def _specs(flip_ok_sign: bool) -> Mapping[str, ExactSpec]:
+    """The four measurements, one read-only mapping per flag: they do not depend on the coin."""
+    return MappingProxyType({var: ExactSpec(var, outcome_vectors(var, flip_ok_sign)) for var in RECORDERS})
+
+
+@cache
+def _stages(flip_ok_sign: bool, corrupt_preparation: bool) -> Mapping[StageId, ExactStage]:
+    """The stages, one read-only mapping per flag pair: they do not depend on the coin."""
+    maps = stage_maps(flip_ok_sign, corrupt_preparation)
+    return MappingProxyType({stage: ExactStage(m) for stage, m in maps.items()})
+
+
 class ExactProtocol(Engine):
     """The protocol with exact amplitudes in Q(√2, √3): the command line's engine.
 
@@ -831,6 +859,12 @@ class ExactProtocol(Engine):
     exactly: "0.6" is 3/5) or floats (their exact binary values); they are
     real.  The default coin is (√3/3, √6/3) exactly.  The corruption hooks
     are those of `protocol.Protocol`.
+
+    Only the coin, the pilot states and the fact results belong to one
+    ExactProtocol.  The measurements and the stages do not depend on the
+    coin: they are built once per process for each setting of the
+    corruption hooks and shared, as read-only mappings, by every
+    ExactProtocol with that setting.
     """
 
     def __init__(
@@ -856,25 +890,12 @@ class ExactProtocol(Engine):
         return Surd(n).sqrt()
 
     @cached_property
-    def coin_measurement(self) -> ExactSpec:
-        return ExactSpec("r", outcome_vectors("r"))
+    def measurements(self) -> Mapping[str, ExactSpec]:
+        return _specs(self.flip_ok_sign)
 
     @cached_property
-    def spin_measurement(self) -> ExactSpec:
-        return ExactSpec("z", outcome_vectors("z"))
-
-    @cached_property
-    def friend_coin_measurement(self) -> ExactSpec:
-        return ExactSpec("w1", outcome_vectors("w1", self.flip_ok_sign))
-
-    @cached_property
-    def friend_spin_measurement(self) -> ExactSpec:
-        return ExactSpec("w2", outcome_vectors("w2"))
-
-    @cached_property
-    def stage_unitaries(self) -> dict[StageId, ExactStage]:
-        maps = stage_maps(self.flip_ok_sign, self.corrupt_preparation)
-        return {stage: ExactStage(m) for stage, m in maps.items()}
+    def stage_unitaries(self) -> Mapping[StageId, ExactStage]:
+        return _stages(self.flip_ok_sign, self.corrupt_preparation)
 
     def initial_state(self) -> SparseState:
         """Coin superposition, spin down, all four memories ready."""

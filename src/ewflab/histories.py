@@ -59,10 +59,6 @@ class History(Frozen):
         if any(b <= a for a, b in zip(stages, stages[1:])):
             raise ValueError(f"history {self.name!r}: event stages must strictly increase")
 
-    @property
-    def stages(self) -> tuple[StageId, ...]:
-        return tuple(e.stage for e in self.events)
-
     def describe(self) -> str:
         if not self.events:
             return f"{self.name}: (no events)"
@@ -190,22 +186,33 @@ def _fine_chains(
         if stage not in slots:
             slots[stage] = _record_refinement_events(protocol, stage)
     chains: list[tuple[tuple[str, ...], StateVector]] = []
-
-    def walk(i: int, key: tuple[str, ...], state: StateVector) -> None:
-        if i == len(STAGES):
-            chains.append((key, state))
-            return
-        stage = STAGES[i]
-        if stage is not StageId.PREP_MINUS1:
-            state = protocol.stage_unitary(stage).linear(state)
-        if stage not in slots:
-            walk(i + 1, key, state)
-            return
-        for event in slots[stage]:
-            walk(i + 1, key + (event.label,), event.apply(state))
-
-    walk(0, (), protocol.initial_state())
+    _walk(protocol, slots, 0, (), protocol.initial_state(), chains)
     return chains
+
+
+def _walk(protocol: Engine, slots: dict, i: int, key: tuple[str, ...], state: StateVector, chains: list) -> None:
+    """Append the leaves below stage index i to `chains`; no closure, so no reference cycle.
+
+    Once a mask leaves a zero state (stage maps are unitary, so only a mask
+    can), every leaf below it is that zero state, still under its own key:
+    shared-outcome detection reads the keys of vanished chains.
+    """
+    if i == len(STAGES):
+        chains.append((key, state))
+        return
+    stage = STAGES[i]
+    if stage is not StageId.PREP_MINUS1:
+        state = protocol.stage_unitary(stage).linear(state)
+    if stage not in slots:
+        _walk(protocol, slots, i + 1, key, state, chains)
+        return
+    for event in slots[stage]:
+        child = event.apply(state)
+        if child.is_zero():
+            below = [[e.label for e in slots[s]] for s in STAGES[i + 1 :] if s in slots]
+            chains.extend((key + (event.label,) + tail, child) for tail in itertools.product(*below))
+        else:
+            _walk(protocol, slots, i + 1, key + (event.label,), child, chains)
 
 
 def chain_consistency_report(protocol: Engine, family: list[History]) -> ConsistencyReport:

@@ -32,6 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache, cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -232,7 +234,9 @@ class MeasurementSpec(Frozen):
     holds because the vectors span exactly the coordinates they touch.
 
     `factor_matrices` holds the read-only projector matrix of each outcome,
-    then REST, on the target factor; the constructor derives it once.
+    then REST, on the target factor; the constructor derives it once.  Both
+    mappings are read-only, as a spec is shared by every `Protocol` with the
+    same `flip_ok_sign`.
     """
 
     __slots__ = ("name", "targets", "vectors", "recorder", "factor_matrices")
@@ -242,7 +246,7 @@ class MeasurementSpec(Frozen):
     ) -> None:
         setfield(self, "name", name)
         setfield(self, "targets", targets)
-        setfield(self, "vectors", vectors)
+        setfield(self, "vectors", MappingProxyType(vectors))
         setfield(self, "recorder", recorder)
         mats = {label: np.outer(v, v.conj()) for label, v in vectors.items()}
         # exact 0/1 diagonal, not I - sum(mats), which leaves float error behind
@@ -251,7 +255,11 @@ class MeasurementSpec(Frozen):
             mats[REST] = np.diag(untouched.astype(np.complex128))
         for mat in mats.values():
             mat.flags.writeable = False
-        setfield(self, "factor_matrices", mats)
+        setfield(self, "factor_matrices", MappingProxyType(mats))
+
+    def __reduce__(self):
+        """Copy and pickle through the constructor: a read-only mapping does not pickle."""
+        return MeasurementSpec, (self.name, self.targets, dict(self.vectors), self.recorder)
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -299,12 +307,13 @@ class StageUnitary(Frozen):
 
 
 def _float_matrix(m: StageMap) -> np.ndarray:
-    """The float image of a stage map's sparse columns."""
+    """The read-only float image of a stage map's sparse columns."""
     size = math.prod(GLOBAL_SPACE.dims[a] for a in m.axes)
     mat = np.zeros((size, size), dtype=np.complex128)
     for t, col in m.columns.items():
         for t2, sign, k in col:
             mat[t2, t] += float_image((sign, k))
+    mat.flags.writeable = False
     return mat
 
 
@@ -335,6 +344,28 @@ def record_mask(var: str, label: str) -> np.ndarray:
     return mask
 
 
+@cache
+def _specs(flip_ok_sign: bool) -> Mapping[str, MeasurementSpec]:
+    """The four measurements, one read-only mapping per flag: they do not depend on the coin."""
+    specs = {}
+    for var, targets in MEASURED.items():
+        vectors = {
+            label: _factor_vector(targets, {labels: float_image(code) for labels, code in v.items()})
+            for label, v in outcome_vectors(var, flip_ok_sign).items()
+        }
+        specs[var] = MeasurementSpec(var, targets, vectors, RECORDERS[var][0])
+    return MappingProxyType(specs)
+
+
+@cache
+def _stages(flip_ok_sign: bool, corrupt_preparation: bool) -> Mapping[StageId, StageUnitary]:
+    """The stage unitaries, one read-only mapping per flag pair: they do not depend on the coin."""
+    return MappingProxyType({
+        stage: StageUnitary(stage, m.axes, _float_matrix(m), m.recorder_axis)
+        for stage, m in stage_maps(flip_ok_sign, corrupt_preparation).items()
+    })
+
+
 class Protocol(Engine):
     """One run configuration: coin amplitudes plus optional corruption hooks.
 
@@ -343,6 +374,12 @@ class Protocol(Engine):
     are unchanged, coefficient checks must catch it) and `corrupt_preparation`
     flips a sign inside the tail-branch spin rotation (probabilities change,
     every downstream consumer must refuse or fail loudly).
+
+    Only the coin, the pilot states and the fact results belong to one
+    Protocol.  The measurements (`measurements`, per `flip_ok_sign`), the
+    stage unitaries (`stage_unitaries`, per pair of hooks) and the record
+    masks do not depend on the coin: they are built once per process and
+    shared, read-only, by every Protocol with the same hooks.
     """
 
     sqrt = staticmethod(math.sqrt)
@@ -360,33 +397,9 @@ class Protocol(Engine):
         coin = (complex(coin_amplitudes[0]), complex(coin_amplitudes[1]))
         super().__init__(coin, flip_ok_sign, corrupt_preparation)
 
-    # -- measurement specs ------------------------------------------------
-
-    def _measurement(self, var: str) -> MeasurementSpec:
-        targets = MEASURED[var]
-        vectors = {
-            label: _factor_vector(targets, {labels: float_image(code) for labels, code in v.items()})
-            for label, v in outcome_vectors(var, self.flip_ok_sign).items()
-        }
-        return MeasurementSpec(var, targets, vectors, RECORDERS[var][0])
-
     @cached_property
-    def coin_measurement(self) -> MeasurementSpec:
-        return self._measurement("r")
-
-    @cached_property
-    def spin_measurement(self) -> MeasurementSpec:
-        return self._measurement("z")
-
-    @cached_property
-    def friend_coin_measurement(self) -> MeasurementSpec:
-        """W1's entangled ok/fail measurement of the coin together with F1."""
-        return self._measurement("w1")
-
-    @cached_property
-    def friend_spin_measurement(self) -> MeasurementSpec:
-        """W2's entangled ok/fail measurement of the spin together with F2."""
-        return self._measurement("w2")
+    def measurements(self) -> Mapping[str, MeasurementSpec]:
+        return _specs(self.flip_ok_sign)
 
     # -- stage dynamics ----------------------------------------------------
 
@@ -399,11 +412,8 @@ class Protocol(Engine):
         return StateVector(GLOBAL_SPACE, amps).require_normalized(NORM_ATOL)
 
     @cached_property
-    def stage_unitaries(self) -> dict[StageId, StageUnitary]:
-        return {
-            stage: StageUnitary(stage, m.axes, _float_matrix(m), m.recorder_axis)
-            for stage, m in stage_maps(self.flip_ok_sign, self.corrupt_preparation).items()
-        }
+    def stage_unitaries(self) -> Mapping[StageId, StageUnitary]:
+        return _stages(self.flip_ok_sign, self.corrupt_preparation)
 
     def record_isometry(self, agent: AgentId, spec: MeasurementSpec) -> StageUnitary:
         """The stage that copies spec's outcome into the agent's memory."""

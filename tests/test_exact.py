@@ -244,3 +244,19 @@ def test_simulate_echoes_the_float_coin(capsys):
     assert json.loads(capsys.readouterr().out)["coin_amplitudes"] == [0.5773502691896257, 0.816496580927726]
     assert cli.main(["simulate", "--format", "json", "--coin", "0.6,0.8"]) == 0
     assert json.loads(capsys.readouterr().out)["coin_amplitudes"] == [0.6, 0.8]
+
+
+VANISHED_SHARED = ["histories", "--define", "a: r=head", "--define", "b: r=head, z=+"]
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["exact", "dense"])
+def test_a_shared_key_of_a_vanished_chain_is_printed(dense, monkeypatch):
+    """a and b share only the key (r=head, z=+), whose chain a mask has zeroed."""
+    code, text, _ = _run(VANISHED_SHARED, monkeypatch, dense)
+    assert code == 0
+    line = "  a vs b: NOT JOINTLY CONSIDERABLE (off-diagonal 0, interference 0, shared outcomes: yes)"
+    assert line in text.splitlines()
+    code, out, _ = _run(VANISHED_SHARED + ["--format", "json"], monkeypatch, dense)
+    assert code == 0
+    (pair,) = json.loads(out)["consistency"]["pairs"]
+    assert pair["shared_fine_outcomes"] is True and pair["consistent"] is False

@@ -1,11 +1,13 @@
 """Chained-projection probabilities and joint-considerability checks."""
 
+import gc
 import itertools
 
 import numpy as np
 import pytest
 
 from ewflab import born
+from ewflab.exact import ExactProtocol
 from ewflab.histories import (
     EpochMismatchError,
     History,
@@ -151,7 +153,7 @@ def _leafwise_fine_chains(protocol, h, union_stages):
 
 def _event(protocol, var, label, stage=None):
     if label == "0":  # the ready label is no outcome; build its event directly
-        return HistoryEvent(stage, record_mask(var, label), f"{var}={label}")
+        return HistoryEvent(stage, protocol.record_mask(var, label), f"{var}={label}")
     return outcome_event(protocol, var, label, stage)
 
 
@@ -193,11 +195,27 @@ ORACLE_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("coin", [None, (0.6, 0.8)])
+def _oracle_engines():
+    """(engine, coin, hooks): both engines, two coins, with and without a corrupt preparation.
+
+    The dense engine's clean runs keep their ids, "None" and "coin1".
+    """
+    coins = {"None": (None, None), "coin1": ((0.6, 0.8), ("0.6", "0.8"))}
+    for hooks, suffix in (({}, ""), ({"corrupt_preparation": True}, "-corrupt-preparation")):
+        for coin_id, (dense_coin, exact_coin) in coins.items():
+            yield pytest.param(Protocol, dense_coin, hooks, id=coin_id + suffix)
+            yield pytest.param(ExactProtocol, exact_coin, hooks, id=f"{coin_id}-exact{suffix}")
+
+
+@pytest.mark.parametrize("engine, coin, hooks", _oracle_engines())
 @pytest.mark.parametrize("family_name", sorted(ORACLE_FAMILIES))
-def test_fine_chains_match_leafwise_oracle(family_name, coin):
-    """The prefix-shared walk returns the per-leaf chains, keys and bits alike."""
-    protocol = Protocol(coin)
+def test_fine_chains_match_leafwise_oracle(family_name, engine, coin, hooks):
+    """The prefix-shared walk returns the per-leaf chains, keys and bits alike.
+
+    The walk stops evolving a chain that a mask has zeroed; the oracle evolves
+    every chain to the end, and the zero states must still agree.
+    """
+    protocol = engine(coin, **hooks)
     family = _family(protocol, ORACLE_FAMILIES[family_name])
     union = tuple(sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value))
     for h in family:
@@ -205,7 +223,41 @@ def test_fine_chains_match_leafwise_oracle(family_name, coin):
         want = _leafwise_fine_chains(protocol, h, union)
         assert [k for k, _ in got] == [k for k, _ in want]
         for (_, g), (_, w) in zip(got, want):
-            assert np.array_equal(g.amps, w.amps)
+            if engine is Protocol:
+                assert np.array_equal(g.amps, w.amps)
+            else:
+                assert (g.nums, g.den) == (w.nums, w.den)
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_a_vanished_chain_keeps_its_keys(engine):
+    """b's one chain vanishes at z=+ after r=head; its key is still one of a's, so the pair fails."""
+    protocol = engine()
+    a = history(protocol, "a", [("r", "head")])
+    b = history(protocol, "b", [("r", "head"), ("z", "+")])
+    union = (StageId.OBS0, StageId.OBS2)
+    ((key, state),) = _fine_chains(protocol, b, union)
+    assert key == ("r=head", "z=+") and state.is_zero()
+    assert [k for k, _ in _fine_chains(protocol, a, union)] == [("r=head", f"z={z}") for z in ("0", "+", "-")]
+    (pair,) = chain_consistency_report(protocol, [a, b]).pairs
+    assert pair.shared_fine_outcomes and not pair.consistent
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_history_walks_leave_no_reference_cycle(engine):
+    """A walk's chains are freed by reference counting, with nothing left for the cycle collector."""
+    protocol = engine()
+    family = [okok_fine_history(protocol), okok_coarse_history(protocol)]
+    chain_consistency_report(protocol, family)  # evolve the pilot state and fill the shared caches
+    gc.collect()
+    gc.disable()
+    try:
+        history_probability(protocol, family[0])
+        assert gc.collect() == 0
+        chain_consistency_report(protocol, family)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_record_mask_equals_record_projector(protocol):

@@ -1,10 +1,12 @@
 """Stage dynamics: recorded states, bases, preconditions, unitarity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ewflab.exact import ExactProtocol, stage_maps
 from ewflab.protocol import (
     DYNAMIC_STAGES,
     GLOBAL_SPACE,
@@ -198,3 +200,69 @@ class TestUnitarity:
             (StageId.OBS0, StageId.PREP1, StageId.OBS2, StageId.MEAS4, StageId.MEAS3)
         )
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-12)
+
+
+# -- coin-independent structure, shared per process -----------------------------
+
+ENGINES = [Protocol, ExactProtocol]
+FLAG_SETTINGS = [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}]
+VARS = ("r", "z", "w1", "w2")
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
+class TestSharedStructure:
+    def test_equal_hooks_share_stages_and_measurements(self, engine):
+        for flags in FLAG_SETTINGS:
+            a, b = engine(**flags), engine((0.6, 0.8) if engine is Protocol else ("0.6", "0.8"), **flags)
+            assert a.stage_unitaries is b.stage_unitaries
+            for var in VARS:
+                assert a.measurement(var) is b.measurement(var)
+
+    def test_different_hooks_never_share(self, engine):
+        built = [engine(**flags) for flags in FLAG_SETTINGS]
+        for x, y in itertools.combinations(built, 2):
+            assert x.stage_unitaries is not y.stage_unitaries
+            for var in VARS:
+                # measurements depend on flip_ok_sign alone
+                assert (x.measurement(var) is y.measurement(var)) == (x.flip_ok_sign == y.flip_ok_sign)
+
+    def test_a_corrupt_preparation_never_receives_the_clean_stages(self, engine):
+        """In either order of construction, the corrupt protocol rotates the spin its own way."""
+        corrupt_first = engine(corrupt_preparation=True)
+        clean = engine()
+        corrupt_last = engine(corrupt_preparation=True)
+        for corrupt in (corrupt_first, corrupt_last):
+            assert corrupt.stage_unitaries is not clean.stage_unitaries
+            assert corrupt.stage_unitary(StageId.PREP1) is not clean.stage_unitary(StageId.PREP1)
+            got, want = corrupt.pilot_state_after(StageId.PREP1), clean.pilot_state_after(StageId.PREP1)
+            assert got.components() != want.components()
+
+    def test_shared_mappings_are_read_only(self, engine):
+        protocol = engine()
+        spec = protocol.measurement("w1")
+        with pytest.raises(TypeError):
+            protocol.stage_unitaries[StageId.OBS0] = protocol.stage_unitaries[StageId.MEAS4]
+        with pytest.raises(TypeError):
+            protocol.measurements["r"] = spec
+        with pytest.raises(TypeError):
+            spec.vectors["ok"] = spec.vectors["fail"]
+        with pytest.raises(TypeError):
+            spec.factor_matrices["ok"] = spec.factor_matrices["fail"]
+
+
+def test_shared_arrays_and_stage_maps_are_read_only():
+    protocol = Protocol()
+    with pytest.raises(ValueError):
+        protocol.stage_unitary(StageId.OBS0).matrix[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        protocol.measurement("w1").vectors["ok"][0] = 2.0
+    exact = ExactProtocol().measurement("w1")
+    with pytest.raises(TypeError):
+        exact.vectors["ok"][("head", "head")] = (1, 0)
+    with pytest.raises(TypeError):
+        exact.factor_matrices["ok"][0] = ()
+    maps = stage_maps()
+    with pytest.raises(TypeError):
+        maps[StageId.OBS0] = maps[StageId.MEAS4]
+    with pytest.raises(TypeError):
+        maps[StageId.OBS0].columns[0] = ()
