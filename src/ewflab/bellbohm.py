@@ -17,6 +17,7 @@ trajectory probability is an exact number.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -69,6 +70,24 @@ def config_weights(state: StateVector) -> dict[MemoryConfig, float]:
     return dict(zip(_CONFIGS, state.marginal(CONFIG_AXES).values()))  # CONFIG_AXES are ascending
 
 
+@cache
+def _children(m: MemoryConfig, rewritten_axes: tuple[int, ...]) -> tuple[MemoryConfig, ...] | None:
+    """The configs m can move to at a stage rewriting `rewritten_axes`, or None if it rewrites none.
+
+    They do not depend on the coin, so each (config, stage) is worked out once per process.
+    """
+    free = [i for i, axis in enumerate(CONFIG_AXES) if axis in rewritten_axes]
+    if not free:
+        return None
+    children = []
+    for combo in product(*(GLOBAL_SPACE.factors[CONFIG_AXES[i]].labels for i in free)):
+        labels = list(m)
+        for pos, label in zip(free, combo):
+            labels[pos] = label
+        children.append(MemoryConfig(*labels))
+    return tuple(children)
+
+
 def _kernel_row(
     m: MemoryConfig,
     weights_before: dict[MemoryConfig, float],
@@ -77,16 +96,9 @@ def _kernel_row(
 ) -> dict[MemoryConfig, float]:
     if weights_before.get(m, 0.0) < ZERO_WEIGHT_FLOOR:
         raise UnreachableConfigError(f"config {m.render()} has zero weight before this stage")
-    free = [i for i, axis in enumerate(CONFIG_AXES) if axis in rewritten_axes]
-    if not free:
+    children = _children(m, rewritten_axes)
+    if children is None:
         return {m: 1.0}
-    labelsets = [GLOBAL_SPACE.factors[CONFIG_AXES[i]].labels for i in free]
-    children = []
-    for combo in product(*labelsets):
-        labels = list(m)
-        for pos, label in zip(free, combo):
-            labels[pos] = label
-        children.append(MemoryConfig(*labels))
     denom = sum(weights_after[c] for c in children)
     if denom < ZERO_WEIGHT_FLOOR:
         raise UnreachableConfigError(

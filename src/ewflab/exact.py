@@ -638,16 +638,19 @@ class Engine:
         return self.stage_unitaries[stage]
 
     def pilot_state_after(self, stage: StageId):
-        """Global unitary evolution of the initial state up to and including stage."""
-        if stage not in self._pilot_cache:
-            state = self.initial_state()
-            for s in DYNAMIC_STAGES:
-                if s.value > stage.value:
-                    break
-                state = self.stage_unitaries[s].apply(state)
-                self._pilot_cache[s] = state
-            self._pilot_cache[StageId.PREP_MINUS1] = self.initial_state()
-        return self._pilot_cache[stage]
+        """Global unitary evolution of the initial state up to and including stage.
+
+        The cache holds the states after a prefix of STAGES, the initial state
+        first, each built once; a later stage continues from the last one.
+        """
+        cache = self._pilot_cache
+        if stage not in cache:
+            if not cache:
+                cache[StageId.PREP_MINUS1] = self.initial_state()
+            state = cache[STAGES[len(cache) - 1]]
+            for s in STAGES[len(cache) : STAGES.index(stage) + 1]:
+                state = cache[s] = self.stage_unitaries[s].apply(state)
+        return cache[stage]
 
     def record_weights(self, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
         """Joint Born weights of memory labels for the given outcome variables.
@@ -655,13 +658,21 @@ class Engine:
         Label tuples run over the declared outcome labels only; the ready
         label 0 is excluded (callers read records after they are written).
         """
-        axes = [RECORDERS[v][0].memory_axis for v in vars]
-        marg = state.marginal(tuple(sorted(axes)))
-        order = sorted(range(len(axes)), key=axes.__getitem__)  # marg's axes, as positions in vars
-        return {
-            labels: marg[tuple(GLOBAL_SPACE.factors[axes[k]].index(labels[k]) for k in order)]
-            for labels in itertools.product(*(OUTCOME_LABELS[v] for v in vars))
-        }
+        axes, keys = _record_index(vars)
+        marg = state.marginal(axes)
+        return {labels: marg[index] for labels, index in keys}
+
+
+@cache
+def _record_index(vars: tuple[str, ...]) -> tuple[tuple[int, ...], tuple]:
+    """The memory axes of `vars`, ascending, and (labels, key in their marginal) per label tuple."""
+    axes = [RECORDERS[v][0].memory_axis for v in vars]
+    order = sorted(range(len(axes)), key=axes.__getitem__)  # the marginal's axes, as positions in vars
+    keys = tuple(
+        (labels, tuple(GLOBAL_SPACE.factors[axes[k]].index(labels[k]) for k in order))
+        for labels in itertools.product(*(OUTCOME_LABELS[v] for v in vars))
+    )
+    return tuple(sorted(axes)), keys
 
 
 # -- the sparse exact engine --------------------------------------------------------

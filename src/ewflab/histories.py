@@ -186,22 +186,28 @@ def _fine_chains(
         if stage not in slots:
             slots[stage] = _record_refinement_events(protocol, stage)
     chains: list[tuple[tuple[str, ...], StateVector]] = []
-    _walk(protocol, slots, 0, (), protocol.initial_state(), chains)
+    _walk(protocol, slots, 0, (), None, chains)
     return chains
 
 
-def _walk(protocol: Engine, slots: dict, i: int, key: tuple[str, ...], state: StateVector, chains: list) -> None:
+def _walk(
+    protocol: Engine, slots: dict, i: int, key: tuple[str, ...], state: StateVector | None, chains: list
+) -> None:
     """Append the leaves below stage index i to `chains`; no closure, so no reference cycle.
 
-    Once a mask leaves a zero state (stage maps are unitary, so only a mask
-    can), every leaf below it is that zero state, still under its own key:
-    shared-outcome detection reads the keys of vanished chains.
+    Until its first mask (an empty key) a chain is the pilot state, bit for
+    bit, so it is read from the engine's pilot cache.  Once a mask leaves a
+    zero state (stage maps are unitary, so only a mask can), every leaf below
+    it is that zero state, still under its own key: shared-outcome detection
+    reads the keys of vanished chains.
     """
     if i == len(STAGES):
         chains.append((key, state))
         return
     stage = STAGES[i]
-    if stage is not StageId.PREP_MINUS1:
+    if not key:
+        state = protocol.pilot_state_after(stage)
+    else:
         state = protocol.stage_unitary(stage).linear(state)
     if stage not in slots:
         _walk(protocol, slots, i + 1, key, state, chains)

@@ -166,6 +166,14 @@ class Projector(Frozen):
         return len(self.vectors)
 
 
+@cache
+def _axes_plan(dims: tuple[int, ...], axes: tuple[int, ...]):
+    """The transpose bringing `axes` to the front, its inverse, and the shapes around the product."""
+    perm = axes + tuple(i for i in range(len(dims)) if i not in axes)
+    inverse = tuple(perm.index(i) for i in range(len(dims)))
+    return perm, inverse, math.prod(dims[a] for a in axes), tuple(dims[i] for i in perm)
+
+
 def apply_on_axes(
     amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], mat: np.ndarray
 ) -> np.ndarray:
@@ -173,14 +181,13 @@ def apply_on_axes(
 
     `mat` is a square matrix over the product of the target dims, with its
     row/column index in the same mixed-radix convention (axes in the given
-    order, which must be ascending to match the global layout).
+    order, which must be ascending to match the global layout).  This is the
+    one `dot` that `np.tensordot` would make, on the same operands, with the
+    axis bookkeeping planned once per (dims, axes).
     """
-    k = len(axes)
-    target_dims = [dims[a] for a in axes]
-    t = amps.reshape(dims)
-    mat_t = mat.reshape(target_dims + target_dims)
-    t = np.tensordot(mat_t, t, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(t, list(range(k)), list(axes)).reshape(-1)
+    perm, inverse, size, permuted = _axes_plan(dims, axes)
+    out = np.dot(mat, amps.reshape(dims).transpose(perm).reshape(size, -1))
+    return out.reshape(permuted).transpose(inverse).reshape(-1)
 
 
 def lifted_projector(

@@ -18,16 +18,23 @@ Before the consistency report read its diagnostics off the decoherence
 functional, it evolved each member's chain a second time, by a stage loop
 of its own, and compared the refined chains pair by pair.  That loop and
 that report are the last section, also unchanged.
+
+Before `apply_on_axes` planned its transposes once per (dims, axes), it
+called `np.tensordot` and `np.moveaxis`; before the beable kernel cached
+each config's children, it rebuilt them for every row.  Both bodies are
+here, unchanged, as the oracles the planned product and the cached children
+must equal bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from ewflab.bellbohm import CONFIG_AXES, MemoryConfig
+from ewflab.bellbohm import CONFIG_AXES, MemoryConfig, UnreachableConfigError
 from ewflab.histories import (
     ConsistencyReport,
     History,
@@ -38,11 +45,11 @@ from ewflab.histories import (
 from ewflab.linalg import (
     ATOL,
     CONSISTENCY_ATOL,
+    ZERO_WEIGHT_FLOOR,
     Projector,
     SpaceDescriptor,
     SpaceMismatchError,
     StateVector,
-    apply_on_axes,
     inner,
     lifted_projector,
 )
@@ -120,6 +127,23 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 def outcome_state(spec: MeasurementSpec, label: str) -> StateVector:
     """One outcome vector of spec as a StateVector on its target factors."""
     return StateVector(GLOBAL_SPACE.subspace(spec.targets), spec.vectors[label])
+
+
+def apply_on_axes(
+    amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], mat: np.ndarray
+) -> np.ndarray:
+    """Apply an operator on the given tensor factors of a flat amplitude array.
+
+    `mat` is a square matrix over the product of the target dims, with its
+    row/column index in the same mixed-radix convention (axes in the given
+    order, which must be ascending to match the global layout).
+    """
+    k = len(axes)
+    target_dims = [dims[a] for a in axes]
+    t = amps.reshape(dims)
+    mat_t = mat.reshape(target_dims + target_dims)
+    t = np.tensordot(mat_t, t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(t, list(range(k)), list(axes)).reshape(-1)
 
 
 # -- spanning-set projectors ----------------------------------------------------
@@ -322,6 +346,33 @@ def pilot_state_with_order(self: Protocol, order: tuple[StageId, ...]) -> StateV
     for s in order:
         state = self.stage_unitaries[s].linear(state)
     return state
+
+
+def kernel_row(
+    m: MemoryConfig,
+    weights_before: dict[MemoryConfig, float],
+    weights_after: dict[MemoryConfig, float],
+    rewritten_axes: tuple[int, ...],
+) -> dict[MemoryConfig, float]:
+    """One row of a stage's beable kernel, its children built anew (the former `bellbohm._kernel_row`)."""
+    if weights_before.get(m, 0.0) < ZERO_WEIGHT_FLOOR:
+        raise UnreachableConfigError(f"config {m.render()} has zero weight before this stage")
+    free = [i for i, axis in enumerate(CONFIG_AXES) if axis in rewritten_axes]
+    if not free:
+        return {m: 1.0}
+    labelsets = [GLOBAL_SPACE.factors[CONFIG_AXES[i]].labels for i in free]
+    children = []
+    for combo in product(*labelsets):
+        labels = list(m)
+        for pos, label in zip(free, combo):
+            labels[pos] = label
+        children.append(MemoryConfig(*labels))
+    denom = sum(weights_after[c] for c in children)
+    if denom < ZERO_WEIGHT_FLOOR:
+        raise UnreachableConfigError(
+            f"config {m.render()}: untouched registers have zero weight after the stage"
+        )
+    return {c: weights_after[c] / denom for c in children if weights_after[c] > 0.0}
 
 
 # -- direct history chains and the pairwise consistency report -------------------

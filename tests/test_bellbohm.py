@@ -1,20 +1,25 @@
 """Exact beable chain: projectors, kernel rows, trajectory enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 
+import reference
 from ewflab import born
 from ewflab.bellbohm import (
     REFERENCE_TRAJECTORY,
     MemoryConfig,
     UnreachableConfigError,
+    _kernel_row,
     all_configs,
     config_weights,
     exact_chain,
     transition_kernel,
 )
-from ewflab.linalg import StateVector
-from ewflab.protocol import GLOBAL_SPACE, STAGES, StageId
+from ewflab.exact import ExactProtocol
+from ewflab.linalg import ZERO_WEIGHT_FLOOR, StateVector
+from ewflab.protocol import DYNAMIC_STAGES, GLOBAL_SPACE, STAGES, Protocol, StageId
 from reference import config_projector, project, weight
 
 
@@ -95,6 +100,27 @@ class TestKernel:
     def test_unreachable_parent_raises(self, protocol):
         with pytest.raises(UnreachableConfigError):
             transition_kernel(protocol, MemoryConfig("head", "+", "0", "0"), StageId.MEAS3)
+
+
+KERNEL_COINS = [None] + [(math.cos(t), math.sin(t)) for t in np.random.default_rng(1984).uniform(0, 2 * math.pi, 10)]
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+@pytest.mark.parametrize("coin", KERNEL_COINS, ids=["default"] + [f"seeded{i}" for i in range(10)])
+def test_kernel_rows_equal_rows_with_rebuilt_children(engine, coin):
+    """Every reachable (config, stage): the cached children give the same row, entry order included."""
+    protocol = engine(coin)
+    weights = [config_weights(protocol.pilot_state_after(s)) for s in STAGES]
+    rows = 0
+    for i, stage in enumerate(DYNAMIC_STAGES, start=1):
+        rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
+        for m, w in weights[i - 1].items():
+            if w < ZERO_WEIGHT_FLOOR:
+                continue
+            want = reference.kernel_row(m, weights[i - 1], weights[i], rewritten)
+            assert list(_kernel_row(m, weights[i - 1], weights[i], rewritten).items()) == list(want.items())
+            rows += 1
+    assert rows >= 5
 
 
 class TestExactChain:

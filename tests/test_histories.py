@@ -2,12 +2,13 @@
 
 import gc
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from ewflab import born
-from ewflab.exact import ExactProtocol
+from ewflab import bellbohm, born
+from ewflab.exact import ExactProtocol, ExactStage
 from ewflab.histories import (
     EpochMismatchError,
     History,
@@ -22,7 +23,16 @@ from ewflab.histories import (
     outcome_event,
 )
 from ewflab.linalg import StateVector
-from ewflab.protocol import GLOBAL_SPACE, OUTCOME_LABELS, RECORDERS, STAGES, Protocol, StageId, record_mask
+from ewflab.protocol import (
+    GLOBAL_SPACE,
+    OUTCOME_LABELS,
+    RECORDERS,
+    STAGES,
+    Protocol,
+    StageId,
+    StageUnitary,
+    record_mask,
+)
 import reference
 from reference import project
 
@@ -227,6 +237,32 @@ def test_fine_chains_match_leafwise_oracle(family_name, engine, coin, hooks):
                 assert np.array_equal(g.amps, w.amps)
             else:
                 assert (g.nums, g.den) == (w.nums, w.den)
+
+
+@pytest.mark.parametrize("engine, stage_class", [(Protocol, StageUnitary), (ExactProtocol, ExactStage)],
+                         ids=["dense", "exact"])
+def test_a_cold_sweep_item_makes_25_stage_map_calls(engine, stage_class, monkeypatch):
+    """The pilot state (5 maps), then the walks of h1 and h1prime (4 each) and of their report
+    (4 for h1, 8 for h1prime's refinement): every walk starts from the pilot state after OBS0."""
+    calls = []
+    linear = stage_class.linear
+
+    def counting(self, state):
+        calls.append(self.stage)
+        return linear(self, state)
+
+    monkeypatch.setattr(stage_class, "linear", counting)
+    protocol = engine((math.cos(1.0), math.sin(1.0)))
+    protocol.pilot_state_after(StageId.MEAS4)
+    born.joint_distribution(protocol, born.CollapsePolicy.SEQUENTIAL_PROJECTION)
+    born.joint_distribution(protocol, born.CollapsePolicy.NO_COLLAPSE_MARGINAL)
+    bellbohm.exact_chain(protocol)
+    h1, h1prime = okok_fine_history(protocol), okok_coarse_history(protocol)
+    history_probability(protocol, h1)
+    history_probability(protocol, h1prime)
+    chain_consistency_report(protocol, [h1, h1prime])
+    born.final_record_marginal(protocol)
+    assert len(calls) == 25
 
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])

@@ -147,6 +147,22 @@ def test_stage_matrices_and_pilot_states_equal_the_spanning_set_build_byte_for_b
         assert protocol.pilot_state_after(stage).amps.tobytes() == state.amps.tobytes()
 
 
+@pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
+def test_planned_apply_equals_the_tensordot_path_bit_for_bit(flags):
+    """Every stage matrix (`linear`) and factor matrix (`projected`) on 20 seeded complex states."""
+    protocol = Protocol(**flags)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        state = StateVector(GLOBAL_SPACE, rng.normal(size=GLOBAL_SPACE.size) + 1j * rng.normal(size=GLOBAL_SPACE.size))
+        for unitary in protocol.stage_unitaries.values():
+            want = reference.apply_on_axes(state.amps, GLOBAL_SPACE.dims, unitary.axes, unitary.matrix)
+            assert np.array_equal(unitary.linear(state).amps, want), unitary.stage
+        for spec in protocol.measurements.values():
+            for label, mat in spec.factor_matrices.items():
+                want = reference.apply_on_axes(state.amps, GLOBAL_SPACE.dims, spec.target_axes, mat)
+                assert np.array_equal(state.projected(spec, label).amps, want), (spec.name, label)
+
+
 REWRITTEN = {
     StageId.OBS0: ("F1",),
     StageId.PREP1: (),
