@@ -26,7 +26,9 @@ import enum
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import DYNAMIC_STAGES, OUTCOME_LABELS, RECORDERS, REST, StageId, exact_label
+from .exact import (
+    DYNAMIC_STAGES, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, REST, StageId, exact_label, probability_cell,
+)
 from .linalg import CERTAINTY_ATOL, NORM_ATOL, SUM_ATOL, ZERO_WEIGHT_FLOOR, Frozen, setfield
 
 if TYPE_CHECKING:
@@ -115,14 +117,7 @@ class Distribution(Frozen):
     def to_json_obj(self) -> dict:
         return {
             "variables": list(self.variables),
-            "outcomes": [
-                {
-                    "labels": list(labels),
-                    "probability": float(p),
-                    "exact": exact_label(p),
-                }
-                for labels, p in self.outcomes
-            ],
+            "outcomes": [{"labels": list(labels), **probability_cell(p)} for labels, p in self.outcomes],
         }
 
 
@@ -201,12 +196,11 @@ def _all_cells() -> list[tuple[str, ...]]:
 
 def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     """Stage walk with projection, renormalization, and record expiry."""
-    measured_at = {stage: var for var, (_, stage) in RECORDERS.items()}
     # branch: (outcome labels so far, active conditions, probability)
     branches: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], float]] = [((), (), 1.0)]
     for stage in DYNAMIC_STAGES:
         rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
-        var = measured_at.get(stage)
+        var = RECORDED_VAR.get(stage)
         state = protocol.pilot_state_after(stage)
         weights_given: dict[tuple[str, ...], dict] = {}  # record weights by conditioning variables
         next_branches = []

@@ -21,8 +21,9 @@ import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from .born import Distribution
     from .exact import ExactProtocol
-    from .histories import History
+    from .histories import ConsistencyReport, History
 
 #: `sorted(epistemics.PROFILES)` and the `born.CollapsePolicy` values,
 #: spelled out so that building the parser imports neither (a test keeps
@@ -56,14 +57,31 @@ def _with_exact(p) -> str:
 def _protocol_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExactProtocol:
     from .exact import ExactProtocol
 
-    coin = getattr(args, "coin", None)
-    flip = bool(getattr(args, "flip_ok_sign", False))
-    corrupt = bool(getattr(args, "corrupt_preparation", False))
     try:
-        return ExactProtocol(coin, flip_ok_sign=flip, corrupt_preparation=corrupt)
+        return ExactProtocol(args.coin, flip_ok_sign=args.flip_ok_sign, corrupt_preparation=args.corrupt_preparation)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
         raise AssertionError("unreachable")
+
+
+def _refusing(handler):
+    """A handler whose derivation may refuse: one stderr line and exit 1, no traceback."""
+
+    def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+        from .epistemics import QuantumFactError
+
+        try:
+            return handler(args, parser)
+        except QuantumFactError as exc:
+            print(f"refusing to derive: {exc}", file=sys.stderr)
+            return 1
+
+    return run
+
+
+def _joint_text(joint: Distribution) -> str:
+    """A joint distribution and its (w1, w2) marginal, as `simulate` and `report` print them."""
+    return f"{joint.render_text()}\n\n(w1, w2) marginal\n{joint.marginal(('w1', 'w2')).render_text()}"
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -73,22 +91,18 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     protocol = _protocol_from_args(args, parser)
     policy = born.CollapsePolicy(args.policy)
     joint = born.joint_distribution(protocol, policy)
-    marginal = joint.marginal(("w1", "w2"))
     if args.format == "json":
         coin = [float(a) for a in args.coin] if args.coin else list(DEFAULT_COIN_FLOATS)
         payload = {
             "coin_amplitudes": coin,
             "policy": policy.value,
             "joint": joint.to_json_obj(),
-            "record_marginal": marginal.to_json_obj(),
+            "record_marginal": joint.marginal(("w1", "w2")).to_json_obj(),
         }
         print(json.dumps(payload, indent=2))
         return 0
     print(f"joint outcome distribution (policy: {policy.value})")
-    print(joint.render_text())
-    print()
-    print("(w1, w2) marginal")
-    print(marginal.render_text())
+    print(_joint_text(joint))
     return 0
 
 
@@ -157,14 +171,18 @@ def _parse_history_spec(protocol: ExactProtocol, text: str) -> History:
     return histories.History(name, tuple(events))
 
 
-def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from . import histories
-    from .exact import exact_label
+def _history_family(
+    protocol: ExactProtocol, defines: list[str], parser: argparse.ArgumentParser
+) -> tuple[list[tuple[History, object]], ConsistencyReport]:
+    """Each member's P[h] and the family's consistency report; h1 and h1prime without `--define`.
 
-    protocol = _protocol_from_args(args, parser)
-    if args.define:
+    The report comes first, so a family it rejects exits 2 before any P[h] is computed.
+    """
+    from . import histories
+
+    if defines:
         try:
-            family = [_parse_history_spec(protocol, d) for d in args.define]
+            family = [_parse_history_spec(protocol, d) for d in defines]
         except ValueError as exc:
             parser.error(str(exc))
         names = [h.name for h in family]
@@ -173,21 +191,26 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             parser.error(f"family members need distinct names (repeated: {', '.join(dups)})")
     else:
         family = [histories.okok_fine_history(protocol), histories.okok_coarse_history(protocol)]
-    rows = [(h, histories.history_probability(protocol, h)) for h in family]
     try:
         report = histories.chain_consistency_report(protocol, family)
     except histories.EpochMismatchError as exc:
         parser.error(str(exc))
+    return [(h, histories.history_probability(protocol, h)) for h in family], report
+
+
+def _histories_text(rows: list[tuple[History, object]], report: ConsistencyReport) -> str:
+    """The family's probabilities and consistency report, as `histories` and `report` print them."""
+    return "\n".join([f"P[{h.describe()}] = {_with_exact(p)}" for h, p in rows] + ["", report.render_text()])
+
+
+def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .exact import probability_cell
+
+    rows, report = _history_family(_protocol_from_args(args, parser), args.define, parser)
     if args.format == "json":
         payload = {
             "histories": [
-                {
-                    "name": h.name,
-                    "events": [e.label for e in h.events],
-                    "probability": float(p),
-                    "exact": exact_label(p),
-                }
-                for h, p in rows
+                {"name": h.name, "events": [e.label for e in h.events], **probability_cell(p)} for h, p in rows
             ],
             "consistency": {
                 "union_stages": [s.name for s in report.union_stages],
@@ -208,28 +231,20 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         }
         print(json.dumps(payload, indent=2))
         return 0
-    for h, p in rows:
-        print(f"P[{h.describe()}] = {_with_exact(p)}")
-    print()
-    print(report.render_text())
+    print(_histories_text(rows, report))
     return 0
 
 
 def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import bellbohm
-    from .exact import exact_label
+    from .exact import probability_cell
 
     protocol = _protocol_from_args(args, parser)
     table = bellbohm.exact_chain(protocol)
     ref_prob = table.probability_of(bellbohm.REFERENCE_TRAJECTORY)
     ref_line = " -> ".join(c.render() for c in bellbohm.REFERENCE_TRAJECTORY) + f"   p = {_with_exact(ref_prob)}"
-    reference = {
-        "reference_trajectory": {
-            "configs": [list(c) for c in bellbohm.REFERENCE_TRAJECTORY],
-            "probability": float(ref_prob),
-            "exact": exact_label(ref_prob),
-        }
-    }
+    configs = [list(c) for c in bellbohm.REFERENCE_TRAJECTORY]
+    reference = {"reference_trajectory": {"configs": configs, **probability_cell(ref_prob)}}
     if args.reference:
         if args.format == "json":
             print(json.dumps(reference, indent=2))
@@ -240,11 +255,7 @@ def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.format == "json":
         payload = {
             "trajectories": [
-                {
-                    "configs": [list(c) for c in t.key_sequence()],
-                    "probability": float(t.probability),
-                    "exact": exact_label(t.probability),
-                }
+                {"configs": [list(c) for c in t.key_sequence()], **probability_cell(t.probability)}
                 for t in table.sorted_entries()
             ],
             "total_probability": float(table.total_probability),
@@ -269,6 +280,7 @@ def _cmd_bellbohm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
+@_refusing
 def _cmd_argue(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import epistemics
 
@@ -290,11 +302,7 @@ def _cmd_argue(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             print(f"error: unknown interpretation {args.interpretation!r} (known: {known})", file=sys.stderr)
             return 2
         profile = epistemics.PROFILES[name]
-    try:
-        verdict = epistemics.check(profile, protocol)
-    except epistemics.QuantumFactError as exc:
-        print(f"refusing to derive: {exc}", file=sys.stderr)
-        return 1
+    verdict = epistemics.check(profile, protocol)
     if args.format == "json":
         payload = {
             "profile": profile.name,
@@ -315,25 +323,21 @@ def _cmd_argue(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
+@_refusing
 def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import epistemics
 
-    protocol = _protocol_from_args(args, parser)
-    try:
-        report = epistemics.escape_rule_audit(protocol)
-    except epistemics.QuantumFactError as exc:
-        print(f"refusing to derive: {exc}", file=sys.stderr)
-        return 1
+    report = epistemics.escape_rule_audit(_protocol_from_args(args, parser))
     if args.format == "json":
         payload = {
             "rows": [
                 {
                     "profile": r.profile,
                     "escapes_by_rule": r.escapes_by_rule,
-                    "verdict": "blocked" if r.verdict_blocked else "contradiction",
-                    "blocked_step": r.blocked_step,
+                    "verdict": "contradiction" if r.verdict.contradiction else "blocked",
+                    "blocked_step": r.verdict.blocked_step,
                     "rule_matches_verdict": r.rule_matches_verdict,
-                    "claims_escape": r.claims_escape,
+                    "claims_escape": r.verdict.profile.claims_escape,
                     "discrepancy": r.discrepancy,
                 }
                 for r in report.rows
@@ -346,8 +350,9 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
+@_refusing
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from . import bellbohm, born, epistemics, facts, histories
+    from . import bellbohm, born, epistemics, facts
 
     protocol = _protocol_from_args(args, parser)
     print("=" * 70)
@@ -364,21 +369,12 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     print("=" * 70)
     print("joint outcome distribution (both policies agree)")
     print("=" * 70)
-    joint = born.joint_distribution(protocol)
-    print(joint.render_text())
-    print()
-    print("(w1, w2) marginal")
-    print(joint.marginal(("w1", "w2")).render_text())
+    print(_joint_text(born.joint_distribution(protocol)))
     print()
     print("=" * 70)
     print("history probabilities")
     print("=" * 70)
-    h1 = histories.okok_fine_history(protocol)
-    h1p = histories.okok_coarse_history(protocol)
-    for h in (h1, h1p):
-        print(f"P[{h.describe()}] = {_with_exact(histories.history_probability(protocol, h))}")
-    print()
-    print(histories.chain_consistency_report(protocol, [h1, h1p]).render_text())
+    print(_histories_text(*_history_family(protocol, [], parser)))
     print()
     print("=" * 70)
     print("beable chain summary")
@@ -392,19 +388,9 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     print("=" * 70)
     print("derivation verdicts")
     print("=" * 70)
-    try:
-        verdicts = [epistemics.check(epistemics.PROFILES[name], protocol)
-                    for name in list(epistemics.TABLE_PROFILES) + ["all"]]
-        audit = epistemics.escape_rule_audit(protocol)
-    except epistemics.QuantumFactError as exc:
-        print(f"refusing to derive: {exc}", file=sys.stderr)
-        return 1
-    for verdict in verdicts:
-        if verdict.contradiction:
-            print(f"{verdict.profile.display_name:<22} ContradictionDerived")
-        else:
-            missing = ", ".join(sorted(a.value for a in verdict.missing))
-            print(f"{verdict.profile.display_name:<22} BlockedAt {verdict.blocked_step} (missing {missing})")
+    audit = epistemics.escape_rule_audit(protocol)
+    for verdict in [r.verdict for r in audit.rows] + [epistemics.check(epistemics.PROFILES["all"], protocol)]:
+        print(f"{verdict.profile.display_name:<22} {verdict.summary()}")
     print()
     print(audit.render())
     return 0 if all(r.passed for r in results) else 1

@@ -54,18 +54,6 @@ PROFILE_ASSUMPTIONS: tuple[AssumptionId, ...] = (
     AssumptionId.M,
 )
 
-ASSUMPTION_MEANINGS: dict[AssumptionId, str] = {
-    AssumptionId.Q: "certainty about an eigenstate transfers to certainty about the measured result",
-    AssumptionId.C: "certainty about another agent's certainty is certainty",
-    AssumptionId.S: "certainty of a result excludes certainty of its negation",
-    AssumptionId.SBAR: "certainty that 'not x' is false yields certainty of x (converse of S)",
-    AssumptionId.T: "being certain a result was not r1 means being certain it was one of the others",
-    AssumptionId.P: "an agent who prepares a state is certain the system is in that state",
-    AssumptionId.U: "certainty about the external state plus known dynamics yields certainty about its future",
-    AssumptionId.L: "a system nothing acts on keeps its state",
-    AssumptionId.M: "established memories persist unless the agent is operated on",
-}
-
 
 # -- propositions -------------------------------------------------------------
 
@@ -306,15 +294,7 @@ PROFILES: dict[str, InterpretationProfile] = {
 }
 
 #: The seven catalogued interpretations, in table row order.
-TABLE_PROFILES: tuple[str, ...] = (
-    "copenhagen",
-    "collapse",
-    "bell-bohm",
-    "relative-state",
-    "many-worlds",
-    "consistent-histories",
-    "qbism",
-)
+TABLE_PROFILES: tuple[str, ...] = tuple(name for name in PROFILES if name != "all")
 
 
 # -- running the argument -----------------------------------------------------
@@ -358,14 +338,16 @@ class Verdict(NamedTuple):
     blocked_step: str | None
     missing: frozenset[AssumptionId]
 
+    def summary(self) -> str:
+        if self.contradiction:
+            return "ContradictionDerived"
+        return f"BlockedAt {self.blocked_step} (missing {', '.join(sorted(a.value for a in self.missing))})"
+
     def render(self) -> str:
         lines = [f"profile: {self.profile.display_name}"]
         lines += ["  " + t.render() for t in self.trace]
-        if self.contradiction:
-            lines.append("verdict: ContradictionDerived (all twelve steps fired)")
-        else:
-            missing = ", ".join(sorted(a.value for a in self.missing))
-            lines.append(f"verdict: BlockedAt {self.blocked_step} (missing {missing})")
+        fired = " (all twelve steps fired)" if self.contradiction else ""
+        lines.append(f"verdict: {self.summary()}{fired}")
         return "\n".join(lines)
 
 
@@ -448,22 +430,24 @@ def escape_rule(profile: InterpretationProfile) -> bool:
 
 
 class AuditRow(NamedTuple):
-    profile: str
-    display_name: str
+    verdict: Verdict
     escapes_by_rule: bool
-    verdict_blocked: bool
-    blocked_step: str | None
     rule_matches_verdict: bool
-    claims_escape: bool
+    #: the catalogue claims an escape the row's own flags cannot deliver
     discrepancy: bool
+
+    @property
+    def profile(self) -> str:
+        return self.verdict.profile.name
 
     def render(self) -> str:
         rule = "escapes" if self.escapes_by_rule else "no escape"
-        verdict = f"BlockedAt {self.blocked_step}" if self.verdict_blocked else "ContradictionDerived"
+        v = self.verdict
+        verdict = "ContradictionDerived" if v.contradiction else f"BlockedAt {v.blocked_step}"
         flag = ""
         if self.discrepancy:
             flag = "  <-- DISCREPANCY: catalogued as escaping, but its flags do not satisfy the escape rule"
-        return f"{self.display_name:<22} rule: {rule:<10} check(): {verdict:<24} consistent: {'yes' if self.rule_matches_verdict else 'NO'}{flag}"
+        return f"{v.profile.display_name:<22} rule: {rule:<10} check(): {verdict:<24} consistent: {'yes' if self.rule_matches_verdict else 'NO'}{flag}"
 
 
 class AuditReport(NamedTuple):
@@ -474,7 +458,9 @@ class AuditReport(NamedTuple):
         return tuple(r for r in self.rows if r.discrepancy)
 
     def render(self) -> str:
-        lines = ["escape-rule audit (violate one of Q, C, S, P, U, T, or both L and M)"]
+        singles = ", ".join(a.value for a in ESCAPE_SINGLES)
+        pair = " and ".join(a.value for a in ESCAPE_PAIR)
+        lines = [f"escape-rule audit (violate one of {singles}, or both {pair})"]
         lines += ["  " + r.render() for r in self.rows]
         lines.append(f"discrepancies: {len(self.discrepancies)}")
         return "\n".join(lines)
@@ -493,19 +479,7 @@ def escape_rule_audit(protocol: Engine | None = None) -> AuditReport:
         profile = PROFILES[name]
         escapes = escape_rule(profile)
         verdict = check(profile, protocol)
-        blocked = not verdict.contradiction
-        rows.append(
-            AuditRow(
-                profile.name,
-                profile.display_name,
-                escapes,
-                blocked,
-                verdict.blocked_step,
-                escapes == blocked,
-                profile.claims_escape,
-                profile.claims_escape != escapes,
-            )
-        )
+        rows.append(AuditRow(verdict, escapes, escapes != verdict.contradiction, profile.claims_escape != escapes))
     return AuditReport(tuple(rows))
 
 

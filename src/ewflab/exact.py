@@ -117,6 +117,9 @@ RECORDERS: dict[str, tuple[AgentId, StageId]] = {
     "w2": (AgentId.W2, StageId.MEAS4),
 }
 
+#: The outcome variable recorded at each recording stage.
+RECORDED_VAR: dict[StageId, str] = {stage: var for var, (_, stage) in RECORDERS.items()}
+
 #: Memory label written for each outcome of each variable.
 OUTCOME_LABELS: dict[str, tuple[str, ...]] = {
     "r": (HEAD, TAIL),
@@ -570,6 +573,11 @@ def exact_label(p) -> str | None:
     elif not isinstance(p, (int, Fraction)):
         return rational_label(p)
     return f"{p.numerator}/{p.denominator}" if p.denominator != 1 else str(p.numerator)
+
+
+def probability_cell(p) -> dict:
+    """A probability's JSON fields: its nearest float and its exact label."""
+    return {"probability": float(p), "exact": exact_label(p)}
 
 
 def _code_value(code: Code) -> Surd:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDERS, STAGES, StageId
+from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, StageId
 from .linalg import CONSISTENCY_ATOL, Frozen, setfield
 
 if TYPE_CHECKING:
@@ -63,10 +63,6 @@ class History(Frozen):
         if not self.events:
             return f"{self.name}: (no events)"
         return f"{self.name}: " + ", ".join(e.label for e in self.events)
-
-
-#: Stage at which each outcome variable's record decomposition lives.
-_STAGE_VAR = {stage: var for var, (_, stage) in RECORDERS.items()}
 
 
 def outcome_event(protocol: Engine, var: str, label: str, stage: StageId | None = None) -> HistoryEvent:
@@ -160,11 +156,11 @@ class ConsistencyReport(Frozen):
 
 def _record_refinement_events(protocol: Engine, stage: StageId) -> list[HistoryEvent]:
     """Complete record decomposition at a stage, including the ready label."""
-    if stage not in _STAGE_VAR:
+    if stage not in RECORDED_VAR:
         raise EpochMismatchError(
             f"stage {stage.name} records nothing; histories in a family must event at recording stages"
         )
-    var = _STAGE_VAR[stage]
+    var = RECORDED_VAR[stage]
     agent, _ = RECORDERS[var]
     labels = GLOBAL_SPACE.factors[agent.memory_axis].labels
     return [HistoryEvent(stage, protocol.record_mask(var, label), f"{var}={label}") for label in labels]

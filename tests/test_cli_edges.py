@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from ewflab import cli, exact
+from ewflab import cli, exact, histories
 from ewflab.protocol import OUTCOME_LABELS, RECORDERS, STAGES, record_mask
 
 # coin -> the branch it leaves empty
@@ -63,6 +63,24 @@ def test_event_at_non_recording_stage_is_a_usage_error(capsys):
     assert err.splitlines()[-1] == (
         "ewflab: error: stage PREP1 records nothing; histories in a family must event at recording stages"
     )
+
+
+def test_a_rejected_family_computes_no_history_probability(capsys, monkeypatch):
+    calls = []
+    original = histories.history_probability
+
+    def counted(protocol, h):
+        calls.append(h.name)
+        return original(protocol, h)
+
+    monkeypatch.setattr(histories, "history_probability", counted)
+    # the consistency report rejects the family before any member's P[h] is computed
+    code, out, err = run(capsys, ["histories", "--define", "p: r@PREP1=head", "--define", "o: z=+"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "ewflab: error: stage PREP1 records nothing; histories in a family must event at recording stages"
+    )
+    assert calls == []
 
 
 def test_event_before_its_record_is_answered(capsys):

@@ -1,4 +1,4 @@
-"""In-process CLI tests: golden output bytes and one-line usage errors.
+"""In-process CLI tests: golden output bytes, one-line usage errors, and how `report` is composed.
 
 These call `cli.main` directly and read its output through capsys, so they
 spawn no subprocess.  The `histories_*` golden files were written by the CLI
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from ewflab import cli
+from ewflab import cli, epistemics
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -86,3 +86,64 @@ def test_bellbohm_reference_json_is_the_full_payloads_reference_object(capsys):
     assert cli.main(["bellbohm", "--reference", "--format", "json"]) == 0
     full = json.loads((GOLDEN / "bellbohm_default.json").read_text(encoding="utf-8"))
     assert json.loads(capsys.readouterr().out) == {"reference_trajectory": full["reference_trajectory"]}
+
+
+def run(capsys, argv: list[str]) -> tuple[int, str, str]:
+    code = cli.main(argv)
+    return (code, *capsys.readouterr())
+
+
+def report_sections(out: str) -> dict[str, str]:
+    """Each banner title of `report`'s output -> the text below it, up to the next banner."""
+    parts = out.split("=" * 70 + "\n")
+    assert parts[0] == ""
+    return {title.rstrip("\n"): body for title, body in zip(parts[1::2], parts[2::2])}
+
+
+@pytest.mark.parametrize("coin", [[], ["--coin", "0.6,0.8"]], ids=["default", "0.6,0.8"])
+def test_report_sections_are_the_subcommands_outputs(capsys, coin):
+    """Byte for byte: the joint section is `simulate`'s, the history section `histories`', the audit `audit`'s."""
+    report_code, report_out, report_err = run(capsys, ["report"] + coin)
+    sections = report_sections(report_out)
+
+    code, simulate_out, _ = run(capsys, ["simulate"] + coin)
+    assert code == 0
+    header, _, simulate_body = simulate_out.partition("\n")
+    assert header == "joint outcome distribution (policy: collapse)"
+    assert sections["joint outcome distribution (both policies agree)"] == simulate_body + "\n"
+
+    code, histories_out, _ = run(capsys, ["histories"] + coin)
+    assert code == 0
+    assert sections["history probabilities"] == histories_out + "\n"
+
+    audit_code, audit_out, audit_err = run(capsys, ["audit"] + coin)
+    verdicts = sections["derivation verdicts"]
+    if audit_code == 1:  # the derivation refuses at this coin, and so does report, at the same point
+        assert (report_code, report_err, verdicts) == (1, audit_err, "")
+        assert audit_err.startswith("refusing to derive: ")
+        return
+    assert (report_code, report_err, audit_code) == (0, "", 0)
+    lines, _, audit_section = verdicts.partition("\n\n")
+    assert audit_section == audit_out
+    # one summary line per catalogued profile, then "all", each the verdict `argue` prints
+    names = list(epistemics.TABLE_PROFILES) + ["all"]
+    assert len(lines.splitlines()) == len(names)
+    for name, line in zip(names, lines.splitlines()):
+        profile = epistemics.PROFILES[name]
+        _, argue_out, _ = run(capsys, ["argue", "--interpretation", name] + coin)
+        verdict = argue_out.splitlines()[-1].removeprefix("verdict: ").removesuffix(" (all twelve steps fired)")
+        assert line == f"{profile.display_name:<22} {verdict}"
+
+
+def test_report_runs_check_once_per_audit_row_plus_all(capsys, monkeypatch):
+    """The audit's rows carry their verdicts: report runs check() 7 + 1 times."""
+    calls = []
+    original = epistemics.check
+
+    def counted(profile, protocol=None):
+        calls.append(profile.name)
+        return original(profile, protocol)
+
+    monkeypatch.setattr(epistemics, "check", counted)
+    assert run(capsys, ["report"])[0] == 0
+    assert calls == list(epistemics.TABLE_PROFILES) + ["all"]

@@ -1,15 +1,19 @@
 """The derivation engine: step table, verdicts, audit, tables, profiles."""
 
+import itertools
 from pathlib import Path
 
 import pytest
 
 from ewflab import epistemics as ep
 from ewflab.epistemics import (
+    ESCAPE_PAIR,
+    ESCAPE_SINGLES,
     PROFILE_ASSUMPTIONS,
     PROFILES,
     TABLE_PROFILES,
     AssumptionId,
+    InterpretationProfile,
     QuantumFactError,
     build_argument,
     check,
@@ -165,6 +169,26 @@ class TestEscapeAudit:
         v = check(profile, protocol)
         assert v.blocked_step == "FR7"
         assert {a.value for a in v.missing} == {"L", "M"}
+
+    def test_smallest_blocking_sets_are_the_escape_rule_and_the_smallest_clauses(self, protocol):
+        """A step blocks when every assumption of one of its clauses is crossed out.
+
+        Over all 256 flag vectors of the eight profile assumptions, the
+        crossed-out sets that block, smallest first, are the escape rule's
+        singles and its pair, and also the smallest requirement clauses.
+        """
+        blocking = []
+        for marks in itertools.product((True, False), repeat=len(PROFILE_ASSUMPTIONS)):
+            profile = InterpretationProfile("v", "v", dict(zip(PROFILE_ASSUMPTIONS, marks)))
+            blocked = not check(profile, protocol).contradiction
+            assert blocked == escape_rule(profile)
+            if blocked:
+                blocking.append(frozenset(a for a in PROFILE_ASSUMPTIONS if not profile.holds(a)))
+        smallest = {s for s in blocking if not any(t < s for t in blocking)}
+        assert {"".join(sorted(a.value for a in s)) for s in smallest} == {"Q", "C", "S", "P", "U", "T", "LM"}
+        assert smallest == {frozenset({a}) for a in ESCAPE_SINGLES} | {frozenset(ESCAPE_PAIR)}
+        clauses = {c for step in build_argument() for c in step.requires}
+        assert smallest == {c for c in clauses if not any(d < c for d in clauses)}
 
 
 class TestTables:

@@ -113,3 +113,10 @@ def test_default_coin_probabilities_keep_their_labels():
     labels = {rational_label(p) for p in _cells(Protocol()).values()}
     assert {"1/12", "3/4", "1/48"} <= labels
     assert None not in labels
+
+
+def test_grounding_facts_are_the_steps_fact_ids(protocol):
+    """`epistemics` imports `facts`, so this table cannot be derived from the steps: it is pinned."""
+    assert set(facts.GROUNDING_FACTS) == {fid for step in epistemics.build_argument() for fid in step.fact_ids}
+    for fact_id, fact in facts.GROUNDING_FACTS.items():
+        assert facts.evaluate(protocol, fact).fact_id == fact_id
