@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .exact import (
     DYNAMIC_STAGES, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, REST, StageId, exact_label, probability_cell,
 )
-from .linalg import CERTAINTY_ATOL, NORM_ATOL, SUM_ATOL, ZERO_WEIGHT_FLOOR, Frozen, setfield
+from .linalg import CERTAINTY_ATOL, SUM_ATOL, ZERO_WEIGHT_FLOOR, Frozen, setfield
 
 if TYPE_CHECKING:
     from .exact import Engine
@@ -158,7 +158,7 @@ def joint_weight(state: StateVector, events: list[tuple[MeasurementSpec, str]]) 
 
 def outcome_distribution(state: StateVector, spec: MeasurementSpec) -> Distribution:
     """Born probabilities of one measurement's declared outcomes on a state."""
-    state.require_normalized(NORM_ATOL)
+    state.require_normalized()
     if REST in spec.factor_matrices:
         stray = joint_weight(state, [(spec, REST)])
         if stray > SUM_ATOL:
@@ -173,7 +173,7 @@ def outcome_distribution(state: StateVector, spec: MeasurementSpec) -> Distribut
 
 def certainty_check(state: StateVector, spec: MeasurementSpec, label: str) -> CertaintyResult:
     """Would an agent measuring spec on this state be certain of label?"""
-    state.require_normalized(NORM_ATOL)
+    state.require_normalized()
     return CertaintyResult.from_probability(joint_weight(state, [(spec, label)]))
 
 
@@ -181,7 +181,7 @@ def joint_certainty_check(
     state: StateVector, events: list[tuple[MeasurementSpec, str]]
 ) -> CertaintyResult:
     """Certainty status of a conjunction of outcomes on disjoint targets."""
-    state.require_normalized(NORM_ATOL)
+    state.require_normalized()
     return CertaintyResult.from_probability(joint_weight(state, events))
 
 

@@ -173,44 +173,35 @@ def _parse_history_spec(protocol: ExactProtocol, text: str) -> History:
 
 def _history_family(
     protocol: ExactProtocol, defines: list[str], parser: argparse.ArgumentParser
-) -> tuple[list[tuple[History, object]], ConsistencyReport]:
-    """Each member's P[h] and the family's consistency report; h1 and h1prime without `--define`.
-
-    The report comes first, so a family it rejects exits 2 before any P[h] is computed.
-    """
+) -> tuple[list[History], ConsistencyReport]:
+    """The family and its consistency report, which holds each P[h]; h1 and h1prime without `--define`."""
     from . import histories
 
-    if defines:
-        try:
-            family = [_parse_history_spec(protocol, d) for d in defines]
-        except ValueError as exc:
-            parser.error(str(exc))
-        names = [h.name for h in family]
-        if len(set(names)) != len(names):
-            dups = sorted({n for n in names if names.count(n) > 1})
-            parser.error(f"family members need distinct names (repeated: {', '.join(dups)})")
-    else:
-        family = [histories.okok_fine_history(protocol), histories.okok_coarse_history(protocol)]
     try:
-        report = histories.chain_consistency_report(protocol, family)
-    except histories.EpochMismatchError as exc:
-        parser.error(str(exc))
-    return [(h, histories.history_probability(protocol, h)) for h in family], report
+        if defines:
+            family = [_parse_history_spec(protocol, d) for d in defines]
+        else:
+            family = [histories.okok_fine_history(protocol), histories.okok_coarse_history(protocol)]
+        return family, histories.chain_consistency_report(protocol, family)
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2
 
 
-def _histories_text(rows: list[tuple[History, object]], report: ConsistencyReport) -> str:
+def _histories_text(family: list[History], report: ConsistencyReport) -> str:
     """The family's probabilities and consistency report, as `histories` and `report` print them."""
-    return "\n".join([f"P[{h.describe()}] = {_with_exact(p)}" for h, p in rows] + ["", report.render_text()])
+    rows = [f"P[{h.describe()}] = {_with_exact(report.probability[h.name])}" for h in family]
+    return "\n".join(rows + ["", report.render_text()])
 
 
 def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .exact import probability_cell
 
-    rows, report = _history_family(_protocol_from_args(args, parser), args.define, parser)
+    family, report = _history_family(_protocol_from_args(args, parser), args.define, parser)
     if args.format == "json":
         payload = {
             "histories": [
-                {"name": h.name, "events": [e.label for e in h.events], **probability_cell(p)} for h, p in rows
+                {"name": h.name, "events": [e.label for e in h.events], **probability_cell(report.probability[h.name])}
+                for h in family
             ],
             "consistency": {
                 "union_stages": [s.name for s in report.union_stages],
@@ -231,7 +222,7 @@ def _cmd_histories(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(_histories_text(rows, report))
+    print(_histories_text(family, report))
     return 0
 
 

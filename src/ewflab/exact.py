@@ -28,9 +28,10 @@ exact, so its `exact` label (`exact_label`) is read off it instead of
 guessed from a float.
 
 Why two engines: a fresh command-line process spends about half its time
-importing numpy, and needs exact answers; the library's long-lived callers
-gain from numpy's vectorised paths, and the tests use the dense engine as
-the oracle of the exact one.
+importing numpy, and needs exact answers.  The dense engine is kept because
+the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
+this one's oracle, not for speed: warm, this engine answers history queries
+~1.9x faster, and it is slower only at float coins (large binary rationals).
 """
 
 from __future__ import annotations
@@ -752,9 +753,9 @@ class SparseState:
     def norm(self) -> float:
         return math.sqrt(float(self.norm2()))
 
-    def require_normalized(self, tol: float) -> "SparseState":
-        if abs(self.norm() - 1.0) > tol:
-            raise NotNormalizedError(f"norm {self.norm()} not within {tol} of 1")
+    def require_normalized(self) -> "SparseState":
+        if abs(self.norm() - 1.0) > NORM_ATOL:
+            raise NotNormalizedError(f"norm {self.norm()} not within {NORM_ATOL} of 1")
         return self
 
     def scaled(self, x: Surd) -> "SparseState":
@@ -924,7 +925,7 @@ class ExactProtocol(Engine):
             GLOBAL_SPACE.index_of((HEAD, READY, DOWN, READY, READY, READY)): tuple(x * (den // a.q) for x in a.coords),
             GLOBAL_SPACE.index_of((TAIL, READY, DOWN, READY, READY, READY)): tuple(x * (den // b.q) for x in b.coords),
         }
-        return SparseState(nums, den).require_normalized(NORM_ATOL)
+        return SparseState(nums, den).require_normalized()
 
     @staticmethod
     def record_mask(var: str, label: str) -> RecordMask:

@@ -112,17 +112,19 @@ class PairVerdict(NamedTuple):
 
 
 class ConsistencyReport(Frozen):
-    __slots__ = ("family", "union_stages", "additivity_defect", "pairs")
+    __slots__ = ("family", "union_stages", "probability", "additivity_defect", "pairs")
 
     def __init__(
         self,
         family: tuple[str, ...],
         union_stages: tuple[StageId, ...],
+        probability: dict[str, float],
         additivity_defect: dict[str, float],
         pairs: tuple[PairVerdict, ...],
     ) -> None:
         setfield(self, "family", family)
         setfield(self, "union_stages", union_stages)
+        setfield(self, "probability", probability)
         setfield(self, "additivity_defect", additivity_defect)
         setfield(self, "pairs", pairs)
 
@@ -166,6 +168,17 @@ def _record_refinement_events(protocol: Engine, stage: StageId) -> list[HistoryE
     return [HistoryEvent(stage, protocol.record_mask(var, label), f"{var}={label}") for label in labels]
 
 
+def _slots(protocol: Engine, h: History, union_stages: tuple[StageId, ...]) -> dict[StageId, list[HistoryEvent]]:
+    """h's own event at its stages and the record decomposition at each other union stage; evolves nothing."""
+    # keys are label strings; outcome_event and the refinement slots spell a
+    # recording-stage event alike, so identical keys mean identical mask chains
+    slots = {e.stage: [e] for e in h.events}
+    for stage in union_stages:
+        if stage not in slots:
+            slots[stage] = _record_refinement_events(protocol, stage)
+    return slots
+
+
 def _fine_chains(
     protocol: Engine, h: History, union_stages: tuple[StageId, ...]
 ) -> list[tuple[tuple[str, ...], StateVector]]:
@@ -175,14 +188,8 @@ def _fine_chains(
     so leaves share their prefix chains.  It is the package's one chain
     evolution: `chain_vector` is its single leaf for an empty union.
     """
-    # keys are label strings; outcome_event and the refinement slots spell a
-    # recording-stage event alike, so identical keys mean identical mask chains
-    slots = {e.stage: [e] for e in h.events}
-    for stage in union_stages:
-        if stage not in slots:
-            slots[stage] = _record_refinement_events(protocol, stage)
     chains: list[tuple[tuple[str, ...], StateVector]] = []
-    _walk(protocol, slots, 0, (), None, chains)
+    _walk(protocol, _slots(protocol, h, union_stages), 0, (), None, chains)
     return chains
 
 
@@ -223,33 +230,39 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     The members' refined chains are the rows of C, and D = C* C^T is the
     decoherence functional; chains that vanish are left out, as their rows
     and columns of D are zero.  A member's chain is the sum of its refined
-    ones (each slot's masks sum to the identity), so its additivity defect
-    is |sum(D_hh) - trace(D_hh)| and a pair's direct overlap is |sum(D_ab)|.
-    A pair fails on either, on interference between refined chains with
-    different keys (largest such |D_ab| entry), or on a shared key (the
-    histories are not exclusive alternatives).
+    ones (each slot's masks sum to the identity), so P[h] is sum(D_hh), its
+    additivity defect is |sum(D_hh) - trace(D_hh)| and a pair's direct
+    overlap is |sum(D_ab)|.  A pair fails on either, on interference between
+    refined chains with different keys (largest such |D_ab| entry), or on a
+    shared key (the histories are not exclusive alternatives).  Every
+    member's slots are built, and a bad family refused, before any walk.
     """
     names = [h.name for h in family]
     if len(set(names)) != len(names):
-        raise ValueError("family members need distinct names")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"family members need distinct names (repeated: {', '.join(repeated)})")
     union_stages = tuple(
         sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value)
     )
+    slots = [_slots(protocol, h, union_stages) for h in family]
     keys: dict[str, set[tuple[str, ...]]] = {}  # every refined key, vanishing chains included
     rows: dict[str, list[int]] = {}  # each member's rows of D
     leaves: list[tuple[tuple[str, ...], StateVector]] = []
-    for h in family:
-        chains = _fine_chains(protocol, h, union_stages)
-        keys[h.name] = {k for k, _ in chains}
+    for name, member_slots in zip(names, slots):
+        chains: list[tuple[tuple[str, ...], StateVector]] = []
+        _walk(protocol, member_slots, 0, (), None, chains)
+        keys[name] = {k for k, _ in chains}
         live = [(k, v) for k, v in chains if not v.is_zero()]
-        rows[h.name] = list(range(len(leaves), len(leaves) + len(live)))
+        rows[name] = list(range(len(leaves), len(leaves) + len(live)))
         leaves += live
     d = protocol.gram([v for _, v in leaves])
 
     def block_sum(ra: list[int], rb: list[int]):
         return sum(d[i][j] for i in ra for j in rb)
 
-    additivity = {name: abs(block_sum(r, r) - sum(d[i][i] for i in r)) for name, r in rows.items()}
+    sums = {name: block_sum(r, r) for name, r in rows.items()}  # |chain|^2, real and nonnegative
+    probability = {name: abs(s) for name, s in sums.items()}  # abs drops the dense engine's rounding only
+    additivity = {name: abs(s - sum(d[i][i] for i in rows[name])) for name, s in sums.items()}
     pairs = []
     for a, b in itertools.combinations(names, 2):
         off = abs(block_sum(rows[a], rows[b]))
@@ -257,7 +270,7 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
         shared = not keys[a].isdisjoint(keys[b])
         ok = max(off, cross, additivity[a], additivity[b]) <= CONSISTENCY_ATOL and not shared
         pairs.append(PairVerdict(a, b, off, cross, shared, ok))
-    return ConsistencyReport(tuple(names), union_stages, additivity, tuple(pairs))
+    return ConsistencyReport(tuple(names), union_stages, probability, additivity, tuple(pairs))
 
 
 # -- the two historical claims shipped with the protocol ---------------------

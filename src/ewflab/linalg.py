@@ -27,9 +27,9 @@ from fractions import Fraction
 # Probabilities here are exact small rationals and float error stays near
 # 1e-16, so each bound only absorbs float error; they differ in what they bound.
 
-#: norms and orthonormality of vectors, nonzero entries of a dense stage
-#: matrix, the zero test of a branch norm, a memory that must read ready,
-#: and `rational_label`'s distance to a fraction
+#: orthonormality of vectors, nonzero entries of a dense stage matrix, the
+#: zero test of a branch norm, a memory that must read ready, and
+#: `rational_label`'s distance to a fraction
 ATOL = 1e-12
 #: a state or coin is normalized (coins typed on the command line are rounded)
 NORM_ATOL = 1e-9

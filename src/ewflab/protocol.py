@@ -108,9 +108,9 @@ class StateVector(Frozen):
     def is_zero(self) -> bool:
         return not self.amps.any()
 
-    def require_normalized(self, tol: float = ATOL) -> "StateVector":
-        if abs(self.norm() - 1.0) > tol:
-            raise NotNormalizedError(f"norm {self.norm()} not within {tol} of 1")
+    def require_normalized(self) -> "StateVector":
+        if abs(self.norm() - 1.0) > NORM_ATOL:
+            raise NotNormalizedError(f"norm {self.norm()} not within {NORM_ATOL} of 1")
         return self
 
     def amplitude(self, labels: tuple[str, ...]) -> Amplitude:
@@ -416,17 +416,11 @@ class Protocol(Engine):
         amps = np.zeros(DIM, dtype=np.complex128)
         amps[GLOBAL_SPACE.index_of((HEAD, READY, DOWN, READY, READY, READY))] = a
         amps[GLOBAL_SPACE.index_of((TAIL, READY, DOWN, READY, READY, READY))] = b
-        return StateVector(GLOBAL_SPACE, amps).require_normalized(NORM_ATOL)
+        return StateVector(GLOBAL_SPACE, amps).require_normalized()
 
     @cached_property
     def stage_unitaries(self) -> Mapping[StageId, StageUnitary]:
         return _stages(self.flip_ok_sign, self.corrupt_preparation)
-
-    def record_isometry(self, agent: AgentId, spec: MeasurementSpec) -> StageUnitary:
-        """The stage that copies spec's outcome into the agent's memory."""
-        if spec.recorder is not agent:
-            raise ValueError(f"measurement {spec.name!r} is recorded by {spec.recorder.value}, not {agent.value}")
-        return self.stage_unitaries[RECORDERS[spec.name][1]]
 
     # -- record access -----------------------------------------------------
 

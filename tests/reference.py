@@ -410,11 +410,8 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
     fine = {h.name: _fine_chains(protocol, h, union_stages) for h in family}
     direct = {h.name: chain_vector(protocol, h.events) for h in family}
 
-    additivity: dict[str, float] = {}
-    for h in family:
-        p_direct = direct[h.name].norm() ** 2
-        p_sum = sum(v.norm() ** 2 for _, v in fine[h.name])
-        additivity[h.name] = abs(p_direct - p_sum)
+    probability = {h.name: direct[h.name].norm() ** 2 for h in family}
+    additivity = {h.name: abs(probability[h.name] - sum(v.norm() ** 2 for _, v in fine[h.name])) for h in family}
 
     pairs: list[PairVerdict] = []
     for i in range(len(family)):
@@ -437,4 +434,4 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
                 and additivity[b.name] <= CONSISTENCY_ATOL
             )
             pairs.append(PairVerdict(a.name, b.name, off, cross, shared, ok))
-    return ConsistencyReport(tuple(names), union_stages, additivity, tuple(pairs))
+    return ConsistencyReport(tuple(names), union_stages, probability, additivity, tuple(pairs))

@@ -83,6 +83,41 @@ def test_a_rejected_family_computes_no_history_probability(capsys, monkeypatch):
     assert calls == []
 
 
+def _count_walks(monkeypatch) -> list:
+    """Record each `histories._walk` call's stage index; it recurses through the module global, so all are seen."""
+    calls = []
+    original = histories._walk
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(histories, "_walk", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["p-o", "o-p"])
+def test_a_rejected_family_evolves_no_chain(capsys, monkeypatch, order):
+    """Every member's refinement slots are built, and the family refused, before the first walk."""
+    walks = _count_walks(monkeypatch)
+    defines = ["p: r@PREP1=head", "o: z=+"][::order]
+    code, out, err = run(capsys, ["histories"] + [arg for d in defines for arg in ("--define", d)])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "ewflab: error: stage PREP1 records nothing; histories in a family must event at recording stages"
+    )
+    assert walks == []
+
+
+@pytest.mark.parametrize("argv, walks", [(["histories"], 21), (["report"], 34)], ids=["histories", "report"])
+def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, walks):
+    """`histories` reads P[h] off its report's D (21 walk calls); `report` adds the 13 of verify's two P[h] facts."""
+    calls = _count_walks(monkeypatch)
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert len(calls) == walks
+
+
 def test_event_before_its_record_is_answered(capsys):
     code, out, _ = run(capsys, ["histories", "--define", "e: w2@OBS0=ok"])
     assert code == 0

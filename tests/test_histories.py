@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -370,6 +371,9 @@ def test_report_matches_pairwise_oracle(flags):
         assert got.additivity_defect.keys() == want.additivity_defect.keys(), case
         for name, defect in want.additivity_defect.items():
             assert abs(got.additivity_defect[name] - defect) <= 1e-15, (case, name)
+        assert got.probability.keys() == want.probability.keys(), case
+        for name, p in want.probability.items():
+            assert abs(got.probability[name] - p) <= 1e-15, (case, name)
         assert len(got.pairs) == len(want.pairs), case
         for g, w in zip(got.pairs, want.pairs):
             assert (g.left, g.right, g.shared_fine_outcomes, g.consistent) == (
@@ -386,3 +390,31 @@ def test_history_probability_is_the_direct_chain_norm_bit_for_bit(flags):
         for h in family:
             want = reference.chain_vector(protocol, h.events).norm() ** 2
             assert history_probability(protocol, h) == want, h.describe()
+
+
+#: 20 seeded decimal coins, typed as the command line reads them
+DECIMAL_COINS = [
+    (repr(a), repr(math.sqrt(1 - a * a))) for a in (random.Random(1993).uniform(0.05, 0.99) for _ in range(20))
+]
+PROBABILITY_CASES = (
+    [pytest.param(None, {}, id="default")]
+    + [pytest.param(coin, {}, id=f"decimal{i}") for i, coin in enumerate(DECIMAL_COINS)]
+    + [pytest.param(None, {hook: True}, id=hook) for hook in ("flip_ok_sign", "corrupt_preparation")]
+)
+
+
+@pytest.mark.parametrize("coin, hooks", PROBABILITY_CASES)
+def test_report_probability_is_the_member_chain_probability(coin, hooks):
+    """P[h] read off D equals the walked chain's: exactly on the exact engine, within 1e-15 on the dense one."""
+    exact = ExactProtocol(coin, **hooks)
+    dense = Protocol(None if coin is None else tuple(map(float, coin)), **hooks)
+    for protocol in (exact, dense):
+        for case, family in _oracle_families(protocol):
+            report = chain_consistency_report(protocol, family)
+            assert list(report.probability) == [h.name for h in family], case
+            for h in family:
+                got, want = report.probability[h.name], history_probability(protocol, h)
+                if protocol is exact:
+                    assert got == want, (case, h.describe())
+                else:
+                    assert abs(got - want) <= 1e-15, (case, h.describe())

@@ -10,7 +10,6 @@ from ewflab.exact import ExactProtocol, stage_maps
 from ewflab.protocol import (
     DYNAMIC_STAGES,
     GLOBAL_SPACE,
-    AgentId,
     PreconditionError,
     Protocol,
     StageId,
@@ -58,10 +57,6 @@ class TestRecordingStages:
         recorded = protocol.pilot_state_after(StageId.OBS0)
         with pytest.raises(PreconditionError):
             u.apply(recorded)
-
-    def test_recorder_mismatch_rejected(self, protocol):
-        with pytest.raises(ValueError):
-            protocol.record_isometry(AgentId.F2, protocol.coin_measurement)
 
     def test_spin_recording_after_preparation(self, protocol):
         """Oracle: hand tensor expansion, three equal terms at sqrt(1/3)."""
