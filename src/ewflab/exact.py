@@ -84,7 +84,11 @@ class AgentId(enum.Enum):
 
     @property
     def memory_axis(self) -> int:
-        return GLOBAL_SPACE.axis(self.value)
+        return _MEMORY_AXIS[self._value_]
+
+
+#: Each agent's memory axis, by agent name.
+_MEMORY_AXIS: dict[str, int] = {agent.value: GLOBAL_SPACE.axis(agent.value) for agent in AgentId}
 
 
 class StageId(enum.Enum):
@@ -96,6 +100,11 @@ class StageId(enum.Enum):
     OBS2 = 2
     MEAS3 = 3
     MEAS4 = 4
+
+    # Members are singletons, equal only to themselves, so identity hashing
+    # agrees with equality; Enum's own hashes the name in Python, on every
+    # lookup of a stage-keyed mapping.
+    __hash__ = object.__hash__
 
     def __lt__(self, other: "StageId") -> bool:
         return self.value < other.value

@@ -126,8 +126,8 @@ class SpaceDescriptor(Frozen):
 
     Basis index of a label assignment (l_0, ..., l_{n-1}) is the row-major
     mixed-radix number with digit k equal to the position of l_k in factor k.
-    `dims` and `size` are derived once here: every StateVector construction
-    reads size.
+    `dims` and `size` are derived once here: every checked StateVector
+    construction reads size.
     """
 
     __slots__ = ("factors", "dims", "size")

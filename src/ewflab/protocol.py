@@ -25,6 +25,17 @@ vectors on its target factors (`MeasurementSpec`); an operator is a
 factor-local matrix (`apply_on_axes`) or a 0/1 mask on the amplitudes;
 record weights come from one |amps|^2 marginal (`memory_marginal`).  No
 sparsity, no density matrices.
+
+A dense state is checked once, where it enters: the `StateVector`
+constructor rejects a wrong size and any non-finite amplitude.  States the
+engine derives itself skip that check.  `initial_state` is trusted (checked
+and normalized), and so is the image of a trusted state under one of the
+engine's own operators: the shared stage unitaries of `_stages`, the
+measurements of `_specs` and the `record_mask` arrays.  Each is a unitary
+or a 0/1 projector with entries of modulus at most 1, so a trusted state
+keeps a norm of at most 1 (up to rounding) and every amplitude finite.  Any
+other operand (a state, stage unitary, measurement or mask a caller built)
+yields a checked state, as does `normalized`.
 """
 
 from __future__ import annotations
@@ -82,9 +93,16 @@ __all__ = [
 
 
 class StateVector(Frozen):
-    """Flat complex amplitude vector over a SpaceDescriptor's basis."""
+    """Flat complex amplitude vector over a SpaceDescriptor's basis.
 
-    __slots__ = ("space", "amps")
+    The constructor is the check: it rejects a wrong amplitude count and any
+    non-finite amplitude, and its states are not `trusted`.  A trusted state
+    is one the engine derived from its checked initial state through its own
+    operators (see the module docstring); it is built without the check,
+    because those operators cannot make an amplitude non-finite.
+    """
+
+    __slots__ = ("space", "amps", "trusted")
 
     def __init__(self, space: SpaceDescriptor, amps: np.ndarray) -> None:
         amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
@@ -95,6 +113,7 @@ class StateVector(Frozen):
         amps.flags.writeable = False
         setfield(self, "space", space)
         setfield(self, "amps", amps)
+        setfield(self, "trusted", False)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -122,7 +141,7 @@ class StateVector(Frozen):
 
     def masked(self, mask: np.ndarray) -> "StateVector":
         """The amplitudes times a 0/1 mask (a `record_mask`)."""
-        return StateVector(self.space, self.amps * mask)
+        return _image(self.space, self.amps * mask, self, mask)
 
     def marginal(self, axes: tuple[int, ...]) -> dict[tuple[int, ...], float]:
         """`memory_marginal` as {label indices on axes: weight}."""
@@ -132,7 +151,35 @@ class StateVector(Frozen):
     def projected(self, spec: "MeasurementSpec", label: str) -> "StateVector":
         """The state after one outcome's factor projector of `spec`."""
         amps = apply_on_axes(self.amps, self.space.dims, spec.target_axes, spec.factor_matrices[label])
-        return StateVector(self.space, amps)
+        return _image(self.space, amps, self, spec)
+
+
+#: The engine's own operators by id: the shared stage unitaries, measurements
+#: and record masks.  Each is held here, so no other object can take its id.
+_ENGINE_OPERATORS: dict[int, object] = {}
+
+
+def _engine_operator(op):
+    """Register one of the engine's shared operators and return it."""
+    _ENGINE_OPERATORS[id(op)] = op
+    return op
+
+
+def _trusted_state(space: SpaceDescriptor, amps: np.ndarray) -> StateVector:
+    """A state the engine derived itself, built without the constructor's check."""
+    state = object.__new__(StateVector)
+    amps.flags.writeable = False
+    setfield(state, "space", space)
+    setfield(state, "amps", amps)
+    setfield(state, "trusted", True)
+    return state
+
+
+def _image(space: SpaceDescriptor, amps: np.ndarray, state: StateVector, op: object) -> StateVector:
+    """`amps`, the image of `state` under `op`: trusted when both are, checked otherwise."""
+    if state.trusted and _ENGINE_OPERATORS.get(id(op)) is op:
+        return _trusted_state(space, amps)
+    return StateVector(space, amps)
 
 
 def inner(a: StateVector, b: StateVector) -> Amplitude:
@@ -306,7 +353,7 @@ class StageUnitary(Frozen):
 
     def linear(self, state: StateVector) -> StateVector:
         out = apply_on_axes(state.amps, GLOBAL_SPACE.dims, self.axes, self.matrix)
-        return StateVector(GLOBAL_SPACE, out)
+        return _image(GLOBAL_SPACE, out, state, self)
 
     def apply(self, state: StateVector) -> StateVector:
         require_ready(self.stage, self.recorder_axis, state)
@@ -348,7 +395,7 @@ def record_mask(var: str, label: str) -> np.ndarray:
     np.moveaxis(mask, axis, 0)[GLOBAL_SPACE.factors[axis].index(label)] = 1.0
     mask = mask.reshape(-1)
     mask.flags.writeable = False
-    return mask
+    return _engine_operator(mask)
 
 
 @cache
@@ -360,7 +407,7 @@ def _specs(flip_ok_sign: bool) -> Mapping[str, MeasurementSpec]:
             label: _factor_vector(targets, {labels: float_image(code) for labels, code in v.items()})
             for label, v in outcome_vectors(var, flip_ok_sign).items()
         }
-        specs[var] = MeasurementSpec(var, targets, vectors, RECORDERS[var][0])
+        specs[var] = _engine_operator(MeasurementSpec(var, targets, vectors, RECORDERS[var][0]))
     return MappingProxyType(specs)
 
 
@@ -368,7 +415,7 @@ def _specs(flip_ok_sign: bool) -> Mapping[str, MeasurementSpec]:
 def _stages(flip_ok_sign: bool, corrupt_preparation: bool) -> Mapping[StageId, StageUnitary]:
     """The stage unitaries, one read-only mapping per flag pair: they do not depend on the coin."""
     return MappingProxyType({
-        stage: StageUnitary(stage, m.axes, _float_matrix(m), m.recorder_axis)
+        stage: _engine_operator(StageUnitary(stage, m.axes, _float_matrix(m), m.recorder_axis))
         for stage, m in stage_maps(flip_ok_sign, corrupt_preparation).items()
     })
 
@@ -416,7 +463,7 @@ class Protocol(Engine):
         amps = np.zeros(DIM, dtype=np.complex128)
         amps[GLOBAL_SPACE.index_of((HEAD, READY, DOWN, READY, READY, READY))] = a
         amps[GLOBAL_SPACE.index_of((TAIL, READY, DOWN, READY, READY, READY))] = b
-        return StateVector(GLOBAL_SPACE, amps).require_normalized()
+        return _trusted_state(GLOBAL_SPACE, StateVector(GLOBAL_SPACE, amps).require_normalized().amps)
 
     @cached_property
     def stage_unitaries(self) -> Mapping[StageId, StageUnitary]:

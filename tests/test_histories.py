@@ -240,6 +240,19 @@ def test_fine_chains_match_leafwise_oracle(family_name, engine, coin, hooks):
                 assert (g.nums, g.den) == (w.nums, w.den)
 
 
+def _sweep_item(protocol) -> None:
+    """What an item of the benchmark's coin-sweep computes (`perfbench/workloads._sweep_item`)."""
+    protocol.pilot_state_after(StageId.MEAS4)
+    born.joint_distribution(protocol, born.CollapsePolicy.SEQUENTIAL_PROJECTION)
+    born.joint_distribution(protocol, born.CollapsePolicy.NO_COLLAPSE_MARGINAL)
+    bellbohm.exact_chain(protocol)
+    h1, h1prime = okok_fine_history(protocol), okok_coarse_history(protocol)
+    history_probability(protocol, h1)
+    history_probability(protocol, h1prime)
+    chain_consistency_report(protocol, [h1, h1prime])
+    born.final_record_marginal(protocol)
+
+
 @pytest.mark.parametrize("engine, stage_class", [(Protocol, StageUnitary), (ExactProtocol, ExactStage)],
                          ids=["dense", "exact"])
 def test_a_cold_sweep_item_makes_25_stage_map_calls(engine, stage_class, monkeypatch):
@@ -253,17 +266,35 @@ def test_a_cold_sweep_item_makes_25_stage_map_calls(engine, stage_class, monkeyp
         return linear(self, state)
 
     monkeypatch.setattr(stage_class, "linear", counting)
-    protocol = engine((math.cos(1.0), math.sin(1.0)))
-    protocol.pilot_state_after(StageId.MEAS4)
-    born.joint_distribution(protocol, born.CollapsePolicy.SEQUENTIAL_PROJECTION)
-    born.joint_distribution(protocol, born.CollapsePolicy.NO_COLLAPSE_MARGINAL)
-    bellbohm.exact_chain(protocol)
-    h1, h1prime = okok_fine_history(protocol), okok_coarse_history(protocol)
-    history_probability(protocol, h1)
-    history_probability(protocol, h1prime)
-    chain_consistency_report(protocol, [h1, h1prime])
-    born.final_record_marginal(protocol)
+    _sweep_item(engine((math.cos(1.0), math.sin(1.0))))
     assert len(calls) == 25
+
+
+@pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
+                         ids=["clean", "flip-ok-sign", "corrupt-preparation"])
+def test_a_cold_sweep_item_checks_one_dense_state(hooks, monkeypatch):
+    """The initial state is the one checked state: every other is the engine's image of it."""
+    checked = []
+    init = StateVector.__init__
+
+    def counting(self, space, amps):
+        checked.append(space)
+        init(self, space, amps)
+
+    monkeypatch.setattr(StateVector, "__init__", counting)
+    _sweep_item(Protocol((math.cos(1.0), math.sin(1.0)), **hooks))
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize("engine, coin, hooks", [p for p in _oracle_engines() if p.values[0] is Protocol])
+@pytest.mark.parametrize("family_name", sorted(ORACLE_FAMILIES))
+def test_fine_chains_are_trusted_and_finite(family_name, engine, coin, hooks):
+    protocol = engine(coin, **hooks)
+    family = _family(protocol, ORACLE_FAMILIES[family_name])
+    union = tuple(sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value))
+    for h in family:
+        for key, state in _fine_chains(protocol, h, union):
+            assert state.trusted and np.isfinite(state.amps).all(), key
 
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])

@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 from ewflab.exact import ExactProtocol, stage_maps
+from ewflab.histories import History, HistoryEvent, history_probability
 from ewflab.protocol import (
     DYNAMIC_STAGES,
     GLOBAL_SPACE,
+    PLUS,
+    MeasurementSpec,
     PreconditionError,
     Protocol,
     StageId,
+    StageUnitary,
+    StateVector,
 )
 from reference import global_matrix, nonzero_terms, outcome_state, pilot_state_with_order
 
@@ -261,3 +266,42 @@ def test_shared_arrays_and_stage_maps_are_read_only():
         maps[StageId.OBS0] = maps[StageId.MEAS4]
     with pytest.raises(TypeError):
         maps[StageId.OBS0].columns[0] = ()
+
+
+# -- where a dense state is checked ---------------------------------------------
+
+
+class TestCallerOperandsAreChecked:
+    """A state made from anything a caller built is checked, whatever it is applied to."""
+
+    def test_a_caller_state_with_nan(self):
+        amps = np.zeros(GLOBAL_SPACE.size, dtype=np.complex128)
+        amps[0] = np.nan
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            StateVector(GLOBAL_SPACE, amps)
+
+    def test_a_hand_built_stage_unitary_with_nan(self, protocol):
+        engine = protocol.stage_unitary(StageId.PREP1)
+        matrix = np.full_like(engine.matrix, np.nan)  # every entry: a zero product can skip one
+        unitary = StageUnitary(engine.stage, engine.axes, matrix, engine.recorder_axis)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            unitary.apply(protocol.pilot_state_after(StageId.OBS0))
+
+    def test_a_hand_built_measurement_with_nan(self, protocol):
+        engine = protocol.spin_measurement
+        vectors = {label: np.full_like(v, np.nan) for label, v in engine.vectors.items()}
+        spec = MeasurementSpec(engine.name, engine.targets, vectors, engine.recorder)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            protocol.pilot_state_after(StageId.MEAS4).projected(spec, PLUS)
+
+    def test_a_hand_built_history_event_with_nan(self, protocol):
+        event = HistoryEvent(StageId.OBS0, np.full(GLOBAL_SPACE.size, np.nan), "r=nan")
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            history_probability(protocol, History("nan", (event,)))
+
+    @pytest.mark.parametrize("stage", [StageId.PREP1, StageId.MEAS3], ids=lambda s: s.name)
+    def test_a_finite_caller_state_that_overflows(self, protocol, stage):
+        state = StateVector(GLOBAL_SPACE, np.full(GLOBAL_SPACE.size, 1.7e308, dtype=np.complex128))
+        # numpy's overflow warning is silenced, so the infinite amplitudes reach the state's check
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="amplitudes must be finite"):
+            protocol.stage_unitary(stage).linear(state)
