@@ -18,8 +18,8 @@ default coin, with no numpy.  It holds two things on top of that:
 
 The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
 answer the same calls: `initial_state`, `pilot_state_after`,
-`stage_unitary(s).linear`, `record_weights`, `record_mask`, `measurement`,
-`gram`, `sqrt`; their states answer `norm`, `norm2`, `normalized`,
+`stage_unitary(s).linear`, `record_weights`, `record_mask`, `mask_key`,
+`chain_node`, `measurement`, `gram`, `sqrt`; their states answer `norm`, `norm2`, `normalized`,
 `require_normalized`, `masked`, `marginal`, `projected`, `amplitude`,
 `components`, `is_zero`; and their measurements answer `components` and
 `factor_matrices`.  The joints, histories, beable chains and facts are
@@ -611,12 +611,21 @@ def check_coin(a, b) -> None:
 # -- what both engines share -------------------------------------------------------
 
 
+#: History-chain nodes one engine keeps (`Engine.chain_node`), least recently
+#: used first out.  A dense node retains ~5.7 kB (324 complex128 amplitudes
+#: and their objects), so a full memo holds ~1.5 MB; an exact node ~0.8 kB.
+#: A cold coin-sweep item stores about 22 nodes, a warm stream of the
+#: benchmark's history queries about 105.
+CHAIN_MEMO_NODES = 256
+
+
 class Engine:
-    """Configuration, the pilot-state walk and record weights, for both engines.
+    """Configuration, the pilot-state walk, history-chain nodes and record weights, for both engines.
 
     A subclass passes `coin_amplitudes` in the number type of its states and
     provides `initial_state`, `stage_unitaries`, `measurements` (read-only,
-    outcome variable -> measurement), `record_mask`, `gram` and `sqrt`.
+    outcome variable -> measurement), `record_mask`, `mask_key`, `gram` and
+    `sqrt`.
     """
 
     def __init__(self, coin_amplitudes: tuple, flip_ok_sign: bool, corrupt_preparation: bool) -> None:
@@ -625,6 +634,7 @@ class Engine:
         self.flip_ok_sign = flip_ok_sign
         self.corrupt_preparation = corrupt_preparation
         self._pilot_cache: dict = {}
+        self._chain_memo: dict = {}
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
         self.fact_results: dict = {}
 
@@ -669,6 +679,43 @@ class Engine:
             for s in STAGES[len(cache) : STAGES.index(stage) + 1]:
                 state = cache[s] = self.stage_unitaries[s].apply(state)
         return cache[stage]
+
+    def chain_path(self, path: tuple | None, i: int, mask) -> tuple | None:
+        """`path` with `mask` applied after stage index i, or None when the memo cannot key it.
+
+        A path is the (stage index, `mask_key`) of each mask a chain has
+        applied, in order; None stays None, and so does a mask the engine
+        does not key.
+        """
+        if path is None:
+            return None
+        key = self.mask_key(mask)
+        return None if key is None else path + ((i, key),)
+
+    def chain_node(self, i: int, path: tuple | None, step, parent) -> tuple[object, bool]:
+        """`step(parent)`, the chain state after stage index i under the masks of `path`, and whether it vanished.
+
+        A chain node depends only on the stage index and the masks applied so
+        far, each with its stage (the empty path is the pilot state, kept in
+        its own cache), so each node is built once and read from a bounded
+        memo after that; the same operation on the same operand makes a hit
+        bit-identical to a rebuild.  A zero state and a path of None are
+        stored nowhere, so a hit never vanished.
+        """
+        memo = self._chain_memo
+        if path is not None:
+            state = memo.pop((i, path), None)
+            if state is not None:
+                memo[i, path] = state  # the memo runs from least to most recently used
+                return state, False
+        state = step(parent)
+        if state.is_zero():
+            return state, True
+        if path is not None:
+            if len(memo) >= CHAIN_MEMO_NODES:
+                del memo[next(iter(memo))]
+            memo[i, path] = state
+        return state, False
 
     def record_weights(self, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
         """Joint Born weights of memory labels for the given outcome variables.
@@ -889,11 +936,11 @@ class ExactProtocol(Engine):
     real.  The default coin is (√3/3, √6/3) exactly.  The corruption hooks
     are those of `protocol.Protocol`.
 
-    Only the coin, the pilot states and the fact results belong to one
-    ExactProtocol.  The measurements and the stages do not depend on the
-    coin: they are built once per process for each setting of the
-    corruption hooks and shared, as read-only mappings, by every
-    ExactProtocol with that setting.
+    Only the coin, the pilot states, the history-chain memo and the fact
+    results belong to one ExactProtocol.  The measurements and the stages
+    do not depend on the coin: they are built once per process for each
+    setting of the corruption hooks and shared, as read-only mappings, by
+    every ExactProtocol with that setting.
     """
 
     def __init__(
@@ -940,6 +987,11 @@ class ExactProtocol(Engine):
     def record_mask(var: str, label: str) -> RecordMask:
         axis = RECORDERS[var][0].memory_axis
         return RecordMask(axis, GLOBAL_SPACE.factors[axis].index(label))
+
+    @staticmethod
+    def mask_key(mask) -> RecordMask | None:
+        """A mask's key in the chain memo: a `RecordMask` is its own value, any other mask has none."""
+        return mask if type(mask) is RecordMask else None
 
     @staticmethod
     def gram(states: list[SparseState]) -> list[list[Surd]]:

@@ -189,20 +189,25 @@ def _fine_chains(
     evolution: `chain_vector` is its single leaf for an empty union.
     """
     chains: list[tuple[tuple[str, ...], StateVector]] = []
-    _walk(protocol, _slots(protocol, h, union_stages), 0, (), None, chains)
+    _walk(protocol, _slots(protocol, h, union_stages), 0, (), (), None, chains)
     return chains
 
 
 def _walk(
-    protocol: Engine, slots: dict, i: int, key: tuple[str, ...], state: StateVector | None, chains: list
+    protocol: Engine, slots: dict, i: int, key: tuple[str, ...], path: tuple | None, state: StateVector | None,
+    chains: list,
 ) -> None:
     """Append the leaves below stage index i to `chains`; no closure, so no reference cycle.
 
     Until its first mask (an empty key) a chain is the pilot state, bit for
-    bit, so it is read from the engine's pilot cache.  Once a mask leaves a
-    zero state (stage maps are unitary, so only a mask can), every leaf below
-    it is that zero state, still under its own key: shared-outcome detection
-    reads the keys of vanished chains.
+    bit, so it is read from the engine's pilot cache.  After that each node
+    is read from the engine's chain memo by `path`, the masks applied so far
+    (`Engine.chain_node`), before anything is evolved or masked; the label
+    key names the leaf and never keys the memo, as a hand-built event can
+    reuse a label at another stage.  Once a mask leaves a zero state (stage
+    maps are unitary, so only a mask can), every leaf below it is that zero
+    state, still under its own key: shared-outcome detection reads the keys
+    of vanished chains.
     """
     if i == len(STAGES):
         chains.append((key, state))
@@ -211,17 +216,18 @@ def _walk(
     if not key:
         state = protocol.pilot_state_after(stage)
     else:
-        state = protocol.stage_unitary(stage).linear(state)
+        state, _ = protocol.chain_node(i, path, protocol.stage_unitary(stage).linear, state)
     if stage not in slots:
-        _walk(protocol, slots, i + 1, key, state, chains)
+        _walk(protocol, slots, i + 1, key, path, state, chains)
         return
     for event in slots[stage]:
-        child = event.apply(state)
-        if child.is_zero():
+        child_path = protocol.chain_path(path, i, event.mask)
+        child, vanished = protocol.chain_node(i, child_path, event.apply, state)
+        if vanished:
             below = [[e.label for e in slots[s]] for s in STAGES[i + 1 :] if s in slots]
             chains.extend((key + (event.label,) + tail, child) for tail in itertools.product(*below))
         else:
-            _walk(protocol, slots, i + 1, key + (event.label,), child, chains)
+            _walk(protocol, slots, i + 1, key + (event.label,), child_path, child, chains)
 
 
 def chain_consistency_report(protocol: Engine, family: list[History]) -> ConsistencyReport:
@@ -250,7 +256,7 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     leaves: list[tuple[tuple[str, ...], StateVector]] = []
     for name, member_slots in zip(names, slots):
         chains: list[tuple[tuple[str, ...], StateVector]] = []
-        _walk(protocol, member_slots, 0, (), None, chains)
+        _walk(protocol, member_slots, 0, (), (), None, chains)
         keys[name] = {k for k, _ in chains}
         live = [(k, v) for k, v in chains if not v.is_zero()]
         rows[name] = list(range(len(leaves), len(leaves) + len(live)))

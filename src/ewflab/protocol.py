@@ -23,8 +23,8 @@ command line computes with `exact.ExactProtocol` instead, which answers the
 same calls without numpy.  A measurement is a set of rank-one outcome
 vectors on its target factors (`MeasurementSpec`); an operator is a
 factor-local matrix (`apply_on_axes`) or a 0/1 mask on the amplitudes;
-record weights come from one |amps|^2 marginal (`memory_marginal`).  No
-sparsity, no density matrices.
+record weights come from one |amps|^2 marginal (`memory_marginal`), the
+squares taken once per state.  No sparsity, no density matrices.
 
 A dense state is checked once, where it enters: the `StateVector`
 constructor rejects a wrong size and any non-finite amplitude.  States the
@@ -92,7 +92,18 @@ __all__ = [
 # -- dense states and operators ------------------------------------------------
 
 
-class StateVector(Frozen):
+class _Squared(Frozen):
+    """Where a StateVector keeps its |amps|^2 once `memory_marginal` has computed it (None before).
+
+    The slot sits on this base class, so a record's fields (`__slots__` of
+    StateVector) are only the space, the amplitudes and the trust flag:
+    the cached squares are left out of its repr, copies and pickles.
+    """
+
+    __slots__ = ("_probs",)
+
+
+class StateVector(_Squared):
     """Flat complex amplitude vector over a SpaceDescriptor's basis.
 
     The constructor is the check: it rejects a wrong amplitude count and any
@@ -114,6 +125,7 @@ class StateVector(Frozen):
         setfield(self, "space", space)
         setfield(self, "amps", amps)
         setfield(self, "trusted", False)
+        setfield(self, "_probs", None)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -125,7 +137,7 @@ class StateVector(Frozen):
         return StateVector(self.space, self.amps / self.norm())
 
     def is_zero(self) -> bool:
-        return not self.amps.any()
+        return not np.count_nonzero(self.amps.view(np.float64))  # a third of the time of amps.any()
 
     def require_normalized(self) -> "StateVector":
         if abs(self.norm() - 1.0) > NORM_ATOL:
@@ -141,17 +153,17 @@ class StateVector(Frozen):
 
     def masked(self, mask: np.ndarray) -> "StateVector":
         """The amplitudes times a 0/1 mask (a `record_mask`)."""
-        return _image(self.space, self.amps * mask, self, mask)
+        return _image(self.space, self, mask, np.multiply, self.amps, mask)
 
     def marginal(self, axes: tuple[int, ...]) -> dict[tuple[int, ...], float]:
         """`memory_marginal` as {label indices on axes: weight}."""
         marg = memory_marginal(self, axes)
-        return dict(zip(itertools.product(*map(range, marg.shape)), marg.ravel().tolist()))
+        return dict(zip(_label_indices(marg.shape), marg.ravel().tolist()))
 
     def projected(self, spec: "MeasurementSpec", label: str) -> "StateVector":
         """The state after one outcome's factor projector of `spec`."""
-        amps = apply_on_axes(self.amps, self.space.dims, spec.target_axes, spec.factor_matrices[label])
-        return _image(self.space, amps, self, spec)
+        return _image(self.space, self, spec, apply_on_axes, self.amps, self.space.dims, spec.target_axes,
+                      spec.factor_matrices[label])
 
 
 #: The engine's own operators by id: the shared stage unitaries, measurements
@@ -172,13 +184,21 @@ def _trusted_state(space: SpaceDescriptor, amps: np.ndarray) -> StateVector:
     setfield(state, "space", space)
     setfield(state, "amps", amps)
     setfield(state, "trusted", True)
+    setfield(state, "_probs", None)
     return state
 
 
-def _image(space: SpaceDescriptor, amps: np.ndarray, state: StateVector, op: object) -> StateVector:
-    """`amps`, the image of `state` under `op`: trusted when both are, checked otherwise."""
+def _image(space: SpaceDescriptor, state: StateVector, op: object, compute, *args) -> StateVector:
+    """`compute(*args)`, the image of `state` under `op`: trusted when both are, checked otherwise.
+
+    An untrusted image is computed with numpy's overflow and invalid
+    warnings off, so that a finite but huge caller state that overflows
+    ends in the check's ValueError whatever the warning filters are.
+    """
     if state.trusted and _ENGINE_OPERATORS.get(id(op)) is op:
-        return _trusted_state(space, amps)
+        return _trusted_state(space, compute(*args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = compute(*args)
     return StateVector(space, amps)
 
 
@@ -265,13 +285,28 @@ def lifted_projector(
     return Projector(space, tuple(spanning))
 
 
+@cache
+def _label_indices(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every label-index tuple of an array of `shape`, in row-major order."""
+    return tuple(itertools.product(*map(range, shape)))
+
+
+@cache
+def _summed_axes(axes: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i for i in range(len(GLOBAL_SPACE.dims)) if i not in axes)
+
+
 def memory_marginal(state: StateVector, axes: tuple[int, ...]) -> np.ndarray:
     """Born weights of the label combinations on `axes`, axes ascending.
 
     The package's one marginal of |amps|^2: summed over every other axis.
+    The squares are taken on a state's first marginal and kept on it.
     """
-    probs = (np.abs(state.amps) ** 2).reshape(GLOBAL_SPACE.dims)
-    return probs.sum(axis=tuple(i for i in range(len(GLOBAL_SPACE.dims)) if i not in axes))
+    probs = getattr(state, "_probs", None)  # a copy or an unpickled state is restored without it
+    if probs is None:
+        probs = (np.abs(state.amps) ** 2).reshape(GLOBAL_SPACE.dims)
+        setfield(state, "_probs", probs)
+    return probs.sum(axis=_summed_axes(tuple(axes)))
 
 
 # -- measurements and stages ---------------------------------------------------
@@ -352,8 +387,8 @@ class StageUnitary(Frozen):
         setfield(self, "rewritten_memory_axes", rewritten_axes(axes, zip(*np.nonzero(np.abs(matrix) > ATOL))))
 
     def linear(self, state: StateVector) -> StateVector:
-        out = apply_on_axes(state.amps, GLOBAL_SPACE.dims, self.axes, self.matrix)
-        return _image(GLOBAL_SPACE, out, state, self)
+        return _image(GLOBAL_SPACE, state, self, apply_on_axes, state.amps, GLOBAL_SPACE.dims, self.axes,
+                      self.matrix)
 
     def apply(self, state: StateVector) -> StateVector:
         require_ready(self.stage, self.recorder_axis, state)
@@ -429,15 +464,22 @@ class Protocol(Engine):
     flips a sign inside the tail-branch spin rotation (probabilities change,
     every downstream consumer must refuse or fail loudly).
 
-    Only the coin, the pilot states and the fact results belong to one
-    Protocol.  The measurements (`measurements`, per `flip_ok_sign`), the
-    stage unitaries (`stage_unitaries`, per pair of hooks) and the record
-    masks do not depend on the coin: they are built once per process and
-    shared, read-only, by every Protocol with the same hooks.
+    Only the coin, the pilot states, the history-chain memo and the fact
+    results belong to one Protocol.  The measurements (`measurements`, per
+    `flip_ok_sign`), the stage unitaries (`stage_unitaries`, per pair of
+    hooks) and the record masks do not depend on the coin: they are built
+    once per process and shared, read-only, by every Protocol with the same
+    hooks.
     """
 
     sqrt = staticmethod(math.sqrt)
     record_mask = staticmethod(record_mask)
+
+    @staticmethod
+    def mask_key(mask: np.ndarray) -> int | None:
+        """A mask's key in the chain memo: a `record_mask` array is keyed by id, any other mask has none."""
+        key = id(mask)
+        return key if _ENGINE_OPERATORS.get(key) is mask else None
 
     def __init__(
         self,

@@ -118,6 +118,23 @@ def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, wa
     assert len(calls) == walks
 
 
+def test_report_evolves_each_chain_node_once(capsys, monkeypatch):
+    """verify's two P[h] facts walk h1 and h1prime, then the history section walks them again in its
+    report: the second walk reads the engine's chain memo, so the pilot state (5 maps) and the 10
+    distinct nodes of the pair and its refinement are all the stage maps `report` applies."""
+    calls = []
+    linear = exact.ExactStage.linear
+
+    def counted(self, state):
+        calls.append(self.stage)
+        return linear(self, state)
+
+    monkeypatch.setattr(exact.ExactStage, "linear", counted)
+    code, _, _ = run(capsys, ["report"])
+    assert code == 0
+    assert len(calls) == 15
+
+
 def test_event_before_its_record_is_answered(capsys):
     code, out, _ = run(capsys, ["histories", "--define", "e: w2@OBS0=ok"])
     assert code == 0

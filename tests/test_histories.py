@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ewflab import bellbohm, born
-from ewflab.exact import ExactProtocol, ExactStage
+from ewflab.exact import CHAIN_MEMO_NODES, ExactProtocol, ExactStage
 from ewflab.histories import (
     EpochMismatchError,
     History,
@@ -17,6 +17,7 @@ from ewflab.histories import (
     _fine_chains,
     _record_refinement_events,
     chain_consistency_report,
+    chain_vector,
     history,
     history_probability,
     okok_coarse_history,
@@ -255,9 +256,10 @@ def _sweep_item(protocol) -> None:
 
 @pytest.mark.parametrize("engine, stage_class", [(Protocol, StageUnitary), (ExactProtocol, ExactStage)],
                          ids=["dense", "exact"])
-def test_a_cold_sweep_item_makes_25_stage_map_calls(engine, stage_class, monkeypatch):
-    """The pilot state (5 maps), then the walks of h1 and h1prime (4 each) and of their report
-    (4 for h1, 8 for h1prime's refinement): every walk starts from the pilot state after OBS0."""
+def test_a_cold_sweep_item_makes_15_stage_map_calls(engine, stage_class, monkeypatch):
+    """The pilot state (5 maps), h1's chain (4), the 2 of h1prime's not on h1's (MEAS3 and MEAS4
+    after r=tail) and the 4 of h1prime's refinement not walked before: each chain node is evolved
+    once per engine, and every walk starts from the pilot state after OBS0."""
     calls = []
     linear = stage_class.linear
 
@@ -267,7 +269,7 @@ def test_a_cold_sweep_item_makes_25_stage_map_calls(engine, stage_class, monkeyp
 
     monkeypatch.setattr(stage_class, "linear", counting)
     _sweep_item(engine((math.cos(1.0), math.sin(1.0))))
-    assert len(calls) == 25
+    assert len(calls) == 15
 
 
 @pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
@@ -449,3 +451,91 @@ def test_report_probability_is_the_member_chain_probability(coin, hooks):
                     assert got == want, (case, h.describe())
                 else:
                     assert abs(got - want) <= 1e-15, (case, h.describe())
+
+
+# -- the chain memo: one evolution per node and engine, bounded ---------------
+
+
+def _bits(state):
+    """A chain vector's exact contents: the dense amplitudes' bytes, or the exact numerators and denominator."""
+    return state.amps.tobytes() if isinstance(state, StateVector) else (state.nums, state.den)
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_a_reused_label_gets_its_own_chain(engine):
+    """A hand-built event that reuses an engine event's label, with another mask at its stage or with
+    its mask at another stage, is walked as itself after the engine event's chain: labels key no node."""
+    protocol = engine()
+    tail, ok = outcome_event(protocol, "r", "tail"), outcome_event(protocol, "w2", "ok")
+    impostors = [HistoryEvent(S.OBS0, protocol.record_mask("r", "head"), tail.label),
+                 HistoryEvent(S.MEAS3, tail.mask, tail.label)]
+    honest = _bits(chain_vector(protocol, (tail, ok)))
+    for impostor in impostors:
+        got = _bits(chain_vector(protocol, (impostor, ok)))
+        assert got != honest
+        assert got == _bits(chain_vector(engine(), (impostor, ok)))
+        family = [History("a", (tail, ok)), History("b", (impostor, ok))]
+        got, want = (chain_consistency_report(p, family) for p in (protocol, engine()))
+        assert (got.probability, got.additivity_defect, got.pairs) == (
+            want.probability, want.additivity_defect, want.pairs)
+
+
+@pytest.mark.parametrize("engine, copy", [(Protocol, np.copy), (ExactProtocol, tuple)], ids=["dense", "exact"])
+def test_a_caller_mask_keys_no_node(engine, copy):
+    """A chain through a mask the engine did not make (a copied array, a plain tuple) is walked, not stored."""
+    protocol = engine()
+    ok = outcome_event(protocol, "w2", "ok")
+    tail = outcome_event(protocol, "r", "tail")
+    copied = HistoryEvent(S.OBS0, copy(tail.mask), tail.label)
+    assert _bits(chain_vector(protocol, (copied, ok))) == _bits(chain_vector(engine(), (tail, ok)))
+    assert protocol._chain_memo == {}
+
+
+def _staged_specs(n: int, seed: int) -> list[dict]:
+    """n families of 2-4 members whose events read any variable already recorded at any recording stage."""
+    rng = random.Random(seed)
+    recording = [S.OBS0, S.OBS2, S.MEAS3, S.MEAS4]
+    specs = []
+    for i in range(n):
+        spec = {}
+        for name in "abcd"[: 2 + i % 3]:
+            stages = sorted(rng.sample(recording, rng.randint(1, 4)), key=lambda s: s.value)
+            events = []
+            for stage in stages:
+                var = rng.choice([v for v, (_, at) in RECORDERS.items() if at.value <= stage.value])
+                events.append((var, rng.choice(OUTCOME_LABELS[var]), stage))
+            spec[name] = events
+        specs.append(spec)
+    return specs
+
+
+#: the oracle families, then staged ones: together they reach more chain nodes than the memo holds
+MEMO_SPECS = (
+    [ORACLE_FAMILIES[name] for name in sorted(ORACLE_FAMILIES)]
+    + [{name: [(v, a, None) for v, a in events] for name, events in spec.items()} for spec in _grid_families()]
+    + _staged_specs(80, seed=15)
+)
+
+
+def _answers(protocol, spec) -> tuple:
+    """Everything a family's histories answer, exactly: the report, each P[h] and each chain's bits."""
+    family = _family(protocol, spec)
+    report = chain_consistency_report(protocol, family)
+    return (report.union_stages, report.probability, report.additivity_defect, report.pairs,
+            [history_probability(protocol, h) for h in family],
+            [_bits(chain_vector(protocol, h.events)) for h in family])
+
+
+@pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8j)), (ExactProtocol, ("0.6", "0.8"))],
+                         ids=["dense", "exact"])
+def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(engine, coin):
+    """Families past the memo's bound, then again, then in reverse order: every answer is a fresh engine's."""
+    fresh = [_answers(engine(coin), spec) for spec in MEMO_SPECS]
+    protocol = engine(coin)
+    for order in (1, 1, -1):
+        specs = list(enumerate(MEMO_SPECS))[::order]
+        for i, spec in specs:
+            assert _answers(protocol, spec) == fresh[i], i
+            assert len(protocol._chain_memo) <= CHAIN_MEMO_NODES
+        assert len(protocol._chain_memo) == CHAIN_MEMO_NODES
+        assert not any(state.is_zero() for state in protocol._chain_memo.values())

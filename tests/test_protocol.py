@@ -1,7 +1,9 @@
 """Stage dynamics: recorded states, bases, preconditions, unitarity."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ewflab.protocol import (
     StageId,
     StageUnitary,
     StateVector,
+    memory_marginal,
 )
 from reference import global_matrix, nonzero_terms, outcome_state, pilot_state_with_order
 
@@ -302,6 +305,19 @@ class TestCallerOperandsAreChecked:
     @pytest.mark.parametrize("stage", [StageId.PREP1, StageId.MEAS3], ids=lambda s: s.name)
     def test_a_finite_caller_state_that_overflows(self, protocol, stage):
         state = StateVector(GLOBAL_SPACE, np.full(GLOBAL_SPACE.size, 1.7e308, dtype=np.complex128))
-        # numpy's overflow warning is silenced, so the infinite amplitudes reach the state's check
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="amplitudes must be finite"):
+        # under the suite's -W error too: numpy's overflow warning is no error of its own
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
             protocol.stage_unitary(stage).linear(state)
+
+
+def test_a_state_squares_its_amplitudes_once():
+    """Every marginal of a state reads the |amps|^2 its first one took; a copy squares its own."""
+    state = Protocol((0.6, 0.8)).pilot_state_after(StageId.MEAS4)
+    first = memory_marginal(state, (4, 5))
+    squares = state._probs
+    assert np.array_equal(squares, (np.abs(state.amps) ** 2).reshape(GLOBAL_SPACE.dims))
+    assert np.array_equal(memory_marginal(state, (4, 5)), first) and state._probs is squares
+    assert state.marginal((1,)) == dict(zip([(0,), (1,), (2,)], squares.sum(axis=(0, 2, 3, 4, 5)).tolist()))
+    for clone in (copy.copy(state), pickle.loads(pickle.dumps(state))):
+        assert repr(clone) == repr(state)
+        assert np.array_equal(memory_marginal(clone, (4, 5)), first) and clone._probs is not squares
