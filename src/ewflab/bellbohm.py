@@ -197,8 +197,12 @@ def exact_chain(protocol: Engine) -> TrajectoryTable:
     for i, stage in enumerate(DYNAMIC_STAGES, start=1):
         rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
         nxt: list[tuple[tuple[MemoryConfig, ...], float]] = []
+        rows: dict[MemoryConfig, dict[MemoryConfig, float]] = {}  # one kernel row per config reached
         for configs, prob in partial:
-            row = _kernel_row(configs[-1], epoch_weights[i - 1], epoch_weights[i], rewritten)
+            m = configs[-1]
+            row = rows.get(m)
+            if row is None:
+                row = rows[m] = _kernel_row(m, epoch_weights[i - 1], epoch_weights[i], rewritten)
             for child, p in row.items():
                 joint = prob * p
                 if joint > ZERO_WEIGHT_FLOOR:

@@ -195,7 +195,11 @@ def _all_cells() -> list[tuple[str, ...]]:
 
 
 def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
-    """Stage walk with projection, renormalization, and record expiry."""
+    """Stage walk with projection, renormalization, and record expiry.
+
+    Branches that share their active conditions at a stage share its
+    conditional probabilities, so each is divided out once per stage.
+    """
     # branch: (outcome labels so far, active conditions, probability)
     branches: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], float]] = [((), (), 1.0)]
     for stage in DYNAMIC_STAGES:
@@ -203,6 +207,7 @@ def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
         var = RECORDED_VAR.get(stage)
         state = protocol.pilot_state_after(stage)
         weights_given: dict[tuple[str, ...], dict] = {}  # record weights by conditioning variables
+        conditionals: dict[tuple[tuple[str, str], ...], tuple] = {}  # P(label | conditions) per label
         next_branches = []
         for outcomes, conds, prob in branches:
             conds = tuple(
@@ -211,17 +216,24 @@ def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
             if var is None:
                 next_branches.append((outcomes, conds, prob))
                 continue
-            cond_vars = tuple(v for v, _ in conds)
-            if cond_vars not in weights_given:
-                weights_given[cond_vars] = protocol.record_weights(state, cond_vars + (var,))
-            weights = weights_given[cond_vars]
-            cond_labels = tuple(l for _, l in conds)
-            mass = sum(weights[cond_labels + (l,)] for l in OUTCOME_LABELS[var])
-            for label in OUTCOME_LABELS[var]:
-                if prob < ZERO_WEIGHT_FLOOR or mass < ZERO_WEIGHT_FLOOR:
-                    p_label = 0.0
+            labels = OUTCOME_LABELS[var]
+            if prob < ZERO_WEIGHT_FLOOR:
+                p_labels = (0.0,) * len(labels)
+            elif conds in conditionals:
+                p_labels = conditionals[conds]
+            else:
+                cond_vars = tuple(v for v, _ in conds)
+                if cond_vars not in weights_given:
+                    weights_given[cond_vars] = protocol.record_weights(state, cond_vars + (var,))
+                weights = weights_given[cond_vars]
+                cond_labels = tuple(l for _, l in conds)
+                mass = sum(weights[cond_labels + (l,)] for l in labels)
+                if mass < ZERO_WEIGHT_FLOOR:
+                    p_labels = (0.0,) * len(labels)
                 else:
-                    p_label = weights[cond_labels + (label,)] / mass
+                    p_labels = tuple(weights[cond_labels + (l,)] / mass for l in labels)
+                conditionals[conds] = p_labels
+            for label, p_label in zip(labels, p_labels):
                 next_branches.append(
                     (outcomes + (label,), conds + ((var, label),), prob * p_label)
                 )
@@ -234,8 +246,9 @@ def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
 
     Consecutive outcome variables are read jointly at the later one's
     recording stage (where the earlier record is still intact); the joint is
-    the product of the resulting weight ratios.  The (w1, w2) factor is read
-    directly from the final pilot state.
+    the product of the resulting weight ratios, each divided out once and
+    shared by every cell that takes the same step.  The (w1, w2) factor is
+    read directly from the final pilot state.
     """
     pair_weights: list[dict[tuple[str, ...], float]] = []
     for earlier, later in zip(JOINT_VARIABLES, JOINT_VARIABLES[1:]):
@@ -246,15 +259,19 @@ def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     first = protocol.record_weights(
         protocol.pilot_state_after(RECORDERS[JOINT_VARIABLES[1]][1]), (first_var,)
     )
+    ratios: dict[tuple[int, str, str], object] = {}  # by (i, cell[i], cell[i + 1]); None for a zero denominator
     joint: dict[tuple[str, ...], float] = {}
     for cell in _all_cells():
         p = first[(cell[0],)]
         for i, weights in enumerate(pair_weights):
-            denom = sum(weights[(cell[i], l)] for l in OUTCOME_LABELS[JOINT_VARIABLES[i + 1]])
-            if denom < ZERO_WEIGHT_FLOOR or p < ZERO_WEIGHT_FLOOR:
+            step = (i, cell[i], cell[i + 1])
+            if p >= ZERO_WEIGHT_FLOOR and step not in ratios:
+                denom = sum(weights[(cell[i], l)] for l in OUTCOME_LABELS[JOINT_VARIABLES[i + 1]])
+                ratios[step] = None if denom < ZERO_WEIGHT_FLOOR else weights[step[1:]] / denom
+            if p < ZERO_WEIGHT_FLOOR or ratios[step] is None:
                 p = p * 0  # the zero of p's number type, exact on the exact engine
                 break
-            p *= weights[(cell[i], cell[i + 1])] / denom
+            p *= ratios[step]
         joint[cell] = p
     return joint
 

@@ -387,57 +387,84 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0 if all(r.passed for r in results) else 1
 
 
+def _add_common(p: argparse.ArgumentParser, formats: bool = True) -> None:
+    p.add_argument("--coin", type=_parse_coin, default=None, metavar="A,B",
+                   help="initial coin amplitudes (default sqrt(1/3),sqrt(2/3))")
+    if formats:  # only for handlers that read args.format
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--flip-ok-sign", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--corrupt-preparation", action="store_true", help=argparse.SUPPRESS)
+
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--policy", choices=POLICY_NAMES, default=POLICY_NAMES[0])
+
+
+def _histories_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--define", action="append", default=[], metavar="SPEC",
+                   help="history as 'name: var[@STAGE]=label, ...' (repeatable)")
+
+
+def _bellbohm_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--reference", action="store_true",
+                   help="print only the reference ok/ok trajectory and its probability")
+
+
+def _argue_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--interpretation", metavar="NAME",
+                       help="one of: " + ", ".join(PROFILE_NAMES))
+    group.add_argument("--profile", metavar="FILE", help="profile file (name: line plus eight ID = check|cross lines)")
+
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p, formats=False)
+
+
+#: Each subcommand: name, help line, handler, and what adds its arguments.
+SUBCOMMANDS = (
+    ("simulate", "joint outcome distribution and record marginal", _cmd_simulate, _simulate_arguments),
+    ("verify", "check every anchored quantum fact, PASS/FAIL per line", _cmd_verify, _add_common),
+    ("histories", "history probabilities and joint considerability", _cmd_histories, _histories_arguments),
+    ("bellbohm", "exact beable trajectory table", _cmd_bellbohm, _bellbohm_arguments),
+    ("argue", "run the twelve-step derivation under a profile", _cmd_argue, _argue_arguments),
+    ("audit", "escape-rule audit over the catalogued profiles", _cmd_audit, _add_common),
+    ("report", "everything above in one reproducible report", _cmd_report, _report_arguments),
+)
+
+
+class _Subcommand:
+    """A subcommand's parser, built with its arguments only when argparse hands it the command line.
+
+    `add_parser` makes one per subcommand, for the name and help line the
+    top-level parser lists; a process parses with one of them, so only that
+    one builds an `ArgumentParser` and adds its arguments.
+    """
+
+    def __init__(self, handler, add_arguments, **kwargs) -> None:
+        self._handler = handler
+        self._add_arguments = add_arguments
+        self._kwargs = kwargs  # the prog add_parser set
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._add_arguments(parser)
+        parser.set_defaults(func=self._handler)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ewflab",
         description="Exact desk-scale laboratory for the nested two-lab thought experiment",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, formats: bool = True) -> None:
-        p.add_argument("--coin", type=_parse_coin, default=None, metavar="A,B",
-                       help="initial coin amplitudes (default sqrt(1/3),sqrt(2/3))")
-        if formats:  # only for handlers that read args.format
-            p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--flip-ok-sign", action="store_true", help=argparse.SUPPRESS)
-        p.add_argument("--corrupt-preparation", action="store_true", help=argparse.SUPPRESS)
-
-    p_sim = sub.add_parser("simulate", help="joint outcome distribution and record marginal")
-    add_common(p_sim)
-    p_sim.add_argument("--policy", choices=POLICY_NAMES, default=POLICY_NAMES[0])
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="check every anchored quantum fact, PASS/FAIL per line")
-    add_common(p_ver)
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_his = sub.add_parser("histories", help="history probabilities and joint considerability")
-    add_common(p_his)
-    p_his.add_argument("--define", action="append", default=[], metavar="SPEC",
-                       help="history as 'name: var[@STAGE]=label, ...' (repeatable)")
-    p_his.set_defaults(func=_cmd_histories)
-
-    p_bb = sub.add_parser("bellbohm", help="exact beable trajectory table")
-    add_common(p_bb)
-    p_bb.add_argument("--reference", action="store_true",
-                      help="print only the reference ok/ok trajectory and its probability")
-    p_bb.set_defaults(func=_cmd_bellbohm)
-
-    p_arg = sub.add_parser("argue", help="run the twelve-step derivation under a profile")
-    add_common(p_arg)
-    group = p_arg.add_mutually_exclusive_group(required=True)
-    group.add_argument("--interpretation", metavar="NAME",
-                       help="one of: " + ", ".join(PROFILE_NAMES))
-    group.add_argument("--profile", metavar="FILE", help="profile file (name: line plus eight ID = check|cross lines)")
-    p_arg.set_defaults(func=_cmd_argue)
-
-    p_aud = sub.add_parser("audit", help="escape-rule audit over the catalogued profiles")
-    add_common(p_aud)
-    p_aud.set_defaults(func=_cmd_audit)
-
-    p_rep = sub.add_parser("report", help="everything above in one reproducible report")
-    add_common(p_rep, formats=False)
-    p_rep.set_defaults(func=_cmd_report)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, help_line, handler, add_arguments in SUBCOMMANDS:
+        sub.add_parser(name, help=help_line, handler=handler, add_arguments=add_arguments)
     return parser
 
 

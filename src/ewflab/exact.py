@@ -30,8 +30,11 @@ guessed from a float.
 Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
 the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
-this one's oracle, not for speed: warm, this engine answers history queries
-~1.9x faster, and it is slower only at float coins (large binary rationals).
+this one's oracle.  It is also the faster one: warm, on the benchmark's
+stream of history queries, this engine takes 0.85-0.93 ms per query against
+the dense engine's 0.54-0.55 ms (~1.6x slower; in process, 4,000 queries,
+2-vCPU x86-64 VM, Python 3.11.7), and float coins (large binary rationals)
+slow it further.
 """
 
 from __future__ import annotations
@@ -462,6 +465,21 @@ class Surd:
     def __rtruediv__(self, other) -> "Surd":
         return self.inverse() * other
 
+    def __pow__(self, n) -> "Surd":
+        """self ** n for an int n >= 0, by repeated squaring; exact, like every other operation."""
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            raise ValueError(f"a Surd's power needs an exponent >= 0, not {n}")
+        result, base = Surd(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
     def __abs__(self) -> "Surd":
         return -self if self.sign() < 0 else self
 
@@ -692,15 +710,19 @@ class Engine:
         key = self.mask_key(mask)
         return None if key is None else path + ((i, key),)
 
-    def chain_node(self, i: int, path: tuple | None, step, parent) -> tuple[object, bool]:
+    def chain_node(
+        self, i: int, path: tuple | None, step, parent, masks: bool = False
+    ) -> tuple[object, bool]:
         """`step(parent)`, the chain state after stage index i under the masks of `path`, and whether it vanished.
 
         A chain node depends only on the stage index and the masks applied so
         far, each with its stage (the empty path is the pilot state, kept in
         its own cache), so each node is built once and read from a bounded
         memo after that; the same operation on the same operand makes a hit
-        bit-identical to a rebuild.  A zero state and a path of None are
-        stored nowhere, so a hit never vanished.
+        bit-identical to a rebuild.  Stage maps are unitary and a walk never
+        steps a zero state, so only a step that `masks` is zero-tested; a
+        zero state and a path of None are stored nowhere, so a hit never
+        vanished.
         """
         memo = self._chain_memo
         if path is not None:
@@ -709,7 +731,7 @@ class Engine:
                 memo[i, path] = state  # the memo runs from least to most recently used
                 return state, False
         state = step(parent)
-        if state.is_zero():
+        if masks and state.is_zero():
             return state, True
         if path is not None:
             if len(memo) >= CHAIN_MEMO_NODES:

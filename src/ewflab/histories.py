@@ -21,6 +21,7 @@ one, D's entries are exact and "consistent" is an exact zero test.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, StageId
@@ -156,8 +157,13 @@ class ConsistencyReport(Frozen):
         return "\n".join(lines)
 
 
-def _record_refinement_events(protocol: Engine, stage: StageId) -> list[HistoryEvent]:
-    """Complete record decomposition at a stage, including the ready label."""
+@cache
+def _record_refinement_events(engine: type[Engine], stage: StageId) -> tuple[HistoryEvent, ...]:
+    """Complete record decomposition at a stage, including the ready label.
+
+    An engine's record masks do not depend on its coin, so the events are
+    built once per (engine class, stage) and shared by every walk.
+    """
     if stage not in RECORDED_VAR:
         raise EpochMismatchError(
             f"stage {stage.name} records nothing; histories in a family must event at recording stages"
@@ -165,17 +171,17 @@ def _record_refinement_events(protocol: Engine, stage: StageId) -> list[HistoryE
     var = RECORDED_VAR[stage]
     agent, _ = RECORDERS[var]
     labels = GLOBAL_SPACE.factors[agent.memory_axis].labels
-    return [HistoryEvent(stage, protocol.record_mask(var, label), f"{var}={label}") for label in labels]
+    return tuple(HistoryEvent(stage, engine.record_mask(var, label), f"{var}={label}") for label in labels)
 
 
-def _slots(protocol: Engine, h: History, union_stages: tuple[StageId, ...]) -> dict[StageId, list[HistoryEvent]]:
+def _slots(protocol: Engine, h: History, union_stages: tuple[StageId, ...]) -> dict[StageId, tuple[HistoryEvent, ...]]:
     """h's own event at its stages and the record decomposition at each other union stage; evolves nothing."""
     # keys are label strings; outcome_event and the refinement slots spell a
     # recording-stage event alike, so identical keys mean identical mask chains
-    slots = {e.stage: [e] for e in h.events}
+    slots = {e.stage: (e,) for e in h.events}
     for stage in union_stages:
         if stage not in slots:
-            slots[stage] = _record_refinement_events(protocol, stage)
+            slots[stage] = _record_refinement_events(type(protocol), stage)
     return slots
 
 
@@ -188,60 +194,61 @@ def _fine_chains(
     so leaves share their prefix chains.  It is the package's one chain
     evolution: `chain_vector` is its single leaf for an empty union.
     """
-    chains: list[tuple[tuple[str, ...], StateVector]] = []
+    chains: list[tuple[tuple[str, ...], StateVector, bool]] = []
     _walk(protocol, _slots(protocol, h, union_stages), 0, (), (), None, chains)
-    return chains
+    return [(k, v) for k, v, _ in chains]
 
 
 def _walk(
     protocol: Engine, slots: dict, i: int, key: tuple[str, ...], path: tuple | None, state: StateVector | None,
     chains: list,
 ) -> None:
-    """Append the leaves below stage index i to `chains`; no closure, so no reference cycle.
+    """Append the leaves below stage index i to `chains` as (key, state, vanished); no closure, so no reference cycle.
 
-    Until its first mask (an empty key) a chain is the pilot state, bit for
-    bit, so it is read from the engine's pilot cache.  After that each node
-    is read from the engine's chain memo by `path`, the masks applied so far
+    A call loops through the stages up to the next one in `slots`, and
+    recurses once per live child there.  Until its first mask (an empty
+    key) a chain is the pilot state, bit for bit, so it is read from the
+    engine's pilot cache.  After that each node, one per stage, is read from
+    the engine's chain memo by `path`, the masks applied so far
     (`Engine.chain_node`), before anything is evolved or masked; the label
     key names the leaf and never keys the memo, as a hand-built event can
     reuse a label at another stage.  Once a mask leaves a zero state (stage
     maps are unitary, so only a mask can), every leaf below it is that zero
-    state, still under its own key: shared-outcome detection reads the keys
-    of vanished chains.
+    state, flagged vanished, still under its own key: shared-outcome
+    detection reads the keys of vanished chains.
     """
-    if i == len(STAGES):
-        chains.append((key, state))
-        return
-    stage = STAGES[i]
-    if not key:
-        state = protocol.pilot_state_after(stage)
-    else:
-        state, _ = protocol.chain_node(i, path, protocol.stage_unitary(stage).linear, state)
-    if stage not in slots:
-        _walk(protocol, slots, i + 1, key, path, state, chains)
-        return
-    for event in slots[stage]:
-        child_path = protocol.chain_path(path, i, event.mask)
-        child, vanished = protocol.chain_node(i, child_path, event.apply, state)
-        if vanished:
-            below = [[e.label for e in slots[s]] for s in STAGES[i + 1 :] if s in slots]
-            chains.extend((key + (event.label,) + tail, child) for tail in itertools.product(*below))
+    for i in range(i, len(STAGES)):
+        stage = STAGES[i]
+        if not key:
+            state = protocol.pilot_state_after(stage)
         else:
-            _walk(protocol, slots, i + 1, key + (event.label,), child_path, child, chains)
+            state, _ = protocol.chain_node(i, path, protocol.stage_unitary(stage).linear, state)
+        if stage in slots:
+            for event in slots[stage]:
+                child_path = protocol.chain_path(path, i, event.mask)
+                child, vanished = protocol.chain_node(i, child_path, event.apply, state, masks=True)
+                if vanished:
+                    below = [[e.label for e in slots[s]] for s in STAGES[i + 1 :] if s in slots]
+                    chains.extend((key + (event.label,) + tail, child, True) for tail in itertools.product(*below))
+                else:
+                    _walk(protocol, slots, i + 1, key + (event.label,), child_path, child, chains)
+            return
+    chains.append((key, state, False))
 
 
 def chain_consistency_report(protocol: Engine, family: list[History]) -> ConsistencyReport:
     """Decoherence diagnostics for a family of histories, read off one matrix.
 
     The members' refined chains are the rows of C, and D = C* C^T is the
-    decoherence functional; chains that vanish are left out, as their rows
-    and columns of D are zero.  A member's chain is the sum of its refined
-    ones (each slot's masks sum to the identity), so P[h] is sum(D_hh), its
-    additivity defect is |sum(D_hh) - trace(D_hh)| and a pair's direct
-    overlap is |sum(D_ab)|.  A pair fails on either, on interference between
-    refined chains with different keys (largest such |D_ab| entry), or on a
-    shared key (the histories are not exclusive alternatives).  Every
-    member's slots are built, and a bad family refused, before any walk.
+    decoherence functional; chains the walk flags vanished are left out, as
+    their rows and columns of D are zero.  A member's chain is the sum of
+    its refined ones (each slot's masks sum to the identity), so P[h] is
+    sum(D_hh), its additivity defect is |sum(D_hh) - trace(D_hh)| and a
+    pair's direct overlap is |sum(D_ab)|.  A pair fails on either, on
+    interference between refined chains with different keys (largest such
+    |D_ab| entry), or on a shared key (the histories are not exclusive
+    alternatives).  Every member's slots are built, and a bad family
+    refused, before any walk.
     """
     names = [h.name for h in family]
     if len(set(names)) != len(names):
@@ -255,10 +262,10 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     rows: dict[str, list[int]] = {}  # each member's rows of D
     leaves: list[tuple[tuple[str, ...], StateVector]] = []
     for name, member_slots in zip(names, slots):
-        chains: list[tuple[tuple[str, ...], StateVector]] = []
+        chains: list[tuple[tuple[str, ...], StateVector, bool]] = []
         _walk(protocol, member_slots, 0, (), (), None, chains)
-        keys[name] = {k for k, _ in chains}
-        live = [(k, v) for k, v in chains if not v.is_zero()]
+        keys[name] = {k for k, _, _ in chains}
+        live = [(k, v) for k, v, vanished in chains if not vanished]
         rows[name] = list(range(len(leaves), len(leaves) + len(live)))
         leaves += live
     d = protocol.gram([v for _, v in leaves])

@@ -24,6 +24,12 @@ called `np.tensordot` and `np.moveaxis`; before the beable kernel cached
 each config's children, it rebuilt them for every row.  Both bodies are
 here, unchanged, as the oracles the planned product and the cached children
 must equal bit for bit.
+
+Before the joints and the beable chain shared their ratios, the sequential
+joint divided once per branch, the marginal joint once per cell and step,
+and `exact_chain` built a kernel row per partial trajectory.  Those bodies
+are the last section, unchanged (the joints without their leading
+underscore), as the oracles the shared ratios must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +40,18 @@ from itertools import product
 
 import numpy as np
 
-from ewflab.bellbohm import CONFIG_AXES, MemoryConfig, UnreachableConfigError
+from ewflab.bellbohm import (
+    CONFIG_AXES,
+    READY_CONFIG,
+    MemoryConfig,
+    Trajectory,
+    TrajectoryTable,
+    UnreachableConfigError,
+    _kernel_row,
+    config_weights,
+)
+from ewflab.born import JOINT_VARIABLES, _all_cells
+from ewflab.exact import OUTCOME_LABELS, RECORDED_VAR, STAGES, Engine
 from ewflab.histories import (
     ConsistencyReport,
     History,
@@ -45,6 +62,7 @@ from ewflab.histories import (
 from ewflab.linalg import (
     ATOL,
     CONSISTENCY_ATOL,
+    NORM_ATOL,
     ZERO_WEIGHT_FLOOR,
     Projector,
     SpaceDescriptor,
@@ -435,3 +453,92 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
             )
             pairs.append(PairVerdict(a.name, b.name, off, cross, shared, ok))
     return ConsistencyReport(tuple(names), union_stages, probability, additivity, tuple(pairs))
+
+
+# -- per-branch joints and beable chain -------------------------------------------
+
+
+def sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
+    """Stage walk with projection, renormalization, and record expiry."""
+    # branch: (outcome labels so far, active conditions, probability)
+    branches: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], float]] = [((), (), 1.0)]
+    for stage in DYNAMIC_STAGES:
+        rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
+        var = RECORDED_VAR.get(stage)
+        state = protocol.pilot_state_after(stage)
+        weights_given: dict[tuple[str, ...], dict] = {}  # record weights by conditioning variables
+        next_branches = []
+        for outcomes, conds, prob in branches:
+            conds = tuple(
+                (v, l) for v, l in conds if RECORDERS[v][0].memory_axis not in rewritten
+            )
+            if var is None:
+                next_branches.append((outcomes, conds, prob))
+                continue
+            cond_vars = tuple(v for v, _ in conds)
+            if cond_vars not in weights_given:
+                weights_given[cond_vars] = protocol.record_weights(state, cond_vars + (var,))
+            weights = weights_given[cond_vars]
+            cond_labels = tuple(l for _, l in conds)
+            mass = sum(weights[cond_labels + (l,)] for l in OUTCOME_LABELS[var])
+            for label in OUTCOME_LABELS[var]:
+                if prob < ZERO_WEIGHT_FLOOR or mass < ZERO_WEIGHT_FLOOR:
+                    p_label = 0.0
+                else:
+                    p_label = weights[cond_labels + (label,)] / mass
+                next_branches.append(
+                    (outcomes + (label,), conds + ((var, label),), prob * p_label)
+                )
+        branches = next_branches
+    return {outcomes: prob for outcomes, _, prob in branches}
+
+
+def marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
+    """Record-configuration weights read off pilot states, no renormalization.
+
+    Consecutive outcome variables are read jointly at the later one's
+    recording stage (where the earlier record is still intact); the joint is
+    the product of the resulting weight ratios.  The (w1, w2) factor is read
+    directly from the final pilot state.
+    """
+    pair_weights: list[dict[tuple[str, ...], float]] = []
+    for earlier, later in zip(JOINT_VARIABLES, JOINT_VARIABLES[1:]):
+        stage = RECORDERS[later][1]
+        state = protocol.pilot_state_after(stage)
+        pair_weights.append(protocol.record_weights(state, (earlier, later)))
+    first_var = JOINT_VARIABLES[0]
+    first = protocol.record_weights(
+        protocol.pilot_state_after(RECORDERS[JOINT_VARIABLES[1]][1]), (first_var,)
+    )
+    joint: dict[tuple[str, ...], float] = {}
+    for cell in _all_cells():
+        p = first[(cell[0],)]
+        for i, weights in enumerate(pair_weights):
+            denom = sum(weights[(cell[i], l)] for l in OUTCOME_LABELS[JOINT_VARIABLES[i + 1]])
+            if denom < ZERO_WEIGHT_FLOOR or p < ZERO_WEIGHT_FLOOR:
+                p = p * 0  # the zero of p's number type, exact on the exact engine
+                break
+            p *= weights[(cell[i], cell[i + 1])] / denom
+        joint[cell] = p
+    return joint
+
+
+def exact_chain(protocol: Engine) -> TrajectoryTable:
+    """Enumerate every trajectory with positive probability, no sampling."""
+    epoch_weights = [config_weights(protocol.pilot_state_after(s)) for s in STAGES]
+    start_weight = epoch_weights[0].get(READY_CONFIG, 0.0)
+    if abs(start_weight - 1.0) > NORM_ATOL:
+        raise ValueError("initial pilot state does not put all memories in the ready state")
+    partial: list[tuple[tuple[MemoryConfig, ...], float]] = [((READY_CONFIG,), 1.0)]
+    for i, stage in enumerate(DYNAMIC_STAGES, start=1):
+        rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
+        nxt: list[tuple[tuple[MemoryConfig, ...], float]] = []
+        for configs, prob in partial:
+            row = _kernel_row(configs[-1], epoch_weights[i - 1], epoch_weights[i], rewritten)
+            for child, p in row.items():
+                joint = prob * p
+                if joint > ZERO_WEIGHT_FLOOR:
+                    nxt.append((configs + (child,), joint))
+        partial = nxt
+    entries = tuple(Trajectory(configs, prob) for configs, prob in partial)
+    return TrajectoryTable(entries, tuple(epoch_weights))

@@ -123,6 +123,32 @@ def test_kernel_rows_equal_rows_with_rebuilt_children(engine, coin):
     assert rows >= 5
 
 
+def _bits(x):
+    """A float's bits (its hex, sign of zero included); an exact number as itself."""
+    return x.hex() if isinstance(x, float) else x
+
+
+def _table_bits(table):
+    entries = [(t.configs, _bits(t.probability)) for t in table.entries]
+    return entries, [{m: _bits(w) for m, w in ws.items()} for ws in table.epoch_weights]
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+@pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
+                         ids=["clean", "flip-ok-sign", "corrupt-preparation"])
+@pytest.mark.parametrize("coin", KERNEL_COINS, ids=["default"] + [f"seeded{i}" for i in range(10)])
+def test_shared_ratios_equal_the_per_branch_oracles(engine, hooks, coin):
+    """Both joints and the trajectory table equal the bodies that divided once per branch, cell or
+    partial trajectory: dense floats bit for bit, exact numbers exactly."""
+    protocol = engine(coin, **hooks)
+    for got, want in [(born._sequential_joint, reference.sequential_joint),
+                      (born._marginal_joint, reference.marginal_joint)]:
+        got, want = got(protocol), want(protocol)
+        assert list(got.items()) == list(want.items())
+        assert [_bits(p) for p in got.values()] == [_bits(p) for p in want.values()]
+    assert _table_bits(exact_chain(protocol)) == _table_bits(reference.exact_chain(protocol))
+
+
 class TestExactChain:
     def test_total_probability_is_one(self, protocol):
         table = exact_chain(protocol)

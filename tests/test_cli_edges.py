@@ -109,9 +109,11 @@ def test_a_rejected_family_evolves_no_chain(capsys, monkeypatch, order):
     assert walks == []
 
 
-@pytest.mark.parametrize("argv, walks", [(["histories"], 21), (["report"], 34)], ids=["histories", "report"])
+@pytest.mark.parametrize("argv, walks", [(["histories"], 17), (["report"], 24)], ids=["histories", "report"])
 def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, walks):
-    """`histories` reads P[h] off its report's D (21 walk calls); `report` adds the 13 of verify's two P[h] facts."""
+    """`histories` reads P[h] off its report's D (17 walk calls: one per member, then one per live child at
+    an event stage); `report` adds the 7 of verify's two P[h] facts (h1's chain 5, h1prime's 2: it vanishes
+    at w2=ok)."""
     calls = _count_walks(monkeypatch)
     code, _, _ = run(capsys, argv)
     assert code == 0

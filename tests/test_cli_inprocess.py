@@ -17,9 +17,12 @@ chains printed the rounding noise `2.48e-18` (in `histories_default.*` and
 `report_default.txt`); h1prime's chain is exactly zero.  Since the command
 line computes with the exact engine, every quantity that vanishes prints as
 `0` instead of rounding noise, and each JSON float is the nearest float to
-the exact value; no other byte changed.
+the exact value; no other byte changed.  The `help_*` and `usage_*` files
+were written while the parser still built every subcommand's arguments on
+each invocation; it now builds only the chosen one's.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -80,6 +83,43 @@ DEFAULT_GOLDEN = [
 def test_default_coin_output_matches_golden(capsys, args, golden):
     assert cli.main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+HELP_GOLDEN = [([], "help_top.txt")] + [([name], f"help_{name}.txt") for name, *_ in cli.SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("argv, golden", HELP_GOLDEN, ids=[g for _, g in HELP_GOLDEN])
+def test_help_matches_golden(capsys, monkeypatch, argv, golden):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == ((GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize("argv, golden", [([], "usage_missing_command.txt"),
+                                          (["frobnicate"], "usage_unknown_command.txt")],
+                         ids=["missing", "unknown"])
+def test_command_usage_error_matches_golden(capsys, monkeypatch, argv, golden):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", (GOLDEN / golden).read_text(encoding="utf-8"))
+
+
+def test_only_the_chosen_subcommand_builds_a_parser(capsys, monkeypatch):
+    """The top-level parser lists all seven subcommands; only the one invoked is built, with its arguments."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(["verify"]) == 0
+    assert built == ["ewflab", "ewflab verify"]
 
 
 def test_bellbohm_reference_json_is_the_full_payloads_reference_object(capsys):

@@ -193,6 +193,26 @@ def test_surd_arithmetic_is_exact():
     assert exact_label(Surd(9, 0, 0, 0, 400)) == "9/400" and exact_label(root2 / 2) is None
 
 
+@pytest.mark.parametrize("x", [Surd(3, 0, 0, 0, 5), Surd(-7, 0, 0, 0, 2), Surd(0), Surd(1, 1, 0, 0, 2),
+                               Surd(2, -1, 3, 1, 7), ExactProtocol().coin_amplitudes[1]],
+                         ids=["3/5", "-7/2", "0", "(1+√2)/2", "mixed", "coin-b"])
+def test_surd_int_power_is_repeated_multiplication(x):
+    want = Surd(1)
+    for n in range(6):
+        assert x**n == want and type(x**n) is Surd
+        want = want * x
+
+
+def test_surd_power_needs_a_nonnegative_int():
+    x = Surd(1, 1, 0, 0, 2)
+    for exponent in (0.5, 2.0, Fraction(1, 2), Surd(2)):
+        with pytest.raises(TypeError):
+            x**exponent
+    with pytest.raises(ValueError):
+        x**-1
+    assert abs(ExactProtocol().coin_amplitudes[1]) ** 2 == Fraction(2, 3)
+
+
 @pytest.mark.parametrize("flags", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}])
 @pytest.mark.parametrize("coin", [None, ("0.6", "0.8")] + [tuple(c.split(",")) for c in SEEDED[:5]])
 def test_pilot_states_match_the_dense_engine(coin, flags):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ewflab import bellbohm, born
-from ewflab.exact import CHAIN_MEMO_NODES, ExactProtocol, ExactStage
+from ewflab.exact import CHAIN_MEMO_NODES, ExactProtocol, ExactStage, Surd
 from ewflab.histories import (
     EpochMismatchError,
     History,
@@ -156,7 +156,7 @@ class TestConsistencyReport:
 def _leafwise_fine_chains(protocol, h, union_stages):
     """Reference refinement: one direct chain per leaf, no shared prefixes."""
     own = {e.stage: e for e in h.events}
-    slots = [[own[s]] if s in own else _record_refinement_events(protocol, s) for s in union_stages]
+    slots = [[own[s]] if s in own else _record_refinement_events(type(protocol), s) for s in union_stages]
     return [
         (tuple(e.label for e in events), reference.chain_vector(protocol, events))
         for events in itertools.product(*slots)
@@ -270,6 +270,22 @@ def test_a_cold_sweep_item_makes_15_stage_map_calls(engine, stage_class, monkeyp
     monkeypatch.setattr(stage_class, "linear", counting)
     _sweep_item(engine((math.cos(1.0), math.sin(1.0))))
     assert len(calls) == 15
+
+
+def test_an_exact_float_coin_sweep_item_divides_75_times(monkeypatch):
+    """Each distinct Born ratio is divided out once: 14 in the sequential joint (one per stage, active
+    conditions and label), 12 in the marginal joint (one per step and label pair), 49 in the beable chain
+    (one kernel row per config and stage); the histories divide nothing."""
+    calls = []
+    inverse = Surd.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Surd, "inverse", counting)
+    _sweep_item(ExactProtocol((math.cos(1.0), math.sin(1.0))))
+    assert len(calls) == 75
 
 
 @pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
