@@ -18,11 +18,12 @@ default coin, with no numpy.  It holds two things on top of that:
 
 The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
 answer the same calls: `initial_state`, `pilot_state_after`,
-`stage_unitary(s).linear`, `record_weights`, `record_mask`, `mask_key`,
-`chain_node`, `measurement`, `gram`, `sqrt`; their states answer `norm`, `norm2`, `normalized`,
-`require_normalized`, `masked`, `marginal`, `projected`, `amplitude`,
-`components`, `is_zero`; and their measurements answer `components` and
-`factor_matrices`.  The joints, histories, beable chains and facts are
+`stage_unitary(s).linear`, `record_weights`, `record_mask`, `chain_node`,
+`measurement`, `gram`, `sqrt`; their states answer `norm`, `norm2`,
+`normalized`, `require_normalized`, `masked`, `marginal`, `projected`,
+`amplitude`, `components`, `is_zero`; and their measurements answer
+`components` and `factor_matrices`.  A record mask is the same `RecordMask`
+value on both engines.  The joints, histories, beable chains and facts are
 written once against those calls.  A number the exact engine returns is
 exact, so its `exact` label (`exact_label`) is read off it instead of
 guessed from a float.
@@ -31,10 +32,10 @@ Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
 the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
 this one's oracle.  It is also the faster one: warm, on the benchmark's
-stream of history queries, this engine takes 0.85-0.93 ms per query against
-the dense engine's 0.54-0.55 ms (~1.6x slower; in process, 4,000 queries,
-2-vCPU x86-64 VM, Python 3.11.7), and float coins (large binary rationals)
-slow it further.
+stream of history queries, this engine takes 0.52-0.75 ms per query against
+the dense engine's 0.32-0.46 ms (~1.6x slower at the fastest of 5 repeats;
+in process, 4,000 queries, 2-vCPU x86-64 VM, Python 3.11.7), and float coins
+(large binary rationals) slow it further.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class StageId(enum.Enum):
     __hash__ = object.__hash__
 
     def __lt__(self, other: "StageId") -> bool:
-        return self.value < other.value
+        return self._value_ < other._value_
 
 
 STAGES: tuple[StageId, ...] = tuple(StageId)
@@ -399,6 +400,8 @@ class Surd:
     def inverse(self) -> "Surd":
         a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
         if not (b or c or d):
+            if not a:
+                raise ZeroDivisionError("Surd division by zero")
             return Surd(q, 0, 0, 0, a)
         # x (a, b, -c, -d) = p + r√2, and (p + r√2)(p - r√2) = p^2 - 2r^2 is rational
         p = a * a + 2 * b * b - 3 * c * c - 6 * d * d
@@ -637,14 +640,29 @@ def check_coin(a, b) -> None:
 CHAIN_MEMO_NODES = 256
 
 
+class RecordMask(NamedTuple):
+    """Keep the basis states with this label index on this memory axis: a record event's mask on both engines."""
+
+    axis: int
+    index: int
+
+
+@cache
+def record_mask(var: str, label: str) -> RecordMask:
+    """The mask selecting one memory label of var's recorder, one value per (var, label)."""
+    axis = RECORDERS[var][0].memory_axis
+    return RecordMask(axis, GLOBAL_SPACE.factors[axis].index(label))
+
+
 class Engine:
     """Configuration, the pilot-state walk, history-chain nodes and record weights, for both engines.
 
     A subclass passes `coin_amplitudes` in the number type of its states and
     provides `initial_state`, `stage_unitaries`, `measurements` (read-only,
-    outcome variable -> measurement), `record_mask`, `mask_key`, `gram` and
-    `sqrt`.
+    outcome variable -> measurement), `gram` and `sqrt`.
     """
+
+    record_mask = staticmethod(record_mask)
 
     def __init__(self, coin_amplitudes: tuple, flip_ok_sign: bool, corrupt_preparation: bool) -> None:
         check_coin(*coin_amplitudes)
@@ -698,45 +716,29 @@ class Engine:
                 state = cache[s] = self.stage_unitaries[s].apply(state)
         return cache[stage]
 
-    def chain_path(self, path: tuple | None, i: int, mask) -> tuple | None:
-        """`path` with `mask` applied after stage index i, or None when the memo cannot key it.
-
-        A path is the (stage index, `mask_key`) of each mask a chain has
-        applied, in order; None stays None, and so does a mask the engine
-        does not key.
-        """
-        if path is None:
-            return None
-        key = self.mask_key(mask)
-        return None if key is None else path + ((i, key),)
-
-    def chain_node(
-        self, i: int, path: tuple | None, step, parent, masks: bool = False
-    ) -> tuple[object, bool]:
+    def chain_node(self, i: int, path: tuple, step, parent, masks: bool = False) -> tuple[object, bool]:
         """`step(parent)`, the chain state after stage index i under the masks of `path`, and whether it vanished.
 
-        A chain node depends only on the stage index and the masks applied so
-        far, each with its stage (the empty path is the pilot state, kept in
-        its own cache), so each node is built once and read from a bounded
-        memo after that; the same operation on the same operand makes a hit
+        A path is the (stage index, `RecordMask`) of each mask a chain has
+        applied, in order.  A chain node depends only on the stage index and
+        that path (the empty path is the pilot state, kept in its own
+        cache), so each node is built once and read from a bounded memo
+        after that; the same operation on the same operand makes a hit
         bit-identical to a rebuild.  Stage maps are unitary and a walk never
         steps a zero state, so only a step that `masks` is zero-tested; a
-        zero state and a path of None are stored nowhere, so a hit never
-        vanished.
+        zero state is stored nowhere, so a hit never vanished.
         """
         memo = self._chain_memo
-        if path is not None:
-            state = memo.pop((i, path), None)
-            if state is not None:
-                memo[i, path] = state  # the memo runs from least to most recently used
-                return state, False
+        state = memo.pop((i, path), None)
+        if state is not None:
+            memo[i, path] = state  # the memo runs from least to most recently used
+            return state, False
         state = step(parent)
         if masks and state.is_zero():
             return state, True
-        if path is not None:
-            if len(memo) >= CHAIN_MEMO_NODES:
-                del memo[next(iter(memo))]
-            memo[i, path] = state
+        if len(memo) >= CHAIN_MEMO_NODES:
+            del memo[next(iter(memo))]
+        memo[i, path] = state
         return state, False
 
     def record_weights(self, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
@@ -763,13 +765,6 @@ def _record_index(vars: tuple[str, ...]) -> tuple[tuple[int, ...], tuple]:
 
 
 # -- the sparse exact engine --------------------------------------------------------
-
-
-class RecordMask(NamedTuple):
-    """The exact engine's record mask: keep the basis states with this label index on this axis."""
-
-    axis: int
-    index: int
 
 
 @cache
@@ -1004,16 +999,6 @@ class ExactProtocol(Engine):
             GLOBAL_SPACE.index_of((TAIL, READY, DOWN, READY, READY, READY)): tuple(x * (den // b.q) for x in b.coords),
         }
         return SparseState(nums, den).require_normalized()
-
-    @staticmethod
-    def record_mask(var: str, label: str) -> RecordMask:
-        axis = RECORDERS[var][0].memory_axis
-        return RecordMask(axis, GLOBAL_SPACE.factors[axis].index(label))
-
-    @staticmethod
-    def mask_key(mask) -> RecordMask | None:
-        """A mask's key in the chain memo: a `RecordMask` is its own value, any other mask has none."""
-        return mask if type(mask) is RecordMask else None
 
     @staticmethod
     def gram(states: list[SparseState]) -> list[list[Surd]]:

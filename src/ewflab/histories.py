@@ -1,13 +1,13 @@
 """History probabilities: chained projected evolution over the stage pipeline.
 
 A history is an ordered list of (stage, record event) pairs; each record
-event is a mask on its recorder's memory axis (the engine's `record_mask`).
-Its probability is the squared norm of the chain obtained by running the
-stage unitaries in order and applying each event's mask right after its
-stage.  Stages a history does not mention contribute plain unitary
-evolution; there is no implicit identity-projector event, which is exactly
-what makes a coarse history like "r = tail and w2 = ok" a different object
-from the sum of its fine-grainings.
+event is a mask on its recorder's memory axis, a `RecordMask` value on both
+engines (`record_mask`).  Its probability is the squared norm of the chain
+obtained by running the stage unitaries in order and applying each event's
+mask right after its stage.  Stages a history does not mention contribute
+plain unitary evolution; there is no implicit identity-projector event,
+which is exactly what makes a coarse history like "r = tail and w2 = ok" a
+different object from the sum of its fine-grainings.
 
 The consistency report makes that difference measurable: histories in a
 family are refined over the union of the family's event stages using the
@@ -16,6 +16,10 @@ only when the decoherence functional of the refined chain vectors shows
 neither interference across histories nor a break in the additivity of any
 member's probability.  Every function runs on either engine; on the exact
 one, D's entries are exact and "consistent" is an exact zero test.
+
+A refined chain is named by its path: the (stage index, mask) of each
+event it applied, in order.  The path keys the engine's chain memo and
+names the leaf in the report; an event's label is for display only.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import itertools
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, StageId
+from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, RecordMask, StageId, record_mask
 from .linalg import CONSISTENCY_ATOL, Frozen, setfield
 
 if TYPE_CHECKING:
@@ -37,11 +41,13 @@ class EpochMismatchError(ValueError):
 
 
 class HistoryEvent(Frozen):
-    """Record event right after `stage`: `mask` is the engine's `record_mask`."""
+    """Record event right after `stage`: `mask` is a `RecordMask`, `label` names it for display."""
 
     __slots__ = ("stage", "mask", "label")
 
-    def __init__(self, stage: StageId, mask: object, label: str) -> None:
+    def __init__(self, stage: StageId, mask: RecordMask, label: str) -> None:
+        if type(mask) is not RecordMask:
+            raise TypeError(f"a history event's mask must be a RecordMask, not {type(mask).__name__}")
         setfield(self, "stage", stage)
         setfield(self, "mask", mask)
         setfield(self, "label", label)
@@ -56,8 +62,8 @@ class History(Frozen):
     def __init__(self, name: str, events: tuple[HistoryEvent, ...]) -> None:
         setfield(self, "name", name)
         setfield(self, "events", events)
-        stages = [e.stage.value for e in events]
-        if any(b <= a for a, b in zip(stages, stages[1:])):
+        stages = [e.stage for e in events]
+        if not all(a < b for a, b in zip(stages, stages[1:])):
             raise ValueError(f"history {self.name!r}: event stages must strictly increase")
 
     def describe(self) -> str:
@@ -83,10 +89,7 @@ def outcome_event(protocol: Engine, var: str, label: str, stage: StageId | None 
 
 def history(protocol: Engine, name: str, assignments: list[tuple[str, str]]) -> History:
     """History from (variable, label) pairs at their canonical stages."""
-    events = sorted(
-        (outcome_event(protocol, var, label) for var, label in assignments),
-        key=lambda e: e.stage.value,
-    )
+    events = sorted((outcome_event(protocol, var, label) for var, label in assignments), key=lambda e: e.stage)
     return History(name, tuple(events))
 
 
@@ -158,12 +161,8 @@ class ConsistencyReport(Frozen):
 
 
 @cache
-def _record_refinement_events(engine: type[Engine], stage: StageId) -> tuple[HistoryEvent, ...]:
-    """Complete record decomposition at a stage, including the ready label.
-
-    An engine's record masks do not depend on its coin, so the events are
-    built once per (engine class, stage) and shared by every walk.
-    """
+def _record_refinement_events(stage: StageId) -> tuple[HistoryEvent, ...]:
+    """Complete record decomposition at a stage, including the ready label, built once per stage."""
     if stage not in RECORDED_VAR:
         raise EpochMismatchError(
             f"stage {stage.name} records nothing; histories in a family must event at recording stages"
@@ -171,69 +170,62 @@ def _record_refinement_events(engine: type[Engine], stage: StageId) -> tuple[His
     var = RECORDED_VAR[stage]
     agent, _ = RECORDERS[var]
     labels = GLOBAL_SPACE.factors[agent.memory_axis].labels
-    return tuple(HistoryEvent(stage, engine.record_mask(var, label), f"{var}={label}") for label in labels)
+    return tuple(HistoryEvent(stage, record_mask(var, label), f"{var}={label}") for label in labels)
 
 
-def _slots(protocol: Engine, h: History, union_stages: tuple[StageId, ...]) -> dict[StageId, tuple[HistoryEvent, ...]]:
+def _slots(h: History, union_stages: tuple[StageId, ...]) -> dict[StageId, tuple[HistoryEvent, ...]]:
     """h's own event at its stages and the record decomposition at each other union stage; evolves nothing."""
-    # keys are label strings; outcome_event and the refinement slots spell a
-    # recording-stage event alike, so identical keys mean identical mask chains
     slots = {e.stage: (e,) for e in h.events}
     for stage in union_stages:
         if stage not in slots:
-            slots[stage] = _record_refinement_events(type(protocol), stage)
+            slots[stage] = _record_refinement_events(stage)
     return slots
 
 
 def _fine_chains(
     protocol: Engine, h: History, union_stages: tuple[StageId, ...]
-) -> list[tuple[tuple[str, ...], StateVector]]:
-    """Refine h over union stages it does not mention; return keyed chain vectors.
+) -> list[tuple[tuple, StateVector]]:
+    """Refine h over union stages it does not mention; return (path, chain vector) per leaf.
 
     A depth-first walk over the stage timeline evolves each tree node once,
     so leaves share their prefix chains.  It is the package's one chain
     evolution: `chain_vector` is its single leaf for an empty union.
     """
-    chains: list[tuple[tuple[str, ...], StateVector, bool]] = []
-    _walk(protocol, _slots(protocol, h, union_stages), 0, (), (), None, chains)
-    return [(k, v) for k, v, _ in chains]
+    chains: list[tuple[tuple, StateVector, bool]] = []
+    _walk(protocol, _slots(h, union_stages), 0, (), None, chains)
+    return [(path, v) for path, v, _ in chains]
 
 
-def _walk(
-    protocol: Engine, slots: dict, i: int, key: tuple[str, ...], path: tuple | None, state: StateVector | None,
-    chains: list,
-) -> None:
-    """Append the leaves below stage index i to `chains` as (key, state, vanished); no closure, so no reference cycle.
+def _walk(protocol: Engine, slots: dict, i: int, path: tuple, state: StateVector | None, chains: list) -> None:
+    """Append the leaves below stage index i to `chains` as (path, state, vanished); no closure, so no reference cycle.
 
     A call loops through the stages up to the next one in `slots`, and
     recurses once per live child there.  Until its first mask (an empty
-    key) a chain is the pilot state, bit for bit, so it is read from the
+    path) a chain is the pilot state, bit for bit, so it is read from the
     engine's pilot cache.  After that each node, one per stage, is read from
-    the engine's chain memo by `path`, the masks applied so far
-    (`Engine.chain_node`), before anything is evolved or masked; the label
-    key names the leaf and never keys the memo, as a hand-built event can
-    reuse a label at another stage.  Once a mask leaves a zero state (stage
-    maps are unitary, so only a mask can), every leaf below it is that zero
-    state, flagged vanished, still under its own key: shared-outcome
-    detection reads the keys of vanished chains.
+    the engine's chain memo by `path` (`Engine.chain_node`) before anything
+    is evolved or masked.  Once a mask leaves a zero state (stage maps are
+    unitary, so only a mask can), every leaf below it is that zero state,
+    flagged vanished, still under its own path: shared-outcome detection
+    reads the paths of vanished chains.
     """
     for i in range(i, len(STAGES)):
         stage = STAGES[i]
-        if not key:
+        if not path:
             state = protocol.pilot_state_after(stage)
         else:
             state, _ = protocol.chain_node(i, path, protocol.stage_unitary(stage).linear, state)
         if stage in slots:
             for event in slots[stage]:
-                child_path = protocol.chain_path(path, i, event.mask)
+                child_path = path + ((i, event.mask),)
                 child, vanished = protocol.chain_node(i, child_path, event.apply, state, masks=True)
                 if vanished:
-                    below = [[e.label for e in slots[s]] for s in STAGES[i + 1 :] if s in slots]
-                    chains.extend((key + (event.label,) + tail, child, True) for tail in itertools.product(*below))
+                    below = [[(j, e.mask) for e in slots[s]] for j, s in enumerate(STAGES) if j > i and s in slots]
+                    chains.extend((child_path + tail, child, True) for tail in itertools.product(*below))
                 else:
-                    _walk(protocol, slots, i + 1, key + (event.label,), child_path, child, chains)
+                    _walk(protocol, slots, i + 1, child_path, child, chains)
             return
-    chains.append((key, state, False))
+    chains.append((path, state, False))
 
 
 def chain_consistency_report(protocol: Engine, family: list[History]) -> ConsistencyReport:
@@ -245,8 +237,8 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     its refined ones (each slot's masks sum to the identity), so P[h] is
     sum(D_hh), its additivity defect is |sum(D_hh) - trace(D_hh)| and a
     pair's direct overlap is |sum(D_ab)|.  A pair fails on either, on
-    interference between refined chains with different keys (largest such
-    |D_ab| entry), or on a shared key (the histories are not exclusive
+    interference between refined chains with different paths (largest such
+    |D_ab| entry), or on a shared path (the histories are not exclusive
     alternatives).  Every member's slots are built, and a bad family
     refused, before any walk.
     """
@@ -254,18 +246,16 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     if len(set(names)) != len(names):
         repeated = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"family members need distinct names (repeated: {', '.join(repeated)})")
-    union_stages = tuple(
-        sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value)
-    )
-    slots = [_slots(protocol, h, union_stages) for h in family]
-    keys: dict[str, set[tuple[str, ...]]] = {}  # every refined key, vanishing chains included
+    union_stages = tuple(sorted({e.stage for h in family for e in h.events}))
+    slots = [_slots(h, union_stages) for h in family]
+    paths: dict[str, set[tuple]] = {}  # every refined path, vanishing chains included
     rows: dict[str, list[int]] = {}  # each member's rows of D
-    leaves: list[tuple[tuple[str, ...], StateVector]] = []
+    leaves: list[tuple[tuple, StateVector]] = []
     for name, member_slots in zip(names, slots):
-        chains: list[tuple[tuple[str, ...], StateVector, bool]] = []
-        _walk(protocol, member_slots, 0, (), (), None, chains)
-        keys[name] = {k for k, _, _ in chains}
-        live = [(k, v) for k, v, vanished in chains if not vanished]
+        chains: list[tuple[tuple, StateVector, bool]] = []
+        _walk(protocol, member_slots, 0, (), None, chains)
+        paths[name] = {path for path, _, _ in chains}
+        live = [(path, v) for path, v, vanished in chains if not vanished]
         rows[name] = list(range(len(leaves), len(leaves) + len(live)))
         leaves += live
     d = protocol.gram([v for _, v in leaves])
@@ -280,7 +270,7 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     for a, b in itertools.combinations(names, 2):
         off = abs(block_sum(rows[a], rows[b]))
         cross = max((abs(d[i][j]) for i in rows[a] for j in rows[b] if leaves[i][0] != leaves[j][0]), default=0.0)
-        shared = not keys[a].isdisjoint(keys[b])
+        shared = not paths[a].isdisjoint(paths[b])
         ok = max(off, cross, additivity[a], additivity[b]) <= CONSISTENCY_ATOL and not shared
         pairs.append(PairVerdict(a, b, off, cross, shared, ok))
     return ConsistencyReport(tuple(names), union_stages, probability, additivity, tuple(pairs))

@@ -31,11 +31,11 @@ constructor rejects a wrong size and any non-finite amplitude.  States the
 engine derives itself skip that check.  `initial_state` is trusted (checked
 and normalized), and so is the image of a trusted state under one of the
 engine's own operators: the shared stage unitaries of `_stages`, the
-measurements of `_specs` and the `record_mask` arrays.  Each is a unitary
-or a 0/1 projector with entries of modulus at most 1, so a trusted state
-keeps a norm of at most 1 (up to rounding) and every amplitude finite.  Any
-other operand (a state, stage unitary, measurement or mask a caller built)
-yields a checked state, as does `normalized`.
+measurements of `_specs` and the record-mask arrays of `_mask_array`.  Each
+is a unitary or a 0/1 projector with entries of modulus at most 1, so a
+trusted state keeps a norm of at most 1 (up to rounding) and every
+amplitude finite.  Any other operand (a state, stage unitary or
+measurement a caller built) yields a checked state, as does `normalized`.
 """
 
 from __future__ import annotations
@@ -70,10 +70,12 @@ from .exact import (  # the layout, re-exported: the dense engine is the library
     AgentId,
     Engine,
     PreconditionError,
+    RecordMask,
     StageId,
     StageMap,
     float_image,
     outcome_vectors,
+    record_mask,
     require_ready,
     rewritten_axes,
     stage_maps,
@@ -151,9 +153,10 @@ class StateVector(_Squared):
         """The nonzero amplitudes by flat index."""
         return {int(i): complex(self.amps[i]) for i in np.flatnonzero(self.amps)}
 
-    def masked(self, mask: np.ndarray) -> "StateVector":
-        """The amplitudes times a 0/1 mask (a `record_mask`)."""
-        return _image(self.space, self, mask, np.multiply, self.amps, mask)
+    def masked(self, mask: RecordMask) -> "StateVector":
+        """The amplitudes times the 0/1 array of a `record_mask`."""
+        array = _mask_array(mask)
+        return _image(self.space, self, array, np.multiply, self.amps, array)
 
     def marginal(self, axes: tuple[int, ...]) -> dict[tuple[int, ...], float]:
         """`memory_marginal` as {label indices on axes: weight}."""
@@ -417,20 +420,20 @@ def _factor_vector(targets: tuple[str, ...], terms: dict[tuple[str, ...], float]
 
 
 @cache
-def record_mask(var: str, label: str) -> np.ndarray:
-    """0/1 mask on the flat amplitudes selecting one memory label of var's recorder.
+def _mask_array(mask: RecordMask) -> np.ndarray:
+    """A record mask as a 0/1 array on the flat amplitudes.
 
-    `amps * record_mask(var, label)` equals projecting with
+    `amps * _mask_array(record_mask(var, label))` equals projecting with
     `Protocol.record_projector(var, label)`, whose spanning vectors are basis
-    vectors.  The mask does not depend on the coin, so one read-only array per
-    (var, label) is shared by every caller.
+    vectors.  One read-only array per mask is shared by every caller.
     """
-    axis = RECORDERS[var][0].memory_axis
-    mask = np.zeros(GLOBAL_SPACE.dims)
-    np.moveaxis(mask, axis, 0)[GLOBAL_SPACE.factors[axis].index(label)] = 1.0
-    mask = mask.reshape(-1)
-    mask.flags.writeable = False
-    return _engine_operator(mask)
+    axis, index = mask
+    array = np.zeros(GLOBAL_SPACE.dims)
+    if 0 <= index < GLOBAL_SPACE.dims[axis]:  # an index no label has keeps nothing, as on the exact engine
+        np.moveaxis(array, axis, 0)[index] = 1.0
+    array = array.reshape(-1)
+    array.flags.writeable = False
+    return _engine_operator(array)
 
 
 @cache
@@ -473,13 +476,6 @@ class Protocol(Engine):
     """
 
     sqrt = staticmethod(math.sqrt)
-    record_mask = staticmethod(record_mask)
-
-    @staticmethod
-    def mask_key(mask: np.ndarray) -> int | None:
-        """A mask's key in the chain memo: a `record_mask` array is keyed by id, any other mask has none."""
-        key = id(mask)
-        return key if _ENGINE_OPERATORS.get(key) is mask else None
 
     def __init__(
         self,

@@ -213,6 +213,15 @@ def test_surd_power_needs_a_nonnegative_int():
     assert abs(ExactProtocol().coin_amplitudes[1]) ** 2 == Fraction(2, 3)
 
 
+@pytest.mark.parametrize("x", [Surd(1), Surd(1, 1, 0, 0, 1), Surd(2, -1, 3, 1, 7)], ids=["1", "1+√2", "mixed"])
+@pytest.mark.parametrize("zero", [Surd(), 0, Fraction(0), 0.0], ids=["surd", "int", "fraction", "float"])
+def test_dividing_by_an_exact_zero_raises(x, zero):
+    """Like int and Fraction, a Surd refuses a zero divisor instead of returning a denominator of 0."""
+    for divide in (lambda: x / zero, lambda: 1 / (x * zero), lambda: (x * zero).inverse()):
+        with pytest.raises(ZeroDivisionError, match="^Surd division by zero$"):
+            divide()
+
+
 @pytest.mark.parametrize("flags", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}])
 @pytest.mark.parametrize("coin", [None, ("0.6", "0.8")] + [tuple(c.split(",")) for c in SEEDED[:5]])
 def test_pilot_states_match_the_dense_engine(coin, flags):

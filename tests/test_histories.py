@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ewflab import bellbohm, born
-from ewflab.exact import CHAIN_MEMO_NODES, ExactProtocol, ExactStage, Surd
+from ewflab.exact import CHAIN_MEMO_NODES, RECORDED_VAR, ExactProtocol, ExactStage, RecordMask, Surd
 from ewflab.histories import (
     EpochMismatchError,
     History,
@@ -33,6 +33,7 @@ from ewflab.protocol import (
     Protocol,
     StageId,
     StageUnitary,
+    _mask_array,
     record_mask,
 )
 import reference
@@ -153,26 +154,28 @@ class TestConsistencyReport:
 # -- record masks and prefix-shared refinement --------------------------------
 
 
+def _path(events):
+    """The (stage index, mask) of each event, in order: how the walk names a chain."""
+    return tuple((STAGES.index(e.stage), e.mask) for e in events)
+
+
 def _leafwise_fine_chains(protocol, h, union_stages):
     """Reference refinement: one direct chain per leaf, no shared prefixes."""
     own = {e.stage: e for e in h.events}
-    slots = [[own[s]] if s in own else _record_refinement_events(type(protocol), s) for s in union_stages]
-    return [
-        (tuple(e.label for e in events), reference.chain_vector(protocol, events))
-        for events in itertools.product(*slots)
-    ]
+    slots = [[own[s]] if s in own else _record_refinement_events(s) for s in union_stages]
+    return [(_path(events), reference.chain_vector(protocol, events)) for events in itertools.product(*slots)]
 
 
 def _event(protocol, var, label, stage=None):
     if label == "0":  # the ready label is no outcome; build its event directly
-        return HistoryEvent(stage, protocol.record_mask(var, label), f"{var}={label}")
+        return HistoryEvent(stage, record_mask(var, label), f"{var}={label}")
     return outcome_event(protocol, var, label, stage)
 
 
 def _family(protocol, spec):
     """spec: {name: [(var, label, stage or None), ...]}"""
     return [
-        History(name, tuple(sorted((_event(protocol, *ev) for ev in evs), key=lambda e: e.stage.value)))
+        History(name, tuple(sorted((_event(protocol, *ev) for ev in evs), key=lambda e: e.stage)))
         for name, evs in spec.items()
     ]
 
@@ -222,14 +225,14 @@ def _oracle_engines():
 @pytest.mark.parametrize("engine, coin, hooks", _oracle_engines())
 @pytest.mark.parametrize("family_name", sorted(ORACLE_FAMILIES))
 def test_fine_chains_match_leafwise_oracle(family_name, engine, coin, hooks):
-    """The prefix-shared walk returns the per-leaf chains, keys and bits alike.
+    """The prefix-shared walk returns the per-leaf chains, paths and bits alike.
 
     The walk stops evolving a chain that a mask has zeroed; the oracle evolves
     every chain to the end, and the zero states must still agree.
     """
     protocol = engine(coin, **hooks)
     family = _family(protocol, ORACLE_FAMILIES[family_name])
-    union = tuple(sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value))
+    union = tuple(sorted({e.stage for h in family for e in h.events}))
     for h in family:
         got = _fine_chains(protocol, h, union)
         want = _leafwise_fine_chains(protocol, h, union)
@@ -309,7 +312,7 @@ def test_a_cold_sweep_item_checks_one_dense_state(hooks, monkeypatch):
 def test_fine_chains_are_trusted_and_finite(family_name, engine, coin, hooks):
     protocol = engine(coin, **hooks)
     family = _family(protocol, ORACLE_FAMILIES[family_name])
-    union = tuple(sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value))
+    union = tuple(sorted({e.stage for h in family for e in h.events}))
     for h in family:
         for key, state in _fine_chains(protocol, h, union):
             assert state.trusted and np.isfinite(state.amps).all(), key
@@ -317,14 +320,16 @@ def test_fine_chains_are_trusted_and_finite(family_name, engine, coin, hooks):
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
 def test_a_vanished_chain_keeps_its_keys(engine):
-    """b's one chain vanishes at z=+ after r=head; its key is still one of a's, so the pair fails."""
+    """b's one chain vanishes at z=+ after r=head; its path is still one of a's, so the pair fails."""
     protocol = engine()
     a = history(protocol, "a", [("r", "head")])
     b = history(protocol, "b", [("r", "head"), ("z", "+")])
     union = (StageId.OBS0, StageId.OBS2)
-    ((key, state),) = _fine_chains(protocol, b, union)
-    assert key == ("r=head", "z=+") and state.is_zero()
-    assert [k for k, _ in _fine_chains(protocol, a, union)] == [("r=head", f"z={z}") for z in ("0", "+", "-")]
+    head = (STAGES.index(S.OBS0), record_mask("r", "head"))
+    ((path, state),) = _fine_chains(protocol, b, union)
+    assert path == (head, (STAGES.index(S.OBS2), record_mask("z", "+"))) and state.is_zero()
+    assert [p for p, _ in _fine_chains(protocol, a, union)] == [
+        (head, (STAGES.index(S.OBS2), record_mask("z", z))) for z in ("0", "+", "-")]
     (pair,) = chain_consistency_report(protocol, [a, b]).pairs
     assert pair.shared_fine_outcomes and not pair.consistent
 
@@ -358,8 +363,8 @@ def test_record_mask_equals_record_projector(protocol):
     ]
     assert len(pairs) == 12
     for var, label in pairs:
-        mask = record_mask(var, label)
-        assert np.array_equal(mask * mask, mask)
+        mask = _mask_array(record_mask(var, label))
+        assert not mask.flags.writeable and np.array_equal(mask * mask, mask)
         proj = protocol.record_projector(var, label)
         for state in states:
             assert np.array_equal(state.amps * mask, project(proj, state).amps)
@@ -496,15 +501,44 @@ def test_a_reused_label_gets_its_own_chain(engine):
             want.probability, want.additivity_defect, want.pairs)
 
 
-@pytest.mark.parametrize("engine, copy", [(Protocol, np.copy), (ExactProtocol, tuple)], ids=["dense", "exact"])
-def test_a_caller_mask_keys_no_node(engine, copy):
-    """A chain through a mask the engine did not make (a copied array, a plain tuple) is walked, not stored."""
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_a_caller_built_record_mask_reads_the_engines_node(engine):
+    """A mask is a value: an equal `RecordMask` a caller built keys the node the engine's own mask stored."""
     protocol = engine()
-    ok = outcome_event(protocol, "w2", "ok")
-    tail = outcome_event(protocol, "r", "tail")
-    copied = HistoryEvent(S.OBS0, copy(tail.mask), tail.label)
-    assert _bits(chain_vector(protocol, (copied, ok))) == _bits(chain_vector(engine(), (tail, ok)))
-    assert protocol._chain_memo == {}
+    tail, ok = outcome_event(protocol, "r", "tail"), outcome_event(protocol, "w1", "ok")
+    node = chain_vector(protocol, (tail, ok))
+    assert not node.is_zero()
+    memo = dict(protocol._chain_memo)
+    copied = HistoryEvent(S.OBS0, RecordMask(*tail.mask), tail.label)
+    assert copied.mask is not tail.mask
+    assert chain_vector(protocol, (copied, ok)) is node
+    assert protocol._chain_memo == memo
+
+
+@pytest.mark.parametrize("mask", [np.copy(_mask_array(record_mask("r", "tail"))), tuple(record_mask("r", "tail"))],
+                         ids=["array", "tuple"])
+def test_a_mask_that_is_no_record_mask_is_refused(mask):
+    with pytest.raises(TypeError, match="^a history event's mask must be a RecordMask, not (ndarray|tuple)$"):
+        HistoryEvent(S.OBS0, mask, "r=tail")
+
+
+@pytest.mark.parametrize("mask", [RecordMask(4, -1), RecordMask(4, 3)], ids=["negative", "past-the-labels"])
+def test_a_record_mask_no_label_has_keeps_nothing_on_both_engines(mask):
+    for engine in (Protocol, ExactProtocol):
+        assert engine().pilot_state_after(S.MEAS4).masked(mask).is_zero(), engine
+
+
+def test_equal_labels_mean_equal_stage_and_mask():
+    """Every event `outcome_event` and the refinements build, for each variable and label (the ready label
+    too) at each stage: two labels are equal exactly when the (stage, mask) pairs are, so the paths that
+    name refined chains tell apart exactly the events the printed labels do."""
+    protocol = ExactProtocol()
+    events = [outcome_event(protocol, var, label, stage)
+              for var, labels in OUTCOME_LABELS.items() for label in labels for stage in (None, *STAGES)]
+    events += [e for stage in RECORDED_VAR for e in _record_refinement_events(stage)]
+    assert len({(e.stage, e.mask) for e in events}) == len({e.label for e in events}) == 4 * 2 * 6 + 4
+    for a, b in itertools.combinations(events, 2):
+        assert (a.label == b.label) == ((a.stage, a.mask) == (b.stage, b.mask)), (a.label, b.label)
 
 
 def _staged_specs(n: int, seed: int) -> list[dict]:
@@ -515,7 +549,7 @@ def _staged_specs(n: int, seed: int) -> list[dict]:
     for i in range(n):
         spec = {}
         for name in "abcd"[: 2 + i % 3]:
-            stages = sorted(rng.sample(recording, rng.randint(1, 4)), key=lambda s: s.value)
+            stages = sorted(rng.sample(recording, rng.randint(1, 4)))
             events = []
             for stage in stages:
                 var = rng.choice([v for v, (_, at) in RECORDERS.items() if at.value <= stage.value])

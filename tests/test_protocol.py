@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ewflab.exact import ExactProtocol, stage_maps
-from ewflab.histories import History, HistoryEvent, history_probability
+from ewflab.histories import HistoryEvent
 from ewflab.protocol import (
     DYNAMIC_STAGES,
     GLOBAL_SPACE,
@@ -297,10 +297,10 @@ class TestCallerOperandsAreChecked:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             protocol.pilot_state_after(StageId.MEAS4).projected(spec, PLUS)
 
-    def test_a_hand_built_history_event_with_nan(self, protocol):
-        event = HistoryEvent(StageId.OBS0, np.full(GLOBAL_SPACE.size, np.nan), "r=nan")
-        with pytest.raises(ValueError, match="amplitudes must be finite"):
-            history_probability(protocol, History("nan", (event,)))
+    def test_a_hand_built_mask_array_with_nan_is_refused(self):
+        """No mask array reaches a state: a history event takes only a `RecordMask`."""
+        with pytest.raises(TypeError, match="mask must be a RecordMask, not ndarray"):
+            HistoryEvent(StageId.OBS0, np.full(GLOBAL_SPACE.size, np.nan), "r=nan")
 
     @pytest.mark.parametrize("stage", [StageId.PREP1, StageId.MEAS3], ids=lambda s: s.name)
     def test_a_finite_caller_state_that_overflows(self, protocol, stage):
