@@ -116,7 +116,7 @@ def transition_kernel(protocol: Engine, m: MemoryConfig, stage: StageId) -> Dist
         m,
         config_weights(protocol.pilot_state_after(prev)),
         config_weights(protocol.pilot_state_after(stage)),
-        protocol.stage_unitary(stage).rewritten_memory_axes,
+        protocol.stage_unitaries[stage].rewritten_memory_axes,
     )
     return Distribution(("config",), tuple(((c,), p) for c, p in sorted(row.items())))
 
@@ -195,7 +195,7 @@ def exact_chain(protocol: Engine) -> TrajectoryTable:
         raise ValueError("initial pilot state does not put all memories in the ready state")
     partial: list[tuple[tuple[MemoryConfig, ...], float]] = [((READY_CONFIG,), 1.0)]
     for i, stage in enumerate(DYNAMIC_STAGES, start=1):
-        rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
+        rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
         nxt: list[tuple[tuple[MemoryConfig, ...], float]] = []
         rows: dict[MemoryConfig, dict[MemoryConfig, float]] = {}  # one kernel row per config reached
         for configs, prob in partial:

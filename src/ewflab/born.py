@@ -13,7 +13,11 @@ Two extraction policies are supported and must agree:
     joint from ratios of those weights.
 
 Both reproduce the same joint distribution; in particular the (w1, w2)
-marginal equals the final pilot state's record weights.
+marginal equals the final pilot state's record weights over their sum.
+Every probability is a ratio of Born weights, and an accepted coin has
+|a|^2 + |b|^2 = 1 only within `NORM_ATOL`, so each no-collapse read scales
+its cells by one inverse of the total weight it read: the policies agree at
+every accepted coin, exactly on the exact engine.
 
 Every function here runs on either engine (`protocol.Protocol` or
 `exact.ExactProtocol`): a probability is a float from the first and an
@@ -203,7 +207,7 @@ def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     # branch: (outcome labels so far, active conditions, probability)
     branches: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], float]] = [((), (), 1.0)]
     for stage in DYNAMIC_STAGES:
-        rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
+        rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
         var = RECORDED_VAR.get(stage)
         state = protocol.pilot_state_after(stage)
         weights_given: dict[tuple[str, ...], dict] = {}  # record weights by conditioning variables
@@ -247,8 +251,9 @@ def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     Consecutive outcome variables are read jointly at the later one's
     recording stage (where the earlier record is still intact); the joint is
     the product of the resulting weight ratios, each divided out once and
-    shared by every cell that takes the same step.  The (w1, w2) factor is
-    read directly from the final pilot state.
+    shared by every cell that takes the same step, over the total weight of
+    the first record.  The (w1, w2) factor is read directly from the final
+    pilot state.
     """
     pair_weights: list[dict[tuple[str, ...], float]] = []
     for earlier, later in zip(JOINT_VARIABLES, JOINT_VARIABLES[1:]):
@@ -259,6 +264,7 @@ def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     first = protocol.record_weights(
         protocol.pilot_state_after(RECORDERS[JOINT_VARIABLES[1]][1]), (first_var,)
     )
+    scale = 1 / sum(first.values())
     ratios: dict[tuple[int, str, str], object] = {}  # by (i, cell[i], cell[i + 1]); None for a zero denominator
     joint: dict[tuple[str, ...], float] = {}
     for cell in _all_cells():
@@ -272,7 +278,7 @@ def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
                 p = p * 0  # the zero of p's number type, exact on the exact engine
                 break
             p *= ratios[step]
-        joint[cell] = p
+        joint[cell] = p * scale
     return joint
 
 
@@ -289,7 +295,8 @@ def joint_distribution(
 
 
 def final_record_marginal(protocol: Engine) -> Distribution:
-    """(w1, w2) weights of the final pilot state, the headline quantity."""
+    """(w1, w2) weights of the final pilot state over their sum, the headline quantity."""
     weights = protocol.record_weights(protocol.pilot_state_after(StageId.MEAS4), ("w1", "w2"))
+    scale = 1 / sum(weights.values())
     cells = [tuple(c) for c in product(OUTCOME_LABELS["w1"], OUTCOME_LABELS["w2"])]
-    return Distribution(("w1", "w2"), tuple((c, weights[c]) for c in cells))
+    return Distribution(("w1", "w2"), tuple((c, weights[c] * scale) for c in cells))

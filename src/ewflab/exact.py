@@ -17,13 +17,17 @@ default coin, with no numpy.  It holds two things on top of that:
   every sign is exact.
 
 The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
-answer the same calls: `initial_state`, `pilot_state_after`,
-`stage_unitary(s).linear`, `record_weights`, `record_mask`, `chain_node`,
-`measurement`, `gram`, `sqrt`; their states answer `norm`, `norm2`,
-`normalized`, `require_normalized`, `masked`, `marginal`, `projected`,
-`amplitude`, `components`, `is_zero`; and their measurements answer
+answer one contract, and it is exactly what the shared modules (`born`,
+`bellbohm`, `histories`, `facts`, `epistemics`, `cli`) read of an engine:
+`chain_node`, `coin_amplitudes`, `fact_results`, `gram`, `initial_state`,
+`measurements`, `pilot_state_after`, `record_mask`, `record_weights`, `sqrt`
+and `stage_unitaries`.  Each operator is read one way: a measurement as
+`measurements[var]`, a stage as `stage_unitaries[stage]`.  Their states
+answer `norm`, `norm2`, `require_normalized`, `masked`, `marginal`,
+`projected`, `components` and `is_zero`; their measurements answer
 `components` and `factor_matrices`.  A record mask is the same `RecordMask`
-value on both engines.  The joints, histories, beable chains and facts are
+value on both engines.  A conditional is a ratio of Born weights, never a
+renormalised state.  The joints, histories, beable chains and facts are
 written once against those calls.  A number the exact engine returns is
 exact, so its `exact` label (`exact_label`) is read off it instead of
 guessed from a float.
@@ -635,8 +639,8 @@ def check_coin(a, b) -> None:
 #: History-chain nodes one engine keeps (`Engine.chain_node`), least recently
 #: used first out.  A dense node retains ~5.7 kB (324 complex128 amplitudes
 #: and their objects), so a full memo holds ~1.5 MB; an exact node ~0.8 kB.
-#: A cold coin-sweep item stores about 22 nodes, a warm stream of the
-#: benchmark's history queries about 105.
+#: A cold coin-sweep item stores about 25 nodes, a warm stream of the
+#: benchmark's history queries about 128, vanished nodes included (3 and 23).
 CHAIN_MEMO_NODES = 256
 
 
@@ -674,33 +678,6 @@ class Engine:
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
         self.fact_results: dict = {}
 
-    def measurement(self, var: str):
-        try:
-            return self.measurements[var]
-        except KeyError:
-            raise KeyError(f"unknown outcome variable {var!r}") from None
-
-    @property
-    def coin_measurement(self):
-        return self.measurements["r"]
-
-    @property
-    def spin_measurement(self):
-        return self.measurements["z"]
-
-    @property
-    def friend_coin_measurement(self):
-        """W1's entangled ok/fail measurement of the coin together with F1."""
-        return self.measurements["w1"]
-
-    @property
-    def friend_spin_measurement(self):
-        """W2's entangled ok/fail measurement of the spin together with F2."""
-        return self.measurements["w2"]
-
-    def stage_unitary(self, stage: StageId):
-        return self.stage_unitaries[stage]
-
     def pilot_state_after(self, stage: StageId):
         """Global unitary evolution of the initial state up to and including stage.
 
@@ -725,21 +702,19 @@ class Engine:
         cache), so each node is built once and read from a bounded memo
         after that; the same operation on the same operand makes a hit
         bit-identical to a rebuild.  Stage maps are unitary and a walk never
-        steps a zero state, so only a step that `masks` is zero-tested; a
-        zero state is stored nowhere, so a hit never vanished.
+        steps a zero state, so only a step that `masks` is zero-tested.  The
+        memo stores every node it builds with its vanished flag, the zero
+        state a mask leaves included, and a hit returns the stored pair.
         """
         memo = self._chain_memo
-        state = memo.pop((i, path), None)
-        if state is not None:
-            memo[i, path] = state  # the memo runs from least to most recently used
-            return state, False
-        state = step(parent)
-        if masks and state.is_zero():
-            return state, True
-        if len(memo) >= CHAIN_MEMO_NODES:
-            del memo[next(iter(memo))]
-        memo[i, path] = state
-        return state, False
+        node = memo.pop((i, path), None)
+        if node is None:
+            state = step(parent)
+            node = state, masks and state.is_zero()
+            if len(memo) >= CHAIN_MEMO_NODES:
+                del memo[next(iter(memo))]
+        memo[i, path] = node  # the memo runs from least to most recently used
+        return node
 
     def record_weights(self, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
         """Joint Born weights of memory labels for the given outcome variables.
@@ -809,9 +784,6 @@ class SparseState:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def amplitude(self, labels: tuple[str, ...]) -> Surd:
-        return Surd(*self.nums.get(GLOBAL_SPACE.index_of(labels), (0, 0, 0, 0)), self.den)
-
     def components(self) -> dict[int, Surd]:
         """The nonzero amplitudes by flat index."""
         return {i: Surd(*x, self.den) for i, x in self.nums.items()}
@@ -830,12 +802,6 @@ class SparseState:
         if abs(self.norm() - 1.0) > NORM_ATOL:
             raise NotNormalizedError(f"norm {self.norm()} not within {NORM_ATOL} of 1")
         return self
-
-    def scaled(self, x: Surd) -> "SparseState":
-        return SparseState({i: _mul4(v, x.coords) for i, v in self.nums.items()}, self.den * x.q)
-
-    def normalized(self) -> "SparseState":
-        return self.scaled(self.norm2().sqrt().inverse())
 
     def masked(self, mask: RecordMask) -> "SparseState":
         axis, index = mask

@@ -22,7 +22,6 @@ from .linalg import ATOL, FACT_ATOL, PHASE_ATOL
 
 if TYPE_CHECKING:
     from .exact import Engine
-    from .protocol import StateVector
 
 
 class FactResult(NamedTuple):
@@ -62,12 +61,12 @@ def _fact(fact_id: str, step_tag: str | None, description: str):
     return decorate
 
 
-def _branch_state(protocol: Engine, coin: str, stage: StageId) -> StateVector:
-    """Pilot state conditioned on the coin record reading `coin`, renormalized."""
-    branch = protocol.pilot_state_after(stage).masked(protocol.record_mask("r", coin))
+def _branch_weight(protocol: Engine, coin: str, events: list) -> float:
+    """P(`events` | the coin record reads `coin`) after the spin recording: a ratio of the masked branch's weights."""
+    branch = protocol.pilot_state_after(StageId.OBS2).masked(protocol.record_mask("r", coin))
     if branch.norm() < ATOL:
         raise ZeroBranchError(f"{coin} branch has zero weight")
-    return branch.normalized()
+    return born.joint_weight(branch, events) / branch.norm2()
 
 
 def _weight(x) -> float:
@@ -82,12 +81,10 @@ def _dot(u: dict, v: dict):
 
 @_fact("initial-amplitudes", None, "prepared state has the configured coin amplitudes and nothing else")
 def check_initial_amplitudes(protocol: Engine) -> tuple[bool, str]:
-    state = protocol.initial_state()
-    head = (HEAD, READY, DOWN, READY, READY, READY)
-    tail = (TAIL, READY, DOWN, READY, READY, READY)
-    got_h, got_t = state.amplitude(head), state.amplitude(tail)
-    coin = {GLOBAL_SPACE.index_of(head), GLOBAL_SPACE.index_of(tail)}
-    residual = math.sqrt(sum(_weight(x) for i, x in state.components().items() if i not in coin))
+    amps = protocol.initial_state().components()
+    got_h, got_t = (amps.pop(GLOBAL_SPACE.index_of((coin, READY, DOWN, READY, READY, READY)), 0)
+                    for coin in (HEAD, TAIL))
+    residual = math.sqrt(sum(_weight(x) for x in amps.values()))
     a, b = protocol.coin_amplitudes
     ok = abs(got_h - a) < FACT_ATOL and abs(got_t - b) < FACT_ATOL and residual < FACT_ATOL
     return ok, f"head {got_h.real:.12g}, tail {got_t.real:.12g}, residual {residual:.3g}"
@@ -96,7 +93,7 @@ def check_initial_amplitudes(protocol: Engine) -> tuple[bool, str]:
 @_fact("okfail-bases-orthonormal", None, "both entangled ok/fail bases are orthonormal")
 def check_okfail_bases_orthonormal(protocol: Engine) -> tuple[bool, str]:
     worst = 0.0
-    for spec in (protocol.friend_coin_measurement, protocol.friend_spin_measurement):
+    for spec in (protocol.measurements["w1"], protocol.measurements["w2"]):
         vec_ok, vec_fail = spec.components(OK), spec.components(FAIL)
         worst = max(
             worst,
@@ -114,8 +111,7 @@ def check_okfail_bases_orthonormal(protocol: Engine) -> tuple[bool, str]:
 )
 def check_tail_branch_orthogonal_to_ok(protocol: Engine) -> tuple[bool, str]:
     """FR2: the tail branch after the spin recording is orthogonal to W2's ok."""
-    branch = _branch_state(protocol, TAIL, StageId.OBS2)
-    w = born.joint_weight(branch, [(protocol.friend_spin_measurement, OK)])
+    w = _branch_weight(protocol, TAIL, [(protocol.measurements["w2"], OK)])
     return w < FACT_ATOL, f"ok weight {w:.3g}"
 
 
@@ -126,16 +122,16 @@ def check_tail_branch_orthogonal_to_ok(protocol: Engine) -> tuple[bool, str]:
 )
 def check_tail_branch_fail_certain(protocol: Engine) -> tuple[bool, str]:
     """FR3: on the tail branch, W2's final record is fail with certainty."""
-    branch = _branch_state(protocol, TAIL, StageId.OBS2)
-    res = born.certainty_check(branch, protocol.friend_spin_measurement, "fail")
+    p = _branch_weight(protocol, TAIL, [(protocol.measurements["w2"], FAIL)])
+    res = born.CertaintyResult.from_probability(p)
     return res.kind is born.Certainty.CERTAIN, f"probability {res.probability:.12g}"
 
 
 @_fact("head-branch-spin-down", "FR4", "head branch leaves the spin pointing down with certainty")
 def check_head_branch_spin_down(protocol: Engine) -> tuple[bool, str]:
     """FR4: the head branch leaves the spin down, so z=+ excludes head."""
-    branch = _branch_state(protocol, HEAD, StageId.OBS2)
-    res = born.certainty_check(branch, protocol.spin_measurement, MINUS)
+    p = _branch_weight(protocol, HEAD, [(protocol.measurements["z"], MINUS)])
+    res = born.CertaintyResult.from_probability(p)
     return res.kind is born.Certainty.CERTAIN, f"probability {res.probability:.12g}"
 
 
@@ -151,7 +147,7 @@ def check_joint_state_coefficients(protocol: Engine) -> tuple[bool, str]:
     up to one global phase, with nothing outside those three components.
     """
     state = protocol.pilot_state_after(StageId.OBS2)
-    w1 = protocol.friend_coin_measurement
+    w1 = protocol.measurements["w1"]
 
     def basis_vector(okfail: str, spin: str, mem: str) -> dict[int, object]:
         # W1's vector on (C, F1), tensored with one basis label elsewhere
@@ -187,7 +183,7 @@ def check_joint_state_coefficients(protocol: Engine) -> tuple[bool, str]:
 def check_ok_minus_subspace_empty(protocol: Engine) -> tuple[bool, str]:
     """FR8: the same state is orthogonal to the (ok, spin-down) eigenspace."""
     state = protocol.pilot_state_after(StageId.OBS2)
-    ok_and_down = [(protocol.friend_coin_measurement, OK), (protocol.spin_measurement, MINUS)]
+    ok_and_down = [(protocol.measurements["w1"], OK), (protocol.measurements["z"], MINUS)]
     w = born.joint_weight(state, ok_and_down)
     return w < FACT_ATOL, f"weight {w:.3g}"
 

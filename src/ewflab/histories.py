@@ -214,7 +214,7 @@ def _walk(protocol: Engine, slots: dict, i: int, path: tuple, state: StateVector
         if not path:
             state = protocol.pilot_state_after(stage)
         else:
-            state, _ = protocol.chain_node(i, path, protocol.stage_unitary(stage).linear, state)
+            state, _ = protocol.chain_node(i, path, protocol.stage_unitaries[stage].linear, state)
         if stage in slots:
             for event in slots[stage]:
                 child_path = path + ((i, event.mask),)

@@ -35,7 +35,7 @@ measurements of `_specs` and the record-mask arrays of `_mask_array`.  Each
 is a unitary or a 0/1 projector with entries of modulus at most 1, so a
 trusted state keeps a norm of at most 1 (up to rounding) and every
 amplitude finite.  Any other operand (a state, stage unitary or
-measurement a caller built) yields a checked state, as does `normalized`.
+measurement a caller built) yields a checked state.
 """
 
 from __future__ import annotations
@@ -135,9 +135,6 @@ class StateVector(_Squared):
     def norm2(self) -> float:
         return self.norm() ** 2
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.space, self.amps / self.norm())
-
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.amps.view(np.float64))  # a third of the time of amps.any()
 
@@ -145,9 +142,6 @@ class StateVector(_Squared):
         if abs(self.norm() - 1.0) > NORM_ATOL:
             raise NotNormalizedError(f"norm {self.norm()} not within {NORM_ATOL} of 1")
         return self
-
-    def amplitude(self, labels: tuple[str, ...]) -> Amplitude:
-        return complex(self.amps[self.space.index_of(labels)])
 
     def components(self) -> dict[int, Amplitude]:
         """The nonzero amplitudes by flat index."""

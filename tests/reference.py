@@ -30,6 +30,17 @@ joint divided once per branch, the marginal joint once per cell and step,
 and `exact_chain` built a kernel row per partial trajectory.  Those bodies
 are the last section, unchanged (the joints without their leading
 underscore), as the oracles the shared ratios must equal bit for bit.
+
+Before the facts read a conditional as a ratio of Born weights, they
+renormalised the masked coin branch (`facts._branch_state`) with the
+states' `normalized`, which on the exact engine was `SparseState.scaled`
+by the inverse root of the branch's weight.  Those bodies close the module,
+unchanged (`branch_state` without its leading underscore, and `normalized`
+one function for both state types), as the oracle the ratios must equal.
+
+Where a body here called an engine accessor the engines no longer have, it
+reads the mapping that accessor read: `measurements[var]` or
+`stage_unitaries[stage]`.
 """
 
 from __future__ import annotations
@@ -51,7 +62,8 @@ from ewflab.bellbohm import (
     config_weights,
 )
 from ewflab.born import JOINT_VARIABLES, _all_cells
-from ewflab.exact import OUTCOME_LABELS, RECORDED_VAR, STAGES, Engine
+from ewflab.exact import OUTCOME_LABELS, RECORDED_VAR, STAGES, Engine, SparseState, Surd, _mul4
+from ewflab.facts import ZeroBranchError
 from ewflab.histories import (
     ConsistencyReport,
     History,
@@ -247,7 +259,7 @@ def _two_outcome_basis(
 
 
 def basis(protocol: Protocol, var: str) -> ProjectiveDecomposition:
-    """The spanning-set decomposition `protocol.measurement(var)` was built from."""
+    """The spanning-set decomposition `protocol.measurements[var]` was built from."""
     s = 1.0 / math.sqrt(2.0)
     if var == "r":
         space = GLOBAL_SPACE.subspace(("C",))
@@ -283,7 +295,7 @@ def basis(protocol: Protocol, var: str) -> ProjectiveDecomposition:
 def measurement_projector(protocol: Protocol, var: str, label: str) -> Projector:
     """One branch of `basis(protocol, var)`, lifted to the global space."""
     vecs = [v.amps for v in basis(protocol, var).projector(label).vectors]
-    return lifted_projector(GLOBAL_SPACE, protocol.measurement(var).target_axes, vecs)
+    return lifted_projector(GLOBAL_SPACE, protocol.measurements[var].target_axes, vecs)
 
 
 def config_projector(m: MemoryConfig) -> Projector:
@@ -405,7 +417,7 @@ def chain_vector(protocol: Protocol, events: tuple[HistoryEvent, ...]) -> StateV
     for e in by_stage.get(StageId.PREP_MINUS1, []):
         state = e.apply(state)
     for stage in DYNAMIC_STAGES:
-        state = protocol.stage_unitary(stage).linear(state)
+        state = protocol.stage_unitaries[stage].linear(state)
         for e in by_stage.get(stage, []):
             state = e.apply(state)
     return state
@@ -463,7 +475,7 @@ def sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     # branch: (outcome labels so far, active conditions, probability)
     branches: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], float]] = [((), (), 1.0)]
     for stage in DYNAMIC_STAGES:
-        rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
+        rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
         var = RECORDED_VAR.get(stage)
         state = protocol.pilot_state_after(stage)
         weights_given: dict[tuple[str, ...], dict] = {}  # record weights by conditioning variables
@@ -531,7 +543,7 @@ def exact_chain(protocol: Engine) -> TrajectoryTable:
         raise ValueError("initial pilot state does not put all memories in the ready state")
     partial: list[tuple[tuple[MemoryConfig, ...], float]] = [((READY_CONFIG,), 1.0)]
     for i, stage in enumerate(DYNAMIC_STAGES, start=1):
-        rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
+        rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
         nxt: list[tuple[tuple[MemoryConfig, ...], float]] = []
         for configs, prob in partial:
             row = _kernel_row(configs[-1], epoch_weights[i - 1], epoch_weights[i], rewritten)
@@ -542,3 +554,25 @@ def exact_chain(protocol: Engine) -> TrajectoryTable:
         partial = nxt
     entries = tuple(Trajectory(configs, prob) for configs, prob in partial)
     return TrajectoryTable(entries, tuple(epoch_weights))
+
+
+# -- conditioning by a renormalised branch ------------------------------------------
+
+
+def scaled(self: SparseState, x: Surd) -> SparseState:
+    return SparseState({i: _mul4(v, x.coords) for i, v in self.nums.items()}, self.den * x.q)
+
+
+def normalized(self):
+    """The former `normalized` of both state types: `StateVector`'s, else `SparseState`'s."""
+    if isinstance(self, StateVector):
+        return StateVector(self.space, self.amps / self.norm())
+    return scaled(self, self.norm2().sqrt().inverse())
+
+
+def branch_state(protocol: Engine, coin: str, stage: StageId):
+    """Pilot state conditioned on the coin record reading `coin`, renormalized."""
+    branch = protocol.pilot_state_after(stage).masked(protocol.record_mask("r", coin))
+    if branch.norm() < ATOL:
+        raise ZeroBranchError(f"{coin} branch has zero weight")
+    return normalized(branch)

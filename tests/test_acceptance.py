@@ -46,7 +46,7 @@ def test_criterion_2_joint_state_and_eigenspace(protocol):
     """Recorded-state coefficients (2, 1, -1)/sqrt(6); (ok, down) weight zero."""
     with criterion(2, "recorded state matches (2,1,-1)/sqrt(6) and kills the (ok, down) eigenspace"):
         state = protocol.pilot_state_after(StageId.OBS2)
-        w1 = protocol.friend_coin_measurement
+        w1 = protocol.measurements["w1"]
         tail_space = GLOBAL_SPACE.subspace(("S", "F2", "W1", "W2"))
 
         def lifted(okfail, spin, mem):
@@ -80,7 +80,7 @@ def test_criterion_2_joint_state_and_eigenspace(protocol):
 def test_criterion_3_lab_state_orthogonal_to_ok(protocol):
     """<ok | (down,- + up,+)/sqrt(2)> vanishes on the spin-F2 factor."""
     with criterion(3, "entangled lab state is orthogonal to W2's ok vector"):
-        spec = protocol.friend_spin_measurement
+        spec = protocol.measurements["w2"]
         sf = GLOBAL_SPACE.subspace(spec.targets)
         s = 1.0 / math.sqrt(2.0)
         lab = from_terms(sf, {("down", "-"): s, ("up", "+"): s})
@@ -164,7 +164,7 @@ def test_criterion_8_property_suites(protocol):
         )
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         for stage in DYNAMIC_STAGES:
-            u = global_matrix(protocol.stage_unitary(stage))
+            u = global_matrix(protocol.stage_unitaries[stage])
             norms = np.linalg.norm(states @ u.T, axis=1)
             assert np.max(np.abs(norms - 1.0)) < 1e-12
 

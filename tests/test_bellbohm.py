@@ -76,7 +76,7 @@ class TestKernel:
         state = protocol.pilot_state_after(StageId.MEAS3)
         projected = config_projector(parent)
         comp = project(projected, state)
-        evolved = protocol.stage_unitary(StageId.MEAS4).linear(comp)
+        evolved = protocol.stage_unitaries[StageId.MEAS4].linear(comp)
         norm2 = comp.norm() ** 2
         row = transition_kernel(protocol, parent, StageId.MEAS4)
         d = {k[0]: v for k, v in row.as_dict().items()}
@@ -113,7 +113,7 @@ def test_kernel_rows_equal_rows_with_rebuilt_children(engine, coin):
     weights = [config_weights(protocol.pilot_state_after(s)) for s in STAGES]
     rows = 0
     for i, stage in enumerate(DYNAMIC_STAGES, start=1):
-        rewritten = protocol.stage_unitary(stage).rewritten_memory_axes
+        rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
         for m, w in weights[i - 1].items():
             if w < ZERO_WEIGHT_FLOOR:
                 continue
@@ -139,11 +139,13 @@ def _table_bits(table):
 @pytest.mark.parametrize("coin", KERNEL_COINS, ids=["default"] + [f"seeded{i}" for i in range(10)])
 def test_shared_ratios_equal_the_per_branch_oracles(engine, hooks, coin):
     """Both joints and the trajectory table equal the bodies that divided once per branch, cell or
-    partial trajectory: dense floats bit for bit, exact numbers exactly."""
+    partial trajectory: dense floats bit for bit, exact numbers exactly.  The marginal joint's cells
+    are the oracle's times one inverse of the total weight of the first record, |a|^2 + |b|^2."""
     protocol = engine(coin, **hooks)
-    for got, want in [(born._sequential_joint, reference.sequential_joint),
-                      (born._marginal_joint, reference.marginal_joint)]:
-        got, want = got(protocol), want(protocol)
+    total = sum(protocol.record_weights(protocol.pilot_state_after(StageId.OBS2), ("r",)).values())
+    marginal = {cell: p * (1 / total) for cell, p in reference.marginal_joint(protocol).items()}
+    for got, want in [(born._sequential_joint(protocol), reference.sequential_joint(protocol)),
+                      (born._marginal_joint(protocol), marginal)]:
         assert list(got.items()) == list(want.items())
         assert [_bits(p) for p in got.values()] == [_bits(p) for p in want.values()]
     assert _table_bits(exact_chain(protocol)) == _table_bits(reference.exact_chain(protocol))

@@ -1,5 +1,6 @@
 """Outcome extraction: distributions, the 16-cell joint, certainty checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from ewflab.born import (
     joint_distribution,
     outcome_distribution,
 )
+from ewflab.exact import ExactProtocol
 from ewflab.linalg import StateVector
 from ewflab.protocol import GLOBAL_SPACE, Protocol, StageId
 from reference import pilot_state_with_order, project
@@ -49,21 +51,21 @@ def branch(protocol, var, label, stage):
 
 class TestOutcomeDistribution:
     def test_coin_on_initial_state(self, protocol):
-        d = outcome_distribution(protocol.initial_state(), protocol.coin_measurement)
+        d = outcome_distribution(protocol.initial_state(), protocol.measurements["r"])
         assert d.prob(("head",)) == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert d.prob(("tail",)) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_spin_after_preparation(self, protocol):
         # oracle: three equal-amplitude terms, one of them spin-up
         d = outcome_distribution(
-            protocol.pilot_state_after(StageId.PREP1), protocol.spin_measurement
+            protocol.pilot_state_after(StageId.PREP1), protocol.measurements["z"]
         )
         assert d.prob(("+",)) == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert d.prob(("-",)) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_degenerate_on_own_basis_vector(self, protocol):
         # lift the ok vector itself against ready memories elsewhere
-        spec = protocol.friend_spin_measurement
+        spec = protocol.measurements["w2"]
         vec = spec.vectors["ok"]
         rest = np.zeros(54, dtype=complex)
         rest_space = GLOBAL_SPACE.subspace(("W1", "W2"))
@@ -79,7 +81,7 @@ class TestOutcomeDistribution:
     def test_unnormalized_state_rejected(self, protocol):
         bad = StateVector(GLOBAL_SPACE, protocol.initial_state().amps * 0.5)
         with pytest.raises(Exception):
-            outcome_distribution(bad, protocol.coin_measurement)
+            outcome_distribution(bad, protocol.measurements["r"])
 
 
 def _basis_amps(space, labels):
@@ -165,26 +167,43 @@ class TestJointDistribution:
                 assert pa == pytest.approx(pb, abs=1e-11)
 
 
+#: 20 seeded float coins: each amplitude is its binary rational, so |a|^2 + |b|^2 is not exactly 1
+FLOAT_COINS = [(math.cos(t), math.sin(t)) for t in np.random.default_rng(2024).uniform(0, 2 * math.pi, 20)]
+
+
+@pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
+                         ids=["clean", "flip-ok-sign", "corrupt-preparation"])
+@pytest.mark.parametrize("coin", FLOAT_COINS, ids=[f"float{i}" for i in range(20)])
+def test_the_exact_policies_are_equal_at_a_float_coin(coin, hooks):
+    """Every probability is a ratio of Born weights, so the two policies and the final record marginal
+    agree exactly at a coin that is accepted but not exactly normalised."""
+    protocol = ExactProtocol(coin, **hooks)
+    assert sum(abs(x) ** 2 for x in protocol.coin_amplitudes) != 1
+    collapse = joint_distribution(protocol, CollapsePolicy.SEQUENTIAL_PROJECTION)
+    assert joint_distribution(protocol, CollapsePolicy.NO_COLLAPSE_MARGINAL).outcomes == collapse.outcomes
+    assert born.final_record_marginal(protocol).outcomes == collapse.marginal(("w1", "w2")).outcomes
+
+
 class TestCertainty:
     def test_tail_branch_excludes_ok(self, protocol):
         state = branch(protocol, "r", "tail", StageId.OBS2)
-        res = certainty_check(state, protocol.friend_spin_measurement, "ok")
+        res = certainty_check(state, protocol.measurements["w2"], "ok")
         assert res.kind is Certainty.IMPOSSIBLE
 
     def test_head_branch_certain_minus(self, protocol):
         state = branch(protocol, "r", "head", StageId.OBS2)
-        res = certainty_check(state, protocol.spin_measurement, "-")
+        res = certainty_check(state, protocol.measurements["z"], "-")
         assert res.kind is Certainty.CERTAIN
 
     def test_joint_ok_minus_impossible(self, protocol):
         res = joint_certainty_check(
             protocol.pilot_state_after(StageId.OBS2),
-            [(protocol.friend_coin_measurement, "ok"), (protocol.spin_measurement, "-")],
+            [(protocol.measurements["w1"], "ok"), (protocol.measurements["z"], "-")],
         )
         assert res.kind is Certainty.IMPOSSIBLE
 
     def test_uncertain_carries_probability(self, protocol):
-        res = certainty_check(protocol.initial_state(), protocol.coin_measurement, "tail")
+        res = certainty_check(protocol.initial_state(), protocol.measurements["r"], "tail")
         assert res.kind is Certainty.UNCERTAIN
         assert res.probability == pytest.approx(2.0 / 3.0, abs=1e-12)
 
@@ -192,7 +211,7 @@ class TestCertainty:
         with pytest.raises(ValueError):
             joint_certainty_check(
                 protocol.initial_state(),
-                [(protocol.coin_measurement, "head"), (protocol.coin_measurement, "tail")],
+                [(protocol.measurements["r"], "head"), (protocol.measurements["r"], "tail")],
             )
 
 

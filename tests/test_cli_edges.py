@@ -40,12 +40,33 @@ def test_degenerate_coin_fails_without_traceback(capsys, sub, coin):
         assert err.startswith("refusing to derive: quantum grounding failed for: ")
 
 
-@pytest.mark.parametrize("sub", ["audit", "report"])
+#: accepted coins off the default: an exact one, the paper's coin typed to ten digits and one with
+#: |a|^2 + |b|^2 = 1 + 1e-10; the last two are accepted but not exactly normalised
+SEEDED_COINS = ["0.6,0.8", "0.5773502692,0.8164965809", "1e-5,1"]
+
+
+@pytest.mark.parametrize("coin", SEEDED_COINS)
+@pytest.mark.parametrize("sub", ["simulate", "verify", "audit", "report"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_seeded_coin_refuses_to_derive(capsys, sub, fmt):
+def test_seeded_coin_refuses_to_derive(capsys, sub, fmt, coin):
     # report prints text only and has no --format, so both its cases run the same argv
     fmt_args = [] if sub == "report" else ["--format", fmt]
-    code, out, err = run(capsys, [sub, "--coin", "0.6,0.8"] + fmt_args)
+    policy_args = ["--policy", "marginal"] if sub == "simulate" else []
+    code, out, err = run(capsys, [sub, "--coin", coin] + policy_args + fmt_args)
+    if sub == "simulate":
+        # the no-collapse joint is a distribution at every accepted coin
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert sum(cell["probability"] for cell in json.loads(out)["joint"]["outcomes"]) == pytest.approx(1)
+        return
+    if sub == "verify":
+        # the facts fail on their own lines; nothing is derived, so nothing is refused
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            assert json.loads(out)["all_passed"] is False
+        else:
+            assert any(line.startswith("[FAIL]") for line in out.splitlines())
+        return
     assert code == 1
     assert err.startswith("refusing to derive: quantum grounding failed for: ")
     assert len(err.splitlines()) == 1

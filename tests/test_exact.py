@@ -236,8 +236,8 @@ def test_pilot_states_match_the_dense_engine(coin, flags):
         assert np.max(np.abs(amps - dense.pilot_state_after(stage).amps)) <= TOL
         if stage in exact.stage_unitaries:
             assert (
-                exact.stage_unitary(stage).rewritten_memory_axes
-                == dense.stage_unitary(stage).rewritten_memory_axes
+                exact.stage_unitaries[stage].rewritten_memory_axes
+                == dense.stage_unitaries[stage].rewritten_memory_axes
             )
 
 
@@ -256,7 +256,7 @@ def test_float_images_equal_the_float_build_bit_for_bit(flags):
         assert np.array_equal(unitary.matrix, old)
     for var in RECORDERS:
         decomposition = reference.basis(protocol, var)
-        for label, vector in protocol.measurement(var).vectors.items():
+        for label, vector in protocol.measurements[var].vectors.items():
             (old,) = decomposition.projector(label).vectors
             assert np.array_equal(vector, old.amps)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ewflab import bellbohm, born
-from ewflab.exact import CHAIN_MEMO_NODES, RECORDED_VAR, ExactProtocol, ExactStage, RecordMask, Surd
+from ewflab.exact import CHAIN_MEMO_NODES, RECORDED_VAR, ExactProtocol, ExactStage, RecordMask, SparseState, Surd
 from ewflab.histories import (
     EpochMismatchError,
     History,
@@ -57,7 +57,7 @@ class TestHistoryProbability:
     def test_single_event_matches_born_probability(self, protocol):
         """A one-event history is just the Born weight at that epoch."""
         for var in ("r", "z", "w1", "w2"):
-            spec = protocol.measurement(var)
+            spec = protocol.measurements[var]
             stage = RECORDERS[var][1]
             prev = StageId(stage.value - 1)
             before = protocol.pilot_state_after(prev)
@@ -275,10 +275,12 @@ def test_a_cold_sweep_item_makes_15_stage_map_calls(engine, stage_class, monkeyp
     assert len(calls) == 15
 
 
-def test_an_exact_float_coin_sweep_item_divides_75_times(monkeypatch):
+def test_an_exact_float_coin_sweep_item_divides_77_times(monkeypatch):
     """Each distinct Born ratio is divided out once: 14 in the sequential joint (one per stage, active
     conditions and label), 12 in the marginal joint (one per step and label pair), 49 in the beable chain
-    (one kernel row per config and stage); the histories divide nothing."""
+    (one kernel row per config and stage); the histories divide nothing.  The two no-collapse reads, the
+    marginal joint and the final record marginal, each take one inverse of the total weight they read,
+    which a float coin (a binary rational) makes other than 1."""
     calls = []
     inverse = Surd.inverse
 
@@ -288,7 +290,7 @@ def test_an_exact_float_coin_sweep_item_divides_75_times(monkeypatch):
 
     monkeypatch.setattr(Surd, "inverse", counting)
     _sweep_item(ExactProtocol((math.cos(1.0), math.sin(1.0))))
-    assert len(calls) == 75
+    assert len(calls) == 77
 
 
 @pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
@@ -349,6 +351,29 @@ def test_history_walks_leave_no_reference_cycle(engine):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("engine, state_class", [(Protocol, StateVector), (ExactProtocol, SparseState)],
+                         ids=["dense", "exact"])
+def test_a_repeated_report_on_a_warm_engine_masks_nothing(engine, state_class, monkeypatch):
+    """Every node of the first report, the vanished ones included, is a memo hit the second time."""
+    protocol = engine()
+    family = [okok_fine_history(protocol), okok_coarse_history(protocol),
+              history(protocol, "b", [("r", "head"), ("z", "+")])]
+    first = chain_consistency_report(protocol, family)
+    assert any(vanished for _, vanished in protocol._chain_memo.values())
+    calls = []
+    masked = state_class.masked
+
+    def counting(self, mask):
+        calls.append(mask)
+        return masked(self, mask)
+
+    monkeypatch.setattr(state_class, "masked", counting)
+    second = chain_consistency_report(protocol, family)
+    assert calls == []
+    assert (second.probability, second.additivity_defect, second.pairs) == (
+        first.probability, first.additivity_defect, first.pairs)
 
 
 def test_record_mask_equals_record_projector(protocol):
@@ -588,4 +613,4 @@ def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(
             assert _answers(protocol, spec) == fresh[i], i
             assert len(protocol._chain_memo) <= CHAIN_MEMO_NODES
         assert len(protocol._chain_memo) == CHAIN_MEMO_NODES
-        assert not any(state.is_zero() for state in protocol._chain_memo.values())
+        assert all(vanished == state.is_zero() for state, vanished in protocol._chain_memo.values())

@@ -36,15 +36,15 @@ def random_states(n: int, size: int, seed: int = 7) -> np.ndarray:
 class TestTensor:
     def test_product_of_basis_states_is_a_basis_state(self):
         v = tensor(basis_state(COIN, ("head",)), basis_state(SPIN, ("down",)))
-        assert v.amplitude(("head", "down")) == 1.0
+        assert v.amps[v.space.index_of(("head", "down"))] == 1.0
         assert np.count_nonzero(v.amps) == 1
 
     def test_coin_superposition_with_ready_memory(self):
         coin = from_terms(COIN, {("head",): SQ13, ("tail",): SQ23})
         mem = SpaceDescriptor((Factor("F1", ("0", "head", "tail")),))
         v = tensor(coin, basis_state(mem, ("0",)))
-        assert v.amplitude(("head", "0")) == pytest.approx(SQ13, abs=1e-15)
-        assert v.amplitude(("tail", "0")) == pytest.approx(SQ23, abs=1e-15)
+        assert v.amps[v.space.index_of(("head", "0"))] == pytest.approx(SQ13, abs=1e-15)
+        assert v.amps[v.space.index_of(("tail", "0"))] == pytest.approx(SQ23, abs=1e-15)
         assert np.count_nonzero(v.amps) == 2
 
     def test_norm_multiplicativity(self):
@@ -73,14 +73,14 @@ class TestTensor:
 
 class TestInner:
     def test_orthogonal_record_basis_pair(self, protocol):
-        spec = protocol.friend_coin_measurement
+        spec = protocol.measurements["w1"]
         ok = reference.outcome_state(spec, "ok")
         fail = reference.outcome_state(spec, "fail")
         assert abs(inner(ok, fail)) < 1e-12
 
     def test_fail_state_is_orthogonal_to_ok(self, protocol):
         # the post-recording lab state (down,- + up,+)/sqrt(2) against the ok vector
-        spec = protocol.friend_spin_measurement
+        spec = protocol.measurements["w2"]
         sf = GLOBAL_SPACE.subspace(spec.targets)
         s = 1.0 / math.sqrt(2.0)
         lab = from_terms(sf, {("down", "-"): s, ("up", "+"): s})
@@ -160,7 +160,7 @@ class TestValidation:
         h1 = histories.okok_fine_history(protocol)
         records = [COIN.factors[0], COIN, basis_state(COIN, ("head",)), h1, h1.events[0],
                    histories.chain_consistency_report(protocol, [h1]), born.joint_distribution(protocol),
-                   bellbohm.exact_chain(protocol), protocol.coin_measurement,
+                   bellbohm.exact_chain(protocol), protocol.measurements["r"],
                    protocol.stage_unitaries[StageId.MEAS4]]
         for record in records:
             with pytest.raises(AttributeError):
@@ -176,7 +176,7 @@ class TestPropertySuites:
         """Every stage unitary preserves the norm of 1000 random states."""
         states = random_states(1000, GLOBAL_SPACE.size, seed=42)
         for stage in DYNAMIC_STAGES:
-            u = global_matrix(protocol.stage_unitary(stage))
+            u = global_matrix(protocol.stage_unitaries[stage])
             norms = np.linalg.norm(states @ u.T, axis=1)
             assert np.max(np.abs(norms - 1.0)) < 1e-12
 

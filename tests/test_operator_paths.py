@@ -10,6 +10,7 @@ import ast
 import io
 import itertools
 import math
+import re
 import tokenize
 from pathlib import Path
 
@@ -17,12 +18,16 @@ import numpy as np
 import pytest
 
 import reference
-from ewflab import bellbohm, born, facts
+from ewflab import bellbohm, born, exact, facts
+from ewflab.exact import ExactProtocol
 from ewflab.linalg import ATOL, FACT_ATOL, StateVector
 from ewflab.protocol import (
     DOWN,
     DYNAMIC_STAGES,
+    FAIL,
     GLOBAL_SPACE,
+    HEAD,
+    MINUS,
     OK,
     READY,
     RECORDERS,
@@ -51,13 +56,13 @@ def _dense_state() -> StateVector:
 
 
 def _fr2_spanning_set(protocol: Protocol) -> float:
-    branch = facts._branch_state(protocol, TAIL, StageId.OBS2)
+    branch = reference.branch_state(protocol, TAIL, StageId.OBS2)
     return weight(measurement_projector(protocol, "w2", OK), branch)
 
 
 def _fr8_27_vector_sum(protocol: Protocol) -> float:
     state = protocol.pilot_state_after(StageId.OBS2)
-    ok_vec = protocol.friend_coin_measurement.vectors[OK]  # on (C, F1)
+    ok_vec = protocol.measurements["w1"].vectors[OK]  # on (C, F1)
     down = np.zeros(2, dtype=np.complex128)
     down[GLOBAL_SPACE.factor("S").index(DOWN)] = 1.0
     w = 0.0
@@ -73,21 +78,45 @@ def _fr8_27_vector_sum(protocol: Protocol) -> float:
 @pytest.mark.parametrize("coin", COINS, ids=["default"] + [f"seeded{i}" for i in range(20)])
 def test_fr2_and_fr8_match_the_earlier_paths(coin, flags):
     protocol = Protocol(coin, **flags)
-    branch = facts._branch_state(protocol, TAIL, StageId.OBS2)
-    fr2 = born.joint_weight(branch, [(protocol.friend_spin_measurement, OK)])
+    branch = reference.branch_state(protocol, TAIL, StageId.OBS2)
+    fr2 = born.joint_weight(branch, [(protocol.measurements["w2"], OK)])
+    ratio = facts._branch_weight(protocol, TAIL, [(protocol.measurements["w2"], OK)])
     fr8 = born.joint_weight(
         protocol.pilot_state_after(StageId.OBS2),
-        [(protocol.friend_coin_measurement, OK), (protocol.spin_measurement, "-")],
+        [(protocol.measurements["w1"], OK), (protocol.measurements["z"], "-")],
     )
     old_fr2, old_fr8 = _fr2_spanning_set(protocol), _fr8_27_vector_sum(protocol)
     assert abs(fr2 - old_fr2) <= 1e-15
+    assert abs(ratio - old_fr2) <= 1e-15
     assert abs(fr8 - old_fr8) <= 1e-15
     fr2_result = facts.check_tail_branch_orthogonal_to_ok(protocol)
     fr8_result = facts.check_ok_minus_subspace_empty(protocol)
-    assert fr2_result.detail == f"ok weight {fr2:.3g}"
+    assert fr2_result.detail == f"ok weight {ratio:.3g}"
     assert fr8_result.detail == f"weight {fr8:.3g}"
     assert fr2_result.passed == (old_fr2 < FACT_ATOL)
     assert fr8_result.passed == (old_fr8 < FACT_ATOL)
+
+
+#: the default coin and 20 seeded decimal coins, typed to ten digits: not exactly normalised
+DECIMAL_COINS = [None] + [
+    (f"{math.cos(t):.10f}", f"{math.sin(t):.10f}") for t in np.random.default_rng(1812).uniform(0, 2 * math.pi, 20)]
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
+@pytest.mark.parametrize("coin", DECIMAL_COINS, ids=["default"] + [f"decimal{i}" for i in range(20)])
+def test_branch_ratios_equal_the_renormalised_branch_values_exactly(coin, flags):
+    """FR2's weight and FR3's and FR4's probabilities, as ratios of Born weights, equal (==) the values
+    read off the renormalised coin branch on the exact engine."""
+    protocol = ExactProtocol(coin, **flags)
+    w2, z = protocol.measurements["w2"], protocol.measurements["z"]
+    tail, head = (reference.branch_state(protocol, c, StageId.OBS2) for c in (TAIL, HEAD))
+    cases = [
+        (TAIL, [(w2, OK)], born.joint_weight(tail, [(w2, OK)])),
+        (TAIL, [(w2, FAIL)], born.certainty_check(tail, w2, FAIL).probability),
+        (HEAD, [(z, MINUS)], born.certainty_check(head, z, MINUS).probability),
+    ]
+    for branch, events, want in cases:
+        assert facts._branch_weight(protocol, branch, events) == want
 
 
 def test_corrupt_preparation_fails_fr2_and_fr8():
@@ -98,9 +127,9 @@ def test_corrupt_preparation_fails_fr2_and_fr8():
 
 def test_overlapping_conjunction_is_rejected():
     protocol = Protocol()
-    spec = protocol.friend_coin_measurement
+    spec = protocol.measurements["w1"]
     with pytest.raises(ValueError, match="overlap"):
-        born.joint_weight(protocol.initial_state(), [(spec, OK), (protocol.coin_measurement, "head")])
+        born.joint_weight(protocol.initial_state(), [(spec, OK), (protocol.measurements["r"], "head")])
 
 
 # -- factor matrices --------------------------------------------------------------
@@ -110,7 +139,7 @@ def test_overlapping_conjunction_is_rejected():
 def test_factor_matrices_are_built_once_and_equal_the_outer_product_sum(flags):
     protocol = Protocol(**flags)
     for var in RECORDERS:
-        spec = protocol.measurement(var)
+        spec = protocol.measurements[var]
         for label, p in reference.basis(protocol, var).branches:
             old = np.zeros((p.space.size, p.space.size), dtype=np.complex128)
             for v in p.vectors:
@@ -126,7 +155,7 @@ def test_factor_matrices_are_built_once_and_equal_the_outer_product_sum(flags):
 def test_factor_matrices_are_orthogonal_projectors_that_resolve_the_identity(coin, flags):
     protocol = Protocol(coin, **flags)
     for var in RECORDERS:
-        mats = list(protocol.measurement(var).factor_matrices.values())
+        mats = list(protocol.measurements[var].factor_matrices.values())
         assert np.allclose(sum(mats), np.eye(len(mats[0])), rtol=0, atol=ATOL)
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
@@ -140,7 +169,7 @@ def test_stage_matrices_and_pilot_states_equal_the_spanning_set_build_byte_for_b
     measured_at = {stage: var for var, (_, stage) in RECORDERS.items()}
     state = protocol.initial_state()
     for stage in DYNAMIC_STAGES:
-        unitary = protocol.stage_unitary(stage)
+        unitary = protocol.stage_unitaries[stage]
         matrix = reference.record_matrix(protocol, measured_at[stage]) if stage in measured_at else unitary.matrix
         assert unitary.matrix.tobytes() == matrix.tobytes()
         state = StageUnitary(stage, unitary.axes, matrix, unitary.recorder_axis).apply(state)
@@ -178,7 +207,7 @@ def test_rewritten_memory_axes_per_stage(coin, flags):
     """Recording overwrites the recorder; W1 and W2 also rewrite the friend they measure."""
     protocol = Protocol(coin, **flags)
     for stage, names in REWRITTEN.items():
-        assert protocol.stage_unitary(stage).rewritten_memory_axes == tuple(GLOBAL_SPACE.axis(n) for n in names)
+        assert protocol.stage_unitaries[stage].rewritten_memory_axes == tuple(GLOBAL_SPACE.axis(n) for n in names)
 
 
 # -- the memory marginal ----------------------------------------------------------
@@ -283,3 +312,21 @@ def test_no_float_tolerance_outside_the_linalg_table():
         tokens = tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
         literals = [t.string for t in tokens if t.type == tokenize.NUMBER and "e-" in t.string.lower()]
         assert literals == [], (path.name, literals)
+
+
+#: the modules written once against the engine contract
+SHARED_MODULES = ("born", "bellbohm", "histories", "facts", "epistemics", "cli")
+
+
+def test_the_engine_contract_is_what_the_shared_modules_read():
+    """Every `protocol.<name>` the shared modules read is in the contract `exact`'s docstring lists, and
+    every listed name is read: neither engine carries a call nobody makes."""
+    listed = exact.__doc__.split("read of an engine:", 1)[1].split(".", 1)[0]
+    contract = set(re.findall(r"`(\w+)`", listed))
+    read = set()
+    for name in SHARED_MODULES:
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "protocol"}
+    assert read == contract
+    assert len(contract) == 11

@@ -61,7 +61,7 @@ class TestRecordingStages:
         assert len(amps) == 2
 
     def test_recording_twice_violates_precondition(self, protocol):
-        u = protocol.stage_unitary(StageId.OBS0)
+        u = protocol.stage_unitaries[StageId.OBS0]
         recorded = protocol.pilot_state_after(StageId.OBS0)
         with pytest.raises(PreconditionError):
             u.apply(recorded)
@@ -97,21 +97,21 @@ class TestPreparation:
 class TestEntangledBases:
     def test_ok_fail_vectors_match_definitions(self, protocol):
         """Reconstruct both bases from their defining formulas and compare."""
-        w1 = protocol.friend_coin_measurement
+        w1 = protocol.measurements["w1"]
         ok = outcome_state(w1, "ok")
         fail = outcome_state(w1, "fail")
-        assert ok.amplitude(("head", "head")) == pytest.approx(SQ12, abs=1e-12)
-        assert ok.amplitude(("tail", "tail")) == pytest.approx(-SQ12, abs=1e-12)
-        assert fail.amplitude(("head", "head")) == pytest.approx(SQ12, abs=1e-12)
-        assert fail.amplitude(("tail", "tail")) == pytest.approx(SQ12, abs=1e-12)
+        assert ok.amps[ok.space.index_of(("head", "head"))] == pytest.approx(SQ12, abs=1e-12)
+        assert ok.amps[ok.space.index_of(("tail", "tail"))] == pytest.approx(-SQ12, abs=1e-12)
+        assert fail.amps[fail.space.index_of(("head", "head"))] == pytest.approx(SQ12, abs=1e-12)
+        assert fail.amps[fail.space.index_of(("tail", "tail"))] == pytest.approx(SQ12, abs=1e-12)
 
-        w2 = protocol.friend_spin_measurement
+        w2 = protocol.measurements["w2"]
         ok2 = outcome_state(w2, "ok")
         fail2 = outcome_state(w2, "fail")
-        assert ok2.amplitude(("down", "-")) == pytest.approx(SQ12, abs=1e-12)
-        assert ok2.amplitude(("up", "+")) == pytest.approx(-SQ12, abs=1e-12)
-        assert fail2.amplitude(("down", "-")) == pytest.approx(SQ12, abs=1e-12)
-        assert fail2.amplitude(("up", "+")) == pytest.approx(SQ12, abs=1e-12)
+        assert ok2.amps[ok2.space.index_of(("down", "-"))] == pytest.approx(SQ12, abs=1e-12)
+        assert ok2.amps[ok2.space.index_of(("up", "+"))] == pytest.approx(-SQ12, abs=1e-12)
+        assert fail2.amps[fail2.space.index_of(("down", "-"))] == pytest.approx(SQ12, abs=1e-12)
+        assert fail2.amps[fail2.space.index_of(("up", "+"))] == pytest.approx(SQ12, abs=1e-12)
 
     def test_joint_state_after_spin_recording(self, protocol):
         """Oracle: independent basis-change expansion of the recorded state.
@@ -121,7 +121,7 @@ class TestEntangledBases:
         components (fail, down, -), (fail, up, +), (ok, up, +).
         """
         state = protocol.pilot_state_after(StageId.OBS2)
-        w1 = protocol.friend_coin_measurement
+        w1 = protocol.measurements["w1"]
         c6 = 1.0 / math.sqrt(6.0)
         for okfail, spin, mem, coeff in (
             ("fail", "down", "-", 2 * c6),
@@ -167,7 +167,7 @@ class TestEntangledBases:
 class TestUnitarity:
     def test_stage_matrices_are_unitary(self, protocol):
         for stage in DYNAMIC_STAGES:
-            u = global_matrix(protocol.stage_unitary(stage))
+            u = global_matrix(protocol.stage_unitaries[stage])
             np.testing.assert_allclose(
                 u.conj().T @ u, np.eye(GLOBAL_SPACE.size), atol=1e-12
             )
@@ -219,7 +219,7 @@ class TestSharedStructure:
             a, b = engine(**flags), engine((0.6, 0.8) if engine is Protocol else ("0.6", "0.8"), **flags)
             assert a.stage_unitaries is b.stage_unitaries
             for var in VARS:
-                assert a.measurement(var) is b.measurement(var)
+                assert a.measurements[var] is b.measurements[var]
 
     def test_different_hooks_never_share(self, engine):
         built = [engine(**flags) for flags in FLAG_SETTINGS]
@@ -227,7 +227,7 @@ class TestSharedStructure:
             assert x.stage_unitaries is not y.stage_unitaries
             for var in VARS:
                 # measurements depend on flip_ok_sign alone
-                assert (x.measurement(var) is y.measurement(var)) == (x.flip_ok_sign == y.flip_ok_sign)
+                assert (x.measurements[var] is y.measurements[var]) == (x.flip_ok_sign == y.flip_ok_sign)
 
     def test_a_corrupt_preparation_never_receives_the_clean_stages(self, engine):
         """In either order of construction, the corrupt protocol rotates the spin its own way."""
@@ -236,13 +236,13 @@ class TestSharedStructure:
         corrupt_last = engine(corrupt_preparation=True)
         for corrupt in (corrupt_first, corrupt_last):
             assert corrupt.stage_unitaries is not clean.stage_unitaries
-            assert corrupt.stage_unitary(StageId.PREP1) is not clean.stage_unitary(StageId.PREP1)
+            assert corrupt.stage_unitaries[StageId.PREP1] is not clean.stage_unitaries[StageId.PREP1]
             got, want = corrupt.pilot_state_after(StageId.PREP1), clean.pilot_state_after(StageId.PREP1)
             assert got.components() != want.components()
 
     def test_shared_mappings_are_read_only(self, engine):
         protocol = engine()
-        spec = protocol.measurement("w1")
+        spec = protocol.measurements["w1"]
         with pytest.raises(TypeError):
             protocol.stage_unitaries[StageId.OBS0] = protocol.stage_unitaries[StageId.MEAS4]
         with pytest.raises(TypeError):
@@ -256,10 +256,10 @@ class TestSharedStructure:
 def test_shared_arrays_and_stage_maps_are_read_only():
     protocol = Protocol()
     with pytest.raises(ValueError):
-        protocol.stage_unitary(StageId.OBS0).matrix[0, 0] = 2.0
+        protocol.stage_unitaries[StageId.OBS0].matrix[0, 0] = 2.0
     with pytest.raises(ValueError):
-        protocol.measurement("w1").vectors["ok"][0] = 2.0
-    exact = ExactProtocol().measurement("w1")
+        protocol.measurements["w1"].vectors["ok"][0] = 2.0
+    exact = ExactProtocol().measurements["w1"]
     with pytest.raises(TypeError):
         exact.vectors["ok"][("head", "head")] = (1, 0)
     with pytest.raises(TypeError):
@@ -284,14 +284,14 @@ class TestCallerOperandsAreChecked:
             StateVector(GLOBAL_SPACE, amps)
 
     def test_a_hand_built_stage_unitary_with_nan(self, protocol):
-        engine = protocol.stage_unitary(StageId.PREP1)
+        engine = protocol.stage_unitaries[StageId.PREP1]
         matrix = np.full_like(engine.matrix, np.nan)  # every entry: a zero product can skip one
         unitary = StageUnitary(engine.stage, engine.axes, matrix, engine.recorder_axis)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             unitary.apply(protocol.pilot_state_after(StageId.OBS0))
 
     def test_a_hand_built_measurement_with_nan(self, protocol):
-        engine = protocol.spin_measurement
+        engine = protocol.measurements["z"]
         vectors = {label: np.full_like(v, np.nan) for label, v in engine.vectors.items()}
         spec = MeasurementSpec(engine.name, engine.targets, vectors, engine.recorder)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
@@ -307,7 +307,7 @@ class TestCallerOperandsAreChecked:
         state = StateVector(GLOBAL_SPACE, np.full(GLOBAL_SPACE.size, 1.7e308, dtype=np.complex128))
         # under the suite's -W error too: numpy's overflow warning is no error of its own
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            protocol.stage_unitary(stage).linear(state)
+            protocol.stage_unitaries[stage].linear(state)
 
 
 def test_a_state_squares_its_amplitudes_once():
