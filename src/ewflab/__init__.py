@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 #: Submodule -> the public names it defines.
 _EXPORTS = {
     "born": (
-        "Certainty", "CertaintyResult", "CollapsePolicy", "Distribution", "certainty_check",
-        "final_record_marginal", "joint_certainty_check", "joint_distribution", "outcome_distribution",
+        "Certainty", "CertaintyResult", "CollapsePolicy", "Distribution", "final_record_marginal",
+        "joint_distribution",
     ),
     "bellbohm": (
         "MemoryConfig", "REFERENCE_TRAJECTORY", "Trajectory", "TrajectoryTable", "exact_chain",

@@ -19,6 +19,10 @@ Every probability is a ratio of Born weights, and an accepted coin has
 its cells by one inverse of the total weight it read: the policies agree at
 every accepted coin, exactly on the exact engine.
 
+Outcomes are read off record weights; no measurement is applied to a state.
+One event's weight, alone or given another, is a history probability or a
+ratio of two (`facts`), which `CertaintyResult.from_probability` classifies.
+
 Every function here runs on either engine (`protocol.Protocol` or
 `exact.ExactProtocol`): a probability is a float from the first and an
 exact `Surd` from the second, which alone gets an `exact` label.
@@ -30,14 +34,11 @@ import enum
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import (
-    DYNAMIC_STAGES, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, REST, StageId, exact_label, probability_cell,
-)
+from .exact import DYNAMIC_STAGES, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, StageId, exact_label, probability_cell
 from .linalg import CERTAINTY_ATOL, SUM_ATOL, ZERO_WEIGHT_FLOOR, Frozen, setfield
 
 if TYPE_CHECKING:
     from .exact import Engine
-    from .protocol import MeasurementSpec, StateVector
 
 
 class UndefinedConditionalError(ValueError):
@@ -142,51 +143,6 @@ class CertaintyResult(NamedTuple):
         if p <= CERTAINTY_ATOL:
             return CertaintyResult(Certainty.IMPOSSIBLE, p)
         return CertaintyResult(Certainty.UNCERTAIN, p)
-
-
-def joint_weight(state: StateVector, events: list[tuple[MeasurementSpec, str]]) -> float:
-    """Squared norm of the state after each event's factor projector in turn.
-
-    The events' targets must be disjoint, so the projectors commute and the
-    result is the Born weight of their conjunction.
-    """
-    seen: set[int] = set()
-    for spec, label in events:
-        overlap = seen.intersection(spec.target_axes)
-        if overlap:
-            raise ValueError(f"conjunction targets overlap on axes {sorted(overlap)}")
-        seen.update(spec.target_axes)
-        state = state.projected(spec, label)
-    return state.norm2()
-
-
-def outcome_distribution(state: StateVector, spec: MeasurementSpec) -> Distribution:
-    """Born probabilities of one measurement's declared outcomes on a state."""
-    state.require_normalized()
-    if REST in spec.factor_matrices:
-        stray = joint_weight(state, [(spec, REST)])
-        if stray > SUM_ATOL:
-            raise ValueError(
-                f"state carries weight {stray:.3e} outside measurement {spec.name!r}'s outcome span"
-            )
-    outcomes = tuple(
-        ((label,), joint_weight(state, [(spec, label)])) for label in spec.outcome_labels
-    )
-    return Distribution((spec.name,), outcomes)
-
-
-def certainty_check(state: StateVector, spec: MeasurementSpec, label: str) -> CertaintyResult:
-    """Would an agent measuring spec on this state be certain of label?"""
-    state.require_normalized()
-    return CertaintyResult.from_probability(joint_weight(state, [(spec, label)]))
-
-
-def joint_certainty_check(
-    state: StateVector, events: list[tuple[MeasurementSpec, str]]
-) -> CertaintyResult:
-    """Certainty status of a conjunction of outcomes on disjoint targets."""
-    state.require_normalized()
-    return CertaintyResult.from_probability(joint_weight(state, events))
 
 
 # -- the joint distribution over (r, z, w1, w2) -----------------------------

@@ -23,12 +23,12 @@ answer one contract, and it is exactly what the shared modules (`born`,
 `measurements`, `pilot_state_after`, `record_mask`, `record_weights`, `sqrt`
 and `stage_unitaries`.  Each operator is read one way: a measurement as
 `measurements[var]`, a stage as `stage_unitaries[stage]`.  Their states
-answer `norm`, `norm2`, `require_normalized`, `masked`, `marginal`,
-`projected`, `components` and `is_zero`; their measurements answer
-`components` and `factor_matrices`.  A record mask is the same `RecordMask`
-value on both engines.  A conditional is a ratio of Born weights, never a
-renormalised state.  The joints, histories, beable chains and facts are
-written once against those calls.  A number the exact engine returns is
+answer `norm2`, `masked`, `marginal`, `components` and `is_zero`; their
+measurements answer `components`.  An operator is a stage map or a record
+mask, and a record mask is the same `RecordMask` value on both engines; a
+measurement is never applied.  A conditional is a ratio of Born weights,
+never a renormalised state.  The joints, histories, beable chains and facts
+are written once against those calls.  A number the exact engine returns is
 exact, so its `exact` label (`exact_label`) is read off it instead of
 guessed from a float.
 
@@ -53,7 +53,7 @@ from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .linalg import ATOL, NORM_ATOL, Factor, NotNormalizedError, SpaceDescriptor, rational_label
+from .linalg import ATOL, NORM_ATOL, Factor, SpaceDescriptor, rational_label
 
 HEAD, TAIL = "head", "tail"
 UP, DOWN = "up", "down"
@@ -245,8 +245,8 @@ def _record_map(var: str, flip_ok_sign: bool) -> StageMap:
     agent, stage = RECORDERS[var]
     targets = MEASURED[var]
     mem_axis = agent.memory_axis
-    target_axes = tuple(GLOBAL_SPACE.axis(t) for t in targets)
-    if tuple(sorted(target_axes + (mem_axis,))) != target_axes + (mem_axis,):
+    measured_axes = tuple(GLOBAL_SPACE.axis(t) for t in targets)
+    if tuple(sorted(measured_axes + (mem_axis,))) != measured_axes + (mem_axis,):
         raise ValueError("recorder memory axis must follow the target axes in global order")
     memory = GLOBAL_SPACE.factors[mem_axis].labels
     n = len(memory)
@@ -258,7 +258,7 @@ def _record_map(var: str, flip_ok_sign: bool) -> StageMap:
             for m in range(n):
                 m2 = swap.get(m, m)
                 columns[t * n + m] = columns.get(t * n + m, ()) + tuple((t2 * n + m2, s, kk) for t2, s, kk in entries)
-    return StageMap(stage, target_axes + (mem_axis,), MappingProxyType(dict(sorted(columns.items()))), mem_axis)
+    return StageMap(stage, measured_axes + (mem_axis,), MappingProxyType(dict(sorted(columns.items()))), mem_axis)
 
 
 def _preparation_map(corrupt_preparation: bool) -> StageMap:
@@ -795,14 +795,6 @@ class SparseState:
                 acc[k] += c
         return Surd(*acc, self.den * self.den)
 
-    def norm(self) -> float:
-        return math.sqrt(float(self.norm2()))
-
-    def require_normalized(self) -> "SparseState":
-        if abs(self.norm() - 1.0) > NORM_ATOL:
-            raise NotNormalizedError(f"norm {self.norm()} not within {NORM_ATOL} of 1")
-        return self
-
     def masked(self, mask: RecordMask) -> "SparseState":
         axis, index = mask
         return SparseState({i: x for i, x in self.nums.items() if DIGITS[i][axis] == index}, self.den)
@@ -839,9 +831,6 @@ class SparseState:
                 out[j] = y
         return SparseState(out, self.den * 2 if halved else self.den)
 
-    def projected(self, spec: "ExactSpec", label: str) -> "SparseState":
-        return self.apply(spec.target_axes, spec.factor_matrices[label])
-
     def inner(self, other: "SparseState") -> Surd:
         acc = [0, 0, 0, 0]
         small, large = sorted((self.nums, other.nums), key=len)
@@ -860,21 +849,6 @@ class ExactSpec:
         self.name = name
         self.targets = MEASURED[name]
         self.vectors = MappingProxyType({label: MappingProxyType(v) for label, v in vectors.items()})
-        self.recorder = RECORDERS[name][0]
-
-    @property
-    def outcome_labels(self) -> tuple[str, ...]:
-        return tuple(self.vectors)
-
-    @property
-    def target_axes(self) -> tuple[int, ...]:
-        return tuple(GLOBAL_SPACE.axis(t) for t in self.targets)
-
-    @cached_property
-    def factor_matrices(self) -> Mapping[str, Columns]:
-        """Each outcome's projector, then REST, as read-only sparse columns on the target factor."""
-        columns = projector_columns(self.targets, self.vectors)
-        return MappingProxyType({label: MappingProxyType(c) for label, c in columns.items()})
 
     def components(self, label: str) -> dict[tuple[str, ...], Surd]:
         return {labels: _code_value(code) for labels, code in self.vectors[label].items()}
@@ -964,7 +938,7 @@ class ExactProtocol(Engine):
             GLOBAL_SPACE.index_of((HEAD, READY, DOWN, READY, READY, READY)): tuple(x * (den // a.q) for x in a.coords),
             GLOBAL_SPACE.index_of((TAIL, READY, DOWN, READY, READY, READY)): tuple(x * (den // b.q) for x in b.coords),
         }
-        return SparseState(nums, den).require_normalized()
+        return SparseState(nums, den)
 
     @staticmethod
     def gram(states: list[SparseState]) -> list[list[Surd]]:

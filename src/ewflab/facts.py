@@ -7,6 +7,13 @@ refuses to run unless all facts attached to its steps hold, and the CLI
 `verify` command prints one PASS/FAIL line per fact.  `run_all` and
 `run_facts` evaluate each fact at most once per Protocol (`evaluate`),
 however many verdicts read it.
+
+FR2-FR4 are ratios of history probabilities (`_conditional`): FR2 and FR3
+are P[r=tail, w2=.] / P[r=tail], FR4 is P[r=head, z=-] / P[r=head]; the
+(ok, spin-down) fact is P[z=-, w1=ok].  Each equals the outcome projector's
+weight on the masked spin-recorded state: the r mask commutes with PREP1
+(diagonal in F1) and OBS2, MEAS3 leaves (S, F2) alone, and a record mask
+right after its recording stage is the outcome projector on the state before.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import born, histories
 from .exact import DOWN, FAIL, GLOBAL_SPACE, HEAD, MINUS, OK, PLUS, READY, TAIL, UP, StageId
-from .linalg import ATOL, FACT_ATOL, PHASE_ATOL
+from .linalg import FACT_ATOL, PHASE_ATOL
 
 if TYPE_CHECKING:
     from .exact import Engine
@@ -61,12 +68,20 @@ def _fact(fact_id: str, step_tag: str | None, description: str):
     return decorate
 
 
-def _branch_weight(protocol: Engine, coin: str, events: list) -> float:
-    """P(`events` | the coin record reads `coin`) after the spin recording: a ratio of the masked branch's weights."""
-    branch = protocol.pilot_state_after(StageId.OBS2).masked(protocol.record_mask("r", coin))
-    if branch.norm() < ATOL:
-        raise ZeroBranchError(f"{coin} branch has zero weight")
-    return born.joint_weight(branch, events) / branch.norm2()
+def _probability(protocol: Engine, assignments: list[tuple[str, str]]):
+    """P[h] of the history of these (variable, label) record events, each at its recording stage."""
+    return histories.history_probability(protocol, histories.history(protocol, "h", assignments))
+
+
+def _conditional(protocol: Engine, given: tuple[str, str], events: list[tuple[str, str]]):
+    """P(`events` | `given`): the history probability of both over that of `given` alone.
+
+    A conditioning event of exactly zero weight raises; a tiny one divides.
+    """
+    total = _probability(protocol, [given])
+    if not total:
+        raise ZeroBranchError(f"{given[1]} branch has zero weight")
+    return _probability(protocol, [given, *events]) / total
 
 
 def _weight(x) -> float:
@@ -110,8 +125,8 @@ def check_okfail_bases_orthonormal(protocol: Engine) -> tuple[bool, str]:
     "tail branch of the spin-recorded state is orthogonal to W2's ok subspace",
 )
 def check_tail_branch_orthogonal_to_ok(protocol: Engine) -> tuple[bool, str]:
-    """FR2: the tail branch after the spin recording is orthogonal to W2's ok."""
-    w = _branch_weight(protocol, TAIL, [(protocol.measurements["w2"], OK)])
+    """FR2: P[w2=ok | r=tail] vanishes: the tail branch after the spin recording is orthogonal to W2's ok."""
+    w = _conditional(protocol, ("r", TAIL), [("w2", OK)])
     return w < FACT_ATOL, f"ok weight {w:.3g}"
 
 
@@ -121,16 +136,16 @@ def check_tail_branch_orthogonal_to_ok(protocol: Engine) -> tuple[bool, str]:
     "tail branch makes the final ok/fail measurement certain to read fail",
 )
 def check_tail_branch_fail_certain(protocol: Engine) -> tuple[bool, str]:
-    """FR3: on the tail branch, W2's final record is fail with certainty."""
-    p = _branch_weight(protocol, TAIL, [(protocol.measurements["w2"], FAIL)])
+    """FR3: P[w2=fail | r=tail] = 1: on the tail branch, W2's final record is fail with certainty."""
+    p = _conditional(protocol, ("r", TAIL), [("w2", FAIL)])
     res = born.CertaintyResult.from_probability(p)
     return res.kind is born.Certainty.CERTAIN, f"probability {res.probability:.12g}"
 
 
 @_fact("head-branch-spin-down", "FR4", "head branch leaves the spin pointing down with certainty")
 def check_head_branch_spin_down(protocol: Engine) -> tuple[bool, str]:
-    """FR4: the head branch leaves the spin down, so z=+ excludes head."""
-    p = _branch_weight(protocol, HEAD, [(protocol.measurements["z"], MINUS)])
+    """FR4: P[z=- | r=head] = 1: the head branch leaves the spin down, so z=+ excludes head."""
+    p = _conditional(protocol, ("r", HEAD), [("z", MINUS)])
     res = born.CertaintyResult.from_probability(p)
     return res.kind is born.Certainty.CERTAIN, f"probability {res.probability:.12g}"
 
@@ -181,10 +196,8 @@ def check_joint_state_coefficients(protocol: Engine) -> tuple[bool, str]:
 
 @_fact("ok-minus-subspace-empty", "FR8", "projection onto the (ok, spin-down) eigenspace vanishes")
 def check_ok_minus_subspace_empty(protocol: Engine) -> tuple[bool, str]:
-    """FR8: the same state is orthogonal to the (ok, spin-down) eigenspace."""
-    state = protocol.pilot_state_after(StageId.OBS2)
-    ok_and_down = [(protocol.measurements["w1"], OK), (protocol.measurements["z"], MINUS)]
-    w = born.joint_weight(state, ok_and_down)
+    """FR8: P[z=-, w1=ok] vanishes: the same state is orthogonal to the (ok, spin-down) eigenspace."""
+    w = _probability(protocol, [("z", MINUS), ("w1", OK)])
     return w < FACT_ATOL, f"weight {w:.3g}"
 
 

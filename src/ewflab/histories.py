@@ -1,4 +1,4 @@
-"""History probabilities: chained projected evolution over the stage pipeline.
+"""History probabilities: chained masked evolution over the stage pipeline.
 
 A history is an ordered list of (stage, record event) pairs; each record
 event is a mask on its recorder's memory axis, a `RecordMask` value on both

@@ -53,10 +53,6 @@ class SpaceMismatchError(ValueError):
     """Raised when two objects live on different tensor-product spaces."""
 
 
-class NotNormalizedError(ValueError):
-    """Raised when a vector expected to be normalized is not."""
-
-
 class Frozen:
     """Base of the package's records that a NamedTuple cannot express.
 

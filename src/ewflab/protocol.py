@@ -20,22 +20,23 @@ in the born module.
 The layout and the stage maps are defined once, exactly, in `exact`; this
 module is their float image on numpy arrays, the library's `Protocol`.  The
 command line computes with `exact.ExactProtocol` instead, which answers the
-same calls without numpy.  A measurement is a set of rank-one outcome
-vectors on its target factors (`MeasurementSpec`); an operator is a
-factor-local matrix (`apply_on_axes`) or a 0/1 mask on the amplitudes;
-record weights come from one |amps|^2 marginal (`memory_marginal`), the
-squares taken once per state.  No sparsity, no density matrices.
+same calls without numpy.  An operator is a factor-local stage matrix
+(`apply_on_axes`) or a 0/1 record mask on the amplitudes; a measurement
+(`MeasurementSpec`) is data, its rank-one outcome vectors on its target
+factors, read by the facts and never applied.  Record weights come from one
+|amps|^2 marginal (`memory_marginal`), the squares taken once per state.
+No sparsity, no density matrices.
 
 A dense state is checked once, where it enters: the `StateVector`
 constructor rejects a wrong size and any non-finite amplitude.  States the
-engine derives itself skip that check.  `initial_state` is trusted (checked
-and normalized), and so is the image of a trusted state under one of the
-engine's own operators: the shared stage unitaries of `_stages`, the
-measurements of `_specs` and the record-mask arrays of `_mask_array`.  Each
-is a unitary or a 0/1 projector with entries of modulus at most 1, so a
-trusted state keeps a norm of at most 1 (up to rounding) and every
-amplitude finite.  Any other operand (a state, stage unitary or
-measurement a caller built) yields a checked state.
+engine derives itself skip that check.  `initial_state` is checked, and
+trusted (its coin passed `check_coin`, so its squared norm is within
+`NORM_ATOL` of 1), and so is the image of a trusted state under one of the
+engine's own operators: the shared stage unitaries of `_stages` and the
+record-mask arrays of `_mask_array`.  Each is a unitary or a 0/1 projector
+with entries of modulus at most 1, so a trusted state keeps a norm of at
+most 1 (up to rounding) and every amplitude finite.  Any other operand (a
+state or stage unitary a caller built) yields a checked state.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ from .exact import (  # the layout, re-exported: the dense engine is the library
     rewritten_axes,
     stage_maps,
 )
-from .linalg import (ATOL, NORM_ATOL, Amplitude, Frozen, NotNormalizedError, SpaceDescriptor, SpaceMismatchError,
-                     setfield)
+from .linalg import ATOL, Amplitude, Frozen, SpaceDescriptor, SpaceMismatchError, setfield
 
 __all__ = [
     "AgentId", "DIM", "DOWN", "DYNAMIC_STAGES", "FAIL", "GLOBAL_SPACE", "HEAD", "MINUS", "OK",
@@ -138,11 +138,6 @@ class StateVector(_Squared):
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.amps.view(np.float64))  # a third of the time of amps.any()
 
-    def require_normalized(self) -> "StateVector":
-        if abs(self.norm() - 1.0) > NORM_ATOL:
-            raise NotNormalizedError(f"norm {self.norm()} not within {NORM_ATOL} of 1")
-        return self
-
     def components(self) -> dict[int, Amplitude]:
         """The nonzero amplitudes by flat index."""
         return {int(i): complex(self.amps[i]) for i in np.flatnonzero(self.amps)}
@@ -156,11 +151,6 @@ class StateVector(_Squared):
         """`memory_marginal` as {label indices on axes: weight}."""
         marg = memory_marginal(self, axes)
         return dict(zip(_label_indices(marg.shape), marg.ravel().tolist()))
-
-    def projected(self, spec: "MeasurementSpec", label: str) -> "StateVector":
-        """The state after one outcome's factor projector of `spec`."""
-        return _image(self.space, self, spec, apply_on_axes, self.amps, self.space.dims, spec.target_axes,
-                      spec.factor_matrices[label])
 
 
 #: The engine's own operators by id: the shared stage unitaries, measurements
@@ -312,20 +302,14 @@ def memory_marginal(state: StateVector, axes: tuple[int, ...]) -> np.ndarray:
 class MeasurementSpec(Frozen):
     """One projective measurement: rank-one outcome vectors plus a recorder.
 
-    `vectors` maps each outcome label to a unit vector on the target factor
-    subspace (targets in global order).  When the vectors do not span the
-    target factor (two outcomes on a six-dimensional factor), the coordinates
-    none of them touches form a residual branch (label REST) that completes
-    the identity in `factor_matrices` but is not a reportable outcome.  That
-    holds because the vectors span exactly the coordinates they touch.
-
-    `factor_matrices` holds the read-only projector matrix of each outcome,
-    then REST, on the target factor; the constructor derives it once.  Both
-    mappings are read-only, as a spec is shared by every `Protocol` with the
-    same `flip_ok_sign`.
+    `vectors` maps each outcome label to a read-only unit vector on the
+    target factor subspace (targets in global order); the mapping is
+    read-only too, as a spec is shared by every `Protocol` with the same
+    `flip_ok_sign`.  The recording stage applies the measurement (built in
+    `exact`); a spec is only read.
     """
 
-    __slots__ = ("name", "targets", "vectors", "recorder", "factor_matrices")
+    __slots__ = ("name", "targets", "vectors", "recorder")
 
     def __init__(
         self, name: str, targets: tuple[str, ...], vectors: dict[str, np.ndarray], recorder: AgentId
@@ -334,26 +318,10 @@ class MeasurementSpec(Frozen):
         setfield(self, "targets", targets)
         setfield(self, "vectors", MappingProxyType(vectors))
         setfield(self, "recorder", recorder)
-        mats = {label: np.outer(v, v.conj()) for label, v in vectors.items()}
-        # exact 0/1 diagonal, not I - sum(mats), which leaves float error behind
-        untouched = ~np.any(np.stack(tuple(vectors.values())) != 0, axis=0)
-        if untouched.any():
-            mats[REST] = np.diag(untouched.astype(np.complex128))
-        for mat in mats.values():
-            mat.flags.writeable = False
-        setfield(self, "factor_matrices", MappingProxyType(mats))
 
     def __reduce__(self):
         """Copy and pickle through the constructor: a read-only mapping does not pickle."""
         return MeasurementSpec, (self.name, self.targets, dict(self.vectors), self.recorder)
-
-    @property
-    def outcome_labels(self) -> tuple[str, ...]:
-        return tuple(self.vectors)
-
-    @property
-    def target_axes(self) -> tuple[int, ...]:
-        return tuple(GLOBAL_SPACE.axis(t) for t in self.targets)
 
     def components(self, label: str) -> dict[tuple[str, ...], Amplitude]:
         """The outcome vector's nonzero entries by target labels."""
@@ -439,7 +407,7 @@ def _specs(flip_ok_sign: bool) -> Mapping[str, MeasurementSpec]:
             label: _factor_vector(targets, {labels: float_image(code) for labels, code in v.items()})
             for label, v in outcome_vectors(var, flip_ok_sign).items()
         }
-        specs[var] = _engine_operator(MeasurementSpec(var, targets, vectors, RECORDERS[var][0]))
+        specs[var] = MeasurementSpec(var, targets, vectors, RECORDERS[var][0])
     return MappingProxyType(specs)
 
 
@@ -495,7 +463,7 @@ class Protocol(Engine):
         amps = np.zeros(DIM, dtype=np.complex128)
         amps[GLOBAL_SPACE.index_of((HEAD, READY, DOWN, READY, READY, READY))] = a
         amps[GLOBAL_SPACE.index_of((TAIL, READY, DOWN, READY, READY, READY))] = b
-        return _trusted_state(GLOBAL_SPACE, StateVector(GLOBAL_SPACE, amps).require_normalized().amps)
+        return _trusted_state(GLOBAL_SPACE, StateVector(GLOBAL_SPACE, amps).amps)
 
     @cached_property
     def stage_unitaries(self) -> Mapping[StageId, StageUnitary]:

@@ -35,8 +35,17 @@ Before the facts read a conditional as a ratio of Born weights, they
 renormalised the masked coin branch (`facts._branch_state`) with the
 states' `normalized`, which on the exact engine was `SparseState.scaled`
 by the inverse root of the branch's weight.  Those bodies close the module,
-unchanged (`branch_state` without its leading underscore, and `normalized`
-one function for both state types), as the oracle the ratios must equal.
+unchanged (`branch_state` without its leading underscore and reading the
+branch's norm off `norm2`, and `normalized` one function for both state
+types), as the oracle the ratios must equal.
+
+Before the facts read FR2-FR4 and the (ok, spin-down) weight as history
+probabilities, they applied each outcome's factor projector to the
+spin-recorded state (`born.joint_weight` over the states' `projected`).
+`outcome_weight` is that path on both engines: a dense state is projected
+by `measurement_projector`'s spanning sets, an exact one by the sparse
+columns of `exact.projector_columns`, from which the recording stages are
+still built.
 
 Where a body here called an engine accessor the engines no longer have, it
 reads the mapping that accessor read: `measurements[var]` or
@@ -62,7 +71,7 @@ from ewflab.bellbohm import (
     config_weights,
 )
 from ewflab.born import JOINT_VARIABLES, _all_cells
-from ewflab.exact import OUTCOME_LABELS, RECORDED_VAR, STAGES, Engine, SparseState, Surd, _mul4
+from ewflab.exact import OUTCOME_LABELS, RECORDED_VAR, STAGES, Engine, SparseState, Surd, _mul4, projector_columns
 from ewflab.facts import ZeroBranchError
 from ewflab.histories import (
     ConsistencyReport,
@@ -295,7 +304,29 @@ def basis(protocol: Protocol, var: str) -> ProjectiveDecomposition:
 def measurement_projector(protocol: Protocol, var: str, label: str) -> Projector:
     """One branch of `basis(protocol, var)`, lifted to the global space."""
     vecs = [v.amps for v in basis(protocol, var).projector(label).vectors]
-    return lifted_projector(GLOBAL_SPACE, protocol.measurements[var].target_axes, vecs)
+    return lifted_projector(GLOBAL_SPACE, _target_axes(protocol.measurements[var]), vecs)
+
+
+def _target_axes(spec) -> tuple[int, ...]:
+    """The global axes of a measurement's target factors, ascending."""
+    return tuple(GLOBAL_SPACE.axis(t) for t in spec.targets)
+
+
+def outcome_weight(protocol: Engine, state, events: list[tuple[str, str]]):
+    """Born weight of the conjunction of (var, label) outcomes on disjoint targets, read by projectors.
+
+    The path the facts took before they read history probabilities: each
+    outcome's factor projector applied to `state` in turn.  A dense state
+    is projected by the spanning sets of `measurement_projector`, an exact
+    one by the sparse columns of `exact.projector_columns`.
+    """
+    for var, label in events:
+        if isinstance(state, StateVector):
+            state = project(measurement_projector(protocol, var, label), state)
+        else:
+            spec = protocol.measurements[var]
+            state = state.apply(_target_axes(spec), projector_columns(spec.targets, spec.vectors)[label])
+    return state.norm2()
 
 
 def config_projector(m: MemoryConfig) -> Projector:
@@ -573,6 +604,6 @@ def normalized(self):
 def branch_state(protocol: Engine, coin: str, stage: StageId):
     """Pilot state conditioned on the coin record reading `coin`, renormalized."""
     branch = protocol.pilot_state_after(stage).masked(protocol.record_mask("r", coin))
-    if branch.norm() < ATOL:
+    if math.sqrt(float(branch.norm2())) < ATOL:
         raise ZeroBranchError(f"{coin} branch has zero weight")
     return normalized(branch)

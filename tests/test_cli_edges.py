@@ -40,6 +40,29 @@ def test_degenerate_coin_fails_without_traceback(capsys, sub, coin):
         assert err.startswith("refusing to derive: quantum grounding failed for: ")
 
 
+#: (coin, hooks) -> the FR2, FR3 and FR4 details `verify` prints: a branch of tiny but nonzero weight is
+#: divided by, and only one of exactly zero weight is called empty
+BRANCH_EDGES = {
+    ("1e-13,1", ()): ("ok weight 0", "probability 1", "probability 1"),
+    ("1,1e-13", ()): ("ok weight 0", "probability 1", "probability 1"),
+    ("1,1e-13", ("--corrupt-preparation",)): ("ok weight 1", "probability 0", "probability 1"),
+    ("0,1", ()): ("ok weight 0", "probability 1", "head branch has zero weight"),
+    ("1,0", ()): ("tail branch has zero weight", "tail branch has zero weight", "probability 1"),
+}
+
+
+@pytest.mark.parametrize("coin, hooks", list(BRANCH_EDGES), ids=[" ".join((c,) + h) for c, h in BRANCH_EDGES])
+def test_a_branch_is_empty_only_at_exactly_zero_weight(capsys, coin, hooks):
+    """FR2-FR4 divide by the history probability of their coin branch, however small, unless it is 0."""
+    code, out, err = run(capsys, ["verify", "--coin", coin, *hooks])
+    assert (code, err) == (1, "")  # FR8 and FR12 fail at each of these coins
+    lines = {line.split()[1]: line for line in out.splitlines() if line.startswith(("[PASS]", "[FAIL]"))}
+    for tag, detail in zip(("FR2", "FR3", "FR4"), BRANCH_EDGES[coin, hooks]):
+        passed = detail in ("ok weight 0", "probability 1")
+        assert lines[tag].startswith("[PASS]" if passed else "[FAIL]"), lines[tag]
+        assert lines[tag].endswith(f"({detail})"), lines[tag]
+
+
 #: accepted coins off the default: an exact one, the paper's coin typed to ten digits and one with
 #: |a|^2 + |b|^2 = 1 + 1e-10; the last two are accepted but not exactly normalised
 SEEDED_COINS = ["0.6,0.8", "0.5773502692,0.8164965809", "1e-5,1"]
@@ -129,11 +152,13 @@ def test_a_rejected_family_evolves_no_chain(capsys, monkeypatch, order):
     assert walks == []
 
 
-@pytest.mark.parametrize("argv, walks", [(["histories"], 17), (["report"], 24)], ids=["histories", "report"])
+@pytest.mark.parametrize("argv, walks", [(["histories"], 17), (["report"], 40)], ids=["histories", "report"])
 def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, walks):
     """`histories` reads P[h] off its report's D (17 walk calls: one per member, then one per live child at
-    an event stage); `report` adds the 7 of verify's two P[h] facts (h1's chain 5, h1prime's 2: it vanishes
-    at w2=ok)."""
+    an event stage); `report` adds the 23 of verify's history probabilities: FR2's P[r=tail] and
+    P[r=tail, w2=ok] (2 + 2: the second vanishes at w2=ok), FR3's P[r=tail] and P[r=tail, w2=fail] (2 + 3),
+    FR4's P[r=head] and P[r=head, z=-] (2 + 3), the (ok, spin-down) fact's P[z=-, w1=ok] (2: it vanishes
+    at w1=ok), h1's chain (5) and h1prime's (2: it vanishes at w2=ok)."""
     calls = _count_walks(monkeypatch)
     code, _, _ = run(capsys, argv)
     assert code == 0
@@ -141,9 +166,13 @@ def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, wa
 
 
 def test_report_evolves_each_chain_node_once(capsys, monkeypatch):
-    """verify's two P[h] facts walk h1 and h1prime, then the history section walks them again in its
-    report: the second walk reads the engine's chain memo, so the pilot state (5 maps) and the 10
-    distinct nodes of the pair and its refinement are all the stage maps `report` applies."""
+    """verify's facts walk their chains, then the history section walks h1 and h1prime again in its
+    report; every repeated node is read from the engine's chain memo.  The stage maps `report` applies
+    are the pilot state's (5) and one per distinct chain node: P[r=tail]'s 4 (PREP1 to MEAS4 after the
+    mask; P[r=tail, w2=.] only masks its last node), P[r=head]'s 4, P[r=head, z=-]'s 2 (MEAS3 and MEAS4
+    after z=-), P[z=-, w1=ok]'s 1 (MEAS3 after z=-), h1's 2 (MEAS3 and MEAS4 after z=+; its earlier nodes
+    are P[r=tail]'s), none of h1prime's (P[r=tail]'s too) and 4 of h1prime's refinement (MEAS4 after
+    z=+, w1=fail; MEAS3 after z=-; MEAS4 after z=-, w1=ok and after z=-, w1=fail): 22."""
     calls = []
     linear = exact.ExactStage.linear
 
@@ -154,7 +183,7 @@ def test_report_evolves_each_chain_node_once(capsys, monkeypatch):
     monkeypatch.setattr(exact.ExactStage, "linear", counted)
     code, _, _ = run(capsys, ["report"])
     assert code == 0
-    assert len(calls) == 15
+    assert len(calls) == 22
 
 
 def test_event_before_its_record_is_answered(capsys):

@@ -57,15 +57,13 @@ class TestHistoryProbability:
     def test_single_event_matches_born_probability(self, protocol):
         """A one-event history is just the Born weight at that epoch."""
         for var in ("r", "z", "w1", "w2"):
-            spec = protocol.measurements[var]
             stage = RECORDERS[var][1]
             prev = StageId(stage.value - 1)
             before = protocol.pilot_state_after(prev)
-            dist = born.outcome_distribution(before, spec)
-            for label in spec.outcome_labels:
+            for label in OUTCOME_LABELS[var]:
                 h = history(protocol, f"{var}-{label}", [(var, label)])
                 assert history_probability(protocol, h) == pytest.approx(
-                    dist.prob((label,)), abs=1e-12
+                    reference.outcome_weight(protocol, before, [(var, label)]), abs=1e-12
                 )
 
     def test_event_stages_must_increase(self, protocol):

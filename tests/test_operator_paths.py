@@ -1,9 +1,10 @@
 """One operator path, one memory marginal, one tolerance table.
 
 The oracle tests keep the earlier implementations as references: FR2's
-spanning-set projector, FR8's 27-vector sum, the three hand-written |amps|^2
-marginals, and the spanning-set bases of `reference.basis`.  The structure
-tests pin down where each concept lives.
+spanning-set projector, FR8's 27-vector sum, the exact projector path the
+facts read before they read history probabilities (`reference.outcome_weight`),
+the three hand-written |amps|^2 marginals, and the spanning-set bases of
+`reference.basis`.  The structure tests pin down where each concept lives.
 """
 
 import ast
@@ -18,9 +19,9 @@ import numpy as np
 import pytest
 
 import reference
-from ewflab import bellbohm, born, exact, facts
+from ewflab import bellbohm, exact, facts
 from ewflab.exact import ExactProtocol
-from ewflab.linalg import ATOL, FACT_ATOL, StateVector
+from ewflab.linalg import FACT_ATOL, StateVector
 from ewflab.protocol import (
     DOWN,
     DYNAMIC_STAGES,
@@ -77,24 +78,30 @@ def _fr8_27_vector_sum(protocol: Protocol) -> float:
 @pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
 @pytest.mark.parametrize("coin", COINS, ids=["default"] + [f"seeded{i}" for i in range(20)])
 def test_fr2_and_fr8_match_the_earlier_paths(coin, flags):
+    """FR2's P[w2=ok | r=tail] and FR8's P[z=-, w1=ok], read off history chains, against the spanning-set
+    projector on the renormalised tail branch and the 27-vector sum."""
     protocol = Protocol(coin, **flags)
-    branch = reference.branch_state(protocol, TAIL, StageId.OBS2)
-    fr2 = born.joint_weight(branch, [(protocol.measurements["w2"], OK)])
-    ratio = facts._branch_weight(protocol, TAIL, [(protocol.measurements["w2"], OK)])
-    fr8 = born.joint_weight(
-        protocol.pilot_state_after(StageId.OBS2),
-        [(protocol.measurements["w1"], OK), (protocol.measurements["z"], "-")],
-    )
+    fr2 = facts._conditional(protocol, ("r", TAIL), [("w2", OK)])
+    fr8 = facts._probability(protocol, [("z", MINUS), ("w1", OK)])
     old_fr2, old_fr8 = _fr2_spanning_set(protocol), _fr8_27_vector_sum(protocol)
     assert abs(fr2 - old_fr2) <= 1e-15
-    assert abs(ratio - old_fr2) <= 1e-15
     assert abs(fr8 - old_fr8) <= 1e-15
     fr2_result = facts.check_tail_branch_orthogonal_to_ok(protocol)
     fr8_result = facts.check_ok_minus_subspace_empty(protocol)
-    assert fr2_result.detail == f"ok weight {ratio:.3g}"
+    assert fr2_result.detail == f"ok weight {fr2:.3g}"
     assert fr8_result.detail == f"weight {fr8:.3g}"
     assert fr2_result.passed == (old_fr2 < FACT_ATOL)
     assert fr8_result.passed == (old_fr8 < FACT_ATOL)
+
+
+def _fact_values(protocol) -> list:
+    """FR2's weight, FR3's and FR4's probabilities and the (ok, spin-down) weight."""
+    return [
+        facts._conditional(protocol, ("r", TAIL), [("w2", OK)]),
+        facts._conditional(protocol, ("r", TAIL), [("w2", FAIL)]),
+        facts._conditional(protocol, ("r", HEAD), [("z", MINUS)]),
+        facts._probability(protocol, [("z", MINUS), ("w1", OK)]),
+    ]
 
 
 #: the default coin and 20 seeded decimal coins, typed to ten digits: not exactly normalised
@@ -105,18 +112,29 @@ DECIMAL_COINS = [None] + [
 @pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
 @pytest.mark.parametrize("coin", DECIMAL_COINS, ids=["default"] + [f"decimal{i}" for i in range(20)])
 def test_branch_ratios_equal_the_renormalised_branch_values_exactly(coin, flags):
-    """FR2's weight and FR3's and FR4's probabilities, as ratios of Born weights, equal (==) the values
-    read off the renormalised coin branch on the exact engine."""
+    """FR2's weight and FR3's and FR4's probabilities, as ratios of history probabilities, equal (==) the
+    projector weights on the renormalised coin branch after the spin recording, on the exact engine; the
+    (ok, spin-down) history probability equals the projector weight on the unnormalised state."""
     protocol = ExactProtocol(coin, **flags)
-    w2, z = protocol.measurements["w2"], protocol.measurements["z"]
     tail, head = (reference.branch_state(protocol, c, StageId.OBS2) for c in (TAIL, HEAD))
-    cases = [
-        (TAIL, [(w2, OK)], born.joint_weight(tail, [(w2, OK)])),
-        (TAIL, [(w2, FAIL)], born.certainty_check(tail, w2, FAIL).probability),
-        (HEAD, [(z, MINUS)], born.certainty_check(head, z, MINUS).probability),
+    assert _fact_values(protocol) == [
+        reference.outcome_weight(protocol, tail, [("w2", OK)]),
+        reference.outcome_weight(protocol, tail, [("w2", FAIL)]),
+        reference.outcome_weight(protocol, head, [("z", MINUS)]),
+        reference.outcome_weight(protocol, protocol.pilot_state_after(StageId.OBS2), [("w1", OK), ("z", MINUS)]),
     ]
-    for branch, events, want in cases:
-        assert facts._branch_weight(protocol, branch, events) == want
+
+
+#: 25 seeded float coins: the exact engine reads each amplitude as its binary rational
+FLOAT_COINS = [(math.cos(t), math.sin(t)) for t in np.random.default_rng(25).uniform(0, 2 * math.pi, 25)]
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
+def test_dense_fact_values_follow_the_exact_engine(flags):
+    """The dense engine's history ratios stay within 1e-15 of the exact engine's at 25 float coins."""
+    for coin in FLOAT_COINS:
+        dense, exact_values = _fact_values(Protocol(coin, **flags)), _fact_values(ExactProtocol(coin, **flags))
+        assert max(abs(d - float(e)) for d, e in zip(dense, exact_values)) <= 1e-15, coin
 
 
 def test_corrupt_preparation_fails_fr2_and_fr8():
@@ -125,41 +143,36 @@ def test_corrupt_preparation_fails_fr2_and_fr8():
     assert not facts.check_ok_minus_subspace_empty(protocol).passed
 
 
-def test_overlapping_conjunction_is_rejected():
-    protocol = Protocol()
-    spec = protocol.measurements["w1"]
-    with pytest.raises(ValueError, match="overlap"):
-        born.joint_weight(protocol.initial_state(), [(spec, OK), (protocol.measurements["r"], "head")])
-
-
-# -- factor matrices --------------------------------------------------------------
-
-
-@pytest.mark.parametrize("flags", FLAGS[:2], ids=["clean", "flip-ok-sign"])
-def test_factor_matrices_are_built_once_and_equal_the_outer_product_sum(flags):
-    protocol = Protocol(**flags)
-    for var in RECORDERS:
-        spec = protocol.measurements[var]
-        for label, p in reference.basis(protocol, var).branches:
-            old = np.zeros((p.space.size, p.space.size), dtype=np.complex128)
-            for v in p.vectors:
-                old += np.outer(v.amps, v.amps.conj())
-            mat = spec.factor_matrices[label]
-            assert mat is spec.factor_matrices[label]
-            assert not mat.flags.writeable
-            assert np.array_equal(mat, old)
+# -- measurement projectors -----------------------------------------------------
 
 
 @pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
 @pytest.mark.parametrize("coin", COINS, ids=["default"] + [f"seeded{i}" for i in range(20)])
 def test_factor_matrices_are_orthogonal_projectors_that_resolve_the_identity(coin, flags):
-    protocol = Protocol(coin, **flags)
+    """`exact.projector_columns`, which the recording stages are built from, holds orthogonal projectors
+    summing to the identity on each measurement's target factors, exactly."""
+    protocol = ExactProtocol(coin, **flags)
     for var in RECORDERS:
-        mats = list(protocol.measurements[var].factor_matrices.values())
-        assert np.allclose(sum(mats), np.eye(len(mats[0])), rtol=0, atol=ATOL)
+        spec = protocol.measurements[var]
+        size = GLOBAL_SPACE.subspace(spec.targets).size
+        mats = [_exact_matrix(c, size) for c in exact.projector_columns(spec.targets, spec.vectors).values()]
+        zero = [[0] * size for _ in range(size)]
+        total = [[sum((m[r][c] for m in mats), exact.ZERO) for c in range(size)] for r in range(size)]
+        assert total == [[int(r == c) for c in range(size)] for r in range(size)]
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
-                assert np.allclose(a @ b, a if i == j else 0, rtol=0, atol=ATOL)
+                product = [[sum((a[r][m] * b[m][c] for m in range(size)), exact.ZERO) for c in range(size)]
+                           for r in range(size)]
+                assert product == (a if i == j else zero)
+
+
+def _exact_matrix(columns: dict, size: int) -> list[list]:
+    """Sparse (sign, k) columns as a square matrix of Surds."""
+    mat = [[exact.ZERO] * size for _ in range(size)]
+    for t, col in columns.items():
+        for t2, sign, k in col:
+            mat[t2][t] += exact._code_value((sign, k))
+    return mat
 
 
 @pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
@@ -178,7 +191,7 @@ def test_stage_matrices_and_pilot_states_equal_the_spanning_set_build_byte_for_b
 
 @pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
 def test_planned_apply_equals_the_tensordot_path_bit_for_bit(flags):
-    """Every stage matrix (`linear`) and factor matrix (`projected`) on 20 seeded complex states."""
+    """Every stage matrix (`linear`) on 20 seeded complex states."""
     protocol = Protocol(**flags)
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -186,10 +199,6 @@ def test_planned_apply_equals_the_tensordot_path_bit_for_bit(flags):
         for unitary in protocol.stage_unitaries.values():
             want = reference.apply_on_axes(state.amps, GLOBAL_SPACE.dims, unitary.axes, unitary.matrix)
             assert np.array_equal(unitary.linear(state).amps, want), unitary.stage
-        for spec in protocol.measurements.values():
-            for label, mat in spec.factor_matrices.items():
-                want = reference.apply_on_axes(state.amps, GLOBAL_SPACE.dims, spec.target_axes, mat)
-                assert np.array_equal(state.projected(spec, label).amps, want), (spec.name, label)
 
 
 REWRITTEN = {

@@ -23,11 +23,12 @@ from ewflab import born, cli, epistemics
 SRC = Path(ewflab.__file__).resolve().parent.parent
 
 #: The package's public names and the submodule each comes from, as the
-#: package exported them when it imported every submodule eagerly.
+#: package exported them when it imported every submodule eagerly, less the
+#: measurement-projector helpers of `born` removed since.
 EXPORTS = {
     "born": (
-        "Certainty", "CertaintyResult", "CollapsePolicy", "Distribution", "certainty_check",
-        "final_record_marginal", "joint_certainty_check", "joint_distribution", "outcome_distribution",
+        "Certainty", "CertaintyResult", "CollapsePolicy", "Distribution", "final_record_marginal",
+        "joint_distribution",
     ),
     "bellbohm": (
         "MemoryConfig", "REFERENCE_TRAJECTORY", "Trajectory", "TrajectoryTable", "exact_chain",
