@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ewflab import born
+from ewflab import born, facts
 from ewflab.born import (
     Certainty,
     CertaintyResult,
@@ -199,6 +199,11 @@ class TestCertainty:
         res = certainty(protocol, protocol.initial_state(), [("r", "tail")])
         assert res.kind is Certainty.UNCERTAIN
         assert res.probability == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_overlapping_conjunction_rejected(self, protocol):
+        """Two outcomes of one record are no history: their events share a stage."""
+        with pytest.raises(ValueError, match="event stages must strictly increase"):
+            facts._probability(protocol, [("r", "head"), ("r", "tail")])
 
 
 class TestDistributionType:

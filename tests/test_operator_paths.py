@@ -21,7 +21,7 @@ import pytest
 import reference
 from ewflab import bellbohm, exact, facts
 from ewflab.exact import ExactProtocol
-from ewflab.linalg import FACT_ATOL, StateVector
+from ewflab.linalg import ATOL, FACT_ATOL, StateVector
 from ewflab.protocol import (
     DOWN,
     DYNAMIC_STAGES,
@@ -144,6 +144,27 @@ def test_corrupt_preparation_fails_fr2_and_fr8():
 
 
 # -- measurement projectors -----------------------------------------------------
+
+
+@pytest.mark.parametrize("flags", FLAGS[:2], ids=["clean", "flip-ok-sign"])
+def test_factor_matrices_are_built_once_and_equal_the_outer_product_sum(flags):
+    """Each outcome's `exact.projector_columns` equal the outer-product sum of its spanning set; the
+    recording stage maps built from them are built once per flag pair and are read-only."""
+    maps = exact.stage_maps(**flags)
+    assert maps is exact.stage_maps(**flags)
+    protocol, dense = ExactProtocol(**flags), Protocol(**flags)
+    for var, (_, stage) in RECORDERS.items():
+        spec = protocol.measurements[var]
+        size = GLOBAL_SPACE.subspace(spec.targets).size
+        columns = exact.projector_columns(spec.targets, spec.vectors)
+        for label, p in reference.basis(dense, var).branches:
+            old = np.zeros((p.space.size, p.space.size), dtype=np.complex128)
+            for v in p.vectors:
+                old += np.outer(v.amps, v.amps.conj())
+            mat = np.array([[float(x) for x in row] for row in _exact_matrix(columns[label], size)])
+            assert np.allclose(mat, old, rtol=0, atol=ATOL), (var, label)
+        with pytest.raises(TypeError):
+            maps[stage].columns[0] = ()
 
 
 @pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
