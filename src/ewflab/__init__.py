@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "histories": ("History", "chain_consistency_report", "history", "history_probability"),
     "linalg": ("Projector", "SpaceDescriptor", "StateVector", "inner"),
-    "protocol": ("AgentId", "MeasurementSpec", "Protocol", "StageId", "StageUnitary", "default_protocol"),
+    "protocol": ("AgentId", "Protocol", "StageId", "StageUnitary", "default_protocol"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("bellbohm", "born", "cli", "epistemics", "exact", "facts", "histories", "linalg", "protocol")

@@ -19,13 +19,14 @@ default coin, with no numpy.  It holds two things on top of that:
 The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
 answer one contract, and it is exactly what the shared modules (`born`,
 `bellbohm`, `histories`, `facts`, `epistemics`, `cli`) read of an engine:
-`chain_node`, `coin_amplitudes`, `fact_results`, `gram`, `initial_state`,
-`measurements`, `pilot_state_after`, `record_mask`, `record_weights`, `sqrt`
-and `stage_unitaries`.  Each operator is read one way: a measurement as
-`measurements[var]`, a stage as `stage_unitaries[stage]`.  Their states
-answer `norm2`, `masked`, `marginal`, `components` and `is_zero`; their
-measurements answer `components`.  An operator is a stage map or a record
-mask, and a record mask is the same `RecordMask` value on both engines; a
+`chain_node`, `coin_amplitudes`, `fact_results`, `flip_ok_sign`, `gram`,
+`initial_state`, `pilot_state_after`, `record_mask`, `record_weights`,
+`sqrt` and `stage_unitaries`.  A stage is read one way, as
+`stage_unitaries[stage]`; a measurement is not an object of either engine,
+its outcome vectors are read from `outcome_vectors` under the engine's
+`flip_ok_sign`.  Their states answer `norm2`, `masked`, `marginal`,
+`components` and `is_zero`.  An operator is a stage map or a record mask,
+and a record mask is the same `RecordMask` value on both engines; a
 measurement is never applied.  A conditional is a ratio of Born weights,
 never a renormalised state.  The joints, histories, beable chains and facts
 are written once against those calls.  A number the exact engine returns is
@@ -615,11 +616,6 @@ def probability_cell(p) -> dict:
     return {"probability": float(p), "exact": exact_label(p)}
 
 
-def _code_value(code: Code) -> Surd:
-    sign, k = code
-    return (Surd(sign), Surd(0, sign, 0, 0, 2), Surd(sign, 0, 0, 0, 2))[k]
-
-
 #: The coin both engines start from by default, (√(1/3), √(2/3)), and its
 #: correctly rounded floats, the dense engine's default coin.
 DEFAULT_COIN = (Surd(0, 0, 1, 0, 3), Surd(0, 0, 0, 1, 3))
@@ -661,14 +657,17 @@ def record_mask(var: str, label: str) -> RecordMask:
 class Engine:
     """Configuration, the pilot-state walk, history-chain nodes and record weights, for both engines.
 
-    A subclass passes `coin_amplitudes` in the number type of its states and
-    provides `initial_state`, `stage_unitaries`, `measurements` (read-only,
-    outcome variable -> measurement), `gram` and `sqrt`.
+    A subclass passes `coin_amplitudes`, two amplitudes in the number type
+    of its states, and provides `initial_state`, `stage_unitaries`, `gram`
+    and `sqrt`.  A coin of any other length is refused here, before its
+    normalisation is checked.
     """
 
     record_mask = staticmethod(record_mask)
 
     def __init__(self, coin_amplitudes: tuple, flip_ok_sign: bool, corrupt_preparation: bool) -> None:
+        if len(coin_amplitudes) != 2:
+            raise ValueError(f"a coin is two amplitudes, not {len(coin_amplitudes)}")
         check_coin(*coin_amplitudes)
         self.coin_amplitudes = coin_amplitudes
         self.flip_ok_sign = flip_ok_sign
@@ -842,18 +841,6 @@ class SparseState:
         return Surd(*acc, self.den * other.den)
 
 
-class ExactSpec:
-    """One measurement in the exact engine: outcome vectors as codes on the target factors."""
-
-    def __init__(self, name: str, vectors: dict[str, dict[tuple[str, ...], Code]]) -> None:
-        self.name = name
-        self.targets = MEASURED[name]
-        self.vectors = MappingProxyType({label: MappingProxyType(v) for label, v in vectors.items()})
-
-    def components(self, label: str) -> dict[tuple[str, ...], Surd]:
-        return {labels: _code_value(code) for labels, code in self.vectors[label].items()}
-
-
 class ExactStage:
     """A stage map applied to sparse states (the exact `StageUnitary`)."""
 
@@ -873,12 +860,6 @@ class ExactStage:
 
 
 @cache
-def _specs(flip_ok_sign: bool) -> Mapping[str, ExactSpec]:
-    """The four measurements, one read-only mapping per flag: they do not depend on the coin."""
-    return MappingProxyType({var: ExactSpec(var, outcome_vectors(var, flip_ok_sign)) for var in RECORDERS})
-
-
-@cache
 def _stages(flip_ok_sign: bool, corrupt_preparation: bool) -> Mapping[StageId, ExactStage]:
     """The stages, one read-only mapping per flag pair: they do not depend on the coin."""
     maps = stage_maps(flip_ok_sign, corrupt_preparation)
@@ -894,10 +875,10 @@ class ExactProtocol(Engine):
     are those of `protocol.Protocol`.
 
     Only the coin, the pilot states, the history-chain memo and the fact
-    results belong to one ExactProtocol.  The measurements and the stages
-    do not depend on the coin: they are built once per process for each
-    setting of the corruption hooks and shared, as read-only mappings, by
-    every ExactProtocol with that setting.
+    results belong to one ExactProtocol.  The stages do not depend on the
+    coin: they are built once per process for each setting of the
+    corruption hooks and shared, as a read-only mapping, by every
+    ExactProtocol with that setting.
     """
 
     def __init__(
@@ -921,10 +902,6 @@ class ExactProtocol(Engine):
     @staticmethod
     def sqrt(n: int) -> Surd:
         return Surd(n).sqrt()
-
-    @cached_property
-    def measurements(self) -> Mapping[str, ExactSpec]:
-        return _specs(self.flip_ok_sign)
 
     @cached_property
     def stage_unitaries(self) -> Mapping[StageId, ExactStage]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import born, histories
-from .exact import DOWN, FAIL, GLOBAL_SPACE, HEAD, MINUS, OK, PLUS, READY, TAIL, UP, StageId
+from .exact import DOWN, FAIL, GLOBAL_SPACE, HEAD, MINUS, OK, PLUS, READY, TAIL, UP, StageId, outcome_vectors
 from .linalg import FACT_ATOL, PHASE_ATOL
 
 if TYPE_CHECKING:
@@ -89,6 +89,18 @@ def _weight(x) -> float:
     return (x.conjugate() * x).real
 
 
+def _vector(protocol: Engine, var: str, label: str) -> dict:
+    """One outcome vector of var's measurement as {target labels: entry}, in the engine's number type.
+
+    The entries are read off the codes of `exact.outcome_vectors`; on the
+    dense engine 1/math.sqrt(2) is the code's `float_image`, bit for bit.
+    """
+    return {
+        labels: sign / protocol.sqrt(2) ** k
+        for labels, (sign, k) in outcome_vectors(var, protocol.flip_ok_sign)[label].items()
+    }
+
+
 def _dot(u: dict, v: dict):
     """<u|v> of two vectors given as {key: entry}."""
     return sum(x.conjugate() * v[k] for k, x in u.items() if k in v)
@@ -108,8 +120,8 @@ def check_initial_amplitudes(protocol: Engine) -> tuple[bool, str]:
 @_fact("okfail-bases-orthonormal", None, "both entangled ok/fail bases are orthonormal")
 def check_okfail_bases_orthonormal(protocol: Engine) -> tuple[bool, str]:
     worst = 0.0
-    for spec in (protocol.measurements["w1"], protocol.measurements["w2"]):
-        vec_ok, vec_fail = spec.components(OK), spec.components(FAIL)
+    for var in ("w1", "w2"):
+        vec_ok, vec_fail = _vector(protocol, var, OK), _vector(protocol, var, FAIL)
         worst = max(
             worst,
             abs(_dot(vec_ok, vec_fail)),
@@ -162,13 +174,12 @@ def check_joint_state_coefficients(protocol: Engine) -> tuple[bool, str]:
     up to one global phase, with nothing outside those three components.
     """
     state = protocol.pilot_state_after(StageId.OBS2)
-    w1 = protocol.measurements["w1"]
 
     def basis_vector(okfail: str, spin: str, mem: str) -> dict[int, object]:
         # W1's vector on (C, F1), tensored with one basis label elsewhere
         return {
             GLOBAL_SPACE.index_of((coin, f1, spin, mem, READY, READY)): x
-            for (coin, f1), x in w1.components(okfail).items()
+            for (coin, f1), x in _vector(protocol, "w1", okfail).items()
         }
 
     vectors = [

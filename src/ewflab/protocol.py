@@ -21,11 +21,12 @@ The layout and the stage maps are defined once, exactly, in `exact`; this
 module is their float image on numpy arrays, the library's `Protocol`.  The
 command line computes with `exact.ExactProtocol` instead, which answers the
 same calls without numpy.  An operator is a factor-local stage matrix
-(`apply_on_axes`) or a 0/1 record mask on the amplitudes; a measurement
-(`MeasurementSpec`) is data, its rank-one outcome vectors on its target
-factors, read by the facts and never applied.  Record weights come from one
-|amps|^2 marginal (`memory_marginal`), the squares taken once per state.
-No sparsity, no density matrices.
+(`apply_on_axes`) or a 0/1 record mask on the amplitudes.  A measurement is
+not an object here: its outcome vectors are written once, as the codes of
+`exact.outcome_vectors`, from which the recording stages are built and
+which the facts read.  Record weights come from one |amps|^2 marginal
+(`memory_marginal`), the squares taken once per state.  No sparsity, no
+density matrices.
 
 A dense state is checked once, where it enters: the `StateVector`
 constructor rejects a wrong size and any non-finite amplitude.  States the
@@ -57,7 +58,6 @@ from .exact import (  # the layout, re-exported: the dense engine is the library
     FAIL,
     GLOBAL_SPACE,
     HEAD,
-    MEASURED,
     MINUS,
     OK,
     OUTCOME_LABELS,
@@ -75,7 +75,6 @@ from .exact import (  # the layout, re-exported: the dense engine is the library
     StageId,
     StageMap,
     float_image,
-    outcome_vectors,
     record_mask,
     require_ready,
     rewritten_axes,
@@ -85,7 +84,7 @@ from .linalg import ATOL, Amplitude, Frozen, SpaceDescriptor, SpaceMismatchError
 
 __all__ = [
     "AgentId", "DIM", "DOWN", "DYNAMIC_STAGES", "FAIL", "GLOBAL_SPACE", "HEAD", "MINUS", "OK",
-    "OUTCOME_LABELS", "PLUS", "READY", "RECORDERS", "REST", "STAGES", "TAIL", "UP", "MeasurementSpec",
+    "OUTCOME_LABELS", "PLUS", "READY", "RECORDERS", "REST", "STAGES", "TAIL", "UP",
     "PreconditionError", "Projector", "Protocol", "StageId", "StageUnitary", "StateVector",
     "apply_on_axes", "default_protocol", "inner", "lifted_projector", "memory_marginal", "record_mask",
 ]
@@ -153,8 +152,8 @@ class StateVector(_Squared):
         return dict(zip(_label_indices(marg.shape), marg.ravel().tolist()))
 
 
-#: The engine's own operators by id: the shared stage unitaries, measurements
-#: and record masks.  Each is held here, so no other object can take its id.
+#: The engine's own operators by id: the shared stage unitaries and the record
+#: mask arrays.  Each is held here, so no other object can take its id.
 _ENGINE_OPERATORS: dict[int, object] = {}
 
 
@@ -296,38 +295,7 @@ def memory_marginal(state: StateVector, axes: tuple[int, ...]) -> np.ndarray:
     return probs.sum(axis=_summed_axes(tuple(axes)))
 
 
-# -- measurements and stages ---------------------------------------------------
-
-
-class MeasurementSpec(Frozen):
-    """One projective measurement: rank-one outcome vectors plus a recorder.
-
-    `vectors` maps each outcome label to a read-only unit vector on the
-    target factor subspace (targets in global order); the mapping is
-    read-only too, as a spec is shared by every `Protocol` with the same
-    `flip_ok_sign`.  The recording stage applies the measurement (built in
-    `exact`); a spec is only read.
-    """
-
-    __slots__ = ("name", "targets", "vectors", "recorder")
-
-    def __init__(
-        self, name: str, targets: tuple[str, ...], vectors: dict[str, np.ndarray], recorder: AgentId
-    ) -> None:
-        setfield(self, "name", name)
-        setfield(self, "targets", targets)
-        setfield(self, "vectors", MappingProxyType(vectors))
-        setfield(self, "recorder", recorder)
-
-    def __reduce__(self):
-        """Copy and pickle through the constructor: a read-only mapping does not pickle."""
-        return MeasurementSpec, (self.name, self.targets, dict(self.vectors), self.recorder)
-
-    def components(self, label: str) -> dict[tuple[str, ...], Amplitude]:
-        """The outcome vector's nonzero entries by target labels."""
-        labels = list(itertools.product(*(GLOBAL_SPACE.factor(t).labels for t in self.targets)))
-        v = self.vectors[label]
-        return {labels[i]: complex(v[i]) for i in np.flatnonzero(v)}
+# -- stages -------------------------------------------------------------------
 
 
 class StageUnitary(Frozen):
@@ -371,16 +339,6 @@ def _float_matrix(m: StageMap) -> np.ndarray:
     return mat
 
 
-def _factor_vector(targets: tuple[str, ...], terms: dict[tuple[str, ...], float]) -> np.ndarray:
-    """Read-only vector on the target factors with the given label amplitudes."""
-    space = GLOBAL_SPACE.subspace(targets)
-    amps = np.zeros(space.size, dtype=np.complex128)
-    for labels, c in terms.items():
-        amps[space.index_of(labels)] = c
-    amps.flags.writeable = False
-    return amps
-
-
 @cache
 def _mask_array(mask: RecordMask) -> np.ndarray:
     """A record mask as a 0/1 array on the flat amplitudes.
@@ -396,19 +354,6 @@ def _mask_array(mask: RecordMask) -> np.ndarray:
     array = array.reshape(-1)
     array.flags.writeable = False
     return _engine_operator(array)
-
-
-@cache
-def _specs(flip_ok_sign: bool) -> Mapping[str, MeasurementSpec]:
-    """The four measurements, one read-only mapping per flag: they do not depend on the coin."""
-    specs = {}
-    for var, targets in MEASURED.items():
-        vectors = {
-            label: _factor_vector(targets, {labels: float_image(code) for labels, code in v.items()})
-            for label, v in outcome_vectors(var, flip_ok_sign).items()
-        }
-        specs[var] = MeasurementSpec(var, targets, vectors, RECORDERS[var][0])
-    return MappingProxyType(specs)
 
 
 @cache
@@ -430,11 +375,10 @@ class Protocol(Engine):
     every downstream consumer must refuse or fail loudly).
 
     Only the coin, the pilot states, the history-chain memo and the fact
-    results belong to one Protocol.  The measurements (`measurements`, per
-    `flip_ok_sign`), the stage unitaries (`stage_unitaries`, per pair of
-    hooks) and the record masks do not depend on the coin: they are built
-    once per process and shared, read-only, by every Protocol with the same
-    hooks.
+    results belong to one Protocol.  The stage unitaries (`stage_unitaries`,
+    per pair of hooks) and the record masks do not depend on the coin: they
+    are built once per process and shared, read-only, by every Protocol with
+    the same hooks.  A coin is two amplitudes, each converted to a complex.
     """
 
     sqrt = staticmethod(math.sqrt)
@@ -448,12 +392,7 @@ class Protocol(Engine):
     ) -> None:
         if coin_amplitudes is None:
             coin_amplitudes = DEFAULT_COIN_FLOATS
-        coin = (complex(coin_amplitudes[0]), complex(coin_amplitudes[1]))
-        super().__init__(coin, flip_ok_sign, corrupt_preparation)
-
-    @cached_property
-    def measurements(self) -> Mapping[str, MeasurementSpec]:
-        return _specs(self.flip_ok_sign)
+        super().__init__(tuple(map(complex, coin_amplitudes)), flip_ok_sign, corrupt_preparation)
 
     # -- stage dynamics ----------------------------------------------------
 

@@ -1,13 +1,15 @@
 """The spanning-set path and the direct history chains, kept as oracles for the tests.
 
-Before measurements carried their outcome vectors, every basis was a
-`ProjectiveDecomposition` of explicit orthonormal `StateVector`s, and
-projectors, tensor products and dense stage matrices were built from
-spanning sets.  The package no longer uses any of it; the bodies below are
-the package's own, moved here unchanged, so the tests can compare today's
-factor-matrix path against them.  A former method is a function here whose
-first argument keeps the name `self`.  `basis(protocol, var)` rebuilds the
-decomposition each `MeasurementSpec` was built from.
+Before the outcome vectors were written once, as the codes of
+`exact.outcome_vectors`, every basis was a `ProjectiveDecomposition` of
+explicit orthonormal `StateVector`s, and projectors, tensor products and
+dense stage matrices were built from spanning sets.  The package no longer
+uses any of it; the bodies below are the package's own, moved here
+unchanged, so the tests can compare today's paths against them.  A former
+method is a function here whose first argument keeps the name `self`.
+`basis(protocol, var)` rebuilds var's decomposition from the floats the
+package once wrote for it, independently of the codes, and
+`outcome_state(protocol, var, label)` reads one outcome vector off it.
 
 Before the stage maps were written once as exact sparse columns
 (`ewflab.exact`), the memory swaps and the spin preparation were built as
@@ -48,8 +50,9 @@ columns of `exact.projector_columns`, from which the recording stages are
 still built.
 
 Where a body here called an engine accessor the engines no longer have, it
-reads the mapping that accessor read: `measurements[var]` or
-`stage_unitaries[stage]`.
+reads what that accessor read: the mapping `stage_unitaries[stage]`, or a
+measurement's target factors `MEASURED[var]` and outcome vectors
+`outcome_vectors(var, protocol.flip_ok_sign)`.
 """
 
 from __future__ import annotations
@@ -71,7 +74,18 @@ from ewflab.bellbohm import (
     config_weights,
 )
 from ewflab.born import JOINT_VARIABLES, _all_cells
-from ewflab.exact import OUTCOME_LABELS, RECORDED_VAR, STAGES, Engine, SparseState, Surd, _mul4, projector_columns
+from ewflab.exact import (
+    MEASURED,
+    OUTCOME_LABELS,
+    RECORDED_VAR,
+    STAGES,
+    Engine,
+    SparseState,
+    Surd,
+    _mul4,
+    outcome_vectors,
+    projector_columns,
+)
 from ewflab.facts import ZeroBranchError
 from ewflab.histories import (
     ConsistencyReport,
@@ -107,7 +121,6 @@ from ewflab.protocol import (
     REST,
     TAIL,
     UP,
-    MeasurementSpec,
     Protocol,
     StageId,
     StageUnitary,
@@ -163,9 +176,13 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(concat(a.space, b.space), np.kron(a.amps, b.amps))
 
 
-def outcome_state(spec: MeasurementSpec, label: str) -> StateVector:
-    """One outcome vector of spec as a StateVector on its target factors."""
-    return StateVector(GLOBAL_SPACE.subspace(spec.targets), spec.vectors[label])
+def outcome_state(protocol: Protocol, var: str, label: str) -> StateVector:
+    """One outcome vector of var's measurement as a StateVector on its target factors.
+
+    The vector spanning `basis(protocol, var)`'s branch `label`.
+    """
+    (vector,) = basis(protocol, var).projector(label).vectors
+    return vector
 
 
 def apply_on_axes(
@@ -268,7 +285,7 @@ def _two_outcome_basis(
 
 
 def basis(protocol: Protocol, var: str) -> ProjectiveDecomposition:
-    """The spanning-set decomposition `protocol.measurements[var]` was built from."""
+    """The spanning-set decomposition of var's measurement on its target factors `MEASURED[var]`."""
     s = 1.0 / math.sqrt(2.0)
     if var == "r":
         space = GLOBAL_SPACE.subspace(("C",))
@@ -304,12 +321,12 @@ def basis(protocol: Protocol, var: str) -> ProjectiveDecomposition:
 def measurement_projector(protocol: Protocol, var: str, label: str) -> Projector:
     """One branch of `basis(protocol, var)`, lifted to the global space."""
     vecs = [v.amps for v in basis(protocol, var).projector(label).vectors]
-    return lifted_projector(GLOBAL_SPACE, _target_axes(protocol.measurements[var]), vecs)
+    return lifted_projector(GLOBAL_SPACE, _target_axes(var), vecs)
 
 
-def _target_axes(spec) -> tuple[int, ...]:
-    """The global axes of a measurement's target factors, ascending."""
-    return tuple(GLOBAL_SPACE.axis(t) for t in spec.targets)
+def _target_axes(var: str) -> tuple[int, ...]:
+    """The global axes of var's measured factors, ascending."""
+    return tuple(GLOBAL_SPACE.axis(t) for t in MEASURED[var])
 
 
 def outcome_weight(protocol: Engine, state, events: list[tuple[str, str]]):
@@ -324,8 +341,8 @@ def outcome_weight(protocol: Engine, state, events: list[tuple[str, str]]):
         if isinstance(state, StateVector):
             state = project(measurement_projector(protocol, var, label), state)
         else:
-            spec = protocol.measurements[var]
-            state = state.apply(_target_axes(spec), projector_columns(spec.targets, spec.vectors)[label])
+            columns = projector_columns(MEASURED[var], outcome_vectors(var, protocol.flip_ok_sign))
+            state = state.apply(_target_axes(var), columns[label])
     return state.norm2()
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 import reference
 from ewflab import bellbohm, born, epistemics, histories
+from ewflab.exact import MEASURED
 from ewflab.linalg import StateVector, inner
 from ewflab.protocol import DYNAMIC_STAGES, GLOBAL_SPACE, STAGES, Protocol, StageId
 from reference import from_terms, global_matrix, measurement_projector, pilot_state_with_order, weight
@@ -46,11 +47,10 @@ def test_criterion_2_joint_state_and_eigenspace(protocol):
     """Recorded-state coefficients (2, 1, -1)/sqrt(6); (ok, down) weight zero."""
     with criterion(2, "recorded state matches (2,1,-1)/sqrt(6) and kills the (ok, down) eigenspace"):
         state = protocol.pilot_state_after(StageId.OBS2)
-        w1 = protocol.measurements["w1"]
         tail_space = GLOBAL_SPACE.subspace(("S", "F2", "W1", "W2"))
 
         def lifted(okfail, spin, mem):
-            vec = w1.vectors[okfail]
+            vec = reference.outcome_state(protocol, "w1", okfail).amps
             rest = np.zeros(tail_space.size, dtype=complex)
             rest[tail_space.index_of((spin, mem, "0", "0"))] = 1.0
             return np.kron(vec, rest)
@@ -69,7 +69,7 @@ def test_criterion_2_joint_state_and_eigenspace(protocol):
         rest_space = GLOBAL_SPACE.subspace(("F2", "W1", "W2"))
         down = np.zeros(2, dtype=complex)
         down[GLOBAL_SPACE.factor("S").index("down")] = 1.0
-        ok_vec = w1.vectors["ok"]
+        ok_vec = reference.outcome_state(protocol, "w1", "ok").amps
         for j in range(rest_space.size):
             rest = np.zeros(rest_space.size, dtype=complex)
             rest[j] = 1.0
@@ -80,11 +80,10 @@ def test_criterion_2_joint_state_and_eigenspace(protocol):
 def test_criterion_3_lab_state_orthogonal_to_ok(protocol):
     """<ok | (down,- + up,+)/sqrt(2)> vanishes on the spin-F2 factor."""
     with criterion(3, "entangled lab state is orthogonal to W2's ok vector"):
-        spec = protocol.measurements["w2"]
-        sf = GLOBAL_SPACE.subspace(spec.targets)
+        sf = GLOBAL_SPACE.subspace(MEASURED["w2"])
         s = 1.0 / math.sqrt(2.0)
         lab = from_terms(sf, {("down", "-"): s, ("up", "+"): s})
-        ok = reference.outcome_state(spec, "ok")
+        ok = reference.outcome_state(protocol, "w2", "ok")
         assert abs(inner(ok, lab)) < 1e-12
 
 

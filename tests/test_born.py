@@ -21,7 +21,7 @@ from ewflab.born import (
 from ewflab.exact import ExactProtocol
 from ewflab.linalg import StateVector
 from ewflab.protocol import GLOBAL_SPACE, Protocol, StageId
-from reference import outcome_weight, pilot_state_with_order, project
+from reference import outcome_state, outcome_weight, pilot_state_with_order, project
 
 # Exact joint oracle: chain of exact conditional tables, worked out by hand
 # from the exact amplitudes.  P(r,z) is uniform over the three reachable
@@ -64,8 +64,7 @@ class TestOutcomeDistribution:
 
     def test_degenerate_on_own_basis_vector(self, protocol):
         # lift the ok vector itself against ready memories elsewhere
-        spec = protocol.measurements["w2"]
-        vec = spec.vectors["ok"]
+        vec = outcome_state(protocol, "w2", "ok").amps
         rest = np.zeros(54, dtype=complex)
         rest_space = GLOBAL_SPACE.subspace(("W1", "W2"))
         head_space = GLOBAL_SPACE.subspace(("C", "F1"))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import reference
-from ewflab import bellbohm, born, cli, histories
+from ewflab import bellbohm, born, cli, facts, histories
 from ewflab.exact import (
     DEFAULT_COIN_FLOATS,
     GLOBAL_SPACE,
@@ -29,6 +29,7 @@ from ewflab.exact import (
     ExactProtocol,
     Surd,
     exact_label,
+    outcome_vectors,
 )
 from ewflab.protocol import Protocol
 
@@ -254,11 +255,25 @@ def test_float_images_equal_the_float_build_bit_for_bit(flags):
         else:
             old = reference.preparation_matrix(protocol)
         assert np.array_equal(unitary.matrix, old)
+
+
+@pytest.mark.parametrize("flags", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}])
+def test_fact_vectors_equal_the_oracle_and_the_table(flags):
+    """The outcome vectors the facts read: the spanning-set floats bit for bit, the table's Surds exactly."""
+    dense, exact = Protocol(**flags), ExactProtocol(**flags)
+    surds = {(1, 0): Surd(1), (-1, 0): Surd(-1), (1, 1): Surd(0, 1, 0, 0, 2), (-1, 1): Surd(0, -1, 0, 0, 2)}
     for var in RECORDERS:
-        decomposition = reference.basis(protocol, var)
-        for label, vector in protocol.measurements[var].vectors.items():
+        decomposition = reference.basis(dense, var)
+        for label, codes in outcome_vectors(var, dense.flip_ok_sign).items():
             (old,) = decomposition.projector(label).vectors
-            assert np.array_equal(vector, old.amps)
+            amps = np.zeros(old.space.size, dtype=complex)
+            for labels, x in facts._vector(dense, var, label).items():
+                assert type(x) is float
+                amps[old.space.index_of(labels)] = x
+            assert np.array_equal(amps, old.amps)
+            vector = facts._vector(exact, var, label)
+            assert all(type(x) is Surd for x in vector.values())
+            assert vector == {labels: surds[code] for labels, code in codes.items()}
 
 
 def test_float_images_keep_the_float_build_bits():

@@ -9,6 +9,7 @@ import pytest
 
 import reference
 from ewflab import bellbohm, born, histories, linalg
+from ewflab.exact import MEASURED
 from ewflab.linalg import (
     Factor,
     Projector,
@@ -73,18 +74,16 @@ class TestTensor:
 
 class TestInner:
     def test_orthogonal_record_basis_pair(self, protocol):
-        spec = protocol.measurements["w1"]
-        ok = reference.outcome_state(spec, "ok")
-        fail = reference.outcome_state(spec, "fail")
+        ok = reference.outcome_state(protocol, "w1", "ok")
+        fail = reference.outcome_state(protocol, "w1", "fail")
         assert abs(inner(ok, fail)) < 1e-12
 
     def test_fail_state_is_orthogonal_to_ok(self, protocol):
         # the post-recording lab state (down,- + up,+)/sqrt(2) against the ok vector
-        spec = protocol.measurements["w2"]
-        sf = GLOBAL_SPACE.subspace(spec.targets)
+        sf = GLOBAL_SPACE.subspace(MEASURED["w2"])
         s = 1.0 / math.sqrt(2.0)
         lab = from_terms(sf, {("down", "-"): s, ("up", "+"): s})
-        ok = reference.outcome_state(spec, "ok")
+        ok = reference.outcome_state(protocol, "w2", "ok")
         assert abs(inner(ok, lab)) < 1e-12
 
     def test_self_inner_is_squared_norm(self):
@@ -160,8 +159,7 @@ class TestValidation:
         h1 = histories.okok_fine_history(protocol)
         records = [COIN.factors[0], COIN, basis_state(COIN, ("head",)), h1, h1.events[0],
                    histories.chain_consistency_report(protocol, [h1]), born.joint_distribution(protocol),
-                   bellbohm.exact_chain(protocol), protocol.measurements["r"],
-                   protocol.stage_unitaries[StageId.MEAS4]]
+                   bellbohm.exact_chain(protocol), protocol.stage_unitaries[StageId.MEAS4]]
         for record in records:
             with pytest.raises(AttributeError):
                 record.name = "changed"

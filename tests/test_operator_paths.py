@@ -20,7 +20,7 @@ import pytest
 
 import reference
 from ewflab import bellbohm, exact, facts
-from ewflab.exact import ExactProtocol
+from ewflab.exact import MEASURED, ExactProtocol, outcome_vectors
 from ewflab.linalg import ATOL, FACT_ATOL, StateVector
 from ewflab.protocol import (
     DOWN,
@@ -63,7 +63,7 @@ def _fr2_spanning_set(protocol: Protocol) -> float:
 
 def _fr8_27_vector_sum(protocol: Protocol) -> float:
     state = protocol.pilot_state_after(StageId.OBS2)
-    ok_vec = protocol.measurements["w1"].vectors[OK]  # on (C, F1)
+    ok_vec = reference.outcome_state(protocol, "w1", OK).amps  # on (C, F1)
     down = np.zeros(2, dtype=np.complex128)
     down[GLOBAL_SPACE.factor("S").index(DOWN)] = 1.0
     w = 0.0
@@ -152,11 +152,11 @@ def test_factor_matrices_are_built_once_and_equal_the_outer_product_sum(flags):
     recording stage maps built from them are built once per flag pair and are read-only."""
     maps = exact.stage_maps(**flags)
     assert maps is exact.stage_maps(**flags)
-    protocol, dense = ExactProtocol(**flags), Protocol(**flags)
+    dense = Protocol(**flags)
     for var, (_, stage) in RECORDERS.items():
-        spec = protocol.measurements[var]
-        size = GLOBAL_SPACE.subspace(spec.targets).size
-        columns = exact.projector_columns(spec.targets, spec.vectors)
+        targets = MEASURED[var]
+        size = GLOBAL_SPACE.subspace(targets).size
+        columns = exact.projector_columns(targets, outcome_vectors(var, dense.flip_ok_sign))
         for label, p in reference.basis(dense, var).branches:
             old = np.zeros((p.space.size, p.space.size), dtype=np.complex128)
             for v in p.vectors:
@@ -174,9 +174,10 @@ def test_factor_matrices_are_orthogonal_projectors_that_resolve_the_identity(coi
     summing to the identity on each measurement's target factors, exactly."""
     protocol = ExactProtocol(coin, **flags)
     for var in RECORDERS:
-        spec = protocol.measurements[var]
-        size = GLOBAL_SPACE.subspace(spec.targets).size
-        mats = [_exact_matrix(c, size) for c in exact.projector_columns(spec.targets, spec.vectors).values()]
+        targets = MEASURED[var]
+        size = GLOBAL_SPACE.subspace(targets).size
+        vectors = outcome_vectors(var, protocol.flip_ok_sign)
+        mats = [_exact_matrix(c, size) for c in exact.projector_columns(targets, vectors).values()]
         zero = [[0] * size for _ in range(size)]
         total = [[sum((m[r][c] for m in mats), exact.ZERO) for c in range(size)] for r in range(size)]
         assert total == [[int(r == c) for c in range(size)] for r in range(size)]
@@ -192,7 +193,7 @@ def _exact_matrix(columns: dict, size: int) -> list[list]:
     mat = [[exact.ZERO] * size for _ in range(size)]
     for t, col in columns.items():
         for t2, sign, k in col:
-            mat[t2][t] += exact._code_value((sign, k))
+            mat[t2][t] += exact.Surd(sign) / exact.Surd(2).sqrt() ** k
     return mat
 
 

@@ -24,7 +24,8 @@ SRC = Path(ewflab.__file__).resolve().parent.parent
 
 #: The package's public names and the submodule each comes from, as the
 #: package exported them when it imported every submodule eagerly, less the
-#: measurement-projector helpers of `born` removed since.
+#: measurement-projector helpers of `born` and the `MeasurementSpec` record
+#: removed since.
 EXPORTS = {
     "born": (
         "Certainty", "CertaintyResult", "CollapsePolicy", "Distribution", "final_record_marginal",
@@ -40,7 +41,7 @@ EXPORTS = {
     ),
     "histories": ("History", "chain_consistency_report", "history", "history_probability"),
     "linalg": ("Projector", "SpaceDescriptor", "StateVector", "inner"),
-    "protocol": ("AgentId", "MeasurementSpec", "Protocol", "StageId", "StageUnitary", "default_protocol"),
+    "protocol": ("AgentId", "Protocol", "StageId", "StageUnitary", "default_protocol"),
 }
 
 ENGINE = {"ewflab", "ewflab.cli", "ewflab.linalg", "ewflab.exact"}

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from ewflab.exact import COIN_ERROR, ExactProtocol, stage_maps
+from ewflab.exact import COIN_ERROR, MEASURED, ExactProtocol, float_image, outcome_vectors, stage_maps
 from ewflab.histories import HistoryEvent
 from ewflab.protocol import (
     DYNAMIC_STAGES,
@@ -21,7 +21,7 @@ from ewflab.protocol import (
     StateVector,
     memory_marginal,
 )
-from reference import global_matrix, nonzero_terms, outcome_state, pilot_state_with_order
+from reference import from_terms, global_matrix, nonzero_terms, outcome_state, pilot_state_with_order
 
 SQ13 = math.sqrt(1.0 / 3.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -53,6 +53,14 @@ class TestInitialState:
             Protocol((0.6, 0.9))
         with pytest.raises(ValueError, match=re.escape(COIN_ERROR)):
             ExactProtocol(("0.6", "0.9"))
+
+    def test_a_coin_is_exactly_two_amplitudes(self):
+        """One amplitude too few or too many is refused, before the normalisation check."""
+        for coin in ((0.6,), (0.6, 0.8, 5.0), (1.0,), (0.6, 0.8, 0.0)):
+            with pytest.raises(ValueError, match=f"a coin is two amplitudes, not {len(coin)}"):
+                Protocol(coin)
+            with pytest.raises(ValueError, match=f"a coin is two amplitudes, not {len(coin)}"):
+                ExactProtocol(tuple(map(str, coin)))
 
 
 class TestRecordingStages:
@@ -96,20 +104,24 @@ class TestPreparation:
         assert len(amplitude_map(protocol.pilot_state_after(StageId.PREP1))) == 3
 
 
+def table_state(protocol, var, label):
+    """One outcome vector of `outcome_vectors`, its codes read as floats, on var's measured factors."""
+    codes = outcome_vectors(var, protocol.flip_ok_sign)[label]
+    return from_terms(GLOBAL_SPACE.subspace(MEASURED[var]), {labels: float_image(c) for labels, c in codes.items()})
+
+
 class TestEntangledBases:
     def test_ok_fail_vectors_match_definitions(self, protocol):
         """Reconstruct both bases from their defining formulas and compare."""
-        w1 = protocol.measurements["w1"]
-        ok = outcome_state(w1, "ok")
-        fail = outcome_state(w1, "fail")
+        ok = table_state(protocol, "w1", "ok")
+        fail = table_state(protocol, "w1", "fail")
         assert ok.amps[ok.space.index_of(("head", "head"))] == pytest.approx(SQ12, abs=1e-12)
         assert ok.amps[ok.space.index_of(("tail", "tail"))] == pytest.approx(-SQ12, abs=1e-12)
         assert fail.amps[fail.space.index_of(("head", "head"))] == pytest.approx(SQ12, abs=1e-12)
         assert fail.amps[fail.space.index_of(("tail", "tail"))] == pytest.approx(SQ12, abs=1e-12)
 
-        w2 = protocol.measurements["w2"]
-        ok2 = outcome_state(w2, "ok")
-        fail2 = outcome_state(w2, "fail")
+        ok2 = table_state(protocol, "w2", "ok")
+        fail2 = table_state(protocol, "w2", "fail")
         assert ok2.amps[ok2.space.index_of(("down", "-"))] == pytest.approx(SQ12, abs=1e-12)
         assert ok2.amps[ok2.space.index_of(("up", "+"))] == pytest.approx(-SQ12, abs=1e-12)
         assert fail2.amps[fail2.space.index_of(("down", "-"))] == pytest.approx(SQ12, abs=1e-12)
@@ -123,14 +135,13 @@ class TestEntangledBases:
         components (fail, down, -), (fail, up, +), (ok, up, +).
         """
         state = protocol.pilot_state_after(StageId.OBS2)
-        w1 = protocol.measurements["w1"]
         c6 = 1.0 / math.sqrt(6.0)
         for okfail, spin, mem, coeff in (
             ("fail", "down", "-", 2 * c6),
             ("fail", "up", "+", c6),
             ("ok", "up", "+", -c6),
         ):
-            vec = w1.vectors[okfail]
+            vec = outcome_state(protocol, "w1", okfail).amps
             rest = np.zeros(54, dtype=complex)
             tail_space = GLOBAL_SPACE.subspace(("S", "F2", "W1", "W2"))
             rest[tail_space.index_of((spin, mem, "0", "0"))] = 1.0
@@ -211,25 +222,19 @@ class TestUnitarity:
 
 ENGINES = [Protocol, ExactProtocol]
 FLAG_SETTINGS = [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}]
-VARS = ("r", "z", "w1", "w2")
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
 class TestSharedStructure:
-    def test_equal_hooks_share_stages_and_measurements(self, engine):
+    def test_equal_hooks_share_stages(self, engine):
         for flags in FLAG_SETTINGS:
             a, b = engine(**flags), engine((0.6, 0.8) if engine is Protocol else ("0.6", "0.8"), **flags)
             assert a.stage_unitaries is b.stage_unitaries
-            for var in VARS:
-                assert a.measurements[var] is b.measurements[var]
 
     def test_different_hooks_never_share(self, engine):
         built = [engine(**flags) for flags in FLAG_SETTINGS]
         for x, y in itertools.combinations(built, 2):
             assert x.stage_unitaries is not y.stage_unitaries
-            for var in VARS:
-                # measurements depend on flip_ok_sign alone
-                assert (x.measurements[var] is y.measurements[var]) == (x.flip_ok_sign == y.flip_ok_sign)
 
     def test_a_corrupt_preparation_never_receives_the_clean_stages(self, engine):
         """In either order of construction, the corrupt protocol rotates the spin its own way."""
@@ -244,24 +249,14 @@ class TestSharedStructure:
 
     def test_shared_mappings_are_read_only(self, engine):
         protocol = engine()
-        spec = protocol.measurements["w1"]
         with pytest.raises(TypeError):
             protocol.stage_unitaries[StageId.OBS0] = protocol.stage_unitaries[StageId.MEAS4]
-        with pytest.raises(TypeError):
-            protocol.measurements["r"] = spec
-        with pytest.raises(TypeError):
-            spec.vectors["ok"] = spec.vectors["fail"]
 
 
 def test_shared_arrays_and_stage_maps_are_read_only():
     protocol = Protocol()
     with pytest.raises(ValueError):
         protocol.stage_unitaries[StageId.OBS0].matrix[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        protocol.measurements["w1"].vectors["ok"][0] = 2.0
-    exact = ExactProtocol().measurements["w1"]
-    with pytest.raises(TypeError):
-        exact.vectors["ok"][("head", "head")] = (1, 0)
     maps = stage_maps()
     with pytest.raises(TypeError):
         maps[StageId.OBS0] = maps[StageId.MEAS4]
