@@ -20,7 +20,7 @@ The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
 answer one contract, and it is exactly what the shared modules (`born`,
 `bellbohm`, `histories`, `facts`, `epistemics`, `cli`) read of an engine:
 `chain_node`, `coin_amplitudes`, `fact_results`, `flip_ok_sign`, `gram`,
-`initial_state`, `pilot_state_after`, `record_mask`, `record_weights`,
+`initial_state`, `member_leaves`, `pilot_state_after`, `record_weights`,
 `sqrt` and `stage_unitaries`.  A stage is read one way, as
 `stage_unitaries[stage]`; a measurement is not an object of either engine,
 its outcome vectors are read from `outcome_vectors` under the engine's
@@ -37,10 +37,13 @@ Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
 the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
 this one's oracle.  It is also the faster one: warm, on the benchmark's
-stream of history queries, this engine takes 0.52-0.75 ms per query against
-the dense engine's 0.32-0.46 ms (~1.6x slower at the fastest of 5 repeats;
-in process, 4,000 queries, 2-vCPU x86-64 VM, Python 3.11.7), and float coins
-(large binary rationals) slow it further.
+stream of history queries, this engine takes 0.41-0.46 ms per query against
+the dense engine's 0.17-0.26 ms (fastest of 5 repeats of 4,000 queries,
+seeds 31 and 32, in process on one CPU of a 2-vCPU x86-64 VM, Python
+3.11.7).  Most of its time goes to exact arithmetic on the decoherence
+functional D: the inner products that build it take a third of a query and
+the sums and comparisons that read it another 30% (cProfile).  Float
+coins (large binary rationals) slow it further.
 """
 
 from __future__ import annotations
@@ -635,9 +638,40 @@ def check_coin(a, b) -> None:
 #: History-chain nodes one engine keeps (`Engine.chain_node`), least recently
 #: used first out.  A dense node retains ~5.7 kB (324 complex128 amplitudes
 #: and their objects), so a full memo holds ~1.5 MB; an exact node ~0.8 kB.
-#: A cold coin-sweep item stores about 25 nodes, a warm stream of the
-#: benchmark's history queries about 128, vanished nodes included (3 and 23).
+#: A cold coin-sweep item stores 25 nodes (3 vanished), and 20,000 queries of
+#: the benchmark's warm history stream 128 on the dense engine (23 vanished)
+#: and 125 on the exact one (27).
 CHAIN_MEMO_NODES = 256
+
+#: History-family members one engine keeps (`Engine.member_leaves`), least
+#: recently used first out.  An entry holds a member's refined leaves, whose
+#: states are mostly the chain memo's own nodes.  The benchmark's warm history
+#: stream has 154 distinct members (662 leaves), which retain 0.24 MB beside
+#: the chain memo on either engine; a full memo of the tests' long family
+#: stream (256 members, 1,096 leaves) retains 1.4 MB on the dense engine and
+#: 0.46 MB on the exact one (`tracemalloc`).
+MEMBER_MEMO_LEAVES = 256
+
+
+def _recall(memo: dict, key, bound: int, build, *args):
+    """memo[key], or `build(*args)` stored there first; past `bound` entries the least recently used goes.
+
+    The memo runs from least to most recently used: a hit moves its entry
+    to the end and returns the stored value itself.  `build` never returns
+    None, which marks a miss.
+    """
+    value = memo.pop(key, None)
+    if value is None:
+        value = build(*args)
+        if len(memo) >= bound:
+            del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def _node(step, parent, masks: bool) -> tuple[object, bool]:
+    state = step(parent)
+    return state, masks and state.is_zero()
 
 
 class RecordMask(NamedTuple):
@@ -655,15 +689,13 @@ def record_mask(var: str, label: str) -> RecordMask:
 
 
 class Engine:
-    """Configuration, the pilot-state walk, history-chain nodes and record weights, for both engines.
+    """Configuration, the pilot-state walk, history-chain nodes, member leaves and record weights, for both engines.
 
     A subclass passes `coin_amplitudes`, two amplitudes in the number type
     of its states, and provides `initial_state`, `stage_unitaries`, `gram`
     and `sqrt`.  A coin of any other length is refused here, before its
     normalisation is checked.
     """
-
-    record_mask = staticmethod(record_mask)
 
     def __init__(self, coin_amplitudes: tuple, flip_ok_sign: bool, corrupt_preparation: bool) -> None:
         if len(coin_amplitudes) != 2:
@@ -674,6 +706,7 @@ class Engine:
         self.corrupt_preparation = corrupt_preparation
         self._pilot_cache: dict = {}
         self._chain_memo: dict = {}
+        self._member_memo: dict = {}
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
         self.fact_results: dict = {}
 
@@ -705,15 +738,20 @@ class Engine:
         memo stores every node it builds with its vanished flag, the zero
         state a mask leaves included, and a hit returns the stored pair.
         """
-        memo = self._chain_memo
-        node = memo.pop((i, path), None)
-        if node is None:
-            state = step(parent)
-            node = state, masks and state.is_zero()
-            if len(memo) >= CHAIN_MEMO_NODES:
-                del memo[next(iter(memo))]
-        memo[i, path] = node  # the memo runs from least to most recently used
-        return node
+        return _recall(self._chain_memo, (i, path), CHAIN_MEMO_NODES, _node, step, parent, masks)
+
+    def member_leaves(self, slots: tuple, walk, *args) -> tuple:
+        """A history-family member's refined leaves, `walk(*args)` on this engine's first sight of its slots.
+
+        A member's slots are the (stage index, tuple of `RecordMask`) of each
+        stage where it has an event or is refined, in stage order; its
+        leaves, each a (path, state, vanished) triple, depend on nothing
+        else, so they are walked once and read from a bounded memo after
+        that.  A hit returns the leaves the first walk built, so answers stay
+        bit-identical.  A miss still reads every chain node through
+        `chain_node`, which shares prefixes with other members.
+        """
+        return _recall(self._member_memo, slots, MEMBER_MEMO_LEAVES, walk, *args)
 
     def record_weights(self, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
         """Joint Born weights of memory labels for the given outcome variables.
@@ -874,9 +912,9 @@ class ExactProtocol(Engine):
     real.  The default coin is (√3/3, √6/3) exactly.  The corruption hooks
     are those of `protocol.Protocol`.
 
-    Only the coin, the pilot states, the history-chain memo and the fact
-    results belong to one ExactProtocol.  The stages do not depend on the
-    coin: they are built once per process for each setting of the
+    Only the coin, the pilot states, the history-chain and member memos and
+    the fact results belong to one ExactProtocol.  The stages do not depend
+    on the coin: they are built once per process for each setting of the
     corruption hooks and shared, as a read-only mapping, by every
     ExactProtocol with that setting.
     """

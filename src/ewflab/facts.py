@@ -106,6 +106,12 @@ def _dot(u: dict, v: dict):
     return sum(x.conjugate() * v[k] for k, x in u.items() if k in v)
 
 
+def _amplitude_text(x) -> str:
+    """x to 12 digits: its real part, then its imaginary part when that is nonzero (a Surd has none)."""
+    imag = getattr(x, "imag", 0)
+    return f"{x.real:.12g}{imag:+.12g}j" if imag else f"{x.real:.12g}"
+
+
 @_fact("initial-amplitudes", None, "prepared state has the configured coin amplitudes and nothing else")
 def check_initial_amplitudes(protocol: Engine) -> tuple[bool, str]:
     amps = protocol.initial_state().components()
@@ -114,7 +120,7 @@ def check_initial_amplitudes(protocol: Engine) -> tuple[bool, str]:
     residual = math.sqrt(sum(_weight(x) for x in amps.values()))
     a, b = protocol.coin_amplitudes
     ok = abs(got_h - a) < FACT_ATOL and abs(got_t - b) < FACT_ATOL and residual < FACT_ATOL
-    return ok, f"head {got_h.real:.12g}, tail {got_t.real:.12g}, residual {residual:.3g}"
+    return ok, f"head {_amplitude_text(got_h)}, tail {_amplitude_text(got_t)}, residual {residual:.3g}"
 
 
 @_fact("okfail-bases-orthonormal", None, "both entangled ok/fail bases are orthonormal")

@@ -2,7 +2,8 @@
 
 A history is an ordered list of (stage, record event) pairs; each record
 event is a mask on its recorder's memory axis, a `RecordMask` value on both
-engines (`record_mask`).  Its probability is the squared norm of the chain
+engines (`exact.record_mask`), and each event is built once per process
+(`outcome_event`).  Its probability is the squared norm of the chain
 obtained by running the stage unitaries in order and applying each event's
 mask right after its stage.  Stages a history does not mention contribute
 plain unitary evolution; there is no implicit identity-projector event,
@@ -19,7 +20,10 @@ one, D's entries are exact and "consistent" is an exact zero test.
 
 A refined chain is named by its path: the (stage index, mask) of each
 event it applied, in order.  The path keys the engine's chain memo and
-names the leaf in the report; an event's label is for display only.
+names the leaf in the report; an event's label is for display only.  A
+member is named by its slots, the (stage index, masks) of each stage where
+it has an event or is refined: they key the engine's member memo, so a
+member the engine has answered before is not walked again.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from .linalg import CONSISTENCY_ATOL, Frozen, setfield
 if TYPE_CHECKING:
     from .exact import Engine
     from .protocol import StateVector
+
+
+_STAGE_INDEX = {stage: i for i, stage in enumerate(STAGES)}
 
 
 class EpochMismatchError(ValueError):
@@ -77,14 +84,20 @@ def outcome_event(protocol: Engine, var: str, label: str, stage: StageId | None 
 
     Its label is `var=label` at the recording stage and `var@STAGE=label`, the
     `--define` spelling, at any other, so that equal labels at a stage mean
-    equal masks.
+    equal masks.  An event does not depend on the engine, which selects
+    nothing here: each is built once per process and shared.
     """
+    return _outcome_event(var, label, stage)
+
+
+@cache
+def _outcome_event(var: str, label: str, stage: StageId | None) -> HistoryEvent:
     if label not in OUTCOME_LABELS[var]:
         raise ValueError(f"variable {var!r} has no outcome {label!r}")
     recorded = RECORDERS[var][1]
     stage = recorded if stage is None else stage
     name = var if stage is recorded else f"{var}@{stage.name}"
-    return HistoryEvent(stage, protocol.record_mask(var, label), f"{name}={label}")
+    return HistoryEvent(stage, record_mask(var, label), f"{name}={label}")
 
 
 def history(protocol: Engine, name: str, assignments: list[tuple[str, str]]) -> History:
@@ -185,15 +198,26 @@ def _slots(h: History, union_stages: tuple[StageId, ...]) -> dict[StageId, tuple
 def _fine_chains(
     protocol: Engine, h: History, union_stages: tuple[StageId, ...]
 ) -> list[tuple[tuple, StateVector]]:
-    """Refine h over union stages it does not mention; return (path, chain vector) per leaf.
+    """Refine h over union stages it does not mention; return (path, chain vector) per leaf."""
+    return [(path, v) for path, v, _ in _leaves(protocol, _slots(h, union_stages))]
+
+
+def _leaves(protocol: Engine, slots: dict) -> tuple[tuple[tuple, StateVector, bool], ...]:
+    """A member's refined leaves (path, state, vanished), walked only when the engine's member memo lacks its slots.
 
     A depth-first walk over the stage timeline evolves each tree node once,
     so leaves share their prefix chains.  It is the package's one chain
     evolution: `chain_vector` is its single leaf for an empty union.
     """
+    key = tuple(sorted([(_STAGE_INDEX[stage], tuple([e.mask for e in events])) for stage, events in slots.items()]))
+    return protocol.member_leaves(key, _walked, protocol, slots)
+
+
+def _walked(protocol: Engine, slots: dict) -> tuple[tuple[tuple, StateVector, bool], ...]:
+    """Every leaf below the initial state, in walk order."""
     chains: list[tuple[tuple, StateVector, bool]] = []
-    _walk(protocol, _slots(h, union_stages), 0, (), None, chains)
-    return [(path, v) for path, v, _ in chains]
+    _walk(protocol, slots, 0, (), None, chains)
+    return tuple(chains)
 
 
 def _walk(protocol: Engine, slots: dict, i: int, path: tuple, state: StateVector | None, chains: list) -> None:
@@ -252,8 +276,7 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     rows: dict[str, list[int]] = {}  # each member's rows of D
     leaves: list[tuple[tuple, StateVector]] = []
     for name, member_slots in zip(names, slots):
-        chains: list[tuple[tuple, StateVector, bool]] = []
-        _walk(protocol, member_slots, 0, (), None, chains)
+        chains = _leaves(protocol, member_slots)
         paths[name] = {path for path, _, _ in chains}
         live = [(path, v) for path, v, vanished in chains if not vanished]
         rows[name] = list(range(len(leaves), len(leaves) + len(live)))

@@ -85,6 +85,7 @@ from ewflab.exact import (
     _mul4,
     outcome_vectors,
     projector_columns,
+    record_mask,
 )
 from ewflab.facts import ZeroBranchError
 from ewflab.histories import (
@@ -620,7 +621,7 @@ def normalized(self):
 
 def branch_state(protocol: Engine, coin: str, stage: StageId):
     """Pilot state conditioned on the coin record reading `coin`, renormalized."""
-    branch = protocol.pilot_state_after(stage).masked(protocol.record_mask("r", coin))
+    branch = protocol.pilot_state_after(stage).masked(record_mask("r", coin))
     if math.sqrt(float(branch.norm2())) < ATOL:
         raise ZeroBranchError(f"{coin} branch has zero weight")
     return normalized(branch)

@@ -152,13 +152,16 @@ def test_a_rejected_family_evolves_no_chain(capsys, monkeypatch, order):
     assert walks == []
 
 
-@pytest.mark.parametrize("argv, walks", [(["histories"], 17), (["report"], 40)], ids=["histories", "report"])
+@pytest.mark.parametrize("argv, walks", [(["histories"], 17), (["report"], 31)], ids=["histories", "report"])
 def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, walks):
     """`histories` reads P[h] off its report's D (17 walk calls: one per member, then one per live child at
-    an event stage); `report` adds the 23 of verify's history probabilities: FR2's P[r=tail] and
-    P[r=tail, w2=ok] (2 + 2: the second vanishes at w2=ok), FR3's P[r=tail] and P[r=tail, w2=fail] (2 + 3),
-    FR4's P[r=head] and P[r=head, z=-] (2 + 3), the (ok, spin-down) fact's P[z=-, w1=ok] (2: it vanishes
-    at w1=ok), h1's chain (5) and h1prime's (2: it vanishes at w2=ok)."""
+    an event stage: h1's 5 and h1prime's refinement's 12).  `report` walks each distinct member once per
+    engine, whatever asks for it.  Its facts walk 7 members in 19 calls: FR2's P[r=tail] and P[r=tail, w2=ok]
+    (2 + 2: the second vanishes at w2=ok), FR3's P[r=tail] (0: the member memo holds FR2's) and
+    P[r=tail, w2=fail] (3), FR4's P[r=head] and P[r=head, z=-] (2 + 3), the (ok, spin-down) fact's
+    P[z=-, w1=ok] (2: it vanishes at w1=ok), h1's chain (5) and h1prime's (0: the same slots as
+    P[r=tail, w2=ok]).  Its history section then reads h1 from the member memo (0) and walks only
+    h1prime's refinement (12): 31."""
     calls = _count_walks(monkeypatch)
     code, _, _ = run(capsys, argv)
     assert code == 0

@@ -72,6 +72,21 @@ class TestDegenerateCoins:
             epistemics.check(epistemics.PROFILES["all"], Protocol((1.0, 0.0)))
 
 
+@pytest.mark.parametrize(
+    "coin, detail",
+    [
+        (None, "head 0.57735026919, tail 0.816496580928, residual 0"),
+        ((0.6j, 0.8), "head 0+0.6j, tail 0.8, residual 0"),
+    ],
+    ids=["default", "imaginary-head"],
+)
+def test_initial_amplitudes_detail_prints_each_amplitude_whole(coin, detail):
+    """A real coin prints its real parts only; a complex one its imaginary parts too."""
+    result = facts.check_initial_amplitudes(Protocol(coin))
+    assert result.passed
+    assert result.detail == detail
+
+
 def _cells(protocol: Protocol) -> dict[tuple, float]:
     """Every probability the CLI labels, keyed by where it is printed."""
     cells = {}

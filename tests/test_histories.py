@@ -8,8 +8,17 @@ import random
 import numpy as np
 import pytest
 
-from ewflab import bellbohm, born
-from ewflab.exact import CHAIN_MEMO_NODES, RECORDED_VAR, ExactProtocol, ExactStage, RecordMask, SparseState, Surd
+from ewflab import bellbohm, born, histories
+from ewflab.exact import (
+    CHAIN_MEMO_NODES,
+    MEMBER_MEMO_LEAVES,
+    RECORDED_VAR,
+    ExactProtocol,
+    ExactStage,
+    RecordMask,
+    SparseState,
+    Surd,
+)
 from ewflab.histories import (
     EpochMismatchError,
     History,
@@ -374,6 +383,27 @@ def test_a_repeated_report_on_a_warm_engine_masks_nothing(engine, state_class, m
         first.probability, first.additivity_defect, first.pairs)
 
 
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_a_repeated_report_on_a_warm_engine_walks_nothing(engine, monkeypatch):
+    """Every member of the first report is read from the member memo the second time: no `_walk` call."""
+    protocol = engine()
+    family = [okok_fine_history(protocol), okok_coarse_history(protocol),
+              history(protocol, "b", [("r", "head"), ("z", "+")])]
+    first = chain_consistency_report(protocol, family)
+    calls = []
+    walk = histories._walk
+
+    def counted(*args):
+        calls.append(args[2])
+        return walk(*args)
+
+    monkeypatch.setattr(histories, "_walk", counted)
+    second = chain_consistency_report(protocol, family)
+    assert calls == []
+    assert (second.probability, second.additivity_defect, second.pairs) == (
+        first.probability, first.additivity_defect, first.pairs)
+
+
 def test_record_mask_equals_record_projector(protocol):
     """For all 12 (var, label) pairs the mask projects exactly as the spanning set."""
     rng = np.random.default_rng(5)
@@ -511,7 +541,7 @@ def test_a_reused_label_gets_its_own_chain(engine):
     its mask at another stage, is walked as itself after the engine event's chain: labels key no node."""
     protocol = engine()
     tail, ok = outcome_event(protocol, "r", "tail"), outcome_event(protocol, "w2", "ok")
-    impostors = [HistoryEvent(S.OBS0, protocol.record_mask("r", "head"), tail.label),
+    impostors = [HistoryEvent(S.OBS0, record_mask("r", "head"), tail.label),
                  HistoryEvent(S.MEAS3, tail.mask, tail.label)]
     honest = _bits(chain_vector(protocol, (tail, ok)))
     for impostor in impostors:
@@ -582,7 +612,7 @@ def _staged_specs(n: int, seed: int) -> list[dict]:
     return specs
 
 
-#: the oracle families, then staged ones: together they reach more chain nodes than the memo holds
+#: the oracle families, then staged ones: together they reach more chain nodes and members than the memos hold
 MEMO_SPECS = (
     [ORACLE_FAMILIES[name] for name in sorted(ORACLE_FAMILIES)]
     + [{name: [(v, a, None) for v, a in events] for name, events in spec.items()} for spec in _grid_families()]
@@ -602,7 +632,7 @@ def _answers(protocol, spec) -> tuple:
 @pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8j)), (ExactProtocol, ("0.6", "0.8"))],
                          ids=["dense", "exact"])
 def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(engine, coin):
-    """Families past the memo's bound, then again, then in reverse order: every answer is a fresh engine's."""
+    """Families past both memos' bounds, then again, then in reverse order: every answer is a fresh engine's."""
     fresh = [_answers(engine(coin), spec) for spec in MEMO_SPECS]
     protocol = engine(coin)
     for order in (1, 1, -1):
@@ -610,5 +640,9 @@ def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(
         for i, spec in specs:
             assert _answers(protocol, spec) == fresh[i], i
             assert len(protocol._chain_memo) <= CHAIN_MEMO_NODES
+            assert len(protocol._member_memo) <= MEMBER_MEMO_LEAVES
         assert len(protocol._chain_memo) == CHAIN_MEMO_NODES
+        assert len(protocol._member_memo) == MEMBER_MEMO_LEAVES
         assert all(vanished == state.is_zero() for state, vanished in protocol._chain_memo.values())
+        assert all(vanished == state.is_zero()
+                   for leaves in protocol._member_memo.values() for _, state, vanished in leaves)
