@@ -19,9 +19,9 @@ default coin, with no numpy.  It holds two things on top of that:
 The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
 answer one contract, and it is exactly what the shared modules (`born`,
 `bellbohm`, `histories`, `facts`, `epistemics`, `cli`) read of an engine:
-`chain_node`, `coin_amplitudes`, `fact_results`, `flip_ok_sign`, `gram`,
-`initial_state`, `member_leaves`, `pilot_state_after`, `record_weights`,
-`sqrt` and `stage_unitaries`.  A stage is read one way, as
+`chain_node`, `coin_amplitudes`, `fact_results`, `family_memo`,
+`flip_ok_sign`, `gram`, `initial_state`, `pilot_state_after`,
+`record_weights`, `sqrt` and `stage_unitaries`.  A stage is read one way, as
 `stage_unitaries[stage]`; a measurement is not an object of either engine,
 its outcome vectors are read from `outcome_vectors` under the engine's
 `flip_ok_sign`.  Their states answer `norm2`, `masked`, `marginal`,
@@ -36,14 +36,18 @@ guessed from a float.
 Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
 the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
-this one's oracle.  It is also the faster one: warm, on the benchmark's
-stream of history queries, this engine takes 0.41-0.46 ms per query against
-the dense engine's 0.17-0.26 ms (fastest of 5 repeats of 4,000 queries,
-seeds 31 and 32, in process on one CPU of a 2-vCPU x86-64 VM, Python
-3.11.7).  Most of its time goes to exact arithmetic on the decoherence
-functional D: the inner products that build it take a third of a query and
-the sums and comparisons that read it another 30% (cProfile).  Float
-coins (large binary rationals) slow it further.
+this one's oracle.  It is also the faster one wherever the decoherence
+functional D has to be computed: with a fresh engine for each of the first
+300 families of the benchmark's stream of history queries (seed 31), a
+query takes 0.80 ms here against the dense engine's 0.65 ms (fastest of 6
+repeats).  Warm, both engines read each member's block of D and each
+pair's from their memos and compute no inner product, and they are close:
+this engine takes 0.06-0.07 ms per query against the dense engine's
+0.05-0.06 ms (fastest of 5 repeats of 4,000 queries, seeds 31 and 32).
+Both were measured in process on one CPU of a 2-vCPU x86-64 VM, Python
+3.11.7; most of a warm query is building its histories and reading the
+memos (cProfile).  Float coins (large binary rationals) slow the exact
+arithmetic further.
 """
 
 from __future__ import annotations
@@ -643,14 +647,25 @@ def check_coin(a, b) -> None:
 #: and 125 on the exact one (27).
 CHAIN_MEMO_NODES = 256
 
-#: History-family members one engine keeps (`Engine.member_leaves`), least
-#: recently used first out.  An entry holds a member's refined leaves, whose
-#: states are mostly the chain memo's own nodes.  The benchmark's warm history
-#: stream has 154 distinct members (662 leaves), which retain 0.24 MB beside
-#: the chain memo on either engine; a full memo of the tests' long family
-#: stream (256 members, 1,096 leaves) retains 1.4 MB on the dense engine and
-#: 0.46 MB on the exact one (`tracemalloc`).
+#: History-family members one engine keeps (`Engine.family_memo`), least
+#: recently used first out.  An entry is a member's record: its refined
+#: leaves, whose states are mostly the chain memo's own nodes, with P[h] and
+#: the additivity defect read off its own block of D.  The benchmark's warm
+#: history stream has 154 distinct members: 99.9% of its member lookups hit
+#: (30,000 queries), and the records retain 0.25 MB beside the chain memo on
+#: the dense engine and 0.28 MB on the exact one; a full memo of the tests'
+#: long family stream retains 0.84 MB and 0.60 MB (`tracemalloc`).
 MEMBER_MEMO_LEAVES = 256
+
+#: Member pairs one engine keeps (`Engine.family_memo`), least recently used
+#: first out.  An entry is the three reductions of a pair's block of D (the
+#: direct overlap, the cross interference and whether the two share a path),
+#: keyed by the two member keys, the smaller first: one entry per unordered
+#: pair.  The warm history stream has 1,840 distinct pairs, saturated within
+#: 20,000 queries: 98.2% of its pair lookups hit (30,000 queries).  A full
+#: memo retains 0.45 MB on the dense engine and 0.56 MB on the exact one
+#: (`tracemalloc`, the tests' long family stream).
+PAIR_MEMO_PAIRS = 2048
 
 
 def _recall(memo: dict, key, bound: int, build, *args):
@@ -689,7 +704,7 @@ def record_mask(var: str, label: str) -> RecordMask:
 
 
 class Engine:
-    """Configuration, the pilot-state walk, history-chain nodes, member leaves and record weights, for both engines.
+    """Configuration, the pilot-state walk, the history memos and record weights, for both engines.
 
     A subclass passes `coin_amplitudes`, two amplitudes in the number type
     of its states, and provides `initial_state`, `stage_unitaries`, `gram`
@@ -707,6 +722,7 @@ class Engine:
         self._pilot_cache: dict = {}
         self._chain_memo: dict = {}
         self._member_memo: dict = {}
+        self._pair_memo: dict = {}
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
         self.fact_results: dict = {}
 
@@ -740,18 +756,22 @@ class Engine:
         """
         return _recall(self._chain_memo, (i, path), CHAIN_MEMO_NODES, _node, step, parent, masks)
 
-    def member_leaves(self, slots: tuple, walk, *args) -> tuple:
-        """A history-family member's refined leaves, `walk(*args)` on this engine's first sight of its slots.
+    def family_memo(self, key: tuple, build, *args, pair: bool = False):
+        """A history-family member's record, or with `pair` a member pair's summary: `build(*args)` first.
 
-        A member's slots are the (stage index, tuple of `RecordMask`) of each
+        A member's key is the (stage index, tuple of `RecordMask`) of each
         stage where it has an event or is refined, in stage order; its
-        leaves, each a (path, state, vanished) triple, depend on nothing
-        else, so they are walked once and read from a bounded memo after
-        that.  A hit returns the leaves the first walk built, so answers stay
-        bit-identical.  A miss still reads every chain node through
-        `chain_node`, which shares prefixes with other members.
+        record (its leaves and their block of the decoherence functional)
+        depends on nothing else, so it is built once and read from a bounded
+        memo after that.  A pair's key is its two member keys, and its
+        summary depends on nothing but their records.  A hit returns what
+        the first build returned, so answers stay bit-identical.  A member
+        miss still reads every chain node through `chain_node`, which shares
+        prefixes with other members.
         """
-        return _recall(self._member_memo, slots, MEMBER_MEMO_LEAVES, walk, *args)
+        if pair:
+            return _recall(self._pair_memo, key, PAIR_MEMO_PAIRS, build, *args)
+        return _recall(self._member_memo, key, MEMBER_MEMO_LEAVES, build, *args)
 
     def record_weights(self, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
         """Joint Born weights of memory labels for the given outcome variables.
@@ -912,11 +932,11 @@ class ExactProtocol(Engine):
     real.  The default coin is (√3/3, √6/3) exactly.  The corruption hooks
     are those of `protocol.Protocol`.
 
-    Only the coin, the pilot states, the history-chain and member memos and
-    the fact results belong to one ExactProtocol.  The stages do not depend
-    on the coin: they are built once per process for each setting of the
-    corruption hooks and shared, as a read-only mapping, by every
-    ExactProtocol with that setting.
+    Only the coin, the pilot states, the history-chain, member and pair
+    memos and the fact results belong to one ExactProtocol.  The stages do
+    not depend on the coin: they are built once per process for each
+    setting of the corruption hooks and shared, as a read-only mapping, by
+    every ExactProtocol with that setting.
     """
 
     def __init__(
@@ -956,8 +976,14 @@ class ExactProtocol(Engine):
         return SparseState(nums, den)
 
     @staticmethod
-    def gram(states: list[SparseState]) -> list[list[Surd]]:
-        """<a|b> for every pair: the decoherence functional of chain vectors."""
+    def gram(states: list[SparseState], others: list[SparseState] | None = None) -> list[list[Surd]]:
+        """<a|b> for a in states and b in others: a block of the decoherence functional of chain vectors.
+
+        Without `others` the block is states' own, and each unordered pair
+        is read once.
+        """
+        if others is not None:
+            return [[a.inner(b) for b in others] for a in states]
         d = [[ZERO] * len(states) for _ in states]
         for i, a in enumerate(states):
             for j in range(i, len(states)):

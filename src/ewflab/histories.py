@@ -22,17 +22,20 @@ A refined chain is named by its path: the (stage index, mask) of each
 event it applied, in order.  The path keys the engine's chain memo and
 names the leaf in the report; an event's label is for display only.  A
 member is named by its slots, the (stage index, masks) of each stage where
-it has an event or is refined: they key the engine's member memo, so a
-member the engine has answered before is not walked again.
+it has an event or is refined: they key the engine's member memo, whose
+record keeps the member's leaves and what D reads of its own block, and two
+member keys key the pair memo, which keeps what D reads of the pair's
+block.  A report whose members and pairs the engine has answered before, in
+any family, walks nothing and computes no inner product.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, RecordMask, StageId, record_mask
+from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, RecordMask, StageId, Surd, record_mask
 from .linalg import CONSISTENCY_ATOL, Frozen, setfield
 
 if TYPE_CHECKING:
@@ -108,12 +111,17 @@ def history(protocol: Engine, name: str, assignments: list[tuple[str, str]]) -> 
 
 def chain_vector(protocol: Engine, events: tuple[HistoryEvent, ...]) -> StateVector:
     """P_n U_n ... P_1 U_1 |initial>, unnormalized: the one leaf of `_fine_chains`."""
-    ((_, state),) = _fine_chains(protocol, History("chain", events), ())
+    ((_, state, _),) = _member(protocol, events, ()).leaves
     return state
 
 
 def history_probability(protocol: Engine, h: History) -> float:
-    return chain_vector(protocol, h.events).norm2()
+    """The squared norm of h's chain, computed once per member record."""
+    member = _member(protocol, h.events, ())
+    if member.norm2 is None:
+        ((_, state, _),) = member.leaves
+        member.norm2 = state.norm2()
+    return member.norm2
 
 
 # -- joint considerability ---------------------------------------------------
@@ -147,9 +155,7 @@ class ConsistencyReport(Frozen):
 
     @property
     def consistent(self) -> bool:
-        return all(p.consistent for p in self.pairs) and all(
-            d <= CONSISTENCY_ATOL for d in self.additivity_defect.values()
-        )
+        return all(p.consistent for p in self.pairs) and all(map(_negligible, self.additivity_defect.values()))
 
     def render_text(self) -> str:
         lines = [
@@ -158,7 +164,7 @@ class ConsistencyReport(Frozen):
         ]
         for name in self.family:
             d = self.additivity_defect[name]
-            note = "additive" if d <= CONSISTENCY_ATOL else f"NON-ADDITIVE (defect {d:.6g})"
+            note = "additive" if _negligible(d) else f"NON-ADDITIVE (defect {d:.6g})"
             lines.append(f"  {name}: refinement {note}")
         for p in self.pairs:
             status = "consistent" if p.consistent else "NOT JOINTLY CONSIDERABLE"
@@ -186,35 +192,88 @@ def _record_refinement_events(stage: StageId) -> tuple[HistoryEvent, ...]:
     return tuple(HistoryEvent(stage, record_mask(var, label), f"{var}={label}") for label in labels)
 
 
-def _slots(h: History, union_stages: tuple[StageId, ...]) -> dict[StageId, tuple[HistoryEvent, ...]]:
-    """h's own event at its stages and the record decomposition at each other union stage; evolves nothing."""
-    slots = {e.stage: (e,) for e in h.events}
+def _negligible(x) -> bool:
+    """Whether an entry of D, or a sum of entries, counts as zero: exactly on the exact engine.
+
+    A Surd is the exact engine's number, so it is tested for zero; any other
+    number is a float the dense engine rounded, or an exact engine's empty
+    sum or maximum (0 or 0.0), and passes within `CONSISTENCY_ATOL`.
+    """
+    return not x if type(x) is Surd else x <= CONSISTENCY_ATOL
+
+
+#: (events, union stages) pairs whose member key and slots one process keeps
+#: (`_member_key`), least recently used first out.  The benchmark's warm
+#: history stream meets 187 of them: 99.9% of its lookups hit.
+MEMBER_KEYS = 1024
+
+
+@lru_cache(maxsize=MEMBER_KEYS)
+def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, ...]) -> tuple[tuple, dict]:
+    """A member's key in the engine's memos, and its slots: its events and the refinements at other union stages.
+
+    The slots map each stage where the member has an event or is refined to
+    its events there; the key is their (stage index, tuple of masks), in
+    stage order.  Neither depends on the engine, so each is derived once per
+    process.  Evolves nothing, and refuses events out of stage order.
+    """
+    stages = [e.stage for e in events]
+    if not all(a < b for a, b in zip(stages, stages[1:])):
+        raise ValueError("history 'chain': event stages must strictly increase")
+    slots = {e.stage: (e,) for e in events}
     for stage in union_stages:
         if stage not in slots:
             slots[stage] = _record_refinement_events(stage)
-    return slots
+    key = tuple(sorted([(_STAGE_INDEX[stage], tuple([e.mask for e in ev])) for stage, ev in slots.items()]))
+    return key, slots
+
+
+class _Member:
+    """A member's refined leaves and what D reads of them: the record the engine's member memo keeps under its key.
+
+    `leaves` are (path, state, vanished) in walk order, `paths` all their
+    paths and `live` the (path, state) of those that did not vanish.  P[h]
+    and the additivity defect are read off the member's own block of D the
+    first time a report asks, `norm2` the first time `history_probability`
+    does; None until then.
+    """
+
+    __slots__ = ("leaves", "paths", "live", "probability", "additivity", "norm2")
+
+    def __init__(self, protocol: Engine, slots: dict) -> None:
+        self.leaves = _walked(protocol, slots)
+        self.paths = frozenset([path for path, _, _ in self.leaves])
+        self.live = tuple([(path, v) for path, v, vanished in self.leaves if not vanished])
+        self.probability = self.additivity = self.norm2 = None
+
+    def read_block(self, protocol: Engine) -> None:
+        """P[h] = |sum(D_hh)| and the additivity defect |sum(D_hh) - trace(D_hh)|, from one gram of the live leaves."""
+        d = protocol.gram([v for _, v in self.live])
+        total = sum(x for row in d for x in row)  # |chain|^2, real and nonnegative
+        self.probability = abs(total)  # abs drops the dense engine's rounding only
+        self.additivity = abs(total - sum(row[i] for i, row in enumerate(d)))
+
+
+def _member(protocol: Engine, events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, ...]) -> _Member:
+    """The record of a member with these events refined over union stages, walked only when the memo lacks it."""
+    key, slots = _member_key(events, union_stages)
+    return protocol.family_memo(key, _Member, protocol, slots)
 
 
 def _fine_chains(
     protocol: Engine, h: History, union_stages: tuple[StageId, ...]
 ) -> list[tuple[tuple, StateVector]]:
     """Refine h over union stages it does not mention; return (path, chain vector) per leaf."""
-    return [(path, v) for path, v, _ in _leaves(protocol, _slots(h, union_stages))]
+    return [(path, v) for path, v, _ in _member(protocol, h.events, union_stages).leaves]
 
 
-def _leaves(protocol: Engine, slots: dict) -> tuple[tuple[tuple, StateVector, bool], ...]:
-    """A member's refined leaves (path, state, vanished), walked only when the engine's member memo lacks its slots.
+def _walked(protocol: Engine, slots: dict) -> tuple[tuple[tuple, StateVector, bool], ...]:
+    """Every leaf below the initial state, in walk order.
 
     A depth-first walk over the stage timeline evolves each tree node once,
     so leaves share their prefix chains.  It is the package's one chain
     evolution: `chain_vector` is its single leaf for an empty union.
     """
-    key = tuple(sorted([(_STAGE_INDEX[stage], tuple([e.mask for e in events])) for stage, events in slots.items()]))
-    return protocol.member_leaves(key, _walked, protocol, slots)
-
-
-def _walked(protocol: Engine, slots: dict) -> tuple[tuple[tuple, StateVector, bool], ...]:
-    """Every leaf below the initial state, in walk order."""
     chains: list[tuple[tuple, StateVector, bool]] = []
     _walk(protocol, slots, 0, (), None, chains)
     return tuple(chains)
@@ -253,7 +312,7 @@ def _walk(protocol: Engine, slots: dict, i: int, path: tuple, state: StateVector
 
 
 def chain_consistency_report(protocol: Engine, family: list[History]) -> ConsistencyReport:
-    """Decoherence diagnostics for a family of histories, read off one matrix.
+    """Decoherence diagnostics for a family of histories, read off the blocks of one matrix.
 
     The members' refined chains are the rows of C, and D = C* C^T is the
     decoherence functional; chains the walk flags vanished are left out, as
@@ -263,40 +322,45 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     pair's direct overlap is |sum(D_ab)|.  A pair fails on either, on
     interference between refined chains with different paths (largest such
     |D_ab| entry), or on a shared path (the histories are not exclusive
-    alternatives).  Every member's slots are built, and a bad family
-    refused, before any walk.
+    alternatives).  Each block is read once per engine: D_hh into the
+    member's record, D_ab into the pair memo, so a cold report computes
+    each of D's N(N+1)/2 distinct entries once.  Every member's key is
+    derived, and a bad family refused, before any walk.
     """
     names = [h.name for h in family]
     if len(set(names)) != len(names):
         repeated = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"family members need distinct names (repeated: {', '.join(repeated)})")
     union_stages = tuple(sorted({e.stage for h in family for e in h.events}))
-    slots = [_slots(h, union_stages) for h in family]
-    paths: dict[str, set[tuple]] = {}  # every refined path, vanishing chains included
-    rows: dict[str, list[int]] = {}  # each member's rows of D
-    leaves: list[tuple[tuple, StateVector]] = []
-    for name, member_slots in zip(names, slots):
-        chains = _leaves(protocol, member_slots)
-        paths[name] = {path for path, _, _ in chains}
-        live = [(path, v) for path, v, vanished in chains if not vanished]
-        rows[name] = list(range(len(leaves), len(leaves) + len(live)))
-        leaves += live
-    d = protocol.gram([v for _, v in leaves])
-
-    def block_sum(ra: list[int], rb: list[int]):
-        return sum(d[i][j] for i in ra for j in rb)
-
-    sums = {name: block_sum(r, r) for name, r in rows.items()}  # |chain|^2, real and nonnegative
-    probability = {name: abs(s) for name, s in sums.items()}  # abs drops the dense engine's rounding only
-    additivity = {name: abs(s - sum(d[i][i] for i in rows[name])) for name, s in sums.items()}
+    keys = [_member_key(h.events, union_stages) for h in family]
+    members = [protocol.family_memo(key, _Member, protocol, slots) for key, slots in keys]
+    for member in members:
+        if member.probability is None:
+            member.read_block(protocol)
     pairs = []
-    for a, b in itertools.combinations(names, 2):
-        off = abs(block_sum(rows[a], rows[b]))
-        cross = max((abs(d[i][j]) for i in rows[a] for j in rows[b] if leaves[i][0] != leaves[j][0]), default=0.0)
-        shared = not paths[a].isdisjoint(paths[b])
-        ok = max(off, cross, additivity[a], additivity[b]) <= CONSISTENCY_ATOL and not shared
+    for (a, (ka, _), ma), (b, (kb, _), mb) in itertools.combinations(zip(names, keys, members), 2):
+        # D_ba is D_ab's adjoint and each summary is symmetric: one entry per unordered pair
+        key, args = ((ka, kb), (ma, mb)) if ka <= kb else ((kb, ka), (mb, ma))
+        off, cross, shared = protocol.family_memo(key, _pair_block, protocol, *args, pair=True)
+        ok = not shared and all(map(_negligible, (off, cross, ma.additivity, mb.additivity)))
         pairs.append(PairVerdict(a, b, off, cross, shared, ok))
-    return ConsistencyReport(tuple(names), union_stages, probability, additivity, tuple(pairs))
+    return ConsistencyReport(
+        tuple(names),
+        union_stages,
+        {name: m.probability for name, m in zip(names, members)},
+        {name: m.additivity for name, m in zip(names, members)},
+        tuple(pairs),
+    )
+
+
+def _pair_block(protocol: Engine, a: _Member, b: _Member) -> tuple:
+    """(|sum(D_ab)|, the largest |D_ab| entry between different paths, whether a and b share a path)."""
+    d = protocol.gram([v for _, v in a.live], [v for _, v in b.live])
+    off = abs(sum(x for row in d for x in row))
+    cross = max(
+        (abs(x) for (pa, _), row in zip(a.live, d) for (pb, _), x in zip(b.live, row) if pa != pb), default=0.0
+    )
+    return off, cross, not a.paths.isdisjoint(b.paths)
 
 
 # -- the two historical claims shipped with the protocol ---------------------

@@ -374,8 +374,8 @@ class Protocol(Engine):
     flips a sign inside the tail-branch spin rotation (probabilities change,
     every downstream consumer must refuse or fail loudly).
 
-    Only the coin, the pilot states, the history-chain and member memos and
-    the fact results belong to one Protocol.  The stage unitaries
+    Only the coin, the pilot states, the history-chain, member and pair
+    memos and the fact results belong to one Protocol.  The stage unitaries
     (`stage_unitaries`, per pair of hooks) and the record masks do not
     depend on the coin: they are built once per process and shared,
     read-only, by every Protocol with the same hooks.  A coin is two amplitudes, each converted to a complex.
@@ -420,10 +420,11 @@ class Protocol(Engine):
         return lifted_projector(GLOBAL_SPACE, (axis,), [e])
 
     @staticmethod
-    def gram(states: list[StateVector]) -> list[list[Amplitude]]:
-        """<a|b> for every pair: the decoherence functional of chain vectors."""
-        c = np.reshape([s.amps for s in states], (len(states), DIM))
-        return (c.conj() @ c.T).tolist()
+    def gram(states: list[StateVector], others: list[StateVector] | None = None) -> list[list[Amplitude]]:
+        """<a|b> for a in states and b in others, or states' own block: a block of the decoherence functional."""
+        c = np.array([s.amps for s in states]).reshape(len(states), DIM)
+        o = c if others is None else np.array([s.amps for s in others]).reshape(len(others), DIM)
+        return (c.conj() @ o.T).tolist()
 
 
 def default_protocol() -> Protocol:

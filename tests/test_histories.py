@@ -12,6 +12,7 @@ from ewflab import bellbohm, born, histories
 from ewflab.exact import (
     CHAIN_MEMO_NODES,
     MEMBER_MEMO_LEAVES,
+    PAIR_MEMO_PAIRS,
     RECORDED_VAR,
     ExactProtocol,
     ExactStage,
@@ -404,6 +405,85 @@ def test_a_repeated_report_on_a_warm_engine_walks_nothing(engine, monkeypatch):
         first.probability, first.additivity_defect, first.pairs)
 
 
+def _count_products(engine, monkeypatch) -> list:
+    """Record each `gram` call of the engine and, on the exact engine, each `SparseState.inner` call."""
+    calls = []
+    gram, inner = engine.gram, SparseState.inner
+
+    def counted_gram(*args):
+        calls.append("gram")
+        return gram(*args)
+
+    def counted_inner(self, other):
+        calls.append("inner")
+        return inner(self, other)
+
+    monkeypatch.setattr(engine, "gram", staticmethod(counted_gram))
+    monkeypatch.setattr(SparseState, "inner", counted_inner)
+    return calls
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_a_repeated_family_on_a_warm_engine_computes_no_inner_product(engine, monkeypatch):
+    """A warm query (each P[h], then the report) reads every member's block and every pair's from the memos:
+    no walk, no gram and no inner product, with every answer as before."""
+    protocol = engine()
+    family = [okok_fine_history(protocol), okok_coarse_history(protocol),
+              history(protocol, "b", [("r", "head"), ("z", "+")]), history(protocol, "c", [("w1", "fail")])]
+
+    def query():
+        return [history_probability(protocol, h) for h in family], chain_consistency_report(protocol, family)
+
+    first_probabilities, first = query()
+    walks = []
+    walk = histories._walk
+
+    def counted(*args):
+        walks.append(args[2])
+        return walk(*args)
+
+    monkeypatch.setattr(histories, "_walk", counted)
+    products = _count_products(engine, monkeypatch)
+    second_probabilities, second = query()
+    assert (walks, products) == ([], [])
+    assert second_probabilities == first_probabilities
+    assert (second.probability, second.additivity_defect, second.pairs) == (
+        first.probability, first.additivity_defect, first.pairs)
+
+
+def test_a_cold_exact_report_reads_each_entry_of_d_once(monkeypatch):
+    """On a fresh exact engine a report over N live refined leaves makes N(N+1)/2 inner products, one per
+    distinct entry of D, as one gram of all its leaves does: each member's block and each pair's once."""
+    for case, family in _oracle_families(ExactProtocol()):
+        union = tuple(sorted({e.stage for h in family for e in h.events}))
+        protocol = ExactProtocol()
+        n = sum(not v.is_zero() for h in family for _, v in _fine_chains(protocol, h, union))
+        products = _count_products(ExactProtocol, monkeypatch)
+        chain_consistency_report(protocol, family)
+        assert products.count("inner") == n * (n + 1) // 2, case
+        monkeypatch.undo()
+
+
+def test_a_tiny_but_nonzero_interference_fails_the_exact_verdict():
+    """At the coin (1e-13, 1) the r x w1 family's pairs (a, c) and (b, d) interfere by ~3.5e-14, exactly
+    nonzero: the exact engine tests for zero and refuses the family, the dense engine passes it within
+    `CONSISTENCY_ATOL`."""
+    spec = {name: [("r", r), ("w1", w1)] for name, (r, w1) in
+            zip("abcd", itertools.product(("head", "tail"), ("ok", "fail")))}
+    for engine, coin, consistent in ((ExactProtocol, ("1e-13", "1"), False), (Protocol, (1e-13, 1.0), True)):
+        protocol = engine(coin)
+        report = chain_consistency_report(protocol, [history(protocol, n, a) for n, a in spec.items()])
+        failed = [(p.left, p.right) for p in report.pairs if not p.consistent]
+        assert failed == ([] if consistent else [("a", "c"), ("b", "d")]), engine
+        assert report.consistent is consistent, engine
+        for p in report.pairs:
+            assert (p.direct_offdiagonal > 0) == ((p.left, p.right) in (("a", "c"), ("b", "d"))), (engine, p)
+            assert p.direct_offdiagonal < 1e-13 and not p.shared_fine_outcomes, (engine, p)
+        verdict = report.render_text().splitlines()[-1]
+        assert verdict == ("verdict: consistent family" if consistent else
+                           "verdict: family is not jointly considerable"), engine
+
+
 def test_record_mask_equals_record_projector(protocol):
     """For all 12 (var, label) pairs the mask projects exactly as the spanning set."""
     rng = np.random.default_rng(5)
@@ -594,14 +674,15 @@ def test_equal_labels_mean_equal_stage_and_mask():
         assert (a.label == b.label) == ((a.stage, a.mask) == (b.stage, b.mask)), (a.label, b.label)
 
 
-def _staged_specs(n: int, seed: int) -> list[dict]:
-    """n families of 2-4 members whose events read any variable already recorded at any recording stage."""
+def _staged_specs(n: int, seed: int, sizes: tuple[int, ...] = (2, 3, 4)) -> list[dict]:
+    """n families, of sizes[i % len(sizes)] members, whose events read any variable already recorded at any
+    recording stage."""
     rng = random.Random(seed)
     recording = [S.OBS0, S.OBS2, S.MEAS3, S.MEAS4]
     specs = []
     for i in range(n):
         spec = {}
-        for name in "abcd"[: 2 + i % 3]:
+        for name in "abcdefghijkl"[: sizes[i % len(sizes)]]:
             stages = sorted(rng.sample(recording, rng.randint(1, 4)))
             events = []
             for stage in stages:
@@ -612,11 +693,13 @@ def _staged_specs(n: int, seed: int) -> list[dict]:
     return specs
 
 
-#: the oracle families, then staged ones: together they reach more chain nodes and members than the memos hold
+#: the oracle families, then staged ones, the last of them wide: together they reach more chain nodes, members
+#: and member pairs than the memos hold
 MEMO_SPECS = (
     [ORACLE_FAMILIES[name] for name in sorted(ORACLE_FAMILIES)]
     + [{name: [(v, a, None) for v, a in events] for name, events in spec.items()} for spec in _grid_families()]
     + _staged_specs(80, seed=15)
+    + _staged_specs(40, seed=16, sizes=(12,))
 )
 
 
@@ -632,7 +715,8 @@ def _answers(protocol, spec) -> tuple:
 @pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8j)), (ExactProtocol, ("0.6", "0.8"))],
                          ids=["dense", "exact"])
 def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(engine, coin):
-    """Families past both memos' bounds, then again, then in reverse order: every answer is a fresh engine's."""
+    """Families past all three memos' bounds, then again, then in reverse order: every answer is a fresh
+    engine's."""
     fresh = [_answers(engine(coin), spec) for spec in MEMO_SPECS]
     protocol = engine(coin)
     for order in (1, 1, -1):
@@ -641,8 +725,10 @@ def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(
             assert _answers(protocol, spec) == fresh[i], i
             assert len(protocol._chain_memo) <= CHAIN_MEMO_NODES
             assert len(protocol._member_memo) <= MEMBER_MEMO_LEAVES
+            assert len(protocol._pair_memo) <= PAIR_MEMO_PAIRS
         assert len(protocol._chain_memo) == CHAIN_MEMO_NODES
         assert len(protocol._member_memo) == MEMBER_MEMO_LEAVES
+        assert len(protocol._pair_memo) == PAIR_MEMO_PAIRS
         assert all(vanished == state.is_zero() for state, vanished in protocol._chain_memo.values())
         assert all(vanished == state.is_zero()
-                   for leaves in protocol._member_memo.values() for _, state, vanished in leaves)
+                   for member in protocol._member_memo.values() for _, state, vanished in member.leaves)
