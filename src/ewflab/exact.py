@@ -19,19 +19,19 @@ default coin, with no numpy.  It holds two things on top of that:
 The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
 answer one contract, and it is exactly what the shared modules (`born`,
 `bellbohm`, `histories`, `facts`, `epistemics`, `cli`) read of an engine:
-`chain_node`, `coin_amplitudes`, `fact_results`, `family_memo`,
-`flip_ok_sign`, `gram`, `initial_state`, `pilot_state_after`,
-`record_weights`, `sqrt` and `stage_unitaries`.  A stage is read one way, as
-`stage_unitaries[stage]`; a measurement is not an object of either engine,
-its outcome vectors are read from `outcome_vectors` under the engine's
-`flip_ok_sign`.  Their states answer `norm2`, `masked`, `marginal`,
-`components` and `is_zero`.  An operator is a stage map or a record mask,
-and a record mask is the same `RecordMask` value on both engines; a
-measurement is never applied.  A conditional is a ratio of Born weights,
-never a renormalised state.  The joints, histories, beable chains and facts
-are written once against those calls.  A number the exact engine returns is
-exact, so its `exact` label (`exact_label`) is read off it instead of
-guessed from a float.
+`coin_amplitudes`, `fact_results`, `flip_ok_sign`, `gram`,
+`history_memos`, `initial_state`, `pilot_state_after`, `record_weights`,
+`sqrt` and `stage_unitaries`.  A stage is read one way, as
+`stage_unitaries[stage]`, which on this engine is the stage's `StageMap`; a
+measurement is not an object of either engine, its outcome vectors are read
+from `outcome_vectors` under the engine's `flip_ok_sign`.  Their states
+answer `norm2`, `masked`, `marginal`, `components` and `is_zero`.  An
+operator is a stage map or a record mask, and a record mask is the same
+`RecordMask` value on both engines; a measurement is never applied.  A
+conditional is a ratio of Born weights, never a renormalised state.  The
+joints, histories, beable chains and facts are written once against those
+calls.  A number the exact engine returns is exact, so its `exact` label
+(`exact_label`) is read off it instead of guessed from a float.
 
 Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
@@ -41,12 +41,12 @@ functional D has to be computed: with a fresh engine for each of the first
 300 families of the benchmark's stream of history queries (seed 31), a
 query takes 0.80 ms here against the dense engine's 0.65 ms (fastest of 6
 repeats).  Warm, both engines read each member's block of D and each
-pair's from their memos and compute no inner product, and they are close:
-this engine takes 0.06-0.07 ms per query against the dense engine's
-0.05-0.06 ms (fastest of 5 repeats of 4,000 queries, seeds 31 and 32).
-Both were measured in process on one CPU of a 2-vCPU x86-64 VM, Python
-3.11.7; most of a warm query is building its histories and reading the
-memos (cProfile).  Float coins (large binary rationals) slow the exact
+pair's from their `history_memos` and compute no inner product, and they
+are close: this engine takes 0.06-0.07 ms per query against the dense
+engine's 0.05-0.06 ms (fastest of 5 repeats of 4,000 queries, seeds 31 and
+32).  Both were measured in process on one CPU of a 2-vCPU x86-64 VM,
+Python 3.11.7; most of a warm query is building its histories and reading
+the memos (cProfile).  Float coins (large binary rationals) slow the exact
 arithmetic further.
 """
 
@@ -233,12 +233,29 @@ def projector_columns(targets: tuple[str, ...], vectors: dict[str, dict[tuple[st
 
 
 class StageMap(NamedTuple):
-    """One stage's map: sparse columns over the local index of `axes` (ascending)."""
+    """One stage's map, the exact engine's stage: sparse columns over the local index of `axes` (ascending).
+
+    Its `apply`, `linear` and `rewritten_memory_axes` are the dense `StageUnitary`'s.
+    """
 
     stage: StageId
     axes: tuple[int, ...]
     columns: Columns
     recorder_axis: int | None
+    rewritten_memory_axes: tuple[int, ...]
+
+    def linear(self, state: SparseState) -> SparseState:
+        return state.apply(self.axes, self.columns)
+
+    def apply(self, state: SparseState) -> SparseState:
+        require_ready(self.stage, self.recorder_axis, state)
+        return self.linear(state)
+
+
+def _stage_map(stage: StageId, axes: tuple[int, ...], columns: Columns, recorder_axis: int | None) -> StageMap:
+    """The stage's map, its columns read-only, with the memory axes they rewrite."""
+    entries = ((t2, t) for t, col in columns.items() for t2, _, _ in col)
+    return StageMap(stage, axes, MappingProxyType(columns), recorder_axis, rewritten_axes(axes, entries))
 
 
 def _record_map(var: str, flip_ok_sign: bool) -> StageMap:
@@ -266,7 +283,7 @@ def _record_map(var: str, flip_ok_sign: bool) -> StageMap:
             for m in range(n):
                 m2 = swap.get(m, m)
                 columns[t * n + m] = columns.get(t * n + m, ()) + tuple((t2 * n + m2, s, kk) for t2, s, kk in entries)
-    return StageMap(stage, measured_axes + (mem_axis,), MappingProxyType(dict(sorted(columns.items()))), mem_axis)
+    return _stage_map(stage, measured_axes + (mem_axis,), dict(sorted(columns.items())), mem_axis)
 
 
 def _preparation_map(corrupt_preparation: bool) -> StageMap:
@@ -282,12 +299,12 @@ def _preparation_map(corrupt_preparation: bool) -> StageMap:
                 )
             else:
                 columns[f1 * 2 + s] = ((f1 * 2 + s, 1, 0),)
-    return StageMap(StageId.PREP1, (GLOBAL_SPACE.axis("F1"), GLOBAL_SPACE.axis("S")), MappingProxyType(columns), None)
+    return _stage_map(StageId.PREP1, (GLOBAL_SPACE.axis("F1"), GLOBAL_SPACE.axis("S")), columns, None)
 
 
 @cache
 def stage_maps(flip_ok_sign: bool = False, corrupt_preparation: bool = False) -> Mapping[StageId, StageMap]:
-    """Every dynamic stage's map; both engines build their stages from these.
+    """Every dynamic stage's map: the exact engine's stages, and the dense engine builds its own from these.
 
     The maps do not depend on the coin: one read-only mapping per flag pair
     is shared by every caller.
@@ -639,56 +656,6 @@ def check_coin(a, b) -> None:
 # -- what both engines share -------------------------------------------------------
 
 
-#: History-chain nodes one engine keeps (`Engine.chain_node`), least recently
-#: used first out.  A dense node retains ~5.7 kB (324 complex128 amplitudes
-#: and their objects), so a full memo holds ~1.5 MB; an exact node ~0.8 kB.
-#: A cold coin-sweep item stores 25 nodes (3 vanished), and 20,000 queries of
-#: the benchmark's warm history stream 128 on the dense engine (23 vanished)
-#: and 125 on the exact one (27).
-CHAIN_MEMO_NODES = 256
-
-#: History-family members one engine keeps (`Engine.family_memo`), least
-#: recently used first out.  An entry is a member's record: its refined
-#: leaves, whose states are mostly the chain memo's own nodes, with P[h] and
-#: the additivity defect read off its own block of D.  The benchmark's warm
-#: history stream has 154 distinct members: 99.9% of its member lookups hit
-#: (30,000 queries), and the records retain 0.25 MB beside the chain memo on
-#: the dense engine and 0.28 MB on the exact one; a full memo of the tests'
-#: long family stream retains 0.84 MB and 0.60 MB (`tracemalloc`).
-MEMBER_MEMO_LEAVES = 256
-
-#: Member pairs one engine keeps (`Engine.family_memo`), least recently used
-#: first out.  An entry is the three reductions of a pair's block of D (the
-#: direct overlap, the cross interference and whether the two share a path),
-#: keyed by the two member keys, the smaller first: one entry per unordered
-#: pair.  The warm history stream has 1,840 distinct pairs, saturated within
-#: 20,000 queries: 98.2% of its pair lookups hit (30,000 queries).  A full
-#: memo retains 0.45 MB on the dense engine and 0.56 MB on the exact one
-#: (`tracemalloc`, the tests' long family stream).
-PAIR_MEMO_PAIRS = 2048
-
-
-def _recall(memo: dict, key, bound: int, build, *args):
-    """memo[key], or `build(*args)` stored there first; past `bound` entries the least recently used goes.
-
-    The memo runs from least to most recently used: a hit moves its entry
-    to the end and returns the stored value itself.  `build` never returns
-    None, which marks a miss.
-    """
-    value = memo.pop(key, None)
-    if value is None:
-        value = build(*args)
-        if len(memo) >= bound:
-            del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
-def _node(step, parent, masks: bool) -> tuple[object, bool]:
-    state = step(parent)
-    return state, masks and state.is_zero()
-
-
 class RecordMask(NamedTuple):
     """Keep the basis states with this label index on this memory axis: a record event's mask on both engines."""
 
@@ -704,7 +671,7 @@ def record_mask(var: str, label: str) -> RecordMask:
 
 
 class Engine:
-    """Configuration, the pilot-state walk, the history memos and record weights, for both engines.
+    """Configuration, the pilot-state walk, the history memos' storage and record weights, for both engines.
 
     A subclass passes `coin_amplitudes`, two amplitudes in the number type
     of its states, and provides `initial_state`, `stage_unitaries`, `gram`
@@ -720,9 +687,8 @@ class Engine:
         self.flip_ok_sign = flip_ok_sign
         self.corrupt_preparation = corrupt_preparation
         self._pilot_cache: dict = {}
-        self._chain_memo: dict = {}
-        self._member_memo: dict = {}
-        self._pair_memo: dict = {}
+        #: the history-chain node, member and member-pair memos, which `histories` keeps
+        self.history_memos: tuple[dict, dict, dict] = ({}, {}, {})
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
         self.fact_results: dict = {}
 
@@ -740,38 +706,6 @@ class Engine:
             for s in STAGES[len(cache) : STAGES.index(stage) + 1]:
                 state = cache[s] = self.stage_unitaries[s].apply(state)
         return cache[stage]
-
-    def chain_node(self, i: int, path: tuple, step, parent, masks: bool = False) -> tuple[object, bool]:
-        """`step(parent)`, the chain state after stage index i under the masks of `path`, and whether it vanished.
-
-        A path is the (stage index, `RecordMask`) of each mask a chain has
-        applied, in order.  A chain node depends only on the stage index and
-        that path (the empty path is the pilot state, kept in its own
-        cache), so each node is built once and read from a bounded memo
-        after that; the same operation on the same operand makes a hit
-        bit-identical to a rebuild.  Stage maps are unitary and a walk never
-        steps a zero state, so only a step that `masks` is zero-tested.  The
-        memo stores every node it builds with its vanished flag, the zero
-        state a mask leaves included, and a hit returns the stored pair.
-        """
-        return _recall(self._chain_memo, (i, path), CHAIN_MEMO_NODES, _node, step, parent, masks)
-
-    def family_memo(self, key: tuple, build, *args, pair: bool = False):
-        """A history-family member's record, or with `pair` a member pair's summary: `build(*args)` first.
-
-        A member's key is the (stage index, tuple of `RecordMask`) of each
-        stage where it has an event or is refined, in stage order; its
-        record (its leaves and their block of the decoherence functional)
-        depends on nothing else, so it is built once and read from a bounded
-        memo after that.  A pair's key is its two member keys, and its
-        summary depends on nothing but their records.  A hit returns what
-        the first build returned, so answers stay bit-identical.  A member
-        miss still reads every chain node through `chain_node`, which shares
-        prefixes with other members.
-        """
-        if pair:
-            return _recall(self._pair_memo, key, PAIR_MEMO_PAIRS, build, *args)
-        return _recall(self._member_memo, key, MEMBER_MEMO_LEAVES, build, *args)
 
     def record_weights(self, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
         """Joint Born weights of memory labels for the given outcome variables.
@@ -899,31 +833,6 @@ class SparseState:
         return Surd(*acc, self.den * other.den)
 
 
-class ExactStage:
-    """A stage map applied to sparse states (the exact `StageUnitary`)."""
-
-    def __init__(self, stage_map: StageMap) -> None:
-        self.stage, self.axes, self.columns, self.recorder_axis = stage_map
-
-    def linear(self, state: SparseState) -> SparseState:
-        return state.apply(self.axes, self.columns)
-
-    def apply(self, state: SparseState) -> SparseState:
-        require_ready(self.stage, self.recorder_axis, state)
-        return self.linear(state)
-
-    @cached_property
-    def rewritten_memory_axes(self) -> tuple[int, ...]:
-        return rewritten_axes(self.axes, ((t2, t) for t, col in self.columns.items() for t2, _, _ in col))
-
-
-@cache
-def _stages(flip_ok_sign: bool, corrupt_preparation: bool) -> Mapping[StageId, ExactStage]:
-    """The stages, one read-only mapping per flag pair: they do not depend on the coin."""
-    maps = stage_maps(flip_ok_sign, corrupt_preparation)
-    return MappingProxyType({stage: ExactStage(m) for stage, m in maps.items()})
-
-
 class ExactProtocol(Engine):
     """The protocol with exact amplitudes in Q(√2, √3): the command line's engine.
 
@@ -932,11 +841,11 @@ class ExactProtocol(Engine):
     real.  The default coin is (√3/3, √6/3) exactly.  The corruption hooks
     are those of `protocol.Protocol`.
 
-    Only the coin, the pilot states, the history-chain, member and pair
-    memos and the fact results belong to one ExactProtocol.  The stages do
-    not depend on the coin: they are built once per process for each
-    setting of the corruption hooks and shared, as a read-only mapping, by
-    every ExactProtocol with that setting.
+    Only the coin, the pilot states, the history memos (`history_memos`)
+    and the fact results belong to one ExactProtocol.  The stages, its
+    `stage_maps`, do not depend on the coin: they are built once per process
+    for each setting of the corruption hooks and shared, as a read-only
+    mapping, by every ExactProtocol with that setting.
     """
 
     def __init__(
@@ -962,8 +871,8 @@ class ExactProtocol(Engine):
         return Surd(n).sqrt()
 
     @cached_property
-    def stage_unitaries(self) -> Mapping[StageId, ExactStage]:
-        return _stages(self.flip_ok_sign, self.corrupt_preparation)
+    def stage_unitaries(self) -> Mapping[StageId, StageMap]:
+        return stage_maps(self.flip_ok_sign, self.corrupt_preparation)
 
     def initial_state(self) -> SparseState:
         """Coin superposition, spin down, all four memories ready."""

@@ -19,14 +19,15 @@ member's probability.  Every function runs on either engine; on the exact
 one, D's entries are exact and "consistent" is an exact zero test.
 
 A refined chain is named by its path: the (stage index, mask) of each
-event it applied, in order.  The path keys the engine's chain memo and
-names the leaf in the report; an event's label is for display only.  A
-member is named by its slots, the (stage index, masks) of each stage where
-it has an event or is refined: they key the engine's member memo, whose
-record keeps the member's leaves and what D reads of its own block, and two
-member keys key the pair memo, which keeps what D reads of the pair's
-block.  A report whose members and pairs the engine has answered before, in
-any family, walks nothing and computes no inner product.
+event it applied, in order.  The path keys the chain memo and names the
+leaf in the report; an event's label is for display only.  A member is
+named by its slots, the (stage index, masks) of each stage where it has an
+event or is refined: they key the member memo, whose record keeps the
+member's leaves and what D reads of its own block, and two member keys key
+the pair memo, which keeps what D reads of the pair's block.  The three
+memos are this module's (`_recall`), kept in each engine's `history_memos`.
+A report whose members and pairs the engine has answered before, in any
+family, walks nothing and computes no inner product.
 """
 
 from __future__ import annotations
@@ -66,15 +67,20 @@ class HistoryEvent(Frozen):
         return state.masked(self.mask)
 
 
+def _require_stage_order(events: tuple[HistoryEvent, ...], owner: str) -> None:
+    """Refuse events whose stages do not strictly increase, naming their owner."""
+    stages = [e.stage for e in events]
+    if not all(a < b for a, b in zip(stages, stages[1:])):
+        raise ValueError(f"{owner}: event stages must strictly increase")
+
+
 class History(Frozen):
     __slots__ = ("name", "events")
 
     def __init__(self, name: str, events: tuple[HistoryEvent, ...]) -> None:
         setfield(self, "name", name)
         setfield(self, "events", events)
-        stages = [e.stage for e in events]
-        if not all(a < b for a, b in zip(stages, stages[1:])):
-            raise ValueError(f"history {self.name!r}: event stages must strictly increase")
+        _require_stage_order(events, f"history {name!r}")
 
     def describe(self) -> str:
         if not self.events:
@@ -215,11 +221,10 @@ def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, .
     The slots map each stage where the member has an event or is refined to
     its events there; the key is their (stage index, tuple of masks), in
     stage order.  Neither depends on the engine, so each is derived once per
-    process.  Evolves nothing, and refuses events out of stage order.
+    process.  Evolves nothing, and refuses events out of stage order: a
+    `History` checked its own, so only `chain_vector`'s can be.
     """
-    stages = [e.stage for e in events]
-    if not all(a < b for a, b in zip(stages, stages[1:])):
-        raise ValueError("history 'chain': event stages must strictly increase")
+    _require_stage_order(events, "chain_vector")
     slots = {e.stage: (e,) for e in events}
     for stage in union_stages:
         if stage not in slots:
@@ -228,20 +233,77 @@ def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, .
     return key, slots
 
 
-class _Member:
-    """A member's refined leaves and what D reads of them: the record the engine's member memo keeps under its key.
+#: History-chain nodes kept per engine (`_node`), least recently used first
+#: out.  A dense node retains ~5.7 kB (324 complex128 amplitudes and their
+#: objects), so a full memo holds ~1.5 MB; an exact node ~0.8 kB.  A cold
+#: coin-sweep item stores 25 nodes (3 vanished), and 20,000 queries of the
+#: benchmark's warm history stream 128 on the dense engine (23 vanished) and
+#: 125 on the exact one (27).
+CHAIN_MEMO_NODES = 256
 
-    `leaves` are (path, state, vanished) in walk order, `paths` all their
-    paths and `live` the (path, state) of those that did not vanish.  P[h]
-    and the additivity defect are read off the member's own block of D the
-    first time a report asks, `norm2` the first time `history_probability`
-    does; None until then.
+#: History-family members kept per engine (`_member`), least recently used
+#: first out.  An entry is a member's record: its refined leaves, whose
+#: states are mostly the chain memo's own nodes, with P[h] and the
+#: additivity defect read off its own block of D.  The benchmark's warm
+#: history stream has 154 distinct members: 99.9% of its member lookups hit
+#: (30,000 queries), and the records retain 0.25 MB beside the chain memo on
+#: the dense engine and 0.28 MB on the exact one; a full memo of the tests'
+#: long family stream retains 0.84 MB and 0.60 MB (`tracemalloc`).
+MEMBER_MEMO_LEAVES = 256
+
+#: Member pairs kept per engine (`chain_consistency_report`), least recently
+#: used first out.  An entry is the three reductions of a pair's block of D
+#: (the direct overlap, the cross interference and whether the two share a
+#: path), which depend on nothing but the two members' records: it is keyed
+#: by the two member keys, the smaller first, one entry per unordered pair.
+#: The warm history stream has 1,840 distinct pairs, saturated within 20,000
+#: queries: 98.2% of its pair lookups hit (30,000 queries).  A full memo
+#: retains 0.45 MB on the dense engine and 0.56 MB on the exact one
+#: (`tracemalloc`, the tests' long family stream).
+PAIR_MEMO_PAIRS = 2048
+
+
+def _recall(memo: dict, key, bound: int, build, *args):
+    """memo[key], or `build(*args)` stored there first; past `bound` entries the least recently used goes.
+
+    The memo runs from least to most recently used: a hit moves its entry
+    to the end and returns the stored value itself.  `build` never returns
+    None, which marks a miss.
+    """
+    value = memo.pop(key, None)
+    if value is None:
+        value = build(*args)
+        if len(memo) >= bound:
+            del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def _node(step, parent, masks: bool) -> tuple[object, bool]:
+    """`step(parent)` and whether it vanished, tested only when it `masks`: a stage map keeps a state nonzero."""
+    state = step(parent)
+    return state, masks and state.is_zero()
+
+
+class _Member:
+    """A member's refined leaves and what D reads of them: the record the member memo keeps under its key.
+
+    `leaves` are (path, state, vanished) for every leaf below the initial
+    state, in walk order: a depth-first walk over the stage timeline evolves
+    each tree node once, so leaves share their prefix chains.  It is the
+    package's one chain evolution: `chain_vector` is its single leaf for an
+    empty union.  `paths` are all their paths and `live` the (path, state)
+    of those that did not vanish.  P[h] and the additivity defect are read
+    off the member's own block of D the first time a report asks, `norm2`
+    the first time `history_probability` does; None until then.
     """
 
     __slots__ = ("leaves", "paths", "live", "probability", "additivity", "norm2")
 
     def __init__(self, protocol: Engine, slots: dict) -> None:
-        self.leaves = _walked(protocol, slots)
+        leaves: list[tuple[tuple, StateVector, bool]] = []
+        _walk(protocol, slots, 0, (), None, leaves)
+        self.leaves = tuple(leaves)
         self.paths = frozenset([path for path, _, _ in self.leaves])
         self.live = tuple([(path, v) for path, v, vanished in self.leaves if not vanished])
         self.probability = self.additivity = self.norm2 = None
@@ -255,9 +317,13 @@ class _Member:
 
 
 def _member(protocol: Engine, events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, ...]) -> _Member:
-    """The record of a member with these events refined over union stages, walked only when the memo lacks it."""
+    """The record of a member with these events refined over union stages, walked only when the memo lacks it.
+
+    The record depends on nothing but the member's key, so a hit returns the
+    first build's, bit-identical; a miss reads its nodes from the chain memo.
+    """
     key, slots = _member_key(events, union_stages)
-    return protocol.family_memo(key, _Member, protocol, slots)
+    return _recall(protocol.history_memos[1], key, MEMBER_MEMO_LEAVES, _Member, protocol, slots)
 
 
 def _fine_chains(
@@ -267,18 +333,6 @@ def _fine_chains(
     return [(path, v) for path, v, _ in _member(protocol, h.events, union_stages).leaves]
 
 
-def _walked(protocol: Engine, slots: dict) -> tuple[tuple[tuple, StateVector, bool], ...]:
-    """Every leaf below the initial state, in walk order.
-
-    A depth-first walk over the stage timeline evolves each tree node once,
-    so leaves share their prefix chains.  It is the package's one chain
-    evolution: `chain_vector` is its single leaf for an empty union.
-    """
-    chains: list[tuple[tuple, StateVector, bool]] = []
-    _walk(protocol, slots, 0, (), None, chains)
-    return tuple(chains)
-
-
 def _walk(protocol: Engine, slots: dict, i: int, path: tuple, state: StateVector | None, chains: list) -> None:
     """Append the leaves below stage index i to `chains` as (path, state, vanished); no closure, so no reference cycle.
 
@@ -286,22 +340,26 @@ def _walk(protocol: Engine, slots: dict, i: int, path: tuple, state: StateVector
     recurses once per live child there.  Until its first mask (an empty
     path) a chain is the pilot state, bit for bit, so it is read from the
     engine's pilot cache.  After that each node, one per stage, is read from
-    the engine's chain memo by `path` (`Engine.chain_node`) before anything
-    is evolved or masked.  Once a mask leaves a zero state (stage maps are
-    unitary, so only a mask can), every leaf below it is that zero state,
-    flagged vanished, still under its own path: shared-outcome detection
-    reads the paths of vanished chains.
+    the chain memo by `path` (`_node`) before anything is evolved or masked:
+    a node depends only on its stage index and path, so a hit, the zero
+    state a mask leaves included, is bit-identical to a rebuild.  Once a
+    mask leaves a zero state (stage maps are unitary, so only a mask can),
+    every leaf below it is that zero state, flagged vanished, still under
+    its own path: shared-outcome detection reads the paths of vanished
+    chains.
     """
+    nodes = protocol.history_memos[0]
     for i in range(i, len(STAGES)):
         stage = STAGES[i]
         if not path:
             state = protocol.pilot_state_after(stage)
         else:
-            state, _ = protocol.chain_node(i, path, protocol.stage_unitaries[stage].linear, state)
+            step = protocol.stage_unitaries[stage].linear
+            state, _ = _recall(nodes, (i, path), CHAIN_MEMO_NODES, _node, step, state, False)
         if stage in slots:
             for event in slots[stage]:
                 child_path = path + ((i, event.mask),)
-                child, vanished = protocol.chain_node(i, child_path, event.apply, state, masks=True)
+                child, vanished = _recall(nodes, (i, child_path), CHAIN_MEMO_NODES, _node, event.apply, state, True)
                 if vanished:
                     below = [[(j, e.mask) for e in slots[s]] for j, s in enumerate(STAGES) if j > i and s in slots]
                     chains.extend((child_path + tail, child, True) for tail in itertools.product(*below))
@@ -333,7 +391,8 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
         raise ValueError(f"family members need distinct names (repeated: {', '.join(repeated)})")
     union_stages = tuple(sorted({e.stage for h in family for e in h.events}))
     keys = [_member_key(h.events, union_stages) for h in family]
-    members = [protocol.family_memo(key, _Member, protocol, slots) for key, slots in keys]
+    _, member_memo, pair_memo = protocol.history_memos
+    members = [_recall(member_memo, key, MEMBER_MEMO_LEAVES, _Member, protocol, slots) for key, slots in keys]
     for member in members:
         if member.probability is None:
             member.read_block(protocol)
@@ -341,7 +400,7 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     for (a, (ka, _), ma), (b, (kb, _), mb) in itertools.combinations(zip(names, keys, members), 2):
         # D_ba is D_ab's adjoint and each summary is symmetric: one entry per unordered pair
         key, args = ((ka, kb), (ma, mb)) if ka <= kb else ((kb, ka), (mb, ma))
-        off, cross, shared = protocol.family_memo(key, _pair_block, protocol, *args, pair=True)
+        off, cross, shared = _recall(pair_memo, key, PAIR_MEMO_PAIRS, _pair_block, protocol, *args)
         ok = not shared and all(map(_negligible, (off, cross, ma.additivity, mb.additivity)))
         pairs.append(PairVerdict(a, b, off, cross, shared, ok))
     return ConsistencyReport(

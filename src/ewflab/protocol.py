@@ -374,8 +374,8 @@ class Protocol(Engine):
     flips a sign inside the tail-branch spin rotation (probabilities change,
     every downstream consumer must refuse or fail loudly).
 
-    Only the coin, the pilot states, the history-chain, member and pair
-    memos and the fact results belong to one Protocol.  The stage unitaries
+    Only the coin, the pilot states, the history memos (`history_memos`)
+    and the fact results belong to one Protocol.  The stage unitaries
     (`stage_unitaries`, per pair of hooks) and the record masks do not
     depend on the coin: they are built once per process and shared,
     read-only, by every Protocol with the same hooks.  A coin is two amplitudes, each converted to a complex.

@@ -177,13 +177,13 @@ def test_report_evolves_each_chain_node_once(capsys, monkeypatch):
     are P[r=tail]'s), none of h1prime's (P[r=tail]'s too) and 4 of h1prime's refinement (MEAS4 after
     z=+, w1=fail; MEAS3 after z=-; MEAS4 after z=-, w1=ok and after z=-, w1=fail): 22."""
     calls = []
-    linear = exact.ExactStage.linear
+    linear = exact.StageMap.linear
 
     def counted(self, state):
         calls.append(self.stage)
         return linear(self, state)
 
-    monkeypatch.setattr(exact.ExactStage, "linear", counted)
+    monkeypatch.setattr(exact.StageMap, "linear", counted)
     code, _, _ = run(capsys, ["report"])
     assert code == 0
     assert len(calls) == 22

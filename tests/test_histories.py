@@ -10,17 +10,17 @@ import pytest
 
 from ewflab import bellbohm, born, histories
 from ewflab.exact import (
-    CHAIN_MEMO_NODES,
-    MEMBER_MEMO_LEAVES,
-    PAIR_MEMO_PAIRS,
     RECORDED_VAR,
     ExactProtocol,
-    ExactStage,
     RecordMask,
     SparseState,
+    StageMap,
     Surd,
 )
 from ewflab.histories import (
+    CHAIN_MEMO_NODES,
+    MEMBER_MEMO_LEAVES,
+    PAIR_MEMO_PAIRS,
     EpochMismatchError,
     History,
     HistoryEvent,
@@ -265,7 +265,7 @@ def _sweep_item(protocol) -> None:
     born.final_record_marginal(protocol)
 
 
-@pytest.mark.parametrize("engine, stage_class", [(Protocol, StageUnitary), (ExactProtocol, ExactStage)],
+@pytest.mark.parametrize("engine, stage_class", [(Protocol, StageUnitary), (ExactProtocol, StageMap)],
                          ids=["dense", "exact"])
 def test_a_cold_sweep_item_makes_15_stage_map_calls(engine, stage_class, monkeypatch):
     """The pilot state (5 maps), h1's chain (4), the 2 of h1prime's not on h1's (MEAS3 and MEAS4
@@ -369,7 +369,7 @@ def test_a_repeated_report_on_a_warm_engine_masks_nothing(engine, state_class, m
     family = [okok_fine_history(protocol), okok_coarse_history(protocol),
               history(protocol, "b", [("r", "head"), ("z", "+")])]
     first = chain_consistency_report(protocol, family)
-    assert any(vanished for _, vanished in protocol._chain_memo.values())
+    assert any(vanished for _, vanished in protocol.history_memos[0].values())
     calls = []
     masked = state_class.masked
 
@@ -641,11 +641,43 @@ def test_a_caller_built_record_mask_reads_the_engines_node(engine):
     tail, ok = outcome_event(protocol, "r", "tail"), outcome_event(protocol, "w1", "ok")
     node = chain_vector(protocol, (tail, ok))
     assert not node.is_zero()
-    memo = dict(protocol._chain_memo)
+    memo = dict(protocol.history_memos[0])
     copied = HistoryEvent(S.OBS0, RecordMask(*tail.mask), tail.label)
     assert copied.mask is not tail.mask
     assert chain_vector(protocol, (copied, ok)) is node
-    assert protocol._chain_memo == memo
+    assert protocol.history_memos[0] == memo
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_chain_vector_refuses_events_out_of_stage_order_in_its_own_name(engine):
+    """No `History` is built on this path, so the refusal names `chain_vector`, not a history."""
+    protocol = engine()
+    events = (outcome_event(protocol, "w2", "ok"), outcome_event(protocol, "r", "tail"))
+    with pytest.raises(ValueError, match="^chain_vector: event stages must strictly increase$"):
+        chain_vector(protocol, events)
+    with pytest.raises(ValueError, match="^history 'h': event stages must strictly increase$"):
+        History("h", events)
+
+
+@pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8)), (ExactProtocol, ("0.6", "0.8"))],
+                         ids=["dense", "exact"])
+def test_history_memos_belong_to_one_engine(engine, coin):
+    """Two engines with equal coins and hooks share their stages but no memo: a report on the first leaves
+    the second's memos empty, and the second's own report, equal to the first's, leaves the first's as they
+    were, entries, values and order."""
+    first, second = engine(coin, flip_ok_sign=True), engine(coin, flip_ok_sign=True)
+    assert first.stage_unitaries is second.stage_unitaries
+    family = [okok_fine_history(first), okok_coarse_history(first), history(first, "b", [("r", "head"), ("z", "+")])]
+    want = chain_consistency_report(first, family)
+    snapshot = [list(memo.items()) for memo in first.history_memos]
+    assert all(snapshot)
+    assert [len(memo) for memo in second.history_memos] == [0, 0, 0]
+    got = chain_consistency_report(second, family)
+    assert (got.probability, got.additivity_defect, got.pairs) == (
+        want.probability, want.additivity_defect, want.pairs)
+    assert [len(memo) for memo in second.history_memos] == [len(entries) for entries in snapshot]
+    assert [list(memo.items()) for memo in first.history_memos] == snapshot
+    assert all(a is not b for a, b in zip(first.history_memos, second.history_memos))
 
 
 @pytest.mark.parametrize("mask", [np.copy(_mask_array(record_mask("r", "tail"))), tuple(record_mask("r", "tail"))],
@@ -723,12 +755,12 @@ def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(
         specs = list(enumerate(MEMO_SPECS))[::order]
         for i, spec in specs:
             assert _answers(protocol, spec) == fresh[i], i
-            assert len(protocol._chain_memo) <= CHAIN_MEMO_NODES
-            assert len(protocol._member_memo) <= MEMBER_MEMO_LEAVES
-            assert len(protocol._pair_memo) <= PAIR_MEMO_PAIRS
-        assert len(protocol._chain_memo) == CHAIN_MEMO_NODES
-        assert len(protocol._member_memo) == MEMBER_MEMO_LEAVES
-        assert len(protocol._pair_memo) == PAIR_MEMO_PAIRS
-        assert all(vanished == state.is_zero() for state, vanished in protocol._chain_memo.values())
+            assert len(protocol.history_memos[0]) <= CHAIN_MEMO_NODES
+            assert len(protocol.history_memos[1]) <= MEMBER_MEMO_LEAVES
+            assert len(protocol.history_memos[2]) <= PAIR_MEMO_PAIRS
+        assert len(protocol.history_memos[0]) == CHAIN_MEMO_NODES
+        assert len(protocol.history_memos[1]) == MEMBER_MEMO_LEAVES
+        assert len(protocol.history_memos[2]) == PAIR_MEMO_PAIRS
+        assert all(vanished == state.is_zero() for state, vanished in protocol.history_memos[0].values())
         assert all(vanished == state.is_zero()
-                   for member in protocol._member_memo.values() for _, state, vanished in member.leaves)
+                   for member in protocol.history_memos[1].values() for _, state, vanished in member.leaves)
