@@ -55,7 +55,7 @@ CONFIG_AXES: tuple[int, ...] = (
 READY_CONFIG = MemoryConfig(READY, READY, READY, READY)
 
 
-#: The 81 configs in label-index order on CONFIG_AXES, which is the key order of a marginal on them.
+#: The 81 configs in label-index order on CONFIG_AXES, which is the row-major order of a marginal on them.
 _CONFIGS: tuple[MemoryConfig, ...] = tuple(
     MemoryConfig(*combo) for combo in product(*(GLOBAL_SPACE.factors[a].labels for a in CONFIG_AXES))
 )
@@ -67,7 +67,7 @@ def all_configs() -> list[MemoryConfig]:
 
 def config_weights(state: StateVector) -> dict[MemoryConfig, float]:
     """Born weight of every config in one pass."""
-    return dict(zip(_CONFIGS, state.marginal(CONFIG_AXES).values()))  # CONFIG_AXES are ascending
+    return dict(zip(_CONFIGS, state.marginal(CONFIG_AXES)))  # CONFIG_AXES are ascending
 
 
 @cache

@@ -148,10 +148,8 @@ class CertaintyResult(NamedTuple):
 # -- the joint distribution over (r, z, w1, w2) -----------------------------
 
 JOINT_VARIABLES: tuple[str, ...] = ("r", "z", "w1", "w2")
-
-
-def _all_cells() -> list[tuple[str, ...]]:
-    return [tuple(cell) for cell in product(*(OUTCOME_LABELS[v] for v in JOINT_VARIABLES))]
+#: The joint's 16 cells, in label order.
+JOINT_CELLS: tuple[tuple[str, ...], ...] = tuple(product(*(OUTCOME_LABELS[v] for v in JOINT_VARIABLES)))
 
 
 def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
@@ -223,7 +221,7 @@ def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     scale = 1 / sum(first.values())
     ratios: dict[tuple[int, str, str], object] = {}  # by (i, cell[i], cell[i + 1]); None for a zero denominator
     joint: dict[tuple[str, ...], float] = {}
-    for cell in _all_cells():
+    for cell in JOINT_CELLS:
         p = first[(cell[0],)]
         for i, weights in enumerate(pair_weights):
             step = (i, cell[i], cell[i + 1])
@@ -246,7 +244,7 @@ def joint_distribution(
         table = _sequential_joint(protocol)
     else:
         table = _marginal_joint(protocol)
-    outcomes = tuple((cell, table.get(cell, 0.0)) for cell in _all_cells())
+    outcomes = tuple((cell, table.get(cell, 0.0)) for cell in JOINT_CELLS)
     return Distribution(JOINT_VARIABLES, outcomes)
 
 

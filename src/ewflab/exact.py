@@ -25,13 +25,21 @@ answer one contract, and it is exactly what the shared modules (`born`,
 `stage_unitaries[stage]`, which on this engine is the stage's `StageMap`; a
 measurement is not an object of either engine, its outcome vectors are read
 from `outcome_vectors` under the engine's `flip_ok_sign`.  Their states
-answer `norm2`, `masked`, `marginal`, `components` and `is_zero`.  An
+answer `norm2`, `masked`, `marginal`, `components` and `is_zero`;
+`marginal` is a flat row-major tuple of weights, memoised on the state per
+axes, which record weights, config weights and ready checks index.  An
 operator is a stage map or a record mask, and a record mask is the same
 `RecordMask` value on both engines; a measurement is never applied.  A
 conditional is a ratio of Born weights, never a renormalised state.  The
 joints, histories, beable chains and facts are written once against those
 calls.  A number the exact engine returns is exact, so its `exact` label
 (`exact_label`) is read off it instead of guessed from a float.
+
+Readiness is established once per stage mapping, not per state: a
+recording stage's `apply` checks that its recorder's memory is ready, and
+the pilot walk (`Engine.pilot_state_after`) steps with `linear` instead
+wherever `unproven_stages` proves it from the mapping's
+`rewritten_memory_axes` and the initial state has every memory ready.
 
 Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
@@ -105,6 +113,8 @@ class AgentId(enum.Enum):
 
 #: Each agent's memory axis, by agent name.
 _MEMORY_AXIS: dict[str, int] = {agent.value: GLOBAL_SPACE.axis(agent.value) for agent in AgentId}
+#: The four memory axes, ascending.
+MEMORY_AXES: tuple[int, ...] = tuple(sorted(_MEMORY_AXIS.values()))
 
 
 class StageId(enum.Enum):
@@ -235,7 +245,8 @@ def projector_columns(targets: tuple[str, ...], vectors: dict[str, dict[tuple[st
 class StageMap(NamedTuple):
     """One stage's map, the exact engine's stage: sparse columns over the local index of `axes` (ascending).
 
-    Its `apply`, `linear` and `rewritten_memory_axes` are the dense `StageUnitary`'s.
+    Its `apply`, `linear` and `rewritten_memory_axes` are the dense
+    `StageUnitary`'s; `halved` is `halves(columns)`, read once here.
     """
 
     stage: StageId
@@ -243,9 +254,10 @@ class StageMap(NamedTuple):
     columns: Columns
     recorder_axis: int | None
     rewritten_memory_axes: tuple[int, ...]
+    halved: bool
 
     def linear(self, state: SparseState) -> SparseState:
-        return state.apply(self.axes, self.columns)
+        return state.apply(self.axes, self.columns, self.halved)
 
     def apply(self, state: SparseState) -> SparseState:
         require_ready(self.stage, self.recorder_axis, state)
@@ -253,9 +265,15 @@ class StageMap(NamedTuple):
 
 
 def _stage_map(stage: StageId, axes: tuple[int, ...], columns: Columns, recorder_axis: int | None) -> StageMap:
-    """The stage's map, its columns read-only, with the memory axes they rewrite."""
+    """The stage's map, its columns read-only, with the memory axes they rewrite and whether they halve."""
     entries = ((t2, t) for t, col in columns.items() for t2, _, _ in col)
-    return StageMap(stage, axes, MappingProxyType(columns), recorder_axis, rewritten_axes(axes, entries))
+    return StageMap(stage, axes, MappingProxyType(columns), recorder_axis, rewritten_axes(axes, entries),
+                    halves(columns))
+
+
+def halves(columns: Columns) -> bool:
+    """Whether any entry is 1/√2 or 1/2 (k > 0): the image of a state then has twice its denominator."""
+    return any(k for col in columns.values() for _, _, k in col)
 
 
 def _record_map(var: str, flip_ok_sign: bool) -> StageMap:
@@ -302,13 +320,17 @@ def _preparation_map(corrupt_preparation: bool) -> StageMap:
     return _stage_map(StageId.PREP1, (GLOBAL_SPACE.axis("F1"), GLOBAL_SPACE.axis("S")), columns, None)
 
 
-@cache
 def stage_maps(flip_ok_sign: bool = False, corrupt_preparation: bool = False) -> Mapping[StageId, StageMap]:
     """Every dynamic stage's map: the exact engine's stages, and the dense engine builds its own from these.
 
     The maps do not depend on the coin: one read-only mapping per flag pair
-    is shared by every caller.
+    is shared by every caller, however it spells the flags.
     """
+    return _stage_maps(bool(flip_ok_sign), bool(corrupt_preparation))
+
+
+@cache
+def _stage_maps(flip_ok_sign: bool, corrupt_preparation: bool) -> Mapping[StageId, StageMap]:
     return MappingProxyType({
         StageId.OBS0: _record_map("r", flip_ok_sign),
         StageId.PREP1: _preparation_map(corrupt_preparation),
@@ -326,21 +348,20 @@ def rewritten_axes(axes: tuple[int, ...], entries) -> tuple[int, ...]:
     the record intact).
     """
     dims = [GLOBAL_SPACE.dims[a] for a in axes]
-    memory_axes = {a.memory_axis for a in AgentId}
     changed = set()
     for out, inp in entries:
         for pos in reversed(range(len(axes))):
             if out % dims[pos] != inp % dims[pos]:
                 changed.add(axes[pos])
             out, inp = out // dims[pos], inp // dims[pos]
-    return tuple(a for a in axes if a in memory_axes and a in changed)
+    return tuple(a for a in axes if a in MEMORY_AXES and a in changed)
 
 
 def require_ready(stage: StageId, recorder_axis: int | None, state) -> None:
     """Raise unless the recorder's memory is ready (within ATOL) before `stage`."""
     if recorder_axis is None:
         return
-    off_ready = sum(w for (label,), w in state.marginal((recorder_axis,)).items() if label != 0)
+    off_ready = sum(state.marginal((recorder_axis,))[1:])  # every label but the ready one, index 0
     if off_ready > ATOL:
         agent = GLOBAL_SPACE.factors[recorder_axis].name
         raise PreconditionError(
@@ -687,6 +708,7 @@ class Engine:
         self.flip_ok_sign = flip_ok_sign
         self.corrupt_preparation = corrupt_preparation
         self._pilot_cache: dict = {}
+        self._checked_stages: frozenset[StageId] = frozenset()  # set with the initial state
         #: the history-chain node, member and member-pair memos, which `histories` keeps
         self.history_memos: tuple[dict, dict, dict] = ({}, {}, {})
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
@@ -697,14 +719,20 @@ class Engine:
 
         The cache holds the states after a prefix of STAGES, the initial state
         first, each built once; a later stage continues from the last one.
+        A stage is stepped with `linear` where its recorder is proven ready
+        (`unproven_stages`, once per stage mapping, from an initial state
+        with every memory ready) and with `apply`, which checks, elsewhere.
         """
         cache = self._pilot_cache
         if stage not in cache:
+            stages = self.stage_unitaries
             if not cache:
-                cache[StageId.PREP_MINUS1] = self.initial_state()
+                initial = cache[StageId.PREP_MINUS1] = self.initial_state()
+                self._checked_stages = unproven_stages(stages) if memories_ready(initial) else frozenset(stages)
             state = cache[STAGES[len(cache) - 1]]
             for s in STAGES[len(cache) : STAGES.index(stage) + 1]:
-                state = cache[s] = self.stage_unitaries[s].apply(state)
+                step = stages[s]
+                state = cache[s] = step.apply(state) if s in self._checked_stages else step.linear(state)
         return cache[stage]
 
     def record_weights(self, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
@@ -715,19 +743,54 @@ class Engine:
         """
         axes, keys = _record_index(vars)
         marg = state.marginal(axes)
-        return {labels: marg[index] for labels, index in keys}
+        return {labels: marg[offset] for labels, offset in keys}
 
 
 @cache
 def _record_index(vars: tuple[str, ...]) -> tuple[tuple[int, ...], tuple]:
-    """The memory axes of `vars`, ascending, and (labels, key in their marginal) per label tuple."""
+    """The memory axes of `vars`, ascending, and (labels, offset in their flat marginal) per label tuple."""
     axes = [RECORDERS[v][0].memory_axis for v in vars]
     order = sorted(range(len(axes)), key=axes.__getitem__)  # the marginal's axes, as positions in vars
+    dims = [GLOBAL_SPACE.dims[axes[k]] for k in order]
+    strides = [math.prod(dims[n + 1 :]) for n in range(len(order))]  # row-major, as the marginal is flat
     keys = tuple(
-        (labels, tuple(GLOBAL_SPACE.factors[axes[k]].index(labels[k]) for k in order))
+        (labels, sum(GLOBAL_SPACE.factors[axes[k]].index(labels[k]) * stride for k, stride in zip(order, strides)))
         for labels in itertools.product(*(OUTCOME_LABELS[v] for v in vars))
     )
     return tuple(sorted(axes)), keys
+
+
+#: Per stage mapping an engine has walked, by its id: the mapping (held, so
+#: no other object takes its id) and its `unproven_stages`.
+_PROOFS: dict[int, tuple[Mapping, frozenset]] = {}
+
+
+def unproven_stages(stages: Mapping[StageId, object]) -> frozenset[StageId]:
+    """The recording stages of a walk through `stages` whose recorder an earlier stage can rewrite.
+
+    A stage that leaves a memory axis out of its `rewritten_memory_axes`
+    maps each label of that memory to itself (a dense entry of at most ATOL
+    is not counted there; through a unitary stage it moves weight far below
+    ATOL), so a walk from a state with every memory ready reaches every
+    other recording stage with its recorder still ready: `require_ready`
+    cannot fail there.  Derived once per mapping, so once per setting of
+    the hooks for the shared ones.
+    """
+    entry = _PROOFS.get(id(stages))
+    if entry is None or entry[0] is not stages:
+        rewritten: set[int] = set()
+        unproven = set()
+        for s in DYNAMIC_STAGES:
+            if stages[s].recorder_axis in rewritten:
+                unproven.add(s)
+            rewritten.update(stages[s].rewritten_memory_axes)
+        entry = _PROOFS[id(stages)] = (stages, frozenset(unproven))
+    return entry[1]
+
+
+def memories_ready(state) -> bool:
+    """Whether every nonzero amplitude of `state` has the ready label on every memory axis."""
+    return all(not any(DIGITS[i][a] for a in MEMORY_AXES) for i in state.components())
 
 
 # -- the sparse exact engine --------------------------------------------------------
@@ -760,9 +823,11 @@ class SparseState:
     """Exact amplitudes {flat index: (a, b, c, d)}, each over the shared denominator `den`.
 
     Only nonzero amplitudes are stored; the space is always `GLOBAL_SPACE`.
+    A state keeps each marginal it has computed, by axes; copies and pickles
+    leave them out.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "_marginals")
 
     def __init__(self, nums: dict[int, tuple[int, int, int, int]], den: int = 1) -> None:
         nums = {i: x for i, x in nums.items() if any(x)}
@@ -770,7 +835,10 @@ class SparseState:
         if g > 1:
             nums = {i: (a // g, b // g, c // g, d // g) for i, (a, b, c, d) in nums.items()}
             den //= g
-        self.nums, self.den = nums, den
+        self.nums, self.den, self._marginals = nums, den, None
+
+    def __reduce__(self):
+        return SparseState, (self.nums, self.den)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -790,24 +858,33 @@ class SparseState:
         axis, index = mask
         return SparseState({i: x for i, x in self.nums.items() if DIGITS[i][axis] == index}, self.den)
 
-    def marginal(self, axes: tuple[int, ...]) -> dict[tuple[int, ...], Surd]:
-        """Born weight of every label combination on `axes` (ascending)."""
-        acc: dict[tuple[int, ...], list[int]] = {}
-        for i, x in self.nums.items():
-            key = tuple(DIGITS[i][a] for a in axes)
-            w = acc.setdefault(key, [0, 0, 0, 0])
-            for k, c in enumerate(_square4(x)):
-                w[k] += c
-        den2 = self.den * self.den
-        return {
-            key: Surd(*acc[key], den2) if key in acc else ZERO
-            for key in itertools.product(*(range(GLOBAL_SPACE.dims[a]) for a in axes))
-        }
+    def marginal(self, axes: tuple[int, ...]) -> tuple[Surd, ...]:
+        """Born weight of every label combination on `axes` (ascending), flat in row-major order.
 
-    def apply(self, axes: tuple[int, ...], columns: Columns) -> "SparseState":
-        """The sparse columns on `axes` applied; a missing column maps to zero."""
+        Computed once per state and axes.
+        """
+        memo = self._marginals
+        if memo is None:
+            memo = self._marginals = {}
+        flat = memo.get(axes)
+        if flat is None:
+            local_strides, offset = _layout(axes)
+            acc: dict[int, list[int]] = {}
+            for i, x in self.nums.items():
+                digits = DIGITS[i]
+                w = acc.setdefault(sum(digits[a] * s for a, s in zip(axes, local_strides)), [0, 0, 0, 0])
+                for k, c in enumerate(_square4(x)):
+                    w[k] += c
+            den2 = self.den * self.den
+            flat = memo[axes] = tuple(Surd(*acc[t], den2) if t in acc else ZERO for t in range(len(offset)))
+        return flat
+
+    def apply(self, axes: tuple[int, ...], columns: Columns, halved: bool) -> "SparseState":
+        """The sparse columns on `axes` applied; a missing column maps to zero.
+
+        `halved` is `halves(columns)`, which a `StageMap` carries.
+        """
         local_strides, offset = _layout(axes)
-        halved = any(k for col in columns.values() for _, _, k in col)
         out: dict[int, tuple] = {}
         for i, x in self.nums.items():
             digits = DIGITS[i]

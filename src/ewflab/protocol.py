@@ -25,8 +25,10 @@ same calls without numpy.  An operator is a factor-local stage matrix
 not an object here: its outcome vectors are written once, as the codes of
 `exact.outcome_vectors`, from which the recording stages are built and
 which the facts read.  Record weights come from one |amps|^2 marginal
-(`memory_marginal`), the squares taken once per state.  No sparsity, no
-density matrices.
+(`memory_marginal`), the squares taken once per state; `marginal` returns
+it as a flat row-major tuple, computed once per state and axes.  A stage
+matrix acts through one `dot` on an operand gathered, and scattered back,
+by index arrays planned once per axes.  No sparsity, no density matrices.
 
 A dense state is checked once, where it enters: the `StateVector`
 constructor rejects a wrong size and any non-finite amplitude.  States the
@@ -38,6 +40,10 @@ record-mask arrays of `_mask_array`.  Each is a unitary or a 0/1 projector
 with entries of modulus at most 1, so a trusted state keeps a norm of at
 most 1 (up to rounding) and every amplitude finite.  Any other operand (a
 state or stage unitary a caller built) yields a checked state.
+
+A recording stage's `apply` checks that its recorder is ready; the pilot
+walk (`Engine.pilot_state_after`) steps with `linear` instead wherever
+that is proven, once per stage mapping (`exact.unproven_stages`).
 """
 
 from __future__ import annotations
@@ -94,14 +100,16 @@ __all__ = [
 
 
 class _Squared(Frozen):
-    """Where a StateVector keeps its |amps|^2 once `memory_marginal` has computed it (None before).
+    """Where a StateVector keeps its |amps|^2 once `memory_marginal` has computed it, and its marginals.
 
-    The slot sits on this base class, so a record's fields (`__slots__` of
-    StateVector) are only the space, the amplitudes and the trust flag:
-    the cached squares are left out of its repr, copies and pickles.
+    `_probs` is None until the first marginal, `_marginals` each flat
+    marginal by axes (None until the first).  The slots sit on this base
+    class, so a record's fields (`__slots__` of StateVector) are only the
+    space, the amplitudes and the trust flag: what is cached is left out of
+    its repr, copies and pickles.
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = ("_probs", "_marginals")
 
 
 class StateVector(_Squared):
@@ -127,6 +135,7 @@ class StateVector(_Squared):
         setfield(self, "amps", amps)
         setfield(self, "trusted", False)
         setfield(self, "_probs", None)
+        setfield(self, "_marginals", None)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -146,10 +155,16 @@ class StateVector(_Squared):
         array = _mask_array(mask)
         return _image(self.space, self, array, np.multiply, self.amps, array)
 
-    def marginal(self, axes: tuple[int, ...]) -> dict[tuple[int, ...], float]:
-        """`memory_marginal` as {label indices on axes: weight}."""
-        marg = memory_marginal(self, axes)
-        return dict(zip(_label_indices(marg.shape), marg.ravel().tolist()))
+    def marginal(self, axes: tuple[int, ...]) -> tuple[float, ...]:
+        """`memory_marginal` flat, in row-major order: computed once per state and axes."""
+        memo = getattr(self, "_marginals", None)  # a copy or an unpickled state is restored without it
+        if memo is None:
+            memo = {}
+            setfield(self, "_marginals", memo)
+        flat = memo.get(axes)
+        if flat is None:
+            flat = memo[axes] = tuple(memory_marginal(self, axes).ravel().tolist())
+        return flat
 
 
 #: The engine's own operators by id: the shared stage unitaries and the record
@@ -171,6 +186,7 @@ def _trusted_state(space: SpaceDescriptor, amps: np.ndarray) -> StateVector:
     setfield(state, "amps", amps)
     setfield(state, "trusted", True)
     setfield(state, "_probs", None)
+    setfield(state, "_marginals", None)
     return state
 
 
@@ -220,11 +236,13 @@ class Projector(Frozen):
 
 
 @cache
-def _axes_plan(dims: tuple[int, ...], axes: tuple[int, ...]):
-    """The transpose bringing `axes` to the front, its inverse, and the shapes around the product."""
+def _axes_plan(dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the (target, rest) operand of a product on `axes`, and the inverse permutation."""
     perm = axes + tuple(i for i in range(len(dims)) if i not in axes)
-    inverse = tuple(perm.index(i) for i in range(len(dims)))
-    return perm, inverse, math.prod(dims[a] for a in axes), tuple(dims[i] for i in perm)
+    gather = np.arange(math.prod(dims)).reshape(dims).transpose(perm).reshape(math.prod(dims[a] for a in axes), -1)
+    scatter = np.argsort(gather, axis=None)
+    gather.flags.writeable = scatter.flags.writeable = False  # shared by every caller
+    return gather, scatter
 
 
 def apply_on_axes(
@@ -235,12 +253,12 @@ def apply_on_axes(
     `mat` is a square matrix over the product of the target dims, with its
     row/column index in the same mixed-radix convention (axes in the given
     order, which must be ascending to match the global layout).  This is the
-    one `dot` that `np.tensordot` would make, on the same operands, with the
-    axis bookkeeping planned once per (dims, axes).
+    one `dot` that `np.tensordot` would make, on the same operands: the
+    (target, rest) operand is gathered, and the product scattered back, by
+    index arrays planned once per (dims, axes).
     """
-    perm, inverse, size, permuted = _axes_plan(dims, axes)
-    out = np.dot(mat, amps.reshape(dims).transpose(perm).reshape(size, -1))
-    return out.reshape(permuted).transpose(inverse).reshape(-1)
+    gather, scatter = _axes_plan(dims, axes)
+    return np.dot(mat, amps[gather]).reshape(-1)[scatter]
 
 
 def lifted_projector(
@@ -269,12 +287,6 @@ def lifted_projector(
             g[tuple(sel)] = ft
             spanning.append(StateVector(space, g.reshape(-1)))
     return Projector(space, tuple(spanning))
-
-
-@cache
-def _label_indices(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every label-index tuple of an array of `shape`, in row-major order."""
-    return tuple(itertools.product(*map(range, shape)))
 
 
 @cache

@@ -49,6 +49,14 @@ by `measurement_projector`'s spanning sets, an exact one by the sparse
 columns of `exact.projector_columns`, from which the recording stages are
 still built.
 
+Before a state kept its marginals, `marginal` returned a fresh dict keyed
+by label-index tuples on every call, and `SparseState.apply` scanned its
+columns for a 1/√2 or 1/2 code on every application.  Both bodies close the
+module, unchanged (`marginal` one function for both state types, and
+`sparse_apply` with its local strides computed in place), as the oracles
+the flat marginals, the carried `StageMap.halved` and the walk that skips
+proven ready checks must equal.
+
 Where a body here called an engine accessor the engines no longer have, it
 reads what that accessor read: the mapping `stage_unitaries[stage]`, or a
 measurement's target factors `MEASURED[var]` and outcome vectors
@@ -73,16 +81,22 @@ from ewflab.bellbohm import (
     _kernel_row,
     config_weights,
 )
-from ewflab.born import JOINT_VARIABLES, _all_cells
+from ewflab.born import JOINT_CELLS, JOINT_VARIABLES
 from ewflab.exact import (
+    DIGITS,
     MEASURED,
     OUTCOME_LABELS,
     RECORDED_VAR,
     STAGES,
+    STRIDES,
+    ZERO,
     Engine,
     SparseState,
     Surd,
     _mul4,
+    _square4,
+    _times_code,
+    halves,
     outcome_vectors,
     projector_columns,
     record_mask,
@@ -343,7 +357,7 @@ def outcome_weight(protocol: Engine, state, events: list[tuple[str, str]]):
             state = project(measurement_projector(protocol, var, label), state)
         else:
             columns = projector_columns(MEASURED[var], outcome_vectors(var, protocol.flip_ok_sign))
-            state = state.apply(_target_axes(var), columns[label])
+            state = state.apply(_target_axes(var), columns[label], halves(columns[label]))
     return state.norm2()
 
 
@@ -572,7 +586,7 @@ def marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
         protocol.pilot_state_after(RECORDERS[JOINT_VARIABLES[1]][1]), (first_var,)
     )
     joint: dict[tuple[str, ...], float] = {}
-    for cell in _all_cells():
+    for cell in JOINT_CELLS:
         p = first[(cell[0],)]
         for i, weights in enumerate(pair_weights):
             denom = sum(weights[(cell[i], l)] for l in OUTCOME_LABELS[JOINT_VARIABLES[i + 1]])
@@ -625,3 +639,46 @@ def branch_state(protocol: Engine, coin: str, stage: StageId):
     if math.sqrt(float(branch.norm2())) < ATOL:
         raise ZeroBranchError(f"{coin} branch has zero weight")
     return normalized(branch)
+
+
+# -- marginals as dicts, and halving read off the columns ------------------------------
+
+
+def marginal(self, axes: tuple[int, ...]) -> dict:
+    """The former `marginal` of both state types: `StateVector`'s, else `SparseState`'s."""
+    if isinstance(self, StateVector):
+        probs = (np.abs(self.amps) ** 2).reshape(GLOBAL_SPACE.dims)
+        marg = probs.sum(axis=tuple(i for i in range(len(GLOBAL_SPACE.dims)) if i not in axes))
+        return dict(zip(product(*map(range, marg.shape)), marg.ravel().tolist()))
+    acc: dict[tuple[int, ...], list[int]] = {}
+    for i, x in self.nums.items():
+        key = tuple(DIGITS[i][a] for a in axes)
+        w = acc.setdefault(key, [0, 0, 0, 0])
+        for k, c in enumerate(_square4(x)):
+            w[k] += c
+    den2 = self.den * self.den
+    return {
+        key: Surd(*acc[key], den2) if key in acc else ZERO
+        for key in product(*(range(GLOBAL_SPACE.dims[a]) for a in axes))
+    }
+
+
+def sparse_apply(self: SparseState, axes: tuple[int, ...], columns) -> SparseState:
+    """The sparse columns on `axes` applied; a missing column maps to zero."""
+    dims = [GLOBAL_SPACE.dims[a] for a in axes]
+    local_strides = tuple(math.prod(dims[k + 1 :]) for k in range(len(axes)))
+    offset = tuple(sum(digit * STRIDES[a] for digit, a in zip(digits, axes)) for digits in product(*map(range, dims)))
+    halved = any(k for col in columns.values() for _, _, k in col)
+    out: dict[int, tuple] = {}
+    for i, x in self.nums.items():
+        digits = DIGITS[i]
+        t = sum(digits[a] * s for a, s in zip(axes, local_strides))
+        base = i - offset[t]
+        for t2, sign, k in columns.get(t, ()):
+            y = _times_code(x, sign, k, halved)
+            j = base + offset[t2]
+            if j in out:
+                z = out[j]
+                y = (y[0] + z[0], y[1] + z[1], y[2] + z[2], y[3] + z[3])
+            out[j] = y
+    return SparseState(out, self.den * 2 if halved else self.den)

@@ -283,6 +283,29 @@ def test_a_cold_sweep_item_makes_15_stage_map_calls(engine, stage_class, monkeyp
     assert len(calls) == 15
 
 
+@pytest.mark.parametrize("engine, state_class", [(Protocol, StateVector), (ExactProtocol, SparseState)],
+                         ids=["dense", "exact"])
+def test_a_cold_sweep_item_computes_each_distinct_marginal_once(engine, state_class, monkeypatch):
+    """The joints and the final record marginal read 9 record-weight marginals of the pilot states and the
+    beable chain 6 config marginals: 15 reads of 11 distinct (state, axes) pairs, each computed once.  The
+    pilot walk's ready checks, proven once per stage mapping, read none; before both, an item computed 19
+    marginals, these 15 and 4 ready checks."""
+    reads, computed = [], []
+    marginal = state_class.marginal
+
+    def counting(self, axes):
+        reads.append((self, axes))  # holding the state keeps its id unique
+        if axes not in (getattr(self, "_marginals", None) or ()):
+            computed.append((id(self), axes))
+        return marginal(self, axes)
+
+    monkeypatch.setattr(state_class, "marginal", counting)
+    _sweep_item(engine((math.cos(1.0), math.sin(1.0))))
+    assert len(reads) == 15
+    assert sorted(computed) == sorted({(id(state), axes) for state, axes in reads})
+    assert len(computed) == 11
+
+
 def test_an_exact_float_coin_sweep_item_divides_77_times(monkeypatch):
     """Each distinct Born ratio is divided out once: 14 in the sequential joint (one per stage, active
     conditions and label), 12 in the marginal joint (one per step and label pair), 49 in the beable chain

@@ -303,7 +303,7 @@ def test_a_state_squares_its_amplitudes_once():
     squares = state._probs
     assert np.array_equal(squares, (np.abs(state.amps) ** 2).reshape(GLOBAL_SPACE.dims))
     assert np.array_equal(memory_marginal(state, (4, 5)), first) and state._probs is squares
-    assert state.marginal((1,)) == dict(zip([(0,), (1,), (2,)], squares.sum(axis=(0, 2, 3, 4, 5)).tolist()))
+    assert state.marginal((1,)) == tuple(squares.sum(axis=(0, 2, 3, 4, 5)).tolist())
     for clone in (copy.copy(state), pickle.loads(pickle.dumps(state))):
         assert repr(clone) == repr(state)
         assert np.array_equal(memory_marginal(clone, (4, 5)), first) and clone._probs is not squares
