@@ -167,8 +167,7 @@ def _parse_history_spec(protocol: ExactProtocol, text: str) -> History:
         if var not in RECORDERS:
             raise ValueError(f"history {name!r}: unknown outcome variable {var!r}")
         events.append(histories.outcome_event(protocol, var, label, stage))
-    events.sort(key=lambda e: e.stage)
-    return histories.History(name, tuple(events))
+    return histories.History(name, histories.in_stage_order(events))
 
 
 def _history_family(

@@ -760,9 +760,11 @@ def _record_index(vars: tuple[str, ...]) -> tuple[tuple[int, ...], tuple]:
     return tuple(sorted(axes)), keys
 
 
-#: Per stage mapping an engine has walked, by its id: the mapping (held, so
-#: no other object takes its id) and its `unproven_stages`.
-_PROOFS: dict[int, tuple[Mapping, frozenset]] = {}
+#: `unproven_stages` per stage mapping an engine has walked, keyed by what the
+#: proof reads of it: each dynamic stage's recorder axis and rewritten memory
+#: axes.  Equal mappings share an entry, so there are at most as many as
+#: distinct such readings (one per setting of the hooks for the shared ones).
+_PROOFS: dict[tuple, frozenset[StageId]] = {}
 
 
 def unproven_stages(stages: Mapping[StageId, object]) -> frozenset[StageId]:
@@ -773,19 +775,21 @@ def unproven_stages(stages: Mapping[StageId, object]) -> frozenset[StageId]:
     is not counted there; through a unitary stage it moves weight far below
     ATOL), so a walk from a state with every memory ready reaches every
     other recording stage with its recorder still ready: `require_ready`
-    cannot fail there.  Derived once per mapping, so once per setting of
-    the hooks for the shared ones.
+    cannot fail there.  Derived once per distinct reading of the stages'
+    recorders and rewrites, so once per setting of the hooks for the shared
+    mappings, and once for any number of equal mappings.
     """
-    entry = _PROOFS.get(id(stages))
-    if entry is None or entry[0] is not stages:
+    reads = tuple([(stages[s].recorder_axis, stages[s].rewritten_memory_axes) for s in DYNAMIC_STAGES])
+    proof = _PROOFS.get(reads)
+    if proof is None:
         rewritten: set[int] = set()
         unproven = set()
-        for s in DYNAMIC_STAGES:
-            if stages[s].recorder_axis in rewritten:
+        for s, (recorder_axis, axes) in zip(DYNAMIC_STAGES, reads):
+            if recorder_axis in rewritten:
                 unproven.add(s)
-            rewritten.update(stages[s].rewritten_memory_axes)
-        entry = _PROOFS[id(stages)] = (stages, frozenset(unproven))
-    return entry[1]
+            rewritten.update(axes)
+        proof = _PROOFS[reads] = frozenset(unproven)
+    return proof
 
 
 def memories_ready(state) -> bool:

@@ -28,12 +28,16 @@ the pair memo, which keeps what D reads of the pair's block.  The three
 memos are this module's (`_recall`), kept in each engine's `history_memos`.
 A report whose members and pairs the engine has answered before, in any
 family, walks nothing and computes no inner product.
+
+Stage order is derived once per process: an assignment tuple's ordered
+events and an event tuple's checked bitmask of stage indices are cached, and
+a family's union stages are read off the OR of its members' bitmasks.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, RecordMask, StageId, Surd, record_mask
@@ -45,6 +49,11 @@ if TYPE_CHECKING:
 
 
 _STAGE_INDEX = {stage: i for i, stage in enumerate(STAGES)}
+
+
+@cache  # keyed by a bitmask of stage indices: at most 2**6 entries
+def _stages_of(bits: int) -> tuple[StageId, ...]:
+    return tuple([stage for i, stage in enumerate(STAGES) if bits >> i & 1])
 
 
 class EpochMismatchError(ValueError):
@@ -67,11 +76,31 @@ class HistoryEvent(Frozen):
         return state.masked(self.mask)
 
 
-def _require_stage_order(events: tuple[HistoryEvent, ...], owner: str) -> None:
-    """Refuse events whose stages do not strictly increase, naming their owner."""
-    stages = [e.stage for e in events]
-    if not all(a < b for a, b in zip(stages, stages[1:])):
-        raise ValueError(f"{owner}: event stages must strictly increase")
+def in_stage_order(events) -> tuple[HistoryEvent, ...]:
+    """The events sorted by stage index, ties kept in the order given."""
+    return tuple(sorted(events, key=lambda e: _STAGE_INDEX[e.stage]))
+
+
+def _require_stage_order(events: tuple[HistoryEvent, ...]) -> int:
+    """The bitmask of the events' stage indices; refuses events whose stages do not strictly increase."""
+    indices = [_STAGE_INDEX[e.stage] for e in events]
+    if indices != sorted(set(indices)):
+        raise ValueError("event stages must strictly increase")
+    return sum(1 << i for i in indices)
+
+
+#: Bounds of the per-process caches of event tuples' stage bitmasks
+#: (`_stage_bits`), assignment tuples' ordered events (`history`) and member
+#: keys per (events, union stages) (`_member_key`), least recently used first
+#: out.  In 35,000 queries the benchmark's warm history stream meets 80, 80
+#: and 187 of them (99.9% of member-key lookups hit) and 4 union stages; they
+#: retain 0.14 MB (`tracemalloc`).
+EVENT_TUPLES = MEMBER_KEYS = 1024
+
+
+@lru_cache(maxsize=EVENT_TUPLES)
+def _stage_bits(events: tuple[HistoryEvent, ...]) -> int:
+    return _require_stage_order(events)  # a refusal is not cached: its caller names the owner
 
 
 class History(Frozen):
@@ -80,7 +109,10 @@ class History(Frozen):
     def __init__(self, name: str, events: tuple[HistoryEvent, ...]) -> None:
         setfield(self, "name", name)
         setfield(self, "events", events)
-        _require_stage_order(events, f"history {name!r}")
+        try:
+            _stage_bits(events)
+        except ValueError as exc:
+            raise ValueError(f"history {name!r}: {exc}") from None
 
     def describe(self) -> str:
         if not self.events:
@@ -110,13 +142,26 @@ def _outcome_event(var: str, label: str, stage: StageId | None) -> HistoryEvent:
 
 
 def history(protocol: Engine, name: str, assignments: list[tuple[str, str]]) -> History:
-    """History from (variable, label) pairs at their canonical stages."""
-    events = sorted((outcome_event(protocol, var, label) for var, label in assignments), key=lambda e: e.stage)
-    return History(name, tuple(events))
+    """History from (variable, label) pairs at their canonical stages, ordered once per assignment tuple."""
+    pairs = tuple(assignments)
+    try:
+        events = _ordered_events(pairs)
+    except TypeError:  # a pair that cannot be hashed, such as a list
+        events = _ordered_events(tuple(map(tuple, pairs)))
+    return History(name, events)
+
+
+@lru_cache(maxsize=EVENT_TUPLES)
+def _ordered_events(pairs: tuple[tuple[str, str], ...]) -> tuple[HistoryEvent, ...]:
+    return in_stage_order(_outcome_event(var, label, None) for var, label in pairs)
 
 
 def chain_vector(protocol: Engine, events: tuple[HistoryEvent, ...]) -> StateVector:
     """P_n U_n ... P_1 U_1 |initial>, unnormalized: the one leaf of `_fine_chains`."""
+    try:
+        _stage_bits(events)
+    except ValueError as exc:
+        raise ValueError(f"chain_vector: {exc}") from None
     ((_, state, _),) = _member(protocol, events, ()).leaves
     return state
 
@@ -208,12 +253,6 @@ def _negligible(x) -> bool:
     return not x if type(x) is Surd else x <= CONSISTENCY_ATOL
 
 
-#: (events, union stages) pairs whose member key and slots one process keeps
-#: (`_member_key`), least recently used first out.  The benchmark's warm
-#: history stream meets 187 of them: 99.9% of its lookups hit.
-MEMBER_KEYS = 1024
-
-
 @lru_cache(maxsize=MEMBER_KEYS)
 def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, ...]) -> tuple[tuple, dict]:
     """A member's key in the engine's memos, and its slots: its events and the refinements at other union stages.
@@ -221,10 +260,8 @@ def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, .
     The slots map each stage where the member has an event or is refined to
     its events there; the key is their (stage index, tuple of masks), in
     stage order.  Neither depends on the engine, so each is derived once per
-    process.  Evolves nothing, and refuses events out of stage order: a
-    `History` checked its own, so only `chain_vector`'s can be.
+    process.  Evolves nothing; its callers check the events' stage order.
     """
-    _require_stage_order(events, "chain_vector")
     slots = {e.stage: (e,) for e in events}
     for stage in union_stages:
         if stage not in slots:
@@ -389,7 +426,7 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     if len(set(names)) != len(names):
         repeated = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"family members need distinct names (repeated: {', '.join(repeated)})")
-    union_stages = tuple(sorted({e.stage for h in family for e in h.events}))
+    union_stages = _stages_of(reduce(int.__or__, [_stage_bits(h.events) for h in family], 0))
     keys = [_member_key(h.events, union_stages) for h in family]
     _, member_memo, pair_memo = protocol.history_memos
     members = [_recall(member_memo, key, MEMBER_MEMO_LEAVES, _Member, protocol, slots) for key, slots in keys]
@@ -397,11 +434,12 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
         if member.probability is None:
             member.read_block(protocol)
     pairs = []
-    for (a, (ka, _), ma), (b, (kb, _), mb) in itertools.combinations(zip(names, keys, members), 2):
+    additive = [_negligible(m.additivity) for m in members]
+    for (a, (ka, _), ma, fa), (b, (kb, _), mb, fb) in itertools.combinations(zip(names, keys, members, additive), 2):
         # D_ba is D_ab's adjoint and each summary is symmetric: one entry per unordered pair
         key, args = ((ka, kb), (ma, mb)) if ka <= kb else ((kb, ka), (mb, ma))
         off, cross, shared = _recall(pair_memo, key, PAIR_MEMO_PAIRS, _pair_block, protocol, *args)
-        ok = not shared and all(map(_negligible, (off, cross, ma.additivity, mb.additivity)))
+        ok = fa and fb and not shared and _negligible(off) and _negligible(cross)
         pairs.append(PairVerdict(a, b, off, cross, shared, ok))
     return ConsistencyReport(
         tuple(names),

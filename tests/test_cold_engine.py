@@ -183,6 +183,24 @@ def test_an_initial_state_with_a_memory_not_ready_is_checked_at_every_stage(engi
         protocol.pilot_state_after(StageId.OBS0)
 
 
+@pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
+def test_equal_stage_mappings_built_per_instance_share_one_proof(engine):
+    """The proof is kept by what it reads of a mapping, so 200 engines that each build their own equal
+    mapping add at most one entry, and each still needs its MEAS4 check."""
+
+    class RewritesW2(engine):
+        @cached_property
+        def stage_unitaries(self):
+            return {**super().stage_unitaries, StageId.MEAS3: _w2_swap(engine)}
+
+    before = len(exact._PROOFS)
+    for _ in range(200):
+        protocol = RewritesW2()
+        protocol.pilot_state_after(StageId.MEAS3)
+        assert protocol._checked_stages == {StageId.MEAS4}
+    assert len(exact._PROOFS) <= before + 1
+
+
 def test_apply_still_checks_a_caller_state_on_the_exact_engine():
     index = GLOBAL_SPACE.index_of(("tail", "tail", "up", "+", "ok", READY))
     with pytest.raises(PreconditionError, match="stage MEAS3: recorder W1 memory is not ready"):
