@@ -12,7 +12,8 @@ state's Born weights at every epoch, with no sampling anywhere.
 
 The state space is small enough (81 configs, 5 transitions) to enumerate the
 full trajectory distribution exactly, and on the exact engine every
-trajectory probability is an exact number.
+trajectory probability is an exact number, kept wherever it is nonzero.  A
+config is walked as its offset into the flat marginal on CONFIG_AXES.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .born import Distribution
 from .exact import DYNAMIC_STAGES, GLOBAL_SPACE, READY, STAGES, StageId
-from .linalg import NORM_ATOL, ZERO_WEIGHT_FLOOR, Frozen, setfield
+from .linalg import NORM_ATOL, Frozen, setfield
 
 if TYPE_CHECKING:
     from .exact import Engine
@@ -71,8 +72,8 @@ def config_weights(state: StateVector) -> dict[MemoryConfig, float]:
 
 
 @cache
-def _children(m: MemoryConfig, rewritten_axes: tuple[int, ...]) -> tuple[MemoryConfig, ...] | None:
-    """The configs m can move to at a stage rewriting `rewritten_axes`, or None if it rewrites none.
+def _children(m: int, rewritten_axes: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The offsets of the configs m can move to at a stage rewriting `rewritten_axes`, or None if it rewrites none.
 
     They do not depend on the coin, so each (config, stage) is worked out once per process.
     """
@@ -81,44 +82,43 @@ def _children(m: MemoryConfig, rewritten_axes: tuple[int, ...]) -> tuple[MemoryC
         return None
     children = []
     for combo in product(*(GLOBAL_SPACE.factors[CONFIG_AXES[i]].labels for i in free)):
-        labels = list(m)
+        labels = list(_CONFIGS[m])
         for pos, label in zip(free, combo):
             labels[pos] = label
-        children.append(MemoryConfig(*labels))
+        children.append(_CONFIGS.index(tuple(labels)))
     return tuple(children)
 
 
-def _kernel_row(
-    m: MemoryConfig,
-    weights_before: dict[MemoryConfig, float],
-    weights_after: dict[MemoryConfig, float],
-    rewritten_axes: tuple[int, ...],
-) -> dict[MemoryConfig, float]:
-    if weights_before.get(m, 0.0) < ZERO_WEIGHT_FLOOR:
-        raise UnreachableConfigError(f"config {m.render()} has zero weight before this stage")
+def _kernel_row(m: int, before: tuple, after: tuple, rewritten_axes: tuple[int, ...], floor) -> tuple:
+    """(child offset, probability) of each child of positive weight, from two epochs' flat config marginals."""
+    if floor > before[m]:
+        raise UnreachableConfigError(f"config {_CONFIGS[m].render()} has zero weight before this stage")
     children = _children(m, rewritten_axes)
     if children is None:
-        return {m: 1.0}
-    denom = sum(weights_after[c] for c in children)
-    if denom < ZERO_WEIGHT_FLOOR:
+        return ((m, 1.0),)
+    denom = sum(after[c] for c in children)
+    if floor > denom:
         raise UnreachableConfigError(
-            f"config {m.render()}: untouched registers have zero weight after the stage"
+            f"config {_CONFIGS[m].render()}: untouched registers have zero weight after the stage"
         )
-    return {c: weights_after[c] / denom for c in children if weights_after[c] > 0.0}
+    return tuple((c, after[c] / denom) for c in children if after[c])  # a weight is never negative
 
 
 def transition_kernel(protocol: Engine, m: MemoryConfig, stage: StageId) -> Distribution:
     """One row of the stage's Markov kernel, as a distribution over configs."""
     if stage is StageId.PREP_MINUS1:
         raise ValueError("the initial preparation is not a transition")
+    if m not in _CONFIGS:
+        raise UnreachableConfigError(f"config {m.render()} has zero weight before this stage")
     prev = STAGES[STAGES.index(stage) - 1]
     row = _kernel_row(
-        m,
-        config_weights(protocol.pilot_state_after(prev)),
-        config_weights(protocol.pilot_state_after(stage)),
+        _CONFIGS.index(m),
+        protocol.pilot_state_after(prev).marginal(CONFIG_AXES),
+        protocol.pilot_state_after(stage).marginal(CONFIG_AXES),
         protocol.stage_unitaries[stage].rewritten_memory_axes,
+        protocol.weight_floor,
     )
-    return Distribution(("config",), tuple(((c,), p) for c, p in sorted(row.items())))
+    return Distribution(("config",), tuple(((c,), p) for c, p in sorted((_CONFIGS[c], p) for c, p in row)))
 
 
 class Trajectory(Frozen):
@@ -150,34 +150,42 @@ REFERENCE_TRAJECTORY: tuple[MemoryConfig, ...] = (
 
 
 class TrajectoryTable(Frozen):
-    """Exact distribution over all positive-probability trajectories."""
+    """Exact distribution over all positive-probability trajectories.
 
-    __slots__ = ("entries", "epoch_weights")
+    It keeps each trajectory as config offsets with its probability
+    (`paths`), and each epoch's flat config marginal (`marginals`); the
+    `Trajectory` entries and the `epoch_weights` dicts are built when read.
+    """
 
-    def __init__(
-        self, entries: tuple[Trajectory, ...], epoch_weights: tuple[dict[MemoryConfig, float], ...]
-    ) -> None:
-        setfield(self, "entries", entries)
-        setfield(self, "epoch_weights", epoch_weights)
+    __slots__ = ("paths", "marginals")
+
+    def __init__(self, paths: tuple[tuple[tuple[int, ...], float], ...], marginals: tuple[tuple, ...]) -> None:
+        setfield(self, "paths", paths)
+        setfield(self, "marginals", marginals)
+
+    @property
+    def entries(self) -> tuple[Trajectory, ...]:
+        return tuple(Trajectory(tuple(map(_CONFIGS.__getitem__, c)), p) for c, p in self.paths)
+
+    @property
+    def epoch_weights(self) -> tuple[dict[MemoryConfig, float], ...]:
+        return tuple(dict(zip(_CONFIGS, marginal)) for marginal in self.marginals)
 
     @property
     def total_probability(self) -> float:
-        return sum(t.probability for t in self.entries)
+        return sum(p for _, p in self.paths)
 
     def config_marginal(self, stage: StageId) -> dict[MemoryConfig, float]:
-        i = STAGES.index(stage)
-        acc: dict[MemoryConfig, float] = {}
-        for t in self.entries:
-            c = t.configs[i]
-            acc[c] = acc.get(c, 0.0) + t.probability
-        return acc
+        return self._marginal(STAGES.index(stage), lambda m: m)
 
     def final_record_marginal(self) -> dict[tuple[str, str], float]:
-        acc: dict[tuple[str, str], float] = {}
-        for t in self.entries:
-            final = t.configs[-1]
-            key = (final.w1, final.w2)
-            acc[key] = acc.get(key, 0.0) + t.probability
+        return self._marginal(-1, lambda m: (m.w1, m.w2))
+
+    def _marginal(self, epoch: int, key) -> dict:
+        acc: dict = {}
+        for offsets, p in self.paths:
+            k = key(_CONFIGS[offsets[epoch]])
+            acc[k] = acc.get(k, 0.0) + p
         return acc
 
     def probability_of(self, key_sequence: tuple[MemoryConfig, ...]) -> float:
@@ -189,24 +197,23 @@ class TrajectoryTable(Frozen):
 
 def exact_chain(protocol: Engine) -> TrajectoryTable:
     """Enumerate every trajectory with positive probability, no sampling."""
-    epoch_weights = [config_weights(protocol.pilot_state_after(s)) for s in STAGES]
-    start_weight = epoch_weights[0].get(READY_CONFIG, 0.0)
-    if abs(start_weight - 1.0) > NORM_ATOL:
+    floor = protocol.weight_floor
+    marginals = tuple(protocol.pilot_state_after(s).marginal(CONFIG_AXES) for s in STAGES)
+    if abs(marginals[0][0] - 1.0) > NORM_ATOL:  # READY_CONFIG's offset is 0
         raise ValueError("initial pilot state does not put all memories in the ready state")
-    partial: list[tuple[tuple[MemoryConfig, ...], float]] = [((READY_CONFIG,), 1.0)]
+    partial: list[tuple[tuple[int, ...], float]] = [((0,), 1.0)]
     for i, stage in enumerate(DYNAMIC_STAGES, start=1):
         rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
-        nxt: list[tuple[tuple[MemoryConfig, ...], float]] = []
-        rows: dict[MemoryConfig, dict[MemoryConfig, float]] = {}  # one kernel row per config reached
+        nxt: list[tuple[tuple[int, ...], float]] = []
+        rows: dict[int, tuple] = {}  # one kernel row per config reached
         for configs, prob in partial:
             m = configs[-1]
             row = rows.get(m)
             if row is None:
-                row = rows[m] = _kernel_row(m, epoch_weights[i - 1], epoch_weights[i], rewritten)
-            for child, p in row.items():
+                row = rows[m] = _kernel_row(m, marginals[i - 1], marginals[i], rewritten, floor)
+            for child, p in row:
                 joint = prob * p
-                if joint > ZERO_WEIGHT_FLOOR:
+                if floor < joint:
                     nxt.append((configs + (child,), joint))
         partial = nxt
-    entries = tuple(Trajectory(configs, prob) for configs, prob in partial)
-    return TrajectoryTable(entries, tuple(epoch_weights))
+    return TrajectoryTable(tuple(partial), marginals)

@@ -19,9 +19,12 @@ Every probability is a ratio of Born weights, and an accepted coin has
 its cells by one inverse of the total weight it read: the policies agree at
 every accepted coin, exactly on the exact engine.
 
-Outcomes are read off record weights; no measurement is applied to a state.
-One event's weight, alone or given another, is a history probability or a
-ratio of two (`facts`), which `CertaintyResult.from_probability` classifies.
+Outcomes are read off record weights, by offset into each pilot state's
+flat marginal (a plan per tuple of reads, once per process); no measurement
+is applied to a state.  A weight or branch is zero below the engine's
+`weight_floor`: the float floor on the dense engine, an exact test on the
+exact one.  One event's weight, alone or given another, is a history
+probability or a ratio of two (`facts`), which `CertaintyResult` classifies.
 
 Every function here runs on either engine (`protocol.Protocol` or
 `exact.ExactProtocol`): a probability is a float from the first and an
@@ -31,10 +34,14 @@ exact `Surd` from the second, which alone gets an `exact` label.
 from __future__ import annotations
 
 import enum
+from functools import cache
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import DYNAMIC_STAGES, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, StageId, exact_label, probability_cell
+from .exact import (
+    DYNAMIC_STAGES, EXACT_FLOOR, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, StageId, Surd, _record_index, exact_label,
+    probability_cell,
+)
 from .linalg import CERTAINTY_ATOL, SUM_ATOL, ZERO_WEIGHT_FLOOR, Frozen, setfield
 
 if TYPE_CHECKING:
@@ -104,7 +111,7 @@ class Distribution(Frozen):
                 key = tuple(bound[v] for v in keep)
                 acc[key] = acc.get(key, 0.0) + p
                 mass += p
-        if mass < ZERO_WEIGHT_FLOOR:
+        if (EXACT_FLOOR if type(mass) is Surd else ZERO_WEIGHT_FLOOR) > mass:
             raise UndefinedConditionalError(f"conditioning event {given} has probability {mass}")
         return Distribution(keep, tuple((k, v / mass) for k, v in acc.items()))
 
@@ -152,51 +159,65 @@ JOINT_VARIABLES: tuple[str, ...] = ("r", "z", "w1", "w2")
 JOINT_CELLS: tuple[tuple[str, ...], ...] = tuple(product(*(OUTCOME_LABELS[v] for v in JOINT_VARIABLES)))
 
 
+#: The no-collapse joint's reads after the first record: each variable given the one before, at its recording stage.
+_MARGINAL_READS = tuple((RECORDERS[v][1], (u,), v) for u, v in zip(JOINT_VARIABLES, JOINT_VARIABLES[1:]))
+
+
+@cache
+def _plan(reads: tuple[tuple[StageId, tuple[str, ...], str], ...]) -> tuple:
+    """Per read (stage, conditioning variables, variable): the stage, its marginal's axes, and per branch
+    (a label per variable before it, in label order) the offsets of the variable's labels under the
+    branch's conditioning labels.  Worked out once per process for each tuple of reads."""
+    plan, branches = [], list(product(*map(OUTCOME_LABELS.get, JOINT_VARIABLES[: JOINT_VARIABLES.index(reads[0][2])])))
+    for stage, given, var in reads:
+        axes, keys = _record_index(given + (var,))
+        index, at = dict(keys), [JOINT_VARIABLES.index(v) for v in given]
+        offsets = tuple(tuple(index[tuple(b[k] for k in at) + (l,)] for l in OUTCOME_LABELS[var]) for b in branches)
+        plan.append((stage, axes, offsets))
+        branches = [b + (l,) for b in branches for l in OUTCOME_LABELS[var]]
+    return tuple(plan)
+
+
+def _walk(protocol: Engine, reads: tuple, probs: list) -> list:
+    """Each branch's probability times its variable's ratios of Born weights at every read, in label order.
+
+    Branches that share their conditioning labels at a read share its
+    ratios, so each is divided out once per read; a branch, or a
+    conditioning mass, below the engine's `weight_floor` gives zeros.
+    """
+    floor = protocol.weight_floor
+    for stage, axes, offsets in _plan(reads):
+        weights = protocol.pilot_state_after(stage).marginal(axes)
+        ratios: dict[tuple[int, ...], tuple] = {}  # by label offsets
+        next_probs = []
+        for prob, offs in zip(probs, offsets):
+            if floor > prob:
+                p_labels = (0.0,) * len(offs)
+            elif offs in ratios:
+                p_labels = ratios[offs]
+            else:
+                mass = sum(weights[o] for o in offs)
+                p_labels = (0.0,) * len(offs) if floor > mass else tuple(weights[o] / mass for o in offs)
+                ratios[offs] = p_labels
+            next_probs += [prob * p_label for p_label in p_labels]
+        probs = next_probs
+    return probs
+
+
 def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     """Stage walk with projection, renormalization, and record expiry.
 
-    Branches that share their active conditions at a stage share its
-    conditional probabilities, so each is divided out once per stage.
+    Each outcome is read at its recording stage given the earlier records
+    no stage since has rewritten.
     """
-    # branch: (outcome labels so far, active conditions, probability)
-    branches: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], float]] = [((), (), 1.0)]
+    reads, intact = [], ()
     for stage in DYNAMIC_STAGES:
         rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
-        var = RECORDED_VAR.get(stage)
-        state = protocol.pilot_state_after(stage)
-        weights_given: dict[tuple[str, ...], dict] = {}  # record weights by conditioning variables
-        conditionals: dict[tuple[tuple[str, str], ...], tuple] = {}  # P(label | conditions) per label
-        next_branches = []
-        for outcomes, conds, prob in branches:
-            conds = tuple(
-                (v, l) for v, l in conds if RECORDERS[v][0].memory_axis not in rewritten
-            )
-            if var is None:
-                next_branches.append((outcomes, conds, prob))
-                continue
-            labels = OUTCOME_LABELS[var]
-            if prob < ZERO_WEIGHT_FLOOR:
-                p_labels = (0.0,) * len(labels)
-            elif conds in conditionals:
-                p_labels = conditionals[conds]
-            else:
-                cond_vars = tuple(v for v, _ in conds)
-                if cond_vars not in weights_given:
-                    weights_given[cond_vars] = protocol.record_weights(state, cond_vars + (var,))
-                weights = weights_given[cond_vars]
-                cond_labels = tuple(l for _, l in conds)
-                mass = sum(weights[cond_labels + (l,)] for l in labels)
-                if mass < ZERO_WEIGHT_FLOOR:
-                    p_labels = (0.0,) * len(labels)
-                else:
-                    p_labels = tuple(weights[cond_labels + (l,)] / mass for l in labels)
-                conditionals[conds] = p_labels
-            for label, p_label in zip(labels, p_labels):
-                next_branches.append(
-                    (outcomes + (label,), conds + ((var, label),), prob * p_label)
-                )
-        branches = next_branches
-    return {outcomes: prob for outcomes, _, prob in branches}
+        intact = tuple(v for v in intact if RECORDERS[v][0].memory_axis not in rewritten)
+        if stage in RECORDED_VAR:
+            reads.append((stage, intact, RECORDED_VAR[stage]))
+            intact += (RECORDED_VAR[stage],)
+    return dict(zip(JOINT_CELLS, _walk(protocol, tuple(reads), [1.0])))
 
 
 def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
@@ -209,31 +230,11 @@ def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     the first record.  The (w1, w2) factor is read directly from the final
     pilot state.
     """
-    pair_weights: list[dict[tuple[str, ...], float]] = []
-    for earlier, later in zip(JOINT_VARIABLES, JOINT_VARIABLES[1:]):
-        stage = RECORDERS[later][1]
-        state = protocol.pilot_state_after(stage)
-        pair_weights.append(protocol.record_weights(state, (earlier, later)))
-    first_var = JOINT_VARIABLES[0]
-    first = protocol.record_weights(
-        protocol.pilot_state_after(RECORDERS[JOINT_VARIABLES[1]][1]), (first_var,)
-    )
-    scale = 1 / sum(first.values())
-    ratios: dict[tuple[int, str, str], object] = {}  # by (i, cell[i], cell[i + 1]); None for a zero denominator
-    joint: dict[tuple[str, ...], float] = {}
-    for cell in JOINT_CELLS:
-        p = first[(cell[0],)]
-        for i, weights in enumerate(pair_weights):
-            step = (i, cell[i], cell[i + 1])
-            if p >= ZERO_WEIGHT_FLOOR and step not in ratios:
-                denom = sum(weights[(cell[i], l)] for l in OUTCOME_LABELS[JOINT_VARIABLES[i + 1]])
-                ratios[step] = None if denom < ZERO_WEIGHT_FLOOR else weights[step[1:]] / denom
-            if p < ZERO_WEIGHT_FLOOR or ratios[step] is None:
-                p = p * 0  # the zero of p's number type, exact on the exact engine
-                break
-            p *= ratios[step]
-        joint[cell] = p * scale
-    return joint
+    axes, keys = _record_index(JOINT_VARIABLES[:1])
+    first = protocol.pilot_state_after(_MARGINAL_READS[0][0]).marginal(axes)
+    scale = 1 / sum(first[o] for _, o in keys)
+    probs = _walk(protocol, _MARGINAL_READS, [first[o] for _, o in keys])
+    return {cell: p * scale for cell, p in zip(JOINT_CELLS, probs)}
 
 
 def joint_distribution(
@@ -250,7 +251,7 @@ def joint_distribution(
 
 def final_record_marginal(protocol: Engine) -> Distribution:
     """(w1, w2) weights of the final pilot state over their sum, the headline quantity."""
-    weights = protocol.record_weights(protocol.pilot_state_after(StageId.MEAS4), ("w1", "w2"))
-    scale = 1 / sum(weights.values())
-    cells = [tuple(c) for c in product(OUTCOME_LABELS["w1"], OUTCOME_LABELS["w2"])]
-    return Distribution(("w1", "w2"), tuple((c, weights[c] * scale) for c in cells))
+    axes, keys = _record_index(("w1", "w2"))
+    weights = protocol.pilot_state_after(StageId.MEAS4).marginal(axes)
+    scale = 1 / sum(weights[o] for _, o in keys)
+    return Distribution(("w1", "w2"), tuple((labels, weights[o] * scale) for labels, o in keys))

@@ -20,14 +20,16 @@ The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
 answer one contract, and it is exactly what the shared modules (`born`,
 `bellbohm`, `histories`, `facts`, `epistemics`, `cli`) read of an engine:
 `coin_amplitudes`, `fact_results`, `flip_ok_sign`, `gram`,
-`history_memos`, `initial_state`, `pilot_state_after`, `record_weights`,
-`sqrt` and `stage_unitaries`.  A stage is read one way, as
+`history_memos`, `initial_state`, `pilot_state_after`, `sqrt`,
+`stage_unitaries` and `weight_floor`.  A stage is read one way, as
 `stage_unitaries[stage]`, which on this engine is the stage's `StageMap`; a
 measurement is not an object of either engine, its outcome vectors are read
 from `outcome_vectors` under the engine's `flip_ok_sign`.  Their states
 answer `norm2`, `masked`, `marginal`, `components` and `is_zero`;
 `marginal` is a flat row-major tuple of weights, memoised on the state per
-axes, which record weights, config weights and ready checks index.  An
+axes, which the joints, the beable chain, `Engine.record_weights` and ready
+checks index by offset.  A weight below the engine's `weight_floor` is zero:
+the dense engine's floor is `ZERO_WEIGHT_FLOOR`, this one's `EXACT_FLOOR`.  An
 operator is a stage map or a record mask, and a record mask is the same
 `RecordMask` value on both engines; a measurement is never applied.  A
 conditional is a ratio of Born weights, never a renormalised state.  The
@@ -63,13 +65,14 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .linalg import ATOL, NORM_ATOL, Factor, SpaceDescriptor, rational_label
+from .linalg import ATOL, NORM_ATOL, ZERO_WEIGHT_FLOOR, Factor, SpaceDescriptor, rational_label
 
 HEAD, TAIL = "head", "tail"
 UP, DOWN = "up", "down"
@@ -639,6 +642,20 @@ def _from_decimal(text: str) -> Fraction:
 ZERO = Surd()
 
 
+class _ExactFloor:
+    """Above 0 and below every positive number: `floor > w` tests a Born weight, never negative, for 0 exactly.
+
+    The test reads coordinates and computes no sign; `floor < w` is its negation.
+    """
+
+    __slots__ = ()
+    __gt__ = staticmethod(operator.not_)
+    __lt__ = staticmethod(operator.truth)
+
+
+EXACT_FLOOR = _ExactFloor()
+
+
 def exact_label(p) -> str | None:
     """The reduced fraction of a probability, or None if it is not a rational.
 
@@ -699,6 +716,9 @@ class Engine:
     and `sqrt`.  A coin of any other length is refused here, before its
     normalisation is checked.
     """
+
+    #: a Born weight below it is zero; written first in a comparison, as born and bellbohm do
+    weight_floor = ZERO_WEIGHT_FLOOR
 
     def __init__(self, coin_amplitudes: tuple, flip_ok_sign: bool, corrupt_preparation: bool) -> None:
         if len(coin_amplitudes) != 2:
@@ -928,6 +948,8 @@ class ExactProtocol(Engine):
     for each setting of the corruption hooks and shared, as a read-only
     mapping, by every ExactProtocol with that setting.
     """
+
+    weight_floor = EXACT_FLOOR
 
     def __init__(
         self,

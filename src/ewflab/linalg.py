@@ -37,7 +37,7 @@ NORM_ATOL = 1e-9
 CERTAINTY_ATOL = 1e-12
 #: a distribution's total, and stray weight outside a measurement's outcomes
 SUM_ATOL = 1e-11
-#: a weight is zero: impossible joint branches, unreachable beable configs
+#: a dense engine's weight is zero (its `weight_floor`, in born and bellbohm); the exact engine tests exactly
 ZERO_WEIGHT_FLOOR = 1e-14
 #: interference and additivity defects of a history family
 CONSISTENCY_ATOL = 1e-10

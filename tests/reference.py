@@ -32,6 +32,11 @@ joint divided once per branch, the marginal joint once per cell and step,
 and `exact_chain` built a kernel row per partial trajectory.  Those bodies
 are the last section, unchanged (the joints without their leading
 underscore), as the oracles the shared ratios must equal bit for bit.
+Before the chain carried configs as offsets into flat marginals, its
+kernel row read dicts keyed by `MemoryConfig` (`_kernel_row`, over
+`_children`), and its table held `Trajectory` entries and those dicts
+(`TrajectoryTable` here holds the two); both bodies close that section,
+unchanged.
 
 Before the facts read a conditional as a ratio of Born weights, they
 renormalised the masked coin branch (`facts._branch_state`) with the
@@ -67,7 +72,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,9 +83,7 @@ from ewflab.bellbohm import (
     READY_CONFIG,
     MemoryConfig,
     Trajectory,
-    TrajectoryTable,
     UnreachableConfigError,
-    _kernel_row,
     config_weights,
 )
 from ewflab.born import JOINT_CELLS, JOINT_VARIABLES
@@ -617,6 +622,50 @@ def exact_chain(protocol: Engine) -> TrajectoryTable:
         partial = nxt
     entries = tuple(Trajectory(configs, prob) for configs, prob in partial)
     return TrajectoryTable(entries, tuple(epoch_weights))
+
+
+class TrajectoryTable(NamedTuple):
+    """The table's fields as `exact_chain` set them before it carried config offsets."""
+
+    entries: tuple[Trajectory, ...]
+    epoch_weights: tuple[dict[MemoryConfig, float], ...]
+
+
+@cache
+def _children(m: MemoryConfig, rewritten_axes: tuple[int, ...]) -> tuple[MemoryConfig, ...] | None:
+    """The configs m can move to at a stage rewriting `rewritten_axes`, or None if it rewrites none.
+
+    They do not depend on the coin, so each (config, stage) is worked out once per process.
+    """
+    free = [i for i, axis in enumerate(CONFIG_AXES) if axis in rewritten_axes]
+    if not free:
+        return None
+    children = []
+    for combo in product(*(GLOBAL_SPACE.factors[CONFIG_AXES[i]].labels for i in free)):
+        labels = list(m)
+        for pos, label in zip(free, combo):
+            labels[pos] = label
+        children.append(MemoryConfig(*labels))
+    return tuple(children)
+
+
+def _kernel_row(
+    m: MemoryConfig,
+    weights_before: dict[MemoryConfig, float],
+    weights_after: dict[MemoryConfig, float],
+    rewritten_axes: tuple[int, ...],
+) -> dict[MemoryConfig, float]:
+    if weights_before.get(m, 0.0) < ZERO_WEIGHT_FLOOR:
+        raise UnreachableConfigError(f"config {m.render()} has zero weight before this stage")
+    children = _children(m, rewritten_axes)
+    if children is None:
+        return {m: 1.0}
+    denom = sum(weights_after[c] for c in children)
+    if denom < ZERO_WEIGHT_FLOOR:
+        raise UnreachableConfigError(
+            f"config {m.render()}: untouched registers have zero weight after the stage"
+        )
+    return {c: weights_after[c] / denom for c in children if weights_after[c] > 0.0}
 
 
 # -- conditioning by a renormalised branch ------------------------------------------

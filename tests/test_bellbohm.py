@@ -8,6 +8,7 @@ import pytest
 import reference
 from ewflab import born
 from ewflab.bellbohm import (
+    CONFIG_AXES,
     REFERENCE_TRAJECTORY,
     MemoryConfig,
     UnreachableConfigError,
@@ -108,17 +109,20 @@ KERNEL_COINS = [None] + [(math.cos(t), math.sin(t)) for t in np.random.default_r
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
 @pytest.mark.parametrize("coin", KERNEL_COINS, ids=["default"] + [f"seeded{i}" for i in range(10)])
 def test_kernel_rows_equal_rows_with_rebuilt_children(engine, coin):
-    """Every reachable (config, stage): the cached children give the same row, entry order included."""
+    """Every reachable (config, stage): the cached child offsets over flat marginals give the same row,
+    entry order included."""
     protocol = engine(coin)
     weights = [config_weights(protocol.pilot_state_after(s)) for s in STAGES]
+    marginals = [protocol.pilot_state_after(s).marginal(CONFIG_AXES) for s in STAGES]
     rows = 0
     for i, stage in enumerate(DYNAMIC_STAGES, start=1):
         rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
-        for m, w in weights[i - 1].items():
+        for offset, (m, w) in enumerate(weights[i - 1].items()):
             if w < ZERO_WEIGHT_FLOOR:
                 continue
             want = reference.kernel_row(m, weights[i - 1], weights[i], rewritten)
-            assert list(_kernel_row(m, weights[i - 1], weights[i], rewritten).items()) == list(want.items())
+            got = _kernel_row(offset, marginals[i - 1], marginals[i], rewritten, protocol.weight_floor)
+            assert [(all_configs()[c], p) for c, p in got] == list(want.items())
             rows += 1
     assert rows >= 5
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -322,6 +323,22 @@ def test_an_exact_float_coin_sweep_item_divides_77_times(monkeypatch):
     monkeypatch.setattr(Surd, "inverse", counting)
     _sweep_item(ExactProtocol((math.cos(1.0), math.sin(1.0))))
     assert len(calls) == 77
+
+
+def test_an_exact_float_coin_sweep_item_compares_few_numbers_in_born_and_bellbohm(monkeypatch):
+    """The readers test a weight for zero without a comparison: what `born` and `bellbohm` compare is
+    `Distribution` validation (a cell against the negative allowance, the total against 1; 39 here) and
+    the chain's check that the initial state is ready (1).  With float floors they made 366."""
+    callers = []
+    compare = Surd._cmp
+
+    def counting(self, other):
+        callers.append(sys._getframe(2).f_globals["__name__"])  # the caller of the comparison operator
+        return compare(self, other)
+
+    monkeypatch.setattr(Surd, "_cmp", counting)
+    _sweep_item(ExactProtocol((math.cos(0.7), math.sin(0.7))))
+    assert sum(name in ("ewflab.born", "ewflab.bellbohm") for name in callers) <= 60
 
 
 @pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
