@@ -23,8 +23,8 @@ from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .born import Distribution
-from .exact import DYNAMIC_STAGES, GLOBAL_SPACE, READY, STAGES, StageId
-from .linalg import NORM_ATOL, Frozen, setfield
+from .exact import DYNAMIC_STAGES, GLOBAL_SPACE, MEMORY_AXES, READY, STAGES, StageId
+from .linalg import NORM_ATOL
 
 if TYPE_CHECKING:
     from .exact import Engine
@@ -45,13 +45,8 @@ class MemoryConfig(NamedTuple):
         return "(" + ",".join(self) + ")"
 
 
-#: Memory axes in config field order (F1, F2, W1, W2).
-CONFIG_AXES: tuple[int, ...] = (
-    GLOBAL_SPACE.axis("F1"),
-    GLOBAL_SPACE.axis("F2"),
-    GLOBAL_SPACE.axis("W1"),
-    GLOBAL_SPACE.axis("W2"),
-)
+#: Memory axes in config field order (F1, F2, W1, W2), which is ascending order.
+CONFIG_AXES: tuple[int, ...] = MEMORY_AXES
 
 READY_CONFIG = MemoryConfig(READY, READY, READY, READY)
 
@@ -121,14 +116,11 @@ def transition_kernel(protocol: Engine, m: MemoryConfig, stage: StageId) -> Dist
     return Distribution(("config",), tuple(((c,), p) for c, p in sorted((_CONFIGS[c], p) for c, p in row)))
 
 
-class Trajectory(Frozen):
+class Trajectory(NamedTuple):
     """One beable history: a config at every epoch, initial preparation included."""
 
-    __slots__ = ("configs", "probability")
-
-    def __init__(self, configs: tuple[MemoryConfig, ...], probability: float) -> None:
-        setfield(self, "configs", configs)
-        setfield(self, "probability", probability)
+    configs: tuple[MemoryConfig, ...]
+    probability: float
 
     def key_sequence(self) -> tuple[MemoryConfig, ...]:
         """Configs with the no-op spin-preparation epoch collapsed away."""
@@ -149,7 +141,7 @@ REFERENCE_TRAJECTORY: tuple[MemoryConfig, ...] = (
 )
 
 
-class TrajectoryTable(Frozen):
+class TrajectoryTable(NamedTuple):
     """Exact distribution over all positive-probability trajectories.
 
     It keeps each trajectory as config offsets with its probability
@@ -157,11 +149,8 @@ class TrajectoryTable(Frozen):
     `Trajectory` entries and the `epoch_weights` dicts are built when read.
     """
 
-    __slots__ = ("paths", "marginals")
-
-    def __init__(self, paths: tuple[tuple[tuple[int, ...], float], ...], marginals: tuple[tuple, ...]) -> None:
-        setfield(self, "paths", paths)
-        setfield(self, "marginals", marginals)
+    paths: tuple[tuple[tuple[int, ...], float], ...]
+    marginals: tuple[tuple, ...]
 
     @property
     def entries(self) -> tuple[Trajectory, ...]:

@@ -47,14 +47,14 @@ Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
 the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
 this one's oracle.  It is also the faster one wherever the decoherence
-functional D has to be computed: with a fresh engine for each of the first
-300 families of the benchmark's stream of history queries (seed 31), a
-query takes 0.80 ms here against the dense engine's 0.65 ms (fastest of 6
-repeats).  Warm, both engines read each member's block of D and each
-pair's from their `history_memos` and compute no inner product, and they
-are close: this engine takes 0.06-0.07 ms per query against the dense
-engine's 0.05-0.06 ms (fastest of 5 repeats of 4,000 queries, seeds 31 and
-32).  Both were measured in process on one CPU of a 2-vCPU x86-64 VM,
+functional D has to be computed: with a fresh engine, its pilot state
+evolved, for each of the first 300 families of the benchmark's stream of
+history queries (seed 31), a query takes 0.48-0.54 ms here against the
+dense engine's 0.40-0.44 ms (fastest of 6 repeats, three runs).  Warm, both
+engines read each member's block of D and each pair's from their
+`history_memos` and compute no inner product, and they take the same
+0.017-0.019 ms per query (fastest of 5 repeats of 4,000 queries, seeds 31
+and 32).  Both were measured in process on one CPU of a 2-vCPU x86-64 VM,
 Python 3.11.7; most of a warm query is building its histories and reading
 the memos (cProfile).  Float coins (large binary rationals) slow the exact
 arithmetic further.
@@ -780,13 +780,6 @@ def _record_index(vars: tuple[str, ...]) -> tuple[tuple[int, ...], tuple]:
     return tuple(sorted(axes)), keys
 
 
-#: `unproven_stages` per stage mapping an engine has walked, keyed by what the
-#: proof reads of it: each dynamic stage's recorder axis and rewritten memory
-#: axes.  Equal mappings share an entry, so there are at most as many as
-#: distinct such readings (one per setting of the hooks for the shared ones).
-_PROOFS: dict[tuple, frozenset[StageId]] = {}
-
-
 def unproven_stages(stages: Mapping[StageId, object]) -> frozenset[StageId]:
     """The recording stages of a walk through `stages` whose recorder an earlier stage can rewrite.
 
@@ -796,20 +789,21 @@ def unproven_stages(stages: Mapping[StageId, object]) -> frozenset[StageId]:
     ATOL), so a walk from a state with every memory ready reaches every
     other recording stage with its recorder still ready: `require_ready`
     cannot fail there.  Derived once per distinct reading of the stages'
-    recorders and rewrites, so once per setting of the hooks for the shared
-    mappings, and once for any number of equal mappings.
+    recorders and rewrites (`_proof`), so once per setting of the hooks for
+    the shared mappings, and once for any number of equal mappings.
     """
-    reads = tuple([(stages[s].recorder_axis, stages[s].rewritten_memory_axes) for s in DYNAMIC_STAGES])
-    proof = _PROOFS.get(reads)
-    if proof is None:
-        rewritten: set[int] = set()
-        unproven = set()
-        for s, (recorder_axis, axes) in zip(DYNAMIC_STAGES, reads):
-            if recorder_axis in rewritten:
-                unproven.add(s)
-            rewritten.update(axes)
-        proof = _PROOFS[reads] = frozenset(unproven)
-    return proof
+    return _proof(tuple([(stages[s].recorder_axis, stages[s].rewritten_memory_axes) for s in DYNAMIC_STAGES]))
+
+
+@cache  # keyed by what the proof reads of a mapping: each dynamic stage's recorder axis and rewritten memory axes
+def _proof(reads: tuple) -> frozenset[StageId]:
+    rewritten: set[int] = set()
+    unproven = set()
+    for s, (recorder_axis, axes) in zip(DYNAMIC_STAGES, reads):
+        if recorder_axis in rewritten:
+            unproven.add(s)
+        rewritten.update(axes)
+    return frozenset(unproven)
 
 
 def memories_ready(state) -> bool:

@@ -19,15 +19,16 @@ member's probability.  Every function runs on either engine; on the exact
 one, D's entries are exact and "consistent" is an exact zero test.
 
 A refined chain is named by its path: the (stage index, mask) of each
-event it applied, in order.  The path keys the chain memo and names the
-leaf in the report; an event's label is for display only.  A member is
-named by its slots, the (stage index, masks) of each stage where it has an
-event or is refined: they key the member memo, whose record keeps the
-member's leaves and what D reads of its own block, and two member keys key
-the pair memo, which keeps what D reads of the pair's block.  The three
-memos are this module's (`_recall`), kept in each engine's `history_memos`.
-A report whose members and pairs the engine has answered before, in any
-family, walks nothing and computes no inner product.
+event it applied, in order.  The path keys the chain memo, whose nodes are
+the states themselves, and names the leaf in the report; an event's label
+is for display only.  A member is its key, the (stage index, masks) of each
+stage where it has an event or is refined: the walk reads it and it keys
+the member memo, whose record keeps the member's leaves and what D reads of
+its own block, and two member keys key the pair memo, which keeps what D
+reads of the pair's block.  The three memos are this module's (`_recall`,
+one lookup per hit, first in first out at their bounds), kept in each
+engine's `history_memos`.  A report whose members and pairs the engine has
+answered before, in any family, walks nothing and computes no inner product.
 
 Stage order is derived once per process: an assignment tuple's ordered
 events and an event tuple's checked bitmask of stage indices are cached, and
@@ -187,22 +188,12 @@ class PairVerdict(NamedTuple):
     consistent: bool
 
 
-class ConsistencyReport(Frozen):
-    __slots__ = ("family", "union_stages", "probability", "additivity_defect", "pairs")
-
-    def __init__(
-        self,
-        family: tuple[str, ...],
-        union_stages: tuple[StageId, ...],
-        probability: dict[str, float],
-        additivity_defect: dict[str, float],
-        pairs: tuple[PairVerdict, ...],
-    ) -> None:
-        setfield(self, "family", family)
-        setfield(self, "union_stages", union_stages)
-        setfield(self, "probability", probability)
-        setfield(self, "additivity_defect", additivity_defect)
-        setfield(self, "pairs", pairs)
+class ConsistencyReport(NamedTuple):
+    family: tuple[str, ...]
+    union_stages: tuple[StageId, ...]
+    probability: dict[str, float]
+    additivity_defect: dict[str, float]
+    pairs: tuple[PairVerdict, ...]
 
     @property
     def consistent(self) -> bool:
@@ -254,32 +245,33 @@ def _negligible(x) -> bool:
 
 
 @lru_cache(maxsize=MEMBER_KEYS)
-def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, ...]) -> tuple[tuple, dict]:
-    """A member's key in the engine's memos, and its slots: its events and the refinements at other union stages.
+def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, ...]) -> tuple:
+    """A member's key in the engine's memos: (stage index, masks) per slot, in stage order.
 
-    The slots map each stage where the member has an event or is refined to
-    its events there; the key is their (stage index, tuple of masks), in
-    stage order.  Neither depends on the engine, so each is derived once per
-    process.  Evolves nothing; its callers check the events' stage order.
+    A slot is a stage where the member has an event, whose mask it holds,
+    or another union stage, where it is refined into the record
+    decomposition's masks.  The key does not depend on the engine, so it is
+    derived once per process.  Evolves nothing; its callers check the
+    events' stage order.
     """
-    slots = {e.stage: (e,) for e in events}
+    slots = {_STAGE_INDEX[e.stage]: (e.mask,) for e in events}
     for stage in union_stages:
-        if stage not in slots:
-            slots[stage] = _record_refinement_events(stage)
-    key = tuple(sorted([(_STAGE_INDEX[stage], tuple([e.mask for e in ev])) for stage, ev in slots.items()]))
-    return key, slots
+        i = _STAGE_INDEX[stage]
+        if i not in slots:
+            slots[i] = tuple([e.mask for e in _record_refinement_events(stage)])
+    return tuple(sorted(slots.items()))
 
 
-#: History-chain nodes kept per engine (`_node`), least recently used first
-#: out.  A dense node retains ~5.7 kB (324 complex128 amplitudes and their
-#: objects), so a full memo holds ~1.5 MB; an exact node ~0.8 kB.  A cold
-#: coin-sweep item stores 25 nodes (3 vanished), and 20,000 queries of the
-#: benchmark's warm history stream 128 on the dense engine (23 vanished) and
-#: 125 on the exact one (27).
+#: History-chain nodes kept per engine (`_walk`), first in first out.  A node
+#: is a state: a dense one retains ~5.7 kB (324 complex128 amplitudes and
+#: their objects), so a full memo holds ~1.5 MB; an exact one ~0.8 kB.  A
+#: cold coin-sweep item stores 25 nodes (3 of them zero), and 20,000 queries
+#: of the benchmark's warm history stream 128 on the dense engine (23 zero)
+#: and 125 on the exact one (27).
 CHAIN_MEMO_NODES = 256
 
-#: History-family members kept per engine (`_member`), least recently used
-#: first out.  An entry is a member's record: its refined leaves, whose
+#: History-family members kept per engine (`_member`), first in first out.
+#: An entry is a member's record under its key: its refined leaves, whose
 #: states are mostly the chain memo's own nodes, with P[h] and the
 #: additivity defect read off its own block of D.  The benchmark's warm
 #: history stream has 154 distinct members: 99.9% of its member lookups hit
@@ -288,38 +280,32 @@ CHAIN_MEMO_NODES = 256
 #: long family stream retains 0.84 MB and 0.60 MB (`tracemalloc`).
 MEMBER_MEMO_LEAVES = 256
 
-#: Member pairs kept per engine (`chain_consistency_report`), least recently
-#: used first out.  An entry is the three reductions of a pair's block of D
-#: (the direct overlap, the cross interference and whether the two share a
-#: path), which depend on nothing but the two members' records: it is keyed
-#: by the two member keys, the smaller first, one entry per unordered pair.
-#: The warm history stream has 1,840 distinct pairs, saturated within 20,000
-#: queries: 98.2% of its pair lookups hit (30,000 queries).  A full memo
-#: retains 0.45 MB on the dense engine and 0.56 MB on the exact one
-#: (`tracemalloc`, the tests' long family stream).
+#: Member pairs kept per engine (`chain_consistency_report`), first in first
+#: out.  An entry is the three reductions of a pair's block of D (the direct
+#: overlap, the cross interference and whether the two share a path), which
+#: depend on nothing but the two members' records: it is keyed by the two
+#: member keys, the smaller first, one entry per unordered pair.  The warm
+#: history stream has 1,840 distinct pairs, saturated within 20,000 queries:
+#: 98.2% of its pair lookups hit (30,000 queries).  A full memo retains
+#: 0.45 MB on the dense engine and 0.56 MB on the exact one (`tracemalloc`,
+#: the tests' long family stream).
 PAIR_MEMO_PAIRS = 2048
 
 
 def _recall(memo: dict, key, bound: int, build, *args):
-    """memo[key], or `build(*args)` stored there first; past `bound` entries the least recently used goes.
+    """memo[key], or `build(*args)` stored there first; at `bound` entries the oldest goes first.
 
-    The memo runs from least to most recently used: a hit moves its entry
-    to the end and returns the stored value itself.  `build` never returns
-    None, which marks a miss.
+    A hit is one lookup and returns the stored value itself; the memo keeps
+    its entries in the order they were stored.  `build` never returns None,
+    which marks a miss.
     """
-    value = memo.pop(key, None)
+    value = memo.get(key)
     if value is None:
         value = build(*args)
         if len(memo) >= bound:
             del memo[next(iter(memo))]
-    memo[key] = value
+        memo[key] = value
     return value
-
-
-def _node(step, parent, masks: bool) -> tuple[object, bool]:
-    """`step(parent)` and whether it vanished, tested only when it `masks`: a stage map keeps a state nonzero."""
-    state = step(parent)
-    return state, masks and state.is_zero()
 
 
 class _Member:
@@ -337,9 +323,9 @@ class _Member:
 
     __slots__ = ("leaves", "paths", "live", "probability", "additivity", "norm2")
 
-    def __init__(self, protocol: Engine, slots: dict) -> None:
+    def __init__(self, protocol: Engine, key: tuple) -> None:
         leaves: list[tuple[tuple, StateVector, bool]] = []
-        _walk(protocol, slots, 0, (), None, leaves)
+        _walk(protocol, key, 0, (), None, leaves)
         self.leaves = tuple(leaves)
         self.paths = frozenset([path for path, _, _ in self.leaves])
         self.live = tuple([(path, v) for path, v, vanished in self.leaves if not vanished])
@@ -359,8 +345,8 @@ def _member(protocol: Engine, events: tuple[HistoryEvent, ...], union_stages: tu
     The record depends on nothing but the member's key, so a hit returns the
     first build's, bit-identical; a miss reads its nodes from the chain memo.
     """
-    key, slots = _member_key(events, union_stages)
-    return _recall(protocol.history_memos[1], key, MEMBER_MEMO_LEAVES, _Member, protocol, slots)
+    key = _member_key(events, union_stages)
+    return _recall(protocol.history_memos[1], key, MEMBER_MEMO_LEAVES, _Member, protocol, key)
 
 
 def _fine_chains(
@@ -370,40 +356,41 @@ def _fine_chains(
     return [(path, v) for path, v, _ in _member(protocol, h.events, union_stages).leaves]
 
 
-def _walk(protocol: Engine, slots: dict, i: int, path: tuple, state: StateVector | None, chains: list) -> None:
-    """Append the leaves below stage index i to `chains` as (path, state, vanished); no closure, so no reference cycle.
+def _walk(protocol: Engine, key: tuple, i: int, path: tuple, state: StateVector | None, leaves: list) -> None:
+    """Append the leaves below stage index i to `leaves` as (path, state, vanished); no closure, so no reference cycle.
 
-    A call loops through the stages up to the next one in `slots`, and
-    recurses once per live child there.  Until its first mask (an empty
-    path) a chain is the pilot state, bit for bit, so it is read from the
-    engine's pilot cache.  After that each node, one per stage, is read from
-    the chain memo by `path` (`_node`) before anything is evolved or masked:
-    a node depends only on its stage index and path, so a hit, the zero
-    state a mask leaves included, is bit-identical to a rebuild.  Once a
-    mask leaves a zero state (stage maps are unitary, so only a mask can),
-    every leaf below it is that zero state, flagged vanished, still under
-    its own path: shared-outcome detection reads the paths of vanished
+    The path holds one (stage index, mask) per slot of `key` passed, so its
+    length is the next slot's position.  A call steps through the stages up
+    to that slot's, and recurses once per live child there.  Until its first
+    mask (an empty path) a chain is the pilot state, bit for bit, so it is
+    read from the engine's pilot cache.  After that each node, one per
+    stage, is read from the chain memo by its stage index and path before
+    anything is evolved or masked: a node depends on nothing else, so a hit,
+    the zero state a mask leaves included, is bit-identical to a rebuild.
+    Once a mask leaves a zero state (stage maps are unitary, so only a mask
+    can), every leaf below it is that zero state, flagged vanished, still
+    under its own path: shared-outcome detection reads the paths of vanished
     chains.
     """
     nodes = protocol.history_memos[0]
-    for i in range(i, len(STAGES)):
-        stage = STAGES[i]
+    k = len(path)
+    end = key[k][0] if k < len(key) else len(STAGES) - 1
+    for i in range(i, end + 1):
         if not path:
-            state = protocol.pilot_state_after(stage)
+            state = protocol.pilot_state_after(STAGES[i])
         else:
-            step = protocol.stage_unitaries[stage].linear
-            state, _ = _recall(nodes, (i, path), CHAIN_MEMO_NODES, _node, step, state, False)
-        if stage in slots:
-            for event in slots[stage]:
-                child_path = path + ((i, event.mask),)
-                child, vanished = _recall(nodes, (i, child_path), CHAIN_MEMO_NODES, _node, event.apply, state, True)
-                if vanished:
-                    below = [[(j, e.mask) for e in slots[s]] for j, s in enumerate(STAGES) if j > i and s in slots]
-                    chains.extend((child_path + tail, child, True) for tail in itertools.product(*below))
-                else:
-                    _walk(protocol, slots, i + 1, child_path, child, chains)
-            return
-    chains.append((path, state, False))
+            state = _recall(nodes, (i, path), CHAIN_MEMO_NODES, protocol.stage_unitaries[STAGES[i]].linear, state)
+    if k == len(key):
+        leaves.append((path, state, False))
+        return
+    for mask in key[k][1]:
+        child_path = path + ((end, mask),)
+        child = _recall(nodes, (end, child_path), CHAIN_MEMO_NODES, state.masked, mask)
+        if child.is_zero():
+            below = [[(j, m) for m in masks] for j, masks in key[k + 1 :]]
+            leaves.extend((child_path + tail, child, True) for tail in itertools.product(*below))
+        else:
+            _walk(protocol, key, end + 1, child_path, child, leaves)
 
 
 def chain_consistency_report(protocol: Engine, family: list[History]) -> ConsistencyReport:
@@ -429,13 +416,13 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     union_stages = _stages_of(reduce(int.__or__, [_stage_bits(h.events) for h in family], 0))
     keys = [_member_key(h.events, union_stages) for h in family]
     _, member_memo, pair_memo = protocol.history_memos
-    members = [_recall(member_memo, key, MEMBER_MEMO_LEAVES, _Member, protocol, slots) for key, slots in keys]
+    members = [_recall(member_memo, key, MEMBER_MEMO_LEAVES, _Member, protocol, key) for key in keys]
     for member in members:
         if member.probability is None:
             member.read_block(protocol)
     pairs = []
     additive = [_negligible(m.additivity) for m in members]
-    for (a, (ka, _), ma, fa), (b, (kb, _), mb, fb) in itertools.combinations(zip(names, keys, members, additive), 2):
+    for (a, ka, ma, fa), (b, kb, mb, fb) in itertools.combinations(zip(names, keys, members, additive), 2):
         # D_ba is D_ab's adjoint and each summary is symmetric: one entry per unordered pair
         key, args = ((ka, kb), (ma, mb)) if ka <= kb else ((kb, ka), (mb, ma))
         off, cross, shared = _recall(pair_memo, key, PAIR_MEMO_PAIRS, _pair_block, protocol, *args)

@@ -170,10 +170,10 @@ class SpaceDescriptor(Frozen):
 LABEL_MAX_DENOMINATOR = 240
 
 
-def rational_label(p: float, max_denominator: int = LABEL_MAX_DENOMINATOR, tol: float = ATOL) -> str | None:
+def rational_label(p: float) -> str | None:
     """Exact-rational rendering of a probability, or None if p is not one."""
-    frac = Fraction(p).limit_denominator(max_denominator)
-    if abs(p - float(frac)) <= tol:
+    frac = Fraction(p).limit_denominator(LABEL_MAX_DENOMINATOR)
+    if abs(p - float(frac)) <= ATOL:
         return f"{frac.numerator}/{frac.denominator}" if frac.denominator != 1 else str(frac.numerator)
     return None
 

@@ -53,6 +53,10 @@ class TestConfigProjectors:
     def test_eighty_one_configs(self):
         assert len(all_configs()) == 81
 
+    def test_config_axes_are_the_memory_axes_in_field_order(self):
+        """CONFIG_AXES is the exact engine's ascending MEMORY_AXES, so the config fields must name them in order."""
+        assert CONFIG_AXES == tuple(GLOBAL_SPACE.axis(field.upper()) for field in MemoryConfig._fields)
+
 
 class TestKernel:
     def test_first_observation_row(self, protocol):

@@ -193,12 +193,12 @@ def test_equal_stage_mappings_built_per_instance_share_one_proof(engine):
         def stage_unitaries(self):
             return {**super().stage_unitaries, StageId.MEAS3: _w2_swap(engine)}
 
-    before = len(exact._PROOFS)
+    before = exact._proof.cache_info().currsize
     for _ in range(200):
         protocol = RewritesW2()
         protocol.pilot_state_after(StageId.MEAS3)
         assert protocol._checked_stages == {StageId.MEAS4}
-    assert len(exact._PROOFS) <= before + 1
+    assert exact._proof.cache_info().currsize <= before + 1
 
 
 def test_apply_still_checks_a_caller_state_on_the_exact_engine():

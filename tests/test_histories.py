@@ -409,7 +409,7 @@ def test_a_repeated_report_on_a_warm_engine_masks_nothing(engine, state_class, m
     family = [okok_fine_history(protocol), okok_coarse_history(protocol),
               history(protocol, "b", [("r", "head"), ("z", "+")])]
     first = chain_consistency_report(protocol, family)
-    assert any(vanished for _, vanished in protocol.history_memos[0].values())
+    assert any(state.is_zero() for state in protocol.history_memos[0].values())
     calls = []
     masked = state_class.masked
 
@@ -801,6 +801,40 @@ def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(
         assert len(protocol.history_memos[0]) == CHAIN_MEMO_NODES
         assert len(protocol.history_memos[1]) == MEMBER_MEMO_LEAVES
         assert len(protocol.history_memos[2]) == PAIR_MEMO_PAIRS
-        assert all(vanished == state.is_zero() for state, vanished in protocol.history_memos[0].values())
         assert all(vanished == state.is_zero()
                    for member in protocol.history_memos[1].values() for _, state, vanished in member.leaves)
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_a_member_memo_hit_keeps_the_store_order_and_the_oldest_key_goes_first(engine, monkeypatch):
+    """Families A, B, then A again: every member of A is a hit, and the memo's keys stay in the order B left
+    them.  At the bound a new member evicts the first key stored, however recently it was read."""
+    protocol = engine()
+    a = [okok_fine_history(protocol), okok_coarse_history(protocol)]
+    b = [history(protocol, "b", [("r", "head"), ("z", "+")]), history(protocol, "c", [("w1", "fail")])]
+    memo = protocol.history_memos[1]
+    chain_consistency_report(protocol, a)
+    chain_consistency_report(protocol, b)
+    after_b = list(memo)
+    chain_consistency_report(protocol, a)
+    assert list(memo) == after_b
+    monkeypatch.setattr(histories, "MEMBER_MEMO_LEAVES", len(after_b))
+    new = history(protocol, "d", [("z", "-")])
+    history_probability(protocol, new)
+    assert list(memo) == after_b[1:] + [histories._member_key(new.events, ())]
+
+
+@pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8j)), (ExactProtocol, ("0.6", "0.8"))],
+                         ids=["dense", "exact"])
+def test_a_warm_engines_report_equals_a_fresh_engines(engine, coin):
+    """A report is a value: after the oracle families and some staged ones, a warm engine's report on each
+    oracle family is equal, field for field, to a fresh engine's."""
+    warm = engine(coin)
+    for spec in MEMO_SPECS[: len(ORACLE_FAMILIES) + 20]:
+        chain_consistency_report(warm, _family(warm, spec))
+    for name in sorted(ORACLE_FAMILIES):
+        fresh = engine(coin)
+        got = chain_consistency_report(warm, _family(warm, ORACLE_FAMILIES[name]))
+        want = chain_consistency_report(fresh, _family(fresh, ORACLE_FAMILIES[name]))
+        assert got is not want
+        assert got == want, name

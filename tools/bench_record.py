@@ -10,7 +10,8 @@ line); the wall time of the tier-1 test suite with the time pytest spends
 collecting it listed separately; and, under `fresh_process`, the median
 wall time in ms of FRESH_RUNS fresh processes for `python -c pass`,
 `--help` and each of the seven subcommands at the default coin; and, under
-`exact_sweep`, the exact engine's coin-sweep item in process.  Runs are
+`exact_sweep`, the exact engine's coin-sweep item in process; and, under
+`src_lines`, the line count of each module of `src/ewflab`.  Runs are
 sequential, so the record takes about six benchmark runs, two suite runs,
 63 short processes and a few seconds of exact items to write.
 
@@ -28,6 +29,9 @@ commands run round-robin, and each median is also given at reference speed,
 scaled by perfbench's reference kernel as cli-mix's times are
 (`perfbench/workloads.py`): a shared machine's speed drifts by more than
 the differences this table is read for.
+
+`src_lines` is the size of the design that produces these numbers:
+lines per module, and their total.
 
 `exact_sweep` is what the benchmark does not run: the engine the command
 line computes with.  An item is `perfbench/workloads._sweep_item`, its body
@@ -174,6 +178,13 @@ def fresh_process() -> dict:
             "median_ms_at_reference_speed": medians(result.at_reference_speed(result.latencies_ms, result.op_spans))}
 
 
+def src_lines() -> dict[str, int]:
+    """Lines per module under src/ewflab, by file name, and their total."""
+    counts = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+              for path in sorted((ROOT / "src" / "ewflab").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="file to write, such as BENCH_2.json")
@@ -193,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
                   "collection_wall_s": round(collect_s, 2), "collected": collected},
         "fresh_process": fresh,
         "exact_sweep": exact,
+        "src_lines": src_lines(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
