@@ -19,9 +19,11 @@ default coin, with no numpy.  It holds two things on top of that:
 The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
 answer one contract, and it is exactly what the shared modules (`born`,
 `bellbohm`, `histories`, `facts`, `epistemics`, `cli`) read of an engine:
-`coin_amplitudes`, `fact_results`, `flip_ok_sign`, `gram`,
-`history_memos`, `initial_state`, `pilot_state_after`, `sqrt`,
-`stage_unitaries` and `weight_floor`.  A stage is read one way, as
+`coin_amplitudes`, `corrupt_preparation`, `fact_results`, `flip_ok_sign`,
+`gram`, `history_memos`, `initial_state`, `pilot_state_after`, `sqrt`,
+`stage_unitaries` and `weight_floor`.  The two hooks and the engine's class
+are what `histories` reads to build the engines at the coins (1, 0) and
+(0, 1) whose chains its coin forms hold.  A stage is read one way, as
 `stage_unitaries[stage]`, which on this engine is the stage's `StageMap`; a
 measurement is not an object of either engine, its outcome vectors are read
 from `outcome_vectors` under the engine's `flip_ok_sign`.  Their states
@@ -47,17 +49,19 @@ Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
 the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
 this one's oracle.  It is also the faster one wherever the decoherence
-functional D has to be computed: with a fresh engine, its pilot state
+functional D has to be evaluated: with a fresh engine, its pilot state
 evolved, for each of the first 300 families of the benchmark's stream of
-history queries (seed 31), a query takes 0.48-0.54 ms here against the
-dense engine's 0.40-0.44 ms (fastest of 6 repeats, three runs).  Warm, both
-engines read each member's block of D and each pair's from their
-`history_memos` and compute no inner product, and they take the same
-0.017-0.019 ms per query (fastest of 5 repeats of 4,000 queries, seeds 31
-and 32).  Both were measured in process on one CPU of a 2-vCPU x86-64 VM,
-Python 3.11.7; most of a warm query is building its histories and reading
-the memos (cProfile).  Float coins (large binary rationals) slow the exact
-arithmetic further.
+history queries (seed 31), a query takes 0.36-0.40 ms here against the
+dense engine's 0.20-0.22 ms (fastest of 6 repeats, three runs; the first
+repeat, which also builds the process's coin forms, takes 0.39-0.41 ms and
+0.23-0.25 ms).  Warm, both engines read each member's block of D and each
+pair's from their `history_memos` and compute no inner product, and they
+take about the same 0.016-0.021 ms per query (fastest of 5 repeats of 4,000
+queries, seeds 31 and 32).  Each query is timed as the benchmark times it,
+its answer checks left out.  Both were measured in process on one CPU of a
+2-vCPU x86-64 VM, Python 3.11.7; most of a warm query is building its
+histories and reading the memos (cProfile).  Float coins (large binary
+rationals) slow the exact arithmetic further.
 """
 
 from __future__ import annotations

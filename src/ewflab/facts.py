@@ -2,7 +2,9 @@
 
 Every fact compares a quantity computed from the pilot dynamics against an
 exact expected value within `linalg.FACT_ATOL`; on the exact engine the
-quantity is exact too, so a vanishing one prints as 0.  The derivation engine
+quantity is exact too, so a vanishing one prints as 0, and the three facts
+that a weight vanishes (FR2, FR8's ok-minus-subspace-empty and
+coarse-chain-zero) test it for exact zero (`_vanishes`).  The derivation engine
 refuses to run unless all facts attached to its steps hold, and the CLI
 `verify` command prints one PASS/FAIL line per fact.  `run_all` and
 `run_facts` evaluate each fact at most once per Protocol (`evaluate`),
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import born, histories
-from .exact import DOWN, FAIL, GLOBAL_SPACE, HEAD, MINUS, OK, PLUS, READY, TAIL, UP, StageId, outcome_vectors
+from .exact import DOWN, FAIL, GLOBAL_SPACE, HEAD, MINUS, OK, PLUS, READY, TAIL, UP, StageId, Surd, outcome_vectors
 from .linalg import FACT_ATOL, PHASE_ATOL
 
 if TYPE_CHECKING:
@@ -66,6 +68,16 @@ def _fact(fact_id: str, step_tag: str | None, description: str):
         return fact
 
     return decorate
+
+
+def _vanishes(x) -> bool:
+    """Whether a weight a zero fact computes counts as zero: exactly on the exact engine.
+
+    A Surd is the exact engine's number, so it is tested for zero, as
+    `histories._negligible` tests an entry of D; the dense engine's float
+    passes within `FACT_ATOL`.
+    """
+    return not x if type(x) is Surd else abs(x) < FACT_ATOL
 
 
 def _probability(protocol: Engine, assignments: list[tuple[str, str]]):
@@ -145,7 +157,7 @@ def check_okfail_bases_orthonormal(protocol: Engine) -> tuple[bool, str]:
 def check_tail_branch_orthogonal_to_ok(protocol: Engine) -> tuple[bool, str]:
     """FR2: P[w2=ok | r=tail] vanishes: the tail branch after the spin recording is orthogonal to W2's ok."""
     w = _conditional(protocol, ("r", TAIL), [("w2", OK)])
-    return w < FACT_ATOL, f"ok weight {w:.3g}"
+    return _vanishes(w), f"ok weight {w:.3g}"
 
 
 @_fact(
@@ -215,7 +227,7 @@ def check_joint_state_coefficients(protocol: Engine) -> tuple[bool, str]:
 def check_ok_minus_subspace_empty(protocol: Engine) -> tuple[bool, str]:
     """FR8: P[z=-, w1=ok] vanishes: the same state is orthogonal to the (ok, spin-down) eigenspace."""
     w = _probability(protocol, [("z", MINUS), ("w1", OK)])
-    return w < FACT_ATOL, f"weight {w:.3g}"
+    return _vanishes(w), f"weight {w:.3g}"
 
 
 @_fact("okok-probability", "FR12", "P(w1=ok, w2=ok) = 1/12 under both extraction policies")
@@ -257,7 +269,7 @@ def check_okok_chain_probability(protocol: Engine) -> tuple[bool, str]:
 @_fact("coarse-chain-zero", None, "coarse history (r=tail, w2=ok) has probability 0")
 def check_coarse_chain_zero(protocol: Engine) -> tuple[bool, str]:
     p = histories.history_probability(protocol, histories.okok_coarse_history(protocol))
-    return abs(p) < FACT_ATOL, f"probability {p:.3g}"
+    return _vanishes(p), f"probability {p:.3g}"
 
 
 ALL_FACTS: tuple[Callable[[Engine], FactResult], ...] = (

@@ -22,13 +22,27 @@ A refined chain is named by its path: the (stage index, mask) of each
 event it applied, in order.  The path keys the chain memo, whose nodes are
 the states themselves, and names the leaf in the report; an event's label
 is for display only.  A member is its key, the (stage index, masks) of each
-stage where it has an event or is refined: the walk reads it and it keys
-the member memo, whose record keeps the member's leaves and what D reads of
-its own block, and two member keys key the pair memo, which keeps what D
-reads of the pair's block.  The three memos are this module's (`_recall`,
-one lookup per hit, first in first out at their bounds), kept in each
-engine's `history_memos`.  A report whose members and pairs the engine has
+stage where it has an event or is refined: the walk reads it, and it keys
+the member memo, whose record keeps the member's chain at the engine's coin
+and what the report read of its own block of D.  Two member keys key the
+pair memo, which keeps what the report read of the pair's block.  The three
+memos are this module's (`_recall`, one lookup per hit, first in first out
+at their bounds), kept in each engine's `history_memos`; they hold values
+at the engine's coin.  A report whose members and pairs the engine has
 answered before, in any family, walks nothing and computes no inner product.
+
+D is read off coin forms.  The coin enters only through the initial state,
+so every entry of D is a form ā·a·HH + ā·b·HT + b̄·a·TH + b̄·b·TT in the
+coin (a, b), whose four coefficients are inner products of the member's
+chains walked from |head> and from |tail>.  Those chains are walked on two
+engines of the same class and hooks at the coins (1, 0) and (0, 1)
+(`_basis`), and a member's form, its live chains and the coefficients of
+its own block, is kept once per process (`_form`), so every engine and
+every coin reads it.  A report walks no chain at its engine's coin: on a
+member-memo miss it evaluates the member's form at the coin, and on a
+pair-memo miss one gram of the two forms' chains.  `history_probability`
+and `chain_vector` still walk at the coin: on the dense engine P[h] is the
+chain's own norm, bit for bit.
 
 Stage order is derived once per process: an assignment tuple's ordered
 events and an event tuple's checked bitmask of stage indices are cached, and
@@ -72,9 +86,6 @@ class HistoryEvent(Frozen):
         setfield(self, "stage", stage)
         setfield(self, "mask", mask)
         setfield(self, "label", label)
-
-    def apply(self, state: StateVector) -> StateVector:
-        return state.masked(self.mask)
 
 
 def in_stage_order(events) -> tuple[HistoryEvent, ...]:
@@ -264,32 +275,34 @@ def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, .
 
 #: History-chain nodes kept per engine (`_walk`), first in first out.  A node
 #: is a state: a dense one retains ~5.7 kB (324 complex128 amplitudes and
-#: their objects), so a full memo holds ~1.5 MB; an exact one ~0.8 kB.  A
-#: cold coin-sweep item stores 25 nodes (3 of them zero), and 20,000 queries
-#: of the benchmark's warm history stream 128 on the dense engine (23 zero)
-#: and 125 on the exact one (27).
+#: their objects), so a full memo holds ~1.5 MB; an exact one ~0.8 kB.  The
+#: chains are those `chain_vector` and `history_probability` walk at the
+#: engine's coin, and, in the two basis engines of each engine class and hook
+#: setting (`_basis`), the chains every coin form reads.
 CHAIN_MEMO_NODES = 256
 
 #: History-family members kept per engine (`_member`), first in first out.
-#: An entry is a member's record under its key: its refined leaves, whose
-#: states are mostly the chain memo's own nodes, with P[h] and the
-#: additivity defect read off its own block of D.  The benchmark's warm
-#: history stream has 154 distinct members: 99.9% of its member lookups hit
-#: (30,000 queries), and the records retain 0.25 MB beside the chain memo on
-#: the dense engine and 0.28 MB on the exact one; a full memo of the tests'
-#: long family stream retains 0.84 MB and 0.60 MB (`tracemalloc`).
+#: An entry is a member's record under its key: its leaves at the engine's
+#: coin, whose states are mostly the chain memo's own nodes, when
+#: `history_probability` or `chain_vector` asked for them, and P[h] and the
+#: additivity defect evaluated off its coin form when a report asked.
 MEMBER_MEMO_LEAVES = 256
 
 #: Member pairs kept per engine (`chain_consistency_report`), first in first
-#: out.  An entry is the three reductions of a pair's block of D (the direct
-#: overlap, the cross interference and whether the two share a path), which
-#: depend on nothing but the two members' records: it is keyed by the two
-#: member keys, the smaller first, one entry per unordered pair.  The warm
-#: history stream has 1,840 distinct pairs, saturated within 20,000 queries:
-#: 98.2% of its pair lookups hit (30,000 queries).  A full memo retains
-#: 0.45 MB on the dense engine and 0.56 MB on the exact one (`tracemalloc`,
-#: the tests' long family stream).
+#: out.  An entry is the three reductions of a pair's block of D at the
+#: engine's coin (the direct overlap, the cross interference and whether the
+#: two share a path), which depend on nothing but the two members' forms and
+#: the coin: it is keyed by the two member keys, the smaller first, one entry
+#: per unordered pair.  The benchmark's warm history stream has 1,840
+#: distinct pairs, saturated within 20,000 queries.
 PAIR_MEMO_PAIRS = 2048
+
+#: Coin forms kept per process (`_form`), least recently used first out, and
+#: the basis engines they read (`_basis`), one pair per engine class and hook
+#: setting.  A form holds its live leaves' basis chains, mostly the basis
+#: engines' own chain-memo nodes, and eight numbers.
+FORM_MEMBERS = 256
+BASIS_SETTINGS = 8
 
 
 def _recall(memo: dict, key, bound: int, build, *args):
@@ -309,44 +322,49 @@ def _recall(memo: dict, key, bound: int, build, *args):
 
 
 class _Member:
-    """A member's refined leaves and what D reads of them: the record the member memo keeps under its key.
+    """What one engine has read of a member: the record the member memo keeps under its key.
 
-    `leaves` are (path, state, vanished) for every leaf below the initial
-    state, in walk order: a depth-first walk over the stage timeline evolves
-    each tree node once, so leaves share their prefix chains.  It is the
-    package's one chain evolution: `chain_vector` is its single leaf for an
-    empty union.  `paths` are all their paths and `live` the (path, state)
-    of those that did not vanish.  P[h] and the additivity defect are read
-    off the member's own block of D the first time a report asks, `norm2`
-    the first time `history_probability` does; None until then.
+    `leaves` are (path, state, vanished) for every leaf below the engine's
+    initial state, in walk order (`_leaves`), walked the first time
+    `chain_vector`, `history_probability` or `_fine_chains` asks; `norm2` is
+    the chain's squared norm, the first time `history_probability` asks.
+    `form` is the member's coin form (`_form`), and `probability` and
+    `additivity` are P[h] = |sum(D_hh)| and the additivity defect
+    |sum(D_hh) - trace(D_hh)| evaluated off it at the engine's coin, the
+    first time a report asks.  None until then.
     """
 
-    __slots__ = ("leaves", "paths", "live", "probability", "additivity", "norm2")
+    __slots__ = ("leaves", "norm2", "form", "probability", "additivity")
 
-    def __init__(self, protocol: Engine, key: tuple) -> None:
-        leaves: list[tuple[tuple, StateVector, bool]] = []
-        _walk(protocol, key, 0, (), None, leaves)
-        self.leaves = tuple(leaves)
-        self.paths = frozenset([path for path, _, _ in self.leaves])
-        self.live = tuple([(path, v) for path, v, vanished in self.leaves if not vanished])
-        self.probability = self.additivity = self.norm2 = None
-
-    def read_block(self, protocol: Engine) -> None:
-        """P[h] = |sum(D_hh)| and the additivity defect |sum(D_hh) - trace(D_hh)|, from one gram of the live leaves."""
-        d = protocol.gram([v for _, v in self.live])
-        total = sum(x for row in d for x in row)  # |chain|^2, real and nonnegative
-        self.probability = abs(total)  # abs drops the dense engine's rounding only
-        self.additivity = abs(total - sum(row[i] for i, row in enumerate(d)))
+    def __init__(self) -> None:
+        self.leaves = self.norm2 = self.form = self.probability = self.additivity = None
 
 
 def _member(protocol: Engine, events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, ...]) -> _Member:
-    """The record of a member with these events refined over union stages, walked only when the memo lacks it.
+    """The record of a member with these events refined over union stages, with its leaves at the engine's coin.
 
-    The record depends on nothing but the member's key, so a hit returns the
-    first build's, bit-identical; a miss reads its nodes from the chain memo.
+    The leaves depend on nothing but the member's key and the engine, so a
+    record that holds them returns the first walk's, bit-identical; a walk
+    reads its nodes from the chain memo.
     """
     key = _member_key(events, union_stages)
-    return _recall(protocol.history_memos[1], key, MEMBER_MEMO_LEAVES, _Member, protocol, key)
+    member = _recall(protocol.history_memos[1], key, MEMBER_MEMO_LEAVES, _Member)
+    if member.leaves is None:
+        member.leaves = _leaves(protocol, key)
+    return member
+
+
+def _leaves(protocol: Engine, key: tuple) -> tuple:
+    """(path, state, vanished) for every leaf of the member with this key, walked from the engine's initial state.
+
+    A depth-first walk over the stage timeline evolves each tree node once,
+    so leaves share their prefix chains.  It is the package's one chain
+    evolution: `chain_vector` is the single leaf of an unrefined member, and
+    the coin forms walk it on the basis engines.
+    """
+    leaves: list[tuple[tuple, StateVector, bool]] = []
+    _walk(protocol, key, 0, (), None, leaves)
+    return tuple(leaves)
 
 
 def _fine_chains(
@@ -393,21 +411,94 @@ def _walk(protocol: Engine, key: tuple, i: int, path: tuple, state: StateVector 
             _walk(protocol, key, end + 1, child_path, child, leaves)
 
 
+# -- coin forms ----------------------------------------------------------------
+
+
+class _Form(NamedTuple):
+    """A member's coin form: what D reads of the member at every coin, derived once per process.
+
+    The coin enters only through the initial state a|head> + b|tail>, and
+    every stage map and mask is linear, so each refined chain is a·h + b·t,
+    with h and t its chains from the two basis states, and each entry of D
+    is ā·a·<h_i|h_j> + ā·b·<h_i|t_j> + b̄·a·<t_i|h_j> + b̄·b·<t_i|t_j>.
+    `paths` are all the member's leaf paths and `live` the paths of the
+    leaves whose basis chains are not both zero.  `chains` are (leaf, half,
+    chain) for each nonzero basis chain of a live leaf: its position in
+    `live`, 0 for the head chain or 1 for the tail chain, and the state.
+    `total` holds the four coefficients (HH, HT, TH, TT) of sum(D_hh), and
+    `defect` those of sum(D_hh) - trace(D_hh).
+    """
+
+    paths: frozenset
+    live: tuple
+    chains: tuple
+    total: tuple
+    defect: tuple
+
+
+@lru_cache(maxsize=BASIS_SETTINGS)
+def _basis(engine: type, flip_ok_sign: bool, corrupt_preparation: bool) -> tuple:
+    """Engines of this class and hook setting at the coins (1, 0) and (0, 1): the basis every coin form reads.
+
+    They walk the forms' chains as any engine walks its own, through their
+    pilot caches and chain memos, so each basis node is evolved once per
+    process while it stays in its memo.
+    """
+    return tuple(engine(coin, flip_ok_sign=flip_ok_sign, corrupt_preparation=corrupt_preparation)
+                 for coin in ((1, 0), (0, 1)))
+
+
+@lru_cache(maxsize=FORM_MEMBERS)
+def _form(engine: type, flip_ok_sign: bool, corrupt_preparation: bool, key: tuple) -> _Form:
+    """The coin form of the member with this key, keyed by what it reads: the engine class, the hooks and the key.
+
+    The member's own block of D is one gram of its nonzero basis chains,
+    each entry added to the coefficient of its pair of halves.
+    """
+    head, tail = _basis(engine, flip_ok_sign, corrupt_preparation)
+    heads = _leaves(head, key)
+    live = [(path, h, vh, t, vt) for (path, h, vh), (_, t, vt) in zip(heads, _leaves(tail, key)) if not (vh and vt)]
+    chains = tuple([(i, half, chain) for i, (_, h, vh, t, vt) in enumerate(live)
+                    for half, chain, vanished in ((0, h, vh), (1, t, vt)) if not vanished])
+    total, trace = [0] * 4, [0] * 4
+    for (i, p, _), row in zip(chains, head.gram([chain for _, _, chain in chains])):
+        for (j, q, _), x in zip(chains, row):
+            total[2 * p + q] += x
+            if i == j:
+                trace[2 * p + q] += x
+    return _Form(frozenset([path for path, _, _ in heads]), tuple([path for path, *_ in live]), chains, tuple(total),
+                 tuple([s - t for s, t in zip(total, trace)]))
+
+
+def _coin_weights(protocol: Engine) -> tuple:
+    """(ā·a, ā·b, b̄·a, b̄·b) at the engine's coin (a, b): the weights of a coin form's HH, HT, TH and TT."""
+    a, b = protocol.coin_amplitudes
+    ca, cb = a.conjugate(), b.conjugate()
+    return ca * a, ca * b, cb * a, cb * b
+
+
+def _at(weights: tuple, coefficients: tuple):
+    """A coin form's value at the coin whose weights these are."""
+    w0, w1, w2, w3 = weights
+    hh, ht, th, tt = coefficients
+    return w0 * hh + w1 * ht + w2 * th + w3 * tt
+
+
 def chain_consistency_report(protocol: Engine, family: list[History]) -> ConsistencyReport:
     """Decoherence diagnostics for a family of histories, read off the blocks of one matrix.
 
     The members' refined chains are the rows of C, and D = C* C^T is the
-    decoherence functional; chains the walk flags vanished are left out, as
-    their rows and columns of D are zero.  A member's chain is the sum of
-    its refined ones (each slot's masks sum to the identity), so P[h] is
-    sum(D_hh), its additivity defect is |sum(D_hh) - trace(D_hh)| and a
-    pair's direct overlap is |sum(D_ab)|.  A pair fails on either, on
+    decoherence functional; chains that are zero at every coin are left
+    out, as their rows and columns of D are zero.  A member's chain is the
+    sum of its refined ones (each slot's masks sum to the identity), so
+    P[h] is sum(D_hh), its additivity defect is |sum(D_hh) - trace(D_hh)|
+    and a pair's direct overlap is |sum(D_ab)|.  A pair fails on either, on
     interference between refined chains with different paths (largest such
     |D_ab| entry), or on a shared path (the histories are not exclusive
-    alternatives).  Each block is read once per engine: D_hh into the
-    member's record, D_ab into the pair memo, so a cold report computes
-    each of D's N(N+1)/2 distinct entries once.  Every member's key is
-    derived, and a bad family refused, before any walk.
+    alternatives).  No chain is walked at the engine's coin: D_hh is read
+    off the member's coin form into its record, and D_ab is evaluated from
+    the two forms into the pair memo, each once per engine.  Every member's
+    key is derived, and a bad family refused, before any walk.
     """
     names = [h.name for h in family]
     if len(set(names)) != len(names):
@@ -416,15 +507,18 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     union_stages = _stages_of(reduce(int.__or__, [_stage_bits(h.events) for h in family], 0))
     keys = [_member_key(h.events, union_stages) for h in family]
     _, member_memo, pair_memo = protocol.history_memos
-    members = [_recall(member_memo, key, MEMBER_MEMO_LEAVES, _Member, protocol, key) for key in keys]
-    for member in members:
-        if member.probability is None:
-            member.read_block(protocol)
+    members = [_recall(member_memo, key, MEMBER_MEMO_LEAVES, _Member) for key in keys]
+    for key, member in zip(keys, members):
+        if member.form is None:
+            member.form = _form(type(protocol), protocol.flip_ok_sign, protocol.corrupt_preparation, key)
+            weights = _coin_weights(protocol)
+            member.probability = abs(_at(weights, member.form.total))  # abs drops the dense engine's rounding only
+            member.additivity = abs(_at(weights, member.form.defect))
     pairs = []
     additive = [_negligible(m.additivity) for m in members]
     for (a, ka, ma, fa), (b, kb, mb, fb) in itertools.combinations(zip(names, keys, members, additive), 2):
         # D_ba is D_ab's adjoint and each summary is symmetric: one entry per unordered pair
-        key, args = ((ka, kb), (ma, mb)) if ka <= kb else ((kb, ka), (mb, ma))
+        key, args = ((ka, kb), (ma.form, mb.form)) if ka <= kb else ((kb, ka), (mb.form, ma.form))
         off, cross, shared = _recall(pair_memo, key, PAIR_MEMO_PAIRS, _pair_block, protocol, *args)
         ok = fa and fb and not shared and _negligible(off) and _negligible(cross)
         pairs.append(PairVerdict(a, b, off, cross, shared, ok))
@@ -437,13 +531,21 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     )
 
 
-def _pair_block(protocol: Engine, a: _Member, b: _Member) -> tuple:
-    """(|sum(D_ab)|, the largest |D_ab| entry between different paths, whether a and b share a path)."""
-    d = protocol.gram([v for _, v in a.live], [v for _, v in b.live])
+def _pair_block(protocol: Engine, a: _Form, b: _Form) -> tuple:
+    """(|sum(D_ab)|, the largest |D_ab| entry between different paths, whether a and b share a path).
+
+    D_ab is evaluated at the engine's coin from one gram of the two forms'
+    nonzero basis chains, each entry weighted by its pair of halves.
+    """
+    g = protocol.gram([chain for _, _, chain in a.chains], [chain for _, _, chain in b.chains])
+    weights = _coin_weights(protocol)
+    d = [[0] * len(b.live) for _ in a.live]
+    for (i, p, _), row in zip(a.chains, g):
+        di, wp = d[i], weights[2 * p : 2 * p + 2]
+        for (j, q, _), x in zip(b.chains, row):
+            di[j] += wp[q] * x
     off = abs(sum(x for row in d for x in row))
-    cross = max(
-        (abs(x) for (pa, _), row in zip(a.live, d) for (pb, _), x in zip(b.live, row) if pa != pb), default=0.0
-    )
+    cross = max((abs(x) for pa, row in zip(a.live, d) for pb, x in zip(b.live, row) if pa != pb), default=0.0)
     return off, cross, not a.paths.isdisjoint(b.paths)
 
 

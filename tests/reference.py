@@ -71,6 +71,7 @@ measurement's target factors `MEASURED[var]` and outcome vectors
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -483,11 +484,11 @@ def chain_vector(protocol: Protocol, events: tuple[HistoryEvent, ...]) -> StateV
         by_stage.setdefault(e.stage, []).append(e)
     state = protocol.initial_state()
     for e in by_stage.get(StageId.PREP_MINUS1, []):
-        state = e.apply(state)
+        state = state.masked(e.mask)
     for stage in DYNAMIC_STAGES:
         state = protocol.stage_unitaries[stage].linear(state)
         for e in by_stage.get(stage, []):
-            state = e.apply(state)
+            state = state.masked(e.mask)
     return state
 
 
@@ -498,7 +499,14 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
     the other's (off-diagonal magnitude above threshold), when the two share a
     fine-grained outcome (the histories are not exclusive alternatives), or
     when either member's probability is not additive over its refinement.
+    On the exact engine every number is exact and the threshold is zero.
     """
+    if isinstance(protocol.initial_state(), SparseState):
+        norm2, product = SparseState.norm2, SparseState.inner
+        negligible = operator.not_
+    else:
+        norm2, product = (lambda v: v.norm() ** 2), inner
+        negligible = CONSISTENCY_ATOL.__ge__
     names = [h.name for h in family]
     if len(set(names)) != len(names):
         raise ValueError("family members need distinct names")
@@ -508,14 +516,14 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
     fine = {h.name: _fine_chains(protocol, h, union_stages) for h in family}
     direct = {h.name: chain_vector(protocol, h.events) for h in family}
 
-    probability = {h.name: direct[h.name].norm() ** 2 for h in family}
-    additivity = {h.name: abs(probability[h.name] - sum(v.norm() ** 2 for _, v in fine[h.name])) for h in family}
+    probability = {h.name: norm2(direct[h.name]) for h in family}
+    additivity = {h.name: abs(probability[h.name] - sum(norm2(v) for _, v in fine[h.name])) for h in family}
 
     pairs: list[PairVerdict] = []
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             a, b = family[i], family[j]
-            off = abs(inner(direct[a.name], direct[b.name]))
+            off = abs(product(direct[a.name], direct[b.name]))
             cross = 0.0
             shared = False
             for key_a, va in fine[a.name]:
@@ -523,13 +531,13 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
                     if key_a == key_b:
                         shared = True
                         continue
-                    cross = max(cross, abs(inner(va, vb)))
+                    cross = max(cross, abs(product(va, vb)))
             ok = (
-                off <= CONSISTENCY_ATOL
-                and cross <= CONSISTENCY_ATOL
+                negligible(off)
+                and negligible(cross)
                 and not shared
-                and additivity[a.name] <= CONSISTENCY_ATOL
-                and additivity[b.name] <= CONSISTENCY_ATOL
+                and negligible(additivity[a.name])
+                and negligible(additivity[b.name])
             )
             pairs.append(PairVerdict(a.name, b.name, off, cross, shared, ok))
     return ConsistencyReport(tuple(names), union_stages, probability, additivity, tuple(pairs))

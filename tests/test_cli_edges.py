@@ -152,30 +152,40 @@ def test_a_rejected_family_evolves_no_chain(capsys, monkeypatch, order):
     assert walks == []
 
 
-@pytest.mark.parametrize("argv, walks", [(["histories"], 17), (["report"], 31)], ids=["histories", "report"])
+def _fresh_process() -> None:
+    """Empty the per-process coin forms and basis engines, as a command-line process starts."""
+    histories._form.cache_clear()
+    histories._basis.cache_clear()
+
+
+@pytest.mark.parametrize("argv, walks", [(["histories"], 19), (["report"], 38)], ids=["histories", "report"])
 def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, walks):
-    """`histories` reads P[h] off its report's D (17 walk calls: one per member, then one per live child at
-    an event stage: h1's 5 and h1prime's refinement's 12).  `report` walks each distinct member once per
-    engine, whatever asks for it.  Its facts walk 7 members in 19 calls: FR2's P[r=tail] and P[r=tail, w2=ok]
-    (2 + 2: the second vanishes at w2=ok), FR3's P[r=tail] (0: the member memo holds FR2's) and
-    P[r=tail, w2=fail] (3), FR4's P[r=head] and P[r=head, z=-] (2 + 3), the (ok, spin-down) fact's
-    P[z=-, w1=ok] (2: it vanishes at w1=ok), h1's chain (5) and h1prime's (0: the same slots as
-    P[r=tail, w2=ok]).  Its history section then reads h1 from the member memo (0) and walks only
-    h1prime's refinement (12): 31."""
+    """Each member is walked once per engine that walks it, and the report walks its members only on the
+    two basis engines of its coin forms: one call per member, then one per live child at an event stage.
+    `histories` makes 19: h1's 1 and h1prime's 1 on the head engine (r=tail zeroes the head chain), h1's 5
+    and h1prime's refinement's 12 on the tail engine.  `report`'s facts walk 7 members at the coin in 19
+    calls: FR2's P[r=tail] and P[r=tail, w2=ok] (2 + 2: the second vanishes at w2=ok), FR3's P[r=tail]
+    (0: the member memo holds FR2's) and P[r=tail, w2=fail] (3), FR4's P[r=head] and P[r=head, z=-]
+    (2 + 3), the (ok, spin-down) fact's P[z=-, w1=ok] (2: it vanishes at w1=ok), h1's chain (5) and
+    h1prime's (0: the same slots as P[r=tail, w2=ok]).  Its history section then walks `histories`'
+    19 on the basis engines: 38."""
     calls = _count_walks(monkeypatch)
+    _fresh_process()
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert len(calls) == walks
 
 
 def test_report_evolves_each_chain_node_once(capsys, monkeypatch):
-    """verify's facts walk their chains, then the history section walks h1 and h1prime again in its
-    report; every repeated node is read from the engine's chain memo.  The stage maps `report` applies
-    are the pilot state's (5) and one per distinct chain node: P[r=tail]'s 4 (PREP1 to MEAS4 after the
-    mask; P[r=tail, w2=.] only masks its last node), P[r=head]'s 4, P[r=head, z=-]'s 2 (MEAS3 and MEAS4
-    after z=-), P[z=-, w1=ok]'s 1 (MEAS3 after z=-), h1's 2 (MEAS3 and MEAS4 after z=+; its earlier nodes
-    are P[r=tail]'s), none of h1prime's (P[r=tail]'s too) and 4 of h1prime's refinement (MEAS4 after
-    z=+, w1=fail; MEAS3 after z=-; MEAS4 after z=-, w1=ok and after z=-, w1=fail): 22."""
+    """verify's facts walk their chains at the coin, and the history section's report reads D off coin
+    forms walked on the basis engines; every repeated node is read from its engine's chain memo.  At the
+    coin `report` applies the pilot state's 5 stage maps and one per distinct chain node: P[r=tail]'s 4
+    (PREP1 to MEAS4 after the mask; P[r=tail, w2=.] only masks its last node), P[r=head]'s 4,
+    P[r=head, z=-]'s 2 (MEAS3 and MEAS4 after z=-), P[z=-, w1=ok]'s 1 (MEAS3 after z=-), h1's 2 (MEAS3 and
+    MEAS4 after z=+; its earlier nodes are P[r=tail]'s) and none of h1prime's (P[r=tail]'s too): 18.  The
+    basis engines apply 10: OBS0 on the head engine, where r=tail zeroes every chain, and on the tail
+    engine OBS0, h1's 4 and 4 of h1prime's refinement (MEAS3 after z=-; MEAS4 after z=+, w1=fail, after
+    z=-, w1=ok and after z=-, w1=fail): 28."""
     calls = []
     linear = exact.StageMap.linear
 
@@ -184,9 +194,10 @@ def test_report_evolves_each_chain_node_once(capsys, monkeypatch):
         return linear(self, state)
 
     monkeypatch.setattr(exact.StageMap, "linear", counted)
+    _fresh_process()
     code, _, _ = run(capsys, ["report"])
     assert code == 0
-    assert len(calls) == 22
+    assert len(calls) == 28
 
 
 def test_event_before_its_record_is_answered(capsys):

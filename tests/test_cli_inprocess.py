@@ -17,7 +17,9 @@ chains printed the rounding noise `2.48e-18` (in `histories_default.*` and
 `report_default.txt`); h1prime's chain is exactly zero.  Since the command
 line computes with the exact engine, every quantity that vanishes prints as
 `0` instead of rounding noise, and each JSON float is the nearest float to
-the exact value; no other byte changed.  The `help_*` and `usage_*` files
+the exact value; no other byte changed.  `histories_coin_0.6_0.8.json` was
+written while the report still walked every refined chain at the coin,
+before it read D off coin forms.  The `help_*` and `usage_*` files
 were written while the parser still built every subcommand's arguments on
 each invocation; it now builds only the chosen one's.
 """
@@ -41,6 +43,15 @@ NOISY_FAMILY = [
     "--define", "d: z=-",
 ]
 
+# The r x w1 family at a coin other than the paper's: two pairs fail with off-diagonals of
+# |Re(a*b)|/(2 sqrt 2) = 0.17, so every block of the coin forms (HH, HT, TH, TT) reaches the output.
+R_W1_FAMILY = [
+    "--define", "a: r=head, w1=ok",
+    "--define", "b: r=head, w1=fail",
+    "--define", "c: r=tail, w1=ok",
+    "--define", "d: r=tail, w1=fail",
+]
+
 
 class TestInProcess:
     @pytest.mark.parametrize(
@@ -49,6 +60,7 @@ class TestInProcess:
             (["histories"], "histories_default.txt"),
             (["histories", "--format", "json"], "histories_default.json"),
             (["histories"] + NOISY_FAMILY, "histories_custom.txt"),
+            (["histories", "--coin", "0.6,0.8", "--format", "json"] + R_W1_FAMILY, "histories_coin_0.6_0.8.json"),
         ],
     )
     def test_histories_output_matches_golden(self, capsys, args, golden):

@@ -17,13 +17,16 @@ coin.
 import pytest
 
 import reference
-from ewflab import born, cli
+from ewflab import born, cli, facts
 from ewflab.bellbohm import REFERENCE_TRAJECTORY, config_weights, exact_chain
 from ewflab.exact import DYNAMIC_STAGES, STAGES, ExactProtocol, StageId, Surd, exact_label
 from ewflab.protocol import Protocol
 
 EDGE_COINS = [("1e-7", "1"), ("1e-13", "1")]
 PLAIN_COIN = ("0.6", "0.8")
+#: the paper's coin typed to ten digits: accepted, but normalised only within 1e-9
+TEN_DIGIT_COIN = ("0.5773502692", "0.8164965809")
+ZERO_FACTS = ("tail-branch-orthogonal-to-ok", "ok-minus-subspace-empty", "coarse-chain-zero")
 
 
 @pytest.fixture(params=EDGE_COINS, ids=["1e-7", "1e-13"])
@@ -113,3 +116,19 @@ def test_the_dense_engine_keeps_its_floor_at_edge_coins(a, hooks):
     assert [(t.configs, _bits(t.probability)) for t in table.entries] == [
         (t.configs, _bits(t.probability)) for t in want.entries]
     assert table.epoch_weights == want.epoch_weights
+
+
+def test_a_zero_fact_fails_on_a_tiny_but_exactly_nonzero_weight(capsys):
+    """At the ten-digit coin P[z=-, w1=ok] is about 4.5e-22, below `FACT_ATOL` yet exactly nonzero, so FR8's
+    ok-minus-subspace-empty fails on the exact engine, which tests for zero, and passes on the dense one,
+    which keeps `FACT_ATOL`.  FR2's and coarse-chain-zero's weights are exactly zero at every coin, and both
+    pass on both engines.  Oracle: the weight itself, `facts._probability` on the exact engine."""
+    exact = ExactProtocol(TEN_DIGIT_COIN)
+    weight = facts._probability(exact, [("z", "-"), ("w1", "ok")])
+    assert type(weight) is Surd and weight != 0 and weight < 1e-21
+    for engine, fr8 in ((exact, False), (Protocol(tuple(map(float, TEN_DIGIT_COIN))), True)):
+        passed = {r.fact_id: r.passed for r in facts.run_all(engine) if r.fact_id in ZERO_FACTS}
+        assert passed == dict.fromkeys(ZERO_FACTS, True) | {"ok-minus-subspace-empty": fr8}, engine
+    assert cli.main(["verify", "--coin", ",".join(TEN_DIGIT_COIN)]) == 1
+    assert ("[FAIL] FR8 ok-minus-subspace-empty: projection onto the (ok, spin-down) eigenspace vanishes "
+            "(weight 4.49e-22)") in capsys.readouterr().out.splitlines()

@@ -20,6 +20,7 @@ from ewflab.exact import (
 )
 from ewflab.histories import (
     CHAIN_MEMO_NODES,
+    FORM_MEMBERS,
     MEMBER_MEMO_LEAVES,
     PAIR_MEMO_PAIRS,
     EpochMismatchError,
@@ -266,12 +267,20 @@ def _sweep_item(protocol) -> None:
     born.final_record_marginal(protocol)
 
 
+def _forget_forms() -> None:
+    """Empty the per-process coin forms and basis engines, as a fresh process starts."""
+    histories._form.cache_clear()
+    histories._basis.cache_clear()
+
+
 @pytest.mark.parametrize("engine, stage_class", [(Protocol, StageUnitary), (ExactProtocol, StageMap)],
                          ids=["dense", "exact"])
-def test_a_cold_sweep_item_makes_15_stage_map_calls(engine, stage_class, monkeypatch):
-    """The pilot state (5 maps), h1's chain (4), the 2 of h1prime's not on h1's (MEAS3 and MEAS4
-    after r=tail) and the 4 of h1prime's refinement not walked before: each chain node is evolved
-    once per engine, and every walk starts from the pilot state after OBS0."""
+def test_a_cold_sweep_item_makes_11_stage_map_calls(engine, stage_class, monkeypatch):
+    """The pilot state (5 maps), h1's chain (4) and the 2 of h1prime's not on h1's (MEAS3 and MEAS4 after
+    r=tail): each chain node is evolved once per engine, every walk starts from the pilot state after
+    OBS0, and the report walks no chain at the coin.  The first item in a process also walks the basis of
+    the report's coin forms, once per process and hook setting: OBS0 on the head engine (r=tail zeroes
+    every head chain) and 9 on the tail engine (OBS0, h1's 4 and 4 of h1prime's refinement)."""
     calls = []
     linear = stage_class.linear
 
@@ -280,8 +289,13 @@ def test_a_cold_sweep_item_makes_15_stage_map_calls(engine, stage_class, monkeyp
         return linear(self, state)
 
     monkeypatch.setattr(stage_class, "linear", counting)
-    _sweep_item(engine((math.cos(1.0), math.sin(1.0))))
-    assert len(calls) == 15
+    _forget_forms()
+    counts = []
+    for theta in (1.0, 0.7, 0.3):
+        calls.clear()
+        _sweep_item(engine((math.cos(theta), math.sin(theta))))
+        counts.append(len(calls))
+    assert counts == [21, 11, 11]
 
 
 @pytest.mark.parametrize("engine, state_class", [(Protocol, StateVector), (ExactProtocol, SparseState)],
@@ -344,7 +358,8 @@ def test_an_exact_float_coin_sweep_item_compares_few_numbers_in_born_and_bellboh
 @pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
                          ids=["clean", "flip-ok-sign", "corrupt-preparation"])
 def test_a_cold_sweep_item_checks_one_dense_state(hooks, monkeypatch):
-    """The initial state is the one checked state: every other is the engine's image of it."""
+    """The initial state is the one checked state: every other is the engine's image of it.  The first item
+    in a process also checks the initial states of the two basis engines its coin forms read."""
     checked = []
     init = StateVector.__init__
 
@@ -353,8 +368,13 @@ def test_a_cold_sweep_item_checks_one_dense_state(hooks, monkeypatch):
         init(self, space, amps)
 
     monkeypatch.setattr(StateVector, "__init__", counting)
-    _sweep_item(Protocol((math.cos(1.0), math.sin(1.0)), **hooks))
-    assert len(checked) == 1
+    _forget_forms()
+    counts = []
+    for theta in (1.0, 0.7):
+        checked.clear()
+        _sweep_item(Protocol((math.cos(theta), math.sin(theta)), **hooks))
+        counts.append(len(checked))
+    assert counts == [3, 1]
 
 
 @pytest.mark.parametrize("engine, coin, hooks", [p for p in _oracle_engines() if p.values[0] is Protocol])
@@ -404,12 +424,16 @@ def test_history_walks_leave_no_reference_cycle(engine):
 @pytest.mark.parametrize("engine, state_class", [(Protocol, StateVector), (ExactProtocol, SparseState)],
                          ids=["dense", "exact"])
 def test_a_repeated_report_on_a_warm_engine_masks_nothing(engine, state_class, monkeypatch):
-    """Every node of the first report, the vanished ones included, is a memo hit the second time."""
+    """Every node of the first report's coin forms, the vanished ones included, is held by the process: a
+    second report, on the same engine or on a fresh one, masks nothing."""
+    _forget_forms()
     protocol = engine()
     family = [okok_fine_history(protocol), okok_coarse_history(protocol),
               history(protocol, "b", [("r", "head"), ("z", "+")])]
     first = chain_consistency_report(protocol, family)
-    assert any(state.is_zero() for state in protocol.history_memos[0].values())
+    assert protocol.history_memos[0] == {}
+    basis = histories._basis(engine, False, False)
+    assert any(state.is_zero() for b in basis for state in b.history_memos[0].values())
     calls = []
     masked = state_class.masked
 
@@ -418,10 +442,11 @@ def test_a_repeated_report_on_a_warm_engine_masks_nothing(engine, state_class, m
         return masked(self, mask)
 
     monkeypatch.setattr(state_class, "masked", counting)
-    second = chain_consistency_report(protocol, family)
-    assert calls == []
-    assert (second.probability, second.additivity_defect, second.pairs) == (
-        first.probability, first.additivity_defect, first.pairs)
+    for reader in (protocol, engine()):
+        second = chain_consistency_report(reader, family)
+        assert calls == []
+        assert (second.probability, second.additivity_defect, second.pairs) == (
+            first.probability, first.additivity_defect, first.pairs)
 
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
@@ -492,16 +517,20 @@ def test_a_repeated_family_on_a_warm_engine_computes_no_inner_product(engine, mo
 
 
 def test_a_cold_exact_report_reads_each_entry_of_d_once(monkeypatch):
-    """On a fresh exact engine a report over N live refined leaves makes N(N+1)/2 inner products, one per
-    distinct entry of D, as one gram of all its leaves does: each member's block and each pair's once."""
+    """With N nonzero basis chains (h_i or t_i) per member, the first report in a process makes N(N+1)/2
+    inner products per member, one per distinct entry of its form's block, and N_a*N_b per member pair; a
+    report on a fresh engine then makes only the pairs', evaluated at its own coin."""
     for case, family in _oracle_families(ExactProtocol()):
         union = tuple(sorted({e.stage for h in family for e in h.events}))
-        protocol = ExactProtocol()
-        n = sum(not v.is_zero() for h in family for _, v in _fine_chains(protocol, h, union))
-        products = _count_products(ExactProtocol, monkeypatch)
-        chain_consistency_report(protocol, family)
-        assert products.count("inner") == n * (n + 1) // 2, case
-        monkeypatch.undo()
+        basis = [ExactProtocol(coin) for coin in ((1, 0), (0, 1))]
+        chains = [sum(not v.is_zero() for p in basis for _, v in _fine_chains(p, h, union)) for h in family]
+        pairs = sum(a * b for a, b in itertools.combinations(chains, 2))
+        _forget_forms()
+        for coin, want in ((None, sum(n * (n + 1) // 2 for n in chains) + pairs), (("0.6", "0.8"), pairs)):
+            products = _count_products(ExactProtocol, monkeypatch)
+            chain_consistency_report(ExactProtocol(coin), family)
+            assert products.count("inner") == want, (case, coin)
+            monkeypatch.undo()
 
 
 def test_a_tiny_but_nonzero_interference_fails_the_exact_verdict():
@@ -555,6 +584,33 @@ ORACLE_PROTOCOLS = {
 }
 
 
+#: 20 seeded decimal coins, typed as the command line reads them
+DECIMAL_COINS = [
+    (repr(a), repr(math.sqrt(1 - a * a))) for a in (random.Random(1993).uniform(0.05, 0.99) for _ in range(20))
+]
+#: 5 seeded float coins (cos θ, sin θ), read at their binary values
+FLOAT_COINS = [(math.cos(t), math.sin(t)) for t in (random.Random(2019).uniform(0.1, 1.4) for _ in range(5))]
+HOOK_SETTINGS = {"": {}, "-flip-ok-sign": {"flip_ok_sign": True}, "-corrupt-preparation": {"corrupt_preparation": True}}
+
+
+def _report_oracle_cases():
+    """The dense engine under `ORACLE_PROTOCOLS`, then under each hook setting the exact engine at the
+    default coin, both engines at the decimal and float coins (the dense one reads each amplitude as a
+    float) and the dense engine at (0.6, 0.8j), a coin the exact engine refuses."""
+    for name, flags in ORACLE_PROTOCOLS.items():
+        yield pytest.param(Protocol, flags, id=name)
+    coins = ([(f"decimal{i}", c) for i, c in enumerate(DECIMAL_COINS)]
+             + [(f"float{i}", c) for i, c in enumerate(FLOAT_COINS)])
+    for suffix, hooks in HOOK_SETTINGS.items():
+        yield pytest.param(ExactProtocol, hooks, id=f"exact-default{suffix}")
+        for coin_id, coin in coins:
+            yield pytest.param(ExactProtocol, {"coin_amplitudes": coin, **hooks}, id=f"exact-{coin_id}{suffix}")
+            dense = {"coin_amplitudes": tuple(map(float, coin)), **hooks}
+            yield pytest.param(Protocol, dense, id=f"dense-{coin_id}{suffix}")
+        if hooks:  # ORACLE_PROTOCOLS holds it without hooks
+            yield pytest.param(Protocol, {"coin_amplitudes": (0.6, 0.8j), **hooks}, id=f"coin-0.6-0.8j{suffix}")
+
+
 def _grid_families():
     """2-4-member families at canonical stages: single-variable and two-variable
     frameworks, overlapping pairs, coarse-plus-fine triples and three-variable mixes."""
@@ -583,10 +639,11 @@ def _oracle_families(protocol):
         yield f"grid{i}", [history(protocol, name, assignments) for name, assignments in spec.items()]
 
 
-@pytest.mark.parametrize("flags", list(ORACLE_PROTOCOLS.values()), ids=list(ORACLE_PROTOCOLS))
-def test_report_matches_pairwise_oracle(flags):
-    """One decoherence matrix gives the pairwise loop's verdicts and numbers."""
-    protocol = Protocol(**flags)
+@pytest.mark.parametrize("engine, flags", _report_oracle_cases())
+def test_report_matches_pairwise_oracle(engine, flags):
+    """One decoherence matrix, read off coin forms, gives the pairwise loop's verdicts and numbers: exactly
+    on the exact engine, within 1e-15 on the dense one."""
+    protocol = engine(**flags)
     cases = list(_oracle_families(protocol))
     assert len(cases) == len(ORACLE_FAMILIES) + 26
     for case, family in cases:
@@ -595,6 +652,10 @@ def test_report_matches_pairwise_oracle(flags):
         assert got.family == want.family, case
         assert got.union_stages == want.union_stages, case
         assert got.consistent == want.consistent, case
+        if engine is ExactProtocol:
+            assert (got.probability, got.additivity_defect, got.pairs) == (
+                want.probability, want.additivity_defect, want.pairs), case
+            continue
         assert got.additivity_defect.keys() == want.additivity_defect.keys(), case
         for name, defect in want.additivity_defect.items():
             assert abs(got.additivity_defect[name] - defect) <= 1e-15, (case, name)
@@ -619,10 +680,6 @@ def test_history_probability_is_the_direct_chain_norm_bit_for_bit(flags):
             assert history_probability(protocol, h) == want, h.describe()
 
 
-#: 20 seeded decimal coins, typed as the command line reads them
-DECIMAL_COINS = [
-    (repr(a), repr(math.sqrt(1 - a * a))) for a in (random.Random(1993).uniform(0.05, 0.99) for _ in range(20))
-]
 PROBABILITY_CASES = (
     [pytest.param(None, {}, id="default")]
     + [pytest.param(coin, {}, id=f"decimal{i}") for i, coin in enumerate(DECIMAL_COINS)]
@@ -702,22 +759,28 @@ def test_chain_vector_refuses_events_out_of_stage_order_in_its_own_name(engine):
 @pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8)), (ExactProtocol, ("0.6", "0.8"))],
                          ids=["dense", "exact"])
 def test_history_memos_belong_to_one_engine(engine, coin):
-    """Two engines with equal coins and hooks share their stages but no memo: a report on the first leaves
-    the second's memos empty, and the second's own report, equal to the first's, leaves the first's as they
-    were, entries, values and order."""
+    """Two engines with equal coins and hooks share their stages and coin forms but no memo: a query (each
+    P[h], then the report) on the first leaves the second's memos empty, and the second's own query, equal
+    to the first's, leaves the first's as they were, entries, values and order."""
     first, second = engine(coin, flip_ok_sign=True), engine(coin, flip_ok_sign=True)
     assert first.stage_unitaries is second.stage_unitaries
     family = [okok_fine_history(first), okok_coarse_history(first), history(first, "b", [("r", "head"), ("z", "+")])]
-    want = chain_consistency_report(first, family)
+
+    def query(protocol):
+        return [history_probability(protocol, h) for h in family], chain_consistency_report(protocol, family)
+
+    want_p, want = query(first)
     snapshot = [list(memo.items()) for memo in first.history_memos]
     assert all(snapshot)
     assert [len(memo) for memo in second.history_memos] == [0, 0, 0]
-    got = chain_consistency_report(second, family)
+    got_p, got = query(second)
+    assert got_p == want_p
     assert (got.probability, got.additivity_defect, got.pairs) == (
         want.probability, want.additivity_defect, want.pairs)
     assert [len(memo) for memo in second.history_memos] == [len(entries) for entries in snapshot]
     assert [list(memo.items()) for memo in first.history_memos] == snapshot
     assert all(a is not b for a, b in zip(first.history_memos, second.history_memos))
+    assert [m.form for m in first.history_memos[1].values()] == [m.form for m in second.history_memos[1].values()]
 
 
 @pytest.mark.parametrize("mask", [np.copy(_mask_array(record_mask("r", "tail"))), tuple(record_mask("r", "tail"))],
@@ -798,11 +861,15 @@ def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(
             assert len(protocol.history_memos[0]) <= CHAIN_MEMO_NODES
             assert len(protocol.history_memos[1]) <= MEMBER_MEMO_LEAVES
             assert len(protocol.history_memos[2]) <= PAIR_MEMO_PAIRS
+            assert histories._form.cache_info().currsize <= FORM_MEMBERS
         assert len(protocol.history_memos[0]) == CHAIN_MEMO_NODES
         assert len(protocol.history_memos[1]) == MEMBER_MEMO_LEAVES
         assert len(protocol.history_memos[2]) == PAIR_MEMO_PAIRS
+        assert histories._form.cache_info().currsize == FORM_MEMBERS
+        members = protocol.history_memos[1].values()
         assert all(vanished == state.is_zero()
-                   for member in protocol.history_memos[1].values() for _, state, vanished in member.leaves)
+                   for member in members if member.leaves is not None for _, state, vanished in member.leaves)
+        assert all((member.leaves, member.form) != (None, None) for member in members)
 
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])

@@ -360,4 +360,4 @@ def test_the_engine_contract_is_what_the_shared_modules_read():
         read |= {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "protocol"}
     assert read == contract
-    assert len(contract) == 10
+    assert len(contract) == 11

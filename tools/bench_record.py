@@ -39,8 +39,11 @@ and checks unchanged, with `ExactProtocol` as its engine, at the float coin
 (cos θ, sin θ) for EXACT_ANGLES seeded angles θ in [0.1, 1.4].  The record
 gives the median µs of EXACT_ROUNDS rounds of those items (each item timed
 as the workload times it, wall and at reference speed), and the calls per
-item of `Surd._cmp`, of `Surd.__init__` (numbers constructed) and of
-`math.gcd`, counted by cProfile over one more round, checks included.
+item of `Surd._cmp`, of `Surd.__init__` (numbers constructed), of
+`math.gcd`, of `StageMap.linear` (stage maps applied) and of
+`SparseState.inner` (inner products), counted by cProfile over one more
+round, checks included.  By then the process holds the items' coin forms,
+so the last two count what each item repeats, not the per-process basis.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def exact_sweep() -> dict:
     """Median µs of the coin-sweep item on the exact engine, and its Surd work per item."""
     _perfbench_on_path()
     import workloads
-    from ewflab.exact import ExactProtocol, Surd
+    from ewflab.exact import ExactProtocol, SparseState, StageMap, Surd
 
     workloads.Protocol = ExactProtocol  # the item's engine; its body and checks are the workload's
     rng = random.Random(EXACT_SEED)
@@ -143,7 +146,8 @@ def exact_sweep() -> dict:
         "median_us_at_reference_speed": round(statistics.median(scaled) * 1e3, 1),
         "round_median_us": [round(statistics.median(r) * 1e3, 1) for r in rounds],
         "calls_per_item": {"Surd._cmp": per_item(Surd._cmp), "Surd.__init__": per_item(Surd.__init__),
-                           "math.gcd": round(gcd / len(angles), 1)},
+                           "math.gcd": round(gcd / len(angles), 1), "StageMap.linear": per_item(StageMap.linear),
+                           "SparseState.inner": per_item(SparseState.inner)},
     }
 
 

@@ -35,6 +35,10 @@ ewflab report | diff -u "$golden/report_default.txt" -
 ewflab argue --interpretation all | diff -u "$golden/argue_all_default.txt" -
 ewflab argue --interpretation all --format json | diff -u "$golden/argue_all_default.json" -
 ewflab histories --define 'a: w1=ok, w2=ok' --define 'b: w1=fail, w2=ok' --define 'd: z=-'
+# the r x w1 family at a coin other than the paper's, whose failing off-diagonals (0.17) read every
+# block of the coin forms, is the golden file the tests compare, byte for byte
+ewflab histories --coin 0.6,0.8 --format json --define 'a: r=head, w1=ok' --define 'b: r=head, w1=fail' \
+  --define 'c: r=tail, w1=ok' --define 'd: r=tail, w1=fail' | diff -u "$golden/histories_coin_0.6_0.8.json" -
 # a staged family: the label r=tail read after MEAS4 and at its recording stage
 ewflab histories --define 'a: r@MEAS4=tail' --define 'b: r=tail'
 # events are put in stage order, so any spelling of a history prints what its in-order one does,
