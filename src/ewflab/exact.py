@@ -51,17 +51,17 @@ the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
 this one's oracle.  It is also the faster one wherever the decoherence
 functional D has to be evaluated: with a fresh engine, its pilot state
 evolved, for each of the first 300 families of the benchmark's stream of
-history queries (seed 31), a query takes 0.36-0.40 ms here against the
-dense engine's 0.20-0.22 ms (fastest of 6 repeats, three runs; the first
-repeat, which also builds the process's coin forms, takes 0.39-0.41 ms and
-0.23-0.25 ms).  Warm, both engines read each member's block of D and each
-pair's from their `history_memos` and compute no inner product, and they
-take about the same 0.016-0.021 ms per query (fastest of 5 repeats of 4,000
-queries, seeds 31 and 32).  Each query is timed as the benchmark times it,
-its answer checks left out.  Both were measured in process on one CPU of a
-2-vCPU x86-64 VM, Python 3.11.7; most of a warm query is building its
-histories and reading the memos (cProfile).  Float coins (large binary
-rationals) slow the exact arithmetic further.
+history queries (seed 31), a query takes 0.19-0.30 ms here against the
+dense engine's 0.15-0.17 ms (fastest of the 5 repeats after the first,
+three runs; the first, which also builds the process's coin forms, takes
+0.33-0.51 ms and 0.25-0.34 ms).  Warm, neither engine computes an inner
+product: each reads P[h] from its `history_memos` and evaluates the
+process's coin forms at its coin, which takes 0.048-0.057 ms per query here,
+in exact arithmetic, and 0.018-0.025 ms on the dense engine (fastest of 5
+repeats of 4,000 queries, seeds 31 and 32).  Each query is timed as the
+benchmark times it, its answer checks left out.  Both were measured in
+process on one CPU of a 2-vCPU x86-64 VM, Python 3.11.7.  Float coins
+(large binary rationals) slow the exact arithmetic further.
 """
 
 from __future__ import annotations
@@ -733,8 +733,8 @@ class Engine:
         self.corrupt_preparation = corrupt_preparation
         self._pilot_cache: dict = {}
         self._checked_stages: frozenset[StageId] = frozenset()  # set with the initial state
-        #: the history-chain node, member and member-pair memos, which `histories` keeps
-        self.history_memos: tuple[dict, dict, dict] = ({}, {}, {})
+        #: the history-chain node and P[h] memos, which `histories` keeps
+        self.history_memos: tuple[dict, dict] = ({}, {})
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
         self.fact_results: dict = {}
 

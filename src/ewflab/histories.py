@@ -22,26 +22,20 @@ A refined chain is named by its path: the (stage index, mask) of each
 event it applied, in order.  The path keys the chain memo, whose nodes are
 the states themselves, and names the leaf in the report; an event's label
 is for display only.  A member is its key, the (stage index, masks) of each
-stage where it has an event or is refined: the walk reads it, and it keys
-the member memo, whose record keeps the member's chain at the engine's coin
-and what the report read of its own block of D.  Two member keys key the
-pair memo, which keeps what the report read of the pair's block.  The three
-memos are this module's (`_recall`, one lookup per hit, first in first out
-at their bounds), kept in each engine's `history_memos`; they hold values
-at the engine's coin.  A report whose members and pairs the engine has
-answered before, in any family, walks nothing and computes no inner product.
+stage where it has an event or is refined, which the walk reads.  An
+engine keeps two memos (`_recall`, first in first out) in its
+`history_memos`: the chain nodes it walked at its coin, and P[h] per event
+tuple.
 
 D is read off coin forms.  The coin enters only through the initial state,
 so every entry of D is a form ā·a·HH + ā·b·HT + b̄·a·TH + b̄·b·TT in the
 coin (a, b), whose four coefficients are inner products of the member's
-chains walked from |head> and from |tail>.  Those chains are walked on two
-engines of the same class and hooks at the coins (1, 0) and (0, 1)
-(`_basis`), and a member's form, its live chains and the coefficients of
-its own block, is kept once per process (`_form`), so every engine and
-every coin reads it.  A report walks no chain at its engine's coin: on a
-member-memo miss it evaluates the member's form at the coin, and on a
-pair-memo miss one gram of the two forms' chains.  `history_probability`
-and `chain_vector` still walk at the coin: on the dense engine P[h] is the
+chains walked from |head> and from |tail> on two engines of the same class
+and hooks (`_basis`).  Member forms (`_form`) and pair forms (`_pair_form`)
+are kept once per process, and a report evaluates them at its engine's
+coin: once the process holds a family's forms, a report on any engine walks
+nothing and computes no inner product.  `history_probability` and
+`chain_vector` still walk at the coin: on the dense engine P[h] is the
 chain's own norm, bit for bit.
 
 Stage order is derived once per process: an assignment tuple's ordered
@@ -52,7 +46,7 @@ a family's union stages are read off the OR of its members' bitmasks.
 from __future__ import annotations
 
 import itertools
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, RecordMask, StageId, Surd, record_mask
@@ -101,13 +95,10 @@ def _require_stage_order(events: tuple[HistoryEvent, ...]) -> int:
     return sum(1 << i for i in indices)
 
 
-#: Bounds of the per-process caches of event tuples' stage bitmasks
-#: (`_stage_bits`), assignment tuples' ordered events (`history`) and member
-#: keys per (events, union stages) (`_member_key`), least recently used first
-#: out.  In 35,000 queries the benchmark's warm history stream meets 80, 80
-#: and 187 of them (99.9% of member-key lookups hit) and 4 union stages; they
-#: retain 0.14 MB (`tracemalloc`).
-EVENT_TUPLES = MEMBER_KEYS = 1024
+#: Bound of the per-process caches of event tuples' stage bitmasks
+#: (`_stage_bits`) and assignment tuples' ordered events (`history`), least
+#: recently used first out: the benchmark's warm history stream meets 80.
+EVENT_TUPLES = 1024
 
 
 @lru_cache(maxsize=EVENT_TUPLES)
@@ -169,22 +160,22 @@ def _ordered_events(pairs: tuple[tuple[str, str], ...]) -> tuple[HistoryEvent, .
 
 
 def chain_vector(protocol: Engine, events: tuple[HistoryEvent, ...]) -> StateVector:
-    """P_n U_n ... P_1 U_1 |initial>, unnormalized: the one leaf of `_fine_chains`."""
+    """P_n U_n ... P_1 U_1 |initial>, unnormalized: the one leaf of the unrefined member (`_leaves`)."""
     try:
         _stage_bits(events)
     except ValueError as exc:
         raise ValueError(f"chain_vector: {exc}") from None
-    ((_, state, _),) = _member(protocol, events, ()).leaves
+    ((_, state, _),) = _leaves(protocol, _member_key(events, ()))
     return state
 
 
 def history_probability(protocol: Engine, h: History) -> float:
-    """The squared norm of h's chain, computed once per member record."""
-    member = _member(protocol, h.events, ())
-    if member.norm2 is None:
-        ((_, state, _),) = member.leaves
-        member.norm2 = state.norm2()
-    return member.norm2
+    """The squared norm of h's chain, walked once per event tuple while the engine's P[h] memo holds it."""
+    return _recall(protocol.history_memos[1], h.events, PROBABILITY_MEMO_HISTORIES, _norm2, protocol, h.events)
+
+
+def _norm2(protocol: Engine, events: tuple[HistoryEvent, ...]):
+    return chain_vector(protocol, events).norm2()
 
 
 # -- joint considerability ---------------------------------------------------
@@ -248,22 +239,19 @@ def _record_refinement_events(stage: StageId) -> tuple[HistoryEvent, ...]:
 def _negligible(x) -> bool:
     """Whether an entry of D, or a sum of entries, counts as zero: exactly on the exact engine.
 
-    A Surd is the exact engine's number, so it is tested for zero; any other
-    number is a float the dense engine rounded, or an exact engine's empty
-    sum or maximum (0 or 0.0), and passes within `CONSISTENCY_ATOL`.
+    A Surd is the exact engine's number, so it is tested for zero; a float
+    is the dense engine's, rounded, and passes within `CONSISTENCY_ATOL`.
     """
     return not x if type(x) is Surd else x <= CONSISTENCY_ATOL
 
 
-@lru_cache(maxsize=MEMBER_KEYS)
 def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, ...]) -> tuple:
-    """A member's key in the engine's memos: (stage index, masks) per slot, in stage order.
+    """A member's key, which its walk reads: (stage index, masks) per slot, in stage order.
 
     A slot is a stage where the member has an event, whose mask it holds,
     or another union stage, where it is refined into the record
-    decomposition's masks.  The key does not depend on the engine, so it is
-    derived once per process.  Evolves nothing; its callers check the
-    events' stage order.
+    decomposition's masks.  Evolves nothing; its callers check the events'
+    stage order.
     """
     slots = {_STAGE_INDEX[e.stage]: (e.mask,) for e in events}
     for stage in union_stages:
@@ -281,27 +269,16 @@ def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, .
 #: setting (`_basis`), the chains every coin form reads.
 CHAIN_MEMO_NODES = 256
 
-#: History-family members kept per engine (`_member`), first in first out.
-#: An entry is a member's record under its key: its leaves at the engine's
-#: coin, whose states are mostly the chain memo's own nodes, when
-#: `history_probability` or `chain_vector` asked for them, and P[h] and the
-#: additivity defect evaluated off its coin form when a report asked.
-MEMBER_MEMO_LEAVES = 256
+#: P[h] kept per engine (`history_probability`) under the history's event
+#: tuple, first in first out.
+PROBABILITY_MEMO_HISTORIES = 256
 
-#: Member pairs kept per engine (`chain_consistency_report`), first in first
-#: out.  An entry is the three reductions of a pair's block of D at the
-#: engine's coin (the direct overlap, the cross interference and whether the
-#: two share a path), which depend on nothing but the two members' forms and
-#: the coin: it is keyed by the two member keys, the smaller first, one entry
-#: per unordered pair.  The benchmark's warm history stream has 1,840
-#: distinct pairs, saturated within 20,000 queries.
-PAIR_MEMO_PAIRS = 2048
-
-#: Coin forms kept per process (`_form`), least recently used first out, and
-#: the basis engines they read (`_basis`), one pair per engine class and hook
-#: setting.  A form holds its live leaves' basis chains, mostly the basis
-#: engines' own chain-memo nodes, and eight numbers.
+#: Per-process bounds, least recently used first out, of member forms
+#: (`_form`), which hold their live leaves' basis chains, mostly the basis
+#: engines' own nodes; of pair forms (`_pair_form`: the benchmark's warm
+#: history stream has 1,840 pairs); and of basis engine pairs (`_basis`).
 FORM_MEMBERS = 256
+PAIR_FORMS = 2048
 BASIS_SETTINGS = 8
 
 
@@ -321,39 +298,6 @@ def _recall(memo: dict, key, bound: int, build, *args):
     return value
 
 
-class _Member:
-    """What one engine has read of a member: the record the member memo keeps under its key.
-
-    `leaves` are (path, state, vanished) for every leaf below the engine's
-    initial state, in walk order (`_leaves`), walked the first time
-    `chain_vector`, `history_probability` or `_fine_chains` asks; `norm2` is
-    the chain's squared norm, the first time `history_probability` asks.
-    `form` is the member's coin form (`_form`), and `probability` and
-    `additivity` are P[h] = |sum(D_hh)| and the additivity defect
-    |sum(D_hh) - trace(D_hh)| evaluated off it at the engine's coin, the
-    first time a report asks.  None until then.
-    """
-
-    __slots__ = ("leaves", "norm2", "form", "probability", "additivity")
-
-    def __init__(self) -> None:
-        self.leaves = self.norm2 = self.form = self.probability = self.additivity = None
-
-
-def _member(protocol: Engine, events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, ...]) -> _Member:
-    """The record of a member with these events refined over union stages, with its leaves at the engine's coin.
-
-    The leaves depend on nothing but the member's key and the engine, so a
-    record that holds them returns the first walk's, bit-identical; a walk
-    reads its nodes from the chain memo.
-    """
-    key = _member_key(events, union_stages)
-    member = _recall(protocol.history_memos[1], key, MEMBER_MEMO_LEAVES, _Member)
-    if member.leaves is None:
-        member.leaves = _leaves(protocol, key)
-    return member
-
-
 def _leaves(protocol: Engine, key: tuple) -> tuple:
     """(path, state, vanished) for every leaf of the member with this key, walked from the engine's initial state.
 
@@ -365,13 +309,6 @@ def _leaves(protocol: Engine, key: tuple) -> tuple:
     leaves: list[tuple[tuple, StateVector, bool]] = []
     _walk(protocol, key, 0, (), None, leaves)
     return tuple(leaves)
-
-
-def _fine_chains(
-    protocol: Engine, h: History, union_stages: tuple[StageId, ...]
-) -> list[tuple[tuple, StateVector]]:
-    """Refine h over union stages it does not mention; return (path, chain vector) per leaf."""
-    return [(path, v) for path, v, _ in _member(protocol, h.events, union_stages).leaves]
 
 
 def _walk(protocol: Engine, key: tuple, i: int, path: tuple, state: StateVector | None, leaves: list) -> None:
@@ -414,48 +351,48 @@ def _walk(protocol: Engine, key: tuple, i: int, path: tuple, state: StateVector 
 # -- coin forms ----------------------------------------------------------------
 
 
-class _Form(NamedTuple):
+class _Form(Frozen):
     """A member's coin form: what D reads of the member at every coin, derived once per process.
 
-    The coin enters only through the initial state a|head> + b|tail>, and
-    every stage map and mask is linear, so each refined chain is a·h + b·t,
-    with h and t its chains from the two basis states, and each entry of D
+    Each refined chain is a·h + b·t, with h and t its chains from the two
+    basis states, as every stage map and mask is linear, so each entry of D
     is ā·a·<h_i|h_j> + ā·b·<h_i|t_j> + b̄·a·<t_i|h_j> + b̄·b·<t_i|t_j>.
-    `paths` are all the member's leaf paths and `live` the paths of the
-    leaves whose basis chains are not both zero.  `chains` are (leaf, half,
-    chain) for each nonzero basis chain of a live leaf: its position in
-    `live`, 0 for the head chain or 1 for the tail chain, and the state.
-    `total` holds the four coefficients (HH, HT, TH, TT) of sum(D_hh), and
-    `defect` those of sum(D_hh) - trace(D_hh).
+    `setting` is the engine class and hooks of the basis, and `key` the
+    member's.  `paths` are the member's leaf paths and `live` those whose
+    basis chains are not both zero.  `chains` are (leaf, half, chain) for
+    each nonzero basis chain: its leaf's position in `live`, 0 for head or
+    1 for tail, and the state.  `own` is sum(D_hh), then sum(D_hh) -
+    trace(D_hh), as coin forms (`_terms`).  Hashed by identity.
     """
 
-    paths: frozenset
-    live: tuple
-    chains: tuple
-    total: tuple
-    defect: tuple
+    __slots__ = ("setting", "key", "paths", "live", "chains", "own")
+
+    def __init__(self, setting: tuple, key: tuple, paths: frozenset, live: tuple, chains: tuple, own: tuple) -> None:
+        for name, value in zip(self.__slots__, (setting, key, paths, live, chains, own)):
+            setfield(self, name, value)
 
 
 @lru_cache(maxsize=BASIS_SETTINGS)
 def _basis(engine: type, flip_ok_sign: bool, corrupt_preparation: bool) -> tuple:
     """Engines of this class and hook setting at the coins (1, 0) and (0, 1): the basis every coin form reads.
 
-    They walk the forms' chains as any engine walks its own, through their
-    pilot caches and chain memos, so each basis node is evolved once per
-    process while it stays in its memo.
+    They walk the forms' chains through their own pilot caches and chain
+    memos, so each basis node is evolved once while its memo holds it.
     """
     return tuple(engine(coin, flip_ok_sign=flip_ok_sign, corrupt_preparation=corrupt_preparation)
                  for coin in ((1, 0), (0, 1)))
 
 
 @lru_cache(maxsize=FORM_MEMBERS)
-def _form(engine: type, flip_ok_sign: bool, corrupt_preparation: bool, key: tuple) -> _Form:
-    """The coin form of the member with this key, keyed by what it reads: the engine class, the hooks and the key.
+def _form(engine: type, flip_ok_sign: bool, corrupt_preparation: bool, events: tuple[HistoryEvent, ...],
+          union_stages: tuple[StageId, ...]) -> _Form:
+    """The coin form of the member with these events refined over union stages, for an engine class and hooks.
 
-    The member's own block of D is one gram of its nonzero basis chains,
-    each entry added to the coefficient of its pair of halves.
+    Its own block of D is one gram of its nonzero basis chains.
     """
-    head, tail = _basis(engine, flip_ok_sign, corrupt_preparation)
+    setting = (engine, flip_ok_sign, corrupt_preparation)
+    key = _member_key(events, union_stages)
+    head, tail = _basis(*setting)
     heads = _leaves(head, key)
     live = [(path, h, vh, t, vt) for (path, h, vh), (_, t, vt) in zip(heads, _leaves(tail, key)) if not (vh and vt)]
     chains = tuple([(i, half, chain) for i, (_, h, vh, t, vt) in enumerate(live)
@@ -466,22 +403,62 @@ def _form(engine: type, flip_ok_sign: bool, corrupt_preparation: bool, key: tupl
             total[2 * p + q] += x
             if i == j:
                 trace[2 * p + q] += x
-    return _Form(frozenset([path for path, _, _ in heads]), tuple([path for path, *_ in live]), chains, tuple(total),
-                 tuple([s - t for s, t in zip(total, trace)]))
+    return _Form(setting, key, frozenset([path for path, _, _ in heads]), tuple([path for path, *_ in live]), chains,
+                 (_terms(total), _terms([s - t for s, t in zip(total, trace)])))
 
 
-def _coin_weights(protocol: Engine) -> tuple:
-    """(ā·a, ā·b, b̄·a, b̄·b) at the engine's coin (a, b): the weights of a coin form's HH, HT, TH and TT."""
-    a, b = protocol.coin_amplitudes
+@lru_cache(maxsize=PAIR_FORMS)
+def _pair_form(a: _Form, b: _Form) -> tuple:
+    """A pair's block D_ab as coin forms (`_terms`): (its sum, its entries between different paths, shared).
+
+    One gram of the two forms' nonzero basis chains, smaller key first, so
+    the forms do not depend on a family's order (D_ba is D_ab's adjoint, and
+    what a report reads is symmetric).  An entry zero at every coin, or
+    equal to another, is left out.  `shared` is whether a and b share a path.
+    """
+    if b.key < a.key:
+        a, b = b, a
+    head, _ = _basis(*a.setting)
+    d = [[[0] * 4 for _ in b.live] for _ in a.live]
+    total = [0] * 4
+    for (i, p, _), row in zip(a.chains, head.gram([c for _, _, c in a.chains], [c for _, _, c in b.chains])):
+        for (j, q, _), x in zip(b.chains, row):
+            d[i][j][2 * p + q] += x
+            total[2 * p + q] += x
+    cross = []
+    for pa, row in zip(a.live, d):
+        for pb, entry in zip(b.live, row):
+            terms = _terms(entry)
+            if pa != pb and terms and terms not in cross:
+                cross.append(terms)
+    return _terms(total), tuple(cross), not a.paths.isdisjoint(b.paths)
+
+
+def _terms(coefficients: list) -> tuple:
+    """A coin form as its nonzero terms, flat: (weight index, coefficient, ...).
+
+    Most forms a report reads have none or one term.
+    """
+    return tuple([x for k, c in enumerate(coefficients) if c for x in (k, c)])
+
+
+def _weights(coin: tuple) -> tuple:
+    """(ā·a, ā·b, b̄·a, b̄·b) at the coin (a, b): the weights of a coin form's HH, HT, TH and TT."""
+    a, b = coin
     ca, cb = a.conjugate(), b.conjugate()
     return ca * a, ca * b, cb * a, cb * b
 
 
-def _at(weights: tuple, coefficients: tuple):
-    """A coin form's value at the coin whose weights these are."""
-    w0, w1, w2, w3 = weights
-    hh, ht, th, tt = coefficients
-    return w0 * hh + w1 * ht + w2 * th + w3 * tt
+def _modulus(weights: tuple, form: tuple):
+    """|value| of a nonzero coin form (`_terms`) at the coin whose weights these are; one term needs no sum."""
+    if len(form) == 2:
+        k, c = form
+        return abs(weights[k] * c)
+    return abs(sum([weights[k] * c for k, c in zip(form[::2], form[1::2])]))
+
+
+#: Stage indices at which nothing is recorded: a member refined there is refused.
+_UNRECORDED = sum(1 << i for i, stage in enumerate(STAGES) if stage not in RECORDED_VAR)
 
 
 def chain_consistency_report(protocol: Engine, family: list[History]) -> ConsistencyReport:
@@ -495,58 +472,40 @@ def chain_consistency_report(protocol: Engine, family: list[History]) -> Consist
     and a pair's direct overlap is |sum(D_ab)|.  A pair fails on either, on
     interference between refined chains with different paths (largest such
     |D_ab| entry), or on a shared path (the histories are not exclusive
-    alternatives).  No chain is walked at the engine's coin: D_hh is read
-    off the member's coin form into its record, and D_ab is evaluated from
-    the two forms into the pair memo, each once per engine.  Every member's
-    key is derived, and a bad family refused, before any walk.
+    alternatives).  Every number is a coin form evaluated at the engine's
+    coin.  A member refined at a stage that records nothing is refused
+    before any walk.
     """
     names = [h.name for h in family]
     if len(set(names)) != len(names):
         repeated = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"family members need distinct names (repeated: {', '.join(repeated)})")
-    union_stages = _stages_of(reduce(int.__or__, [_stage_bits(h.events) for h in family], 0))
-    keys = [_member_key(h.events, union_stages) for h in family]
-    _, member_memo, pair_memo = protocol.history_memos
-    members = [_recall(member_memo, key, MEMBER_MEMO_LEAVES, _Member) for key in keys]
-    for key, member in zip(keys, members):
-        if member.form is None:
-            member.form = _form(type(protocol), protocol.flip_ok_sign, protocol.corrupt_preparation, key)
-            weights = _coin_weights(protocol)
-            member.probability = abs(_at(weights, member.form.total))  # abs drops the dense engine's rounding only
-            member.additivity = abs(_at(weights, member.form.defect))
+    union = 0
+    for h in family:
+        union |= _stage_bits(h.events)
+    union_stages = _stages_of(union)
+    if union & _UNRECORDED:
+        for h in family:
+            _member_key(h.events, union_stages)  # refuses a refinement at a stage that records nothing
+    engine, flip_ok_sign, corrupt_preparation = type(protocol), protocol.flip_ok_sign, protocol.corrupt_preparation
+    forms = [_form(engine, flip_ok_sign, corrupt_preparation, h.events, union_stages) for h in family]
+    pair_forms = [_pair_form(fa, fb) if id(fa) <= id(fb) else _pair_form(fb, fa)
+                  for fa, fb in itertools.combinations(forms, 2)]
+    weights = _weights(protocol.coin_amplitudes)
+    zero = abs(weights[0] * 0)  # a number of the engine: the Surd 0 on the exact engine
+    probability, defect = {}, {}
+    for name, form in zip(names, forms):
+        p, d = form.own
+        probability[name] = _modulus(weights, p) if p else zero
+        defect[name] = _modulus(weights, d) if d else zero
+    additive = {name: _negligible(d) for name, d in defect.items()}
     pairs = []
-    additive = [_negligible(m.additivity) for m in members]
-    for (a, ka, ma, fa), (b, kb, mb, fb) in itertools.combinations(zip(names, keys, members, additive), 2):
-        # D_ba is D_ab's adjoint and each summary is symmetric: one entry per unordered pair
-        key, args = ((ka, kb), (ma.form, mb.form)) if ka <= kb else ((kb, ka), (mb.form, ma.form))
-        off, cross, shared = _recall(pair_memo, key, PAIR_MEMO_PAIRS, _pair_block, protocol, *args)
-        ok = fa and fb and not shared and _negligible(off) and _negligible(cross)
+    for (a, b), (total, entries, shared) in zip(itertools.combinations(names, 2), pair_forms):
+        off = _modulus(weights, total) if total else zero
+        cross = max([_modulus(weights, entry) for entry in entries]) if entries else zero
+        ok = additive[a] and additive[b] and not shared and _negligible(off) and _negligible(cross)
         pairs.append(PairVerdict(a, b, off, cross, shared, ok))
-    return ConsistencyReport(
-        tuple(names),
-        union_stages,
-        {name: m.probability for name, m in zip(names, members)},
-        {name: m.additivity for name, m in zip(names, members)},
-        tuple(pairs),
-    )
-
-
-def _pair_block(protocol: Engine, a: _Form, b: _Form) -> tuple:
-    """(|sum(D_ab)|, the largest |D_ab| entry between different paths, whether a and b share a path).
-
-    D_ab is evaluated at the engine's coin from one gram of the two forms'
-    nonzero basis chains, each entry weighted by its pair of halves.
-    """
-    g = protocol.gram([chain for _, _, chain in a.chains], [chain for _, _, chain in b.chains])
-    weights = _coin_weights(protocol)
-    d = [[0] * len(b.live) for _ in a.live]
-    for (i, p, _), row in zip(a.chains, g):
-        di, wp = d[i], weights[2 * p : 2 * p + 2]
-        for (j, q, _), x in zip(b.chains, row):
-            di[j] += wp[q] * x
-    off = abs(sum(x for row in d for x in row))
-    cross = max((abs(x) for pa, row in zip(a.live, d) for pb, x in zip(b.live, row) if pa != pb), default=0.0)
-    return off, cross, not a.paths.isdisjoint(b.paths)
+    return ConsistencyReport(tuple(names), union_stages, probability, defect, tuple(pairs))
 
 
 # -- the two historical claims shipped with the protocol ---------------------

@@ -113,7 +113,8 @@ from ewflab.histories import (
     History,
     HistoryEvent,
     PairVerdict,
-    _fine_chains,
+    _leaves,
+    _member_key,
 )
 from ewflab.linalg import (
     ATOL,
@@ -492,6 +493,15 @@ def chain_vector(protocol: Protocol, events: tuple[HistoryEvent, ...]) -> StateV
     return state
 
 
+def fine_chains(protocol: Protocol, h: History, union_stages: tuple[StageId, ...]) -> list[tuple[tuple, StateVector]]:
+    """Refine h over union stages it does not mention; return (path, chain vector) per leaf.
+
+    The package's own walk (`histories._leaves`), formerly `histories._fine_chains`, which the package no
+    longer reads: the oracle report and the tests read the refined chains through it.
+    """
+    return [(path, v) for path, v, _ in _leaves(protocol, _member_key(h.events, union_stages))]
+
+
 def chain_consistency_report(protocol: Protocol, family: list[History]) -> ConsistencyReport:
     """Decoherence diagnostics for a family of histories.
 
@@ -513,7 +523,7 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
     union_stages = tuple(
         sorted({e.stage for h in family for e in h.events}, key=lambda s: s.value)
     )
-    fine = {h.name: _fine_chains(protocol, h, union_stages) for h in family}
+    fine = {h.name: fine_chains(protocol, h, union_stages) for h in family}
     direct = {h.name: chain_vector(protocol, h.events) for h in family}
 
     probability = {h.name: norm2(direct[h.name]) for h in family}

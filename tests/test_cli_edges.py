@@ -11,6 +11,7 @@ import pytest
 
 from ewflab import cli, exact, histories
 from ewflab.protocol import OUTCOME_LABELS, RECORDERS, STAGES, record_mask
+from fresh import forget_history_caches
 
 # coin -> the branch it leaves empty
 DEGENERATE_COINS = {"1,0": "tail", "0,1": "head", "-1,0": "tail", "0,-1": "head"}
@@ -152,12 +153,6 @@ def test_a_rejected_family_evolves_no_chain(capsys, monkeypatch, order):
     assert walks == []
 
 
-def _fresh_process() -> None:
-    """Empty the per-process coin forms and basis engines, as a command-line process starts."""
-    histories._form.cache_clear()
-    histories._basis.cache_clear()
-
-
 @pytest.mark.parametrize("argv, walks", [(["histories"], 19), (["report"], 38)], ids=["histories", "report"])
 def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, walks):
     """Each member is walked once per engine that walks it, and the report walks its members only on the
@@ -165,12 +160,12 @@ def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, wa
     `histories` makes 19: h1's 1 and h1prime's 1 on the head engine (r=tail zeroes the head chain), h1's 5
     and h1prime's refinement's 12 on the tail engine.  `report`'s facts walk 7 members at the coin in 19
     calls: FR2's P[r=tail] and P[r=tail, w2=ok] (2 + 2: the second vanishes at w2=ok), FR3's P[r=tail]
-    (0: the member memo holds FR2's) and P[r=tail, w2=fail] (3), FR4's P[r=head] and P[r=head, z=-]
+    (0: the P[h] memo holds FR2's) and P[r=tail, w2=fail] (3), FR4's P[r=head] and P[r=head, z=-]
     (2 + 3), the (ok, spin-down) fact's P[z=-, w1=ok] (2: it vanishes at w1=ok), h1's chain (5) and
-    h1prime's (0: the same slots as P[r=tail, w2=ok]).  Its history section then walks `histories`'
+    h1prime's (0: the event tuple of P[r=tail, w2=ok]).  Its history section then walks `histories`'
     19 on the basis engines: 38."""
     calls = _count_walks(monkeypatch)
-    _fresh_process()
+    forget_history_caches()
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert len(calls) == walks
@@ -194,7 +189,7 @@ def test_report_evolves_each_chain_node_once(capsys, monkeypatch):
         return linear(self, state)
 
     monkeypatch.setattr(exact.StageMap, "linear", counted)
-    _fresh_process()
+    forget_history_caches()
     code, _, _ = run(capsys, ["report"])
     assert code == 0
     assert len(calls) == 28

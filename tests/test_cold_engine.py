@@ -93,7 +93,7 @@ def test_exact_pilot_states_and_chains_equal_the_column_scanning_apply(coin, hoo
     family = [histories.okok_fine_history(protocol), histories.okok_coarse_history(protocol)]
     union = tuple(sorted({e.stage for h in family for e in h.events}))
     for h in family:
-        for path, got in histories._fine_chains(protocol, h, union):
+        for path, got in reference.fine_chains(protocol, h, union):
             masks = dict(path)
             state = protocol.initial_state()
             for i, stage in enumerate(STAGES[1:], start=1):

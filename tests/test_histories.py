@@ -21,12 +21,11 @@ from ewflab.exact import (
 from ewflab.histories import (
     CHAIN_MEMO_NODES,
     FORM_MEMBERS,
-    MEMBER_MEMO_LEAVES,
-    PAIR_MEMO_PAIRS,
+    PAIR_FORMS,
+    PROBABILITY_MEMO_HISTORIES,
     EpochMismatchError,
     History,
     HistoryEvent,
-    _fine_chains,
     _record_refinement_events,
     chain_consistency_report,
     chain_vector,
@@ -49,7 +48,8 @@ from ewflab.protocol import (
     record_mask,
 )
 import reference
-from reference import project
+from fresh import forget_history_caches
+from reference import fine_chains, project
 
 
 class TestHistoryProbability:
@@ -244,7 +244,7 @@ def test_fine_chains_match_leafwise_oracle(family_name, engine, coin, hooks):
     family = _family(protocol, ORACLE_FAMILIES[family_name])
     union = tuple(sorted({e.stage for h in family for e in h.events}))
     for h in family:
-        got = _fine_chains(protocol, h, union)
+        got = fine_chains(protocol, h, union)
         want = _leafwise_fine_chains(protocol, h, union)
         assert [k for k, _ in got] == [k for k, _ in want]
         for (_, g), (_, w) in zip(got, want):
@@ -267,12 +267,6 @@ def _sweep_item(protocol) -> None:
     born.final_record_marginal(protocol)
 
 
-def _forget_forms() -> None:
-    """Empty the per-process coin forms and basis engines, as a fresh process starts."""
-    histories._form.cache_clear()
-    histories._basis.cache_clear()
-
-
 @pytest.mark.parametrize("engine, stage_class", [(Protocol, StageUnitary), (ExactProtocol, StageMap)],
                          ids=["dense", "exact"])
 def test_a_cold_sweep_item_makes_11_stage_map_calls(engine, stage_class, monkeypatch):
@@ -289,7 +283,7 @@ def test_a_cold_sweep_item_makes_11_stage_map_calls(engine, stage_class, monkeyp
         return linear(self, state)
 
     monkeypatch.setattr(stage_class, "linear", counting)
-    _forget_forms()
+    forget_history_caches()
     counts = []
     for theta in (1.0, 0.7, 0.3):
         calls.clear()
@@ -368,7 +362,7 @@ def test_a_cold_sweep_item_checks_one_dense_state(hooks, monkeypatch):
         init(self, space, amps)
 
     monkeypatch.setattr(StateVector, "__init__", counting)
-    _forget_forms()
+    forget_history_caches()
     counts = []
     for theta in (1.0, 0.7):
         checked.clear()
@@ -384,7 +378,7 @@ def test_fine_chains_are_trusted_and_finite(family_name, engine, coin, hooks):
     family = _family(protocol, ORACLE_FAMILIES[family_name])
     union = tuple(sorted({e.stage for h in family for e in h.events}))
     for h in family:
-        for key, state in _fine_chains(protocol, h, union):
+        for key, state in fine_chains(protocol, h, union):
             assert state.trusted and np.isfinite(state.amps).all(), key
 
 
@@ -396,9 +390,9 @@ def test_a_vanished_chain_keeps_its_keys(engine):
     b = history(protocol, "b", [("r", "head"), ("z", "+")])
     union = (StageId.OBS0, StageId.OBS2)
     head = (STAGES.index(S.OBS0), record_mask("r", "head"))
-    ((path, state),) = _fine_chains(protocol, b, union)
+    ((path, state),) = fine_chains(protocol, b, union)
     assert path == (head, (STAGES.index(S.OBS2), record_mask("z", "+"))) and state.is_zero()
-    assert [p for p, _ in _fine_chains(protocol, a, union)] == [
+    assert [p for p, _ in fine_chains(protocol, a, union)] == [
         (head, (STAGES.index(S.OBS2), record_mask("z", z))) for z in ("0", "+", "-")]
     (pair,) = chain_consistency_report(protocol, [a, b]).pairs
     assert pair.shared_fine_outcomes and not pair.consistent
@@ -426,7 +420,7 @@ def test_history_walks_leave_no_reference_cycle(engine):
 def test_a_repeated_report_on_a_warm_engine_masks_nothing(engine, state_class, monkeypatch):
     """Every node of the first report's coin forms, the vanished ones included, is held by the process: a
     second report, on the same engine or on a fresh one, masks nothing."""
-    _forget_forms()
+    forget_history_caches()
     protocol = engine()
     family = [okok_fine_history(protocol), okok_coarse_history(protocol),
               history(protocol, "b", [("r", "head"), ("z", "+")])]
@@ -451,7 +445,7 @@ def test_a_repeated_report_on_a_warm_engine_masks_nothing(engine, state_class, m
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
 def test_a_repeated_report_on_a_warm_engine_walks_nothing(engine, monkeypatch):
-    """Every member of the first report is read from the member memo the second time: no `_walk` call."""
+    """Every member of the first report is read from the process's coin forms the second time: no `_walk` call."""
     protocol = engine()
     family = [okok_fine_history(protocol), okok_coarse_history(protocol),
               history(protocol, "b", [("r", "head"), ("z", "+")])]
@@ -490,8 +484,9 @@ def _count_products(engine, monkeypatch) -> list:
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
 def test_a_repeated_family_on_a_warm_engine_computes_no_inner_product(engine, monkeypatch):
-    """A warm query (each P[h], then the report) reads every member's block and every pair's from the memos:
-    no walk, no gram and no inner product, with every answer as before."""
+    """A warm query (each P[h], then the report) reads each P[h] from the engine's memo and every member's
+    block and every pair's from the process's coin forms: no walk, no gram and no inner product, with every
+    answer as before."""
     protocol = engine()
     family = [okok_fine_history(protocol), okok_coarse_history(protocol),
               history(protocol, "b", [("r", "head"), ("z", "+")]), history(protocol, "c", [("w1", "fail")])]
@@ -519,18 +514,24 @@ def test_a_repeated_family_on_a_warm_engine_computes_no_inner_product(engine, mo
 def test_a_cold_exact_report_reads_each_entry_of_d_once(monkeypatch):
     """With N nonzero basis chains (h_i or t_i) per member, the first report in a process makes N(N+1)/2
     inner products per member, one per distinct entry of its form's block, and N_a*N_b per member pair; a
-    report on a fresh engine then makes only the pairs', evaluated at its own coin."""
+    report on a fresh engine at another coin then makes none, on either engine."""
     for case, family in _oracle_families(ExactProtocol()):
         union = tuple(sorted({e.stage for h in family for e in h.events}))
         basis = [ExactProtocol(coin) for coin in ((1, 0), (0, 1))]
-        chains = [sum(not v.is_zero() for p in basis for _, v in _fine_chains(p, h, union)) for h in family]
+        chains = [sum(not v.is_zero() for p in basis for _, v in fine_chains(p, h, union)) for h in family]
         pairs = sum(a * b for a, b in itertools.combinations(chains, 2))
-        _forget_forms()
-        for coin, want in ((None, sum(n * (n + 1) // 2 for n in chains) + pairs), (("0.6", "0.8"), pairs)):
+        forget_history_caches()
+        for coin, want in ((None, sum(n * (n + 1) // 2 for n in chains) + pairs), (("0.6", "0.8"), 0)):
             products = _count_products(ExactProtocol, monkeypatch)
             chain_consistency_report(ExactProtocol(coin), family)
             assert products.count("inner") == want, (case, coin)
             monkeypatch.undo()
+    for case, family in _oracle_families(Protocol()):
+        chain_consistency_report(Protocol(), family)
+        products = _count_products(Protocol, monkeypatch)
+        chain_consistency_report(Protocol((0.6, 0.8)), family)
+        assert products == [], case
+        monkeypatch.undo()
 
 
 def test_a_tiny_but_nonzero_interference_fails_the_exact_verdict():
@@ -609,6 +610,19 @@ def _report_oracle_cases():
             yield pytest.param(Protocol, dense, id=f"dense-{coin_id}{suffix}")
         if hooks:  # ORACLE_PROTOCOLS holds it without hooks
             yield pytest.param(Protocol, {"coin_amplitudes": (0.6, 0.8j), **hooks}, id=f"coin-0.6-0.8j{suffix}")
+
+
+@pytest.mark.parametrize("hooks", HOOK_SETTINGS.values(), ids=list(HOOK_SETTINGS))
+def test_every_number_of_an_exact_report_is_a_surd(hooks):
+    """Zeros included: a pair with a member that has no live leaf reads the zero form, so its direct
+    off-diagonal and cross interference are the Surd 0, as every P[h] and additivity defect is."""
+    for coin in (None, *DECIMAL_COINS[:2]):
+        protocol = ExactProtocol(coin, **hooks)
+        for case, family in _oracle_families(protocol):
+            report = chain_consistency_report(protocol, family)
+            numbers = [*report.probability.values(), *report.additivity_defect.values()]
+            numbers += [x for p in report.pairs for x in (p.direct_offdiagonal, p.cross_interference)]
+            assert {type(x) for x in numbers} == {Surd}, (coin, case)
 
 
 def _grid_families():
@@ -761,7 +775,7 @@ def test_chain_vector_refuses_events_out_of_stage_order_in_its_own_name(engine):
 def test_history_memos_belong_to_one_engine(engine, coin):
     """Two engines with equal coins and hooks share their stages and coin forms but no memo: a query (each
     P[h], then the report) on the first leaves the second's memos empty, and the second's own query, equal
-    to the first's, leaves the first's as they were, entries, values and order."""
+    to the first's, leaves the first's as they were, entries, values and order, and adds no form."""
     first, second = engine(coin, flip_ok_sign=True), engine(coin, flip_ok_sign=True)
     assert first.stage_unitaries is second.stage_unitaries
     family = [okok_fine_history(first), okok_coarse_history(first), history(first, "b", [("r", "head"), ("z", "+")])]
@@ -769,10 +783,14 @@ def test_history_memos_belong_to_one_engine(engine, coin):
     def query(protocol):
         return [history_probability(protocol, h) for h in family], chain_consistency_report(protocol, family)
 
+    def forms():
+        return [cached.cache_info().currsize for cached in (histories._form, histories._pair_form)]
+
     want_p, want = query(first)
     snapshot = [list(memo.items()) for memo in first.history_memos]
-    assert all(snapshot)
-    assert [len(memo) for memo in second.history_memos] == [0, 0, 0]
+    held = forms()
+    assert all(snapshot) and held[0] <= FORM_MEMBERS and held[1] <= PAIR_FORMS
+    assert [len(memo) for memo in second.history_memos] == [0, 0]
     got_p, got = query(second)
     assert got_p == want_p
     assert (got.probability, got.additivity_defect, got.pairs) == (
@@ -780,7 +798,7 @@ def test_history_memos_belong_to_one_engine(engine, coin):
     assert [len(memo) for memo in second.history_memos] == [len(entries) for entries in snapshot]
     assert [list(memo.items()) for memo in first.history_memos] == snapshot
     assert all(a is not b for a, b in zip(first.history_memos, second.history_memos))
-    assert [m.form for m in first.history_memos[1].values()] == [m.form for m in second.history_memos[1].values()]
+    assert forms() == held
 
 
 @pytest.mark.parametrize("mask", [np.copy(_mask_array(record_mask("r", "tail"))), tuple(record_mask("r", "tail"))],
@@ -850,45 +868,54 @@ def _answers(protocol, spec) -> tuple:
 @pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8j)), (ExactProtocol, ("0.6", "0.8"))],
                          ids=["dense", "exact"])
 def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(engine, coin):
-    """Families past all three memos' bounds, then again, then in reverse order: every answer is a fresh
-    engine's."""
+    """Families past both memos' bounds and the process's form and pair-form bounds, then again, then in
+    reverse order: every answer is a fresh engine's."""
     fresh = [_answers(engine(coin), spec) for spec in MEMO_SPECS]
     protocol = engine(coin)
+    bounds = [CHAIN_MEMO_NODES, PROBABILITY_MEMO_HISTORIES, FORM_MEMBERS, PAIR_FORMS]
+
+    def sizes():
+        return [*map(len, protocol.history_memos)] + [
+            cached.cache_info().currsize for cached in (histories._form, histories._pair_form)]
+
     for order in (1, 1, -1):
         specs = list(enumerate(MEMO_SPECS))[::order]
         for i, spec in specs:
             assert _answers(protocol, spec) == fresh[i], i
-            assert len(protocol.history_memos[0]) <= CHAIN_MEMO_NODES
-            assert len(protocol.history_memos[1]) <= MEMBER_MEMO_LEAVES
-            assert len(protocol.history_memos[2]) <= PAIR_MEMO_PAIRS
-            assert histories._form.cache_info().currsize <= FORM_MEMBERS
-        assert len(protocol.history_memos[0]) == CHAIN_MEMO_NODES
-        assert len(protocol.history_memos[1]) == MEMBER_MEMO_LEAVES
-        assert len(protocol.history_memos[2]) == PAIR_MEMO_PAIRS
-        assert histories._form.cache_info().currsize == FORM_MEMBERS
-        members = protocol.history_memos[1].values()
-        assert all(vanished == state.is_zero()
-                   for member in members if member.leaves is not None for _, state, vanished in member.leaves)
-        assert all((member.leaves, member.form) != (None, None) for member in members)
+            assert all(size <= bound for size, bound in zip(sizes(), bounds)), i
+        assert sizes() == bounds
+        family = _family(protocol, MEMO_SPECS[-1])
+        union = tuple(sorted({e.stage for h in family for e in h.events}))
+        assert all(vanished == state.is_zero() for h in family  # leaves walked off the full memo's nodes
+                   for _, state, vanished in histories._leaves(protocol, histories._member_key(h.events, union)))
 
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
-def test_a_member_memo_hit_keeps_the_store_order_and_the_oldest_key_goes_first(engine, monkeypatch):
-    """Families A, B, then A again: every member of A is a hit, and the memo's keys stay in the order B left
-    them.  At the bound a new member evicts the first key stored, however recently it was read."""
+def test_a_probability_memo_hit_keeps_the_store_order_and_the_oldest_key_goes_first(engine, monkeypatch):
+    """Histories A, B, then A again: every P[h] of A is a hit, which walks nothing, and the memo's keys stay
+    in the order B left them.  At the bound a new history evicts the first key stored, however recently it
+    was read."""
     protocol = engine()
     a = [okok_fine_history(protocol), okok_coarse_history(protocol)]
     b = [history(protocol, "b", [("r", "head"), ("z", "+")]), history(protocol, "c", [("w1", "fail")])]
     memo = protocol.history_memos[1]
-    chain_consistency_report(protocol, a)
-    chain_consistency_report(protocol, b)
+    first = [history_probability(protocol, h) for h in a + b]
     after_b = list(memo)
-    chain_consistency_report(protocol, a)
-    assert list(memo) == after_b
-    monkeypatch.setattr(histories, "MEMBER_MEMO_LEAVES", len(after_b))
+    assert after_b == [h.events for h in a + b]
+    walks = []
+    walk = histories._walk
+
+    def counted(*args):
+        walks.append(args[2])
+        return walk(*args)
+
+    monkeypatch.setattr(histories, "_walk", counted)
+    assert [history_probability(protocol, h) for h in a] == first[:2]
+    assert (walks, list(memo)) == ([], after_b)
+    monkeypatch.setattr(histories, "PROBABILITY_MEMO_HISTORIES", len(after_b))
     new = history(protocol, "d", [("z", "-")])
     history_probability(protocol, new)
-    assert list(memo) == after_b[1:] + [histories._member_key(new.events, ())]
+    assert list(memo) == after_b[1:] + [new.events]
 
 
 @pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8j)), (ExactProtocol, ("0.6", "0.8"))],

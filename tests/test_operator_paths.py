@@ -350,14 +350,19 @@ SHARED_MODULES = ("born", "bellbohm", "histories", "facts", "epistemics", "cli")
 
 
 def test_the_engine_contract_is_what_the_shared_modules_read():
-    """Every `protocol.<name>` the shared modules read is in the contract `exact`'s docstring lists, and
-    every listed name is read: neither engine carries a call nobody makes."""
+    """Every name the shared modules read of an engine is in the contract `exact`'s docstring lists, and
+    every listed name is read: neither engine carries a call nobody makes.  An engine is `protocol`, or a
+    basis engine of the coin forms: a name bound to what `histories._basis` returns."""
     listed = exact.__doc__.split("read of an engine:", 1)[1].split(".", 1)[0]
     contract = set(re.findall(r"`(\w+)`", listed))
     read = set()
     for name in SHARED_MODULES:
         tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        engines = {"protocol"} | {
+            target.id for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and getattr(getattr(node.value, "func", None), "id", None) == "_basis"
+            for target in ast.walk(node.targets[0]) if isinstance(target, ast.Name)}
         read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "protocol"}
+                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in engines}
     assert read == contract
     assert len(contract) == 11

@@ -24,6 +24,7 @@ from ewflab.histories import (
     outcome_event,
 )
 from ewflab.protocol import OUTCOME_LABELS, Protocol
+from fresh import forget_history_caches
 
 ENGINES = [Protocol, ExactProtocol]
 S = StageId
@@ -145,10 +146,12 @@ def test_union_stages_are_the_sorted_set_of_event_stages_for_every_subset(engine
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
 def test_an_event_at_a_stage_that_records_nothing_is_refused_before_any_walk(engine, monkeypatch):
+    forget_history_caches()
     protocol = engine()
     family = [History("a", (outcome_event(protocol, "r", "tail", S.PREP1),)), history(protocol, "b", [("r", "tail")])]
     walks = _counting(monkeypatch, histories, "_walk")
     with pytest.raises(EpochMismatchError, match="stage PREP1 records nothing"):
         chain_consistency_report(protocol, family)
     assert walks == []
-    assert [len(memo) for memo in protocol.history_memos] == [0, 0, 0]
+    assert [len(memo) for memo in protocol.history_memos] == [0, 0]
+    assert [cached.cache_info().currsize for cached in (histories._form, histories._pair_form)] == [0, 0]

@@ -11,9 +11,10 @@ collecting it listed separately; and, under `fresh_process`, the median
 wall time in ms of FRESH_RUNS fresh processes for `python -c pass`,
 `--help` and each of the seven subcommands at the default coin; and, under
 `exact_sweep`, the exact engine's coin-sweep item in process; and, under
-`src_lines`, the line count of each module of `src/ewflab`.  Runs are
-sequential, so the record takes about six benchmark runs, two suite runs,
-63 short processes and a few seconds of exact items to write.
+`src_lines`, the line count of each module of `src/ewflab`; and, under
+`history_caches`, the size of every history cache on both engines.  Runs
+are sequential, so the record takes about six benchmark runs, two suite
+runs, 63 short processes and about a minute of in-process work to write.
 
 `fresh_process` is what a user pays per command, split by subcommand.
 Neither of the other two views shows it: `python -X importtime` does not
@@ -44,6 +45,18 @@ item of `Surd._cmp`, of `Surd.__init__` (numbers constructed), of
 `SparseState.inner` (inner products), counted by cProfile over one more
 round, checks included.  By then the process holds the items' coin forms,
 so the last two count what each item repeats, not the per-process basis.
+
+`history_caches` states what `histories` keeps and what it costs, on each
+engine: the entries and the `tracemalloc` KB of each per-process cache
+(`_pair_form`, `_form`, `_basis`, `_stage_bits`, `_ordered_events`) and of
+each per-engine memo (`history_memos`: chain nodes, then P[h]), with its
+bound.  It reads them after CACHE_QUERIES queries of the warm-histories
+stream (seed CACHE_SEED) on one engine, and again, from empty caches, after
+a cold sweep of CACHE_COINS coin-sweep items, whose last engine's memos are
+read.  A cache's KB is the traced memory freed as it is emptied, per-engine
+memos first, then in the order above: what one holds of what another holds
+too is counted where it is freed, so a form's basis chains count under
+`_basis`, whose engines' chain memos hold them.
 """
 
 from __future__ import annotations
@@ -80,6 +93,8 @@ FRESH = {
 FRESH_RUNS = 7
 #: Rounds and seeded angles of the exact-engine sweep, and their seed.
 EXACT_ROUNDS, EXACT_ANGLES, EXACT_SEED = 3, 200, 11
+#: Warm queries, cold sweep items and the warm stream's seed of `history_caches`.
+CACHE_QUERIES, CACHE_COINS, CACHE_SEED = 35_000, 200, 1
 #: What the `ewflab` console script runs.
 ENTRY = "import sys\nfrom ewflab.cli import main\nsys.exit(main())\n"
 
@@ -135,7 +150,8 @@ def exact_sweep() -> dict:
 
     def per_item(fn) -> float:
         code = fn.__code__
-        return round(stats[code.co_filename, code.co_firstlineno, code.co_name][1] / len(angles), 1)
+        calls = stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]  # absent: never called
+        return round(calls / len(angles), 1)
 
     gcd = sum(v[1] for (_, _, name), v in stats.items() if name == "<built-in method math.gcd>")
     scaled = result.at_reference_speed(result.latencies_ms, result.op_spans)
@@ -149,6 +165,77 @@ def exact_sweep() -> dict:
                            "math.gcd": round(gcd / len(angles), 1), "StageMap.linear": per_item(StageMap.linear),
                            "SparseState.inner": per_item(SparseState.inner)},
     }
+
+
+def history_caches() -> dict:
+    """Entries and retained KB of each history cache, after the warm stream and after a cold sweep, per engine."""
+    _perfbench_on_path()
+    import tracemalloc
+
+    import workloads
+    from ewflab import histories
+    from ewflab.exact import ExactProtocol
+    from ewflab.protocol import Protocol, StageId
+
+    process = {"_pair_form": histories.PAIR_FORMS, "_form": histories.FORM_MEMBERS,
+               "_basis": histories.BASIS_SETTINGS, "_stage_bits": histories.EVENT_TUPLES,
+               "_ordered_events": histories.EVENT_TUPLES}
+    memos = {"chain_nodes": histories.CHAIN_MEMO_NODES, "probability": histories.PROBABILITY_MEMO_HISTORIES}
+
+    def emptied(size, clear, bound) -> dict:
+        before = tracemalloc.get_traced_memory()[0]
+        entries = size()
+        clear()
+        return {"entries": entries, "bound": bound, "kb": round((before - tracemalloc.get_traced_memory()[0]) / 1e3, 1)}
+
+    def read(protocol) -> dict:
+        """Empties every cache it reads: the engine's memos, then the process's, each as it is read."""
+        engine = {name: emptied(memo.__len__, memo.clear, memos[name])
+                  for name, memo in zip(memos, protocol.history_memos)}
+        cached = {name: getattr(histories, name) for name in process}
+        return {"engine": engine,
+                "process": {name: emptied(lambda: f.cache_info().currsize, f.cache_clear, process[name])
+                            for name, f in cached.items()}}
+
+    def measured(run) -> dict:
+        for name in process:
+            getattr(histories, name).cache_clear()
+        tracemalloc.start()
+        try:
+            return read(run())
+        finally:
+            tracemalloc.stop()
+
+    def warm(engine):
+        protocol = engine()
+        protocol.pilot_state_after(StageId.MEAS4)
+        rng = random.Random(CACHE_SEED)
+        for i in range(CACHE_QUERIES):
+            family = workloads.random_family(rng, i)
+            built = [histories.history(protocol, name, list(events)) for name, events in family]
+            [histories.history_probability(protocol, h) for h in built]
+            histories.chain_consistency_report(protocol, built)
+        return protocol
+
+    def sweep(engine):
+        last = []
+
+        def recorded(*args, **kwargs):
+            last[:] = [engine(*args, **kwargs)]
+            return last[0]
+
+        rng = random.Random(EXACT_SEED)
+        workloads.Protocol = recorded  # the item's body and checks are the workload's
+        try:
+            for _ in range(CACHE_COINS):
+                workloads._sweep_item(rng.uniform(0.1, 1.4), False)
+        finally:
+            workloads.Protocol = Protocol
+        return last[0]
+
+    return {"queries": CACHE_QUERIES, "coins": CACHE_COINS, "seed": CACHE_SEED, "unit": "kB",
+            **{label: {"warm": measured(lambda: warm(engine)), "sweep": measured(lambda: sweep(engine))}
+               for label, engine in (("dense", Protocol), ("exact", ExactProtocol))}}
 
 
 def fresh_process() -> dict:
@@ -199,6 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = {w: {f"trace{t}": perfbench(w, args.seed, args.seconds, t) for t in (0, 1)} for w in WORKLOADS}
     collect_s, collected = timed(TIER1 + ["--collect-only"])
     suite_s, summary = timed(TIER1)
+    caches = history_caches()
     exact = exact_sweep()
     fresh = fresh_process()  # last: it pins this process to one CPU
     record = {
@@ -209,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         "fresh_process": fresh,
         "exact_sweep": exact,
         "src_lines": src_lines(),
+        "history_caches": caches,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
