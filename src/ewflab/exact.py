@@ -49,14 +49,15 @@ Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
 the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
 this one's oracle.  It is also the faster one wherever the decoherence
-functional D has to be evaluated: with a fresh engine, its pilot state
-evolved, for each of the first 300 families of the benchmark's stream of
-history queries (seed 31), a query takes 0.19-0.30 ms here against the
-dense engine's 0.15-0.17 ms (fastest of the 5 repeats after the first,
-three runs; the first, which also builds the process's coin forms, takes
-0.33-0.51 ms and 0.25-0.34 ms).  Warm, neither engine computes an inner
-product: each reads P[h] from its `history_memos` and evaluates the
-process's coin forms at its coin, which takes 0.048-0.057 ms per query here,
+functional D has to be evaluated.  Once the process holds the coin forms,
+neither engine walks a chain or computes an inner product for P[h] or D:
+with a fresh engine, its pilot state evolved, for each of the first 300
+families of the benchmark's stream of history queries (seed 31), a query
+evaluates the forms at its coin in 0.084-0.119 ms here against the dense
+engine's 0.030 ms (fastest of the 5 repeats after the first, three runs;
+the first, which also builds the process's coin forms, takes 0.22-0.32 ms
+and 0.12-0.13 ms).  Warm, each reads P[h] from its `history_memos` and
+evaluates the report's forms, which takes 0.048-0.057 ms per query here,
 in exact arithmetic, and 0.018-0.025 ms on the dense engine (fastest of 5
 repeats of 4,000 queries, seeds 31 and 32).  Each query is timed as the
 benchmark times it, its answer checks left out.  Both were measured in

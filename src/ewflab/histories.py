@@ -24,8 +24,7 @@ the states themselves, and names the leaf in the report; an event's label
 is for display only.  A member is its key, the (stage index, masks) of each
 stage where it has an event or is refined, which the walk reads.  An
 engine keeps two memos (`_recall`, first in first out) in its
-`history_memos`: the chain nodes it walked at its coin, and P[h] per event
-tuple.
+`history_memos`: the chain nodes it walked, and P[h] per event tuple.
 
 D is read off coin forms.  The coin enters only through the initial state,
 so every entry of D is a form ā·a·HH + ā·b·HT + b̄·a·TH + b̄·b·TT in the
@@ -34,9 +33,10 @@ chains walked from |head> and from |tail> on two engines of the same class
 and hooks (`_basis`).  Member forms (`_form`) and pair forms (`_pair_form`)
 are kept once per process, and a report evaluates them at its engine's
 coin: once the process holds a family's forms, a report on any engine walks
-nothing and computes no inner product.  `history_probability` and
-`chain_vector` still walk at the coin: on the dense engine P[h] is the
-chain's own norm, bit for bit.
+nothing and computes no inner product.  `history_probability` reads P[h] off
+the member's own form (refined over its own stages only), as a one-member
+report does, so only `chain_vector`, asked for the chain itself, walks at
+the engine's coin.
 
 Stage order is derived once per process: an assignment tuple's ordered
 events and an event tuple's checked bitmask of stage indices are cached, and
@@ -170,12 +170,20 @@ def chain_vector(protocol: Engine, events: tuple[HistoryEvent, ...]) -> StateVec
 
 
 def history_probability(protocol: Engine, h: History) -> float:
-    """The squared norm of h's chain, walked once per event tuple while the engine's P[h] memo holds it."""
-    return _recall(protocol.history_memos[1], h.events, PROBABILITY_MEMO_HISTORIES, _norm2, protocol, h.events)
+    """The squared norm of h's chain, read once per event tuple while the engine's P[h] memo holds it.
+
+    A miss evaluates sum(D_hh) of h's own coin form (`_form`, refined over
+    its own stages only) at the engine's coin, as a one-member report does.
+    """
+    return _recall(protocol.history_memos[1], h.events, PROBABILITY_MEMO_HISTORIES, _own_probability,
+                   protocol, h.events)
 
 
-def _norm2(protocol: Engine, events: tuple[HistoryEvent, ...]):
-    return chain_vector(protocol, events).norm2()
+def _own_probability(protocol: Engine, events: tuple[HistoryEvent, ...]):
+    form = _form(type(protocol), protocol.flip_ok_sign, protocol.corrupt_preparation, events,
+                 _stages_of(_stage_bits(events)))
+    weights, p = _weights(protocol.coin_amplitudes), form.own[0]
+    return _modulus(weights, p) if p else abs(weights[0] * 0)  # the Surd 0 on the exact engine, as in the report
 
 
 # -- joint considerability ---------------------------------------------------
@@ -264,9 +272,9 @@ def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, .
 #: History-chain nodes kept per engine (`_walk`), first in first out.  A node
 #: is a state: a dense one retains ~5.7 kB (324 complex128 amplitudes and
 #: their objects), so a full memo holds ~1.5 MB; an exact one ~0.8 kB.  The
-#: chains are those `chain_vector` and `history_probability` walk at the
-#: engine's coin, and, in the two basis engines of each engine class and hook
-#: setting (`_basis`), the chains every coin form reads.
+#: chains are those `chain_vector` walks at the engine's coin, and, in the two
+#: basis engines of each engine class and hook setting (`_basis`), the chains
+#: every coin form reads.
 CHAIN_MEMO_NODES = 256
 
 #: P[h] kept per engine (`history_probability`) under the history's event
@@ -274,9 +282,9 @@ CHAIN_MEMO_NODES = 256
 PROBABILITY_MEMO_HISTORIES = 256
 
 #: Per-process bounds, least recently used first out, of member forms
-#: (`_form`), which hold their live leaves' basis chains, mostly the basis
-#: engines' own nodes; of pair forms (`_pair_form`: the benchmark's warm
-#: history stream has 1,840 pairs); and of basis engine pairs (`_basis`).
+#: (`_form`: the benchmark's warm history stream reads 154), which hold their
+#: live leaves' basis chains, mostly the basis engines' own nodes; of pair
+#: forms (`_pair_form`: it reads 1,840); and of basis engine pairs (`_basis`).
 FORM_MEMBERS = 256
 PAIR_FORMS = 2048
 BASIS_SETTINGS = 8

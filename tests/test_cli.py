@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 BASE = [sys.executable, "-m", "ewflab.cli"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(*args, check=False):
@@ -158,6 +160,24 @@ class TestAuditAndReport:
 
     def test_unknown_command_exits_2(self):
         assert run("frobnicate").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, code, golden",
+    [
+        (("histories", "--coin", "1e-13,1", "--format", "json"), 0, "histories_coin_1e-13_1.json"),
+        (("verify", "--coin", "0.5773502692,0.8164965809", "--format", "json"), 1,
+         "verify_coin_0.5773502692_0.8164965809.json"),
+    ],
+    ids=["histories-1e-13-1", "verify-paper-coin-10-digits"],
+)
+def test_a_coin_not_exactly_normalised_prints_its_golden_file(args, code, golden):
+    """P[h] and every Born weight are raw, not divided by |a|^2 + |b|^2, so a stray normalisation would
+    change these bytes: the exact `1/8` of P[h1] at (1e-13, 1), and FR8's 1e-11 deviation at the paper's
+    coin typed to ten digits, which fails it (exit 1).  The files were written while P[h] was still the
+    squared norm of the chain walked at the coin."""
+    res = run(*args)
+    assert (res.returncode, res.stdout, res.stderr) == (code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
 
 
 class TestDeterminism:

@@ -153,17 +153,17 @@ def test_a_rejected_family_evolves_no_chain(capsys, monkeypatch, order):
     assert walks == []
 
 
-@pytest.mark.parametrize("argv, walks", [(["histories"], 19), (["report"], 38)], ids=["histories", "report"])
+@pytest.mark.parametrize("argv, walks", [(["histories"], 19), (["report"], 42)], ids=["histories", "report"])
 def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, walks):
-    """Each member is walked once per engine that walks it, and the report walks its members only on the
-    two basis engines of its coin forms: one call per member, then one per live child at an event stage.
-    `histories` makes 19: h1's 1 and h1prime's 1 on the head engine (r=tail zeroes the head chain), h1's 5
-    and h1prime's refinement's 12 on the tail engine.  `report`'s facts walk 7 members at the coin in 19
-    calls: FR2's P[r=tail] and P[r=tail, w2=ok] (2 + 2: the second vanishes at w2=ok), FR3's P[r=tail]
-    (0: the P[h] memo holds FR2's) and P[r=tail, w2=fail] (3), FR4's P[r=head] and P[r=head, z=-]
-    (2 + 3), the (ok, spin-down) fact's P[z=-, w1=ok] (2: it vanishes at w1=ok), h1's chain (5) and
-    h1prime's (0: the event tuple of P[r=tail, w2=ok]).  Its history section then walks `histories`'
-    19 on the basis engines: 38."""
+    """Each member is walked once per engine that walks it, and P[h] and the report walk their members only
+    on the two basis engines of their coin forms: one call per member, then one per live child at an event
+    stage.  `histories` makes 19: h1's 1 and h1prime's 1 on the head engine (r=tail zeroes the head
+    chain), h1's 5 and h1prime's refinement's 12 on the tail engine.  `report`'s facts read 7 P[h] off
+    their own forms in 29 calls, head + tail: FR2's P[r=tail] (1 + 2) and P[r=tail, w2=ok] (1 + 2), FR3's
+    P[r=tail] (0: the P[h] memo holds FR2's) and P[r=tail, w2=fail] (1 + 3), FR4's P[r=head] (2 + 1) and
+    P[r=head, z=-] (3 + 1), the (ok, spin-down) fact's P[z=-, w1=ok] (3 + 3) and h1's (1 + 5).  Its
+    history section then reads h1's form, which the facts built, and walks h1prime's refinement (13):
+    42.  Before P[h] was read off the forms, the facts walked at the coin in 19 calls, and `report` made 38."""
     calls = _count_walks(monkeypatch)
     forget_history_caches()
     code, _, _ = run(capsys, argv)
@@ -172,15 +172,15 @@ def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, wa
 
 
 def test_report_evolves_each_chain_node_once(capsys, monkeypatch):
-    """verify's facts walk their chains at the coin, and the history section's report reads D off coin
-    forms walked on the basis engines; every repeated node is read from its engine's chain memo.  At the
-    coin `report` applies the pilot state's 5 stage maps and one per distinct chain node: P[r=tail]'s 4
-    (PREP1 to MEAS4 after the mask; P[r=tail, w2=.] only masks its last node), P[r=head]'s 4,
-    P[r=head, z=-]'s 2 (MEAS3 and MEAS4 after z=-), P[z=-, w1=ok]'s 1 (MEAS3 after z=-), h1's 2 (MEAS3 and
-    MEAS4 after z=+; its earlier nodes are P[r=tail]'s) and none of h1prime's (P[r=tail]'s too): 18.  The
-    basis engines apply 10: OBS0 on the head engine, where r=tail zeroes every chain, and on the tail
-    engine OBS0, h1's 4 and 4 of h1prime's refinement (MEAS3 after z=-; MEAS4 after z=+, w1=fail, after
-    z=-, w1=ok and after z=-, w1=fail): 28."""
+    """verify's facts read P[h] off coin forms, and so does the history section's report, each form walked on
+    the basis engines; every repeated node is read from its engine's chain memo.  At the coin `report`
+    applies only the pilot state's 5 stage maps.  The head engine applies 11: OBS0, P[r=head]'s 4 (PREP1 to
+    MEAS4 after the mask), P[r=head, z=-]'s 2 (MEAS3 and MEAS4 after z=-), and P[z=-, w1=ok]'s 4 (its
+    pilot's PREP1 and OBS2, MEAS3 after z=- and MEAS4 after w1=ok); r=tail zeroes every other head chain.
+    The tail engine applies 15: OBS0, P[r=tail]'s 4 (P[r=tail, w2=.] only masks its last node), h1's 2
+    (MEAS3 and MEAS4 after z=+), 4 of h1prime's refinement (MEAS3 after z=-; MEAS4 after z=+, w1=fail,
+    after z=-, w1=ok and after z=-, w1=fail), and P[z=-, w1=ok]'s 4, as on the head engine; r=head zeroes
+    P[r=head]'s chains.  31 in all, against 28 when the facts walked at the coin."""
     calls = []
     linear = exact.StageMap.linear
 
@@ -192,7 +192,7 @@ def test_report_evolves_each_chain_node_once(capsys, monkeypatch):
     forget_history_caches()
     code, _, _ = run(capsys, ["report"])
     assert code == 0
-    assert len(calls) == 28
+    assert len(calls) == 31
 
 
 def test_event_before_its_record_is_answered(capsys):

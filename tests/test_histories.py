@@ -269,12 +269,12 @@ def _sweep_item(protocol) -> None:
 
 @pytest.mark.parametrize("engine, stage_class", [(Protocol, StageUnitary), (ExactProtocol, StageMap)],
                          ids=["dense", "exact"])
-def test_a_cold_sweep_item_makes_11_stage_map_calls(engine, stage_class, monkeypatch):
-    """The pilot state (5 maps), h1's chain (4) and the 2 of h1prime's not on h1's (MEAS3 and MEAS4 after
-    r=tail): each chain node is evolved once per engine, every walk starts from the pilot state after
-    OBS0, and the report walks no chain at the coin.  The first item in a process also walks the basis of
-    the report's coin forms, once per process and hook setting: OBS0 on the head engine (r=tail zeroes
-    every head chain) and 9 on the tail engine (OBS0, h1's 4 and 4 of h1prime's refinement)."""
+def test_a_cold_sweep_item_makes_5_stage_map_calls(engine, stage_class, monkeypatch):
+    """The pilot state's 5 maps: P[h1], P[h1prime] and the report are read off coin forms, so an item walks
+    no chain at its coin.  The first item in a process also walks the basis of the forms, once per process
+    and hook setting: OBS0 on the head engine (r=tail zeroes every head chain) and 11 on the tail engine
+    (OBS0, h1's 4, 2 of h1prime's own chain, MEAS3 and MEAS4 after r=tail, and 4 of h1prime's refinement).
+    Before P[h] was read off the forms, an item made 11: the pilot's 5, h1's chain (4) and 2 of h1prime's."""
     calls = []
     linear = stage_class.linear
 
@@ -289,7 +289,29 @@ def test_a_cold_sweep_item_makes_11_stage_map_calls(engine, stage_class, monkeyp
         calls.clear()
         _sweep_item(engine((math.cos(theta), math.sin(theta))))
         counts.append(len(calls))
-    assert counts == [21, 11, 11]
+    assert counts == [17, 5, 5]
+
+
+@pytest.mark.parametrize("engine, stage_class, state_class", [(Protocol, StageUnitary, StateVector),
+                                                              (ExactProtocol, StageMap, SparseState)],
+                         ids=["dense", "exact"])
+def test_history_probability_walks_no_chain_at_its_coin(engine, stage_class, state_class, monkeypatch):
+    """Once the process holds the forms, P[h] on a fresh engine at a new coin applies no stage map and no
+    mask, and leaves the engine's chain memo empty; its P[h] memo holds one entry per event tuple."""
+    family = _family(engine(), ORACLE_FAMILIES["default"]) + _family(engine(), ORACLE_FAMILIES["final-records"])
+    for h in family:
+        history_probability(engine((0.6, 0.8)), h)
+    calls = []
+    for cls, name in ((stage_class, "linear"), (state_class, "masked")):
+        original = getattr(cls, name)
+        monkeypatch.setattr(cls, name,
+                            lambda self, x, name=name, original=original: calls.append(name) or original(self, x))
+    protocol = engine((math.cos(0.3), math.sin(0.3)))
+    for h in family:
+        history_probability(protocol, h)
+    assert calls == []
+    assert protocol.history_memos[0] == {}
+    assert len(protocol.history_memos[1]) == len({h.events for h in family})
 
 
 @pytest.mark.parametrize("engine, state_class", [(Protocol, StateVector), (ExactProtocol, SparseState)],
@@ -685,15 +707,6 @@ def test_report_matches_pairwise_oracle(engine, flags):
             assert abs(g.cross_interference - w.cross_interference) <= 1e-15, (case, g)
 
 
-@pytest.mark.parametrize("flags", list(ORACLE_PROTOCOLS.values()), ids=list(ORACLE_PROTOCOLS))
-def test_history_probability_is_the_direct_chain_norm_bit_for_bit(flags):
-    protocol = Protocol(**flags)
-    for _, family in _oracle_families(protocol):
-        for h in family:
-            want = reference.chain_vector(protocol, h.events).norm() ** 2
-            assert history_probability(protocol, h) == want, h.describe()
-
-
 PROBABILITY_CASES = (
     [pytest.param(None, {}, id="default")]
     + [pytest.param(coin, {}, id=f"decimal{i}") for i, coin in enumerate(DECIMAL_COINS)]
@@ -702,8 +715,30 @@ PROBABILITY_CASES = (
 
 
 @pytest.mark.parametrize("coin, hooks", PROBABILITY_CASES)
+def test_exact_history_probability_is_the_direct_chain_norm(coin, hooks):
+    """P[h], read off h's own coin form, is the squared norm of the chain evolved stage by stage at the coin."""
+    protocol = ExactProtocol(coin, **hooks)
+    for _, family in _oracle_families(protocol):
+        for h in family:
+            assert history_probability(protocol, h) == reference.chain_vector(protocol, h.events).norm2(), h.describe()
+
+
+@pytest.mark.parametrize("flags", list(ORACLE_PROTOCOLS.values()), ids=list(ORACLE_PROTOCOLS))
+def test_dense_history_probability_is_the_one_member_report_probability(flags):
+    """On the dense engine P[h] is the coin form's value, the one-member report's bit for bit, and the
+    chain evolved stage by stage at the coin has the same squared norm within 1e-15."""
+    protocol = Protocol(**flags)
+    for _, family in _oracle_families(protocol):
+        for h in family:
+            got = history_probability(protocol, h)
+            assert got == chain_consistency_report(Protocol(**flags), [h]).probability[h.name], h.describe()
+            assert abs(got - reference.chain_vector(protocol, h.events).norm() ** 2) <= 1e-15, h.describe()
+
+
+@pytest.mark.parametrize("coin, hooks", PROBABILITY_CASES)
 def test_report_probability_is_the_member_chain_probability(coin, hooks):
-    """P[h] read off D equals the walked chain's: exactly on the exact engine, within 1e-15 on the dense one."""
+    """P[h] read off a family's D, h refined over the family's stages, equals h's own P[h], unrefined: exactly
+    on the exact engine, within 1e-15 on the dense one."""
     exact = ExactProtocol(coin, **hooks)
     dense = Protocol(None if coin is None else tuple(map(float, coin)), **hooks)
     for protocol in (exact, dense):
@@ -774,8 +809,9 @@ def test_chain_vector_refuses_events_out_of_stage_order_in_its_own_name(engine):
                          ids=["dense", "exact"])
 def test_history_memos_belong_to_one_engine(engine, coin):
     """Two engines with equal coins and hooks share their stages and coin forms but no memo: a query (each
-    P[h], then the report) on the first leaves the second's memos empty, and the second's own query, equal
-    to the first's, leaves the first's as they were, entries, values and order, and adds no form."""
+    P[h], then the report) on the first walks no chain at its coin, so only its P[h] memo fills, and it
+    leaves the second's memos empty; the second's own query, equal to the first's, leaves the first's as
+    they were, entries, values and order, and adds no form."""
     first, second = engine(coin, flip_ok_sign=True), engine(coin, flip_ok_sign=True)
     assert first.stage_unitaries is second.stage_unitaries
     family = [okok_fine_history(first), okok_coarse_history(first), history(first, "b", [("r", "head"), ("z", "+")])]
@@ -789,7 +825,7 @@ def test_history_memos_belong_to_one_engine(engine, coin):
     want_p, want = query(first)
     snapshot = [list(memo.items()) for memo in first.history_memos]
     held = forms()
-    assert all(snapshot) and held[0] <= FORM_MEMBERS and held[1] <= PAIR_FORMS
+    assert snapshot[0] == [] and snapshot[1] and held[0] <= FORM_MEMBERS and held[1] <= PAIR_FORMS
     assert [len(memo) for memo in second.history_memos] == [0, 0]
     got_p, got = query(second)
     assert got_p == want_p

@@ -39,6 +39,17 @@ ewflab histories --define 'a: w1=ok, w2=ok' --define 'b: w1=fail, w2=ok' --defin
 # block of the coin forms, is the golden file the tests compare, byte for byte
 ewflab histories --coin 0.6,0.8 --format json --define 'a: r=head, w1=ok' --define 'b: r=head, w1=fail' \
   --define 'c: r=tail, w1=ok' --define 'd: r=tail, w1=fail' | diff -u "$golden/histories_coin_0.6_0.8.json" -
+# P[h] and every Born weight are raw, not divided by |a|^2 + |b|^2, so at coins that are not exactly
+# normalised a stray normalisation would show: each prints the golden file the tests compare, byte
+# for byte (verify exits 1 on FR8, which the paper's coin typed to ten digits fails by 1e-11)
+ewflab histories --coin 1e-13,1 --format json | diff -u "$golden/histories_coin_1e-13_1.json" -
+status=0
+ewflab verify --coin 0.5773502692,0.8164965809 --format json > "$out" || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "ewflab verify --coin 0.5773502692,0.8164965809 --format json: exit $status, expected 1" >&2
+  exit 1
+fi
+diff -u "$golden/verify_coin_0.5773502692_0.8164965809.json" "$out"
 # a staged family: the label r=tail read after MEAS4 and at its recording stage
 ewflab histories --define 'a: r@MEAS4=tail' --define 'b: r=tail'
 # events are put in stage order, so any spelling of a history prints what its in-order one does,
