@@ -20,24 +20,24 @@ The two engines, `ExactProtocol` here and the dense `protocol.Protocol`,
 answer one contract, and it is exactly what the shared modules (`born`,
 `bellbohm`, `histories`, `facts`, `epistemics`, `cli`) read of an engine:
 `coin_amplitudes`, `corrupt_preparation`, `fact_results`, `flip_ok_sign`,
-`gram`, `history_memos`, `initial_state`, `pilot_state_after`, `sqrt`,
+`gram`, `initial_state`, `pilot_state_after`, `probability_memo`, `sqrt`,
 `stage_unitaries` and `weight_floor`.  The two hooks and the engine's class
 are what `histories` reads to build the engines at the coins (1, 0) and
 (0, 1) whose chains its coin forms hold.  A stage is read one way, as
 `stage_unitaries[stage]`, which on this engine is the stage's `StageMap`; a
 measurement is not an object of either engine, its outcome vectors are read
 from `outcome_vectors` under the engine's `flip_ok_sign`.  Their states
-answer `norm2`, `masked`, `marginal`, `components` and `is_zero`;
-`marginal` is a flat row-major tuple of weights, memoised on the state per
-axes, which the joints, the beable chain, `Engine.record_weights` and ready
-checks index by offset.  A weight below the engine's `weight_floor` is zero:
-the dense engine's floor is `ZERO_WEIGHT_FLOOR`, this one's `EXACT_FLOOR`.  An
-operator is a stage map or a record mask, and a record mask is the same
-`RecordMask` value on both engines; a measurement is never applied.  A
-conditional is a ratio of Born weights, never a renormalised state.  The
-joints, histories, beable chains and facts are written once against those
-calls.  A number the exact engine returns is exact, so its `exact` label
-(`exact_label`) is read off it instead of guessed from a float.
+answer `masked`, `marginal`, `components` and `is_zero`; `marginal` is a
+flat row-major tuple of weights, memoised on the state per axes, which the
+joints, the beable chain and ready checks index by offset.  A weight below
+the engine's `weight_floor` is zero: the dense engine's floor is
+`ZERO_WEIGHT_FLOOR`, this one's `EXACT_FLOOR`.  An operator is a stage map
+or a record mask, and a record mask is the same `RecordMask` value on both
+engines; a measurement is never applied.  A conditional is a ratio of Born
+weights, never a renormalised state.  The joints, histories, beable chains
+and facts are written once against those calls.  A number the exact
+engine returns is exact, so its `exact` label (`exact_label`) is read off
+it instead of guessed from a float.
 
 Readiness is established once per stage mapping, not per state: a
 recording stage's `apply` checks that its recorder's memory is ready, and
@@ -53,16 +53,17 @@ functional D has to be evaluated.  Once the process holds the coin forms,
 neither engine walks a chain or computes an inner product for P[h] or D:
 with a fresh engine, its pilot state evolved, for each of the first 300
 families of the benchmark's stream of history queries (seed 31), a query
-evaluates the forms at its coin in 0.084-0.119 ms here against the dense
-engine's 0.030 ms (fastest of the 5 repeats after the first, three runs;
-the first, which also builds the process's coin forms, takes 0.22-0.32 ms
-and 0.12-0.13 ms).  Warm, each reads P[h] from its `history_memos` and
-evaluates the report's forms, which takes 0.048-0.057 ms per query here,
-in exact arithmetic, and 0.018-0.025 ms on the dense engine (fastest of 5
-repeats of 4,000 queries, seeds 31 and 32).  Each query is timed as the
-benchmark times it, its answer checks left out.  Both were measured in
-process on one CPU of a 2-vCPU x86-64 VM, Python 3.11.7.  Float coins
-(large binary rationals) slow the exact arithmetic further.
+evaluates the forms at its coin in 0.076-0.083 ms here against the dense
+engine's 0.027-0.034 ms (mean per query, fastest of the 5 repeats after the
+first, three runs; the first, which also builds the process's coin forms
+and walks each form's tree afresh, takes 0.23-0.25 ms and 0.14-0.17 ms).
+Warm, each reads P[h] from its `probability_memo` and evaluates the
+report's forms, which takes 0.048-0.057 ms per query here, in exact
+arithmetic, and 0.018-0.025 ms on the dense engine (fastest of 5 repeats of
+4,000 queries, seeds 31 and 32).  Each query is timed as the benchmark
+times it, its answer checks left out.  Both were measured in process on one
+CPU of a 2-vCPU x86-64 VM, Python 3.11.7.  Float coins (large binary
+rationals) slow the exact arithmetic further.
 """
 
 from __future__ import annotations
@@ -714,7 +715,7 @@ def record_mask(var: str, label: str) -> RecordMask:
 
 
 class Engine:
-    """Configuration, the pilot-state walk, the history memos' storage and record weights, for both engines.
+    """Configuration, the pilot-state walk and the P[h] memo's storage, for both engines.
 
     A subclass passes `coin_amplitudes`, two amplitudes in the number type
     of its states, and provides `initial_state`, `stage_unitaries`, `gram`
@@ -734,8 +735,8 @@ class Engine:
         self.corrupt_preparation = corrupt_preparation
         self._pilot_cache: dict = {}
         self._checked_stages: frozenset[StageId] = frozenset()  # set with the initial state
-        #: the history-chain node and P[h] memos, which `histories` keeps
-        self.history_memos: tuple[dict, dict] = ({}, {})
+        #: P[h] by event tuple, which `histories.history_probability` keeps
+        self.probability_memo: dict = {}
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
         self.fact_results: dict = {}
 
@@ -759,16 +760,6 @@ class Engine:
                 step = stages[s]
                 state = cache[s] = step.apply(state) if s in self._checked_stages else step.linear(state)
         return cache[stage]
-
-    def record_weights(self, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
-        """Joint Born weights of memory labels for the given outcome variables.
-
-        Label tuples run over the declared outcome labels only; the ready
-        label 0 is excluded (callers read records after they are written).
-        """
-        axes, keys = _record_index(vars)
-        marg = state.marginal(axes)
-        return {labels: marg[offset] for labels, offset in keys}
 
 
 @cache
@@ -870,13 +861,6 @@ class SparseState:
         """The nonzero amplitudes by flat index."""
         return {i: Surd(*x, self.den) for i, x in self.nums.items()}
 
-    def norm2(self) -> Surd:
-        acc = [0, 0, 0, 0]
-        for x in self.nums.values():
-            for k, c in enumerate(_square4(x)):
-                acc[k] += c
-        return Surd(*acc, self.den * self.den)
-
     def masked(self, mask: RecordMask) -> "SparseState":
         axis, index = mask
         return SparseState({i: x for i, x in self.nums.items() if DIGITS[i][axis] == index}, self.den)
@@ -941,8 +925,8 @@ class ExactProtocol(Engine):
     real.  The default coin is (√3/3, √6/3) exactly.  The corruption hooks
     are those of `protocol.Protocol`.
 
-    Only the coin, the pilot states, the history memos (`history_memos`)
-    and the fact results belong to one ExactProtocol.  The stages, its
+    Only the coin, the pilot states, the P[h] memo (`probability_memo`) and
+    the fact results belong to one ExactProtocol.  The stages, its
     `stage_maps`, do not depend on the coin: they are built once per process
     for each setting of the corruption hooks and shared, as a read-only
     mapping, by every ExactProtocol with that setting.

@@ -19,12 +19,11 @@ member's probability.  Every function runs on either engine; on the exact
 one, D's entries are exact and "consistent" is an exact zero test.
 
 A refined chain is named by its path: the (stage index, mask) of each
-event it applied, in order.  The path keys the chain memo, whose nodes are
-the states themselves, and names the leaf in the report; an event's label
-is for display only.  A member is its key, the (stage index, masks) of each
-stage where it has an event or is refined, which the walk reads.  An
-engine keeps two memos (`_recall`, first in first out) in its
-`history_memos`: the chain nodes it walked, and P[h] per event tuple.
+event it applied, in order, which names the leaf in the report; an event's
+label is for display only.  A member is its key, the (stage index, masks) of
+each stage where it has an event or is refined, which the walk reads.  An
+engine keeps one memo, `probability_memo`: P[h] per event tuple, first in
+first out.  It keeps no chain: a walk evolves its member's tree afresh.
 
 D is read off coin forms.  The coin enters only through the initial state,
 so every entry of D is a form ā·a·HH + ā·b·HT + b̄·a·TH + b̄·b·TT in the
@@ -173,17 +172,20 @@ def history_probability(protocol: Engine, h: History) -> float:
     """The squared norm of h's chain, read once per event tuple while the engine's P[h] memo holds it.
 
     A miss evaluates sum(D_hh) of h's own coin form (`_form`, refined over
-    its own stages only) at the engine's coin, as a one-member report does.
+    its own stages only) at the engine's coin, as a one-member report does,
+    and stores it last; at the memo's bound the oldest entry goes first.
     """
-    return _recall(protocol.history_memos[1], h.events, PROBABILITY_MEMO_HISTORIES, _own_probability,
-                   protocol, h.events)
-
-
-def _own_probability(protocol: Engine, events: tuple[HistoryEvent, ...]):
-    form = _form(type(protocol), protocol.flip_ok_sign, protocol.corrupt_preparation, events,
-                 _stages_of(_stage_bits(events)))
-    weights, p = _weights(protocol.coin_amplitudes), form.own[0]
-    return _modulus(weights, p) if p else abs(weights[0] * 0)  # the Surd 0 on the exact engine, as in the report
+    memo, events = protocol.probability_memo, h.events
+    value = memo.get(events)
+    if value is None:
+        p = _form(type(protocol), protocol.flip_ok_sign, protocol.corrupt_preparation, events,
+                  _stages_of(_stage_bits(events))).own[0]
+        weights = _weights(protocol.coin_amplitudes)
+        value = _modulus(weights, p) if p else abs(weights[0] * 0)  # the Surd 0 on the exact engine, as in a report
+        if len(memo) >= PROBABILITY_MEMO_HISTORIES:
+            del memo[next(iter(memo))]
+        memo[events] = value
+    return value
 
 
 # -- joint considerability ---------------------------------------------------
@@ -232,16 +234,15 @@ class ConsistencyReport(NamedTuple):
 
 
 @cache
-def _record_refinement_events(stage: StageId) -> tuple[HistoryEvent, ...]:
-    """Complete record decomposition at a stage, including the ready label, built once per stage."""
+def _refinement_masks(stage: StageId) -> tuple[RecordMask, ...]:
+    """The masks of the complete record decomposition at a stage, the ready label's included, built once per stage."""
     if stage not in RECORDED_VAR:
         raise EpochMismatchError(
             f"stage {stage.name} records nothing; histories in a family must event at recording stages"
         )
     var = RECORDED_VAR[stage]
-    agent, _ = RECORDERS[var]
-    labels = GLOBAL_SPACE.factors[agent.memory_axis].labels
-    return tuple(HistoryEvent(stage, record_mask(var, label), f"{var}={label}") for label in labels)
+    labels = GLOBAL_SPACE.factors[RECORDERS[var][0].memory_axis].labels
+    return tuple([record_mask(var, label) for label in labels])
 
 
 def _negligible(x) -> bool:
@@ -265,17 +266,9 @@ def _member_key(events: tuple[HistoryEvent, ...], union_stages: tuple[StageId, .
     for stage in union_stages:
         i = _STAGE_INDEX[stage]
         if i not in slots:
-            slots[i] = tuple([e.mask for e in _record_refinement_events(stage)])
+            slots[i] = _refinement_masks(stage)
     return tuple(sorted(slots.items()))
 
-
-#: History-chain nodes kept per engine (`_walk`), first in first out.  A node
-#: is a state: a dense one retains ~5.7 kB (324 complex128 amplitudes and
-#: their objects), so a full memo holds ~1.5 MB; an exact one ~0.8 kB.  The
-#: chains are those `chain_vector` walks at the engine's coin, and, in the two
-#: basis engines of each engine class and hook setting (`_basis`), the chains
-#: every coin form reads.
-CHAIN_MEMO_NODES = 256
 
 #: P[h] kept per engine (`history_probability`) under the history's event
 #: tuple, first in first out.
@@ -283,36 +276,20 @@ PROBABILITY_MEMO_HISTORIES = 256
 
 #: Per-process bounds, least recently used first out, of member forms
 #: (`_form`: the benchmark's warm history stream reads 154), which hold their
-#: live leaves' basis chains, mostly the basis engines' own nodes; of pair
-#: forms (`_pair_form`: it reads 1,840); and of basis engine pairs (`_basis`).
+#: live leaves' basis chains; of pair forms (`_pair_form`: it reads 1,840);
+#: and of basis engine pairs (`_basis`).
 FORM_MEMBERS = 256
 PAIR_FORMS = 2048
 BASIS_SETTINGS = 8
-
-
-def _recall(memo: dict, key, bound: int, build, *args):
-    """memo[key], or `build(*args)` stored there first; at `bound` entries the oldest goes first.
-
-    A hit is one lookup and returns the stored value itself; the memo keeps
-    its entries in the order they were stored.  `build` never returns None,
-    which marks a miss.
-    """
-    value = memo.get(key)
-    if value is None:
-        value = build(*args)
-        if len(memo) >= bound:
-            del memo[next(iter(memo))]
-        memo[key] = value
-    return value
 
 
 def _leaves(protocol: Engine, key: tuple) -> tuple:
     """(path, state, vanished) for every leaf of the member with this key, walked from the engine's initial state.
 
     A depth-first walk over the stage timeline evolves each tree node once,
-    so leaves share their prefix chains.  It is the package's one chain
-    evolution: `chain_vector` is the single leaf of an unrefined member, and
-    the coin forms walk it on the basis engines.
+    so leaves share their prefix chains, and keeps none.  It is the
+    package's one chain evolution: `chain_vector` is the single leaf of an
+    unrefined member, and the coin forms walk it on the basis engines.
     """
     leaves: list[tuple[tuple, StateVector, bool]] = []
     _walk(protocol, key, 0, (), None, leaves)
@@ -326,29 +303,24 @@ def _walk(protocol: Engine, key: tuple, i: int, path: tuple, state: StateVector 
     length is the next slot's position.  A call steps through the stages up
     to that slot's, and recurses once per live child there.  Until its first
     mask (an empty path) a chain is the pilot state, bit for bit, so it is
-    read from the engine's pilot cache.  After that each node, one per
-    stage, is read from the chain memo by its stage index and path before
-    anything is evolved or masked: a node depends on nothing else, so a hit,
-    the zero state a mask leaves included, is bit-identical to a rebuild.
-    Once a mask leaves a zero state (stage maps are unitary, so only a mask
-    can), every leaf below it is that zero state, flagged vanished, still
-    under its own path: shared-outcome detection reads the paths of vanished
-    chains.
+    read from the engine's pilot cache.  Once a mask leaves a zero state
+    (stage maps are unitary, so only a mask can), every leaf below it is
+    that zero state, flagged vanished, still under its own path:
+    shared-outcome detection reads the paths of vanished chains.
     """
-    nodes = protocol.history_memos[0]
     k = len(path)
     end = key[k][0] if k < len(key) else len(STAGES) - 1
-    for i in range(i, end + 1):
-        if not path:
-            state = protocol.pilot_state_after(STAGES[i])
-        else:
-            state = _recall(nodes, (i, path), CHAIN_MEMO_NODES, protocol.stage_unitaries[STAGES[i]].linear, state)
+    if path:
+        for stage in STAGES[i : end + 1]:
+            state = protocol.stage_unitaries[stage].linear(state)
+    else:
+        state = protocol.pilot_state_after(STAGES[end])
     if k == len(key):
         leaves.append((path, state, False))
         return
     for mask in key[k][1]:
         child_path = path + ((end, mask),)
-        child = _recall(nodes, (end, child_path), CHAIN_MEMO_NODES, state.masked, mask)
+        child = state.masked(mask)
         if child.is_zero():
             below = [[(j, m) for m in masks] for j, masks in key[k + 1 :]]
             leaves.extend((child_path + tail, child, True) for tail in itertools.product(*below))
@@ -384,8 +356,7 @@ class _Form(Frozen):
 def _basis(engine: type, flip_ok_sign: bool, corrupt_preparation: bool) -> tuple:
     """Engines of this class and hook setting at the coins (1, 0) and (0, 1): the basis every coin form reads.
 
-    They walk the forms' chains through their own pilot caches and chain
-    memos, so each basis node is evolved once while its memo holds it.
+    They walk the forms' chains from their own pilot caches.
     """
     return tuple(engine(coin, flip_ok_sign=flip_ok_sign, corrupt_preparation=corrupt_preparation)
                  for coin in ((1, 0), (0, 1)))

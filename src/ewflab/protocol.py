@@ -137,12 +137,6 @@ class StateVector(_Squared):
         setfield(self, "_probs", None)
         setfield(self, "_marginals", None)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def norm2(self) -> float:
-        return self.norm() ** 2
-
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.amps.view(np.float64))  # a third of the time of amps.any()
 
@@ -386,8 +380,8 @@ class Protocol(Engine):
     flips a sign inside the tail-branch spin rotation (probabilities change,
     every downstream consumer must refuse or fail loudly).
 
-    Only the coin, the pilot states, the history memos (`history_memos`)
-    and the fact results belong to one Protocol.  The stage unitaries
+    Only the coin, the pilot states, the P[h] memo (`probability_memo`) and
+    the fact results belong to one Protocol.  The stage unitaries
     (`stage_unitaries`, per pair of hooks) and the record masks do not
     depend on the coin: they are built once per process and shared,
     read-only, by every Protocol with the same hooks.  A coin is two amplitudes, each converted to a complex.

@@ -62,6 +62,14 @@ module, unchanged (`marginal` one function for both state types, and
 the flat marginals, the carried `StageMap.halved` and the walk that skips
 proven ready checks must equal.
 
+Before P[h] was read off coin forms, it was the squared norm of the walked
+chain: `StateVector` had `norm` and `norm2`, `SparseState` had `norm2`, and
+both engines had `record_weights`, which the joints had read before they
+indexed flat marginals.  Nothing in the package called them afterwards.
+Their bodies close the module, unchanged (`norm2` one function for both
+state types, and `record_weights` a function of the engine, `self`), and
+the bodies above that called them call these.
+
 Where a body here called an engine accessor the engines no longer have, it
 reads what that accessor read: the mapping `stage_unitaries[stage]`, or a
 measurement's target factors `MEASURED[var]` and outcome vectors
@@ -100,6 +108,7 @@ from ewflab.exact import (
     SparseState,
     Surd,
     _mul4,
+    _record_index,
     _square4,
     _times_code,
     halves,
@@ -365,7 +374,7 @@ def outcome_weight(protocol: Engine, state, events: list[tuple[str, str]]):
         else:
             columns = projector_columns(MEASURED[var], outcome_vectors(var, protocol.flip_ok_sign))
             state = state.apply(_target_axes(var), columns[label], halves(columns[label]))
-    return state.norm2()
+    return norm2(state)
 
 
 def config_projector(m: MemoryConfig) -> Projector:
@@ -512,11 +521,9 @@ def chain_consistency_report(protocol: Protocol, family: list[History]) -> Consi
     On the exact engine every number is exact and the threshold is zero.
     """
     if isinstance(protocol.initial_state(), SparseState):
-        norm2, product = SparseState.norm2, SparseState.inner
-        negligible = operator.not_
+        product, negligible = SparseState.inner, operator.not_
     else:
-        norm2, product = (lambda v: v.norm() ** 2), inner
-        negligible = CONSISTENCY_ATOL.__ge__
+        product, negligible = inner, CONSISTENCY_ATOL.__ge__
     names = [h.name for h in family]
     if len(set(names)) != len(names):
         raise ValueError("family members need distinct names")
@@ -575,7 +582,7 @@ def sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
                 continue
             cond_vars = tuple(v for v, _ in conds)
             if cond_vars not in weights_given:
-                weights_given[cond_vars] = protocol.record_weights(state, cond_vars + (var,))
+                weights_given[cond_vars] = record_weights(protocol, state, cond_vars + (var,))
             weights = weights_given[cond_vars]
             cond_labels = tuple(l for _, l in conds)
             mass = sum(weights[cond_labels + (l,)] for l in OUTCOME_LABELS[var])
@@ -603,10 +610,10 @@ def marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     for earlier, later in zip(JOINT_VARIABLES, JOINT_VARIABLES[1:]):
         stage = RECORDERS[later][1]
         state = protocol.pilot_state_after(stage)
-        pair_weights.append(protocol.record_weights(state, (earlier, later)))
+        pair_weights.append(record_weights(protocol, state, (earlier, later)))
     first_var = JOINT_VARIABLES[0]
-    first = protocol.record_weights(
-        protocol.pilot_state_after(RECORDERS[JOINT_VARIABLES[1]][1]), (first_var,)
+    first = record_weights(
+        protocol, protocol.pilot_state_after(RECORDERS[JOINT_VARIABLES[1]][1]), (first_var,)
     )
     joint: dict[tuple[str, ...], float] = {}
     for cell in JOINT_CELLS:
@@ -696,14 +703,14 @@ def scaled(self: SparseState, x: Surd) -> SparseState:
 def normalized(self):
     """The former `normalized` of both state types: `StateVector`'s, else `SparseState`'s."""
     if isinstance(self, StateVector):
-        return StateVector(self.space, self.amps / self.norm())
-    return scaled(self, self.norm2().sqrt().inverse())
+        return StateVector(self.space, self.amps / norm(self))
+    return scaled(self, norm2(self).sqrt().inverse())
 
 
 def branch_state(protocol: Engine, coin: str, stage: StageId):
     """Pilot state conditioned on the coin record reading `coin`, renormalized."""
     branch = protocol.pilot_state_after(stage).masked(record_mask("r", coin))
-    if math.sqrt(float(branch.norm2())) < ATOL:
+    if math.sqrt(float(norm2(branch))) < ATOL:
         raise ZeroBranchError(f"{coin} branch has zero weight")
     return normalized(branch)
 
@@ -749,3 +756,32 @@ def sparse_apply(self: SparseState, axes: tuple[int, ...], columns) -> SparseSta
                 y = (y[0] + z[0], y[1] + z[1], y[2] + z[2], y[3] + z[3])
             out[j] = y
     return SparseState(out, self.den * 2 if halved else self.den)
+
+
+# -- norms and record weights -----------------------------------------------------
+
+
+def norm(self: StateVector) -> float:
+    return float(np.linalg.norm(self.amps))
+
+
+def norm2(self):
+    """The former `norm2` of both state types: `StateVector`'s, else `SparseState`'s."""
+    if isinstance(self, StateVector):
+        return norm(self) ** 2
+    acc = [0, 0, 0, 0]
+    for x in self.nums.values():
+        for k, c in enumerate(_square4(x)):
+            acc[k] += c
+    return Surd(*acc, self.den * self.den)
+
+
+def record_weights(self: Engine, state, vars: tuple[str, ...]) -> dict[tuple[str, ...], object]:
+    """Joint Born weights of memory labels for the given outcome variables.
+
+    Label tuples run over the declared outcome labels only; the ready
+    label 0 is excluded (callers read records after they are written).
+    """
+    axes, keys = _record_index(vars)
+    marg = state.marginal(axes)
+    return {labels: marg[offset] for labels, offset in keys}

@@ -185,10 +185,10 @@ def test_criterion_8_property_suites(protocol):
             protocol,
             (StageId.OBS0, StageId.PREP1, StageId.OBS2, StageId.MEAS4, StageId.MEAS3)
         )
-        base_weights = protocol.record_weights(
-            protocol.pilot_state_after(StageId.MEAS4), ("w1", "w2")
+        base_weights = reference.record_weights(
+            protocol, protocol.pilot_state_after(StageId.MEAS4), ("w1", "w2")
         )
-        swapped_weights = protocol.record_weights(swapped, ("w1", "w2"))
+        swapped_weights = reference.record_weights(protocol, swapped, ("w1", "w2"))
         for key, value in base_weights.items():
             assert abs(swapped_weights[key] - value) < 1e-11
 

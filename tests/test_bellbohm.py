@@ -82,7 +82,7 @@ class TestKernel:
         projected = config_projector(parent)
         comp = project(projected, state)
         evolved = protocol.stage_unitaries[StageId.MEAS4].linear(comp)
-        norm2 = comp.norm() ** 2
+        norm2 = reference.norm2(comp)
         row = transition_kernel(protocol, parent, StageId.MEAS4)
         d = {k[0]: v for k, v in row.as_dict().items()}
         for child, p in d.items():
@@ -150,7 +150,7 @@ def test_shared_ratios_equal_the_per_branch_oracles(engine, hooks, coin):
     partial trajectory: dense floats bit for bit, exact numbers exactly.  The marginal joint's cells
     are the oracle's times one inverse of the total weight of the first record, |a|^2 + |b|^2."""
     protocol = engine(coin, **hooks)
-    total = sum(protocol.record_weights(protocol.pilot_state_after(StageId.OBS2), ("r",)).values())
+    total = sum(reference.record_weights(protocol, protocol.pilot_state_after(StageId.OBS2), ("r",)).values())
     marginal = {cell: p * (1 / total) for cell, p in reference.marginal_joint(protocol).items()}
     for got, want in [(born._sequential_joint(protocol), reference.sequential_joint(protocol)),
                       (born._marginal_joint(protocol), marginal)]:

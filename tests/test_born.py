@@ -21,7 +21,7 @@ from ewflab.born import (
 from ewflab.exact import ExactProtocol
 from ewflab.linalg import StateVector
 from ewflab.protocol import GLOBAL_SPACE, Protocol, StageId
-from reference import outcome_state, outcome_weight, pilot_state_with_order, project
+from reference import norm, outcome_state, outcome_weight, pilot_state_with_order, project, record_weights
 
 # Exact joint oracle: chain of exact conditional tables, worked out by hand
 # from the exact amplitudes.  P(r,z) is uniform over the three reachable
@@ -41,7 +41,7 @@ EXACT_JOINT = {
 
 
 def normalized(state):
-    return StateVector(state.space, state.amps / state.norm())
+    return StateVector(state.space, state.amps / norm(state))
 
 
 def branch(protocol, var, label, stage):
@@ -132,10 +132,10 @@ class TestJointDistribution:
             protocol,
             (StageId.OBS0, StageId.PREP1, StageId.OBS2, StageId.MEAS4, StageId.MEAS3)
         )
-        base = protocol.record_weights(
-            protocol.pilot_state_after(StageId.MEAS4), ("w1", "w2")
+        base = record_weights(
+            protocol, protocol.pilot_state_after(StageId.MEAS4), ("w1", "w2")
         )
-        other = protocol.record_weights(swapped, ("w1", "w2"))
+        other = record_weights(protocol, swapped, ("w1", "w2"))
         for key, value in base.items():
             assert other[key] == pytest.approx(value, abs=1e-11)
 

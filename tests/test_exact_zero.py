@@ -107,7 +107,7 @@ def _bits(x):
 def test_the_dense_engine_keeps_its_floor_at_edge_coins(a, hooks):
     """The dense joints and trajectory table equal the floored oracles bit for bit, as before."""
     protocol = Protocol((a, 1.0), **hooks)
-    total = sum(protocol.record_weights(protocol.pilot_state_after(StageId.OBS2), ("r",)).values())
+    total = sum(reference.record_weights(protocol, protocol.pilot_state_after(StageId.OBS2), ("r",)).values())
     marginal = {cell: p * (1 / total) for cell, p in reference.marginal_joint(protocol).items()}
     for got, want in [(born._sequential_joint(protocol), reference.sequential_joint(protocol)),
                       (born._marginal_joint(protocol), marginal)]:

@@ -19,14 +19,12 @@ from ewflab.exact import (
     Surd,
 )
 from ewflab.histories import (
-    CHAIN_MEMO_NODES,
     FORM_MEMBERS,
     PAIR_FORMS,
     PROBABILITY_MEMO_HISTORIES,
     EpochMismatchError,
     History,
     HistoryEvent,
-    _record_refinement_events,
     chain_consistency_report,
     chain_vector,
     history,
@@ -169,10 +167,17 @@ def _path(events):
     return tuple((STAGES.index(e.stage), e.mask) for e in events)
 
 
+def _refinement_events(stage):
+    """The record decomposition at a recording stage as labelled events, the ready label's included."""
+    var = RECORDED_VAR[stage]
+    labels = GLOBAL_SPACE.factors[RECORDERS[var][0].memory_axis].labels
+    return [HistoryEvent(stage, record_mask(var, label), f"{var}={label}") for label in labels]
+
+
 def _leafwise_fine_chains(protocol, h, union_stages):
     """Reference refinement: one direct chain per leaf, no shared prefixes."""
     own = {e.stage: e for e in h.events}
-    slots = [[own[s]] if s in own else _record_refinement_events(s) for s in union_stages]
+    slots = [[own[s]] if s in own else _refinement_events(s) for s in union_stages]
     return [(_path(events), reference.chain_vector(protocol, events)) for events in itertools.product(*slots)]
 
 
@@ -272,9 +277,12 @@ def _sweep_item(protocol) -> None:
 def test_a_cold_sweep_item_makes_5_stage_map_calls(engine, stage_class, monkeypatch):
     """The pilot state's 5 maps: P[h1], P[h1prime] and the report are read off coin forms, so an item walks
     no chain at its coin.  The first item in a process also walks the basis of the forms, once per process
-    and hook setting: OBS0 on the head engine (r=tail zeroes every head chain) and 11 on the tail engine
-    (OBS0, h1's 4, 2 of h1prime's own chain, MEAS3 and MEAS4 after r=tail, and 4 of h1prime's refinement).
-    Before P[h] was read off the forms, an item made 11: the pilot's 5, h1's chain (4) and 2 of h1prime's."""
+    and hook setting, each walk evolving its own tree: OBS0 on the head engine (r=tail zeroes every head
+    chain) and 17 on the tail engine: OBS0, h1's 4 (PREP1 and OBS2 after r=tail, MEAS3 after z=+, MEAS4
+    after w1=ok), h1prime's own chain's 4 (PREP1 to MEAS4 after r=tail) and its refinement's 8 (PREP1 and
+    OBS2 after r=tail, MEAS3 after z=+ and after z=-, MEAS4 after each of the four live (z, w1) outcomes):
+    23.  While the basis engines kept their chain nodes, h1prime's chains read the nodes h1's walk had left,
+    and the first item made 17."""
     calls = []
     linear = stage_class.linear
 
@@ -289,7 +297,7 @@ def test_a_cold_sweep_item_makes_5_stage_map_calls(engine, stage_class, monkeypa
         calls.clear()
         _sweep_item(engine((math.cos(theta), math.sin(theta))))
         counts.append(len(calls))
-    assert counts == [17, 5, 5]
+    assert counts == [23, 5, 5]
 
 
 @pytest.mark.parametrize("engine, stage_class, state_class", [(Protocol, StageUnitary, StateVector),
@@ -297,7 +305,7 @@ def test_a_cold_sweep_item_makes_5_stage_map_calls(engine, stage_class, monkeypa
                          ids=["dense", "exact"])
 def test_history_probability_walks_no_chain_at_its_coin(engine, stage_class, state_class, monkeypatch):
     """Once the process holds the forms, P[h] on a fresh engine at a new coin applies no stage map and no
-    mask, and leaves the engine's chain memo empty; its P[h] memo holds one entry per event tuple."""
+    mask; its P[h] memo holds one entry per event tuple."""
     family = _family(engine(), ORACLE_FAMILIES["default"]) + _family(engine(), ORACLE_FAMILIES["final-records"])
     for h in family:
         history_probability(engine((0.6, 0.8)), h)
@@ -310,8 +318,7 @@ def test_history_probability_walks_no_chain_at_its_coin(engine, stage_class, sta
     for h in family:
         history_probability(protocol, h)
     assert calls == []
-    assert protocol.history_memos[0] == {}
-    assert len(protocol.history_memos[1]) == len({h.events for h in family})
+    assert len(protocol.probability_memo) == len({h.events for h in family})
 
 
 @pytest.mark.parametrize("engine, state_class", [(Protocol, StateVector), (ExactProtocol, SparseState)],
@@ -440,16 +447,13 @@ def test_history_walks_leave_no_reference_cycle(engine):
 @pytest.mark.parametrize("engine, state_class", [(Protocol, StateVector), (ExactProtocol, SparseState)],
                          ids=["dense", "exact"])
 def test_a_repeated_report_on_a_warm_engine_masks_nothing(engine, state_class, monkeypatch):
-    """Every node of the first report's coin forms, the vanished ones included, is held by the process: a
-    second report, on the same engine or on a fresh one, masks nothing."""
+    """The first report's coin forms, whose chains vanish at some masks, are held by the process: a second
+    report, on the same engine or on a fresh one, masks nothing."""
     forget_history_caches()
     protocol = engine()
     family = [okok_fine_history(protocol), okok_coarse_history(protocol),
               history(protocol, "b", [("r", "head"), ("z", "+")])]
     first = chain_consistency_report(protocol, family)
-    assert protocol.history_memos[0] == {}
-    basis = histories._basis(engine, False, False)
-    assert any(state.is_zero() for b in basis for state in b.history_memos[0].values())
     calls = []
     masked = state_class.masked
 
@@ -720,7 +724,8 @@ def test_exact_history_probability_is_the_direct_chain_norm(coin, hooks):
     protocol = ExactProtocol(coin, **hooks)
     for _, family in _oracle_families(protocol):
         for h in family:
-            assert history_probability(protocol, h) == reference.chain_vector(protocol, h.events).norm2(), h.describe()
+            want = reference.norm2(reference.chain_vector(protocol, h.events))
+            assert history_probability(protocol, h) == want, h.describe()
 
 
 @pytest.mark.parametrize("flags", list(ORACLE_PROTOCOLS.values()), ids=list(ORACLE_PROTOCOLS))
@@ -732,7 +737,7 @@ def test_dense_history_probability_is_the_one_member_report_probability(flags):
         for h in family:
             got = history_probability(protocol, h)
             assert got == chain_consistency_report(Protocol(**flags), [h]).probability[h.name], h.describe()
-            assert abs(got - reference.chain_vector(protocol, h.events).norm() ** 2) <= 1e-15, h.describe()
+            assert abs(got - reference.norm2(reference.chain_vector(protocol, h.events))) <= 1e-15, h.describe()
 
 
 @pytest.mark.parametrize("coin, hooks", PROBABILITY_CASES)
@@ -753,7 +758,7 @@ def test_report_probability_is_the_member_chain_probability(coin, hooks):
                     assert abs(got - want) <= 1e-15, (case, h.describe())
 
 
-# -- the chain memo: one evolution per node and engine, bounded ---------------
+# -- chains as values, and the P[h] memo: one per engine, bounded ------------
 
 
 def _bits(state):
@@ -781,17 +786,15 @@ def test_a_reused_label_gets_its_own_chain(engine):
 
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
-def test_a_caller_built_record_mask_reads_the_engines_node(engine):
-    """A mask is a value: an equal `RecordMask` a caller built keys the node the engine's own mask stored."""
+def test_a_caller_built_record_mask_walks_the_engines_chain_bit_for_bit(engine):
+    """A mask is a value: an equal `RecordMask` a caller built gives the chain the engine's own mask gives."""
     protocol = engine()
     tail, ok = outcome_event(protocol, "r", "tail"), outcome_event(protocol, "w1", "ok")
-    node = chain_vector(protocol, (tail, ok))
-    assert not node.is_zero()
-    memo = dict(protocol.history_memos[0])
+    chain = chain_vector(protocol, (tail, ok))
+    assert not chain.is_zero()
     copied = HistoryEvent(S.OBS0, RecordMask(*tail.mask), tail.label)
     assert copied.mask is not tail.mask
-    assert chain_vector(protocol, (copied, ok)) is node
-    assert protocol.history_memos[0] == memo
+    assert _bits(chain_vector(protocol, (copied, ok))) == _bits(chain)
 
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
@@ -807,11 +810,10 @@ def test_chain_vector_refuses_events_out_of_stage_order_in_its_own_name(engine):
 
 @pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8)), (ExactProtocol, ("0.6", "0.8"))],
                          ids=["dense", "exact"])
-def test_history_memos_belong_to_one_engine(engine, coin):
+def test_a_probability_memo_belongs_to_one_engine(engine, coin):
     """Two engines with equal coins and hooks share their stages and coin forms but no memo: a query (each
-    P[h], then the report) on the first walks no chain at its coin, so only its P[h] memo fills, and it
-    leaves the second's memos empty; the second's own query, equal to the first's, leaves the first's as
-    they were, entries, values and order, and adds no form."""
+    P[h], then the report) on the first fills its P[h] memo and leaves the second's empty; the second's own
+    query, equal to the first's, leaves the first's as it was, entries, values and order, and adds no form."""
     first, second = engine(coin, flip_ok_sign=True), engine(coin, flip_ok_sign=True)
     assert first.stage_unitaries is second.stage_unitaries
     family = [okok_fine_history(first), okok_coarse_history(first), history(first, "b", [("r", "head"), ("z", "+")])]
@@ -823,18 +825,34 @@ def test_history_memos_belong_to_one_engine(engine, coin):
         return [cached.cache_info().currsize for cached in (histories._form, histories._pair_form)]
 
     want_p, want = query(first)
-    snapshot = [list(memo.items()) for memo in first.history_memos]
+    snapshot = list(first.probability_memo.items())
     held = forms()
-    assert snapshot[0] == [] and snapshot[1] and held[0] <= FORM_MEMBERS and held[1] <= PAIR_FORMS
-    assert [len(memo) for memo in second.history_memos] == [0, 0]
+    assert snapshot and held[0] <= FORM_MEMBERS and held[1] <= PAIR_FORMS
+    assert second.probability_memo == {}
     got_p, got = query(second)
     assert got_p == want_p
     assert (got.probability, got.additivity_defect, got.pairs) == (
         want.probability, want.additivity_defect, want.pairs)
-    assert [len(memo) for memo in second.history_memos] == [len(entries) for entries in snapshot]
-    assert [list(memo.items()) for memo in first.history_memos] == snapshot
-    assert all(a is not b for a, b in zip(first.history_memos, second.history_memos))
+    assert len(second.probability_memo) == len(snapshot)
+    assert list(first.probability_memo.items()) == snapshot
+    assert first.probability_memo is not second.probability_memo
     assert forms() == held
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_an_engine_keeps_no_history_state_but_its_probability_memo(engine):
+    """After P[h], a report and `chain_vector`, a fresh engine holds its coin, hooks, pilot cache, checked
+    stages, fact results and P[h] memo, beside the stage mapping its hooks share: no chain, no other memo."""
+    protocol = engine()
+    family = [okok_fine_history(protocol), okok_coarse_history(protocol)]
+    for h in family:
+        history_probability(protocol, h)
+    chain_consistency_report(protocol, family)
+    chain_vector(protocol, family[0].events)
+    assert set(vars(protocol)) == {"coin_amplitudes", "flip_ok_sign", "corrupt_preparation", "_pilot_cache",
+                                   "_checked_stages", "fact_results", "probability_memo", "stage_unitaries"}
+    assert protocol.stage_unitaries is engine().stage_unitaries
+    assert list(protocol.probability_memo) == [h.events for h in family]
 
 
 @pytest.mark.parametrize("mask", [np.copy(_mask_array(record_mask("r", "tail"))), tuple(record_mask("r", "tail"))],
@@ -857,7 +875,10 @@ def test_equal_labels_mean_equal_stage_and_mask():
     protocol = ExactProtocol()
     events = [outcome_event(protocol, var, label, stage)
               for var, labels in OUTCOME_LABELS.items() for label in labels for stage in (None, *STAGES)]
-    events += [e for stage in RECORDED_VAR for e in _record_refinement_events(stage)]
+    refinements = {stage: _refinement_events(stage) for stage in RECORDED_VAR}
+    assert all(tuple(e.mask for e in refined) == histories._refinement_masks(stage)
+               for stage, refined in refinements.items())
+    events += [e for refined in refinements.values() for e in refined]
     assert len({(e.stage, e.mask) for e in events}) == len({e.label for e in events}) == 4 * 2 * 6 + 4
     for a, b in itertools.combinations(events, 2):
         assert (a.label == b.label) == ((a.stage, a.mask) == (b.stage, b.mask)), (a.label, b.label)
@@ -882,8 +903,8 @@ def _staged_specs(n: int, seed: int, sizes: tuple[int, ...] = (2, 3, 4)) -> list
     return specs
 
 
-#: the oracle families, then staged ones, the last of them wide: together they reach more chain nodes, members
-#: and member pairs than the memos hold
+#: the oracle families, then staged ones, the last of them wide: together they reach more histories, members and
+#: member pairs than the P[h] memo and the process's forms hold
 MEMO_SPECS = (
     [ORACLE_FAMILIES[name] for name in sorted(ORACLE_FAMILIES)]
     + [{name: [(v, a, None) for v, a in events] for name, events in spec.items()} for spec in _grid_families()]
@@ -904,14 +925,14 @@ def _answers(protocol, spec) -> tuple:
 @pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8j)), (ExactProtocol, ("0.6", "0.8"))],
                          ids=["dense", "exact"])
 def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(engine, coin):
-    """Families past both memos' bounds and the process's form and pair-form bounds, then again, then in
+    """Families past the P[h] memo's bound and the process's form and pair-form bounds, then again, then in
     reverse order: every answer is a fresh engine's."""
     fresh = [_answers(engine(coin), spec) for spec in MEMO_SPECS]
     protocol = engine(coin)
-    bounds = [CHAIN_MEMO_NODES, PROBABILITY_MEMO_HISTORIES, FORM_MEMBERS, PAIR_FORMS]
+    bounds = [PROBABILITY_MEMO_HISTORIES, FORM_MEMBERS, PAIR_FORMS]
 
     def sizes():
-        return [*map(len, protocol.history_memos)] + [
+        return [len(protocol.probability_memo)] + [
             cached.cache_info().currsize for cached in (histories._form, histories._pair_form)]
 
     for order in (1, 1, -1):
@@ -922,7 +943,7 @@ def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(
         assert sizes() == bounds
         family = _family(protocol, MEMO_SPECS[-1])
         union = tuple(sorted({e.stage for h in family for e in h.events}))
-        assert all(vanished == state.is_zero() for h in family  # leaves walked off the full memo's nodes
+        assert all(vanished == state.is_zero() for h in family  # leaves walked on the long-lived engine
                    for _, state, vanished in histories._leaves(protocol, histories._member_key(h.events, union)))
 
 
@@ -934,7 +955,7 @@ def test_a_probability_memo_hit_keeps_the_store_order_and_the_oldest_key_goes_fi
     protocol = engine()
     a = [okok_fine_history(protocol), okok_coarse_history(protocol)]
     b = [history(protocol, "b", [("r", "head"), ("z", "+")]), history(protocol, "c", [("w1", "fail")])]
-    memo = protocol.history_memos[1]
+    memo = protocol.probability_memo
     first = [history_probability(protocol, h) for h in a + b]
     after_b = list(memo)
     assert after_b == [h.events for h in a + b]

@@ -283,7 +283,7 @@ def test_record_and_config_weights_equal_the_earlier_formulas_bit_for_bit(state)
     protocol = Protocol()
     for n in range(1, 5):
         for vars in itertools.permutations(RECORDERS, n):
-            assert list(protocol.record_weights(state, vars).items()) == list(
+            assert list(reference.record_weights(protocol, state, vars).items()) == list(
                 _old_record_weights(state, vars).items()
             )
     assert list(bellbohm.config_weights(state).items()) == list(_old_config_weights(state).items())

@@ -153,5 +153,5 @@ def test_an_event_at_a_stage_that_records_nothing_is_refused_before_any_walk(eng
     with pytest.raises(EpochMismatchError, match="stage PREP1 records nothing"):
         chain_consistency_report(protocol, family)
     assert walks == []
-    assert [len(memo) for memo in protocol.history_memos] == [0, 0]
+    assert protocol.probability_memo == {}
     assert [cached.cache_info().currsize for cached in (histories._form, histories._pair_form)] == [0, 0]

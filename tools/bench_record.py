@@ -49,14 +49,14 @@ so the last two count what each item repeats, not the per-process basis.
 `history_caches` states what `histories` keeps and what it costs, on each
 engine: the entries and the `tracemalloc` KB of each per-process cache
 (`_pair_form`, `_form`, `_basis`, `_stage_bits`, `_ordered_events`) and of
-each per-engine memo (`history_memos`: chain nodes, then P[h]), with its
-bound.  It reads them after CACHE_QUERIES queries of the warm-histories
-stream (seed CACHE_SEED) on one engine, and again, from empty caches, after
-a cold sweep of CACHE_COINS coin-sweep items, whose last engine's memos are
-read.  A cache's KB is the traced memory freed as it is emptied, per-engine
-memos first, then in the order above: what one holds of what another holds
-too is counted where it is freed, so a form's basis chains count under
-`_basis`, whose engines' chain memos hold them.
+the per-engine P[h] memo (`probability_memo`), with its bound.  It reads
+them after CACHE_QUERIES queries of the warm-histories stream (seed
+CACHE_SEED) on one engine, and again, from empty caches, after a cold sweep
+of CACHE_COINS coin-sweep items, whose last engine's memo is read.  A
+cache's KB is the traced memory freed as it is emptied, the engine's memo
+first, then in the order above: what one holds of what another holds too is
+counted where it is freed, so a form's basis chains count under `_form`,
+the only cache that holds them; `_basis` counts its engines' pilot states.
 """
 
 from __future__ import annotations
@@ -180,7 +180,6 @@ def history_caches() -> dict:
     process = {"_pair_form": histories.PAIR_FORMS, "_form": histories.FORM_MEMBERS,
                "_basis": histories.BASIS_SETTINGS, "_stage_bits": histories.EVENT_TUPLES,
                "_ordered_events": histories.EVENT_TUPLES}
-    memos = {"chain_nodes": histories.CHAIN_MEMO_NODES, "probability": histories.PROBABILITY_MEMO_HISTORIES}
 
     def emptied(size, clear, bound) -> dict:
         before = tracemalloc.get_traced_memory()[0]
@@ -189,9 +188,9 @@ def history_caches() -> dict:
         return {"entries": entries, "bound": bound, "kb": round((before - tracemalloc.get_traced_memory()[0]) / 1e3, 1)}
 
     def read(protocol) -> dict:
-        """Empties every cache it reads: the engine's memos, then the process's, each as it is read."""
-        engine = {name: emptied(memo.__len__, memo.clear, memos[name])
-                  for name, memo in zip(memos, protocol.history_memos)}
+        """Empties every cache it reads: the engine's memo, then the process's, each as it is read."""
+        memo = protocol.probability_memo
+        engine = {"probability": emptied(memo.__len__, memo.clear, histories.PROBABILITY_MEMO_HISTORIES)}
         cached = {name: getattr(histories, name) for name in process}
         return {"engine": engine,
                 "process": {name: emptied(lambda: f.cache_info().currsize, f.cache_clear, process[name])
