@@ -39,31 +39,17 @@ and facts are written once against those calls.  A number the exact
 engine returns is exact, so its `exact` label (`exact_label`) is read off
 it instead of guessed from a float.
 
-Readiness is established once per stage mapping, not per state: a
-recording stage's `apply` checks that its recorder's memory is ready, and
-the pilot walk (`Engine.pilot_state_after`) steps with `linear` instead
-wherever `unproven_stages` proves it from the mapping's
-`rewritten_memory_axes` and the initial state has every memory ready.
+The pilot walk (`Engine.pilot_state_after`) derives readiness as it steps:
+it keeps the memory axes it cannot show ready (all of them if the initial
+state has a memory off its ready label, then each stepped stage's
+`rewritten_memory_axes`), and checks a recording stage with `apply` only
+where its recorder is among them.
 
 Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
 the benchmark (`perfbench`) builds it and the bit-for-bit tests run it as
 this one's oracle.  It is also the faster one wherever the decoherence
-functional D has to be evaluated.  Once the process holds the coin forms,
-neither engine walks a chain or computes an inner product for P[h] or D:
-with a fresh engine, its pilot state evolved, for each of the first 300
-families of the benchmark's stream of history queries (seed 31), a query
-evaluates the forms at its coin in 0.076-0.083 ms here against the dense
-engine's 0.027-0.034 ms (mean per query, fastest of the 5 repeats after the
-first, three runs; the first, which also builds the process's coin forms
-and walks each form's tree afresh, takes 0.23-0.25 ms and 0.14-0.17 ms).
-Warm, each reads P[h] from its `probability_memo` and evaluates the
-report's forms, which takes 0.048-0.057 ms per query here, in exact
-arithmetic, and 0.018-0.025 ms on the dense engine (fastest of 5 repeats of
-4,000 queries, seeds 31 and 32).  Each query is timed as the benchmark
-times it, its answer checks left out.  Both were measured in process on one
-CPU of a 2-vCPU x86-64 VM, Python 3.11.7.  Float coins (large binary
-rationals) slow the exact arithmetic further.
+functional D has to be evaluated.
 """
 
 from __future__ import annotations
@@ -734,7 +720,7 @@ class Engine:
         self.flip_ok_sign = flip_ok_sign
         self.corrupt_preparation = corrupt_preparation
         self._pilot_cache: dict = {}
-        self._checked_stages: frozenset[StageId] = frozenset()  # set with the initial state
+        self._unready_axes: set[int] = set()  # seeded with the initial state
         #: P[h] by event tuple, which `histories.history_probability` keeps
         self.probability_memo: dict = {}
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
@@ -745,20 +731,23 @@ class Engine:
 
         The cache holds the states after a prefix of STAGES, the initial state
         first, each built once; a later stage continues from the last one.
-        A stage is stepped with `linear` where its recorder is proven ready
-        (`unproven_stages`, once per stage mapping, from an initial state
-        with every memory ready) and with `apply`, which checks, elsewhere.
+        A stage whose recorder is in `_unready_axes` is stepped with `apply`,
+        which checks it, any other with `linear`: a memory ready at the start
+        stays ready until a stage's `rewritten_memory_axes` name it (a dense
+        entry of at most ATOL, left out there, moves weight far below ATOL).
         """
-        cache = self._pilot_cache
+        cache, unready = self._pilot_cache, self._unready_axes
         if stage not in cache:
             stages = self.stage_unitaries
             if not cache:
                 initial = cache[StageId.PREP_MINUS1] = self.initial_state()
-                self._checked_stages = unproven_stages(stages) if memories_ready(initial) else frozenset(stages)
+                if any(DIGITS[i][a] for i in initial.components() for a in MEMORY_AXES):
+                    unready.update(MEMORY_AXES)
             state = cache[STAGES[len(cache) - 1]]
             for s in STAGES[len(cache) : STAGES.index(stage) + 1]:
                 step = stages[s]
-                state = cache[s] = step.apply(state) if s in self._checked_stages else step.linear(state)
+                state = cache[s] = step.apply(state) if step.recorder_axis in unready else step.linear(state)
+                unready.update(step.rewritten_memory_axes)
         return cache[stage]
 
 
@@ -774,37 +763,6 @@ def _record_index(vars: tuple[str, ...]) -> tuple[tuple[int, ...], tuple]:
         for labels in itertools.product(*(OUTCOME_LABELS[v] for v in vars))
     )
     return tuple(sorted(axes)), keys
-
-
-def unproven_stages(stages: Mapping[StageId, object]) -> frozenset[StageId]:
-    """The recording stages of a walk through `stages` whose recorder an earlier stage can rewrite.
-
-    A stage that leaves a memory axis out of its `rewritten_memory_axes`
-    maps each label of that memory to itself (a dense entry of at most ATOL
-    is not counted there; through a unitary stage it moves weight far below
-    ATOL), so a walk from a state with every memory ready reaches every
-    other recording stage with its recorder still ready: `require_ready`
-    cannot fail there.  Derived once per distinct reading of the stages'
-    recorders and rewrites (`_proof`), so once per setting of the hooks for
-    the shared mappings, and once for any number of equal mappings.
-    """
-    return _proof(tuple([(stages[s].recorder_axis, stages[s].rewritten_memory_axes) for s in DYNAMIC_STAGES]))
-
-
-@cache  # keyed by what the proof reads of a mapping: each dynamic stage's recorder axis and rewritten memory axes
-def _proof(reads: tuple) -> frozenset[StageId]:
-    rewritten: set[int] = set()
-    unproven = set()
-    for s, (recorder_axis, axes) in zip(DYNAMIC_STAGES, reads):
-        if recorder_axis in rewritten:
-            unproven.add(s)
-        rewritten.update(axes)
-    return frozenset(unproven)
-
-
-def memories_ready(state) -> bool:
-    """Whether every nonzero amplitude of `state` has the ready label on every memory axis."""
-    return all(not any(DIGITS[i][a] for a in MEMORY_AXES) for i in state.components())
 
 
 # -- the sparse exact engine --------------------------------------------------------

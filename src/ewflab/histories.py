@@ -109,6 +109,7 @@ class History(Frozen):
     __slots__ = ("name", "events")
 
     def __init__(self, name: str, events: tuple[HistoryEvent, ...]) -> None:
+        events = tuple(events)
         setfield(self, "name", name)
         setfield(self, "events", events)
         try:
@@ -160,11 +161,12 @@ def _ordered_events(pairs: tuple[tuple[str, str], ...]) -> tuple[HistoryEvent, .
 
 def chain_vector(protocol: Engine, events: tuple[HistoryEvent, ...]) -> StateVector:
     """P_n U_n ... P_1 U_1 |initial>, unnormalized: the one leaf of the unrefined member (`_leaves`)."""
+    events = tuple(events)
     try:
         _stage_bits(events)
     except ValueError as exc:
         raise ValueError(f"chain_vector: {exc}") from None
-    ((_, state, _),) = _leaves(protocol, _member_key(events, ()))
+    ((_, state),) = _leaves(protocol, _member_key(events, ()))
     return state
 
 
@@ -276,37 +278,37 @@ PROBABILITY_MEMO_HISTORIES = 256
 
 #: Per-process bounds, least recently used first out, of member forms
 #: (`_form`: the benchmark's warm history stream reads 154), which hold their
-#: live leaves' basis chains; of pair forms (`_pair_form`: it reads 1,840);
-#: and of basis engine pairs (`_basis`).
+#: nonzero basis chains; of pair forms (`_pair_form`: it reads 1,840); and
+#: of basis engine pairs (`_basis`).
 FORM_MEMBERS = 256
 PAIR_FORMS = 2048
 BASIS_SETTINGS = 8
 
 
 def _leaves(protocol: Engine, key: tuple) -> tuple:
-    """(path, state, vanished) for every leaf of the member with this key, walked from the engine's initial state.
+    """(path, state) for every leaf of the member with this key, walked from the engine's initial state.
 
     A depth-first walk over the stage timeline evolves each tree node once,
     so leaves share their prefix chains, and keeps none.  It is the
     package's one chain evolution: `chain_vector` is the single leaf of an
     unrefined member, and the coin forms walk it on the basis engines.
     """
-    leaves: list[tuple[tuple, StateVector, bool]] = []
+    leaves: list[tuple[tuple, StateVector]] = []
     _walk(protocol, key, 0, (), None, leaves)
     return tuple(leaves)
 
 
 def _walk(protocol: Engine, key: tuple, i: int, path: tuple, state: StateVector | None, leaves: list) -> None:
-    """Append the leaves below stage index i to `leaves` as (path, state, vanished); no closure, so no reference cycle.
+    """Append the leaves below stage index i to `leaves` as (path, state); no closure, so no reference cycle.
 
     The path holds one (stage index, mask) per slot of `key` passed, so its
     length is the next slot's position.  A call steps through the stages up
-    to that slot's, and recurses once per live child there.  Until its first
-    mask (an empty path) a chain is the pilot state, bit for bit, so it is
-    read from the engine's pilot cache.  Once a mask leaves a zero state
-    (stage maps are unitary, so only a mask can), every leaf below it is
-    that zero state, flagged vanished, still under its own path:
-    shared-outcome detection reads the paths of vanished chains.
+    to that slot's, and recurses once per mask there.  Until its first mask
+    (an empty path) a chain is the pilot state, bit for bit, so it is read
+    from the engine's pilot cache.  A mask that leaves a zero state (stage
+    maps are unitary, so only a mask can) ends its branch: the zero state is
+    its one leaf, under the path so far, and only a nonzero leaf has a slot
+    for every one of `key`'s.
     """
     k = len(path)
     end = key[k][0] if k < len(key) else len(STAGES) - 1
@@ -316,16 +318,14 @@ def _walk(protocol: Engine, key: tuple, i: int, path: tuple, state: StateVector 
     else:
         state = protocol.pilot_state_after(STAGES[end])
     if k == len(key):
-        leaves.append((path, state, False))
+        leaves.append((path, state))
         return
     for mask in key[k][1]:
-        child_path = path + ((end, mask),)
         child = state.masked(mask)
         if child.is_zero():
-            below = [[(j, m) for m in masks] for j, masks in key[k + 1 :]]
-            leaves.extend((child_path + tail, child, True) for tail in itertools.product(*below))
+            leaves.append((path + ((end, mask),), child))
         else:
-            _walk(protocol, key, end + 1, child_path, child, leaves)
+            _walk(protocol, key, end + 1, path + ((end, mask),), child, leaves)
 
 
 # -- coin forms ----------------------------------------------------------------
@@ -338,17 +338,16 @@ class _Form(Frozen):
     basis states, as every stage map and mask is linear, so each entry of D
     is ā·a·<h_i|h_j> + ā·b·<h_i|t_j> + b̄·a·<t_i|h_j> + b̄·b·<t_i|t_j>.
     `setting` is the engine class and hooks of the basis, and `key` the
-    member's.  `paths` are the member's leaf paths and `live` those whose
-    basis chains are not both zero.  `chains` are (leaf, half, chain) for
-    each nonzero basis chain: its leaf's position in `live`, 0 for head or
-    1 for tail, and the state.  `own` is sum(D_hh), then sum(D_hh) -
-    trace(D_hh), as coin forms (`_terms`).  Hashed by identity.
+    member's.  `chains` are (path, half, chain) for each nonzero basis
+    chain, 0 for head or 1 for tail, in sorted path order, head first: the
+    walk's order.  `own` is sum(D_hh), then sum(D_hh) - trace(D_hh), as
+    coin forms (`_terms`).  Hashed by identity.
     """
 
-    __slots__ = ("setting", "key", "paths", "live", "chains", "own")
+    __slots__ = ("setting", "key", "chains", "own")
 
-    def __init__(self, setting: tuple, key: tuple, paths: frozenset, live: tuple, chains: tuple, own: tuple) -> None:
-        for name, value in zip(self.__slots__, (setting, key, paths, live, chains, own)):
+    def __init__(self, setting: tuple, key: tuple, chains: tuple, own: tuple) -> None:
+        for name, value in zip(self.__slots__, (setting, key, chains, own)):
             setfield(self, name, value)
 
 
@@ -372,18 +371,15 @@ def _form(engine: type, flip_ok_sign: bool, corrupt_preparation: bool, events: t
     setting = (engine, flip_ok_sign, corrupt_preparation)
     key = _member_key(events, union_stages)
     head, tail = _basis(*setting)
-    heads = _leaves(head, key)
-    live = [(path, h, vh, t, vt) for (path, h, vh), (_, t, vt) in zip(heads, _leaves(tail, key)) if not (vh and vt)]
-    chains = tuple([(i, half, chain) for i, (_, h, vh, t, vt) in enumerate(live)
-                    for half, chain, vanished in ((0, h, vh), (1, t, vt)) if not vanished])
+    chains = tuple(sorted([(path, half, chain) for half, basis in enumerate((head, tail))
+                           for path, chain in _leaves(basis, key) if not chain.is_zero()], key=lambda c: c[:2]))
     total, trace = [0] * 4, [0] * 4
-    for (i, p, _), row in zip(chains, head.gram([chain for _, _, chain in chains])):
-        for (j, q, _), x in zip(chains, row):
+    for (pa, p, _), row in zip(chains, head.gram([chain for _, _, chain in chains])):
+        for (pb, q, _), x in zip(chains, row):
             total[2 * p + q] += x
-            if i == j:
+            if pa == pb:
                 trace[2 * p + q] += x
-    return _Form(setting, key, frozenset([path for path, _, _ in heads]), tuple([path for path, *_ in live]), chains,
-                 (_terms(total), _terms([s - t for s, t in zip(total, trace)])))
+    return _Form(setting, key, chains, (_terms(total), _terms([s - t for s, t in zip(total, trace)])))
 
 
 @lru_cache(maxsize=PAIR_FORMS)
@@ -393,24 +389,26 @@ def _pair_form(a: _Form, b: _Form) -> tuple:
     One gram of the two forms' nonzero basis chains, smaller key first, so
     the forms do not depend on a family's order (D_ba is D_ab's adjoint, and
     what a report reads is symmetric).  An entry zero at every coin, or
-    equal to another, is left out.  `shared` is whether a and b share a path.
+    equal to another, is left out.  `shared` is whether a and b share a
+    path, zero or not: whether their masks meet at every slot, as both keys
+    have a slot at each union stage.
     """
     if b.key < a.key:
         a, b = b, a
     head, _ = _basis(*a.setting)
-    d = [[[0] * 4 for _ in b.live] for _ in a.live]
+    d: dict[tuple, list] = {}
     total = [0] * 4
-    for (i, p, _), row in zip(a.chains, head.gram([c for _, _, c in a.chains], [c for _, _, c in b.chains])):
-        for (j, q, _), x in zip(b.chains, row):
-            d[i][j][2 * p + q] += x
+    for (pa, p, _), row in zip(a.chains, head.gram([c for _, _, c in a.chains], [c for _, _, c in b.chains])):
+        for (pb, q, _), x in zip(b.chains, row):
+            d.setdefault((pa, pb), [0] * 4)[2 * p + q] += x
             total[2 * p + q] += x
     cross = []
-    for pa, row in zip(a.live, d):
-        for pb, entry in zip(b.live, row):
-            terms = _terms(entry)
-            if pa != pb and terms and terms not in cross:
-                cross.append(terms)
-    return _terms(total), tuple(cross), not a.paths.isdisjoint(b.paths)
+    for (pa, pb), entry in d.items():
+        terms = _terms(entry)
+        if pa != pb and terms and terms not in cross:
+            cross.append(terms)
+    shared = all(not set(ma).isdisjoint(mb) for (_, ma), (_, mb) in zip(a.key, b.key))
+    return _terms(total), tuple(cross), shared
 
 
 def _terms(coefficients: list) -> tuple:

@@ -43,7 +43,7 @@ state or stage unitary a caller built) yields a checked state.
 
 A recording stage's `apply` checks that its recorder is ready; the pilot
 walk (`Engine.pilot_state_after`) steps with `linear` instead wherever
-that is proven, once per stage mapping (`exact.unproven_stages`).
+neither the initial state nor an earlier stage can have left it not ready.
 """
 
 from __future__ import annotations

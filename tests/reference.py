@@ -19,7 +19,9 @@ of the exact columns must equal bit for bit.
 Before the consistency report read its diagnostics off the decoherence
 functional, it evolved each member's chain a second time, by a stage loop
 of its own, and compared the refined chains pair by pair.  That loop and
-that report are the last section, also unchanged.
+that report are the last section, also unchanged.  The refinement they read
+(`fine_chains`) builds each member's slots itself and evolves every leaf by
+that loop, so the oracle reads nothing of the package's walk.
 
 Before `apply_on_axes` planned its transposes once per (dims, axes), it
 called `np.tensordot` and `np.moveaxis`; before the beable kernel cached
@@ -59,8 +61,8 @@ by label-index tuples on every call, and `SparseState.apply` scanned its
 columns for a 1/√2 or 1/2 code on every application.  Both bodies close the
 module, unchanged (`marginal` one function for both state types, and
 `sparse_apply` with its local strides computed in place), as the oracles
-the flat marginals, the carried `StageMap.halved` and the walk that skips
-proven ready checks must equal.
+the flat marginals, the carried `StageMap.halved` and the pilot walk that
+steps with `linear` where no ready check can fail must equal.
 
 Before P[h] was read off coin forms, it was the squared norm of the walked
 chain: `StateVector` had `norm` and `norm2`, `SparseState` had `norm2`, and
@@ -105,6 +107,7 @@ from ewflab.exact import (
     STRIDES,
     ZERO,
     Engine,
+    RecordMask,
     SparseState,
     Surd,
     _mul4,
@@ -122,8 +125,6 @@ from ewflab.histories import (
     History,
     HistoryEvent,
     PairVerdict,
-    _leaves,
-    _member_key,
 )
 from ewflab.linalg import (
     ATOL,
@@ -503,12 +504,24 @@ def chain_vector(protocol: Protocol, events: tuple[HistoryEvent, ...]) -> StateV
 
 
 def fine_chains(protocol: Protocol, h: History, union_stages: tuple[StageId, ...]) -> list[tuple[tuple, StateVector]]:
-    """Refine h over union stages it does not mention; return (path, chain vector) per leaf.
+    """Refine h over union stages it does not mention; return (path, chain vector) per leaf, zero or not.
 
-    The package's own walk (`histories._leaves`), formerly `histories._fine_chains`, which the package no
-    longer reads: the oracle report and the tests read the refined chains through it.
+    A slot is h's own event mask at each of its stages, and the recorder's record mask of every label of its
+    memory, in label order, at every other union stage.  A path names a leaf by the (stage index, mask) of
+    each slot, and each leaf is its own `chain_vector`, evolved to the end: no prefix is shared with the
+    package's walk.
     """
-    return [(path, v) for path, v, _ in _leaves(protocol, _member_key(h.events, union_stages))]
+    own = {e.stage: e.mask for e in h.events}
+    slots = []
+    for stage in union_stages:
+        if stage in own:
+            masks = [own[stage]]
+        else:
+            axis = RECORDERS[RECORDED_VAR[stage]][0].memory_axis
+            masks = [RecordMask(axis, i) for i in range(GLOBAL_SPACE.dims[axis])]
+        slots.append([HistoryEvent(stage, mask, "") for mask in masks])
+    return [(tuple((STAGES.index(e.stage), e.mask) for e in events), chain_vector(protocol, events))
+            for events in product(*slots)]
 
 
 def chain_consistency_report(protocol: Protocol, family: list[History]) -> ConsistencyReport:

@@ -1,11 +1,12 @@
-"""What a cold engine derives once: proven readiness, flat marginals, one stage mapping per flag pair.
+"""What a cold engine derives once: readiness on its walk, flat marginals, one stage mapping per flag pair.
 
-A pilot walk steps with `linear` wherever `exact.unproven_stages` proves a
-recording stage's recorder ready, and falls back to the checking `apply`
-elsewhere; a state computes each marginal once per axes, as a flat
-row-major tuple; and `exact.stage_maps` returns one mapping per flag pair,
-whose `StageMap`s carry whether they halve.  Each is checked against the
-former bodies in `reference`.
+A pilot walk steps a recording stage with the checking `apply` where an
+earlier stage, or an initial state with a memory off its ready label, may
+have left its recorder not ready, and with `linear` elsewhere; a state
+computes each marginal once per axes, as a flat row-major tuple; and
+`exact.stage_maps` returns one mapping per flag pair, whose `StageMap`s
+carry whether they halve.  Each is checked against the former bodies in
+`reference`.
 """
 
 import copy
@@ -29,8 +30,6 @@ from ewflab.exact import (
     StageId,
     StageMap,
     halves,
-    memories_ready,
-    unproven_stages,
 )
 from ewflab.protocol import READY, Protocol, StageUnitary, StateVector
 
@@ -93,7 +92,7 @@ def test_exact_pilot_states_and_chains_equal_the_column_scanning_apply(coin, hoo
     family = [histories.okok_fine_history(protocol), histories.okok_coarse_history(protocol)]
     union = tuple(sorted({e.stage for h in family for e in h.events}))
     for h in family:
-        for path, got in reference.fine_chains(protocol, h, union):
+        for path, got in histories._leaves(protocol, histories._member_key(h.events, union)):
             masks = dict(path)
             state = protocol.initial_state()
             for i, stage in enumerate(STAGES[1:], start=1):
@@ -104,16 +103,7 @@ def test_exact_pilot_states_and_chains_equal_the_column_scanning_apply(coin, hoo
             assert (got.nums, got.den) == (state.nums, state.den), path
 
 
-# -- readiness proven once per stage mapping ---------------------------------------
-
-
-@pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
-@pytest.mark.parametrize("hooks", HOOKS, ids=HOOK_IDS)
-def test_readiness_is_proven_for_every_hook_setting(engine, hooks):
-    protocol = engine(**hooks)
-    assert unproven_stages(protocol.stage_unitaries) == frozenset()
-    assert unproven_stages(protocol.stage_unitaries) is unproven_stages(engine(**hooks).stage_unitaries)
-    assert memories_ready(protocol.initial_state())
+# -- readiness derived on the pilot walk ---------------------------------------------
 
 
 def _counting(monkeypatch, cls, name: str, calls: list) -> None:
@@ -126,18 +116,29 @@ def _counting(monkeypatch, cls, name: str, calls: list) -> None:
     monkeypatch.setattr(cls, name, counted)
 
 
-@pytest.mark.parametrize("engine, state_class, stage_class",
-                         [(Protocol, StateVector, StageUnitary), (ExactProtocol, SparseState, StageMap)],
-                         ids=["dense", "exact"])
-@pytest.mark.parametrize("coin", COINS, ids=COIN_IDS)
-def test_a_cold_pilot_walk_steps_linearly_and_reads_no_marginal(engine, state_class, stage_class, coin,
-                                                                monkeypatch):
-    """The walk makes its 5 steps with `linear`: no `apply`, so no ready check and no marginal."""
+ENGINE_CLASSES = pytest.mark.parametrize(
+    "engine, state_class, stage_class",
+    [(Protocol, StateVector, StageUnitary), (ExactProtocol, SparseState, StageMap)], ids=["dense", "exact"])
+
+
+def _steps(monkeypatch, state_class, stage_class) -> list:
+    """A list of (name, self, args) for every `marginal`, `apply` and `linear` call made from here on."""
     calls = []
     _counting(monkeypatch, state_class, "marginal", calls)
     _counting(monkeypatch, stage_class, "apply", calls)
     _counting(monkeypatch, stage_class, "linear", calls)
-    engine(coin).pilot_state_after(StageId.MEAS4)
+    return calls
+
+
+@ENGINE_CLASSES
+@pytest.mark.parametrize("hooks", HOOKS, ids=HOOK_IDS)
+@pytest.mark.parametrize("coin", COINS, ids=COIN_IDS)
+def test_a_cold_pilot_walk_steps_linearly_and_reads_no_marginal(engine, state_class, stage_class, coin, hooks,
+                                                                monkeypatch):
+    """Under every hook setting the initial state has every memory ready and no stage rewrites a later
+    stage's recorder, so the walk makes its 5 steps with `linear`: no `apply`, no ready check, no marginal."""
+    calls = _steps(monkeypatch, state_class, stage_class)
+    engine(coin, **hooks).pilot_state_after(StageId.MEAS4)
     assert [(name, self.stage) for name, self, _ in calls] == [("linear", s) for s in STAGES[1:]]
 
 
@@ -150,23 +151,33 @@ def _w2_swap(engine):
     return exact._stage_map(StageId.MEAS3, (w2,), {0: ((1, 1, 0),), 1: ((0, 1, 0),), 2: ((2, 1, 0),)}, None)
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
-def test_a_mapping_that_rewrites_w2_before_meas4_still_raises_from_the_walk(engine):
+def _rewrites_w2(engine):
+    """An engine class whose stage mapping, built per instance, has `_w2_swap` at MEAS3."""
+
     class RewritesW2(engine):
         @cached_property
         def stage_unitaries(self):
             return {**super().stage_unitaries, StageId.MEAS3: _w2_swap(engine)}
 
-    protocol = RewritesW2()
-    assert unproven_stages(protocol.stage_unitaries) == {StageId.MEAS4}
+    return RewritesW2
+
+
+@ENGINE_CLASSES
+def test_a_mapping_that_rewrites_w2_before_meas4_still_raises_from_the_walk(engine, state_class, stage_class,
+                                                                           monkeypatch):
+    """The swap rewrites W2, so the walk steps MEAS4, and only MEAS4, with the checking `apply`."""
+    protocol = _rewrites_w2(engine)()
+    calls = _steps(monkeypatch, state_class, stage_class)
     protocol.pilot_state_after(StageId.MEAS3)
     with pytest.raises(PreconditionError, match=r"stage MEAS4: recorder W2 memory is not ready \(weight 1\.000e\+00"):
         protocol.pilot_state_after(StageId.MEAS4)
+    assert [(name, self.stage) for name, self, _ in calls if name != "marginal"] == [
+        ("linear", s) for s in STAGES[1:-1]] + [("apply", StageId.MEAS4)]
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
 def test_an_initial_state_with_a_memory_not_ready_is_checked_at_every_stage(engine):
-    """The proof needs every memory ready at the start; without it each recording stage checks."""
+    """A walk from a state with a memory off its ready label checks every recording stage."""
     index = GLOBAL_SPACE.index_of(("tail", "head", "down", READY, READY, READY))
 
     class RecordedF1(engine):
@@ -178,27 +189,21 @@ def test_an_initial_state_with_a_memory_not_ready_is_checked_at_every_stage(engi
             return SparseState({index: (1, 0, 0, 0)})
 
     protocol = RecordedF1()
-    assert not memories_ready(protocol.initial_state())
+    assert protocol.initial_state().marginal((GLOBAL_SPACE.axis("F1"),))[0] == 0
     with pytest.raises(PreconditionError, match="stage OBS0: recorder F1 memory is not ready"):
         protocol.pilot_state_after(StageId.OBS0)
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
-def test_equal_stage_mappings_built_per_instance_share_one_proof(engine):
-    """The proof is kept by what it reads of a mapping, so 200 engines that each build their own equal
-    mapping add at most one entry, and each still needs its MEAS4 check."""
-
-    class RewritesW2(engine):
-        @cached_property
-        def stage_unitaries(self):
-            return {**super().stage_unitaries, StageId.MEAS3: _w2_swap(engine)}
-
-    before = exact._proof.cache_info().currsize
+def test_equal_stage_mappings_built_per_instance_each_check_meas4(engine):
+    """200 engines that each build their own equal mapping each derive on their walk that W2 may not be
+    ready, and each raises at MEAS4."""
+    rewrites_w2 = _rewrites_w2(engine)
     for _ in range(200):
-        protocol = RewritesW2()
+        protocol = rewrites_w2()
         protocol.pilot_state_after(StageId.MEAS3)
-        assert protocol._checked_stages == {StageId.MEAS4}
-    assert exact._proof.cache_info().currsize <= before + 1
+        with pytest.raises(PreconditionError, match="stage MEAS4: recorder W2 memory is not ready"):
+            protocol.pilot_state_after(StageId.MEAS4)
 
 
 def test_apply_still_checks_a_caller_state_on_the_exact_engine():

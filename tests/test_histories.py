@@ -162,11 +162,6 @@ class TestConsistencyReport:
 # -- record masks and prefix-shared refinement --------------------------------
 
 
-def _path(events):
-    """The (stage index, mask) of each event, in order: how the walk names a chain."""
-    return tuple((STAGES.index(e.stage), e.mask) for e in events)
-
-
 def _refinement_events(stage):
     """The record decomposition at a recording stage as labelled events, the ready label's included."""
     var = RECORDED_VAR[stage]
@@ -174,11 +169,9 @@ def _refinement_events(stage):
     return [HistoryEvent(stage, record_mask(var, label), f"{var}={label}") for label in labels]
 
 
-def _leafwise_fine_chains(protocol, h, union_stages):
-    """Reference refinement: one direct chain per leaf, no shared prefixes."""
-    own = {e.stage: e for e in h.events}
-    slots = [[own[s]] if s in own else _refinement_events(s) for s in union_stages]
-    return [(_path(events), reference.chain_vector(protocol, events)) for events in itertools.product(*slots)]
+def _walked(protocol, h, union_stages):
+    """The package's leaves of h refined over union stages: (path, state), a zero state ending its branch."""
+    return histories._leaves(protocol, histories._member_key(h.events, union_stages))
 
 
 def _event(protocol, var, label, stage=None):
@@ -242,21 +235,29 @@ def _oracle_engines():
 def test_fine_chains_match_leafwise_oracle(family_name, engine, coin, hooks):
     """The prefix-shared walk returns the per-leaf chains, paths and bits alike.
 
-    The walk stops evolving a chain that a mask has zeroed; the oracle evolves
-    every chain to the end, and the zero states must still agree.
+    The walk ends a branch where a mask zeroes it, under the path so far; the
+    oracle evolves every leaf to the end.  Each oracle leaf lies below exactly
+    one walked leaf, in order: a full-length one with its bits, or a zero one
+    whose oracle leaves are all zero.
     """
     protocol = engine(coin, **hooks)
     family = _family(protocol, ORACLE_FAMILIES[family_name])
     union = tuple(sorted({e.stage for h in family for e in h.events}))
     for h in family:
-        got = fine_chains(protocol, h, union)
-        want = _leafwise_fine_chains(protocol, h, union)
-        assert [k for k, _ in got] == [k for k, _ in want]
-        for (_, g), (_, w) in zip(got, want):
-            if engine is Protocol:
-                assert np.array_equal(g.amps, w.amps)
-            else:
-                assert (g.nums, g.den) == (w.nums, w.den)
+        want = fine_chains(protocol, h, union)
+        i = 0
+        for path, g in _walked(protocol, h, union):
+            below = list(itertools.takewhile(lambda leaf: leaf[0][: len(path)] == path, want[i:]))
+            assert below, path
+            for full, w in below:
+                if full != path:
+                    assert g.is_zero() and w.is_zero(), full
+                elif engine is Protocol:
+                    assert np.array_equal(g.amps, w.amps)
+                else:
+                    assert (g.nums, g.den) == (w.nums, w.den)
+            i += len(below)
+        assert i == len(want)
 
 
 def _sweep_item(protocol) -> None:
@@ -326,8 +327,8 @@ def test_history_probability_walks_no_chain_at_its_coin(engine, stage_class, sta
 def test_a_cold_sweep_item_computes_each_distinct_marginal_once(engine, state_class, monkeypatch):
     """The joints and the final record marginal read 9 record-weight marginals of the pilot states and the
     beable chain 6 config marginals: 15 reads of 11 distinct (state, axes) pairs, each computed once.  The
-    pilot walk's ready checks, proven once per stage mapping, read none; before both, an item computed 19
-    marginals, these 15 and 4 ready checks."""
+    pilot walk steps with `linear`, as no ready check can fail on it, and reads none; before both, an item
+    computed 19 marginals, these 15 and 4 ready checks."""
     reads, computed = [], []
     marginal = state_class.marginal
 
@@ -407,7 +408,7 @@ def test_fine_chains_are_trusted_and_finite(family_name, engine, coin, hooks):
     family = _family(protocol, ORACLE_FAMILIES[family_name])
     union = tuple(sorted({e.stage for h in family for e in h.events}))
     for h in family:
-        for key, state in fine_chains(protocol, h, union):
+        for key, state in _walked(protocol, h, union):
             assert state.trusted and np.isfinite(state.amps).all(), key
 
 
@@ -711,6 +712,29 @@ def test_report_matches_pairwise_oracle(engine, flags):
             assert abs(g.cross_interference - w.cross_interference) <= 1e-15, (case, g)
 
 
+@pytest.mark.parametrize("engine, coin", [(Protocol, (0.6, 0.8j)), (ExactProtocol, ("0.6", "0.8"))],
+                         ids=["dense", "exact"])
+def test_the_oracle_report_walks_none_of_the_package(engine, coin, monkeypatch):
+    """The pairwise oracle refines and evolves every chain itself: with the package's walk patched to raise,
+    it still answers each oracle family, with the package's verdicts (and, on the exact engine, its numbers)."""
+    protocol = engine(coin)
+    families = [_family(protocol, ORACLE_FAMILIES[name]) for name in sorted(ORACLE_FAMILIES)]
+    reports = [chain_consistency_report(protocol, family) for family in families]
+
+    def refuse(*args):
+        raise AssertionError("the oracle walked the package's tree")
+
+    monkeypatch.setattr(histories, "_walk", refuse)
+    monkeypatch.setattr(histories, "_leaves", refuse)
+    for family, got in zip(families, reports):
+        want = reference.chain_consistency_report(protocol, family)
+        assert (got.family, got.union_stages, got.consistent) == (want.family, want.union_stages, want.consistent)
+        assert [p.shared_fine_outcomes for p in got.pairs] == [p.shared_fine_outcomes for p in want.pairs]
+        if engine is ExactProtocol:
+            assert (got.probability, got.additivity_defect, got.pairs) == (
+                want.probability, want.additivity_defect, want.pairs)
+
+
 PROBABILITY_CASES = (
     [pytest.param(None, {}, id="default")]
     + [pytest.param(coin, {}, id=f"decimal{i}") for i, coin in enumerate(DECIMAL_COINS)]
@@ -764,6 +788,22 @@ def test_report_probability_is_the_member_chain_probability(coin, hooks):
 def _bits(state):
     """A chain vector's exact contents: the dense amplitudes' bytes, or the exact numerators and denominator."""
     return state.amps.tobytes() if isinstance(state, StateVector) else (state.nums, state.den)
+
+
+@pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
+def test_a_list_of_events_builds_what_its_tuple_builds(engine):
+    """`History` and `chain_vector` read a list of events as its tuple: the same events, chain, P[h] and report."""
+    protocol = engine()
+    fine, coarse = okok_fine_history(protocol).events, okok_coarse_history(protocol).events
+    listed = [History("h1", list(fine)), History("h1prime", list(coarse))]
+    tupled = [History("h1", fine), History("h1prime", coarse)]
+    assert [h.events for h in listed] == [fine, coarse] and all(type(h.events) is tuple for h in listed)
+    assert _bits(chain_vector(protocol, list(fine))) == _bits(chain_vector(protocol, fine))
+    fresh = engine()
+    assert [history_probability(protocol, h) for h in listed] == [history_probability(fresh, h) for h in tupled]
+    assert chain_consistency_report(protocol, listed) == chain_consistency_report(fresh, tupled)
+    with pytest.raises(ValueError, match="^history 'x': event stages must strictly increase$"):
+        History("x", list(fine[::-1]))
 
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
@@ -841,8 +881,8 @@ def test_a_probability_memo_belongs_to_one_engine(engine, coin):
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
 def test_an_engine_keeps_no_history_state_but_its_probability_memo(engine):
-    """After P[h], a report and `chain_vector`, a fresh engine holds its coin, hooks, pilot cache, checked
-    stages, fact results and P[h] memo, beside the stage mapping its hooks share: no chain, no other memo."""
+    """After P[h], a report and `chain_vector`, a fresh engine holds its coin, hooks, pilot cache, unready
+    memory axes, fact results and P[h] memo, beside the stage mapping its hooks share: no chain, no other memo."""
     protocol = engine()
     family = [okok_fine_history(protocol), okok_coarse_history(protocol)]
     for h in family:
@@ -850,7 +890,7 @@ def test_an_engine_keeps_no_history_state_but_its_probability_memo(engine):
     chain_consistency_report(protocol, family)
     chain_vector(protocol, family[0].events)
     assert set(vars(protocol)) == {"coin_amplitudes", "flip_ok_sign", "corrupt_preparation", "_pilot_cache",
-                                   "_checked_stages", "fact_results", "probability_memo", "stage_unitaries"}
+                                   "_unready_axes", "fact_results", "probability_memo", "stage_unitaries"}
     assert protocol.stage_unitaries is engine().stage_unitaries
     assert list(protocol.probability_memo) == [h.events for h in family]
 
@@ -943,8 +983,10 @@ def test_a_long_lived_engine_holds_at_most_the_bound_and_answers_as_a_fresh_one(
         assert sizes() == bounds
         family = _family(protocol, MEMO_SPECS[-1])
         union = tuple(sorted({e.stage for h in family for e in h.events}))
-        assert all(vanished == state.is_zero() for h in family  # leaves walked on the long-lived engine
-                   for _, state, vanished in histories._leaves(protocol, histories._member_key(h.events, union)))
+        for h in family:  # leaves walked on the long-lived engine: a zero one may end its branch early
+            leaves = [(path, _bits(state)) for path, state in _walked(protocol, h, union)]
+            assert leaves == [(path, _bits(state)) for path, state in _walked(engine(coin), h, union)]
+            assert all(len(path) == len(union) for path, state in _walked(protocol, h, union) if not state.is_zero())
 
 
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
