@@ -22,8 +22,9 @@ answer one contract, and it is exactly what the shared modules (`born`,
 `coin_amplitudes`, `corrupt_preparation`, `fact_results`, `flip_ok_sign`,
 `gram`, `initial_state`, `pilot_state_after`, `probability_memo`, `sqrt`,
 `stage_unitaries` and `weight_floor`.  The two hooks and the engine's class
-are what `histories` reads to build the engines at the coins (1, 0) and
-(0, 1) whose chains its coin forms hold.  A stage is read one way, as
+are what `_basis` reads to build the engines at the coins (1, 0) and
+(0, 1) that every coin form reads: the pilot states' here, the history
+chains' in `histories`.  A stage is read one way, as
 `stage_unitaries[stage]`, which on this engine is the stage's `StageMap`; a
 measurement is not an object of either engine, its outcome vectors are read
 from `outcome_vectors` under the engine's `flip_ok_sign`.  Their states
@@ -39,11 +40,21 @@ and facts are written once against those calls.  A number the exact
 engine returns is exact, so its `exact` label (`exact_label`) is read off
 it instead of guessed from a float.
 
-The pilot walk (`Engine.pilot_state_after`) derives readiness as it steps:
-it keeps the memory axes it cannot show ready (all of them if the initial
-state has a memory off its ready label, then each stepped stage's
+A pilot state is a coin form (`Engine.pilot_state_after`): after a stage
+it is a·H + b·T at the coin (a, b), with H and T the basis engines' states
+after it, as the coin enters only through the initial state and every
+stage map is linear.  It builds its amplitudes only when they are read,
+and its marginal on some axes is the stage's pilot form (`_pilot_form`,
+built once per process and axes) evaluated at the coin: here the integer
+coefficients of a², 2ab and b² in each cell, over one denominator; on the
+dense engine each cell's (h, t) amplitudes, summed as |a·h + b·t|², which
+keeps the walk's equal weights equal.  Only the basis engines walk
+(`Engine._walk`), and the walk derives readiness as it steps: it keeps the
+memory axes it cannot show ready (all of them if the initial state has a
+memory off its ready label, then each stepped stage's
 `rewritten_memory_axes`), and checks a recording stage with `apply` only
-where its recorder is among them.
+where its recorder is among them, so a `PreconditionError` surfaces at the
+stage a coin engine asked for.
 
 Why two engines: a fresh command-line process spends about half its time
 importing numpy, and needs exact answers.  The dense engine is kept because
@@ -60,7 +71,7 @@ import math
 import operator
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -700,12 +711,37 @@ def record_mask(var: str, label: str) -> RecordMask:
     return RecordMask(axis, GLOBAL_SPACE.factors[axis].index(label))
 
 
+#: Per-process bounds, least recently used first out, of basis engine pairs
+#: (`_basis`) and of pilot marginal forms (`_pilot_form`: a cold sweep item
+#: reads 11 per hook setting).
+BASIS_SETTINGS = 8
+PILOT_FORMS = 256
+
+
+@lru_cache(maxsize=BASIS_SETTINGS)
+def _basis(engine: type, flip_ok_sign: bool, corrupt_preparation: bool) -> tuple:
+    """Engines of this class and hook setting at the coins (1, 0) and (0, 1): the basis every coin form reads.
+
+    They are the only engines that walk their pilot states, and `histories`
+    walks its forms' chains on them.
+    """
+    return tuple(engine(coin, flip_ok_sign=flip_ok_sign, corrupt_preparation=corrupt_preparation)
+                 for coin in ((1, 0), (0, 1)))
+
+
+@lru_cache(maxsize=PILOT_FORMS)
+def _pilot_form(head, tail, axes: tuple[int, ...]) -> tuple:
+    """The form of the marginal on `axes` of a·head + b·tail, basis states after one stage, built once per process."""
+    return head.marginal_form(tail, axes)
+
+
 class Engine:
-    """Configuration, the pilot-state walk and the P[h] memo's storage, for both engines.
+    """Configuration, the pilot states and the P[h] memo's storage, for both engines.
 
     A subclass passes `coin_amplitudes`, two amplitudes in the number type
     of its states, and provides `initial_state`, `stage_unitaries`, `gram`
-    and `sqrt`.  A coin of any other length is refused here, before its
+    and `sqrt`; `initial_state` is linear in the coin, as every coin form
+    assumes.  A coin of any other length is refused here, before its
     normalisation is checked.
     """
 
@@ -720,14 +756,32 @@ class Engine:
         self.flip_ok_sign = flip_ok_sign
         self.corrupt_preparation = corrupt_preparation
         self._pilot_cache: dict = {}
-        self._unready_axes: set[int] = set()  # seeded with the initial state
+        self._unready_axes: set[int] = set()  # a basis engine's walk: seeded with the initial state
         #: P[h] by event tuple, which `histories.history_probability` keeps
         self.probability_memo: dict = {}
         #: grounding-fact results keyed by fact-table entry (see facts.evaluate)
         self.fact_results: dict = {}
 
     def pilot_state_after(self, stage: StageId):
-        """Global unitary evolution of the initial state up to and including stage.
+        """Global unitary evolution of the initial state up to and including stage: a·H + b·T at the coin (a, b).
+
+        H and T are the basis engines' states after the stage (`_basis`):
+        the coin enters only through the initial state, and every stage map
+        is linear.  Each is built once per engine and stage; it builds its
+        amplitudes only when they are read, and a marginal of it is its
+        stage's pilot form (`_pilot_form`) evaluated at the coin.
+        """
+        state = self._pilot_cache.get(stage)
+        if state is None:
+            head, tail = _basis(type(self), self.flip_ok_sign, self.corrupt_preparation)
+            if self is head or self is tail:
+                return self._walk(stage)
+            h, t = head.pilot_state_after(stage), tail.pilot_state_after(stage)
+            state = self._pilot_cache[stage] = h.superposed(self.coin_amplitudes, t)
+        return state
+
+    def _walk(self, stage: StageId):
+        """A basis engine's pilot state after `stage`: the only walk through the stage maps.
 
         The cache holds the states after a prefix of STAGES, the initial state
         first, each built once; a later stage continues from the last one.
@@ -796,10 +850,11 @@ class SparseState:
 
     Only nonzero amplitudes are stored; the space is always `GLOBAL_SPACE`.
     A state keeps each marginal it has computed, by axes; copies and pickles
-    leave them out.
+    leave them out.  A coin engine's pilot state (`superposed`) holds its
+    coin and basis states in `_pilot` and sets `nums` and `den` on first read.
     """
 
-    __slots__ = ("nums", "den", "_marginals")
+    __slots__ = ("nums", "den", "_marginals", "_pilot")
 
     def __init__(self, nums: dict[int, tuple[int, int, int, int]], den: int = 1) -> None:
         nums = {i: x for i, x in nums.items() if any(x)}
@@ -807,10 +862,57 @@ class SparseState:
         if g > 1:
             nums = {i: (a // g, b // g, c // g, d // g) for i, (a, b, c, d) in nums.items()}
             den //= g
-        self.nums, self.den, self._marginals = nums, den, None
+        self.nums, self.den, self._marginals, self._pilot = nums, den, None, None
 
     def __reduce__(self):
         return SparseState, (self.nums, self.den)
+
+    def superposed(self, coin: tuple[Surd, Surd], tail: "SparseState") -> "SparseState":
+        """a·self + b·tail at the coin (a, b), its amplitudes left unbuilt.
+
+        It holds the coin as (A, B, q), with a = A/q and b = B/q in
+        coordinates, and the weights of a form's terms: a², 2ab and b² over q².
+        """
+        q = math.lcm(*(c.q for c in coin))
+        A, B = (tuple(x * (q // c.q) for x in c.coords) for c in coin)
+        state = object.__new__(SparseState)
+        state._marginals = None
+        state._pilot = (A, B, q, (_square4(A), tuple(2 * x for x in _mul4(A, B)), _square4(B))), self, tail
+        return state
+
+    def __getattr__(self, name: str):
+        """A superposition's `nums` and `den`, built on first read."""
+        if name not in ("nums", "den"):
+            raise AttributeError(name)
+        (A, B, q, _), head, tail = self._pilot
+        f = math.lcm(head.den, tail.den)
+        out: dict[int, tuple] = {}
+        for coord, state in ((A, head), (B, tail)):
+            for i, x in state.nums.items():
+                y = tuple(c * (f // state.den) for c in _mul4(coord, x))
+                out[i] = tuple(map(operator.add, out[i], y)) if i in out else y
+        built = SparseState(out, q * f)
+        self.nums, self.den = built.nums, built.den
+        return built.nums if name == "nums" else built.den
+
+    def marginal_form(self, tail: "SparseState", axes: tuple[int, ...]) -> tuple:
+        """(size, denominator, cells) of the marginal on `axes` of a·self + b·tail.
+
+        Each nonzero cell is (offset, terms): the nonzero integer coordinates
+        of Σh², Σh·t and Σt², the coefficients of a², 2ab and b², as (index,
+        coordinates), over one denominator.
+        """
+        f = math.lcm(self.den, tail.den)
+        local_strides, offset = _layout(axes)
+        head, other = ({i: tuple(c * (f // s.den) for c in x) for i, x in s.nums.items()} for s in (self, tail))
+        cells: dict[int, list] = {}
+        for i in head.keys() | other.keys():
+            h, t = head.get(i, (0,) * 4), other.get(i, (0,) * 4)
+            cell = cells.setdefault(sum(DIGITS[i][a] * s for a, s in zip(axes, local_strides)), [(0,) * 4] * 3)
+            for k, term in enumerate((_square4(h), _mul4(h, t), _square4(t))):
+                cell[k] = tuple(map(operator.add, cell[k], term))
+        return len(offset), f * f, tuple(sorted(
+            (t, tuple((k, c) for k, c in enumerate(terms) if any(c))) for t, terms in cells.items()))
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -826,13 +928,26 @@ class SparseState:
     def marginal(self, axes: tuple[int, ...]) -> tuple[Surd, ...]:
         """Born weight of every label combination on `axes` (ascending), flat in row-major order.
 
-        Computed once per state and axes.
+        Computed once per state and axes; a superposition's is its pilot
+        form evaluated in integer coordinates, one Surd per nonzero cell.
         """
         memo = self._marginals
         if memo is None:
             memo = self._marginals = {}
         flat = memo.get(axes)
-        if flat is None:
+        if flat is None and self._pilot is not None:
+            (_, _, q, weights), head, tail = self._pilot
+            size, den, cells = _pilot_form(head, tail, axes)
+            den *= q * q
+            values = [ZERO] * size
+            for t, terms in cells:
+                acc = [0, 0, 0, 0]
+                for k, c in terms:
+                    for n, x in enumerate(_mul4(weights[k], c)):
+                        acc[n] += x
+                values[t] = Surd(*acc, den)
+            flat = memo[axes] = tuple(values)
+        elif flat is None:
             local_strides, offset = _layout(axes)
             acc: dict[int, list[int]] = {}
             for i, x in self.nums.items():

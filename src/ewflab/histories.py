@@ -29,7 +29,8 @@ D is read off coin forms.  The coin enters only through the initial state,
 so every entry of D is a form ā·a·HH + ā·b·HT + b̄·a·TH + b̄·b·TT in the
 coin (a, b), whose four coefficients are inner products of the member's
 chains walked from |head> and from |tail> on two engines of the same class
-and hooks (`_basis`).  Member forms (`_form`) and pair forms (`_pair_form`)
+and hooks (`exact._basis`, whose pilot states every pilot state is read
+off too).  Member forms (`_form`) and pair forms (`_pair_form`)
 are kept once per process, and a report evaluates them at its engine's
 coin: once the process holds a family's forms, a report on any engine walks
 nothing and computes no inner product.  `history_probability` reads P[h] off
@@ -48,7 +49,8 @@ import itertools
 from functools import cache, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, RecordMask, StageId, Surd, record_mask
+from .exact import (GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, STAGES, RecordMask, StageId, Surd, _basis,
+                    record_mask)
 from .linalg import CONSISTENCY_ATOL, Frozen, setfield
 
 if TYPE_CHECKING:
@@ -278,11 +280,9 @@ PROBABILITY_MEMO_HISTORIES = 256
 
 #: Per-process bounds, least recently used first out, of member forms
 #: (`_form`: the benchmark's warm history stream reads 154), which hold their
-#: nonzero basis chains; of pair forms (`_pair_form`: it reads 1,840); and
-#: of basis engine pairs (`_basis`).
+#: nonzero basis chains, and of pair forms (`_pair_form`: it reads 1,840).
 FORM_MEMBERS = 256
 PAIR_FORMS = 2048
-BASIS_SETTINGS = 8
 
 
 def _leaves(protocol: Engine, key: tuple) -> tuple:
@@ -349,16 +349,6 @@ class _Form(Frozen):
     def __init__(self, setting: tuple, key: tuple, chains: tuple, own: tuple) -> None:
         for name, value in zip(self.__slots__, (setting, key, chains, own)):
             setfield(self, name, value)
-
-
-@lru_cache(maxsize=BASIS_SETTINGS)
-def _basis(engine: type, flip_ok_sign: bool, corrupt_preparation: bool) -> tuple:
-    """Engines of this class and hook setting at the coins (1, 0) and (0, 1): the basis every coin form reads.
-
-    They walk the forms' chains from their own pilot caches.
-    """
-    return tuple(engine(coin, flip_ok_sign=flip_ok_sign, corrupt_preparation=corrupt_preparation)
-                 for coin in ((1, 0), (0, 1)))
 
 
 @lru_cache(maxsize=FORM_MEMBERS)

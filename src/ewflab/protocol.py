@@ -41,9 +41,12 @@ with entries of modulus at most 1, so a trusted state keeps a norm of at
 most 1 (up to rounding) and every amplitude finite.  Any other operand (a
 state or stage unitary a caller built) yields a checked state.
 
-A recording stage's `apply` checks that its recorder is ready; the pilot
-walk (`Engine.pilot_state_after`) steps with `linear` instead wherever
-neither the initial state nor an earlier stage can have left it not ready.
+A pilot state is a·H + b·T of the basis engines' pilot states
+(`Engine.pilot_state_after`), trusted, and builds its amplitudes only when
+they are read; its marginals are read off the pilot form instead.  A
+recording stage's `apply` checks that its recorder is ready; the basis
+engines' walk (`Engine._walk`) steps with `linear` instead wherever neither
+the initial state nor an earlier stage can have left it not ready.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import numpy as np
 
 from .exact import (  # the layout, re-exported: the dense engine is the library's entry point
     DEFAULT_COIN_FLOATS,
+    DIGITS,
     DIM,
     DOWN,
     DYNAMIC_STAGES,
@@ -80,6 +84,8 @@ from .exact import (  # the layout, re-exported: the dense engine is the library
     RecordMask,
     StageId,
     StageMap,
+    _layout,
+    _pilot_form,
     float_image,
     record_mask,
     require_ready,
@@ -100,16 +106,17 @@ __all__ = [
 
 
 class _Squared(Frozen):
-    """Where a StateVector keeps its |amps|^2 once `memory_marginal` has computed it, and its marginals.
+    """Where a StateVector keeps its |amps|^2 once `memory_marginal` has computed it, its marginals and its basis.
 
     `_probs` is None until the first marginal, `_marginals` each flat
-    marginal by axes (None until the first).  The slots sit on this base
-    class, so a record's fields (`__slots__` of StateVector) are only the
-    space, the amplitudes and the trust flag: what is cached is left out of
-    its repr, copies and pickles.
+    marginal by axes (None until the first), and `_pilot` a coin engine's
+    pilot state's coin and basis states (`superposed`), else None.  The
+    slots sit on this base class, so a record's fields (`__slots__` of
+    StateVector) are only the space, the amplitudes and the trust flag:
+    what is cached is left out of its repr, copies and pickles.
     """
 
-    __slots__ = ("_probs", "_marginals")
+    __slots__ = ("_probs", "_marginals", "_pilot")
 
 
 class StateVector(_Squared):
@@ -134,8 +141,7 @@ class StateVector(_Squared):
         setfield(self, "space", space)
         setfield(self, "amps", amps)
         setfield(self, "trusted", False)
-        setfield(self, "_probs", None)
-        setfield(self, "_marginals", None)
+        _unsquared(self, None)
 
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.amps.view(np.float64))  # a third of the time of amps.any()
@@ -150,15 +156,62 @@ class StateVector(_Squared):
         return _image(self.space, self, array, np.multiply, self.amps, array)
 
     def marginal(self, axes: tuple[int, ...]) -> tuple[float, ...]:
-        """`memory_marginal` flat, in row-major order: computed once per state and axes."""
+        """`memory_marginal` flat, in row-major order: computed once per state and axes.
+
+        A superposition's is its pilot form evaluated at the coin instead:
+        per cell, the sum of |a·h + b·t|² over its basis amplitudes.
+        """
         memo = getattr(self, "_marginals", None)  # a copy or an unpickled state is restored without it
         if memo is None:
             memo = {}
             setfield(self, "_marginals", memo)
         flat = memo.get(axes)
-        if flat is None:
+        pilot = getattr(self, "_pilot", None)
+        if flat is None and pilot is not None:
+            (a, b), head, tail = pilot
+            size, cells = _pilot_form(head, tail, axes)
+            values = [0.0] * size
+            for t, pairs in cells:
+                v = 0.0
+                for x, y in pairs:
+                    z = a * x + b * y
+                    v += z.real * z.real + z.imag * z.imag
+                values[t] = v
+            flat = memo[axes] = tuple(values)
+        elif flat is None:
             flat = memo[axes] = tuple(memory_marginal(self, axes).ravel().tolist())
         return flat
+
+    def superposed(self, coin: tuple, tail: "StateVector") -> "StateVector":
+        """a·self + b·tail at the coin (a, b), trusted, its amplitudes left unbuilt."""
+        state = object.__new__(StateVector)
+        setfield(state, "space", GLOBAL_SPACE)
+        setfield(state, "trusted", True)
+        return _unsquared(state, (coin, self, tail))
+
+    def __getattr__(self, name: str):
+        """A superposition's `amps`, built on first read."""
+        if name != "amps":
+            raise AttributeError(name)
+        (a, b), head, tail = self._pilot
+        amps = a * head.amps + b * tail.amps
+        amps.flags.writeable = False
+        setfield(self, "amps", amps)
+        return amps
+
+    def marginal_form(self, tail: "StateVector", axes: tuple[int, ...]) -> tuple:
+        """(size, cells) of the marginal on `axes` of a·self + b·tail.
+
+        Each nonzero cell is (offset, pairs): the (h, t) amplitudes of its
+        basis states where either is nonzero, in index order.
+        """
+        local_strides, offset = _layout(axes)
+        cells: dict[int, list] = {}
+        for i in np.flatnonzero(np.abs(self.amps) + np.abs(tail.amps)).tolist():
+            digits = DIGITS[i]
+            cells.setdefault(sum(digits[a] * s for a, s in zip(axes, local_strides)), []).append(
+                (complex(self.amps[i]), complex(tail.amps[i])))
+        return len(offset), tuple(sorted((t, tuple(pairs)) for t, pairs in cells.items()))
 
 
 #: The engine's own operators by id: the shared stage unitaries and the record
@@ -179,8 +232,14 @@ def _trusted_state(space: SpaceDescriptor, amps: np.ndarray) -> StateVector:
     setfield(state, "space", space)
     setfield(state, "amps", amps)
     setfield(state, "trusted", True)
+    return _unsquared(state, None)
+
+
+def _unsquared(state: StateVector, pilot) -> StateVector:
+    """The state with nothing computed on it yet, and `pilot` as its coin and basis states."""
     setfield(state, "_probs", None)
     setfield(state, "_marginals", None)
+    setfield(state, "_pilot", pilot)
     return state
 
 

@@ -174,15 +174,16 @@ def test_each_member_is_walked_once_per_invocation(capsys, monkeypatch, argv, wa
 def test_report_evolves_each_node_of_each_walked_tree_once(capsys, monkeypatch):
     """verify's facts read P[h] off coin forms, and so does the history section's report, each form walked on
     the basis engines; a walk evolves each node of its own tree once and reads no other walk's nodes.  At the
-    coin `report` applies only the pilot state's 5 stage maps.  The head engine applies 13: OBS0 (the pilot
-    cache serves it to every later walk), P[r=head]'s 4 (PREP1 to MEAS4 after the mask), P[r=head, z=-]'s
-    4 (the same PREP1 and OBS2, then MEAS3 and MEAS4 after z=-) and P[z=-, w1=ok]'s 4 (its pilot's PREP1 and
-    OBS2, MEAS3 after z=- and MEAS4 after w1=ok); r=tail zeroes every other head chain.  The tail engine
-    applies 29: OBS0, 4 (PREP1 to MEAS4 after r=tail) for each of P[r=tail], P[r=tail, w2=ok] and P[r=tail,
-    w2=fail], P[z=-, w1=ok]'s 4 as on the head engine, h1's 4 (PREP1 and OBS2 after r=tail, MEAS3 after z=+,
-    MEAS4 after w1=ok) and h1prime's refinement's 8 (PREP1 and OBS2 after r=tail, MEAS3 after z=+ and after
-    z=-, MEAS4 after each of the four live (z, w1) outcomes); r=head zeroes P[r=head]'s chains.  47 in all,
-    against 31 while each engine kept the chain nodes it walked."""
+    coin `report` applies no stage map: its pilot states are the basis engines' pilot walks (5 each, which
+    serve every later walk).  The head engine applies 15: its pilot walk, P[r=head]'s 4 (PREP1 to MEAS4
+    after the mask), P[r=head, z=-]'s 4 (the same PREP1 and OBS2, then MEAS3 and MEAS4 after z=-) and
+    P[z=-, w1=ok]'s 2 (MEAS3 after z=- and MEAS4 after w1=ok, from the pilot's OBS2); r=tail zeroes every
+    other head chain.  The tail engine applies 31: its pilot walk, 4 (PREP1 to MEAS4 after r=tail) for each
+    of P[r=tail], P[r=tail, w2=ok] and P[r=tail, w2=fail], P[z=-, w1=ok]'s 2 as on the head engine, h1's 4
+    (PREP1 and OBS2 after r=tail, MEAS3 after z=+, MEAS4 after w1=ok) and h1prime's refinement's 8 (PREP1
+    and OBS2 after r=tail, MEAS3 after z=+ and after z=-, MEAS4 after each of the four live (z, w1)
+    outcomes); r=head zeroes P[r=head]'s chains.  46 in all, against 47 while the coin's own pilot state
+    was walked and 31 while each engine kept the chain nodes it walked."""
     calls = []
     linear = exact.StageMap.linear
 
@@ -194,7 +195,7 @@ def test_report_evolves_each_node_of_each_walked_tree_once(capsys, monkeypatch):
     forget_history_caches()
     code, _, _ = run(capsys, ["report"])
     assert code == 0
-    assert len(calls) == 47
+    assert len(calls) == 46
 
 
 def test_event_before_its_record_is_answered(capsys):

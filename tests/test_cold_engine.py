@@ -1,8 +1,9 @@
 """What a cold engine derives once: readiness on its walk, flat marginals, one stage mapping per flag pair.
 
-A pilot walk steps a recording stage with the checking `apply` where an
-earlier stage, or an initial state with a memory off its ready label, may
-have left its recorder not ready, and with `linear` elsewhere; a state
+A basis engine's pilot walk, the only one, steps a recording stage with
+the checking `apply` where an earlier stage, or an initial state with a
+memory off its ready label, may have left its recorder not ready, and with
+`linear` elsewhere; a coin engine's pilot state steps nothing; a state
 computes each marginal once per axes, as a flat row-major tuple; and
 `exact.stage_maps` returns one mapping per flag pair, whose `StageMap`s
 carry whether they halve.  Each is checked against the former bodies in
@@ -20,6 +21,7 @@ import pytest
 
 import reference
 from ewflab import exact, histories
+from fresh import forget_history_caches
 from ewflab.exact import (
     GLOBAL_SPACE,
     MEMORY_AXES,
@@ -136,10 +138,16 @@ def _steps(monkeypatch, state_class, stage_class) -> list:
 def test_a_cold_pilot_walk_steps_linearly_and_reads_no_marginal(engine, state_class, stage_class, coin, hooks,
                                                                 monkeypatch):
     """Under every hook setting the initial state has every memory ready and no stage rewrites a later
-    stage's recorder, so the walk makes its 5 steps with `linear`: no `apply`, no ready check, no marginal."""
+    stage's recorder, so each basis engine's walk makes its 5 steps with `linear`: no `apply`, no ready
+    check, no marginal.  The coin's pilot state steps nothing."""
+    forget_history_caches()
     calls = _steps(monkeypatch, state_class, stage_class)
+    protocol = engine(coin, **hooks)
+    protocol.pilot_state_after(StageId.MEAS4)
+    assert [(name, self.stage) for name, self, _ in calls] == [("linear", s) for s in STAGES[1:]] * 2
+    calls.clear()
     engine(coin, **hooks).pilot_state_after(StageId.MEAS4)
-    assert [(name, self.stage) for name, self, _ in calls] == [("linear", s) for s in STAGES[1:]]
+    assert calls == []
 
 
 def _w2_swap(engine):
@@ -165,14 +173,15 @@ def _rewrites_w2(engine):
 @ENGINE_CLASSES
 def test_a_mapping_that_rewrites_w2_before_meas4_still_raises_from_the_walk(engine, state_class, stage_class,
                                                                            monkeypatch):
-    """The swap rewrites W2, so the walk steps MEAS4, and only MEAS4, with the checking `apply`."""
+    """The swap rewrites W2, so the basis walks step MEAS4, and only MEAS4, with the checking `apply`: the
+    head engine's, first, raises."""
     protocol = _rewrites_w2(engine)()
     calls = _steps(monkeypatch, state_class, stage_class)
     protocol.pilot_state_after(StageId.MEAS3)
     with pytest.raises(PreconditionError, match=r"stage MEAS4: recorder W2 memory is not ready \(weight 1\.000e\+00"):
         protocol.pilot_state_after(StageId.MEAS4)
     assert [(name, self.stage) for name, self, _ in calls if name != "marginal"] == [
-        ("linear", s) for s in STAGES[1:-1]] + [("apply", StageId.MEAS4)]
+        ("linear", s) for s in STAGES[1:-1]] * 2 + [("apply", StageId.MEAS4)]
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
@@ -220,10 +229,9 @@ def _axes_sets():
         MEMORY_AXES]
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])
 @pytest.mark.parametrize("coin", COINS, ids=COIN_IDS)
-def test_a_flat_marginal_is_the_former_dicts_values_in_row_major_order(engine, coin):
-    protocol = engine(coin)
+def test_an_exact_flat_marginal_is_the_former_dicts_values_in_row_major_order(coin):
+    protocol = ExactProtocol(coin)
     for stage in STAGES:
         state = protocol.pilot_state_after(stage)
         for axes in _axes_sets():
@@ -232,8 +240,26 @@ def test_a_flat_marginal_is_the_former_dicts_values_in_row_major_order(engine, c
             flat = state.marginal(axes)
             assert type(flat) is tuple
             assert list(flat) == list(former.values()), (stage, axes)
-            if engine is Protocol:
-                assert [x.hex() for x in flat] == [x.hex() for x in former.values()]
+
+
+@pytest.mark.parametrize("coin", COINS, ids=COIN_IDS)
+def test_a_dense_flat_marginal_is_the_former_dicts_values_in_row_major_order_within_1e_15(coin):
+    """A coin engine's marginal is its pilot form's, which sums |a·h + b·t|² per cell; the former dict
+    squares the amplitudes a·H + b·T.  A basis engine's marginal is the former dict's, bit for bit."""
+    protocol = Protocol(coin)
+    basis = exact._basis(Protocol, False, False)
+    for stage in STAGES:
+        states = [protocol.pilot_state_after(stage)] + [engine.pilot_state_after(stage) for engine in basis]
+        for axes in _axes_sets():
+            for n, state in enumerate(states):
+                former = reference.marginal(state, axes)
+                assert list(former) == list(itertools.product(*(range(GLOBAL_SPACE.dims[a]) for a in axes)))
+                flat = state.marginal(axes)
+                assert type(flat) is tuple and len(flat) == len(former)
+                if n:
+                    assert [x.hex() for x in flat] == [x.hex() for x in former.values()], (stage, axes)
+                else:
+                    assert max(abs(x - y) for x, y in zip(flat, former.values())) <= 1e-15, (stage, axes)
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["dense", "exact"])

@@ -17,6 +17,7 @@ from ewflab.exact import (
     SparseState,
     StageMap,
     Surd,
+    _basis,
 )
 from ewflab.histories import (
     FORM_MEMBERS,
@@ -275,15 +276,15 @@ def _sweep_item(protocol) -> None:
 
 @pytest.mark.parametrize("engine, stage_class", [(Protocol, StageUnitary), (ExactProtocol, StageMap)],
                          ids=["dense", "exact"])
-def test_a_cold_sweep_item_makes_5_stage_map_calls(engine, stage_class, monkeypatch):
-    """The pilot state's 5 maps: P[h1], P[h1prime] and the report are read off coin forms, so an item walks
-    no chain at its coin.  The first item in a process also walks the basis of the forms, once per process
-    and hook setting, each walk evolving its own tree: OBS0 on the head engine (r=tail zeroes every head
-    chain) and 17 on the tail engine: OBS0, h1's 4 (PREP1 and OBS2 after r=tail, MEAS3 after z=+, MEAS4
-    after w1=ok), h1prime's own chain's 4 (PREP1 to MEAS4 after r=tail) and its refinement's 8 (PREP1 and
-    OBS2 after r=tail, MEAS3 after z=+ and after z=-, MEAS4 after each of the four live (z, w1) outcomes):
-    23.  While the basis engines kept their chain nodes, h1prime's chains read the nodes h1's walk had left,
-    and the first item made 17."""
+def test_a_cold_sweep_item_makes_no_stage_map_call_at_its_coin(engine, stage_class, monkeypatch):
+    """P[h1], P[h1prime] and the report are read off coin forms, and every pilot state and marginal off the
+    basis engines' pilot states, so an item applies no stage map at its coin.  The first item in a process
+    walks the basis, once per process and hook setting: each basis engine's pilot walk (5 each) and the
+    forms' walks, each evolving its own tree, on the head engine nothing more (r=tail zeroes every head
+    chain) and on the tail engine 16: h1's 4 (PREP1 and OBS2 after r=tail, MEAS3 after z=+, MEAS4 after
+    w1=ok), h1prime's own chain's 4 (PREP1 to MEAS4 after r=tail) and its refinement's 8 (PREP1 and OBS2
+    after r=tail, MEAS3 after z=+ and after z=-, MEAS4 after each of the four live (z, w1) outcomes): 26.
+    While the coin's own pilot state was walked, an item made 5 calls and the first 23."""
     calls = []
     linear = stage_class.linear
 
@@ -298,7 +299,7 @@ def test_a_cold_sweep_item_makes_5_stage_map_calls(engine, stage_class, monkeypa
         calls.clear()
         _sweep_item(engine((math.cos(theta), math.sin(theta))))
         counts.append(len(calls))
-    assert counts == [23, 5, 5]
+    assert counts == [26, 0, 0]
 
 
 @pytest.mark.parametrize("engine, stage_class, state_class", [(Protocol, StageUnitary, StateVector),
@@ -327,8 +328,8 @@ def test_history_probability_walks_no_chain_at_its_coin(engine, stage_class, sta
 def test_a_cold_sweep_item_computes_each_distinct_marginal_once(engine, state_class, monkeypatch):
     """The joints and the final record marginal read 9 record-weight marginals of the pilot states and the
     beable chain 6 config marginals: 15 reads of 11 distinct (state, axes) pairs, each computed once.  The
-    pilot walk steps with `linear`, as no ready check can fail on it, and reads none; before both, an item
-    computed 19 marginals, these 15 and 4 ready checks."""
+    basis engines' pilot walks step with `linear`, as no ready check can fail on them, and read none; before
+    both, an item computed 19 marginals, these 15 and 4 ready checks."""
     reads, computed = [], []
     marginal = state_class.marginal
 
@@ -381,9 +382,10 @@ def test_an_exact_float_coin_sweep_item_compares_few_numbers_in_born_and_bellboh
 
 @pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
                          ids=["clean", "flip-ok-sign", "corrupt-preparation"])
-def test_a_cold_sweep_item_checks_one_dense_state(hooks, monkeypatch):
-    """The initial state is the one checked state: every other is the engine's image of it.  The first item
-    in a process also checks the initial states of the two basis engines its coin forms read."""
+def test_a_cold_sweep_item_checks_no_dense_state(hooks, monkeypatch):
+    """Every state an item reads is the engine's image of a basis engine's initial state: the first item in a
+    process checks those two, and no item checks one of its own.  While the coin's own pilot state was
+    walked, its initial state was the one checked state of every item."""
     checked = []
     init = StateVector.__init__
 
@@ -398,7 +400,7 @@ def test_a_cold_sweep_item_checks_one_dense_state(hooks, monkeypatch):
         checked.clear()
         _sweep_item(Protocol((math.cos(theta), math.sin(theta)), **hooks))
         counts.append(len(checked))
-    assert counts == [3, 1]
+    assert counts == [2, 0]
 
 
 @pytest.mark.parametrize("engine, coin, hooks", [p for p in _oracle_engines() if p.values[0] is Protocol])
@@ -882,7 +884,8 @@ def test_a_probability_memo_belongs_to_one_engine(engine, coin):
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
 def test_an_engine_keeps_no_history_state_but_its_probability_memo(engine):
     """After P[h], a report and `chain_vector`, a fresh engine holds its coin, hooks, pilot cache, unready
-    memory axes, fact results and P[h] memo, beside the stage mapping its hooks share: no chain, no other memo."""
+    memory axes, fact results and P[h] memo, beside the stage mapping its hooks share: no chain, no other
+    memo.  Its pilot cache holds superpositions of the basis engines' pilot states, which alone walk."""
     protocol = engine()
     family = [okok_fine_history(protocol), okok_coarse_history(protocol)]
     for h in family:
@@ -891,6 +894,10 @@ def test_an_engine_keeps_no_history_state_but_its_probability_memo(engine):
     chain_vector(protocol, family[0].events)
     assert set(vars(protocol)) == {"coin_amplitudes", "flip_ok_sign", "corrupt_preparation", "_pilot_cache",
                                    "_unready_axes", "fact_results", "probability_memo", "stage_unitaries"}
+    assert protocol._unready_axes == set()
+    assert all(state._pilot[1:] == tuple(engine.pilot_state_after(stage) for engine in _basis(*setting))
+               for stage, state in protocol._pilot_cache.items()
+               for setting in [(engine, protocol.flip_ok_sign, protocol.corrupt_preparation)])
     assert protocol.stage_unitaries is engine().stage_unitaries
     assert list(protocol.probability_memo) == [h.events for h in family]
 

@@ -200,15 +200,21 @@ def _exact_matrix(columns: dict, size: int) -> list[list]:
 @pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
 @pytest.mark.parametrize("coin", COINS, ids=["default"] + [f"seeded{i}" for i in range(20)])
 def test_stage_matrices_and_pilot_states_equal_the_spanning_set_build_byte_for_byte(coin, flags):
+    """The basis engines' walks are the spanning-set build's, byte for byte, and the coin's pilot state is
+    a·H + b·T of their states, byte for byte."""
     protocol = Protocol(coin, **flags)
     measured_at = {stage: var for var, (_, stage) in RECORDERS.items()}
-    state = protocol.initial_state()
+    basis = exact._basis(Protocol, protocol.flip_ok_sign, protocol.corrupt_preparation)
+    walked = [engine.initial_state() for engine in basis]
+    a, b = protocol.coin_amplitudes
     for stage in DYNAMIC_STAGES:
         unitary = protocol.stage_unitaries[stage]
         matrix = reference.record_matrix(protocol, measured_at[stage]) if stage in measured_at else unitary.matrix
         assert unitary.matrix.tobytes() == matrix.tobytes()
-        state = StageUnitary(stage, unitary.axes, matrix, unitary.recorder_axis).apply(state)
-        assert protocol.pilot_state_after(stage).amps.tobytes() == state.amps.tobytes()
+        walked = [StageUnitary(stage, unitary.axes, matrix, unitary.recorder_axis).apply(s) for s in walked]
+        head, tail = (engine.pilot_state_after(stage) for engine in basis)
+        assert [head.amps.tobytes(), tail.amps.tobytes()] == [s.amps.tobytes() for s in walked]
+        assert protocol.pilot_state_after(stage).amps.tobytes() == (a * head.amps + b * tail.amps).tobytes()
 
 
 @pytest.mark.parametrize("flags", FLAGS, ids=["clean", "flip-ok-sign", "corrupt-preparation"])
@@ -352,7 +358,7 @@ SHARED_MODULES = ("born", "bellbohm", "histories", "facts", "epistemics", "cli")
 def test_the_engine_contract_is_what_the_shared_modules_read():
     """Every name the shared modules read of an engine is in the contract `exact`'s docstring lists, and
     every listed name is read: neither engine carries a call nobody makes.  An engine is `protocol`, or a
-    basis engine of the coin forms: a name bound to what `histories._basis` returns."""
+    basis engine of the coin forms: a name bound to what `exact._basis` returns."""
     listed = exact.__doc__.split("read of an engine:", 1)[1].split(".", 1)[0]
     contract = set(re.findall(r"`(\w+)`", listed))
     read = set()

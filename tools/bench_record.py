@@ -12,7 +12,7 @@ wall time in ms of FRESH_RUNS fresh processes for `python -c pass`,
 `--help` and each of the seven subcommands at the default coin; and, under
 `exact_sweep`, the exact engine's coin-sweep item in process; and, under
 `src_lines`, the line count of each module of `src/ewflab`; and, under
-`history_caches`, the size of every history cache on both engines.  Runs
+`history_caches`, the size of every coin-form cache on both engines.  Runs
 are sequential, so the record takes about six benchmark runs, two suite
 runs, 63 short processes and about a minute of in-process work to write.
 
@@ -46,17 +46,19 @@ item of `Surd._cmp`, of `Surd.__init__` (numbers constructed), of
 round, checks included.  By then the process holds the items' coin forms,
 so the last two count what each item repeats, not the per-process basis.
 
-`history_caches` states what `histories` keeps and what it costs, on each
-engine: the entries and the `tracemalloc` KB of each per-process cache
-(`_pair_form`, `_form`, `_basis`, `_stage_bits`, `_ordered_events`) and of
-the per-engine P[h] memo (`probability_memo`), with its bound.  It reads
+`history_caches` states what the coin forms keep and what they cost, on
+each engine: the entries and the `tracemalloc` KB of each per-process cache
+(`histories`' `_pair_form` and `_form`, `exact`'s `_pilot_form` and
+`_basis`, `histories`' `_stage_bits` and `_ordered_events`) and of the
+per-engine P[h] memo (`probability_memo`), with its bound.  It reads
 them after CACHE_QUERIES queries of the warm-histories stream (seed
 CACHE_SEED) on one engine, and again, from empty caches, after a cold sweep
 of CACHE_COINS coin-sweep items, whose last engine's memo is read.  A
 cache's KB is the traced memory freed as it is emptied, the engine's memo
 first, then in the order above: what one holds of what another holds too is
 counted where it is freed, so a form's basis chains count under `_form`,
-the only cache that holds them; `_basis` counts its engines' pilot states.
+the only cache that holds them; `_pilot_form` counts the pilot marginal
+forms and `_basis` its engines' pilot states.
 """
 
 from __future__ import annotations
@@ -168,37 +170,40 @@ def exact_sweep() -> dict:
 
 
 def history_caches() -> dict:
-    """Entries and retained KB of each history cache, after the warm stream and after a cold sweep, per engine."""
+    """Entries and retained KB of each coin-form cache, after the warm stream and after a cold sweep, per engine."""
     _perfbench_on_path()
     import tracemalloc
 
     import workloads
-    from ewflab import histories
+    from ewflab import exact, histories
     from ewflab.exact import ExactProtocol
     from ewflab.protocol import Protocol, StageId
 
-    process = {"_pair_form": histories.PAIR_FORMS, "_form": histories.FORM_MEMBERS,
-               "_basis": histories.BASIS_SETTINGS, "_stage_bits": histories.EVENT_TUPLES,
-               "_ordered_events": histories.EVENT_TUPLES}
+    #: each cache's module and bound, in the order they are emptied
+    process = {"_pair_form": (histories, histories.PAIR_FORMS), "_form": (histories, histories.FORM_MEMBERS),
+               "_pilot_form": (exact, exact.PILOT_FORMS), "_basis": (exact, exact.BASIS_SETTINGS),
+               "_stage_bits": (histories, histories.EVENT_TUPLES),
+               "_ordered_events": (histories, histories.EVENT_TUPLES)}
 
     def emptied(size, clear, bound) -> dict:
         before = tracemalloc.get_traced_memory()[0]
         entries = size()
         clear()
-        return {"entries": entries, "bound": bound, "kb": round((before - tracemalloc.get_traced_memory()[0]) / 1e3, 1)}
+        freed = round((before - tracemalloc.get_traced_memory()[0]) / 1e3, 1) + 0.0  # an empty cache reads +0
+        return {"entries": entries, "bound": bound, "kb": freed}
 
     def read(protocol) -> dict:
         """Empties every cache it reads: the engine's memo, then the process's, each as it is read."""
         memo = protocol.probability_memo
         engine = {"probability": emptied(memo.__len__, memo.clear, histories.PROBABILITY_MEMO_HISTORIES)}
-        cached = {name: getattr(histories, name) for name in process}
+        cached = {name: getattr(module, name) for name, (module, _) in process.items()}
         return {"engine": engine,
-                "process": {name: emptied(lambda: f.cache_info().currsize, f.cache_clear, process[name])
+                "process": {name: emptied(lambda: f.cache_info().currsize, f.cache_clear, process[name][1])
                             for name, f in cached.items()}}
 
     def measured(run) -> dict:
-        for name in process:
-            getattr(histories, name).cache_clear()
+        for name, (module, _) in process.items():
+            getattr(module, name).cache_clear()
         tracemalloc.start()
         try:
             return read(run())
