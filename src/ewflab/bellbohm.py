@@ -13,17 +13,22 @@ state's Born weights at every epoch, with no sampling anywhere.
 The state space is small enough (81 configs, 5 transitions) to enumerate the
 full trajectory distribution exactly, and on the exact engine every
 trajectory probability is an exact number, kept wherever it is nonzero.  A
-config is walked as its offset into the flat marginal on CONFIG_AXES.
+config is walked as its offset into the flat marginal on CONFIG_AXES, and a
+kernel row sums only over the children its stage's config pilot form gives
+weight to (`_kernel_children`, once per process and stage), which
+`exact_chain` and `transition_kernel` share.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .born import Distribution
-from .exact import DYNAMIC_STAGES, GLOBAL_SPACE, MEMORY_AXES, READY, STAGES, StageId
+from .exact import (
+    BASIS_SETTINGS, DYNAMIC_STAGES, GLOBAL_SPACE, MEMORY_AXES, READY, STAGES, StageId, Surd, _basis, _pilot_form,
+)
 from .linalg import NORM_ATOL
 
 if TYPE_CHECKING:
@@ -66,12 +71,8 @@ def config_weights(state: StateVector) -> dict[MemoryConfig, float]:
     return dict(zip(_CONFIGS, state.marginal(CONFIG_AXES)))  # CONFIG_AXES are ascending
 
 
-@cache
 def _children(m: int, rewritten_axes: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The offsets of the configs m can move to at a stage rewriting `rewritten_axes`, or None if it rewrites none.
-
-    They do not depend on the coin, so each (config, stage) is worked out once per process.
-    """
+    """The offsets of the configs m can move to at a stage rewriting `rewritten_axes`, or None if it rewrites none."""
     free = [i for i, axis in enumerate(CONFIG_AXES) if axis in rewritten_axes]
     if not free:
         return None
@@ -84,19 +85,42 @@ def _children(m: int, rewritten_axes: tuple[int, ...]) -> tuple[int, ...] | None
     return tuple(children)
 
 
-def _kernel_row(m: int, before: tuple, after: tuple, rewritten_axes: tuple[int, ...], floor) -> tuple:
-    """(child offset, probability) of each child of positive weight, from two epochs' flat config marginals."""
+@lru_cache(maxsize=BASIS_SETTINGS * len(DYNAMIC_STAGES))
+def _kernel_children(engine: type, flip_ok_sign: bool, corrupt_preparation: bool, stage: StageId) -> dict:
+    """Per config the config pilot form before the stage gives weight to, the `_children` the stage's form does.
+
+    A child left out has weight 0 at every coin, so no row's sum changes.
+    Read off the basis engines' forms of the stage and the one before it.
+    """
+    head, tail = _basis(engine, flip_ok_sign, corrupt_preparation)
+
+    def support(s: StageId) -> set[int]:
+        return {cell[0] for cell in _pilot_form(head.pilot_state_after(s), tail.pilot_state_after(s), CONFIG_AXES)[-1]}
+
+    before, after = support(STAGES[STAGES.index(stage) - 1]), support(stage)
+    rewritten = head.stage_unitaries[stage].rewritten_memory_axes
+    every = {m: _children(m, rewritten) for m in before}
+    return {m: children and tuple(c for c in children if c in after) for m, children in every.items()}
+
+
+def _kernel_row(m: int, before: tuple, after: tuple, children_of: dict, floor, shared: dict) -> tuple:
+    """(child offset, probability) of each child of positive weight, from two epochs' flat config marginals and
+    the stage's `_kernel_children`.  Configs with the same children, which differ only in the registers the
+    stage rewrites, share their row, kept in `shared` by children."""
     if floor > before[m]:
         raise UnreachableConfigError(f"config {_CONFIGS[m].render()} has zero weight before this stage")
-    children = _children(m, rewritten_axes)
+    children = children_of[m]
     if children is None:
         return ((m, 1.0),)
-    denom = sum(after[c] for c in children)
-    if floor > denom:
-        raise UnreachableConfigError(
-            f"config {_CONFIGS[m].render()}: untouched registers have zero weight after the stage"
-        )
-    return tuple((c, after[c] / denom) for c in children if after[c])  # a weight is never negative
+    row = shared.get(children)
+    if row is None:
+        denom = sum(after[c] for c in children)
+        if floor > denom:
+            raise UnreachableConfigError(
+                f"config {_CONFIGS[m].render()}: untouched registers have zero weight after the stage"
+            )
+        row = shared[children] = tuple((c, after[c] / denom) for c in children if after[c])  # never negative
+    return row
 
 
 def transition_kernel(protocol: Engine, m: MemoryConfig, stage: StageId) -> Distribution:
@@ -110,8 +134,9 @@ def transition_kernel(protocol: Engine, m: MemoryConfig, stage: StageId) -> Dist
         _CONFIGS.index(m),
         protocol.pilot_state_after(prev).marginal(CONFIG_AXES),
         protocol.pilot_state_after(stage).marginal(CONFIG_AXES),
-        protocol.stage_unitaries[stage].rewritten_memory_axes,
+        _kernel_children(type(protocol), protocol.flip_ok_sign, protocol.corrupt_preparation, stage),
         protocol.weight_floor,
+        {},
     )
     return Distribution(("config",), tuple(((c,), p) for c, p in sorted((_CONFIGS[c], p) for c, p in row)))
 
@@ -181,7 +206,10 @@ class TrajectoryTable(NamedTuple):
         return sum(t.probability for t in self.entries if t.key_sequence() == key_sequence)
 
     def sorted_entries(self) -> tuple[Trajectory, ...]:
-        return tuple(sorted(self.entries, key=lambda t: (-t.probability, t.key_sequence())))
+        """By probability, largest first, then by key sequence: a float by its printed value (`.12g`), so
+        probabilities equal but for rounding tie, an exact number by itself."""
+        return tuple(sorted(self.entries, key=lambda t: (
+            -(t.probability if type(t.probability) is Surd else float(f"{t.probability:.12g}")), t.key_sequence())))
 
 
 def exact_chain(protocol: Engine) -> TrajectoryTable:
@@ -191,16 +219,13 @@ def exact_chain(protocol: Engine) -> TrajectoryTable:
     if abs(marginals[0][0] - 1.0) > NORM_ATOL:  # READY_CONFIG's offset is 0
         raise ValueError("initial pilot state does not put all memories in the ready state")
     partial: list[tuple[tuple[int, ...], float]] = [((0,), 1.0)]
+    setting = type(protocol), protocol.flip_ok_sign, protocol.corrupt_preparation
     for i, stage in enumerate(DYNAMIC_STAGES, start=1):
-        rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
+        children_of = _kernel_children(*setting, stage)
         nxt: list[tuple[tuple[int, ...], float]] = []
-        rows: dict[int, tuple] = {}  # one kernel row per config reached
+        shared: dict[tuple[int, ...], tuple] = {}  # one kernel row per set of children reached
         for configs, prob in partial:
-            m = configs[-1]
-            row = rows.get(m)
-            if row is None:
-                row = rows[m] = _kernel_row(m, marginals[i - 1], marginals[i], rewritten, floor)
-            for child, p in row:
+            for child, p in _kernel_row(configs[-1], marginals[i - 1], marginals[i], children_of, floor, shared):
                 joint = prob * p
                 if floor < joint:
                     nxt.append((configs + (child,), joint))

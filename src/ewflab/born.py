@@ -20,10 +20,13 @@ its cells by one inverse of the total weight it read: the policies agree at
 every accepted coin, exactly on the exact engine.
 
 Outcomes are read off record weights, by offset into each pilot state's
-flat marginal (a plan per tuple of reads, once per process); no measurement
-is applied to a state.  A weight or branch is zero below the engine's
-`weight_floor`: the float floor on the dense engine, an exact test on the
-exact one.  One event's weight, alone or given another, is a history
+flat marginal (a plan per tuple of reads, once per process; the sequential
+joint's reads once per stage mapping); no measurement is applied to a
+state.  A read's ratios under one set of conditioning labels are divided
+out once per pilot state and kept in its marginal memo, so a read both
+policies make is computed once.  A weight or branch is zero below the
+engine's `weight_floor`: the float floor on the dense engine, an exact test
+on the exact one.  One event's weight, alone or given another, is a history
 probability or a ratio of two (`facts`), which `CertaintyResult` classifies.
 
 Every function here runs on either engine (`protocol.Protocol` or
@@ -34,13 +37,14 @@ exact `Surd` from the second, which alone gets an `exact` label.
 from __future__ import annotations
 
 import enum
-from functools import cache
+import math
+from functools import cache, lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import (
-    DYNAMIC_STAGES, EXACT_FLOOR, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, StageId, Surd, _record_index, exact_label,
-    probability_cell,
+    BASIS_SETTINGS, DYNAMIC_STAGES, EXACT_FLOOR, GLOBAL_SPACE, OUTCOME_LABELS, RECORDED_VAR, RECORDERS, StageId, Surd,
+    _basis, exact_label, probability_cell,
 )
 from .linalg import CERTAINTY_ATOL, SUM_ATOL, ZERO_WEIGHT_FLOOR, Frozen, setfield
 
@@ -159,6 +163,20 @@ JOINT_VARIABLES: tuple[str, ...] = ("r", "z", "w1", "w2")
 JOINT_CELLS: tuple[tuple[str, ...], ...] = tuple(product(*(OUTCOME_LABELS[v] for v in JOINT_VARIABLES)))
 
 
+@cache
+def _record_index(vars: tuple[str, ...]) -> tuple[tuple[int, ...], tuple]:
+    """The memory axes of `vars`, ascending, and (labels, offset in their flat marginal) per label tuple."""
+    axes = [RECORDERS[v][0].memory_axis for v in vars]
+    order = sorted(range(len(axes)), key=axes.__getitem__)  # the marginal's axes, as positions in vars
+    dims = [GLOBAL_SPACE.dims[axes[k]] for k in order]
+    strides = [math.prod(dims[n + 1 :]) for n in range(len(order))]  # row-major, as the marginal is flat
+    keys = tuple(
+        (labels, sum(GLOBAL_SPACE.factors[axes[k]].index(labels[k]) * stride for k, stride in zip(order, strides)))
+        for labels in product(*(OUTCOME_LABELS[v] for v in vars))
+    )
+    return tuple(sorted(axes)), keys
+
+
 #: The no-collapse joint's reads after the first record: each variable given the one before, at its recording stage.
 _MARGINAL_READS = tuple((RECORDERS[v][1], (u,), v) for u, v in zip(JOINT_VARIABLES, JOINT_VARIABLES[1:]))
 
@@ -178,46 +196,57 @@ def _plan(reads: tuple[tuple[StageId, tuple[str, ...], str], ...]) -> tuple:
     return tuple(plan)
 
 
-def _walk(protocol: Engine, reads: tuple, probs: list) -> list:
+def _walk(protocol: Engine, plan: tuple, probs: list) -> list:
     """Each branch's probability times its variable's ratios of Born weights at every read, in label order.
 
-    Branches that share their conditioning labels at a read share its
-    ratios, so each is divided out once per read; a branch, or a
+    A read's ratios under one set of conditioning labels are divided out
+    once per pilot state, whichever policy reads them first, and kept in
+    the state's flat-marginal memo by (axes, label offsets); a branch, or a
     conditioning mass, below the engine's `weight_floor` gives zeros.
     """
     floor = protocol.weight_floor
-    for stage, axes, offsets in _plan(reads):
-        weights = protocol.pilot_state_after(stage).marginal(axes)
-        ratios: dict[tuple[int, ...], tuple] = {}  # by label offsets
+    for stage, axes, offsets in plan:
+        state = protocol.pilot_state_after(stage)
+        weights = state.marginal(axes)
+        memo = state._marginals  # which `marginal` has just made
         next_probs = []
         for prob, offs in zip(probs, offsets):
             if floor > prob:
                 p_labels = (0.0,) * len(offs)
-            elif offs in ratios:
-                p_labels = ratios[offs]
             else:
-                mass = sum(weights[o] for o in offs)
-                p_labels = (0.0,) * len(offs) if floor > mass else tuple(weights[o] / mass for o in offs)
-                ratios[offs] = p_labels
+                p_labels = memo.get((axes, offs))
+                if p_labels is None:
+                    mass = sum(weights[o] for o in offs)
+                    p_labels = (0.0,) * len(offs) if floor > mass else tuple(weights[o] / mass for o in offs)
+                    memo[axes, offs] = p_labels
             next_probs += [prob * p_label for p_label in p_labels]
         probs = next_probs
     return probs
 
 
-def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
-    """Stage walk with projection, renormalization, and record expiry.
+@lru_cache(maxsize=BASIS_SETTINGS)
+def _sequential_plan(engine: type, flip_ok_sign: bool, corrupt_preparation: bool) -> tuple:
+    """The sequential joint's `_plan`, derived once per process from the stage mapping of a class and hook setting.
 
     Each outcome is read at its recording stage given the earlier records
-    no stage since has rewritten.
+    no stage since has rewritten.  The mapping is the basis engines', whose
+    pilot states every coin engine of the class and setting reads.
     """
+    head, _ = _basis(engine, flip_ok_sign, corrupt_preparation)
     reads, intact = [], ()
     for stage in DYNAMIC_STAGES:
-        rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
+        rewritten = head.stage_unitaries[stage].rewritten_memory_axes
         intact = tuple(v for v in intact if RECORDERS[v][0].memory_axis not in rewritten)
         if stage in RECORDED_VAR:
             reads.append((stage, intact, RECORDED_VAR[stage]))
             intact += (RECORDED_VAR[stage],)
-    return dict(zip(JOINT_CELLS, _walk(protocol, tuple(reads), [1.0])))
+    return _plan(tuple(reads))
+
+
+def _sequential_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
+    """Stage walk with projection, renormalization, and record expiry (`_sequential_plan`)."""
+    plan = _sequential_plan(type(protocol), protocol.flip_ok_sign, protocol.corrupt_preparation)
+    return dict(zip(JOINT_CELLS, _walk(protocol, plan, [1.0])))
 
 
 def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
@@ -233,7 +262,7 @@ def _marginal_joint(protocol: Engine) -> dict[tuple[str, ...], float]:
     axes, keys = _record_index(JOINT_VARIABLES[:1])
     first = protocol.pilot_state_after(_MARGINAL_READS[0][0]).marginal(axes)
     scale = 1 / sum(first[o] for _, o in keys)
-    probs = _walk(protocol, _MARGINAL_READS, [first[o] for _, o in keys])
+    probs = _walk(protocol, _plan(_MARGINAL_READS), [first[o] for _, o in keys])
     return {cell: p * scale for cell, p in zip(JOINT_CELLS, probs)}
 
 
@@ -245,8 +274,7 @@ def joint_distribution(
         table = _sequential_joint(protocol)
     else:
         table = _marginal_joint(protocol)
-    outcomes = tuple((cell, table.get(cell, 0.0)) for cell in JOINT_CELLS)
-    return Distribution(JOINT_VARIABLES, outcomes)
+    return Distribution(JOINT_VARIABLES, tuple(table.items()))  # each table has every cell, in JOINT_CELLS order
 
 
 def final_record_marginal(protocol: Engine) -> Distribution:

@@ -427,10 +427,11 @@ class Surd:
 
     Coordinates are integers with gcd 1 and q > 0, so equal numbers have
     equal coordinates.  Arithmetic mixes with ints, Fractions and floats
-    (a float is taken as its exact binary value); it never rounds.
+    (a float is taken as its exact binary value); it never rounds.  A
+    divisor keeps its inverse in `_inv`, unset until a division needs it.
     """
 
-    __slots__ = ("a", "b", "c", "d", "q")
+    __slots__ = ("a", "b", "c", "d", "q", "_inv")
 
     def __init__(self, a: int = 0, b: int = 0, c: int = 0, d: int = 0, q: int = 1) -> None:
         if q < 0:
@@ -519,10 +520,16 @@ class Surd:
         o = _coerce(other)
         if o is NotImplemented:
             return o
-        return self * o.inverse()
+        return self * o._inverted()
 
     def __rtruediv__(self, other) -> "Surd":
-        return self.inverse() * other
+        return self._inverted() * other
+
+    def _inverted(self) -> "Surd":
+        inv = getattr(self, "_inv", None)
+        if inv is None:
+            inv = self._inv = self.inverse()
+        return inv
 
     def __pow__(self, n) -> "Surd":
         """self ** n for an int n >= 0, by repeated squaring; exact, like every other operation."""
@@ -729,6 +736,15 @@ def _basis(engine: type, flip_ok_sign: bool, corrupt_preparation: bool) -> tuple
                  for coin in ((1, 0), (0, 1)))
 
 
+@lru_cache(maxsize=BASIS_SETTINGS)
+def _linear(engine: type, flip_ok_sign: bool, corrupt_preparation: bool) -> None:
+    """Refuse a class whose initial state at a probe coin (a, b) is not a·H + b·T of the basis engines'."""
+    probe = engine((0.6, -0.8), flip_ok_sign=flip_ok_sign, corrupt_preparation=corrupt_preparation)
+    h, t = (e.pilot_state_after(StageId.PREP_MINUS1) for e in _basis(engine, flip_ok_sign, corrupt_preparation))
+    if probe.initial_state().components() != h.superposed(probe.coin_amplitudes, t).components():
+        raise ValueError(f"{engine.__name__}.initial_state is not linear in the coin, as every coin form assumes")
+
+
 @lru_cache(maxsize=PILOT_FORMS)
 def _pilot_form(head, tail, axes: tuple[int, ...]) -> tuple:
     """The form of the marginal on `axes` of a·head + b·tail, basis states after one stage, built once per process."""
@@ -741,8 +757,8 @@ class Engine:
     A subclass passes `coin_amplitudes`, two amplitudes in the number type
     of its states, and provides `initial_state`, `stage_unitaries`, `gram`
     and `sqrt`; `initial_state` is linear in the coin, as every coin form
-    assumes.  A coin of any other length is refused here, before its
-    normalisation is checked.
+    assumes (`_linear` checks it).  A coin of any other length is refused
+    here, before its normalisation is checked.
     """
 
     #: a Born weight below it is zero; written first in a comparison, as born and bellbohm do
@@ -769,14 +785,17 @@ class Engine:
         the coin enters only through the initial state, and every stage map
         is linear.  Each is built once per engine and stage; it builds its
         amplitudes only when they are read, and a marginal of it is its
-        stage's pilot form (`_pilot_form`) evaluated at the coin.
+        stage's pilot form (`_pilot_form`) evaluated at the coin.  The first
+        one, once its basis states are walked, checks `_linear`.
         """
         state = self._pilot_cache.get(stage)
         if state is None:
             head, tail = _basis(type(self), self.flip_ok_sign, self.corrupt_preparation)
             if self is head or self is tail:
                 return self._walk(stage)
-            h, t = head.pilot_state_after(stage), tail.pilot_state_after(stage)
+            h, t = head._walk(stage), tail._walk(stage)
+            if not self._pilot_cache:
+                _linear(type(self), self.flip_ok_sign, self.corrupt_preparation)
             state = self._pilot_cache[stage] = h.superposed(self.coin_amplitudes, t)
         return state
 
@@ -803,20 +822,6 @@ class Engine:
                 state = cache[s] = step.apply(state) if step.recorder_axis in unready else step.linear(state)
                 unready.update(step.rewritten_memory_axes)
         return cache[stage]
-
-
-@cache
-def _record_index(vars: tuple[str, ...]) -> tuple[tuple[int, ...], tuple]:
-    """The memory axes of `vars`, ascending, and (labels, offset in their flat marginal) per label tuple."""
-    axes = [RECORDERS[v][0].memory_axis for v in vars]
-    order = sorted(range(len(axes)), key=axes.__getitem__)  # the marginal's axes, as positions in vars
-    dims = [GLOBAL_SPACE.dims[axes[k]] for k in order]
-    strides = [math.prod(dims[n + 1 :]) for n in range(len(order))]  # row-major, as the marginal is flat
-    keys = tuple(
-        (labels, sum(GLOBAL_SPACE.factors[axes[k]].index(labels[k]) * stride for k, stride in zip(order, strides)))
-        for labels in itertools.product(*(OUTCOME_LABELS[v] for v in vars))
-    )
-    return tuple(sorted(axes)), keys
 
 
 # -- the sparse exact engine --------------------------------------------------------

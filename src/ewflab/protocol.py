@@ -159,7 +159,8 @@ class StateVector(_Squared):
         """`memory_marginal` flat, in row-major order: computed once per state and axes.
 
         A superposition's is its pilot form evaluated at the coin instead:
-        per cell, the sum of |a·h + b·t|² over its basis amplitudes.
+        per cell, the sum of |a·h + b·t|² over its basis amplitudes, in
+        floats where the coin and the form are real.
         """
         memo = getattr(self, "_marginals", None)  # a copy or an unpickled state is restored without it
         if memo is None:
@@ -169,14 +170,23 @@ class StateVector(_Squared):
         pilot = getattr(self, "_pilot", None)
         if flat is None and pilot is not None:
             (a, b), head, tail = pilot
-            size, cells = _pilot_form(head, tail, axes)
+            size, real, cells = _pilot_form(head, tail, axes)
             values = [0.0] * size
-            for t, pairs in cells:
-                v = 0.0
-                for x, y in pairs:
-                    z = a * x + b * y
-                    v += z.real * z.real + z.imag * z.imag
-                values[t] = v
+            if real and not (a.imag or b.imag):  # the same floats: each dropped imaginary term is a signed zero
+                a, b = a.real, b.real
+                for t, pairs in cells:
+                    v = 0.0
+                    for x, y in pairs:
+                        z = a * x + b * y
+                        v += z * z
+                    values[t] = v
+            else:
+                for t, pairs in cells:
+                    v = 0.0
+                    for x, y in pairs:
+                        z = a * x + b * y
+                        v += z.real * z.real + z.imag * z.imag
+                    values[t] = v
             flat = memo[axes] = tuple(values)
         elif flat is None:
             flat = memo[axes] = tuple(memory_marginal(self, axes).ravel().tolist())
@@ -200,18 +210,20 @@ class StateVector(_Squared):
         return amps
 
     def marginal_form(self, tail: "StateVector", axes: tuple[int, ...]) -> tuple:
-        """(size, cells) of the marginal on `axes` of a·self + b·tail.
+        """(size, real, cells) of the marginal on `axes` of a·self + b·tail.
 
         Each nonzero cell is (offset, pairs): the (h, t) amplitudes of its
-        basis states where either is nonzero, in index order.
+        basis states where either is nonzero, in index order, as floats when
+        `real`, that is when no amplitude of either state has an imaginary part.
         """
         local_strides, offset = _layout(axes)
+        real = not (self.amps.imag.any() or tail.amps.imag.any())
+        hs, ts = (s.amps.real.tolist() if real else s.amps.tolist() for s in (self, tail))
         cells: dict[int, list] = {}
         for i in np.flatnonzero(np.abs(self.amps) + np.abs(tail.amps)).tolist():
             digits = DIGITS[i]
-            cells.setdefault(sum(digits[a] * s for a, s in zip(axes, local_strides)), []).append(
-                (complex(self.amps[i]), complex(tail.amps[i])))
-        return len(offset), tuple(sorted((t, tuple(pairs)) for t, pairs in cells.items()))
+            cells.setdefault(sum(digits[a] * s for a, s in zip(axes, local_strides)), []).append((hs[i], ts[i]))
+        return len(offset), real, tuple(sorted((t, tuple(pairs)) for t, pairs in cells.items()))
 
 
 #: The engine's own operators by id: the shared stage unitaries and the record

@@ -97,7 +97,7 @@ from ewflab.bellbohm import (
     UnreachableConfigError,
     config_weights,
 )
-from ewflab.born import JOINT_CELLS, JOINT_VARIABLES
+from ewflab.born import JOINT_CELLS, JOINT_VARIABLES, _record_index
 from ewflab.exact import (
     DIGITS,
     MEASURED,
@@ -111,7 +111,6 @@ from ewflab.exact import (
     SparseState,
     Surd,
     _mul4,
-    _record_index,
     _square4,
     _times_code,
     halves,

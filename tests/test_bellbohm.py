@@ -12,6 +12,7 @@ from ewflab.bellbohm import (
     REFERENCE_TRAJECTORY,
     MemoryConfig,
     UnreachableConfigError,
+    _kernel_children,
     _kernel_row,
     all_configs,
     config_weights,
@@ -22,6 +23,7 @@ from ewflab.exact import ExactProtocol
 from ewflab.linalg import ZERO_WEIGHT_FLOOR, StateVector
 from ewflab.protocol import DYNAMIC_STAGES, GLOBAL_SPACE, STAGES, Protocol, StageId
 from reference import config_projector, project, weight
+from test_pilot_forms import DECIMAL_COINS, FLOAT_COINS
 
 
 class TestConfigProjectors:
@@ -113,8 +115,8 @@ KERNEL_COINS = [None] + [(math.cos(t), math.sin(t)) for t in np.random.default_r
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
 @pytest.mark.parametrize("coin", KERNEL_COINS, ids=["default"] + [f"seeded{i}" for i in range(10)])
 def test_kernel_rows_equal_rows_with_rebuilt_children(engine, coin):
-    """Every reachable (config, stage): the cached child offsets over flat marginals give the same row,
-    entry order included."""
+    """Every reachable (config, stage): the child offsets cut to the stage's form support, over flat
+    marginals, give the same row, entry order included."""
     protocol = engine(coin)
     weights = [config_weights(protocol.pilot_state_after(s)) for s in STAGES]
     marginals = [protocol.pilot_state_after(s).marginal(CONFIG_AXES) for s in STAGES]
@@ -125,7 +127,8 @@ def test_kernel_rows_equal_rows_with_rebuilt_children(engine, coin):
             if w < ZERO_WEIGHT_FLOOR:
                 continue
             want = reference.kernel_row(m, weights[i - 1], weights[i], rewritten)
-            got = _kernel_row(offset, marginals[i - 1], marginals[i], rewritten, protocol.weight_floor)
+            children = _kernel_children(engine, False, False, stage)
+            got = _kernel_row(offset, marginals[i - 1], marginals[i], children, protocol.weight_floor, {})
             assert [(all_configs()[c], p) for c, p in got] == list(want.items())
             rows += 1
     assert rows >= 5
@@ -141,22 +144,66 @@ def _table_bits(table):
     return entries, [{m: _bits(w) for m, w in ws.items()} for ws in table.epoch_weights]
 
 
+def _final_record_marginal(protocol):
+    """The (w1, w2) weights of the final pilot state over their sum, as `born` read them per call."""
+    weights = reference.record_weights(protocol, protocol.pilot_state_after(StageId.MEAS4), ("w1", "w2"))
+    scale = 1 / sum(weights.values())
+    return [(labels, _bits(w * scale)) for labels, w in weights.items()]
+
+
+def _rows(protocol, row):
+    """Every stage's row of every config as `row(protocol, m, stage, weights, i)` reads it, or the
+    UnreachableConfigError it raises."""
+    weights = [config_weights(protocol.pilot_state_after(s)) for s in STAGES]
+    rows = []
+    for i, stage in enumerate(STAGES[1:], start=1):
+        for m in all_configs():
+            try:
+                rows.append([(c, _bits(p)) for c, p in row(protocol, m, stage, weights, i)])
+            except UnreachableConfigError as error:
+                rows.append(str(error))
+    return rows
+
+
+def _kernel(protocol, m, stage, weights, i):
+    return [(c, p) for (c,), p in transition_kernel(protocol, m, stage).outcomes]
+
+
+def _reference_kernel(protocol, m, stage, weights, i):
+    rewritten = protocol.stage_unitaries[stage].rewritten_memory_axes
+    return sorted(reference.kernel_row(m, weights[i - 1], weights[i], rewritten).items())
+
+
+#: the kernel coins, 20 decimal coins (normalised within 1e-9 only) and 5 float coins, on both engines
+ORACLE_COINS = KERNEL_COINS + DECIMAL_COINS + FLOAT_COINS
+ORACLE_IDS = ["default"] + [f"seeded{i}" for i in range(10)] + [f"decimal{i}" for i in range(20)] + [
+    f"float{i}" for i in range(5)]
+
+
 @pytest.mark.parametrize("engine", [Protocol, ExactProtocol], ids=["dense", "exact"])
 @pytest.mark.parametrize("hooks", [{}, {"flip_ok_sign": True}, {"corrupt_preparation": True}],
                          ids=["clean", "flip-ok-sign", "corrupt-preparation"])
-@pytest.mark.parametrize("coin", KERNEL_COINS, ids=["default"] + [f"seeded{i}" for i in range(10)])
+@pytest.mark.parametrize("coin", ORACLE_COINS, ids=ORACLE_IDS)
 def test_shared_ratios_equal_the_per_branch_oracles(engine, hooks, coin):
-    """Both joints and the trajectory table equal the bodies that divided once per branch, cell or
-    partial trajectory: dense floats bit for bit, exact numbers exactly.  The marginal joint's cells
-    are the oracle's times one inverse of the total weight of the first record, |a|^2 + |b|^2."""
+    """Both joints, the final record marginal, the trajectory table, its printed order and every kernel row
+    equal the bodies that divided once per branch, cell, partial trajectory or child: dense floats bit for
+    bit, exact numbers exactly.  The marginal joint's cells are the oracle's times one inverse of the total
+    weight of the first record, |a|^2 + |b|^2."""
     protocol = engine(coin, **hooks)
-    total = sum(reference.record_weights(protocol, protocol.pilot_state_after(StageId.OBS2), ("r",)).values())
-    marginal = {cell: p * (1 / total) for cell, p in reference.marginal_joint(protocol).items()}
-    for got, want in [(born._sequential_joint(protocol), reference.sequential_joint(protocol)),
+    oracle = engine(coin, **hooks)  # reads no ratio the first engine's states hold
+    total = sum(reference.record_weights(oracle, oracle.pilot_state_after(StageId.OBS2), ("r",)).values())
+    marginal = {cell: p * (1 / total) for cell, p in reference.marginal_joint(oracle).items()}
+    for got, want in [(born._sequential_joint(protocol), reference.sequential_joint(oracle)),
                       (born._marginal_joint(protocol), marginal)]:
         assert list(got.items()) == list(want.items())
         assert [_bits(p) for p in got.values()] == [_bits(p) for p in want.values()]
-    assert _table_bits(exact_chain(protocol)) == _table_bits(reference.exact_chain(protocol))
+    assert [(labels, _bits(p)) for labels, p in born.final_record_marginal(protocol).outcomes] == (
+        _final_record_marginal(oracle))
+    table, want = exact_chain(protocol), reference.exact_chain(oracle)
+    assert _table_bits(table) == _table_bits(want)
+    assert [t.configs for t in table.sorted_entries()] == [
+        t.configs for t in sorted(want.entries, key=lambda t: (-t.probability, t.key_sequence()))]
+    assert _rows(protocol, _kernel) == _rows(oracle, _reference_kernel)
 
 
 class TestExactChain:

@@ -329,7 +329,11 @@ def test_a_cold_sweep_item_computes_each_distinct_marginal_once(engine, state_cl
     """The joints and the final record marginal read 9 record-weight marginals of the pilot states and the
     beable chain 6 config marginals: 15 reads of 11 distinct (state, axes) pairs, each computed once.  The
     basis engines' pilot walks step with `linear`, as no ready check can fail on them, and read none; before
-    both, an item computed 19 marginals, these 15 and 4 ready checks."""
+    both, an item computed 19 marginals, these 15 and 4 ready checks.  Beside them the pilot states keep 7
+    tuples of read ratios, each divided out once: r at OBS0, and z given r at OBS2, w1 given z at MEAS3 and
+    w2 given w1 at MEAS4 under each of the two conditioning labels.  The sequential joint computes all 7 and
+    the no-collapse joint, which reads the last three reads, none; before they were shared, the two computed
+    13 (7 and 6)."""
     reads, computed = [], []
     marginal = state_class.marginal
 
@@ -344,14 +348,24 @@ def test_a_cold_sweep_item_computes_each_distinct_marginal_once(engine, state_cl
     assert len(reads) == 15
     assert sorted(computed) == sorted({(id(state), axes) for state, axes in reads})
     assert len(computed) == 11
+    memos = [state._marginals for state, _ in reads]
+    assert len({(id(memo), key) for memo in memos for key in memo if type(key[0]) is tuple}) == 7
 
 
-def test_an_exact_float_coin_sweep_item_divides_77_times(monkeypatch):
-    """Each distinct Born ratio is divided out once: 14 in the sequential joint (one per stage, active
-    conditions and label), 12 in the marginal joint (one per step and label pair), 49 in the beable chain
-    (one kernel row per config and stage); the histories divide nothing.  The two no-collapse reads, the
-    marginal joint and the final record marginal, each take one inverse of the total weight they read,
-    which a float coin (a binary rational) makes other than 1."""
+def test_an_exact_float_coin_sweep_item_inverts_18_numbers(monkeypatch):
+    """Each divisor is inverted once, however many weights it divides (`Surd._inv`), and each distinct
+    Born ratio is divided out once per pilot state.  The sequential joint inverts 7 conditioning masses:
+    r's total at OBS0, then r's two labels at OBS2, z's two at MEAS3 and w1's two at MEAS4; the no-collapse
+    joint reads those last 6 ratio tuples off the pilot states and inverts none.  The beable chain inverts
+    one denominator per kernel row at a stage that rewrites a memory, and configs that differ only in the
+    registers the stage rewrites share their children and so their row: of the 1, 2, 3 and 8 configs it
+    reaches before OBS0, OBS2, MEAS3 and MEAS4, 1, 2, 2 and 4 rows, 9 (PREP1 rewrites none and divides
+    nothing).  The two no-collapse reads, the marginal joint and the final record marginal, each invert the
+    total weight they read, which a float coin (a binary rational) makes other than 1: 2.  The histories
+    divide nothing: 7 + 9 + 2 = 18.  When each division inverted its divisor and the two joints divided
+    apart, an item made 77: 14 in the sequential joint (one per stage, active conditions and label), 12 in
+    the marginal joint (one per step and label pair), 49 in the chain (one per child of positive weight)
+    and the 2 totals."""
     calls = []
     inverse = Surd.inverse
 
@@ -361,7 +375,7 @@ def test_an_exact_float_coin_sweep_item_divides_77_times(monkeypatch):
 
     monkeypatch.setattr(Surd, "inverse", counting)
     _sweep_item(ExactProtocol((math.cos(1.0), math.sin(1.0))))
-    assert len(calls) == 77
+    assert len(calls) == 18
 
 
 def test_an_exact_float_coin_sweep_item_compares_few_numbers_in_born_and_bellbohm(monkeypatch):
@@ -384,8 +398,9 @@ def test_an_exact_float_coin_sweep_item_compares_few_numbers_in_born_and_bellboh
                          ids=["clean", "flip-ok-sign", "corrupt-preparation"])
 def test_a_cold_sweep_item_checks_no_dense_state(hooks, monkeypatch):
     """Every state an item reads is the engine's image of a basis engine's initial state: the first item in a
-    process checks those two, and no item checks one of its own.  While the coin's own pilot state was
-    walked, its initial state was the one checked state of every item."""
+    process checks those two and the initial state of the engine at the probe coin that shows the class's
+    initial state linear in the coin (`exact._linear`), and no item checks one of its own.  While the coin's
+    own pilot state was walked, its initial state was the one checked state of every item."""
     checked = []
     init = StateVector.__init__
 
@@ -400,7 +415,7 @@ def test_a_cold_sweep_item_checks_no_dense_state(hooks, monkeypatch):
         checked.clear()
         _sweep_item(Protocol((math.cos(theta), math.sin(theta)), **hooks))
         counts.append(len(checked))
-    assert counts == [2, 0]
+    assert counts == [3, 0]
 
 
 @pytest.mark.parametrize("engine, coin, hooks", [p for p in _oracle_engines() if p.values[0] is Protocol])

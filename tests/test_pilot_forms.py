@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from ewflab import bellbohm, born, histories
+from ewflab import bellbohm, born, exact, histories
 from ewflab.exact import STAGES, ExactProtocol, SparseState
 from ewflab.protocol import Protocol, StateVector
 from test_cold_engine import HOOK_IDS, HOOKS, _axes_sets
@@ -98,3 +98,27 @@ def test_no_dense_answer_is_negative_zero(hooks):
         values = _dense_values(Protocol(coin, **hooks))
         assert all(type(v) is float for v in values), coin
         assert [v for v in values if v < 0 or math.copysign(1.0, v) < 0] == [], coin
+
+
+@pytest.mark.parametrize("hooks", HOOKS, ids=HOOK_IDS)
+def test_a_real_coin_reads_the_bits_of_the_complex_evaluation(hooks):
+    """The basis states are real, so their forms hold float pairs, and a real coin evaluates them in floats:
+    every stage and axes set has the bits of each cell's Σ|a·h + b·t|² in complex arithmetic, which every
+    coin was evaluated in before.  The imaginary terms that drops are signed zeros."""
+    for coin in [None] + [tuple(map(float, c)) for c in DECIMAL_COINS] + FLOAT_COINS:
+        protocol = Protocol(coin, **hooks)
+        a, b = protocol.coin_amplitudes
+        for stage in STAGES:
+            state = protocol.pilot_state_after(stage)
+            _, head, tail = state._pilot
+            for axes in _axes_sets():
+                size, real, cells = exact._pilot_form(head, tail, axes)
+                assert real and all(type(x) is float for _, pairs in cells for pair in pairs for x in pair)
+                want = [0.0] * size
+                for t, pairs in cells:
+                    v = 0.0
+                    for x, y in pairs:
+                        z = a * complex(x) + b * complex(y)
+                        v += z.real * z.real + z.imag * z.imag
+                    want[t] = v
+                assert [x.hex() for x in state.marginal(axes)] == [x.hex() for x in want], (coin, stage, axes)

@@ -11,10 +11,12 @@ collecting it listed separately; and, under `fresh_process`, the median
 wall time in ms of FRESH_RUNS fresh processes for `python -c pass`,
 `--help` and each of the seven subcommands at the default coin; and, under
 `exact_sweep`, the exact engine's coin-sweep item in process; and, under
-`src_lines`, the line count of each module of `src/ewflab`; and, under
-`history_caches`, the size of every coin-form cache on both engines.  Runs
-are sequential, so the record takes about six benchmark runs, two suite
-runs, 63 short processes and about a minute of in-process work to write.
+`item_steps`, a cold coin-sweep item split into its steps on both engines;
+and, under `src_lines`, the line count of each module of `src/ewflab`; and,
+under `history_caches`, the size of every coin-form cache on both engines.
+Runs are sequential, so the record takes about six benchmark runs, two
+suite runs, 63 short processes and about a minute of in-process work to
+write.
 
 `fresh_process` is what a user pays per command, split by subcommand.
 Neither of the other two views shows it: `python -X importtime` does not
@@ -41,15 +43,28 @@ and checks unchanged, with `ExactProtocol` as its engine, at the float coin
 gives the median µs of EXACT_ROUNDS rounds of those items (each item timed
 as the workload times it, wall and at reference speed), and the calls per
 item of `Surd._cmp`, of `Surd.__init__` (numbers constructed), of
+`Surd.inverse` (divisors inverted), of
 `math.gcd`, of `StageMap.linear` (stage maps applied) and of
 `SparseState.inner` (inner products), counted by cProfile over one more
 round, checks included.  By then the process holds the items' coin forms,
 so the last two count what each item repeats, not the per-process basis.
 
+`item_steps` says where a cold item's time goes.  Each item is the body of
+`perfbench/workloads._sweep_item` without its checks, at the float coin
+(cos θ, sin θ) for the EXACT_ANGLES seeded angles of `exact_sweep`, on a
+fresh engine; each step is timed apart: `pilot` (the engine built and its
+pilot state after MEAS4), `collapse` and `marginal` (the two joints),
+`chain` (`bellbohm.exact_chain`), `histories` (h1 and h1prime built, their
+P[h] and the report) and `final` (the final record marginal).  The record
+gives each step's median wall µs over STEP_ROUNDS rounds, per engine, and
+the median µs of the whole item; a step's median is read on its own, so
+the steps need not add up to the item's.
+
 `history_caches` states what the coin forms keep and what they cost, on
 each engine: the entries and the `tracemalloc` KB of each per-process cache
 (`histories`' `_pair_form` and `_form`, `exact`'s `_pilot_form` and
-`_basis`, `histories`' `_stage_bits` and `_ordered_events`) and of the
+`_basis`, `histories`' `_stage_bits` and `_ordered_events`, `bellbohm`'s
+`_kernel_children` and `born`'s `_sequential_plan`) and of the
 per-engine P[h] memo (`probability_memo`), with its bound.  It reads
 them after CACHE_QUERIES queries of the warm-histories stream (seed
 CACHE_SEED) on one engine, and again, from empty caches, after a cold sweep
@@ -66,6 +81,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import json
+import math
 import os
 import platform
 import pstats
@@ -95,6 +111,8 @@ FRESH = {
 FRESH_RUNS = 7
 #: Rounds and seeded angles of the exact-engine sweep, and their seed.
 EXACT_ROUNDS, EXACT_ANGLES, EXACT_SEED = 3, 200, 11
+#: Rounds of the per-step split of a cold item, over the angles of `exact_sweep`.
+STEP_ROUNDS = 3
 #: Warm queries, cold sweep items and the warm stream's seed of `history_caches`.
 CACHE_QUERIES, CACHE_COINS, CACHE_SEED = 35_000, 200, 1
 #: What the `ewflab` console script runs.
@@ -164,9 +182,46 @@ def exact_sweep() -> dict:
         "median_us_at_reference_speed": round(statistics.median(scaled) * 1e3, 1),
         "round_median_us": [round(statistics.median(r) * 1e3, 1) for r in rounds],
         "calls_per_item": {"Surd._cmp": per_item(Surd._cmp), "Surd.__init__": per_item(Surd.__init__),
+                           "Surd.inverse": per_item(Surd.inverse),
                            "math.gcd": round(gcd / len(angles), 1), "StageMap.linear": per_item(StageMap.linear),
                            "SparseState.inner": per_item(SparseState.inner)},
     }
+
+
+def item_steps() -> dict:
+    """Median wall µs of each step of a cold coin-sweep item, and of the item, on each engine."""
+    _perfbench_on_path()
+    from ewflab import bellbohm, born, histories
+    from ewflab.exact import ExactProtocol
+    from ewflab.protocol import Protocol, StageId
+
+    def steps(engine, theta) -> list[float]:
+        marks = [time.perf_counter()]
+        protocol = engine((math.cos(theta), math.sin(theta)))
+        protocol.pilot_state_after(StageId.MEAS4)
+        marks.append(time.perf_counter())
+        for policy in born.CollapsePolicy:
+            born.joint_distribution(protocol, policy)
+            marks.append(time.perf_counter())
+        bellbohm.exact_chain(protocol)
+        marks.append(time.perf_counter())
+        h1, h1prime = histories.okok_fine_history(protocol), histories.okok_coarse_history(protocol)
+        histories.history_probability(protocol, h1)
+        histories.history_probability(protocol, h1prime)
+        histories.chain_consistency_report(protocol, [h1, h1prime])
+        marks.append(time.perf_counter())
+        born.final_record_marginal(protocol)
+        marks.append(time.perf_counter())
+        return [(b - a) * 1e6 for a, b in zip(marks, marks[1:])] + [(marks[-1] - marks[0]) * 1e6]
+
+    rng = random.Random(EXACT_SEED)
+    angles = [rng.uniform(0.1, 1.4) for _ in range(EXACT_ANGLES)]
+    names = ("pilot", "collapse", "marginal", "chain", "histories", "final", "item")
+    record = {"rounds": STEP_ROUNDS, "angles": EXACT_ANGLES, "seed": EXACT_SEED, "unit": "us"}
+    for label, engine in (("dense", Protocol), ("exact", ExactProtocol)):
+        times = [steps(engine, theta) for _ in range(STEP_ROUNDS) for theta in angles]
+        record[label] = {name: round(statistics.median(t[k] for t in times), 1) for k, name in enumerate(names)}
+    return record
 
 
 def history_caches() -> dict:
@@ -175,7 +230,7 @@ def history_caches() -> dict:
     import tracemalloc
 
     import workloads
-    from ewflab import exact, histories
+    from ewflab import bellbohm, born, exact, histories
     from ewflab.exact import ExactProtocol
     from ewflab.protocol import Protocol, StageId
 
@@ -183,7 +238,9 @@ def history_caches() -> dict:
     process = {"_pair_form": (histories, histories.PAIR_FORMS), "_form": (histories, histories.FORM_MEMBERS),
                "_pilot_form": (exact, exact.PILOT_FORMS), "_basis": (exact, exact.BASIS_SETTINGS),
                "_stage_bits": (histories, histories.EVENT_TUPLES),
-               "_ordered_events": (histories, histories.EVENT_TUPLES)}
+               "_ordered_events": (histories, histories.EVENT_TUPLES),
+               "_kernel_children": (bellbohm, bellbohm._kernel_children.cache_info().maxsize),
+               "_sequential_plan": (born, born._sequential_plan.cache_info().maxsize)}
 
     def emptied(size, clear, bound) -> dict:
         before = tracemalloc.get_traced_memory()[0]
@@ -292,6 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     suite_s, summary = timed(TIER1)
     caches = history_caches()
     exact = exact_sweep()
+    split = item_steps()
     fresh = fresh_process()  # last: it pins this process to one CPU
     record = {
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(), "machine": platform.machine()},
@@ -300,6 +358,7 @@ def main(argv: list[str] | None = None) -> int:
                   "collection_wall_s": round(collect_s, 2), "collected": collected},
         "fresh_process": fresh,
         "exact_sweep": exact,
+        "item_steps": split,
         "src_lines": src_lines(),
         "history_caches": caches,
     }
